@@ -92,6 +92,12 @@ func main() {
 		log.Printf("created filter %q kind=%s capacity=%d", info.Name, info.Kind, info.Capacity)
 	}
 
+	// Catch signals before the listeners open: a client may act on the
+	// address lines below as soon as they are printed, and a SIGTERM that
+	// hit the default handler would skip the drain and the final snapshot,
+	// losing inserts already acknowledged.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	if err := srv.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -101,8 +107,6 @@ func main() {
 		log.Printf("binary protocol on %s", a)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop()
 	log.Printf("signal received; draining")

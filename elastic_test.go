@@ -208,3 +208,35 @@ func TestElasticRemovePublic(t *testing.T) {
 		t.Fatalf("count %d after removing everything", f.Count())
 	}
 }
+
+// TestElasticEventsOnlyRealCompactions churns a sequential cascade on a
+// sliding window and requires every compact-finish event in the ring to
+// report merged levels: a compaction pass with nothing to merge must stay
+// silent, or the rare-event ring fills with no-op records and loses the
+// growth events it exists to keep.
+func TestElasticEventsOnlyRealCompactions(t *testing.T) {
+	const w = 1 << 15
+	e := NewElastic(WithAutoCompaction(4, 0), WithAutoFreeze(0, 0.1))
+	for i := uint64(0); i < 6*w; i++ {
+		e.AddUint64(i)
+		if i >= w && (i-w)%16 != 0 && !e.RemoveUint64(i-w) {
+			t.Fatalf("remove of live key %d failed", i-w)
+		}
+		if i >= 4*w && (i-4*w)%16 == 0 && !e.RemoveUint64(i-4*w) {
+			t.Fatalf("remove of live key %d failed", i-4*w)
+		}
+	}
+	if e.CascadeSnapshot().Compactions == 0 {
+		t.Fatal("churn ran no compaction; the check is vacuous")
+	}
+	kinds := map[string]int{}
+	for _, ev := range e.Events() {
+		kinds[ev.Kind]++
+		if ev.Kind == "compact-finish" && ev.A == 0 {
+			t.Fatalf("compact-finish event with no levels merged: %+v", ev)
+		}
+	}
+	if kinds["elastic-grow"] == 0 {
+		t.Fatalf("no elastic-grow event left in the ring: %v", kinds)
+	}
+}

@@ -32,6 +32,36 @@ func FuzzRead(f *testing.F) {
 	e.WriteTo(&elasticBuf)
 	f.Add(elasticBuf.Bytes())
 
+	// A cascade carrying frozen fuse levels with tombstones, a standalone
+	// frozen filter ('F') and a sharded filter ('S').
+	var fuseBuf bytes.Buffer
+	fe := NewElastic(WithInitialCapacity(256))
+	for i := uint64(0); i < 1500; i++ {
+		fe.AddUint64(i)
+	}
+	if fe.FreezeNow().FuseLevels == 0 {
+		f.Fatal("seed cascade froze no level")
+	}
+	for i := uint64(0); i < 100; i++ {
+		fe.RemoveUint64(i)
+	}
+	fe.WriteTo(&fuseBuf)
+	f.Add(fuseBuf.Bytes())
+
+	var frozenBuf bytes.Buffer
+	fz, err := NewFrozen([][]byte{[]byte("seed"), []byte("frozen")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fz.WriteTo(&frozenBuf)
+	f.Add(frozenBuf.Bytes())
+
+	var shardedBuf bytes.Buffer
+	sh := NewSharded(1000, 4)
+	sh.AddString("seed")
+	sh.WriteTo(&shardedBuf)
+	f.Add(shardedBuf.Bytes())
+
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 100))
 
@@ -73,6 +103,13 @@ func FuzzRead(f *testing.F) {
 			var out bytes.Buffer
 			if _, err := got.WriteTo(&out); err != nil {
 				t.Fatalf("re-serialize of accepted elastic failed: %v", err)
+			}
+		}
+		if got, err := ReadFrozen(bytes.NewReader(data)); err == nil {
+			got.ContainsString("probe")
+			var out bytes.Buffer
+			if _, err := got.WriteTo(&out); err != nil {
+				t.Fatalf("re-serialize of accepted frozen filter failed: %v", err)
 			}
 		}
 	})

@@ -109,13 +109,14 @@ func newMergedLevel(cfg Config, kind uint8, nblocks uint64, budget float64) *lev
 	return lvl
 }
 
-// mergeBlocks returns the block count for merging the run, or 0 when the
-// run cannot be merged within its constraints: enough slots that the
-// realized FPR at the live load stays within the summed budget εm, enough
-// fill headroom for the rebuild inserts, and no more blocks than the
-// smallest source (the cross-mask soundness bound).
-func mergeBlocks(cfg Config, run []*level) uint64 {
-	live := sumCounts(run)
+// mergeBlocks returns the block count for merging the run holding live
+// items, or 0 when the run cannot be merged within its constraints: enough
+// slots that the realized FPR at the live load stays within the summed
+// budget εm, enough fill headroom for the rebuild inserts, and no more
+// blocks than the smallest source (the cross-mask soundness bound). Taking
+// live as a parameter lets quietRemoves search for the largest live count
+// that merges.
+func mergeBlocks(cfg Config, run []*level, live uint64) uint64 {
 	spb := uint64(run[0].filter.SlotsPerBlock())
 	minBlocks := run[0].filter.NumBlocks()
 	var budget float64
@@ -177,7 +178,7 @@ func rebuildRun(cfg Config, run []*level, nblocks uint64) *level {
 // and its block count; ok is false when no ≥2-level suffix fits.
 func shrinkRun(cfg Config, run []*level) (sub []*level, nblocks uint64, ok bool) {
 	for len(run) >= 2 {
-		if nblocks = mergeBlocks(cfg, run); nblocks != 0 {
+		if nblocks = mergeBlocks(cfg, run, sumCounts(run)); nblocks != 0 {
 			return run, nblocks, true
 		}
 		run = run[1:]
@@ -227,42 +228,61 @@ func planRun(cfg Config, r compactRun, ls []*level) []mergePlan {
 	return plans
 }
 
+// planCompaction plans every qualifying run of the frozen levels. Plans
+// come out in descending hi order (runs back to front, and planRun yields
+// newest-first within a run), so splicing them in order keeps earlier
+// indices valid.
+func planCompaction(cfg Config, ls []*level) []mergePlan {
+	var plans []mergePlan
+	runs := compactRuns(ls)
+	for i := len(runs) - 1; i >= 0; i-- {
+		plans = append(plans, planRun(cfg, runs[i], ls)...)
+	}
+	return plans
+}
+
 // CompactNow merges every qualifying run of frozen levels, synchronously.
 // It returns how many levels were merged away (zero when nothing
 // qualified — a cascade still growing, or runs whose geometry constraints
 // could not be met).
 func (f *Filter) CompactNow() CompactionResult {
+	res := f.compact()
+	f.rearm()
+	return res
+}
+
+// compact is CompactNow without the countdown rearm. Planning comes first,
+// so a call with nothing to merge records no events and costs no clock
+// reads.
+func (f *Filter) compact() CompactionResult {
 	res := CompactionResult{LevelsBefore: len(f.levels), LevelsAfter: len(f.levels)}
-	runs := compactRuns(f.levels)
-	if len(runs) == 0 {
+	plans := planCompaction(f.cfg, f.levels)
+	if len(plans) == 0 {
 		return res
 	}
 	frozenLive := sumCounts(f.levels[:len(f.levels)-1])
 	f.ring.Record(telemetry.EvCompactStart, uint64(len(f.levels)), frozenLive, 0)
 	end := telemetry.Task("vqf.elastic.compact")
 	start := time.Now()
-	// Splice back to front so earlier run and plan indices stay valid.
-	for i := len(runs) - 1; i >= 0; i-- {
-		for _, p := range planRun(f.cfg, runs[i], f.levels) {
-			lo := p.hi - len(p.sub)
-			if p.drop {
-				for _, l := range p.sub {
-					f.reclaimed += l.budget
-				}
-				f.levels = append(f.levels[:lo], f.levels[p.hi:]...)
-				res.LevelsMerged += len(p.sub)
-				continue
+	for _, p := range plans {
+		lo := p.hi - len(p.sub)
+		if p.drop {
+			for _, l := range p.sub {
+				f.reclaimed += l.budget
 			}
-			merged := rebuildRun(f.cfg, p.sub, p.nblocks)
-			if merged == nil {
-				continue // rebuild could not fit; sources stay as-is
-			}
-			setLevelRing(merged, f.ring)
-			stampFrozen(merged)
-			f.levels = append(f.levels[:lo+1], f.levels[p.hi:]...)
-			f.levels[lo] = merged
+			f.levels = append(f.levels[:lo], f.levels[p.hi:]...)
 			res.LevelsMerged += len(p.sub)
+			continue
 		}
+		merged := rebuildRun(f.cfg, p.sub, p.nblocks)
+		if merged == nil {
+			continue // rebuild could not fit; sources stay as-is
+		}
+		setLevelRing(merged, f.ring)
+		stampFrozen(merged)
+		f.levels = append(f.levels[:lo+1], f.levels[p.hi:]...)
+		f.levels[lo] = merged
+		res.LevelsMerged += len(p.sub)
 	}
 	end()
 	res.LevelsAfter = len(f.levels)
@@ -275,17 +295,28 @@ func (f *Filter) CompactNow() CompactionResult {
 	return res
 }
 
-// maybeCompact runs CompactNow when the automatic trigger condition holds:
+// compactLoadOK is the load half of the automatic compaction trigger: the
+// frozen levels' count at or below CompactMaxLoad of their capacity.
+func compactLoadOK(cfg Config, count, capacity uint64) bool {
+	return float64(count) <= cfg.CompactMaxLoad*float64(capacity)
+}
+
+// compactTrigger reports whether the automatic compaction trigger holds:
 // at least CompactMinLevels levels, and the frozen levels loaded at or
 // below CompactMaxLoad. Compacting shrinks the level count, so the next
 // trigger needs regrowth — the policy cannot thrash.
-func (f *Filter) maybeCompact() {
-	if f.cfg.CompactMinLevels == 0 || len(f.levels) < f.cfg.CompactMinLevels {
-		return
+func compactTrigger(cfg Config, ls []*level) bool {
+	if cfg.CompactMinLevels == 0 || len(ls) < cfg.CompactMinLevels {
+		return false
 	}
-	frozen := f.levels[:len(f.levels)-1]
-	if float64(sumCounts(frozen)) <= f.cfg.CompactMaxLoad*float64(sumCapacities(frozen)) {
-		f.CompactNow()
+	frozen := ls[:len(ls)-1]
+	return compactLoadOK(cfg, sumCounts(frozen), sumCapacities(frozen))
+}
+
+// maybeCompact compacts when the automatic trigger holds.
+func (f *Filter) maybeCompact() {
+	if compactTrigger(f.cfg, f.levels) {
+		f.compact()
 	}
 }
 
@@ -368,22 +399,15 @@ func (f *CFilter) CompactNow() CompactionResult {
 	ls := *f.levels.Load()
 	res := CompactionResult{LevelsBefore: len(ls), LevelsAfter: len(ls)}
 
-	// Plans are collected in descending hi order (runs back to front, and
-	// planRun yields newest-first within a run), so the final splice loop
-	// can walk them forward with earlier indices staying valid.
-	var plans []mergePlan
-	st := &compactState{frozen: map[*level]struct{}{}}
-	runs := compactRuns(ls)
-	for i := len(runs) - 1; i >= 0; i-- {
-		for _, p := range planRun(f.cfg, runs[i], ls) {
-			plans = append(plans, p)
-			for _, l := range p.sub {
-				st.frozen[l] = struct{}{}
-			}
-		}
-	}
+	plans := planCompaction(f.cfg, ls)
 	if len(plans) == 0 {
 		return res
+	}
+	st := &compactState{frozen: map[*level]struct{}{}}
+	for _, p := range plans {
+		for _, l := range p.sub {
+			st.frozen[l] = struct{}{}
+		}
 	}
 
 	f.ring.Record(telemetry.EvCompactStart, uint64(len(ls)), sumCounts(ls[:len(ls)-1]), 0)
@@ -441,6 +465,7 @@ func (f *CFilter) CompactNow() CompactionResult {
 	}
 	f.compact.Store(nil)
 	f.removeMu.Unlock()
+	f.rearmLocked()
 	end()
 	res.LevelsAfter = len(next)
 	f.ring.Record(telemetry.EvCompactFinish,
@@ -449,19 +474,11 @@ func (f *CFilter) CompactNow() CompactionResult {
 }
 
 // maybeCompact fires a background compaction when the automatic trigger
-// condition holds; see Filter.maybeCompact. At most one background
-// compaction runs at a time (explicit CompactNow calls serialize on growMu
-// independently of this gate).
+// holds and would merge something; see compactTrigger. At most one
+// background compaction runs at a time (explicit CompactNow calls serialize
+// on growMu independently of this gate).
 func (f *CFilter) maybeCompact() {
-	if f.cfg.CompactMinLevels == 0 {
-		return
-	}
-	ls := *f.levels.Load()
-	if len(ls) < f.cfg.CompactMinLevels {
-		return
-	}
-	frozen := ls[:len(ls)-1]
-	if float64(sumCounts(frozen)) > f.cfg.CompactMaxLoad*float64(sumCapacities(frozen)) {
+	if !compactDue(f.cfg, *f.levels.Load()) {
 		return
 	}
 	if !f.compacting.CompareAndSwap(false, true) {

@@ -52,6 +52,10 @@ type CFilter struct {
 	// reclaimed holds retired FPR budget as float64 bits; written only
 	// under growMu, read lock-free (see addReclaimed/Reclaimed).
 	reclaimed atomic.Uint64
+	// quiet is the auto-trigger countdown (see trigger.go and
+	// Filter.quiet): decremented by frozen-level removes, rearmed under
+	// growMu.
+	quiet atomic.Int64
 }
 
 // NewConcurrent creates an empty thread-safe cascade with one level.
@@ -136,6 +140,7 @@ func (f *CFilter) grow(seen *level) bool {
 	f.sched++
 	stampFrozen(seen) // the superseded newest level just left the insert path
 	f.levels.Store(&next)
+	f.rearmLocked()
 	f.growMu.Unlock()
 	f.maybeCompact()
 	f.maybeFreeze()
@@ -185,13 +190,12 @@ func (f *CFilter) Remove(h uint64) bool {
 	if hit < 0 {
 		return false
 	}
-	if hit < len(ls)-1 {
-		// A frozen level just got sparser; check the auto triggers.
-		if fl, ok := ls[hit].filter.(*fuseLevel); ok && fl.needsThaw() {
-			f.maybeThaw()
-		}
-		f.maybeCompact()
-		f.maybeFreeze()
+	// A frozen level just got sparser: count down to the auto triggers.
+	// Whether the level is frozen is judged against the current list, not
+	// ls: a growth since ls was loaded may have rearmed from counts that
+	// predate this remove, and the decrement keeps it from being lost.
+	if cur := *f.levels.Load(); ls[hit] != cur[len(cur)-1] && f.quiet.Add(-1) <= 0 {
+		runTriggers(f)
 	}
 	return true
 }

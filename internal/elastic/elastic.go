@@ -82,7 +82,8 @@ type Config struct {
 	// least this many levels AND the non-newest levels' mean load factor is
 	// at or below CompactMaxLoad, a compaction runs (synchronously after the
 	// triggering growth or remove on the sequential filter, in a background
-	// goroutine on the concurrent ones). Zero disables the automatic
+	// goroutine on the concurrent ones; removes check it only when the quiet
+	// countdown of trigger.go runs out). Zero disables the automatic
 	// trigger; CompactNow always works. Must be 0 or in [3, MaxLevels].
 	CompactMinLevels int
 	// CompactMaxLoad is the occupancy-ratio threshold of the automatic
@@ -92,10 +93,10 @@ type Config struct {
 	// must be in (0, 1].
 	CompactMaxLoad float64
 	// AutoFreeze enables the automatic frozen-tier trigger: after growths
-	// and frozen-level removes, VQF levels that have been out of the insert
-	// path for at least FreezeMinAge and are loaded at or below
-	// FreezeMaxLoad are rebuilt into immutable fuse levels (see freeze.go).
-	// FreezeNow always works regardless.
+	// and counted-down frozen-level removes (see trigger.go), VQF levels
+	// that have been out of the insert path for at least FreezeMinAge and
+	// are loaded at or below FreezeMaxLoad are rebuilt into immutable fuse
+	// levels (see freeze.go). FreezeNow always works regardless.
 	AutoFreeze bool
 	// FreezeMinAge is the minimum time since a level stopped taking inserts
 	// before auto-freeze may take it. Zero freezes immediately.
@@ -301,6 +302,10 @@ type Filter struct {
 	// reclaimed is FPR budget retired from dropped (emptied) levels; see
 	// Reclaimed.
 	reclaimed float64
+	// quiet is the auto-trigger countdown: frozen-level removes left before
+	// the planners run again (see trigger.go). Zero, as after New or Read,
+	// means expired.
+	quiet int64
 
 	// scratch backs ContainsBatch's shrinking working set (batch.go).
 	scratch cascadeScratch
@@ -332,6 +337,7 @@ func (f *Filter) Insert(h uint64) bool {
 		f.sched++
 		f.maybeCompact()
 		f.maybeFreeze()
+		f.rearm()
 	}
 }
 
@@ -352,13 +358,12 @@ func (f *Filter) Contains(h uint64) bool {
 func (f *Filter) Remove(h uint64) bool {
 	for i := len(f.levels) - 1; i >= 0; i-- {
 		if f.levels[i].filter.Remove(h) {
+			// A frozen level just got sparser: count down to the auto
+			// triggers.
 			if i < len(f.levels)-1 {
-				// A frozen level just got sparser; check the auto triggers
-				// (maybeThaw rescans, so it tolerates the splices the other
-				// two may perform).
-				f.maybeThaw()
-				f.maybeCompact()
-				f.maybeFreeze()
+				if f.quiet--; f.quiet <= 0 {
+					runTriggers(f)
+				}
 			}
 			return true
 		}

@@ -362,8 +362,11 @@ func (l *fuseLevel) tombAlive(k uint64) bool {
 
 // needsThaw reports whether the tombstone ledger crossed the thaw
 // threshold.
-func (l *fuseLevel) needsThaw() bool {
-	return l.baseTotal > 0 && l.tombTotal.Load()*thawDen >= l.baseTotal*thawNum
+func (l *fuseLevel) needsThaw() bool { return l.thawDueAt(l.tombTotal.Load()) }
+
+// thawDueAt is the thaw predicate at tomb tombstones.
+func (l *fuseLevel) thawDueAt(tomb uint64) bool {
+	return l.baseTotal > 0 && tomb*thawDen >= l.baseTotal*thawNum
 }
 
 // Insert always fails: the level is immutable. The cascade never routes
@@ -582,13 +585,12 @@ func freezeRuns(ls []*level, gate func(*level) bool) []compactRun {
 	return runs
 }
 
-// freezeParams checks whether a run can be frozen within its summed budget
-// and returns the plan parameters. Both analytic FPR terms are held to
-// budget/2: the canonical-collision term is fixed by the fold geometry and
-// live count, the fuse term by the narrowest fingerprint width that fits.
-// An all-empty run plans as a drop.
-func freezeParams(run []*level) (freezePlan, bool) {
-	live := sumCounts(run)
+// freezeParams checks whether a run holding live items can be frozen within
+// its summed budget and returns the plan parameters. Both analytic FPR terms
+// are held to budget/2: the canonical-collision term is fixed by the fold
+// geometry and live count, the fuse term by the narrowest fingerprint width
+// that fits. An all-empty run plans as a drop.
+func freezeParams(run []*level, live uint64) (freezePlan, bool) {
 	var budget float64
 	minBlocks := run[0].filter.NumBlocks()
 	for _, l := range run {
@@ -630,7 +632,7 @@ func freezeParams(run []*level) (freezePlan, bool) {
 // single level fits.
 func shrinkFreeze(run []*level) (sub []*level, p freezePlan, ok bool) {
 	for len(run) >= 1 {
-		if p, ok = freezeParams(run); ok {
+		if p, ok = freezeParams(run, sumCounts(run)); ok {
 			return run, p, true
 		}
 		run = run[1:]
@@ -689,27 +691,41 @@ func buildFuseLevel(p freezePlan) (*level, error) {
 	return lvl, nil
 }
 
-// autoFreezeGate builds the WithAutoFreeze eligibility predicate: a level
-// qualifies once it has been frozen (out of the insert path) for at least
-// FreezeMinAge and its load factor is at or below FreezeMaxLoad. A zero
-// frozenAt stamp (deserialized cascades) counts as old.
+// autoFreezeGate builds the WithAutoFreeze eligibility predicate at the
+// current time; see freezeGate.
 func autoFreezeGate(cfg Config) func(*level) bool {
 	now := time.Now().UnixNano()
-	minAge := cfg.FreezeMinAge.Nanoseconds()
-	return func(l *level) bool {
-		if fa := l.frozenAt.Load(); fa != 0 && now-fa < minAge {
-			return false
-		}
-		c := l.filter.Capacity()
-		return c == 0 || float64(l.filter.Count()) <= cfg.FreezeMaxLoad*float64(c)
-	}
+	return func(l *level) bool { return freezeGate(cfg, l, now) }
+}
+
+// freezeGate reports whether level l is eligible for auto-freeze at time
+// now: frozen (out of the insert path) for at least FreezeMinAge, and
+// loaded at or below FreezeMaxLoad.
+func freezeGate(cfg Config, l *level, now int64) bool {
+	return freezeAged(cfg, l, now) && freezeLoadOK(cfg, l.filter.Count(), l.filter.Capacity())
+}
+
+// freezeAged is the time half of the auto-freeze gate. A zero frozenAt
+// stamp (deserialized cascades) counts as old.
+func freezeAged(cfg Config, l *level, now int64) bool {
+	fa := l.frozenAt.Load()
+	return fa == 0 || now-fa >= cfg.FreezeMinAge.Nanoseconds()
+}
+
+// freezeLoadOK is the load half of the auto-freeze gate.
+func freezeLoadOK(cfg Config, count, capacity uint64) bool {
+	return capacity == 0 || float64(count) <= cfg.FreezeMaxLoad*float64(capacity)
 }
 
 // FreezeNow rebuilds every qualifying run of frozen VQF levels into
 // immutable fuse levels, synchronously. Runs that cannot meet their budget
 // in the fuse representation stay as they are; all-empty runs are dropped
 // and their budgets retired into the reclaimed pool.
-func (f *Filter) FreezeNow() FreezeResult { return f.freeze(nil) }
+func (f *Filter) FreezeNow() FreezeResult {
+	res := f.freeze(nil)
+	f.rearm()
+	return res
+}
 
 func (f *Filter) freeze(gate func(*level) bool) FreezeResult {
 	res := FreezeResult{LevelsBefore: len(f.levels), LevelsAfter: len(f.levels)}
@@ -925,6 +941,7 @@ func (f *CFilter) freeze(gate func(*level) bool) FreezeResult {
 	}
 	f.compact.Store(nil)
 	f.removeMu.Unlock()
+	f.rearmLocked()
 	end()
 	res.LevelsAfter = len(next)
 	f.ring.Record(telemetry.EvFreezeFinish,
@@ -936,10 +953,7 @@ func (f *CFilter) freeze(gate func(*level) bool) FreezeResult {
 // freeze and thaw goroutines from stacking; explicit FreezeNow calls
 // serialize on growMu independently.
 func (f *CFilter) maybeFreeze() {
-	if !f.cfg.AutoFreeze {
-		return
-	}
-	if len(planFreezes(*f.levels.Load(), autoFreezeGate(f.cfg))) == 0 {
+	if !freezeDue(f.cfg, *f.levels.Load()) {
 		return
 	}
 	if !f.freezing.CompareAndSwap(false, true) {
@@ -954,7 +968,7 @@ func (f *CFilter) maybeFreeze() {
 // maybeThaw fires a background thaw pass when some fuse level crossed the
 // tombstone threshold.
 func (f *CFilter) maybeThaw() {
-	if !f.freezing.CompareAndSwap(false, true) {
+	if !thawDue(*f.levels.Load()) || !f.freezing.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {
@@ -995,6 +1009,7 @@ func (f *CFilter) thawNow() {
 			f.levels.Store(&next)
 			f.thaws.Add(1)
 			f.removeMu.Unlock()
+			f.rearmLocked()
 			f.growMu.Unlock()
 			continue
 		}
@@ -1019,6 +1034,9 @@ func (f *CFilter) thawNow() {
 		}
 		f.compact.Store(nil)
 		f.removeMu.Unlock()
+		if nlvl != nil {
+			f.rearmLocked()
+		}
 		f.growMu.Unlock()
 		if nlvl == nil {
 			return // rebuild failed; retrying immediately would spin

@@ -105,6 +105,11 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Warnings returns the warm-restart warnings collected by New.
 func (s *Server) Warnings() []error { return s.loadWarns }
 
+// readHeaderTimeout bounds how long an HTTP client may take to send its
+// request headers, so idle or trickling connections cannot pin server
+// goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 // Start binds the listeners and begins serving. The bound addresses are
 // available from HTTPAddr/BinaryAddr afterwards (useful with port 0).
 func (s *Server) Start() error {
@@ -113,7 +118,7 @@ func (s *Server) Start() error {
 		return fmt.Errorf("service: listen http %s: %w", s.cfg.HTTPAddr, err)
 	}
 	s.httpLn = ln
-	s.httpSrv = &http.Server{Handler: s.httpHandler()}
+	s.httpSrv = &http.Server{Handler: s.httpHandler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := s.httpSrv.Serve(s.httpLn); err != nil && err != http.ErrServerClosed {
 			s.cfg.Logf("vqfd: http serve: %v", err)

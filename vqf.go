@@ -145,10 +145,14 @@ func WithGrowthThreshold(t float64) Option {
 // of their combined capacity, qualifying runs of old levels are merged
 // into right-sized replacements, restoring negative-lookup speed after
 // insert/remove churn (see Elastic.CompactNow). minLevels must be in
-// [3, 64]; maxLoad in (0, 1], or 0 for the default 0.5. On concurrent and
-// sharded filters the compaction runs in a background goroutine; on
-// sequential filters it runs inline in the triggering operation. Only
-// NewElastic, NewConcurrentElastic and NewShardedElastic use it.
+// [3, 64]; maxLoad in (0, 1], or 0 for the default 0.5. The condition is
+// checked after every growth; between growths, removes from old levels
+// only count down to the first one that could make it hold, so the check
+// costs a counter decrement per remove and still fires at the same remove
+// a check after every remove would. On concurrent and sharded filters the
+// compaction runs in a background goroutine; on sequential filters it runs
+// inline in the triggering operation. Only NewElastic, NewConcurrentElastic
+// and NewShardedElastic use it.
 func WithAutoCompaction(minLevels int, maxLoad float64) Option {
 	return func(c *config) {
 		c.compactMinLevels = minLevels
@@ -163,10 +167,13 @@ func WithAutoCompaction(minLevels int, maxLoad float64) Option {
 // instead of two per lookup, at the cost of tombstone-based removes (see
 // Elastic.FreezeNow). minAge must be ≥ 0 (0 freezes any superseded level
 // immediately); maxLoad in (0, 1], or 0 for the default 1 (any load
-// qualifies). On concurrent and sharded filters the freeze runs in a
-// background goroutine; on sequential filters it runs inline in the
-// triggering operation. Only NewElastic, NewConcurrentElastic and
-// NewShardedElastic use it.
+// qualifies). Eligibility is checked after every growth and, like
+// WithAutoCompaction's condition and the thaw of frozen levels, after the
+// first remove from an old level that could make it hold (every remove
+// while a level is still younger than minAge). On concurrent and sharded
+// filters the freeze runs in a background goroutine; on sequential filters
+// it runs inline in the triggering operation. Only NewElastic,
+// NewConcurrentElastic and NewShardedElastic use it.
 func WithAutoFreeze(minAge time.Duration, maxLoad float64) Option {
 	return func(c *config) {
 		c.autoFreeze = true
