@@ -373,9 +373,11 @@ func (e *Elastic) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadElastic deserializes an elastic filter written by Elastic.WriteTo.
-// The growth schedule travels with the filter, so the reloaded cascade
-// keeps growing — and keeps its FPR budget — exactly as the original would
-// have.
+// The growth schedule and the auto-compaction/auto-freeze policy travel
+// with the filter, so the reloaded cascade keeps growing, compacting and
+// freezing — and keeps its FPR budget — exactly as the original would
+// have. Streams written before the policy was serialized reload with it
+// off.
 func ReadElastic(r io.Reader) (*Elastic, error) {
 	seed, err := readEnvelope(r, kindElastic)
 	if err != nil {

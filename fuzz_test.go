@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
 )
 
 // FuzzRead feeds arbitrary bytes to every deserializer in the package —
@@ -48,6 +49,15 @@ func FuzzRead(f *testing.F) {
 	fe.WriteTo(&fuseBuf)
 	f.Add(fuseBuf.Bytes())
 
+	// A version-4 cascade carrying a non-default auto-trigger policy.
+	var policyBuf bytes.Buffer
+	pe := NewElastic(WithInitialCapacity(256), WithAutoCompaction(4, 0.4), WithAutoFreeze(time.Minute, 0.1))
+	for i := uint64(0); i < 1500; i++ {
+		pe.AddUint64(i)
+	}
+	pe.WriteTo(&policyBuf)
+	f.Add(policyBuf.Bytes())
+
 	var frozenBuf bytes.Buffer
 	fz, err := NewFrozen([][]byte{[]byte("seed"), []byte("frozen")})
 	if err != nil {
@@ -69,7 +79,8 @@ func FuzzRead(f *testing.F) {
 	// a core header whose count exceeds the block array's capacity, and an
 	// elastic level stream whose block count disagrees with the geometry the
 	// cascade config dictates. Offsets: 16-byte envelope, then the core header
-	// (count at +16, block count at +8) or the 56-byte cascade header.
+	// (count at +16, block count at +8) or the 96-byte version-4 cascade
+	// header and the first level's 24-byte record.
 	forgedCount := append([]byte(nil), filterBuf.Bytes()...)
 	binary.LittleEndian.PutUint64(forgedCount[16+16:], ^uint64(0))
 	f.Add(forgedCount)
@@ -79,8 +90,8 @@ func FuzzRead(f *testing.F) {
 	f.Add(forgedKV)
 
 	forgedLevel := append([]byte(nil), elasticBuf.Bytes()...)
-	lvlBlocks := binary.LittleEndian.Uint64(forgedLevel[16+56+8:])
-	binary.LittleEndian.PutUint64(forgedLevel[16+56+8:], lvlBlocks/2)
+	lvlBlocks := binary.LittleEndian.Uint64(forgedLevel[16+96+24+8:])
+	binary.LittleEndian.PutUint64(forgedLevel[16+96+24+8:], lvlBlocks/2)
 	f.Add(forgedLevel)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, err := Read(bytes.NewReader(data)); err == nil {

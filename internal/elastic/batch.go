@@ -82,7 +82,7 @@ func containsBatchLevels(ls []*level, hs []uint64, dst []bool, s *cascadeScratch
 // single-goroutine; the working-set buffers live on the filter so
 // steady-state calls allocate nothing.
 func (f *Filter) ContainsBatch(hs []uint64, dst []bool) []bool {
-	return containsBatchLevels(f.levels, hs, dst, &f.scratch)
+	return containsBatchLevels(f.list(), hs, dst, &f.scratch)
 }
 
 // ContainsBatch reports membership for every key of hs in input order; see
@@ -90,5 +90,5 @@ func (f *Filter) ContainsBatch(hs []uint64, dst []bool) []bool {
 // snapshot of the level list and keeps its working set on the stack.
 func (f *CFilter) ContainsBatch(hs []uint64, dst []bool) []bool {
 	var s cascadeScratch
-	return containsBatchLevels(*f.levels.Load(), hs, dst, &s)
+	return containsBatchLevels(f.list(), hs, dst, &s)
 }

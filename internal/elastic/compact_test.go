@@ -100,7 +100,7 @@ func TestCompactMergesChurnedCascade(t *testing.T) {
 			t.Fatalf("compaction lost key %#x", k)
 		}
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
 
 	// Realized FPR over fresh never-inserted keys stays within the budget.
 	probes := workload.NewStream(999).Keys(300000)
@@ -158,7 +158,7 @@ func TestCompactThenGrow(t *testing.T) {
 	if f.sched <= schedBefore {
 		t.Fatal("growth after compaction did not advance the schedule")
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
 	for _, k := range live {
 		if !f.Contains(k) {
 			t.Fatal("lost pre-compaction key after regrowth")
@@ -191,7 +191,7 @@ func TestCompactAutoTrigger(t *testing.T) {
 	for _, k := range keys[:len(keys)*3/4] {
 		f.Remove(k)
 	}
-	if f.compactions == 0 {
+	if f.compactions.runs.Load() == 0 {
 		t.Fatal("auto-compaction never fired")
 	}
 	if f.NumLevels() >= levels {
@@ -236,10 +236,10 @@ func TestCompactSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("reload mismatch: sched %d/%d levels %d/%d count %d/%d",
 			g.sched, f.sched, g.NumLevels(), f.NumLevels(), g.Count(), f.Count())
 	}
-	for i := range f.levels {
-		if g.levels[i].budget != f.levels[i].budget ||
-			g.levels[i].trigger != f.levels[i].trigger ||
-			g.levels[i].kind != f.levels[i].kind {
+	for i := range f.list() {
+		if g.list()[i].budget != f.list()[i].budget ||
+			g.list()[i].trigger != f.list()[i].trigger ||
+			g.list()[i].kind != f.list()[i].kind {
 			t.Fatalf("level %d parameters did not survive the round trip", i)
 		}
 	}
@@ -254,7 +254,7 @@ func TestCompactSerializeRoundTrip(t *testing.T) {
 			t.Fatal("post-reload insert failed")
 		}
 	}
-	checkBudgetInvariant(t, g.cfg, g.levels, g.sched, g.reclaimed)
+	checkBudgetInvariant(t, g.cfg, g.list(), g.sched, g.Reclaimed())
 }
 
 // TestReadV1Stream hand-crafts a version-1 cascade stream (no per-level
@@ -272,14 +272,14 @@ func TestReadV1Stream(t *testing.T) {
 	var hdr [elasticHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magicElastic)
 	binary.LittleEndian.PutUint16(hdr[4:], 1)
-	binary.LittleEndian.PutUint16(hdr[6:], uint16(len(f.levels)))
+	binary.LittleEndian.PutUint16(hdr[6:], uint16(len(f.list())))
 	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(cfg.TargetFPR))
 	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(f.cfg.GrowthFactor))
 	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(f.cfg.TightenRatio))
 	binary.LittleEndian.PutUint64(hdr[40:], math.Float64bits(f.cfg.FillThreshold))
 	binary.LittleEndian.PutUint64(hdr[48:], f.cfg.InitialSlots)
 	buf.Write(hdr[:])
-	for _, lvl := range f.levels {
+	for _, lvl := range f.list() {
 		if _, err := lvl.filter.(io.WriterTo).WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -289,14 +289,14 @@ func TestReadV1Stream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 stream rejected: %v", err)
 	}
-	if g.sched != len(f.levels) {
-		t.Fatalf("v1 reload sched %d, want level count %d", g.sched, len(f.levels))
+	if g.sched != len(f.list()) {
+		t.Fatalf("v1 reload sched %d, want level count %d", g.sched, len(f.list()))
 	}
 	if g.Count() != f.Count() {
 		t.Fatalf("v1 reload count %d != %d", g.Count(), f.Count())
 	}
-	for i := range f.levels {
-		if g.levels[i].budget != f.levels[i].budget || g.levels[i].kind != f.levels[i].kind {
+	for i := range f.list() {
+		if g.list()[i].budget != f.list()[i].budget || g.list()[i].kind != f.list()[i].kind {
 			t.Fatalf("v1 reload level %d parameters differ", i)
 		}
 	}
@@ -322,7 +322,7 @@ func TestReadRejectsBadLevelRecords(t *testing.T) {
 		mutate(data)
 		return data
 	}
-	rec := elasticHeaderV3Bytes // first level record offset
+	rec := elasticHeaderV4Bytes // first level record offset
 	for name, data := range map[string][]byte{
 		"bad kind":       patch(func(d []byte) { d[rec] = 12 }),
 		"huge blocks":    patch(func(d []byte) { d[rec+1] = 60 }),
@@ -331,6 +331,11 @@ func TestReadRejectsBadLevelRecords(t *testing.T) {
 		"zero trigger":   patch(func(d []byte) { binary.LittleEndian.PutUint64(d[rec+16:], 0) }),
 		"sched too low":  patch(func(d []byte) { binary.LittleEndian.PutUint16(d[10:], 0) }),
 		"sched too high": patch(func(d []byte) { binary.LittleEndian.PutUint16(d[10:], uint16(schedCap)+1) }),
+		// The version-4 auto-trigger policy passes through Config.Validate.
+		"compact min levels": patch(func(d []byte) { binary.LittleEndian.PutUint64(d[64:], 2) }),
+		"compact max load":   patch(func(d []byte) { binary.LittleEndian.PutUint64(d[72:], math.Float64bits(1.5)) }),
+		"negative min age":   patch(func(d []byte) { binary.LittleEndian.PutUint64(d[80:], ^uint64(0)) }),
+		"NaN freeze load":    patch(func(d []byte) { binary.LittleEndian.PutUint64(d[88:], math.Float64bits(math.NaN())) }),
 	} {
 		if _, err := Read(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)

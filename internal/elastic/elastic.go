@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vqf/internal/core"
 	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
@@ -48,6 +47,36 @@ const (
 	FPR8Full  = 2.0 * float64(minifilter.B8Slots) / float64(minifilter.B8Buckets) / 256
 	FPR16Full = 2.0 * float64(minifilter.B16Slots) / float64(minifilter.B16Buckets) / 65536
 )
+
+// geometry is one VQF fingerprint width's block layout. Fuse levels carry
+// their source VQF kind and use its geometry for the fold key space.
+type geometry struct {
+	slotsPerBlock uint64
+	buckets       uint64
+	fpBits        uint // fingerprint space is 2^fpBits
+	fullFPR       float64
+}
+
+var (
+	geom8  = geometry{minifilter.B8Slots, minifilter.B8Buckets, 8, FPR8Full}
+	geom16 = geometry{minifilter.B16Slots, minifilter.B16Buckets, 16, FPR16Full}
+)
+
+// geomOf returns the geometry of VQF kind 8 or 16.
+func geomOf(kind uint8) geometry {
+	if kind == 8 {
+		return geom8
+	}
+	return geom16
+}
+
+// canonFPR is the canonical-collision false-positive rate of live keys
+// folded onto blocks blocks: a negative key collides with one of the stored
+// (block, bucket, fingerprint) representatives with probability
+// ≈ 2·live/(blocks·buckets·2^fpBits).
+func (g geometry) canonFPR(live, blocks uint64) float64 {
+	return 2 * float64(live) / (float64(blocks) * float64(g.buckets) * math.Ldexp(1, int(g.fpBits)))
+}
 
 // MaxLevels bounds the cascade depth. With the default growth factor the
 // cap is unreachable (it implies 2⁶⁴× the initial capacity); it exists so
@@ -72,9 +101,6 @@ type Config struct {
 	// FillThreshold is the fraction of a level's item budget at which the
 	// next level is created. Default 0.85; must be in (0, 0.93].
 	FillThreshold float64
-	// Concurrent selects the thread-safe core filters (CFilter8/16) for
-	// every level.
-	Concurrent bool
 	// NoShortcut disables the §6.2 single-block insertion shortcut on every
 	// level.
 	NoShortcut bool
@@ -126,24 +152,26 @@ func (c *Config) Validate() error {
 	if c.FreezeMaxLoad == 0 {
 		c.FreezeMaxLoad = 1
 	}
+	// The range checks are written so that NaN fails them: Read feeds
+	// untrusted stream fields through here.
 	switch {
 	case !(c.TargetFPR > 0 && c.TargetFPR < 1):
 		return fmt.Errorf("elastic: target FPR %g outside (0, 1)", c.TargetFPR)
 	case c.InitialSlots < minifilter.B8Slots || c.InitialSlots > 1<<40:
 		return fmt.Errorf("elastic: initial slots %d outside [%d, 2^40]", c.InitialSlots, minifilter.B8Slots)
-	case c.GrowthFactor < 1.5 || c.GrowthFactor > 16:
+	case !(c.GrowthFactor >= 1.5 && c.GrowthFactor <= 16):
 		return fmt.Errorf("elastic: growth factor %g outside [1.5, 16]", c.GrowthFactor)
-	case c.TightenRatio <= 0 || c.TightenRatio > 0.9:
+	case !(c.TightenRatio > 0 && c.TightenRatio <= 0.9):
 		return fmt.Errorf("elastic: tighten ratio %g outside (0, 0.9]", c.TightenRatio)
-	case c.FillThreshold <= 0 || c.FillThreshold > 0.93:
+	case !(c.FillThreshold > 0 && c.FillThreshold <= 0.93):
 		return fmt.Errorf("elastic: fill threshold %g outside (0, 0.93]", c.FillThreshold)
 	case c.CompactMinLevels != 0 && (c.CompactMinLevels < 3 || c.CompactMinLevels > MaxLevels):
 		return fmt.Errorf("elastic: compact min levels %d outside {0} ∪ [3, %d]", c.CompactMinLevels, MaxLevels)
-	case c.CompactMaxLoad <= 0 || c.CompactMaxLoad > 1:
+	case !(c.CompactMaxLoad > 0 && c.CompactMaxLoad <= 1):
 		return fmt.Errorf("elastic: compact max load %g outside (0, 1]", c.CompactMaxLoad)
 	case c.FreezeMinAge < 0:
 		return fmt.Errorf("elastic: freeze min age %v negative", c.FreezeMinAge)
-	case c.FreezeMaxLoad <= 0 || c.FreezeMaxLoad > 1:
+	case !(c.FreezeMaxLoad > 0 && c.FreezeMaxLoad <= 1):
 		return fmt.Errorf("elastic: freeze max load %g outside (0, 1]", c.FreezeMaxLoad)
 	}
 	return nil
@@ -227,11 +255,7 @@ func levelKind(c Config, i int) uint8 {
 // The core's power-of-two block rounding only adds slack on top.
 func levelSizing(c Config, i int) (baseSlots, trigger, allocSlots uint64) {
 	fbase := float64(c.InitialSlots) * math.Pow(c.GrowthFactor, float64(i))
-	geomFPR := FPR8Full
-	if levelKind(c, i) == 16 {
-		geomFPR = FPR16Full
-	}
-	overProv := geomFPR * c.FillThreshold / levelBudget(c, i)
+	overProv := geomOf(levelKind(c, i)).fullFPR * c.FillThreshold / levelBudget(c, i)
 	if overProv < 1 {
 		overProv = 1
 	}
@@ -254,54 +278,11 @@ func levelSizing(c Config, i int) (baseSlots, trigger, allocSlots uint64) {
 	return baseSlots, trigger, uint64(falloc)
 }
 
-// newLevel builds level i of a cascade configured by c.
-func newLevel(c Config, i int) *level {
-	_, trigger, allocSlots := levelSizing(c, i)
-	lvl := &level{
-		kind:    levelKind(c, i),
-		budget:  levelBudget(c, i),
-		trigger: trigger,
-		geomFPR: FPR16Full,
-	}
-	opts := core.Options{NoShortcut: c.NoShortcut}
-	switch {
-	case lvl.kind == 8 && c.Concurrent:
-		lvl.filter = core.NewCFilter8(allocSlots, opts)
-		lvl.geomFPR = FPR8Full
-	case lvl.kind == 8:
-		lvl.filter = core.NewFilter8(allocSlots, opts)
-		lvl.geomFPR = FPR8Full
-	case c.Concurrent:
-		lvl.filter = core.NewCFilter16(allocSlots, opts)
-	default:
-		lvl.filter = core.NewFilter16(allocSlots, opts)
-	}
-	return lvl
-}
-
 // Filter is a single-threaded elastic VQF. Like the core filters it
 // consumes pre-hashed 64-bit keys; hashing and seed handling live in the
 // public vqf package.
 type Filter struct {
-	cfg    Config
-	levels []*level
-	// sched is the next schedule index growth will build. It only ever
-	// increases: compaction shrinks the level LIST but never reuses a
-	// schedule slot, which keeps the budget invariant exact — live levels
-	// hold Σ_{i<sched} εᵢ between them (merges preserve budget sums) and
-	// future levels get Σ_{i≥sched} εᵢ, totalling ε.
-	sched int
-	ring  *telemetry.Ring
-	// compactions / compactionLevels / freezes / freezeLevels / thaws are
-	// lifetime totals for telemetry.
-	compactions      uint64
-	compactionLevels uint64
-	freezes          uint64
-	freezeLevels     uint64
-	thaws            uint64
-	// reclaimed is FPR budget retired from dropped (emptied) levels; see
-	// Reclaimed.
-	reclaimed float64
+	cascadeState
 	// quiet is the auto-trigger countdown: frozen-level removes left before
 	// the planners run again (see trigger.go). Zero, as after New or Read,
 	// means expired.
@@ -316,8 +297,21 @@ func New(cfg Config) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Concurrent = false
-	return &Filter{cfg: cfg, levels: []*level{newLevel(cfg, 0)}, sched: 1}, nil
+	f := newFilter(cfg)
+	f.start()
+	return f, nil
+}
+
+// newFilter returns a sequential cascade with no levels yet.
+func newFilter(cfg Config) *Filter {
+	f := &Filter{}
+	f.cascadeState = cascadeState{
+		cfg:         cfg,
+		newCore:     sequentialCore,
+		growEvent:   telemetry.EvElasticGrow,
+		rearmLocked: f.rearmQuiet,
+	}
+	return f
 }
 
 // Insert adds the pre-hashed key h, growing the cascade when the newest
@@ -325,81 +319,36 @@ func New(cfg Config) (*Filter, error) {
 // returns false only at the MaxLevels backstop.
 func (f *Filter) Insert(h uint64) bool {
 	for {
-		lvl := f.levels[len(f.levels)-1]
+		ls := f.list()
+		lvl := ls[len(ls)-1]
 		if lvl.filter.Count() < lvl.trigger && lvl.filter.Insert(h) {
 			return true
 		}
-		if len(f.levels) >= MaxLevels || f.sched >= schedCap {
+		if _, ok := f.grow(lvl); !ok {
 			return false
 		}
-		stampFrozen(lvl) // the superseded newest level just left the insert path
-		f.levels = append(f.levels, buildLevel(f.cfg, f.sched, f.ring, telemetry.EvElasticGrow))
-		f.sched++
-		f.maybeCompact()
-		f.maybeFreeze()
-		f.rearm()
+		f.runTriggers()
 	}
-}
-
-// Contains reports whether h may be in the cascade, probing levels
-// newest-first: recent items live in the newest (largest) level, so the
-// common hit short-circuits after one level's two SWAR block scans.
-func (f *Filter) Contains(h uint64) bool {
-	for i := len(f.levels) - 1; i >= 0; i-- {
-		if f.levels[i].filter.Contains(h) {
-			return true
-		}
-	}
-	return false
 }
 
 // Remove deletes one previously inserted instance of h, searching levels
 // newest-first. It returns false if no level holds a matching fingerprint.
 func (f *Filter) Remove(h uint64) bool {
-	for i := len(f.levels) - 1; i >= 0; i-- {
-		if f.levels[i].filter.Remove(h) {
+	ls := f.list()
+	for i := len(ls) - 1; i >= 0; i-- {
+		if ls[i].filter.Remove(h) {
 			// A frozen level just got sparser: count down to the auto
 			// triggers.
-			if i < len(f.levels)-1 {
+			if i < len(ls)-1 {
 				if f.quiet--; f.quiet <= 0 {
-					runTriggers(f)
+					f.runTriggers()
+					f.rearm()
 				}
 			}
 			return true
 		}
 	}
 	return false
-}
-
-// Count returns the number of items stored across all levels.
-func (f *Filter) Count() uint64 { return sumCounts(f.levels) }
-
-// Capacity returns the total allocated fingerprint slots across all levels.
-func (f *Filter) Capacity() uint64 { return sumCapacities(f.levels) }
-
-// SizeBytes returns the cascade's memory footprint.
-func (f *Filter) SizeBytes() uint64 { return sumSizes(f.levels) }
-
-// NumLevels returns the current cascade depth.
-func (f *Filter) NumLevels() int { return len(f.levels) }
-
-// TargetFPR returns the configured total false-positive budget ε.
-func (f *Filter) TargetFPR() float64 { return f.cfg.TargetFPR }
-
-// Stats returns operation counters summed over all levels.
-func (f *Filter) Stats() stats.OpCounts { return sumStats(f.levels) }
-
-// Snapshot returns the cascade's structural snapshot: an aggregate plus one
-// per-level snapshot, newest level last.
-func (f *Filter) Snapshot() stats.CascadeSnapshot {
-	cs := snapshotLevels(f.cfg.TargetFPR, f.levels)
-	cs.Compactions = f.compactions
-	cs.CompactionLevelsMerged = f.compactionLevels
-	cs.Freezes = f.freezes
-	cs.FreezeLevelsFrozen = f.freezeLevels
-	cs.Thaws = f.thaws
-	cs.BudgetReclaimed = f.reclaimed
-	return cs
 }
 
 func sumCounts(ls []*level) uint64 {

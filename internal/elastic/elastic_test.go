@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+	"time"
 
 	"vqf/internal/workload"
 )
@@ -125,6 +126,9 @@ func TestConfigValidation(t *testing.T) {
 		{TargetFPR: 0.01, TightenRatio: 0.95},
 		{TargetFPR: 0.01, FillThreshold: 0.99},
 		{TargetFPR: 0.01, InitialSlots: 4},
+		{TargetFPR: 0.01, GrowthFactor: math.NaN()},
+		{TargetFPR: 0.01, CompactMaxLoad: math.NaN()},
+		{TargetFPR: 0.01, FreezeMaxLoad: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -252,6 +256,52 @@ func TestInsertNeverFailsBelowBackstop(t *testing.T) {
 	}
 }
 
+// TestPolicyRoundTrip: a version-4 stream carries the auto-trigger policy,
+// and a version-3 stream (the same bytes without the policy fields) reads
+// back with the policy off.
+func TestPolicyRoundTrip(t *testing.T) {
+	cfg := testConfig()
+	cfg.CompactMinLevels, cfg.CompactMaxLoad = 5, 0.3
+	cfg.AutoFreeze, cfg.FreezeMinAge, cfg.FreezeMaxLoad = true, 3*time.Second, 0.4
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range workload.NewStream(8).Keys(5000) {
+		f.Insert(k)
+	}
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v4 := buf.Bytes()
+	g, err := Read(bytes.NewReader(v4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.cfg != f.cfg {
+		t.Fatalf("v4 reload config %+v, want %+v", g.cfg, f.cfg)
+	}
+
+	v3 := append([]byte(nil), v4[:elasticHeaderBytes+8]...)
+	v3 = append(v3, v4[elasticHeaderV4Bytes:]...)
+	binary.LittleEndian.PutUint16(v3[4:], 3)
+	g, err = Read(bytes.NewReader(v3))
+	if err != nil {
+		t.Fatalf("v3 stream rejected: %v", err)
+	}
+	off := testConfig()
+	if err := off.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if g.cfg != off {
+		t.Fatalf("v3 reload config %+v, want the policy off: %+v", g.cfg, off)
+	}
+	if g.Count() != f.Count() || g.NumLevels() != f.NumLevels() {
+		t.Fatalf("v3 reload %d items/%d levels, want %d/%d", g.Count(), g.NumLevels(), f.Count(), f.NumLevels())
+	}
+}
+
 // TestReadRejectsLevelGeometryMismatch: the cascade's per-level geometry is a
 // pure function of (config, index), so a level stream whose block count
 // disagrees with the declared config must be refused before allocation.
@@ -267,7 +317,7 @@ func TestReadRejectsLevelGeometryMismatch(t *testing.T) {
 	// record; its block count sits 8 bytes in. Halve it — still a power of
 	// two, still fewer bytes than remain, but inconsistent with the level
 	// record's declared geometry.
-	off := elasticHeaderBytes + levelRecordBytes + 8
+	off := elasticHeaderV4Bytes + levelRecordBytes + 8
 	nb := binary.LittleEndian.Uint64(data[off:])
 	binary.LittleEndian.PutUint64(data[off:], nb/2)
 	if _, err := Read(bytes.NewReader(data)); err == nil {

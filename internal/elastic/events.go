@@ -15,19 +15,11 @@ import (
 // filter, so seqlock fallbacks inside the cascade land in the same stream.
 
 // SetEventRing attaches r as the cascade's rare-event sink. Call before
-// the filter sees traffic.
-func (f *Filter) SetEventRing(r *telemetry.Ring) {
-	f.ring = r
-	for _, lvl := range f.levels {
-		setLevelRing(lvl, r)
-	}
-}
-
-// SetEventRing attaches r as the cascade's rare-event sink. Call before
-// sharing the filter across goroutines.
-func (f *CFilter) SetEventRing(r *telemetry.Ring) {
-	f.ring = r
-	for _, lvl := range *f.levels.Load() {
+// the filter sees traffic (or, on CFilter, before sharing it across
+// goroutines).
+func (s *cascadeState) SetEventRing(r *telemetry.Ring) {
+	s.ring = r
+	for _, lvl := range s.list() {
 		setLevelRing(lvl, r)
 	}
 }
@@ -50,15 +42,15 @@ func setLevelRing(lvl *level, r *telemetry.Ring) {
 
 // buildLevel is newLevel plus observability: a trace task spanning the
 // build, and a growth event (A=level index, B=allocated slots, C=build ns)
-// in ring. kind distinguishes the sequential append (EvElasticGrow) from
-// the concurrent copy-and-swap (EvElasticSwap).
-func buildLevel(cfg Config, i int, ring *telemetry.Ring, kind telemetry.EventKind) *level {
+// in the cascade's ring, of the cascade's growEvent kind (EvElasticGrow on
+// Filter, EvElasticSwap on CFilter).
+func (s *cascadeState) buildLevel(i int) *level {
 	end := telemetry.Task("vqf.elastic.grow")
 	start := time.Now()
-	lvl := newLevel(cfg, i)
+	lvl := s.newLevel(i)
 	d := time.Since(start)
 	end()
-	ring.Record(kind, uint64(i), lvl.filter.Capacity(), uint64(d))
-	setLevelRing(lvl, ring)
+	s.ring.Record(s.growEvent, uint64(i), lvl.filter.Capacity(), uint64(d))
+	setLevelRing(lvl, s.ring)
 	return lvl
 }

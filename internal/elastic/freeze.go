@@ -45,11 +45,10 @@ import (
 // keys when the survivors no longer fit the VQF geometry under the fold
 // bound).
 //
-// Concurrency reuses the compaction protocol verbatim (see compact.go):
-// plan under growMu, publish the frozen set through a removeMu barrier so
-// racing removes log themselves, build off-lock from per-block snapshots,
-// then reconcile the log and swap the level list atomically. The fuse
-// level's CountAtBlock/CandidateBlocks are defined so reconcile's
+// Freezing and thawing run through the same structural-op engine as
+// compaction (see restructure): seal the sources and publish the removal
+// log, build off-lock, then reconcile the log and swap the level list. The
+// fuse level's CountAtBlock/CandidateBlocks are defined so reconcile's
 // count-differencing is exact in both directions (freeze: fuse as
 // destination; thaw: fuse as source): a key's instances are "located" only
 // at its representative block.
@@ -294,10 +293,8 @@ func (l *fuseLevel) blockOf(k uint64) uint64 {
 // fingerprint)·buckets + bucket — monotone in (block, fp, bucket), which
 // keeps vault deltas small and freeze-time key streams nearly sorted.
 func (l *fuseLevel) pack(k uint64) uint64 {
-	if l.srcKind == 8 {
-		return (k>>16)*minifilter.B8Buckets + (k&0xffff)*minifilter.B8Buckets>>16
-	}
-	return (k>>16)*minifilter.B16Buckets + (k&0xffff)*minifilter.B16Buckets>>16
+	buckets := geomOf(l.srcKind).buckets
+	return (k>>16)*buckets + (k&0xffff)*buckets>>16
 }
 
 // unpack inverts pack back to the canonical key.
@@ -550,39 +547,14 @@ func (l *fuseLevel) CountAtBlock(b, h uint64) uint64 {
 // NumBlocks returns the fold geometry's block count.
 func (l *fuseLevel) NumBlocks() uint64 { return l.foldBlocks }
 
-// freezePlan is one planned freeze: the contiguous sub-run ending at level
-// index hi (exclusive), the fold geometry, fuse width and inherited budget
-// — or a drop of an all-empty run (budget moves to reclaimed).
+// freezePlan holds the parameters of one planned freeze: the fold
+// geometry, fuse width and inherited budget — or a drop of an all-empty run
+// (its budget moves to reclaimed).
 type freezePlan struct {
-	hi         int
-	sub        []*level
 	drop       bool
 	fpBits     uint8
 	foldBlocks uint64
 	budget     float64
-	geomFPR    float64
-}
-
-// freezeRuns returns the maximal runs of ≥1 contiguous same-kind VQF levels
-// among the frozen levels ls[:len(ls)-1] that pass the gate (nil gate
-// accepts everything). Unlike compaction a single level is a worthwhile
-// freeze unit — the win is the representation, not the merge.
-func freezeRuns(ls []*level, gate func(*level) bool) []compactRun {
-	var runs []compactRun
-	frozen := len(ls) - 1
-	for lo := 0; lo < frozen; {
-		if !vqfKind(ls[lo].kind) || (gate != nil && !gate(ls[lo])) {
-			lo++
-			continue
-		}
-		hi := lo + 1
-		for hi < frozen && ls[hi].kind == ls[lo].kind && (gate == nil || gate(ls[hi])) {
-			hi++
-		}
-		runs = append(runs, compactRun{lo, hi})
-		lo = hi
-	}
-	return runs
 }
 
 // freezeParams checks whether a run holding live items can be frozen within
@@ -591,23 +563,11 @@ func freezeRuns(ls []*level, gate func(*level) bool) []compactRun {
 // geometry and live count, the fuse term by the narrowest fingerprint width
 // that fits. An all-empty run plans as a drop.
 func freezeParams(run []*level, live uint64) (freezePlan, bool) {
-	var budget float64
-	minBlocks := run[0].filter.NumBlocks()
-	for _, l := range run {
-		budget += l.budget
-		if nb := l.filter.NumBlocks(); nb < minBlocks {
-			minBlocks = nb
-		}
-	}
+	budget, minBlocks := summarize(run)
 	if live == 0 {
-		return freezePlan{drop: true, budget: budget}, true
+		return freezePlan{drop: true}, true
 	}
-	buckets, fpSpace := float64(minifilter.B8Buckets), 256.0
-	if run[0].kind == 16 {
-		buckets, fpSpace = float64(minifilter.B16Buckets), 65536.0
-	}
-	canonFPR := 2 * float64(live) / (float64(minBlocks) * buckets * fpSpace)
-	if canonFPR > budget/2 {
+	if geomOf(run[0].kind).canonFPR(live, minBlocks) > budget/2 {
 		return freezePlan{}, false
 	}
 	var fpBits uint8
@@ -619,12 +579,7 @@ func freezeParams(run []*level, live uint64) (freezePlan, bool) {
 	default:
 		return freezePlan{}, false
 	}
-	return freezePlan{
-		fpBits:     fpBits,
-		foldBlocks: minBlocks,
-		budget:     budget,
-		geomFPR:    canonFPR + math.Pow(2, -float64(fpBits)),
-	}, true
+	return freezePlan{fpBits: fpBits, foldBlocks: minBlocks, budget: budget}, true
 }
 
 // shrinkFreeze drops the oldest (smallest, most mask-constraining) levels
@@ -643,9 +598,11 @@ func shrinkFreeze(run []*level) (sub []*level, p freezePlan, ok bool) {
 // planFreezes partitions every gated run into freezable segments, newest
 // first, mirroring planRun's splice discipline: plans come out in
 // descending hi order with disjoint segments.
-func planFreezes(ls []*level, gate func(*level) bool) []freezePlan {
-	var plans []freezePlan
-	runs := freezeRuns(ls, gate)
+func planFreezes(ls []*level, gate func(*level) bool) []splice {
+	var plans []splice
+	// Unlike compaction a single level is a worthwhile freeze unit — the win
+	// is the representation, not the merge.
+	runs := vqfRuns(ls, gate)
 	for i := len(runs) - 1; i >= 0; i-- {
 		hi := runs[i].hi
 		for hi > runs[i].lo {
@@ -653,9 +610,11 @@ func planFreezes(ls []*level, gate func(*level) bool) []freezePlan {
 			if !ok {
 				break
 			}
-			p.hi = hi
-			p.sub = sub
-			plans = append(plans, p)
+			sp := splice{hi: hi, sub: sub}
+			if !p.drop {
+				sp.build = func(*cascadeState) *level { return buildFuseLevel(sub, p) }
+			}
+			plans = append(plans, sp)
 			hi -= len(sub)
 		}
 	}
@@ -663,32 +622,46 @@ func planFreezes(ls []*level, gate func(*level) bool) []freezePlan {
 }
 
 // buildFuseLevel folds every source instance's canonical hash to its pair
-// representative and builds the immutable level. The returned level carries
-// the summed budget and the analytic FPR as its geomFPR.
-func buildFuseLevel(p freezePlan) (*level, error) {
-	srcKind := p.sub[0].kind
+// representative and builds the immutable level, carrying the summed budget
+// and the analytic FPR as its geomFPR. nil means peeling failed (vanishingly
+// rare) and the sources stay as they are.
+func buildFuseLevel(sub []*level, p freezePlan) *level {
+	srcKind := sub[0].kind
 	foldMask := p.foldBlocks - 1
-	keys := make([]uint64, 0, sumCounts(p.sub))
-	for _, src := range p.sub {
-		if srcKind == 8 {
-			src.filter.IterateHashes(func(h uint64) bool {
-				keys = append(keys, core.FoldHash8(h, foldMask))
-				return true
-			})
-		} else {
-			src.filter.IterateHashes(func(h uint64) bool {
-				keys = append(keys, core.FoldHash16(h, foldMask))
-				return true
-			})
-		}
+	fold := core.FoldHash16
+	if srcKind == 8 {
+		fold = core.FoldHash8
 	}
-	fl, err := newFuseLevel(srcKind, p.fpBits, p.foldBlocks, keys)
+	keys := make([]uint64, 0, sumCounts(sub))
+	for _, src := range sub {
+		src.filter.IterateHashes(func(h uint64) bool {
+			keys = append(keys, fold(h, foldMask))
+			return true
+		})
+	}
+	return newFuseTier(srcKind, p.fpBits, p.foldBlocks, p.budget, keys)
+}
+
+// newFuseTier builds a fuse level from folded canonical keys and wraps it
+// as a cascade level; nil means peeling failed.
+func newFuseTier(srcKind, fpBits uint8, foldBlocks uint64, budget float64, keys []uint64) *level {
+	fl, err := newFuseLevel(srcKind, fpBits, foldBlocks, keys)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	lvl := &level{filter: fl, kind: fuseKindFor(srcKind), budget: p.budget, geomFPR: p.geomFPR}
-	stampFrozen(lvl)
-	return lvl, nil
+	return fl.asLevel(budget)
+}
+
+// asLevel wraps the fuse level as a cascade level with the given budget.
+// Its geomFPR is the analytic FPR: canonical collisions at the frozen
+// population plus the fuse fingerprint's 2⁻ʷ.
+func (l *fuseLevel) asLevel(budget float64) *level {
+	return &level{
+		filter:  l,
+		kind:    fuseKindFor(l.srcKind),
+		budget:  budget,
+		geomFPR: geomOf(l.srcKind).canonFPR(l.baseTotal, l.foldBlocks) + math.Ldexp(1, -int(l.fpBits)),
+	}
 }
 
 // autoFreezeGate builds the WithAutoFreeze eligibility predicate at the
@@ -717,127 +690,59 @@ func freezeLoadOK(cfg Config, count, capacity uint64) bool {
 	return capacity == 0 || float64(count) <= cfg.FreezeMaxLoad*float64(capacity)
 }
 
+// freezeEvents are freezing's telemetry names.
+var freezeEvents = opEvents{"vqf.elastic.freeze", telemetry.EvFreezeStart, telemetry.EvFreezeFinish}
+
 // FreezeNow rebuilds every qualifying run of frozen VQF levels into
-// immutable fuse levels, synchronously. Runs that cannot meet their budget
-// in the fuse representation stay as they are; all-empty runs are dropped
-// and their budgets retired into the reclaimed pool.
-func (f *Filter) FreezeNow() FreezeResult {
-	res := f.freeze(nil)
-	f.rearm()
-	return res
+// immutable fuse levels, synchronously, through the structural-op engine
+// (see restructure). Runs that cannot meet their budget in the fuse
+// representation stay as they are; all-empty runs are dropped and their
+// budgets retired into the reclaimed pool.
+func (s *cascadeState) FreezeNow() FreezeResult { return s.freeze(nil) }
+
+// freeze is FreezeNow restricted to the levels gate accepts (nil accepts
+// every level).
+func (s *cascadeState) freeze(gate func(*level) bool) FreezeResult {
+	r := s.restructure(freezeEvents, &s.freezes, func(ls []*level) []splice {
+		return planFreezes(ls, gate)
+	})
+	return FreezeResult{LevelsBefore: r.before, LevelsAfter: r.after, LevelsFrozen: r.spliced, FuseLevels: r.built}
 }
 
-func (f *Filter) freeze(gate func(*level) bool) FreezeResult {
-	res := FreezeResult{LevelsBefore: len(f.levels), LevelsAfter: len(f.levels)}
-	plans := planFreezes(f.levels, gate)
-	if len(plans) == 0 {
-		return res
-	}
-	var runLive uint64
-	for _, p := range plans {
-		runLive += sumCounts(p.sub)
-	}
-	f.ring.Record(telemetry.EvFreezeStart, uint64(len(f.levels)), runLive, 0)
-	end := telemetry.Task("vqf.elastic.freeze")
-	start := time.Now()
-	// Plans arrive in descending hi order; splicing forward keeps earlier
-	// indices valid.
-	for _, p := range plans {
-		lo := p.hi - len(p.sub)
-		if p.drop {
-			f.reclaimed += p.budget
-			f.levels = append(f.levels[:lo], f.levels[p.hi:]...)
-			res.LevelsFrozen += len(p.sub)
-			continue
+// thawNow rebuilds every fuse level past the thaw threshold into live form
+// through the structural-op engine, each as a one-level splice: the fuse
+// level is the source, so racing removes log themselves and reconcile
+// replays them against the rebuilt level. A fully tombstoned level is
+// dropped (no remove can hit it again) and its budget reclaimed. Thaws
+// record no ring events.
+func (s *cascadeState) thawNow() {
+	s.restructure(opEvents{task: "vqf.elastic.thaw"}, &s.thaws, func(ls []*level) []splice {
+		var plans []splice
+		for i := len(ls) - 1; i >= 0; i-- {
+			fl, ok := ls[i].filter.(*fuseLevel)
+			if !ok || !fl.needsThaw() {
+				continue
+			}
+			sp := splice{hi: i + 1, sub: ls[i : i+1]}
+			if fl.Count() > 0 {
+				sp.build = func(s *cascadeState) *level { return s.thawedLevel(ls[i]) }
+			}
+			plans = append(plans, sp)
 		}
-		lvl, err := buildFuseLevel(p)
-		if err != nil {
-			continue // peeling failed (vanishingly rare); sources stay as-is
-		}
-		f.levels = append(f.levels[:lo+1], f.levels[p.hi:]...)
-		f.levels[lo] = lvl
-		res.LevelsFrozen += len(p.sub)
-		res.FuseLevels++
-	}
-	end()
-	res.LevelsAfter = len(f.levels)
-	if res.LevelsFrozen > 0 {
-		f.freezes++
-		f.freezeLevels += uint64(res.LevelsFrozen)
-	}
-	f.ring.Record(telemetry.EvFreezeFinish,
-		uint64(res.LevelsFrozen), uint64(res.LevelsAfter), uint64(time.Since(start)))
-	return res
-}
-
-// maybeFreeze runs an auto-gated freeze when the config enables it.
-func (f *Filter) maybeFreeze() {
-	if !f.cfg.AutoFreeze {
-		return
-	}
-	f.freeze(autoFreezeGate(f.cfg))
-}
-
-// maybeThaw thaws any fuse level whose tombstone ledger crossed the
-// threshold (inline; the sequential filter has no background goroutines).
-func (f *Filter) maybeThaw() {
-	for i := 0; i < len(f.levels); i++ {
-		if fl, ok := f.levels[i].filter.(*fuseLevel); ok && fl.needsThaw() {
-			f.thawAt(i)
-		}
-	}
-}
-
-// thawAt rebuilds the fuse level at index i into live form; a fully
-// tombstoned level is dropped and its budget reclaimed.
-func (f *Filter) thawAt(i int) {
-	lvl := f.levels[i]
-	fl := lvl.filter.(*fuseLevel)
-	if fl.Count() == 0 {
-		f.reclaimed += lvl.budget
-		f.levels = append(f.levels[:i], f.levels[i+1:]...)
-		f.thaws++
-		return
-	}
-	nlvl := thawedLevel(f.cfg, lvl)
-	if nlvl == nil {
-		return
-	}
-	setLevelRing(nlvl, f.ring)
-	f.levels[i] = nlvl
-	f.thaws++
+		return plans
+	})
 }
 
 // thawedLevel rebuilds a tombstone-laden fuse level into live form: a
 // right-sized VQF level when the survivors fit under the fold's cross-mask
 // bound, else a fresh fuse level without the dead keys. nil means the
 // rebuild failed and the caller keeps the original.
-func thawedLevel(cfg Config, lvl *level) *level {
+func (s *cascadeState) thawedLevel(lvl *level) *level {
 	fl := lvl.filter.(*fuseLevel)
 	live := fl.Count()
-	srcKind := fl.srcKind
-	spb, geom := uint64(minifilter.B8Slots), FPR8Full
-	if srcKind == 16 {
-		spb, geom = minifilter.B16Slots, FPR16Full
-	}
-	need := float64(live) / cfg.FillThreshold
-	if byFPR := float64(live) * geom / lvl.budget; byFPR > need {
-		need = byFPR
-	}
-	for nblocks := core.BlocksFor(uint64(need), spb); nblocks <= fl.foldBlocks; nblocks *= 2 {
-		dst := newMergedLevel(cfg, srcKind, nblocks, lvl.budget)
-		ok := true
-		fl.IterateHashes(func(h uint64) bool {
-			if !dst.filter.Insert(h) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if ok {
-			stampFrozen(dst)
-			return dst
-		}
+	nblocks := blocksNeeded(s.cfg, fl.srcKind, live, lvl.budget)
+	if nl := s.rebuild([]*level{lvl}, fl.srcKind, nblocks, fl.foldBlocks, lvl.budget); nl != nil {
+		return nl
 	}
 	// Survivors need more blocks than the fold bound allows back into VQF
 	// geometry: re-fuse without the tombstoned keys instead.
@@ -846,224 +751,8 @@ func thawedLevel(cfg Config, lvl *level) *level {
 		keys = append(keys, h)
 		return true
 	})
-	buckets, fpSpace := float64(minifilter.B8Buckets), 256.0
-	if srcKind == 16 {
-		buckets, fpSpace = float64(minifilter.B16Buckets), 65536.0
-	}
-	nfl, err := newFuseLevel(srcKind, fl.fpBits, fl.foldBlocks, keys)
-	if err != nil {
-		return nil
-	}
-	canonFPR := 2 * float64(nfl.baseTotal) / (float64(fl.foldBlocks) * buckets * fpSpace)
-	nl := &level{
-		filter:  nfl,
-		kind:    lvl.kind,
-		budget:  lvl.budget,
-		geomFPR: canonFPR + math.Pow(2, -float64(fl.fpBits)),
-	}
-	stampFrozen(nl)
-	return nl
+	return newFuseTier(fl.srcKind, fl.fpBits, fl.foldBlocks, lvl.budget, keys)
 }
-
-// FreezeNow rebuilds every qualifying run of frozen VQF levels into
-// immutable fuse levels while readers stay lock-free and writers keep
-// writing, reusing the compaction protocol (see CFilter.CompactNow): plan
-// under growMu, removeMu barrier to publish the frozen set, off-lock build
-// from per-block snapshots, second barrier to reconcile the remove log and
-// swap the level list.
-func (f *CFilter) FreezeNow() FreezeResult { return f.freeze(nil) }
-
-func (f *CFilter) freeze(gate func(*level) bool) FreezeResult {
-	f.growMu.Lock()
-	defer f.growMu.Unlock()
-	ls := *f.levels.Load()
-	res := FreezeResult{LevelsBefore: len(ls), LevelsAfter: len(ls)}
-	plans := planFreezes(ls, gate)
-	if len(plans) == 0 {
-		return res
-	}
-	st := &compactState{frozen: map[*level]struct{}{}}
-	var runLive uint64
-	for _, p := range plans {
-		runLive += sumCounts(p.sub)
-		for _, l := range p.sub {
-			st.frozen[l] = struct{}{}
-		}
-	}
-	f.ring.Record(telemetry.EvFreezeStart, uint64(len(ls)), runLive, 0)
-	end := telemetry.Task("vqf.elastic.freeze")
-	start := time.Now()
-
-	f.removeMu.Lock()
-	// Seal the sources inside the barrier so a stale inserter can never land
-	// in a run the fuse build has already iterated; see CFilter.insertLevel.
-	for l := range st.frozen {
-		l.sealed.Store(true)
-	}
-	f.compact.Store(st)
-	f.removeMu.Unlock()
-
-	built := make([]*level, len(plans))
-	for i, p := range plans {
-		if p.drop {
-			continue
-		}
-		if lvl, err := buildFuseLevel(p); err == nil {
-			built[i] = lvl
-		}
-	}
-
-	f.removeMu.Lock()
-	next := append([]*level(nil), ls...)
-	for i, p := range plans {
-		lo := p.hi - len(p.sub)
-		if p.drop {
-			// Empty at plan time stays empty: removes cannot hit a level
-			// with no surviving fingerprints, so no reconcile is needed.
-			f.addReclaimed(p.budget)
-			next = append(next[:lo], next[p.hi:]...)
-			res.LevelsFrozen += len(p.sub)
-			continue
-		}
-		if built[i] == nil {
-			continue
-		}
-		reconcile(built[i], p.sub, st.log)
-		next = append(next[:lo+1], next[p.hi:]...)
-		next[lo] = built[i]
-		res.LevelsFrozen += len(p.sub)
-		res.FuseLevels++
-	}
-	if res.LevelsFrozen > 0 {
-		f.levels.Store(&next)
-		f.freezes.Add(1)
-		f.freezeLevels.Add(uint64(res.LevelsFrozen))
-	}
-	f.compact.Store(nil)
-	f.removeMu.Unlock()
-	f.rearmLocked()
-	end()
-	res.LevelsAfter = len(next)
-	f.ring.Record(telemetry.EvFreezeFinish,
-		uint64(res.LevelsFrozen), uint64(res.LevelsAfter), uint64(time.Since(start)))
-	return res
-}
-
-// maybeFreeze fires a background auto-gated freeze. The freezing gate keeps
-// freeze and thaw goroutines from stacking; explicit FreezeNow calls
-// serialize on growMu independently.
-func (f *CFilter) maybeFreeze() {
-	if !freezeDue(f.cfg, *f.levels.Load()) {
-		return
-	}
-	if !f.freezing.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer f.freezing.Store(false)
-		f.freeze(autoFreezeGate(f.cfg))
-	}()
-}
-
-// maybeThaw fires a background thaw pass when some fuse level crossed the
-// tombstone threshold.
-func (f *CFilter) maybeThaw() {
-	if !thawDue(*f.levels.Load()) || !f.freezing.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer f.freezing.Store(false)
-		f.thawNow()
-	}()
-}
-
-// thawNow rebuilds every fuse level past the thaw threshold, one at a time
-// under the compaction protocol (the fuse level is the single "frozen"
-// source; racing removes log themselves and reconcile replays them against
-// the rebuilt level).
-func (f *CFilter) thawNow() {
-	for {
-		f.growMu.Lock()
-		ls := *f.levels.Load()
-		idx := -1
-		for i, lvl := range ls {
-			if fl, ok := lvl.filter.(*fuseLevel); ok && fl.needsThaw() {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			f.growMu.Unlock()
-			return
-		}
-		lvl := ls[idx]
-		fl := lvl.filter.(*fuseLevel)
-
-		if fl.Count() == 0 {
-			// Fully tombstoned: no remove can hit it again (every key's
-			// ledger is saturated), so it can be spliced out directly.
-			f.removeMu.Lock()
-			next := append([]*level(nil), ls...)
-			next = append(next[:idx], next[idx+1:]...)
-			f.addReclaimed(lvl.budget)
-			f.levels.Store(&next)
-			f.thaws.Add(1)
-			f.removeMu.Unlock()
-			f.rearmLocked()
-			f.growMu.Unlock()
-			continue
-		}
-
-		st := &compactState{frozen: map[*level]struct{}{lvl: {}}}
-		f.removeMu.Lock()
-		f.compact.Store(st)
-		f.removeMu.Unlock()
-
-		nlvl := thawedLevel(f.cfg, lvl)
-		if nlvl != nil {
-			setLevelRing(nlvl, f.ring)
-		}
-
-		f.removeMu.Lock()
-		if nlvl != nil {
-			reconcile(nlvl, []*level{lvl}, st.log)
-			next := append([]*level(nil), ls...)
-			next[idx] = nlvl
-			f.levels.Store(&next)
-			f.thaws.Add(1)
-		}
-		f.compact.Store(nil)
-		f.removeMu.Unlock()
-		if nlvl != nil {
-			f.rearmLocked()
-		}
-		f.growMu.Unlock()
-		if nlvl == nil {
-			return // rebuild failed; retrying immediately would spin
-		}
-	}
-}
-
-// addReclaimed retires budget into the reclaimed pool. Called only under
-// growMu; stored as float bits so readers can load it without the lock.
-func (f *CFilter) addReclaimed(b float64) {
-	f.reclaimed.Store(math.Float64bits(math.Float64frombits(f.reclaimed.Load()) + b))
-}
-
-// Reclaimed returns the budget retired from dropped levels; see
-// Filter.Reclaimed.
-func (f *CFilter) Reclaimed() float64 {
-	return math.Float64frombits(f.reclaimed.Load())
-}
-
-// Reclaimed returns the total FPR budget retired from dropped (emptied)
-// levels. The cascade invariant is
-//
-//	Σ live level budgets + Reclaimed + ε·rˢᶜʰᵉᵈ = ε
-//
-// — budgets move between the three pools (future schedule → live levels at
-// growth, live → reclaimed at empty-drop) but are never created or reused.
-func (f *Filter) Reclaimed() float64 { return f.reclaimed }
 
 // FreezeNow freezes every shard, summing the per-shard results.
 func (f *Sharded) FreezeNow() FreezeResult {

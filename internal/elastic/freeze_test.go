@@ -39,8 +39,8 @@ func TestFreezeChurnedCascade(t *testing.T) {
 	if res.LevelsBefore != before || res.LevelsAfter != f.NumLevels() {
 		t.Fatalf("result depths %+v disagree with cascade %d -> %d", res, before, f.NumLevels())
 	}
-	if fuseLevelCount(f.levels) != res.FuseLevels {
-		t.Fatalf("cascade has %d fuse levels, result says %d", fuseLevelCount(f.levels), res.FuseLevels)
+	if fuseLevelCount(f.list()) != res.FuseLevels {
+		t.Fatalf("cascade has %d fuse levels, result says %d", fuseLevelCount(f.list()), res.FuseLevels)
 	}
 	if f.Count() != countBefore {
 		t.Fatalf("count changed %d -> %d", countBefore, f.Count())
@@ -53,7 +53,7 @@ func TestFreezeChurnedCascade(t *testing.T) {
 			t.Fatalf("freeze lost key %#x", k)
 		}
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
 
 	// Realized FPR over fresh never-inserted keys stays within the budget.
 	probes := workload.NewStream(888).Keys(300000)
@@ -114,7 +114,7 @@ func TestFreezeRemoveSemantics(t *testing.T) {
 	// stays exact: Count drops by precisely the accepted removes.
 	var fl *fuseLevel
 	var geomFPR float64
-	for _, l := range f.levels {
+	for _, l := range f.list() {
 		if cand, ok := l.filter.(*fuseLevel); ok {
 			fl, geomFPR = cand, l.geomFPR
 			break
@@ -172,10 +172,10 @@ func TestFreezeThaw(t *testing.T) {
 			t.Fatalf("remove of live key %#x failed", k)
 		}
 	}
-	if f.thaws == 0 {
+	if f.thaws.levels.Load() == 0 {
 		t.Fatal("tombstone pressure never thawed a level")
 	}
-	for _, l := range f.levels {
+	for _, l := range f.list() {
 		if fl, ok := l.filter.(*fuseLevel); ok && fl.needsThaw() {
 			t.Fatal("a fuse level is still past the thaw threshold")
 		}
@@ -197,7 +197,7 @@ func TestFreezeThaw(t *testing.T) {
 	if rate := float64(fp) / float64(cut); rate > 4*cfg.TargetFPR {
 		t.Fatalf("removed keys answer true at %g after thaw", rate)
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
 }
 
 // TestFreezeDegenerateCascades drives FreezeNow and CompactNow over the
@@ -227,7 +227,7 @@ func TestFreezeDegenerateCascades(t *testing.T) {
 		if res := f.FreezeNow(); res.LevelsFrozen != 0 {
 			t.Fatalf("froze the newest level: %+v", res)
 		}
-		if fuseLevelCount(f.levels) != 0 {
+		if fuseLevelCount(f.list()) != 0 {
 			t.Fatal("fuse level appeared in a single-level cascade")
 		}
 	})
@@ -253,10 +253,10 @@ func TestFreezeDegenerateCascades(t *testing.T) {
 		if f.NumLevels() >= depth {
 			t.Fatalf("dropping empties did not shrink: %d -> %d", depth, f.NumLevels())
 		}
-		if f.reclaimed == 0 {
+		if f.Reclaimed() == 0 {
 			t.Fatal("dropped budgets were not reclaimed")
 		}
-		checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+		checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
 	})
 }
 
@@ -288,11 +288,11 @@ func TestFreezeSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("reload mismatch: sched %d/%d levels %d/%d count %d/%d",
 			g.sched, f.sched, g.NumLevels(), f.NumLevels(), g.Count(), f.Count())
 	}
-	if g.reclaimed != f.reclaimed {
-		t.Fatalf("reclaimed pool %g did not survive the round trip (want %g)", g.reclaimed, f.reclaimed)
+	if g.Reclaimed() != f.Reclaimed() {
+		t.Fatalf("reclaimed pool %g did not survive the round trip (want %g)", g.Reclaimed(), f.Reclaimed())
 	}
-	for i := range f.levels {
-		if g.levels[i].budget != f.levels[i].budget || g.levels[i].kind != f.levels[i].kind {
+	for i := range f.list() {
+		if g.list()[i].budget != f.list()[i].budget || g.list()[i].kind != f.list()[i].kind {
 			t.Fatalf("level %d parameters did not survive the round trip", i)
 		}
 	}
@@ -317,7 +317,7 @@ func TestFreezeSerializeRoundTrip(t *testing.T) {
 			t.Fatal("remove on reloaded cascade failed")
 		}
 	}
-	checkBudgetInvariant(t, g.cfg, g.levels, g.sched, g.reclaimed)
+	checkBudgetInvariant(t, g.cfg, g.list(), g.sched, g.Reclaimed())
 }
 
 func TestFreezeAutoTrigger(t *testing.T) {
@@ -331,10 +331,10 @@ func TestFreezeAutoTrigger(t *testing.T) {
 	for _, k := range keys {
 		f.Insert(k)
 	}
-	if f.freezes == 0 {
+	if f.freezes.runs.Load() == 0 {
 		t.Fatal("auto-freeze never fired across growths")
 	}
-	if fuseLevelCount(f.levels) == 0 {
+	if fuseLevelCount(f.list()) == 0 {
 		t.Fatal("no fuse level in an auto-freezing cascade")
 	}
 	for _, k := range keys {
@@ -342,7 +342,7 @@ func TestFreezeAutoTrigger(t *testing.T) {
 			t.Fatal("auto-freeze lost a key")
 		}
 	}
-	checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+	checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
 }
 
 func TestFreezeValidationRejectsBadPolicy(t *testing.T) {
@@ -397,7 +397,7 @@ func TestBudgetInvariantUnderInterleavings(t *testing.T) {
 			case 3:
 				f.FreezeNow()
 			}
-			checkBudgetInvariant(t, f.cfg, f.levels, f.sched, f.reclaimed)
+			checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
 			if f.Count() != uint64(len(liveKeys)) {
 				t.Fatalf("seed %d step %d: count %d, want %d live", seed, step, f.Count(), len(liveKeys))
 			}

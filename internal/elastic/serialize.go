@@ -7,10 +7,10 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"time"
 
 	"vqf/internal/core"
 	"vqf/internal/fuse"
-	"vqf/internal/minifilter"
 )
 
 // Cascade serialization: a header carrying the Config (everything needed to
@@ -30,19 +30,24 @@ import (
 // (dropping an emptied level retires its εᵢ; without it a reloaded cascade
 // would violate the budget invariant), and level records may carry the fuse
 // kinds (kindFuse8/kindFuse16) whose streams are fuse levels — see
-// writeFuseLevel. Versions 1 and 2 are still read.
+// writeFuseLevel. Version 4 appends the auto-trigger policy
+// (CompactMinLevels, CompactMaxLoad, FreezeMinAge, FreezeMaxLoad, and
+// AutoFreeze as a header flag), so a reloaded cascade keeps compacting and
+// freezing on its own. Versions 1–3 are still read, with the policy off.
 //
 // Only sequential cascades serialize, matching the core filters.
 
 const (
 	magicElastic   = 0x45465156 // "VQFE"
-	elasticVersion = 3
+	elasticVersion = 4
 	// elasticHeaderBytes: magic(4) version(2) levels(2) flags(2) sched(2)
 	// pad(4) targetFPR(8) growth(8) tighten(8) fill(8) initialSlots(8).
 	// Version 1 wrote zeros over the sched field (it was padding).
-	// Version 3 appends reclaimed(8) — elasticHeaderV3Bytes in total.
+	// Version 3 appends reclaimed(8); version 4 then appends
+	// compactMinLevels(8) compactMaxLoad(8) freezeMinAge(8)
+	// freezeMaxLoad(8) — elasticHeaderV4Bytes in total.
 	elasticHeaderBytes   = 4 + 2 + 2 + 2 + 2 + 4 + 8 + 8 + 8 + 8 + 8
-	elasticHeaderV3Bytes = elasticHeaderBytes + 8
+	elasticHeaderV4Bytes = elasticHeaderBytes + 8 + 4*8
 
 	// levelRecordBytes: kind(1) blocksLog2(1) pad(6) budget(8) trigger(8).
 	levelRecordBytes = 1 + 1 + 6 + 8 + 8
@@ -52,17 +57,22 @@ const (
 	fuseLevelHeaderBytes = 1 + 1 + 6 + 8 + 8 + 8 + 8
 
 	eflagNoShortcut = 1 << 0
+	eflagAutoFreeze = 1 << 1 // version 4 and later
 )
 
 // WriteTo serializes the cascade. It implements io.WriterTo.
 func (f *Filter) WriteTo(w io.Writer) (int64, error) {
-	var hdr [elasticHeaderV3Bytes]byte
+	ls := f.list()
+	var hdr [elasticHeaderV4Bytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magicElastic)
 	binary.LittleEndian.PutUint16(hdr[4:], elasticVersion)
-	binary.LittleEndian.PutUint16(hdr[6:], uint16(len(f.levels)))
+	binary.LittleEndian.PutUint16(hdr[6:], uint16(len(ls)))
 	var flags uint16
 	if f.cfg.NoShortcut {
 		flags |= eflagNoShortcut
+	}
+	if f.cfg.AutoFreeze {
+		flags |= eflagAutoFreeze
 	}
 	binary.LittleEndian.PutUint16(hdr[8:], flags)
 	binary.LittleEndian.PutUint16(hdr[10:], uint16(f.sched))
@@ -71,12 +81,16 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(f.cfg.TightenRatio))
 	binary.LittleEndian.PutUint64(hdr[40:], math.Float64bits(f.cfg.FillThreshold))
 	binary.LittleEndian.PutUint64(hdr[48:], f.cfg.InitialSlots)
-	binary.LittleEndian.PutUint64(hdr[56:], math.Float64bits(f.reclaimed))
+	binary.LittleEndian.PutUint64(hdr[56:], math.Float64bits(f.Reclaimed()))
+	binary.LittleEndian.PutUint64(hdr[64:], uint64(f.cfg.CompactMinLevels))
+	binary.LittleEndian.PutUint64(hdr[72:], math.Float64bits(f.cfg.CompactMaxLoad))
+	binary.LittleEndian.PutUint64(hdr[80:], uint64(f.cfg.FreezeMinAge))
+	binary.LittleEndian.PutUint64(hdr[88:], math.Float64bits(f.cfg.FreezeMaxLoad))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}
 	n := int64(len(hdr))
-	for _, lvl := range f.levels {
+	for _, lvl := range ls {
 		var rec [levelRecordBytes]byte
 		rec[0] = lvl.kind
 		rec[1] = byte(bits.TrailingZeros64(lvl.filter.NumBlocks()))
@@ -102,9 +116,8 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 // readLevelStream reads one core filter stream of the given kind, checking
 // it against the expected slot count, and wraps it in a level.
 func readLevelStream(r io.Reader, kind uint8, slots uint64, budget float64, trigger uint64) (*level, error) {
-	lvl := &level{kind: kind, budget: budget, trigger: trigger, geomFPR: FPR16Full}
+	lvl := &level{kind: kind, budget: budget, trigger: trigger, geomFPR: geomOf(kind).fullFPR}
 	if kind == 8 {
-		lvl.geomFPR = FPR8Full
 		impl, err := core.ReadFilter8Sized(r, slots)
 		if err != nil {
 			return nil, err
@@ -120,17 +133,18 @@ func readLevelStream(r io.Reader, kind uint8, slots uint64, budget float64, trig
 	return lvl, nil
 }
 
-// Read deserializes a cascade written by WriteTo (either version). The
-// header's config is validated with the same rules as New, the level count
-// is capped at MaxLevels, and every level stream passes through the core
-// readers' structural audits, so adversarial input fails cleanly instead of
-// allocating absurd amounts or corrupting later operations. Version 2
-// additionally audits the per-level records: budgets must be positive and
-// sum to at most the configured ε, triggers must fit the level, and the
+// Read deserializes a cascade written by WriteTo (any version). The
+// header's config — including a version-4 stream's auto-trigger policy — is
+// validated with the same rules as New, the level count is capped at
+// MaxLevels, and every level stream passes through the core readers'
+// structural audits, so adversarial input fails cleanly instead of
+// allocating absurd amounts or corrupting later operations. Version 2 and
+// later additionally audit the per-level records: budgets must be positive
+// and sum to at most the configured ε, triggers must fit the level, and the
 // schedule index must cover every level ever built.
 func Read(r io.Reader) (*Filter, error) {
-	var hdr [elasticHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr [elasticHeaderV4Bytes]byte
+	if _, err := io.ReadFull(r, hdr[:elasticHeaderBytes]); err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrBadFormat, err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != magicElastic {
@@ -139,6 +153,16 @@ func Read(r io.Reader) (*Filter, error) {
 	version := binary.LittleEndian.Uint16(hdr[4:])
 	if version < 1 || version > elasticVersion {
 		return nil, fmt.Errorf("%w: unsupported cascade version %d", core.ErrBadFormat, version)
+	}
+	ext := hdr[elasticHeaderBytes:elasticHeaderBytes]
+	switch {
+	case version >= 4:
+		ext = hdr[elasticHeaderBytes:]
+	case version == 3:
+		ext = hdr[elasticHeaderBytes : elasticHeaderBytes+8]
+	}
+	if _, err := io.ReadFull(r, ext); err != nil {
+		return nil, fmt.Errorf("%w: %v", core.ErrBadFormat, err)
 	}
 	nlevels := int(binary.LittleEndian.Uint16(hdr[6:]))
 	flags := binary.LittleEndian.Uint16(hdr[8:])
@@ -151,23 +175,26 @@ func Read(r io.Reader) (*Filter, error) {
 		InitialSlots:  binary.LittleEndian.Uint64(hdr[48:]),
 		NoShortcut:    flags&eflagNoShortcut != 0,
 	}
+	if version >= 4 {
+		cfg.CompactMinLevels = int(binary.LittleEndian.Uint64(hdr[64:]))
+		cfg.CompactMaxLoad = math.Float64frombits(binary.LittleEndian.Uint64(hdr[72:]))
+		cfg.FreezeMinAge = time.Duration(binary.LittleEndian.Uint64(hdr[80:]))
+		cfg.FreezeMaxLoad = math.Float64frombits(binary.LittleEndian.Uint64(hdr[88:]))
+		cfg.AutoFreeze = flags&eflagAutoFreeze != 0
+	}
 	if nlevels < 1 || nlevels > MaxLevels {
 		return nil, fmt.Errorf("%w: cascade level count %d outside [1, %d]", core.ErrBadFormat, nlevels, MaxLevels)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrBadFormat, err)
 	}
-	f := &Filter{cfg: cfg, levels: make([]*level, 0, nlevels)}
-	if version >= 3 {
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrBadFormat, err)
-		}
-		f.reclaimed = math.Float64frombits(binary.LittleEndian.Uint64(ext[:]))
-		if !(f.reclaimed >= 0 && f.reclaimed < cfg.TargetFPR) {
-			return nil, fmt.Errorf("%w: reclaimed budget %g outside [0, ε)", core.ErrBadFormat, f.reclaimed)
-		}
+	reclaimed := math.Float64frombits(binary.LittleEndian.Uint64(hdr[56:])) // zero before version 3
+	if !(reclaimed >= 0 && reclaimed < cfg.TargetFPR) {
+		return nil, fmt.Errorf("%w: reclaimed budget %g outside [0, ε)", core.ErrBadFormat, reclaimed)
 	}
+	f := newFilter(cfg)
+	f.addReclaimed(reclaimed)
+	ls := make([]*level, 0, nlevels)
 
 	if version == 1 {
 		// Pure growth product: rebuild every level's parameters from its
@@ -179,8 +206,9 @@ func Read(r io.Reader) (*Filter, error) {
 			if err != nil {
 				return nil, fmt.Errorf("level %d: %w", i, err)
 			}
-			f.levels = append(f.levels, lvl)
+			ls = append(ls, lvl)
 		}
+		f.levels.Store(&ls)
 		return f, nil
 	}
 
@@ -216,14 +244,10 @@ func Read(r io.Reader) (*Filter, error) {
 			if err != nil {
 				return nil, fmt.Errorf("level %d: %w", i, err)
 			}
-			f.levels = append(f.levels, lvl)
+			ls = append(ls, lvl)
 			continue
 		}
-		spb := uint64(minifilter.B16Slots)
-		if kind == 8 {
-			spb = minifilter.B8Slots
-		}
-		slots := (uint64(1) << blocksLog2) * spb
+		slots := (uint64(1) << blocksLog2) * geomOf(kind).slotsPerBlock
 		if trigger < 1 || trigger > slots {
 			return nil, fmt.Errorf("%w: level %d trigger %d outside [1, %d]", core.ErrBadFormat, i, trigger, slots)
 		}
@@ -231,14 +255,15 @@ func Read(r io.Reader) (*Filter, error) {
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i, err)
 		}
-		f.levels = append(f.levels, lvl)
+		ls = append(ls, lvl)
 	}
 	// Budgets (plus the retired reclaimed pool) must not overspend the
 	// cascade's ε; the tiny slack absorbs float summation error (merges and
 	// freezes store exact sums of schedule terms).
-	if budgetSum+f.reclaimed > cfg.TargetFPR*(1+1e-9) {
-		return nil, fmt.Errorf("%w: level budgets sum to %g, exceeding target FPR %g", core.ErrBadFormat, budgetSum+f.reclaimed, cfg.TargetFPR)
+	if budgetSum+reclaimed > cfg.TargetFPR*(1+1e-9) {
+		return nil, fmt.Errorf("%w: level budgets sum to %g, exceeding target FPR %g", core.ErrBadFormat, budgetSum+reclaimed, cfg.TargetFPR)
 	}
+	f.levels.Store(&ls)
 	return f, nil
 }
 
@@ -417,11 +442,8 @@ func readFuseLevel(r io.Reader, kind uint8, foldBlocks uint64, budget float64) (
 	vaultN := binary.LittleEndian.Uint64(hdr[16:])
 	dupeN := binary.LittleEndian.Uint64(hdr[24:])
 	tombN := binary.LittleEndian.Uint64(hdr[32:])
-	srcBits, buckets := uint64(8), uint64(minifilter.B8Buckets)
-	if srcKind == 16 {
-		srcBits, buckets = 16, minifilter.B16Buckets
-	}
-	bound := (foldBlocks << srcBits) * buckets
+	g := geomOf(srcKind)
+	bound := (foldBlocks << g.fpBits) * g.buckets
 	if vaultN < 1 || vaultN > bound || vaultN > baseTotal {
 		return nil, fmt.Errorf("%w: fuse level vault size %d outside [1, min(%d, %d)]", core.ErrBadFormat, vaultN, bound, baseTotal)
 	}
@@ -536,12 +558,5 @@ func readFuseLevel(r io.Reader, kind uint8, foldBlocks uint64, budget float64) (
 	}
 	l.tombTotal.Store(removedSum)
 	l.live.Store(baseTotal - removedSum)
-
-	canonFPR := 2 * float64(baseTotal) / (float64(foldBlocks) * float64(buckets) * float64(uint64(1)<<srcBits))
-	return &level{
-		filter:  l,
-		kind:    kind,
-		budget:  budget,
-		geomFPR: canonFPR + math.Pow(2, -float64(fpBits)),
-	}, nil
+	return l.asLevel(budget), nil
 }

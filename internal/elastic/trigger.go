@@ -85,7 +85,7 @@ func quietRemoves(cfg Config, ls []*level, now int64) int64 {
 			}))
 		}
 		gate := func(l *level) bool { return freezeGate(cfg, l, now) }
-		for _, r := range freezeRuns(ls, gate) {
+		for _, r := range vqfRuns(ls, gate) {
 			for lo := r.lo; lo < r.hi; lo++ {
 				sub := ls[lo:r.hi]
 				d = min(d, removesUntil(sumCounts(sub), func(live uint64) bool {
@@ -139,47 +139,18 @@ func freezeDue(cfg Config, ls []*level) bool {
 	return cfg.AutoFreeze && len(planFreezes(ls, autoFreezeGate(cfg))) > 0
 }
 
-// autoTriggers is the planner surface Filter and CFilter share.
-type autoTriggers interface {
-	maybeThaw()
-	maybeCompact()
-	maybeFreeze()
-	rearm()
+// rearmQuiet recomputes the sequential cascade's quiet countdown.
+func (f *Filter) rearmQuiet() {
+	f.quiet = quietRemoves(f.cfg, f.list(), time.Now().UnixNano())
 }
 
-// runTriggers evaluates the automatic planners once the quiet countdown has
-// run out after a frozen-level remove, then rearms the countdown.
-func runTriggers(t autoTriggers) {
-	t.maybeThaw()
-	t.maybeCompact()
-	t.maybeFreeze()
-	t.rearm()
-}
-
-// rearm recomputes the sequential cascade's quiet countdown.
-func (f *Filter) rearm() {
-	f.quiet = quietRemoves(f.cfg, f.levels, time.Now().UnixNano())
-}
-
-// rearm recomputes the countdown after a remove ran the planners. Level
-// lists change only under growMu, and every such change is followed by
-// rearmLocked before growMu is released; if another goroutine holds growMu
-// now, the countdown stays expired and the next frozen-level remove simply
-// evaluates again.
-func (f *CFilter) rearm() {
-	if f.growMu.TryLock() {
-		f.rearmLocked()
-		f.growMu.Unlock()
-	}
-}
-
-// rearmLocked recomputes the countdown; growMu must be held. Removes keep
-// decrementing while the bound is computed, so the new value is the bound
-// less every decrement since the old value was read: a remove whose effect
-// the bound already counts may be subtracted twice (the countdown fires
-// early), but none is ever lost (it never fires late).
-func (f *CFilter) rearmLocked() {
+// rearmQuiet recomputes the concurrent cascade's countdown; growMu must be
+// held. Removes keep decrementing while the bound is computed, so the new
+// value is the bound less every decrement since the old value was read: a
+// remove whose effect the bound already counts may be subtracted twice (the
+// countdown fires early), but none is ever lost (it never fires late).
+func (f *CFilter) rearmQuiet() {
 	q0 := f.quiet.Load()
-	d := quietRemoves(f.cfg, *f.levels.Load(), time.Now().UnixNano())
+	d := quietRemoves(f.cfg, f.list(), time.Now().UnixNano())
 	f.quiet.Add(d - q0)
 }

@@ -175,7 +175,7 @@ func TestQuietCountdownNeverLate(t *testing.T) {
 					if !apply(f, op) {
 						t.Fatalf("op %d (%d) failed", i, op.kind)
 					}
-					checkQuiet(t, fmt.Sprintf("op %d", i), f.cfg, f.levels, f.quiet)
+					checkQuiet(t, fmt.Sprintf("op %d", i), f.cfg, f.list(), f.quiet)
 				}
 			})
 			t.Run(wname+"/"+name+"/concurrent", func(t *testing.T) {
@@ -217,10 +217,10 @@ func TestQuietCountdownSharded(t *testing.T) {
 
 // structure summarizes a cascade for trace comparison: every level's kind,
 // count and capacity, plus the lifetime structural-op totals.
-func structure(f *Filter) string {
+func structure(f *cascadeState) string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "c%d f%d t%d |", f.compactions, f.freezes, f.thaws)
-	for _, l := range f.levels {
+	fmt.Fprintf(&b, "c%d f%d t%d |", f.compactions.runs.Load(), f.freezes.runs.Load(), f.thaws.levels.Load())
+	for _, l := range f.list() {
 		fmt.Fprintf(&b, " %d/%d/%d", l.kind, l.filter.Count(), l.filter.Capacity())
 	}
 	return b.String()
@@ -234,7 +234,7 @@ func pollStep(f *Filter, op churnOp) bool {
 	if op.kind != opRemove {
 		return apply(f, op)
 	}
-	newest := f.levels[len(f.levels)-1]
+	newest := f.list()[len(f.list())-1]
 	before := newest.filter.Count()
 	if !f.Remove(op.key) {
 		return false
@@ -270,11 +270,54 @@ func TestQuietCountdownMatchesPolling(t *testing.T) {
 					if okA != okB {
 						t.Fatalf("op %d: results differ: countdown %v, polling %v", i, okA, okB)
 					}
-					if sa, sb := structure(a), structure(b); sa != sb {
+					if sa, sb := structure(&a.cascadeState), structure(&b.cascadeState); sa != sb {
 						t.Fatalf("op %d: structure differs\ncountdown: %s\npolling:   %s", i, sa, sb)
 					}
 				}
-				if a.compactions+a.freezes+a.thaws == 0 {
+				if a.compactions.runs.Load()+a.freezes.runs.Load()+a.thaws.levels.Load() == 0 {
+					t.Fatal("churn ran no structural op; the comparison is vacuous")
+				}
+			})
+		}
+	}
+}
+
+// TestSequentialConcurrentEquivalence drives one goroutine's churn through
+// twin sequential and concurrent cascades and requires the same structure
+// after every op, once the concurrent cascade's background structural ops
+// have finished: the two share one engine, and at quiescence they must
+// also share its schedule.
+func TestSequentialConcurrentEquivalence(t *testing.T) {
+	const w = 1 << 11
+	sliding := slidingOps(75, 6*w, w)
+	workloads := map[string][]churnOp{"sliding": sliding, "explicit": withExplicit(sliding, 2003)}
+	for wname, ops := range workloads {
+		for name, cfg := range triggerPolicies() {
+			if cfg.FreezeMinAge > 0 {
+				continue // time-gated: twins cannot see the same clock
+			}
+			t.Run(wname+"/"+name, func(t *testing.T) {
+				a, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := NewConcurrent(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, op := range ops {
+					okA, okB := apply(a, op), apply(b, op)
+					for b.busy.Load() {
+						runtime.Gosched()
+					}
+					if okA != okB {
+						t.Fatalf("op %d: results differ: sequential %v, concurrent %v", i, okA, okB)
+					}
+					if sa, sb := structure(&a.cascadeState), structure(&b.cascadeState); sa != sb {
+						t.Fatalf("op %d: structure differs\nsequential: %s\nconcurrent: %s", i, sa, sb)
+					}
+				}
+				if a.compactions.runs.Load()+a.freezes.runs.Load()+a.thaws.levels.Load() == 0 {
 					t.Fatal("churn ran no structural op; the comparison is vacuous")
 				}
 			})
@@ -298,7 +341,7 @@ func TestQuietCountdownRareEvaluations(t *testing.T) {
 			f.Insert(op.key)
 			continue
 		}
-		newest := f.levels[len(f.levels)-1]
+		newest := f.list()[len(f.list())-1]
 		before, q := newest.filter.Count(), f.quiet
 		if !f.Remove(op.key) {
 			t.Fatal("remove of live key failed")
@@ -311,7 +354,7 @@ func TestQuietCountdownRareEvaluations(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d frozen-level removes ran the planners (%d compactions, %d freezes, %d thaws)",
-		evaluations, frozenRemoves, f.compactions, f.freezes, f.thaws)
+		evaluations, frozenRemoves, f.compactions.runs.Load(), f.freezes.runs.Load(), f.thaws.levels.Load())
 	if frozenRemoves < 10000 {
 		t.Fatalf("only %d frozen-level removes; the churn does not exercise the countdown", frozenRemoves)
 	}
@@ -351,7 +394,7 @@ func TestQuietCountdownRacingRemoves(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		for f.compacting.Load() || f.freezing.Load() {
+		for f.busy.Load() {
 			runtime.Gosched()
 		}
 		f.growMu.Lock()
@@ -361,16 +404,17 @@ func TestQuietCountdownRacingRemoves(t *testing.T) {
 }
 
 // TestQuietCountdownAfterRead reloads a churned cascade whose fuse levels
-// carry tombstones close to the thaw threshold. The countdown is not
-// serialized; a reloaded cascade starts with it expired, so it must thaw,
-// freeze and compact at exactly the ops the original does.
+// carry tombstones close to the thaw threshold. The auto-trigger policy is
+// serialized but the countdown is not; a reloaded cascade starts with it
+// expired, so it must thaw, freeze and compact at exactly the ops the
+// original does.
 func TestQuietCountdownAfterRead(t *testing.T) {
 	cfg := triggerPolicies()["churn"]
 	ops := triggerWorkloads()["sliding"]
 	// nearThaw reports whether some fuse level has tombstones but is within
 	// 64 removes of thawing.
 	nearThaw := func(f *Filter) bool {
-		for _, l := range f.levels {
+		for _, l := range f.list() {
 			if fl, ok := l.filter.(*fuseLevel); ok && fl.tombTotal.Load() > 0 && !fl.needsThaw() &&
 				removesUntil(fl.Count(), func(live uint64) bool { return fl.thawDueAt(fl.baseTotal - live) }) <= 64 {
 				return true
@@ -386,9 +430,9 @@ func TestQuietCountdownAfterRead(t *testing.T) {
 	}
 	cut, lastNear := -1, -1
 	for i, op := range ops {
-		c := a.compactions
+		c := a.compactions.runs.Load()
 		apply(a, op)
-		if a.compactions != c && lastNear >= 0 {
+		if a.compactions.runs.Load() != c && lastNear >= 0 {
 			cut = lastNear
 		}
 		if nearThaw(a) {
@@ -414,27 +458,31 @@ func TestQuietCountdownAfterRead(t *testing.T) {
 	if b.quiet != 0 {
 		t.Fatalf("reloaded countdown %d, want expired", b.quiet)
 	}
-	// The stream carries the cascade, not its auto-trigger policy; give the
-	// reload the original's, and align the lifetime totals for comparison.
-	b.cfg = a.cfg
-	b.compactions, b.freezes, b.thaws = a.compactions, a.freezes, a.thaws
-	if sa, sb := structure(a), structure(b); sa != sb {
+	// The stream carries the auto-trigger policy; the lifetime totals are
+	// not serialized, so align them for comparison.
+	if b.cfg != a.cfg {
+		t.Fatalf("reloaded config %+v, want %+v", b.cfg, a.cfg)
+	}
+	b.compactions.runs.Store(a.compactions.runs.Load())
+	b.freezes.runs.Store(a.freezes.runs.Load())
+	b.thaws.levels.Store(a.thaws.levels.Load())
+	if sa, sb := structure(&a.cascadeState), structure(&b.cascadeState); sa != sb {
 		t.Fatalf("reload differs\noriginal: %s\nreloaded: %s", sa, sb)
 	}
 
-	thaws, compactions := a.thaws, a.compactions
+	thaws, compactions := a.thaws.levels.Load(), a.compactions.runs.Load()
 	for i, op := range ops[cut:] {
 		okA, okB := apply(a, op), apply(b, op)
 		if okA != okB {
 			t.Fatalf("op %d after reload: results differ: original %v, reloaded %v", i, okA, okB)
 		}
-		if sa, sb := structure(a), structure(b); sa != sb {
+		if sa, sb := structure(&a.cascadeState), structure(&b.cascadeState); sa != sb {
 			t.Fatalf("op %d after reload: structure differs\noriginal: %s\nreloaded: %s", i, sa, sb)
 		}
 	}
-	if a.thaws == thaws || a.compactions == compactions {
+	if a.thaws.levels.Load() == thaws || a.compactions.runs.Load() == compactions {
 		t.Fatalf("after reload the churn ran %d thaws and %d compactions; want both",
-			a.thaws-thaws, a.compactions-compactions)
+			a.thaws.levels.Load()-thaws, a.compactions.runs.Load()-compactions)
 	}
 }
 

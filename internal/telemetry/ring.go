@@ -35,7 +35,7 @@ const (
 	// pool. A = idle workers, B = pool size, C = batch keys.
 	EvShardClaimStall
 	// EvCompactStart: a cascade compaction began. A = levels before,
-	// B = live items in the frozen (non-newest) levels.
+	// B = live items in the source levels it plans to merge.
 	EvCompactStart
 	// EvCompactFinish: a cascade compaction finished. A = levels merged
 	// away, B = levels after, C = duration ns.

@@ -144,10 +144,11 @@ func TestReadRejectsForgedBlockCount(t *testing.T) {
 	if _, err := NewMapFromReader(bytes.NewReader(forge(mapBuf.Bytes()))); err == nil {
 		t.Error("NewMapFromReader accepted forged block count")
 	}
-	// For the elastic stream the core header sits behind the cascade header
-	// (56 bytes) and the first level's record (24 bytes) after the envelope.
+	// For the elastic stream the core header sits behind the version-4
+	// cascade header (96 bytes) and the first level's record (24 bytes) after
+	// the envelope.
 	forged := append([]byte(nil), elasticBuf.Bytes()...)
-	binary.LittleEndian.PutUint64(forged[16+56+24+8:], 1<<38)
+	binary.LittleEndian.PutUint64(forged[16+96+24+8:], 1<<38)
 	if _, err := ReadElastic(bytes.NewReader(forged)); err == nil {
 		t.Error("ReadElastic accepted forged block count")
 	}
