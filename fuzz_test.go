@@ -93,6 +93,12 @@ func FuzzRead(f *testing.F) {
 	lvlBlocks := binary.LittleEndian.Uint64(forgedLevel[16+96+24+8:])
 	binary.LittleEndian.PutUint64(forgedLevel[16+96+24+8:], lvlBlocks/2)
 	f.Add(forgedLevel)
+
+	// A core header carrying the retired independent-hash flag bit, which
+	// every reader must refuse (flags at +6 of the core header).
+	forgedFlags := append([]byte(nil), filterBuf.Bytes()...)
+	binary.LittleEndian.PutUint16(forgedFlags[16+6:], 1<<1)
+	f.Add(forgedFlags)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if got, err := Read(bytes.NewReader(data)); err == nil {
 			// Anything accepted must be a usable filter that re-serializes.

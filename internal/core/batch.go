@@ -17,13 +17,6 @@ const (
 	minBatchPartition = 256
 )
 
-// blockShift8/blockShift16 are the hash bit offsets of the primary block
-// index for the two geometries (see split8/split16).
-const (
-	blockShift8  = 24
-	blockShift16 = 32
-)
-
 // maxIdxSegment bounds any single radix pass that carries int32 scatter
 // indices (partitionIdx/radixPartitionIdx); larger batches are processed in
 // segments so the indices always fit. A variable so tests can shrink it and

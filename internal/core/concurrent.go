@@ -1,12 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
-
+	"vqf/internal/hashing"
 	"vqf/internal/minifilter"
-	"vqf/internal/stats"
 	"vqf/internal/swar"
-	"vqf/internal/telemetry"
 )
 
 // Concurrent filter variants (paper §6.3, extended). Writers take per-block
@@ -19,72 +16,21 @@ import (
 // with an in-flight writer on the same block, in which case it retries and
 // eventually falls back to the lock.
 
-// seqStripes is the number of seqlock version counters a concurrent filter
-// keeps. Blocks share stripes by low index bits; a shared stripe can cause a
-// spurious reader retry when an unrelated block on the same stripe is
-// written, but never a missed conflict. The cap keeps the side array at
-// 32 KiB regardless of filter size.
-const seqStripes = 1 << 12
-
-func seqStripesFor(nblocks uint64) uint64 {
-	if nblocks < seqStripes {
-		return nblocks // always a power of two, like the block count
-	}
-	return seqStripes
-}
-
 // CFilter8 is the thread-safe vector quotient filter with 8-bit
 // fingerprints. Inserts and removes lock at most two blocks; Contains is
 // lock-free (optimistic) on the common path.
 type CFilter8 struct {
-	blocks  []minifilter.Block8
-	seqs    []atomic.Uint64
-	seqMask uint64
-	mask    uint64
-	count   atomic.Uint64
-	opts    Options
-	thresh  uint
-	st      stats.Striped
-	ring    *telemetry.Ring
+	cfilter[minifilter.Block8, *minifilter.Block8]
 }
 
 // NewCFilter8 creates a thread-safe filter with at least nslots slots; see
-// NewFilter8 for sizing semantics. IndependentHash and Generic options are
-// not supported on the concurrent variants and are ignored.
+// NewFilter8 for sizing semantics.
 func NewCFilter8(nslots uint64, opts Options) *CFilter8 {
-	k := blocksFor(nslots, minifilter.B8Slots)
-	f := &CFilter8{
-		blocks: make([]minifilter.Block8, k),
-		seqs:   make([]atomic.Uint64, seqStripesFor(k)),
-		mask:   k - 1,
-		opts:   opts,
-		thresh: opts.threshold(minifilter.B8Slots, defThreshold8),
-	}
-	f.seqMask = uint64(len(f.seqs)) - 1
-	for i := range f.blocks {
-		f.blocks[i].Reset()
-		// Locked-mode convention: the stored top bit is purely the lock flag.
-		// A fresh block is empty, so the natural top bit is already 0.
-	}
+	// Locked-mode convention: the stored top bit is purely the lock flag.
+	// A fresh block is empty, so the natural top bit is already 0.
+	f := new(CFilter8)
+	f.init(geom8, newBlocks[minifilter.Block8](blocksFor(nslots, minifilter.B8Slots)), 0, opts, f)
 	return f
-}
-
-// seq returns the version stripe for block index b.
-func (f *CFilter8) seq(b uint64) *atomic.Uint64 { return &f.seqs[b&f.seqMask] }
-
-// Capacity returns the total number of fingerprint slots.
-func (f *CFilter8) Capacity() uint64 { return uint64(len(f.blocks)) * minifilter.B8Slots }
-
-// Count returns the number of fingerprints currently stored.
-func (f *CFilter8) Count() uint64 { return f.count.Load() }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *CFilter8) LoadFactor() float64 { return float64(f.Count()) / float64(f.Capacity()) }
-
-// SizeBytes returns the memory footprint of the block array and the seqlock
-// version stripes.
-func (f *CFilter8) SizeBytes() uint64 {
-	return uint64(len(f.blocks))*64 + uint64(len(f.seqs))*8
 }
 
 // Insert adds the pre-hashed key h, returning false if both candidate blocks
@@ -123,7 +69,7 @@ func (f *CFilter8) Insert(h uint64) bool {
 		f.st.ShortcutInsert(b1)
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		ok := blk1.InsertLocked(bucket, fp)
 		if ok {
@@ -180,7 +126,7 @@ func (f *CFilter8) Contains(h uint64) bool {
 	if found {
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		return false
 	}
@@ -207,7 +153,7 @@ func (f *CFilter8) ContainsLocked(h uint64) bool {
 	if found {
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		return false
 	}
@@ -232,7 +178,7 @@ func (f *CFilter8) Remove(h uint64) bool {
 		return true
 	}
 	blk1.Unlock()
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		f.st.RemoveMiss(b1)
 		return false
@@ -251,85 +197,27 @@ func (f *CFilter8) Remove(h uint64) bool {
 	return ok
 }
 
-// Stats returns the filter's operation counters. Safe for concurrent use:
-// stripes are summed with atomic loads and writers are never blocked. Each
-// counter is individually exact and monotone across calls, but a snapshot
-// taken while operations are in flight is not a consistent cut (see
-// internal/stats).
-func (f *CFilter8) Stats() stats.OpCounts { return f.st.Counts() }
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *CFilter8) SlotsPerBlock() uint { return minifilter.B8Slots }
-
-// BlockOccupancies returns a point-in-time occupancy of every block. Safe
-// for concurrent use; each block is read with the validated optimistic
-// protocol (falling back to a brief single-block lock on repeated
-// conflicts), so writers are never blocked for more than one block's
-// critical section. Blocks are sampled one at a time: the vector is exact
-// per block but not a consistent cut of the whole filter. Snapshot reads are
-// not recorded in the operation counters.
-func (f *CFilter8) BlockOccupancies() []uint {
-	out := make([]uint, len(f.blocks))
-	for i := range f.blocks {
-		b := uint64(i)
-		if occ, ok := f.blocks[i].OccupancyOptimistic(f.seq(b)); ok {
-			out[i] = occ
-			continue
-		}
-		f.blocks[i].Lock()
-		out[i] = f.blocks[i].OccupancyLocked()
-		f.blocks[i].Unlock()
+// containsScan answers sorted[lo:hi] into out at the scatter positions idx
+// for the sharded filter's ContainsBatch: one call per shard segment, each
+// key a static Contains.
+func (f *CFilter8) containsScan(sorted []uint64, out []bool, idx []int32, lo, hi int) {
+	f.st.Batch(hi - lo)
+	for j := lo; j < hi; j++ {
+		out[idx[j]] = f.Contains(sorted[j])
 	}
-	return out
 }
 
 // CFilter16 is the thread-safe vector quotient filter with 16-bit
 // fingerprints; see CFilter8.
 type CFilter16 struct {
-	blocks  []minifilter.Block16
-	seqs    []atomic.Uint64
-	seqMask uint64
-	mask    uint64
-	count   atomic.Uint64
-	opts    Options
-	thresh  uint
-	st      stats.Striped
-	ring    *telemetry.Ring
+	cfilter[minifilter.Block16, *minifilter.Block16]
 }
 
 // NewCFilter16 creates a thread-safe 16-bit-fingerprint filter.
 func NewCFilter16(nslots uint64, opts Options) *CFilter16 {
-	k := blocksFor(nslots, minifilter.B16Slots)
-	f := &CFilter16{
-		blocks: make([]minifilter.Block16, k),
-		seqs:   make([]atomic.Uint64, seqStripesFor(k)),
-		mask:   k - 1,
-		opts:   opts,
-		thresh: opts.threshold(minifilter.B16Slots, defThreshold16),
-	}
-	f.seqMask = uint64(len(f.seqs)) - 1
-	for i := range f.blocks {
-		f.blocks[i].Reset()
-	}
+	f := new(CFilter16)
+	f.init(geom16, newBlocks[minifilter.Block16](blocksFor(nslots, minifilter.B16Slots)), 0, opts, f)
 	return f
-}
-
-// seq returns the version stripe for block index b.
-func (f *CFilter16) seq(b uint64) *atomic.Uint64 { return &f.seqs[b&f.seqMask] }
-
-// Capacity returns the total number of fingerprint slots.
-func (f *CFilter16) Capacity() uint64 { return uint64(len(f.blocks)) * minifilter.B16Slots }
-
-// Count returns the number of fingerprints currently stored.
-func (f *CFilter16) Count() uint64 { return f.count.Load() }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *CFilter16) LoadFactor() float64 { return float64(f.Count()) / float64(f.Capacity()) }
-
-// SizeBytes returns the memory footprint of the block array and the seqlock
-// version stripes.
-func (f *CFilter16) SizeBytes() uint64 {
-	return uint64(len(f.blocks))*64 + uint64(len(f.seqs))*8
 }
 
 // Insert adds the pre-hashed key h. Safe for concurrent use; see
@@ -365,7 +253,7 @@ func (f *CFilter16) Insert(h uint64) bool {
 		f.st.ShortcutInsert(b1)
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		ok := blk1.InsertLocked(bucket, fp)
 		if ok {
@@ -419,7 +307,7 @@ func (f *CFilter16) Contains(h uint64) bool {
 	if found {
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		return false
 	}
@@ -443,7 +331,7 @@ func (f *CFilter16) ContainsLocked(h uint64) bool {
 	if found {
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		return false
 	}
@@ -468,7 +356,7 @@ func (f *CFilter16) Remove(h uint64) bool {
 		return true
 	}
 	blk1.Unlock()
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		f.st.RemoveMiss(b1)
 		return false
@@ -487,25 +375,11 @@ func (f *CFilter16) Remove(h uint64) bool {
 	return ok
 }
 
-// Stats returns the filter's operation counters; see CFilter8.Stats.
-func (f *CFilter16) Stats() stats.OpCounts { return f.st.Counts() }
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *CFilter16) SlotsPerBlock() uint { return minifilter.B16Slots }
-
-// BlockOccupancies returns a point-in-time occupancy of every block; see
-// CFilter8.BlockOccupancies.
-func (f *CFilter16) BlockOccupancies() []uint {
-	out := make([]uint, len(f.blocks))
-	for i := range f.blocks {
-		b := uint64(i)
-		if occ, ok := f.blocks[i].OccupancyOptimistic(f.seq(b)); ok {
-			out[i] = occ
-			continue
-		}
-		f.blocks[i].Lock()
-		out[i] = f.blocks[i].OccupancyLocked()
-		f.blocks[i].Unlock()
+// containsScan answers one shard segment of a sharded ContainsBatch; see
+// CFilter8.containsScan.
+func (f *CFilter16) containsScan(sorted []uint64, out []bool, idx []int32, lo, hi int) {
+	f.st.Batch(hi - lo)
+	for j := lo; j < hi; j++ {
+		out[idx[j]] = f.Contains(sorted[j])
 	}
-	return out
 }

@@ -130,53 +130,3 @@ func resizeBools(dst []bool, n int) []bool {
 	}
 	return dst[:n]
 }
-
-// InsertBatch inserts the keys of hs in parallel, returning the number
-// successfully inserted. Every key is attempted (the result is a success
-// count, not a prefix length — see Filter8.InsertBatch) and the insertion
-// order is unspecified. Safe for concurrent use alongside any other
-// operations.
-func (f *CFilter8) InsertBatch(hs []uint64) int {
-	f.st.Batch(len(hs))
-	return parallelShardCount(hs, f.mask, blockShift8, f.Insert)
-}
-
-// RemoveBatch removes one previously inserted instance of each key of hs in
-// parallel, returning the number found and removed. Safe for concurrent use.
-func (f *CFilter8) RemoveBatch(hs []uint64) int {
-	f.st.Batch(len(hs))
-	return parallelShardCount(hs, f.mask, blockShift8, f.Remove)
-}
-
-// ContainsBatch reports membership for every key of hs, in input order:
-// result[i] corresponds to hs[i]. Lookups run lock-free in parallel. The
-// result reuses dst if it has sufficient capacity (dst may be nil). Safe for
-// concurrent use.
-func (f *CFilter8) ContainsBatch(hs []uint64, dst []bool) []bool {
-	f.st.Batch(len(hs))
-	out := resizeBools(dst, len(hs))
-	parallelShardContains(hs, out, f.mask, blockShift8, f.Contains)
-	return out
-}
-
-// InsertBatch inserts the keys of hs in parallel; see CFilter8.InsertBatch.
-func (f *CFilter16) InsertBatch(hs []uint64) int {
-	f.st.Batch(len(hs))
-	return parallelShardCount(hs, f.mask, blockShift16, f.Insert)
-}
-
-// RemoveBatch removes one instance of each key of hs in parallel; see
-// CFilter8.RemoveBatch.
-func (f *CFilter16) RemoveBatch(hs []uint64) int {
-	f.st.Batch(len(hs))
-	return parallelShardCount(hs, f.mask, blockShift16, f.Remove)
-}
-
-// ContainsBatch reports membership for every key of hs in input order; see
-// CFilter8.ContainsBatch.
-func (f *CFilter16) ContainsBatch(hs []uint64, dst []bool) []bool {
-	f.st.Batch(len(hs))
-	out := resizeBools(dst, len(hs))
-	parallelShardContains(hs, out, f.mask, blockShift16, f.Contains)
-	return out
-}

@@ -6,7 +6,16 @@
 //
 // Four filter types are provided: Filter8 and Filter16 (single-threaded,
 // ε ≈ 2⁻⁸ and ε ≈ 2⁻¹⁶), and CFilter8 and CFilter16 (thread-safe via the
-// per-block lock bit of paper §6.3).
+// per-block lock bit of paper §6.3), plus the sharded Sharded8/Sharded16.
+//
+// One shell, two kernels: each filter type embeds a shell written once,
+// generic over the block type (shell.go) — block array, mask, counters,
+// accessors, serialization. Only the per-key paths that call a block
+// kernel (Insert, Contains, Remove, the batch sweeps) are written once per
+// width, on the concrete type. There f.blocks is a concrete
+// []minifilter.Block8 or []minifilter.Block16, so every kernel call is
+// static and inlines; a block method called on a type parameter would go
+// through the generic dictionary instead.
 //
 // All filters consume pre-hashed 64-bit keys. The bits of a key hash h are
 // used as: bucket index (low 16 bits, range-reduced), fingerprint (next 8 or
@@ -24,8 +33,8 @@ import (
 )
 
 // Options configure a filter's insertion policy. The zero value enables the
-// paper's recommended configuration: shortcut optimization at the 75%
-// threshold, xor-linked block pair, SWAR block operations.
+// paper's recommended configuration: shortcut optimization at the geometry
+// default threshold.
 type Options struct {
 	// NoShortcut disables the §6.2 shortcut optimization (always inspect
 	// both candidate blocks and pick the emptier).
@@ -39,35 +48,59 @@ type Options struct {
 	// the achievable load factor at scale. Raising the threshold reduces the
 	// maximum load factor sharply (§6.2).
 	ShortcutThreshold uint
-
-	// IndependentHash derives the secondary block from an independent hash
-	// of the key instead of the xor trick. This removes the xor trick's
-	// size-dependent failure probability but makes deletion unsafe (§3.4);
-	// Remove must not be used on such a filter.
-	IndependentHash bool
-
-	// Generic routes all block operations through loop-based scalar
-	// implementations instead of broadword/SWAR ones. This is the ablation
-	// baseline corresponding to the paper's §7.7 AVX-512-vs-AVX2 experiment.
-	Generic bool
 }
 
-func (o Options) threshold(slots, def uint) uint {
+func (o Options) threshold(g *geometry) uint {
 	t := o.ShortcutThreshold
 	if t == 0 {
-		t = def
+		t = g.defThresh
 	}
-	if t > slots {
-		t = slots // a threshold beyond capacity would let the shortcut path hit a full block
+	if t > uint(g.slots) {
+		t = uint(g.slots) // a threshold beyond capacity would let the shortcut path hit a full block
 	}
 	return t
 }
 
-// Geometry-default shortcut thresholds (see Options.ShortcutThreshold).
+// blockShift8/blockShift16 are the hash bit offsets of the primary block
+// index for the two geometries (see split8/split16).
 const (
-	defThreshold8  = 36 // 75% of 48
-	defThreshold16 = 18 // 64% of 28
+	blockShift8  = 24
+	blockShift16 = 32
 )
+
+// geometry is one block width's constants as data, for the shared shell
+// (shell.go). The width-specific hot paths use the constants directly.
+type geometry struct {
+	slots, buckets uint64
+	// metaWords is how many of the block's eight words hold metadata: two
+	// for Block8 (MetaLo, MetaHi), one for Block16 (Meta). The top bit of
+	// the last one is the lock bit in locked mode.
+	metaWords int
+	// defThresh is the geometry-default shortcut threshold (see
+	// Options.ShortcutThreshold).
+	defThresh  uint
+	blockShift uint
+	// fpBits is the fingerprint width; it is also the sharded stream's
+	// geometry tag.
+	fpBits uint16
+	magic  uint32
+}
+
+var (
+	geom8 = &geometry{slots: minifilter.B8Slots, buckets: minifilter.B8Buckets, metaWords: 2,
+		defThresh: 36, blockShift: blockShift8, fpBits: 8, magic: magic8} // threshold 75% of 48
+	geom16 = &geometry{slots: minifilter.B16Slots, buckets: minifilter.B16Buckets, metaWords: 1,
+		defThresh: 18, blockShift: blockShift16, fpBits: 16, magic: magic16} // threshold 64% of 28
+)
+
+// candidates returns h's primary block and its xor-linked partner under
+// mask: split8/split16 with the geometry's constants read from g.
+func (g *geometry) candidates(h, mask uint64) (uint64, uint64) {
+	bucket := uint64(uint32(h&0xffff) * uint32(g.buckets) >> 16)
+	fp := h >> 16 & (1<<g.fpBits - 1)
+	b1 := h >> g.blockShift & mask
+	return b1, hashing.AltIndex(b1, bucket<<g.fpBits|fp, mask)
+}
 
 // blocksFor returns the power-of-two number of blocks needed for nslots slots
 // of capacity with slotsPerBlock slots each.
@@ -87,7 +120,7 @@ func blocksFor(nslots uint64, slotsPerBlock uint64) uint64 {
 func split8(h uint64, mask uint64) (b1 uint64, bucket uint, fp byte, tag uint64) {
 	bucket = uint(uint32(h&0xffff) * minifilter.B8Buckets >> 16)
 	fp = byte(h >> 16)
-	b1 = (h >> 24) & mask
+	b1 = (h >> blockShift8) & mask
 	// The tag feeding the xor trick is the full mini-filter hash
 	// (bucket, fingerprint): items indistinguishable inside a block must map
 	// to the same partner block.
@@ -99,15 +132,7 @@ func split8(h uint64, mask uint64) (b1 uint64, bucket uint, fp byte, tag uint64)
 func split16(h uint64, mask uint64) (b1 uint64, bucket uint, fp uint16, tag uint64) {
 	bucket = uint(uint32(h&0xffff) * minifilter.B16Buckets >> 16)
 	fp = uint16(h >> 16)
-	b1 = (h >> 32) & mask
+	b1 = (h >> blockShift16) & mask
 	tag = uint64(bucket)<<16 | uint64(fp)
 	return
-}
-
-// secondary returns the partner block index for (b1, tag) under opts.
-func secondary(h, b1, tag, mask uint64, independent bool) uint64 {
-	if independent {
-		return hashing.Mix64(h) & mask
-	}
-	return hashing.AltIndex(b1, tag, mask)
 }

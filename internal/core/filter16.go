@@ -1,8 +1,8 @@
 package core
 
 import (
+	"vqf/internal/hashing"
 	"vqf/internal/minifilter"
-	"vqf/internal/stats"
 	"vqf/internal/swar"
 )
 
@@ -11,59 +11,20 @@ import (
 // paper §5). Blocks hold 28 slots across 36 buckets in one 64-byte cache
 // line.
 type Filter16 struct {
-	blocks []minifilter.Block16
-	mask   uint64
-	count  uint64
-	opts   Options
-	thresh uint
-	st     stats.Local
-
-	// scratch backs the sequential batch pipeline (batch.go); owning it here
-	// makes steady-state batch calls allocation-free.
-	scratch batchScratch
+	filter[minifilter.Block16, *minifilter.Block16]
 }
 
 // NewFilter16 creates a filter with at least nslots fingerprint slots; see
 // NewFilter8 for sizing semantics.
 func NewFilter16(nslots uint64, opts Options) *Filter16 {
-	k := blocksFor(nslots, minifilter.B16Slots)
-	f := &Filter16{
-		blocks: make([]minifilter.Block16, k),
-		mask:   k - 1,
-		opts:   opts,
-		thresh: opts.threshold(minifilter.B16Slots, defThreshold16),
-	}
-	for i := range f.blocks {
-		f.blocks[i].Reset()
-	}
+	f := new(Filter16)
+	f.init(geom16, newBlocks[minifilter.Block16](blocksFor(nslots, minifilter.B16Slots)), 0, opts)
 	return f
 }
-
-// Capacity returns the total number of fingerprint slots.
-func (f *Filter16) Capacity() uint64 {
-	return uint64(len(f.blocks)) * minifilter.B16Slots
-}
-
-// Count returns the number of fingerprints currently stored.
-func (f *Filter16) Count() uint64 { return f.count }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *Filter16) LoadFactor() float64 {
-	return float64(f.count) / float64(f.Capacity())
-}
-
-// NumBlocks returns the number of mini-filter blocks.
-func (f *Filter16) NumBlocks() uint64 { return uint64(len(f.blocks)) }
-
-// SizeBytes returns the memory footprint of the block array.
-func (f *Filter16) SizeBytes() uint64 { return uint64(len(f.blocks)) * 64 }
 
 // Insert adds the pre-hashed key h to the filter; see Filter8.Insert.
 func (f *Filter16) Insert(h uint64) bool {
 	b1, bucket, fp, tag := split16(h, f.mask)
-	if f.opts.Generic {
-		return f.insertGeneric(h, b1, bucket, fp, tag)
-	}
 	blk1 := &f.blocks[b1]
 	occ1 := blk1.Occupancy()
 	if !f.opts.NoShortcut && occ1 < f.thresh {
@@ -72,7 +33,7 @@ func (f *Filter16) Insert(h uint64) bool {
 		f.st.ShortcutInsert()
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	blk := blk1
 	if f.blocks[b2].Occupancy() < occ1 {
 		blk = &f.blocks[b2]
@@ -86,63 +47,23 @@ func (f *Filter16) Insert(h uint64) bool {
 	return true
 }
 
-func (f *Filter16) insertGeneric(h, b1 uint64, bucket uint, fp uint16, tag uint64) bool {
-	blk1 := &f.blocks[b1]
-	occ1 := blk1.OccupancyGeneric()
-	if !f.opts.NoShortcut && occ1 < f.thresh {
-		blk1.InsertGeneric(bucket, fp)
-		f.count++
-		f.st.ShortcutInsert()
-		return true
-	}
-	b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-	blk := blk1
-	if f.blocks[b2].OccupancyGeneric() < occ1 {
-		blk = &f.blocks[b2]
-	}
-	if !blk.InsertGeneric(bucket, fp) {
-		f.st.InsertFailure()
-		return false
-	}
-	f.count++
-	f.st.Insert()
-	return true
-}
-
 // Contains reports whether the pre-hashed key h may be in the filter.
 func (f *Filter16) Contains(h uint64) bool {
 	b1, bucket, fp, tag := split16(h, f.mask)
 	f.st.Lookup()
-	if f.opts.Generic {
-		if f.blocks[b1].ContainsGeneric(bucket, fp) {
-			return true
-		}
-		b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-		return f.blocks[b2].ContainsGeneric(bucket, fp)
-	}
 	// Broadcast the fingerprint once; both block probes reuse it.
 	bc := swar.BroadcastU16(fp)
 	if f.blocks[b1].Probe(bucket, bc) != 0 {
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-	return f.blocks[b2].Probe(bucket, bc) != 0
+	return f.blocks[hashing.AltIndex(b1, tag, f.mask)].Probe(bucket, bc) != 0
 }
 
 // Remove deletes one previously inserted instance of the pre-hashed key h;
 // see Filter8.Remove for the deletion-safety contract.
 func (f *Filter16) Remove(h uint64) bool {
 	b1, bucket, fp, tag := split16(h, f.mask)
-	b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-	if f.opts.Generic {
-		if f.blocks[b1].RemoveGeneric(bucket, fp) || f.blocks[b2].RemoveGeneric(bucket, fp) {
-			f.count--
-			f.st.Remove()
-			return true
-		}
-		f.st.RemoveMiss()
-		return false
-	}
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	bc := swar.BroadcastU16(fp)
 	if f.blocks[b1].RemoveB(bucket, bc) || f.blocks[b2].RemoveB(bucket, bc) {
 		f.count--
@@ -152,18 +73,3 @@ func (f *Filter16) Remove(h uint64) bool {
 	f.st.RemoveMiss()
 	return false
 }
-
-// BlockOccupancies returns the occupancy of every block.
-func (f *Filter16) BlockOccupancies() []uint {
-	out := make([]uint, len(f.blocks))
-	for i := range f.blocks {
-		out[i] = f.blocks[i].Occupancy()
-	}
-	return out
-}
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *Filter16) SlotsPerBlock() uint { return minifilter.B16Slots }
-
-// Stats returns the filter's operation counters; see Filter8.Stats.
-func (f *Filter16) Stats() stats.OpCounts { return f.st.Counts() }

@@ -84,42 +84,6 @@ func TestFilter16RemoveRestoresState(t *testing.T) {
 	}
 }
 
-func TestFilter16GenericEquivalence(t *testing.T) {
-	fast := NewFilter16(1<<12, Options{})
-	slow := NewFilter16(1<<12, Options{Generic: true})
-	rng := rand.New(rand.NewSource(6))
-	var keys []uint64
-	for step := 0; step < 30000; step++ {
-		switch rng.Intn(3) {
-		case 0:
-			h := rng.Uint64()
-			a, b := fast.Insert(h), slow.Insert(h)
-			if a != b {
-				t.Fatalf("step %d: insert diverged", step)
-			}
-			if a {
-				keys = append(keys, h)
-			}
-		case 1:
-			if len(keys) == 0 {
-				continue
-			}
-			i := rng.Intn(len(keys))
-			h := keys[i]
-			keys[i] = keys[len(keys)-1]
-			keys = keys[:len(keys)-1]
-			if a, b := fast.Remove(h), slow.Remove(h); a != b {
-				t.Fatalf("step %d: remove diverged", step)
-			}
-		case 2:
-			h := rng.Uint64()
-			if a, b := fast.Contains(h), slow.Contains(h); a != b {
-				t.Fatalf("step %d: contains diverged", step)
-			}
-		}
-	}
-}
-
 func TestFilter16DuplicatesAndAbsentRemove(t *testing.T) {
 	f := NewFilter16(1<<12, Options{})
 	const h = 0x0123456789abcdef

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"vqf/internal/hashing"
 	"vqf/internal/minifilter"
-	"vqf/internal/stats"
 	"vqf/internal/swar"
 )
 
@@ -10,16 +10,7 @@ import (
 // (target false-positive rate ≈ 2⁻⁸; empirically ≈ 0.004, paper §5). Blocks
 // hold 48 slots across 80 buckets in one 64-byte cache line.
 type Filter8 struct {
-	blocks []minifilter.Block8
-	mask   uint64
-	count  uint64
-	opts   Options
-	thresh uint
-	st     stats.Local
-
-	// scratch backs the sequential batch pipeline (batch.go); owning it here
-	// makes steady-state batch calls allocation-free.
-	scratch batchScratch
+	filter[minifilter.Block8, *minifilter.Block8]
 }
 
 // NewFilter8 creates a filter with at least nslots fingerprint slots. The
@@ -28,46 +19,16 @@ type Filter8 struct {
 // factors up to ≈ 93% of Capacity with the shortcut optimization enabled
 // (≈ 94.4% without).
 func NewFilter8(nslots uint64, opts Options) *Filter8 {
-	k := blocksFor(nslots, minifilter.B8Slots)
-	f := &Filter8{
-		blocks: make([]minifilter.Block8, k),
-		mask:   k - 1,
-		opts:   opts,
-		thresh: opts.threshold(minifilter.B8Slots, defThreshold8),
-	}
-	for i := range f.blocks {
-		f.blocks[i].Reset()
-	}
+	f := new(Filter8)
+	f.init(geom8, newBlocks[minifilter.Block8](blocksFor(nslots, minifilter.B8Slots)), 0, opts)
 	return f
 }
-
-// Capacity returns the total number of fingerprint slots.
-func (f *Filter8) Capacity() uint64 {
-	return uint64(len(f.blocks)) * minifilter.B8Slots
-}
-
-// Count returns the number of fingerprints currently stored.
-func (f *Filter8) Count() uint64 { return f.count }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *Filter8) LoadFactor() float64 {
-	return float64(f.count) / float64(f.Capacity())
-}
-
-// NumBlocks returns the number of mini-filter blocks.
-func (f *Filter8) NumBlocks() uint64 { return uint64(len(f.blocks)) }
-
-// SizeBytes returns the memory footprint of the block array.
-func (f *Filter8) SizeBytes() uint64 { return uint64(len(f.blocks)) * 64 }
 
 // Insert adds the pre-hashed key h to the filter. It returns false if both
 // candidate blocks are full, which with high probability does not happen
 // below ≈ 93% load factor.
 func (f *Filter8) Insert(h uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
-	if f.opts.Generic {
-		return f.insertGeneric(h, b1, bucket, fp, tag)
-	}
 	blk1 := &f.blocks[b1]
 	occ1 := blk1.Occupancy()
 	if !f.opts.NoShortcut && occ1 < f.thresh {
@@ -78,35 +39,12 @@ func (f *Filter8) Insert(h uint64) bool {
 		f.st.ShortcutInsert()
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	blk := blk1
 	if f.blocks[b2].Occupancy() < occ1 {
 		blk = &f.blocks[b2]
 	}
 	if !blk.Insert(bucket, fp) {
-		f.st.InsertFailure()
-		return false
-	}
-	f.count++
-	f.st.Insert()
-	return true
-}
-
-func (f *Filter8) insertGeneric(h, b1 uint64, bucket uint, fp byte, tag uint64) bool {
-	blk1 := &f.blocks[b1]
-	occ1 := blk1.OccupancyGeneric()
-	if !f.opts.NoShortcut && occ1 < f.thresh {
-		blk1.InsertGeneric(bucket, fp)
-		f.count++
-		f.st.ShortcutInsert()
-		return true
-	}
-	b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-	blk := blk1
-	if f.blocks[b2].OccupancyGeneric() < occ1 {
-		blk = &f.blocks[b2]
-	}
-	if !blk.InsertGeneric(bucket, fp) {
 		f.st.InsertFailure()
 		return false
 	}
@@ -121,39 +59,21 @@ func (f *Filter8) insertGeneric(h, b1 uint64, bucket uint, fp byte, tag uint64) 
 func (f *Filter8) Contains(h uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	f.st.Lookup()
-	if f.opts.Generic {
-		if f.blocks[b1].ContainsGeneric(bucket, fp) {
-			return true
-		}
-		b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-		return f.blocks[b2].ContainsGeneric(bucket, fp)
-	}
 	// Broadcast the fingerprint once; both block probes reuse it.
 	bc := swar.BroadcastByte(fp)
 	if f.blocks[b1].Probe(bucket, bc) != 0 {
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-	return f.blocks[b2].Probe(bucket, bc) != 0
+	return f.blocks[hashing.AltIndex(b1, tag, f.mask)].Probe(bucket, bc) != 0
 }
 
 // Remove deletes one previously inserted instance of the pre-hashed key h.
 // It returns false if no matching fingerprint is found. Removing a key that
 // was never inserted may evict a colliding key (as in all deletion-capable
-// filters); doing so on a filter built with IndependentHash can additionally
-// produce false negatives and must be avoided.
+// filters).
 func (f *Filter8) Remove(h uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
-	b2 := secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-	if f.opts.Generic {
-		if f.blocks[b1].RemoveGeneric(bucket, fp) || f.blocks[b2].RemoveGeneric(bucket, fp) {
-			f.count--
-			f.st.Remove()
-			return true
-		}
-		f.st.RemoveMiss()
-		return false
-	}
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	bc := swar.BroadcastByte(fp)
 	if f.blocks[b1].RemoveB(bucket, bc) || f.blocks[b2].RemoveB(bucket, bc) {
 		f.count--
@@ -163,20 +83,3 @@ func (f *Filter8) Remove(h uint64) bool {
 	f.st.RemoveMiss()
 	return false
 }
-
-// BlockOccupancies returns the occupancy of every block; the harness uses it
-// to measure placement variance for the power-of-two-choices experiments.
-func (f *Filter8) BlockOccupancies() []uint {
-	out := make([]uint, len(f.blocks))
-	for i := range f.blocks {
-		out[i] = f.blocks[i].Occupancy()
-	}
-	return out
-}
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *Filter8) SlotsPerBlock() uint { return minifilter.B8Slots }
-
-// Stats returns the filter's operation counters. Like every other method of
-// the single-threaded filter, it must not race with mutations.
-func (f *Filter8) Stats() stats.OpCounts { return f.st.Counts() }

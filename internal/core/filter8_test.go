@@ -126,7 +126,6 @@ func TestFilter8ReachesHighLoadFactor(t *testing.T) {
 	}{
 		{"shortcut", Options{}, 0.91},
 		{"no-shortcut", Options{NoShortcut: true}, 0.92},
-		{"independent-hash", Options{NoShortcut: true, IndependentHash: true}, 0.92},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := NewFilter8(1<<16, tc.opts)
@@ -230,46 +229,6 @@ func TestFilter8DuplicateInsertsAreMultiset(t *testing.T) {
 	}
 	if f.Remove(h) {
 		t.Error("remove succeeded with zero copies")
-	}
-}
-
-func TestFilter8GenericEquivalence(t *testing.T) {
-	fast := NewFilter8(1<<12, Options{})
-	slow := NewFilter8(1<<12, Options{Generic: true})
-	rng := rand.New(rand.NewSource(11))
-	var keys []uint64
-	for step := 0; step < 30000; step++ {
-		switch rng.Intn(3) {
-		case 0:
-			h := rng.Uint64()
-			a, b := fast.Insert(h), slow.Insert(h)
-			if a != b {
-				t.Fatalf("step %d: insert fast=%v slow=%v", step, a, b)
-			}
-			if a {
-				keys = append(keys, h)
-			}
-		case 1:
-			if len(keys) == 0 {
-				continue
-			}
-			i := rng.Intn(len(keys))
-			h := keys[i]
-			keys[i] = keys[len(keys)-1]
-			keys = keys[:len(keys)-1]
-			a, b := fast.Remove(h), slow.Remove(h)
-			if a != b {
-				t.Fatalf("step %d: remove fast=%v slow=%v", step, a, b)
-			}
-		case 2:
-			h := rng.Uint64()
-			if a, b := fast.Contains(h), slow.Contains(h); a != b {
-				t.Fatalf("step %d: contains fast=%v slow=%v", step, a, b)
-			}
-		}
-		if fast.Count() != slow.Count() {
-			t.Fatalf("step %d: counts diverged", step)
-		}
 	}
 }
 

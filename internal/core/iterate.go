@@ -23,10 +23,9 @@ import (
 // smaller power-of-two mask' commutes with the xor: the iterated block b
 // (whether it was the item's primary or secondary home) satisfies
 // b&mask' ∈ {b1&mask', (b1^(tag·M))&mask'} — exactly the candidate pair the
-// original hash has in the smaller filter. Under Options.IndependentHash the
-// secondary derivation is not linear in the block index, so rebuilding into
-// a different geometry is unsound; elastic levels never use it, and the
-// iterate-rebuild oracle property covers only xor-linked filters.
+// original hash has in the smaller filter. An independent second hash (the
+// §3.4 ablation, internal/harness) is not linear in the block index, so
+// rebuilding such a filter into a different geometry would be unsound.
 
 // canonLow16 returns the smallest 16-bit value whose Lemire range reduction
 // (x·nbuckets >> 16) yields bucket. ceil(bucket·2¹⁶ / nbuckets) is exact:
@@ -163,37 +162,6 @@ func (f *CFilter16) IterateHashes(yield func(h uint64) bool) bool {
 		}
 	}
 	return true
-}
-
-// NumBlocks returns the number of mini-filter blocks.
-func (f *CFilter8) NumBlocks() uint64 { return uint64(len(f.blocks)) }
-
-// NumBlocks returns the number of mini-filter blocks.
-func (f *CFilter16) NumBlocks() uint64 { return uint64(len(f.blocks)) }
-
-// CandidateBlocks returns the two block indices the pre-hashed key h may
-// occupy (equal when the xor trick maps a tag back onto its primary block).
-func (f *Filter8) CandidateBlocks(h uint64) (uint64, uint64) {
-	b1, _, _, tag := split8(h, f.mask)
-	return b1, secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-}
-
-// CandidateBlocks returns the two candidate block indices for h.
-func (f *Filter16) CandidateBlocks(h uint64) (uint64, uint64) {
-	b1, _, _, tag := split16(h, f.mask)
-	return b1, secondary(h, b1, tag, f.mask, f.opts.IndependentHash)
-}
-
-// CandidateBlocks returns the two candidate block indices for h.
-func (f *CFilter8) CandidateBlocks(h uint64) (uint64, uint64) {
-	b1, _, _, tag := split8(h, f.mask)
-	return b1, secondary(h, b1, tag, f.mask, false)
-}
-
-// CandidateBlocks returns the two candidate block indices for h.
-func (f *CFilter16) CandidateBlocks(h uint64) (uint64, uint64) {
-	b1, _, _, tag := split16(h, f.mask)
-	return b1, secondary(h, b1, tag, f.mask, false)
 }
 
 // CountAtBlock returns the number of fingerprint instances matching h's

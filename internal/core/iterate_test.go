@@ -186,3 +186,33 @@ func TestCountAtBlock(t *testing.T) {
 		t.Fatalf("counted %d instances across the pair, want 2", got)
 	}
 }
+
+// TestCandidateBlocksMatchSplit: the shell's CandidateBlocks reads the
+// geometry as data; it must name exactly the pair split8/split16 and the
+// xor trick give, for every filter type and block count.
+func TestCandidateBlocksMatchSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, nslots := range []uint64{1, 1 << 10, 1 << 16} {
+		pairs := []struct {
+			name string
+			got  func(uint64) (uint64, uint64)
+			want func(h, mask uint64) (uint64, uint64)
+			mask uint64
+		}{
+			{"filter8", NewFilter8(nslots, Options{}).CandidateBlocks, CandidatePair8, NewFilter8(nslots, Options{}).mask},
+			{"filter16", NewFilter16(nslots, Options{}).CandidateBlocks, CandidatePair16, NewFilter16(nslots, Options{}).mask},
+			{"cfilter8", NewCFilter8(nslots, Options{}).CandidateBlocks, CandidatePair8, NewCFilter8(nslots, Options{}).mask},
+			{"cfilter16", NewCFilter16(nslots, Options{}).CandidateBlocks, CandidatePair16, NewCFilter16(nslots, Options{}).mask},
+		}
+		for _, p := range pairs {
+			for i := 0; i < 2000; i++ {
+				h := rng.Uint64()
+				g1, g2 := p.got(h)
+				w1, w2 := p.want(h, p.mask)
+				if g1 != w1 || g2 != w2 {
+					t.Fatalf("%s/%d: CandidateBlocks(%#x) = (%d, %d), want (%d, %d)", p.name, nslots, h, g1, g2, w1, w2)
+				}
+			}
+		}
+	}
+}

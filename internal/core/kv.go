@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
+
+	"vqf/internal/hashing"
 	"vqf/internal/minifilter"
-	"vqf/internal/stats"
 )
 
 // KVFilter8 is a value-associating vector quotient filter (paper §8: "like
@@ -16,25 +18,21 @@ import (
 // returns the value of *a* matching fingerprint, so a false positive — with
 // probability ≈ 2·(s/b)·2⁻⁸ — returns an arbitrary stored value. Keys are a
 // multiset; duplicate Puts stack, and Delete removes one instance.
+//
+// The filter shell supplies the accessors; its options go unused, since
+// Put always places two-choice. Its Stats count Puts as inserts, Gets and
+// Updates as lookups, Deletes as removes/remove-misses; the shortcut and
+// optimistic counters stay zero.
 type KVFilter8 struct {
-	blocks []minifilter.Block8
-	vals   []byte // B8Slots bytes per block, parallel to block fingerprints
-	mask   uint64
-	count  uint64
-	st     stats.Local
+	filter[minifilter.Block8, *minifilter.Block8]
+	vals []byte // B8Slots bytes per block, parallel to block fingerprints
 }
 
 // NewKV8 creates a value-associating filter with at least nslots slots.
 func NewKV8(nslots uint64) *KVFilter8 {
 	k := blocksFor(nslots, minifilter.B8Slots)
-	f := &KVFilter8{
-		blocks: make([]minifilter.Block8, k),
-		vals:   make([]byte, k*minifilter.B8Slots),
-		mask:   k - 1,
-	}
-	for i := range f.blocks {
-		f.blocks[i].Reset()
-	}
+	f := &KVFilter8{vals: make([]byte, k*minifilter.B8Slots)}
+	f.init(geom8, newBlocks[minifilter.Block8](k), 0, Options{})
 	return f
 }
 
@@ -46,7 +44,7 @@ func (f *KVFilter8) blockVals(b uint64) []byte {
 // of its two candidate blocks. It returns false if both are full.
 func (f *KVFilter8) Put(h uint64, v byte) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	tgt := b1
 	if f.blocks[b2].Occupancy() < f.blocks[b1].Occupancy() {
 		tgt = b2
@@ -75,7 +73,7 @@ func (f *KVFilter8) Get(h uint64) (v byte, ok bool) {
 	if z := f.blocks[b1].FindSlot(bucket, fp); z >= 0 {
 		return f.blockVals(b1)[z], true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if z := f.blocks[b2].FindSlot(bucket, fp); z >= 0 {
 		return f.blockVals(b2)[z], true
 	}
@@ -91,7 +89,7 @@ func (f *KVFilter8) Update(h uint64, v byte) bool {
 		f.blockVals(b1)[z] = v
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if z := f.blocks[b2].FindSlot(bucket, fp); z >= 0 {
 		f.blockVals(b2)[z] = v
 		return true
@@ -107,7 +105,7 @@ func (f *KVFilter8) Delete(h uint64) bool {
 		f.st.Remove()
 		return true
 	}
-	b2 := secondary(h, b1, tag, f.mask, false)
+	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if f.deleteFrom(b2, bucket, fp) {
 		f.st.Remove()
 		return true
@@ -130,34 +128,17 @@ func (f *KVFilter8) deleteFrom(b uint64, bucket uint, fp byte) bool {
 	return true
 }
 
-// Count returns the number of stored key/value pairs.
-func (f *KVFilter8) Count() uint64 { return f.count }
-
-// Capacity returns the total number of slots.
-func (f *KVFilter8) Capacity() uint64 { return uint64(len(f.blocks)) * minifilter.B8Slots }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *KVFilter8) LoadFactor() float64 { return float64(f.count) / float64(f.Capacity()) }
-
 // SizeBytes returns the footprint of blocks plus values.
 func (f *KVFilter8) SizeBytes() uint64 {
 	return uint64(len(f.blocks))*64 + uint64(len(f.vals))
 }
 
-// BlockOccupancies returns the occupancy of every block.
-func (f *KVFilter8) BlockOccupancies() []uint {
-	out := make([]uint, len(f.blocks))
-	for i := range f.blocks {
-		out[i] = f.blocks[i].Occupancy()
+// CheckInvariants verifies the value-associating filter's structural
+// invariants (the value array is opaque bytes, so the block audit is the
+// whole check); see Filter8.CheckInvariants.
+func (f *KVFilter8) CheckInvariants() error {
+	if uint64(len(f.vals)) != uint64(len(f.blocks))*minifilter.B8Slots {
+		return fmt.Errorf("value array holds %d bytes for %d blocks", len(f.vals), len(f.blocks))
 	}
-	return out
+	return f.filter.CheckInvariants()
 }
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *KVFilter8) SlotsPerBlock() uint { return minifilter.B8Slots }
-
-// Stats returns the filter's operation counters. Puts count as inserts,
-// Gets and Updates as lookups, Deletes as removes/remove-misses; the
-// shortcut and optimistic counters stay zero (the KV filter always places
-// two-choice and is single-threaded).
-func (f *KVFilter8) Stats() stats.OpCounts { return f.st.Counts() }

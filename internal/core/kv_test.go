@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"vqf/internal/hashing"
 )
 
 func TestKVPutGet(t *testing.T) {
@@ -158,7 +160,7 @@ func TestKVModelBased(t *testing.T) {
 	// identity uses the smaller block index of the pair.
 	ident := func(h uint64) fpID {
 		b1, bucket, fp, tag := split8(h, f.mask)
-		b2 := secondary(h, b1, tag, f.mask, false)
+		b2 := hashing.AltIndex(b1, tag, f.mask)
 		if b2 < b1 {
 			b1 = b2
 		}

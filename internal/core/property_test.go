@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"vqf/internal/hashing"
 )
 
 // Property: any key inserted into a non-full filter is immediately visible,
@@ -46,17 +48,14 @@ func TestPropertyInsertRemoveCount(t *testing.T) {
 	}
 }
 
-// Property: the xor-linked secondary block always round-trips, and the
-// independent-hash secondary is deterministic.
+// Property: the xor-linked secondary block always round-trips.
 func TestPropertySecondaryBlock(t *testing.T) {
 	const mask = 1<<16 - 1
 	prop := func(h uint64) bool {
 		b1, _, _, tag := split8(h, mask)
-		b2 := secondary(h, b1, tag, mask, false)
-		back := secondary(h, b2, tag, mask, false)
-		indep1 := secondary(h, b1, tag, mask, true)
-		indep2 := secondary(h, b1, tag, mask, true)
-		return back == b1 && b2 <= mask && indep1 == indep2 && indep1 <= mask
+		b2 := hashing.AltIndex(b1, tag, mask)
+		back := hashing.AltIndex(b2, tag, mask)
+		return back == b1 && b2 <= mask
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -154,5 +155,31 @@ func TestSizedReadersRejectGeometryMismatch(t *testing.T) {
 	}
 	if _, err := ReadFilter16Sized(bytes.NewReader(buf16.Bytes()), 1<<14); err == nil {
 		t.Error("16-bit stream with mismatched block count accepted")
+	}
+}
+
+// TestReadRejectsUnknownFlags: every header flag bit but NoShortcut is
+// refused. Bit 1 (independent-hash partner blocks) in particular: a reader
+// that accepted it would probe the xor partner, so keys stored in their
+// independent partner block would read as absent.
+func TestReadRejectsUnknownFlags(t *testing.T) {
+	var buf8, buf16 bytes.Buffer
+	NewFilter8(1<<8, Options{NoShortcut: true}).WriteTo(&buf8)
+	NewCFilter16(1<<8, Options{NoShortcut: true}).WriteTo(&buf16)
+	for _, bit := range []uint16{1 << 1, 1 << 15} {
+		data8 := append([]byte(nil), buf8.Bytes()...)
+		binary.LittleEndian.PutUint16(data8[6:], flagNoShortcut|bit)
+		if _, err := ReadFilter8(bytes.NewReader(data8)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("ReadFilter8 with flag %#x: err %v, want ErrBadFormat", bit, err)
+		}
+		data16 := append([]byte(nil), buf16.Bytes()...)
+		binary.LittleEndian.PutUint16(data16[6:], flagNoShortcut|bit)
+		if _, err := ReadCFilter16(bytes.NewReader(data16)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("ReadCFilter16 with flag %#x: err %v, want ErrBadFormat", bit, err)
+		}
+	}
+	g, err := ReadCFilter16(bytes.NewReader(buf16.Bytes()))
+	if err != nil || !g.opts.NoShortcut {
+		t.Fatalf("NoShortcut flag did not round-trip: %v", err)
 	}
 }

@@ -26,11 +26,11 @@ package core
 // sweep locality of the non-sharded batch path.
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
 )
@@ -127,36 +127,104 @@ func shardBatchWorkers(n, nshards int) int {
 	return w
 }
 
-// Sharded8 is a sharded thread-safe filter with 8-bit fingerprints: an array
-// of CFilter8 shards selected by the top hash bits. All single-key
-// operations delegate to one shard; batch operations partition by shard and
-// run shard-disjoint workers.
-type Sharded8 struct {
-	shards    []*CFilter8
+// shardFilter is the shard surface the sharded shell uses: a concurrent
+// filter, *CFilter8 or *CFilter16. Its per-key methods are called only by
+// the batch workers, through func values; the single-key paths
+// (Sharded8/16.Insert etc.) and the ContainsBatch scan (containsScan) call
+// the concrete shard type.
+type shardFilter interface {
+	Insert(h uint64) bool
+	Remove(h uint64) bool
+	InsertBatch(hs []uint64) int
+	RemoveBatch(hs []uint64) int
+	ContainsBatch(hs []uint64, dst []bool) []bool
+	Count() uint64
+	Capacity() uint64
+	SizeBytes() uint64
+	Stats() stats.OpCounts
+	BlockOccupancies() []uint
+	SlotsPerBlock() uint
+	SetEventRing(r *telemetry.Ring)
+	WriteTo(w io.Writer) (int64, error)
+	batchSegment(seg []uint64) []uint64
+	containsScan(sorted []uint64, out []bool, idx []int32, lo, hi int)
+	geom() *geometry
+}
+
+// sharded is the shell of Sharded8 and Sharded16: an array of concurrent
+// shards selected by the top hash bits. All single-key operations delegate
+// to one shard; batch operations partition by shard and run shard-disjoint
+// workers.
+type sharded[S shardFilter] struct {
+	shards    []S
 	shardBits uint
 	ring      *telemetry.Ring
+}
+
+// newSharded creates nshards shards (rounded up to a power of two, clamped
+// to [1, 256]), each sized for its share of nslots.
+func newSharded[S shardFilter](nslots uint64, nshards int, opts Options, newShard func(uint64, Options) S) sharded[S] {
+	bits := shardBitsFor(nshards)
+	n := uint64(1) << bits
+	per := (nslots + n - 1) / n
+	f := sharded[S]{shards: make([]S, n), shardBits: bits}
+	for i := range f.shards {
+		f.shards[i] = newShard(per, opts)
+	}
+	return f
+}
+
+// Sharded8 is a sharded thread-safe filter with 8-bit fingerprints: an array
+// of CFilter8 shards selected by the top hash bits.
+type Sharded8 struct {
+	sharded[*CFilter8]
 }
 
 // NewSharded8 creates a sharded filter with at least nslots total slots
 // spread over nshards shards (rounded up to a power of two, clamped to
 // [1, 256]). Each shard is an independent CFilter8 sized for its share.
 func NewSharded8(nslots uint64, nshards int, opts Options) *Sharded8 {
-	bits := shardBitsFor(nshards)
-	n := uint64(1) << bits
-	per := (nslots + n - 1) / n
-	f := &Sharded8{shards: make([]*CFilter8, n), shardBits: bits}
-	for i := range f.shards {
-		f.shards[i] = NewCFilter8(per, opts)
-	}
-	return f
+	return &Sharded8{newSharded(nslots, nshards, opts, NewCFilter8)}
 }
 
+// Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
+func (f *Sharded8) Insert(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Insert(h) }
+
+// Contains reports whether h may be in the filter; lock-free on the common
+// path. Safe for concurrent use.
+func (f *Sharded8) Contains(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Contains(h) }
+
+// Remove deletes one previously inserted instance of h. Safe for concurrent
+// use.
+func (f *Sharded8) Remove(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Remove(h) }
+
+// Sharded16 is the sharded thread-safe filter with 16-bit fingerprints; see
+// Sharded8.
+type Sharded16 struct {
+	sharded[*CFilter16]
+}
+
+// NewSharded16 creates a sharded 16-bit-fingerprint filter; see NewSharded8.
+func NewSharded16(nslots uint64, nshards int, opts Options) *Sharded16 {
+	return &Sharded16{newSharded(nslots, nshards, opts, NewCFilter16)}
+}
+
+// Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
+func (f *Sharded16) Insert(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Insert(h) }
+
+// Contains reports whether h may be in the filter. Safe for concurrent use.
+func (f *Sharded16) Contains(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Contains(h) }
+
+// Remove deletes one previously inserted instance of h. Safe for concurrent
+// use.
+func (f *Sharded16) Remove(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Remove(h) }
+
 // NumShards returns the shard count (a power of two).
-func (f *Sharded8) NumShards() int { return len(f.shards) }
+func (f *sharded[S]) NumShards() int { return len(f.shards) }
 
 // ShardCounts returns each shard's current item count, for balance
 // diagnostics.
-func (f *Sharded8) ShardCounts() []uint64 {
+func (f *sharded[S]) ShardCounts() []uint64 {
 	out := make([]uint64, len(f.shards))
 	for i, s := range f.shards {
 		out[i] = s.Count()
@@ -168,30 +236,17 @@ func (f *Sharded8) ShardCounts() []uint64 {
 // order. fprFullLoad is the geometry's analytic full-load FPR (a constant
 // shared by every shard). Cost is O(total blocks), same as one aggregate
 // snapshot.
-func (f *Sharded8) ShardSnapshots(fprFullLoad float64) []stats.Snapshot {
+func (f *sharded[S]) ShardSnapshots(fprFullLoad float64) []stats.Snapshot {
 	out := make([]stats.Snapshot, len(f.shards))
 	for i, s := range f.shards {
 		out[i] = stats.BuildSnapshot(s.Count(), s.Capacity(), s.SizeBytes(), fprFullLoad,
-			s.BlockOccupancies(), minifilter.B8Slots, s.Stats())
+			s.BlockOccupancies(), s.SlotsPerBlock(), s.Stats())
 	}
 	return out
 }
 
-func (f *Sharded8) shard(h uint64) *CFilter8 { return f.shards[shardOf(h, f.shardBits)] }
-
-// Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
-func (f *Sharded8) Insert(h uint64) bool { return f.shard(h).Insert(h) }
-
-// Contains reports whether h may be in the filter; lock-free on the common
-// path. Safe for concurrent use.
-func (f *Sharded8) Contains(h uint64) bool { return f.shard(h).Contains(h) }
-
-// Remove deletes one previously inserted instance of h. Safe for concurrent
-// use.
-func (f *Sharded8) Remove(h uint64) bool { return f.shard(h).Remove(h) }
-
 // Count returns the number of fingerprints stored across all shards.
-func (f *Sharded8) Count() uint64 {
+func (f *sharded[S]) Count() uint64 {
 	var n uint64
 	for _, s := range f.shards {
 		n += s.Count()
@@ -200,7 +255,7 @@ func (f *Sharded8) Count() uint64 {
 }
 
 // Capacity returns the total slots across all shards.
-func (f *Sharded8) Capacity() uint64 {
+func (f *sharded[S]) Capacity() uint64 {
 	var n uint64
 	for _, s := range f.shards {
 		n += s.Capacity()
@@ -209,10 +264,10 @@ func (f *Sharded8) Capacity() uint64 {
 }
 
 // LoadFactor returns Count divided by Capacity.
-func (f *Sharded8) LoadFactor() float64 { return float64(f.Count()) / float64(f.Capacity()) }
+func (f *sharded[S]) LoadFactor() float64 { return float64(f.Count()) / float64(f.Capacity()) }
 
 // SizeBytes returns the memory footprint summed over shards.
-func (f *Sharded8) SizeBytes() uint64 {
+func (f *sharded[S]) SizeBytes() uint64 {
 	var n uint64
 	for _, s := range f.shards {
 		n += s.SizeBytes()
@@ -223,7 +278,7 @@ func (f *Sharded8) SizeBytes() uint64 {
 // Stats returns operation counters summed across shards. Each shard's
 // counters are private (no cross-shard contention); the sum inherits the
 // per-counter exactness and monotonicity of the striped carriers.
-func (f *Sharded8) Stats() stats.OpCounts {
+func (f *sharded[S]) Stats() stats.OpCounts {
 	var total stats.OpCounts
 	for _, s := range f.shards {
 		total = total.Add(s.Stats())
@@ -232,12 +287,12 @@ func (f *Sharded8) Stats() stats.OpCounts {
 }
 
 // SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *Sharded8) SlotsPerBlock() uint { return minifilter.B8Slots }
+func (f *sharded[S]) SlotsPerBlock() uint { return f.shards[0].SlotsPerBlock() }
 
 // BlockOccupancies returns the concatenated per-block occupancies of every
 // shard, in shard order — all shards share one geometry, so the combined
 // vector feeds the same histogram a single filter's would.
-func (f *Sharded8) BlockOccupancies() []uint {
+func (f *sharded[S]) BlockOccupancies() []uint {
 	var out []uint
 	for _, s := range f.shards {
 		out = append(out, s.BlockOccupancies()...)
@@ -245,23 +300,39 @@ func (f *Sharded8) BlockOccupancies() []uint {
 	return out
 }
 
+// SetEventRing attaches r to the sharded filter and every shard, so shard
+// fallbacks and pool stalls land in one stream. Call before sharing the
+// filter across goroutines.
+func (f *sharded[S]) SetEventRing(r *telemetry.Ring) {
+	f.ring = r
+	for _, s := range f.shards {
+		s.SetEventRing(r)
+	}
+}
+
+// stallEvent records a sharded-batch pool that finished with idle workers:
+// the shard partition was too skewed (or too small) to feed every claimed
+// worker. active is the number of workers that claimed at least one
+// non-empty shard segment out of a pool of w, over a batch of keys keys.
+func stallEvent(ring *telemetry.Ring, active, w, keys int) {
+	if ring != nil && active < w {
+		ring.Record(telemetry.EvShardClaimStall, uint64(w-active), uint64(w), uint64(keys))
+	}
+}
+
 // InsertBatch inserts the keys of hs in parallel with shard-disjoint
 // workers, returning the number successfully inserted. Safe for concurrent
 // use alongside any other operations.
-func (f *Sharded8) InsertBatch(hs []uint64) int {
-	return shardedCount8(f, hs, (*CFilter8).InsertBatch, (*CFilter8).Insert)
-}
+func (f *sharded[S]) InsertBatch(hs []uint64) int { return f.apply(hs, S.InsertBatch, S.Insert) }
 
 // RemoveBatch removes one instance of each key of hs in parallel with
 // shard-disjoint workers, returning the number found and removed.
-func (f *Sharded8) RemoveBatch(hs []uint64) int {
-	return shardedCount8(f, hs, (*CFilter8).RemoveBatch, (*CFilter8).Remove)
-}
+func (f *sharded[S]) RemoveBatch(hs []uint64) int { return f.apply(hs, S.RemoveBatch, S.Remove) }
 
-// shardedCount8 partitions hs by shard and applies the batch (whole
-// partition) or single-key form of an operation with shard-disjoint
-// workers; see the package comment for the contention argument.
-func shardedCount8(f *Sharded8, hs []uint64, batch func(*CFilter8, []uint64) int, op func(*CFilter8, uint64) bool) int {
+// apply partitions hs by shard and applies the batch (whole partition) or
+// single-key form of an operation with shard-disjoint workers; see the
+// package comment for the contention argument.
+func (f *sharded[S]) apply(hs []uint64, batch func(S, []uint64) int, op func(S, uint64) bool) int {
 	if len(f.shards) == 1 {
 		return batch(f.shards[0], hs)
 	}
@@ -297,12 +368,7 @@ func shardedCount8(f *Sharded8, hs []uint64, batch func(*CFilter8, []uint64) int
 				}
 				fed = true
 				shard := f.shards[s]
-				shard.st.Batch(len(seg))
-				if len(seg) >= minBatchPartition {
-					segSorted, _ := radixPartition(seg, shard.mask, blockShift8)
-					seg = segSorted
-				}
-				for _, h := range seg {
+				for _, h := range shard.batchSegment(seg) {
 					if op(shard, h) {
 						n++
 					}
@@ -322,36 +388,29 @@ func shardedCount8(f *Sharded8, hs []uint64, batch func(*CFilter8, []uint64) int
 // ContainsBatch reports membership for every key of hs in input order;
 // lookups run lock-free with shard-disjoint workers. The result reuses dst
 // if it has sufficient capacity (dst may be nil).
-func (f *Sharded8) ContainsBatch(hs []uint64, dst []bool) []bool {
+//
+// hs is partitioned by shard (segmented so int32 scatter indices always
+// fit) and each shard's slice is scanned, inline or from shard-disjoint
+// workers, by the shard's own containsScan.
+func (f *sharded[S]) ContainsBatch(hs []uint64, dst []bool) []bool {
 	if len(f.shards) == 1 {
 		return f.shards[0].ContainsBatch(hs, dst)
 	}
 	out := resizeBools(dst, len(hs))
-	shardedContains(len(f.shards), f.shardBits, hs, out, func(s int, seg []uint64, segOut []bool, idx []int32, lo, hi int) {
-		shard := f.shards[s]
-		shard.st.Batch(hi - lo)
-		for j := lo; j < hi; j++ {
-			segOut[idx[j]] = shard.Contains(seg[j])
-		}
-	})
-	return out
-}
-
-// shardedContains partitions hs by shard (segmented so int32 scatter indices
-// always fit) and invokes scan for each shard's slice, either inline or from
-// shard-disjoint workers. scan receives the partition-sorted keys, the
-// original-position scatter array, and the shard's [lo, hi) range in them.
-func shardedContains(nshards int, shardBits uint, hs []uint64, out []bool, scan func(s int, sorted []uint64, segOut []bool, idx []int32, lo, hi int)) {
+	nshards := len(f.shards)
 	for off := 0; off < len(hs); off += maxIdxSegment {
 		end := min(off+maxIdxSegment, len(hs))
 		seg, segOut := hs[off:end], out[off:end]
-		sorted, idx, bounds := shardPartitionIdx(seg, shardBits)
+		sorted, idx, bounds := shardPartitionIdx(seg, f.shardBits)
+		scan := func(s int) {
+			if bounds[s] < bounds[s+1] {
+				f.shards[s].containsScan(sorted, segOut, idx, bounds[s], bounds[s+1])
+			}
+		}
 		w := shardBatchWorkers(len(seg), nshards)
 		if w == 1 {
 			for s := 0; s < nshards; s++ {
-				if bounds[s] < bounds[s+1] {
-					scan(s, sorted, segOut, idx, bounds[s], bounds[s+1])
-				}
+				scan(s)
 			}
 			continue
 		}
@@ -366,204 +425,11 @@ func shardedContains(nshards int, shardBits uint, hs []uint64, out []bool, scan 
 					if s >= nshards {
 						break
 					}
-					if bounds[s] < bounds[s+1] {
-						scan(s, sorted, segOut, idx, bounds[s], bounds[s+1])
-					}
+					scan(s)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-}
-
-// Sharded16 is the sharded thread-safe filter with 16-bit fingerprints; see
-// Sharded8.
-type Sharded16 struct {
-	shards    []*CFilter16
-	shardBits uint
-	ring      *telemetry.Ring
-}
-
-// NewSharded16 creates a sharded 16-bit-fingerprint filter; see NewSharded8.
-func NewSharded16(nslots uint64, nshards int, opts Options) *Sharded16 {
-	bits := shardBitsFor(nshards)
-	n := uint64(1) << bits
-	per := (nslots + n - 1) / n
-	f := &Sharded16{shards: make([]*CFilter16, n), shardBits: bits}
-	for i := range f.shards {
-		f.shards[i] = NewCFilter16(per, opts)
-	}
-	return f
-}
-
-// NumShards returns the shard count (a power of two).
-func (f *Sharded16) NumShards() int { return len(f.shards) }
-
-// ShardCounts returns each shard's current item count.
-func (f *Sharded16) ShardCounts() []uint64 {
-	out := make([]uint64, len(f.shards))
-	for i, s := range f.shards {
-		out[i] = s.Count()
-	}
-	return out
-}
-
-// ShardSnapshots returns one full structural snapshot per shard; see
-// Sharded8.ShardSnapshots.
-func (f *Sharded16) ShardSnapshots(fprFullLoad float64) []stats.Snapshot {
-	out := make([]stats.Snapshot, len(f.shards))
-	for i, s := range f.shards {
-		out[i] = stats.BuildSnapshot(s.Count(), s.Capacity(), s.SizeBytes(), fprFullLoad,
-			s.BlockOccupancies(), minifilter.B16Slots, s.Stats())
-	}
-	return out
-}
-
-func (f *Sharded16) shard(h uint64) *CFilter16 { return f.shards[shardOf(h, f.shardBits)] }
-
-// Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
-func (f *Sharded16) Insert(h uint64) bool { return f.shard(h).Insert(h) }
-
-// Contains reports whether h may be in the filter; lock-free on the common
-// path. Safe for concurrent use.
-func (f *Sharded16) Contains(h uint64) bool { return f.shard(h).Contains(h) }
-
-// Remove deletes one previously inserted instance of h. Safe for concurrent
-// use.
-func (f *Sharded16) Remove(h uint64) bool { return f.shard(h).Remove(h) }
-
-// Count returns the number of fingerprints stored across all shards.
-func (f *Sharded16) Count() uint64 {
-	var n uint64
-	for _, s := range f.shards {
-		n += s.Count()
-	}
-	return n
-}
-
-// Capacity returns the total slots across all shards.
-func (f *Sharded16) Capacity() uint64 {
-	var n uint64
-	for _, s := range f.shards {
-		n += s.Capacity()
-	}
-	return n
-}
-
-// LoadFactor returns Count divided by Capacity.
-func (f *Sharded16) LoadFactor() float64 { return float64(f.Count()) / float64(f.Capacity()) }
-
-// SizeBytes returns the memory footprint summed over shards.
-func (f *Sharded16) SizeBytes() uint64 {
-	var n uint64
-	for _, s := range f.shards {
-		n += s.SizeBytes()
-	}
-	return n
-}
-
-// Stats returns operation counters summed across shards; see Sharded8.Stats.
-func (f *Sharded16) Stats() stats.OpCounts {
-	var total stats.OpCounts
-	for _, s := range f.shards {
-		total = total.Add(s.Stats())
-	}
-	return total
-}
-
-// SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *Sharded16) SlotsPerBlock() uint { return minifilter.B16Slots }
-
-// BlockOccupancies returns the concatenated per-block occupancies of every
-// shard, in shard order.
-func (f *Sharded16) BlockOccupancies() []uint {
-	var out []uint
-	for _, s := range f.shards {
-		out = append(out, s.BlockOccupancies()...)
-	}
-	return out
-}
-
-// InsertBatch inserts the keys of hs in parallel with shard-disjoint
-// workers; see Sharded8.InsertBatch.
-func (f *Sharded16) InsertBatch(hs []uint64) int {
-	return shardedCount16(f, hs, (*CFilter16).InsertBatch, (*CFilter16).Insert)
-}
-
-// RemoveBatch removes one instance of each key of hs in parallel with
-// shard-disjoint workers; see Sharded8.RemoveBatch.
-func (f *Sharded16) RemoveBatch(hs []uint64) int {
-	return shardedCount16(f, hs, (*CFilter16).RemoveBatch, (*CFilter16).Remove)
-}
-
-func shardedCount16(f *Sharded16, hs []uint64, batch func(*CFilter16, []uint64) int, op func(*CFilter16, uint64) bool) int {
-	if len(f.shards) == 1 {
-		return batch(f.shards[0], hs)
-	}
-	sorted, bounds := shardPartition(hs, f.shardBits)
-	w := shardBatchWorkers(len(hs), len(f.shards))
-	if w == 1 {
-		total := 0
-		for s := range f.shards {
-			if seg := sorted[bounds[s]:bounds[s+1]]; len(seg) > 0 {
-				total += batch(f.shards[s], seg)
-			}
-		}
-		return total
-	}
-	var cursor, total, active atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n, fed := 0, false
-			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= len(f.shards) {
-					break
-				}
-				seg := sorted[bounds[s]:bounds[s+1]]
-				if len(seg) == 0 {
-					continue
-				}
-				fed = true
-				shard := f.shards[s]
-				shard.st.Batch(len(seg))
-				if len(seg) >= minBatchPartition {
-					segSorted, _ := radixPartition(seg, shard.mask, blockShift16)
-					seg = segSorted
-				}
-				for _, h := range seg {
-					if op(shard, h) {
-						n++
-					}
-				}
-			}
-			if fed {
-				active.Add(1)
-			}
-			total.Add(int64(n))
-		}()
-	}
-	wg.Wait()
-	stallEvent(f.ring, int(active.Load()), w, len(hs))
-	return int(total.Load())
-}
-
-// ContainsBatch reports membership for every key of hs in input order; see
-// Sharded8.ContainsBatch.
-func (f *Sharded16) ContainsBatch(hs []uint64, dst []bool) []bool {
-	if len(f.shards) == 1 {
-		return f.shards[0].ContainsBatch(hs, dst)
-	}
-	out := resizeBools(dst, len(hs))
-	shardedContains(len(f.shards), f.shardBits, hs, out, func(s int, seg []uint64, segOut []bool, idx []int32, lo, hi int) {
-		shard := f.shards[s]
-		shard.st.Batch(hi - lo)
-		for j := lo; j < hi; j++ {
-			segOut[idx[j]] = shard.Contains(seg[j])
-		}
-	})
 	return out
 }

@@ -30,13 +30,3 @@ func TestRunAggregateBloomSkipsDeletes(t *testing.T) {
 		t.Error("bloom insert throughput nonpositive")
 	}
 }
-
-func TestRunAggregateClassicQF(t *testing.T) {
-	res := RunAggregate(SpecQFClassic8(), 1<<12, 25)
-	if res.Failed {
-		t.Fatal("classic quotient filter aggregate failed")
-	}
-	if res.DeleteMops <= 0 {
-		t.Error("classic QF delete throughput nonpositive")
-	}
-}

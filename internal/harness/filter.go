@@ -12,13 +12,10 @@
 package harness
 
 import (
-	"math/bits"
-
 	"vqf/internal/bloom"
 	"vqf/internal/core"
 	"vqf/internal/cuckoo"
 	"vqf/internal/morton"
-	"vqf/internal/quotient"
 	"vqf/internal/rsqf"
 )
 
@@ -65,10 +62,11 @@ func SpecVQF8Shortcut() Spec {
 	}}
 }
 
-// SpecVQF8Generic is the scalar-loop ablation variant (§7.7 analog).
+// SpecVQF8Generic is the scalar-loop ablation variant (§7.7 analog); see
+// ablation.go.
 func SpecVQF8Generic() Spec {
 	return Spec{Name: "vqf-generic", MaxLoad: 0.90, New: func(n uint64) (Filter, error) {
-		return core.NewFilter8(n, core.Options{Generic: true}), nil
+		return newScalar8(n, true, false), nil
 	}}
 }
 
@@ -77,14 +75,6 @@ func SpecVQF8Generic() Spec {
 func SpecQF8() Spec {
 	return Spec{Name: "qf", MaxLoad: 0.95, New: func(n uint64) (Filter, error) {
 		return rsqf.NewForSlots(n, 8)
-	}}
-}
-
-// SpecQFClassic8 is the classic 3-bit-metadata quotient filter (the
-// resizable/mergeable variant), reported alongside Table 2 for reference.
-func SpecQFClassic8() Spec {
-	return Spec{Name: "qf-classic", MaxLoad: 0.95, New: func(n uint64) (Filter, error) {
-		return quotient.New(log2ceil(n), 8)
 	}}
 }
 
@@ -135,7 +125,7 @@ func SpecVQF16Shortcut() Spec {
 // SpecVQF16Generic is the 16-bit scalar-loop ablation variant.
 func SpecVQF16Generic() Spec {
 	return Spec{Name: "vqf16-generic", MaxLoad: 0.88, New: func(n uint64) (Filter, error) {
-		return core.NewFilter16(n, core.Options{Generic: true}), nil
+		return newScalar16(n, true), nil
 	}}
 }
 
@@ -163,11 +153,4 @@ func SpecMF16() Spec {
 // SpecsFPR16 is the ε ≈ 2⁻¹⁶ line-up for Figure 6c/6d.
 func SpecsFPR16() []Spec {
 	return []Spec{SpecVQF16(), SpecVQF16Shortcut(), SpecQF16(), SpecCF16(), SpecMF16()}
-}
-
-func log2ceil(n uint64) uint {
-	if n <= 2 {
-		return 1
-	}
-	return uint(bits.Len64(n - 1))
 }

@@ -19,19 +19,27 @@ type MaxLoadRow struct {
 // xor trick (94.40%), and the shortcut optimization at 75%, 87.5% and
 // 95.83% thresholds (93.56%, 90%, 64.83%).
 func RunMaxLoad(nslots uint64, seed uint64) []MaxLoadRow {
+	type filter interface {
+		Insert(h uint64) bool
+		LoadFactor() float64
+	}
+	vqf := func(opts core.Options) func() filter {
+		return func() filter { return core.NewFilter8(nslots, opts) }
+	}
 	configs := []struct {
 		name string
-		opts core.Options
+		new  func() filter
 	}{
-		{"independent-hash, no shortcut", core.Options{NoShortcut: true, IndependentHash: true}},
-		{"xor-trick, no shortcut", core.Options{NoShortcut: true}},
-		{"shortcut 75% (36/48)", core.Options{}},
-		{"shortcut 87.5% (42/48)", core.Options{ShortcutThreshold: 42}},
-		{"shortcut 95.83% (46/48)", core.Options{ShortcutThreshold: 46}},
+		// The independent second hash is an ablation (§3.4), built only here.
+		{"independent-hash, no shortcut", func() filter { return newScalar8(nslots, false, true) }},
+		{"xor-trick, no shortcut", vqf(core.Options{NoShortcut: true})},
+		{"shortcut 75% (36/48)", vqf(core.Options{})},
+		{"shortcut 87.5% (42/48)", vqf(core.Options{ShortcutThreshold: 42})},
+		{"shortcut 95.83% (46/48)", vqf(core.Options{ShortcutThreshold: 46})},
 	}
 	rows := make([]MaxLoadRow, 0, len(configs))
 	for _, c := range configs {
-		f := core.NewFilter8(nslots, c.opts)
+		f := c.new()
 		s := workload.NewStream(seed)
 		for f.Insert(s.Next()) {
 		}

@@ -8,7 +8,6 @@ import (
 	"vqf/internal/cuckoo"
 	"vqf/internal/elastic"
 	"vqf/internal/morton"
-	"vqf/internal/quotient"
 	"vqf/internal/rsqf"
 )
 
@@ -127,8 +126,6 @@ func Subjects() []Subject {
 			New: func(n uint64) (Instance, error) { return wrap(rsqf.NewForSlots(n, 8)) }},
 		{Name: "rsqf16", FPRBound: 1e-4,
 			New: func(n uint64) (Instance, error) { return wrap(rsqf.NewForSlots(n, 16)) }},
-		{Name: "qf-classic", FPRBound: 0.008,
-			New: func(n uint64) (Instance, error) { return wrap(quotient.NewForSlots(n, 8)) }},
 		{Name: "cuckoo12", FPRBound: 0.003,
 			New: func(n uint64) (Instance, error) { return wrap(cuckoo.New(n, 12)) }},
 		{Name: "cuckoo16", FPRBound: 2e-4,

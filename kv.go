@@ -3,7 +3,6 @@ package vqf
 import (
 	"vqf/internal/core"
 	"vqf/internal/hashing"
-	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 )
 
@@ -91,13 +90,10 @@ func (m *Map) LoadFactor() float64 { return m.impl.LoadFactor() }
 // SizeBytes returns the Map's memory footprint.
 func (m *Map) SizeBytes() uint64 { return m.impl.SizeBytes() }
 
-// mapFPR is the Map's analytic false-positive rate at full load: the 8-bit
-// geometry's 2·(s/b)·2⁻⁸ (the Map always uses 8-bit fingerprints).
-const mapFPR = 2.0 * float64(minifilter.B8Slots) / float64(minifilter.B8Buckets) / 256
-
 // FalsePositiveRate returns the Map's analytic false-positive rate at full
-// load; see Filter.FalsePositiveRate.
-func (m *Map) FalsePositiveRate() float64 { return mapFPR }
+// load: the 8-bit geometry's (the Map always uses 8-bit fingerprints); see
+// Filter.FalsePositiveRate.
+func (m *Map) FalsePositiveRate() float64 { return geom8.fpr }
 
 // Stats returns the Map's cumulative operation counters: Puts count as
 // inserts, Gets and Updates as lookups, Deletes as removes. Like every other
@@ -108,6 +104,6 @@ func (m *Map) Stats() OpStats { return m.impl.Stats() }
 // Filter.Snapshot.
 func (m *Map) Snapshot() Snapshot {
 	return stats.BuildSnapshot(
-		m.impl.Count(), m.impl.Capacity(), m.impl.SizeBytes(), mapFPR,
+		m.impl.Count(), m.impl.Capacity(), m.impl.SizeBytes(), geom8.fpr,
 		m.impl.BlockOccupancies(), m.impl.SlotsPerBlock(), m.impl.Stats())
 }

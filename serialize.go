@@ -120,54 +120,20 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	return n + m, err
 }
 
-// fprFor returns the analytic full-load false-positive rate of a geometry
-// kind (see Filter.FalsePositiveRate).
-func fprFor(is16 bool) float64 {
-	if is16 {
-		return 2.0 * 28 / 36 / 65536
-	}
-	return 2.0 * 48 / 80 / 256
-}
-
 // Read deserializes a filter previously written with WriteTo. Streams of
 // kind 8/16 load as sequential filters regardless of which variant wrote
 // them (use ReadConcurrent to load them thread-safe); sharded streams
 // always load as sharded (thread-safe) filters.
-func Read(r io.Reader) (*Filter, error) {
-	kind, seed, err := readEnvelopeKind(r)
-	if err != nil {
-		return nil, err
-	}
-	f := &Filter{seed: seed}
-	switch kind {
-	case kind8:
-		impl, err := core.ReadFilter8(r)
-		if err != nil {
-			return nil, err
-		}
-		f.impl = impl
-		f.fpr = fprFor(false)
-	case kind16:
-		impl, err := core.ReadFilter16(r)
-		if err != nil {
-			return nil, err
-		}
-		f.impl = impl
-		f.fpr = fprFor(true)
-	case kindSharded:
-		return readShardedFilter(r, seed)
-	default:
-		return nil, fmt.Errorf("vqf: stream holds %s", kindName(kind))
-	}
-	f.initObservability(telemetry.DefaultSamplingRate, false)
-	return f, nil
-}
+func Read(r io.Reader) (*Filter, error) { return readFilter(r, false) }
 
 // ReadConcurrent deserializes a filter previously written with WriteTo into
 // a thread-safe form: kind 8/16 streams load as concurrent filters, sharded
 // streams as sharded filters. The stream format does not record which
 // variant wrote it — Read and ReadConcurrent both accept any Filter stream.
-func ReadConcurrent(r io.Reader) (*Filter, error) {
+func ReadConcurrent(r io.Reader) (*Filter, error) { return readFilter(r, true) }
+
+// readFilter is Read (concurrent false) and ReadConcurrent.
+func readFilter(r io.Reader, concurrent bool) (*Filter, error) {
 	kind, seed, err := readEnvelopeKind(r)
 	if err != nil {
 		return nil, err
@@ -175,41 +141,33 @@ func ReadConcurrent(r io.Reader) (*Filter, error) {
 	f := &Filter{seed: seed}
 	switch kind {
 	case kind8:
-		impl, err := core.ReadCFilter8(r)
-		if err != nil {
-			return nil, err
+		f.fpr = geom8.fpr
+		if concurrent {
+			f.impl, err = core.ReadCFilter8(r)
+		} else {
+			f.impl, err = core.ReadFilter8(r)
 		}
-		f.impl = impl
-		f.fpr = fprFor(false)
 	case kind16:
-		impl, err := core.ReadCFilter16(r)
-		if err != nil {
-			return nil, err
+		f.fpr = geom16.fpr
+		if concurrent {
+			f.impl, err = core.ReadCFilter16(r)
+		} else {
+			f.impl, err = core.ReadFilter16(r)
 		}
-		f.impl = impl
-		f.fpr = fprFor(true)
 	case kindSharded:
-		return readShardedFilter(r, seed)
+		concurrent = true
+		s8, s16, serr := core.ReadSharded(r)
+		f.impl, f.fpr, err = s16, geom16.fpr, serr
+		if s8 != nil {
+			f.impl, f.fpr = s8, geom8.fpr
+		}
 	default:
 		return nil, fmt.Errorf("vqf: stream holds %s", kindName(kind))
 	}
-	f.initObservability(telemetry.DefaultSamplingRate, true)
-	return f, nil
-}
-
-// readShardedFilter reads the sharded payload following an envelope.
-func readShardedFilter(r io.Reader, seed uint64) (*Filter, error) {
-	s8, s16, err := core.ReadSharded(r)
 	if err != nil {
 		return nil, err
 	}
-	f := &Filter{seed: seed}
-	if s8 != nil {
-		f.impl, f.fpr = s8, fprFor(false)
-	} else {
-		f.impl, f.fpr = s16, fprFor(true)
-	}
-	f.initObservability(telemetry.DefaultSamplingRate, true)
+	f.initObservability(telemetry.DefaultSamplingRate, concurrent)
 	return f, nil
 }
 

@@ -3,8 +3,11 @@ package vqf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strconv"
 	"testing"
+
+	"vqf/internal/core"
 )
 
 func TestFilterSerializeRoundTrip(t *testing.T) {
@@ -160,5 +163,19 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Error("Read accepted empty input")
+	}
+}
+
+// TestReadRejectsUnknownFlags: the core header behind the 16-byte envelope
+// refuses every flag bit but NoShortcut (see the core test of that name).
+func TestReadRejectsUnknownFlags(t *testing.T) {
+	var buf bytes.Buffer
+	New(1000).WriteTo(&buf)
+	for _, bit := range []uint16{1 << 1, 1 << 15} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint16(data[envelopeBytes+6:], bit)
+		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, core.ErrBadFormat) {
+			t.Errorf("Read with flag %#x: err %v, want core.ErrBadFormat", bit, err)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"vqf/internal/core"
 	"vqf/internal/elastic"
-	"vqf/internal/minifilter"
 	"vqf/internal/telemetry"
 )
 
@@ -24,22 +23,12 @@ import (
 // fan out over shard-disjoint workers, so two workers never touch the same
 // shard.
 func NewSharded(n uint64, nshards int, opts ...Option) *Filter {
-	c, err := buildConfig(opts)
-	if err != nil {
-		panic(err)
-	}
-	slots := uint64(float64(n)/c.sizingLoad) + 1
-	coreOpts := core.Options{NoShortcut: c.noShortcut}
-	f := &Filter{seed: c.seed}
-	if c.fpr >= fpr8Cutoff {
-		f.impl = core.NewSharded8(slots, nshards, coreOpts)
-		f.fpr = 2 * float64(minifilter.B8Slots) / float64(minifilter.B8Buckets) / 256
-	} else {
-		f.impl = core.NewSharded16(slots, nshards, coreOpts)
-		f.fpr = 2 * float64(minifilter.B16Slots) / float64(minifilter.B16Buckets) / 65536
-	}
-	f.initObservability(c.latencyRate, true)
-	return f
+	return newFilter(n, opts, true, func(g geometry, slots uint64, o core.Options) hashedFilter {
+		if g.is16 {
+			return core.NewSharded16(slots, nshards, o)
+		}
+		return core.NewSharded8(slots, nshards, o)
+	})
 }
 
 // NumShards returns the filter's shard count: 1 for filters from New and

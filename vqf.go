@@ -191,7 +191,7 @@ func WithSizingLoadFactor(lf float64) Option {
 }
 
 func buildConfig(opts []Option) (config, error) {
-	c := config{fpr: fpr8Cutoff, sizingLoad: 0.90}
+	c := config{fpr: geom8.fpr, sizingLoad: 0.90}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -219,52 +219,66 @@ func (f *Filter) initObservability(rate int, concurrent bool) {
 	}
 }
 
-// fpr8Cutoff is the 8-bit geometry's analytic false-positive rate,
-// 2·(48/80)·2⁻⁸: the loosest target it actually meets. It is also the
-// default rate for New.
-const fpr8Cutoff = 2.0 * 48 / 80 / 256
+// geometry is one of the paper's two block geometries (§6.1) with its
+// analytic full-load false-positive rate 2·(s/b)·2⁻ᶠ.
+type geometry struct {
+	is16 bool
+	fpr  float64
+}
+
+var (
+	geom8  = geometry{false, 2.0 * minifilter.B8Slots / minifilter.B8Buckets / 256}
+	geom16 = geometry{true, 2.0 * minifilter.B16Slots / minifilter.B16Buckets / 65536}
+)
+
+// geometryFor picks the geometry for a target false-positive rate: the
+// 8-bit one when its rate — the loosest the filter meets, and the default
+// target — satisfies the target, the 16-bit one otherwise. Every
+// constructor makes the choice here.
+func geometryFor(fpr float64) geometry {
+	if fpr >= geom8.fpr {
+		return geom8
+	}
+	return geom16
+}
+
+// newFilter is the body New, NewConcurrent and NewSharded share: it
+// validates opts, sizes the filter for n items, picks the geometry, builds
+// the impl with mk and attaches observability. It panics on invalid
+// options.
+func newFilter(n uint64, opts []Option, concurrent bool, mk func(g geometry, slots uint64, o core.Options) hashedFilter) *Filter {
+	c, err := buildConfig(opts)
+	if err != nil {
+		panic(err)
+	}
+	g := geometryFor(c.fpr)
+	slots := uint64(float64(n)/c.sizingLoad) + 1
+	f := &Filter{seed: c.seed, fpr: g.fpr, impl: mk(g, slots, core.Options{NoShortcut: c.noShortcut})}
+	f.initObservability(c.latencyRate, concurrent)
+	return f
+}
 
 // New returns a filter sized to hold n items. It panics on invalid options
 // (mirroring make's behaviour for invalid sizes); use the Option docs for
 // valid ranges.
 func New(n uint64, opts ...Option) *Filter {
-	c, err := buildConfig(opts)
-	if err != nil {
-		panic(err)
-	}
-	slots := uint64(float64(n)/c.sizingLoad) + 1
-	coreOpts := core.Options{NoShortcut: c.noShortcut}
-	f := &Filter{seed: c.seed}
-	if c.fpr >= fpr8Cutoff {
-		f.impl = core.NewFilter8(slots, coreOpts)
-		f.fpr = 2 * float64(minifilter.B8Slots) / float64(minifilter.B8Buckets) / 256
-	} else {
-		f.impl = core.NewFilter16(slots, coreOpts)
-		f.fpr = 2 * float64(minifilter.B16Slots) / float64(minifilter.B16Buckets) / 65536
-	}
-	f.initObservability(c.latencyRate, false)
-	return f
+	return newFilter(n, opts, false, func(g geometry, slots uint64, o core.Options) hashedFilter {
+		if g.is16 {
+			return core.NewFilter16(slots, o)
+		}
+		return core.NewFilter8(slots, o)
+	})
 }
 
 // NewConcurrent returns a filter safe for concurrent use. Sizing and options
 // are as for New.
 func NewConcurrent(n uint64, opts ...Option) *Filter {
-	c, err := buildConfig(opts)
-	if err != nil {
-		panic(err)
-	}
-	slots := uint64(float64(n)/c.sizingLoad) + 1
-	coreOpts := core.Options{NoShortcut: c.noShortcut}
-	f := &Filter{seed: c.seed}
-	if c.fpr >= fpr8Cutoff {
-		f.impl = core.NewCFilter8(slots, coreOpts)
-		f.fpr = 2 * float64(minifilter.B8Slots) / float64(minifilter.B8Buckets) / 256
-	} else {
-		f.impl = core.NewCFilter16(slots, coreOpts)
-		f.fpr = 2 * float64(minifilter.B16Slots) / float64(minifilter.B16Buckets) / 65536
-	}
-	f.initObservability(c.latencyRate, true)
-	return f
+	return newFilter(n, opts, true, func(g geometry, slots uint64, o core.Options) hashedFilter {
+		if g.is16 {
+			return core.NewCFilter16(slots, o)
+		}
+		return core.NewCFilter8(slots, o)
+	})
 }
 
 func (f *Filter) hash(key []byte) uint64 { return hashing.HashBytes(key, f.seed) }
