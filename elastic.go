@@ -3,10 +3,8 @@ package vqf
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"vqf/internal/elastic"
-	"vqf/internal/hashing"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
 )
@@ -27,35 +25,15 @@ import (
 // Create with NewElastic (single-threaded) or NewConcurrentElastic (safe
 // for any number of goroutines; lookups stay lock-free during growth).
 type Elastic struct {
-	impl elasticImpl
-	seq  *elastic.Filter // non-nil on sequential filters; enables WriteTo
-	seed uint64
-	rec  *telemetry.Recorder
-	ring *telemetry.Ring
-}
-
-// initObservability attaches the cascade's latency recorder and event
-// ring; see Filter.initObservability.
-func (e *Elastic) initObservability(rate int, concurrent bool) {
-	e.rec = telemetry.NewRecorder(rate, concurrent)
-	e.ring = telemetry.NewRing(telemetry.DefaultRingSize)
-	if h, ok := e.impl.(interface{ SetEventRing(*telemetry.Ring) }); ok {
-		h.SetEventRing(e.ring)
-	}
+	front
 }
 
 // elasticImpl is the shared surface of elastic.Filter, elastic.CFilter and
 // elastic.Sharded.
 type elasticImpl interface {
-	Insert(h uint64) bool
-	Contains(h uint64) bool
-	Remove(h uint64) bool
-	Count() uint64
-	Capacity() uint64
-	SizeBytes() uint64
+	filterImpl
 	NumLevels() int
 	TargetFPR() float64
-	Stats() stats.OpCounts
 	Snapshot() stats.CascadeSnapshot
 	CompactNow() elastic.CompactionResult
 	FreezeNow() elastic.FreezeResult
@@ -110,23 +88,32 @@ func elasticConfig(opts []Option) (elastic.Config, config, error) {
 	return ec, c, nil
 }
 
+// newElastic is the body NewElastic, NewConcurrentElastic and
+// NewShardedElastic share: it validates opts, builds the cascade with mk
+// and attaches observability. It panics on invalid options.
+func newElastic(opts []Option, concurrent bool, mk func(ec elastic.Config) (elasticImpl, error)) *Elastic {
+	ec, c, err := elasticConfig(opts)
+	if err != nil {
+		panic(err)
+	}
+	impl, err := mk(ec)
+	if err != nil {
+		panic(err)
+	}
+	e := &Elastic{front{impl: impl, seed: c.seed}}
+	e.initObservability(c.latencyRate, concurrent)
+	return e
+}
+
 // NewElastic returns an empty elastic filter. Unlike New it takes no item
 // count: the filter starts at WithInitialCapacity (default 4096) items and
 // grows online. The false-positive budget is set with
 // WithFalsePositiveRate (same default as New) and holds across every
 // growth. Like New it panics on invalid options.
 func NewElastic(opts ...Option) *Elastic {
-	ec, c, err := elasticConfig(opts)
-	if err != nil {
-		panic(err)
-	}
-	impl, err := elastic.New(ec)
-	if err != nil {
-		panic(err)
-	}
-	e := &Elastic{impl: impl, seq: impl, seed: c.seed}
-	e.initObservability(c.latencyRate, false)
-	return e
+	return newElastic(opts, false, func(ec elastic.Config) (elasticImpl, error) {
+		return elastic.New(ec)
+	})
 }
 
 // NewConcurrentElastic returns an elastic filter safe for concurrent use by
@@ -134,197 +121,32 @@ func NewElastic(opts ...Option) *Elastic {
 // atomic pointer swap, so readers never block on it; see NewElastic for
 // sizing and options.
 func NewConcurrentElastic(opts ...Option) *Elastic {
-	ec, c, err := elasticConfig(opts)
-	if err != nil {
-		panic(err)
-	}
-	impl, err := elastic.NewConcurrent(ec)
-	if err != nil {
-		panic(err)
-	}
-	e := &Elastic{impl: impl, seed: c.seed}
-	e.initObservability(c.latencyRate, true)
-	return e
+	return newElastic(opts, true, func(ec elastic.Config) (elasticImpl, error) {
+		return elastic.NewConcurrent(ec)
+	})
 }
 
-func (e *Elastic) hash(key []byte) uint64 { return hashing.HashBytes(key, e.seed) }
-
-// Add inserts key, growing the filter as needed. It never returns ErrFull;
-// the error return exists for signature parity with Filter.Add (the
-// unreachable MaxLevels backstop is its only error).
-func (e *Elastic) Add(key []byte) error { return e.AddHash(e.hash(key)) }
-
-// AddString inserts a string key.
-func (e *Elastic) AddString(key string) error { return e.AddHash(hashing.HashString(key, e.seed)) }
-
-// AddUint64 inserts a uint64 key.
-func (e *Elastic) AddUint64(key uint64) error { return e.AddHash(hashing.HashUint64(key, e.seed)) }
-
-// AddHash inserts a pre-hashed 64-bit key; see Filter.AddHash.
-func (e *Elastic) AddHash(h uint64) error {
-	var ok bool
-	if e.rec.Sample(h) {
-		start := time.Now()
-		ok = e.impl.Insert(h)
-		e.rec.Record(telemetry.OpInsert, h, time.Since(start))
-	} else {
-		ok = e.impl.Insert(h)
-	}
-	if !ok {
-		return ErrFull
-	}
-	return nil
-}
-
-// Contains reports whether key may be in the filter: true for every added
-// key, false with probability ≥ 1−ε for keys never added, at any size.
-func (e *Elastic) Contains(key []byte) bool { return e.ContainsHash(e.hash(key)) }
-
-// ContainsString queries a string key.
-func (e *Elastic) ContainsString(key string) bool {
-	return e.ContainsHash(hashing.HashString(key, e.seed))
-}
-
-// ContainsUint64 queries a uint64 key.
-func (e *Elastic) ContainsUint64(key uint64) bool {
-	return e.ContainsHash(hashing.HashUint64(key, e.seed))
-}
-
-// ContainsHash queries a pre-hashed 64-bit key.
-func (e *Elastic) ContainsHash(h uint64) bool {
-	if e.rec.Sample(h) {
-		start := time.Now()
-		found := e.impl.Contains(h)
-		e.rec.Record(telemetry.OpLookup, h, time.Since(start))
-		return found
-	}
-	return e.impl.Contains(h)
-}
-
-// Remove deletes one previously added instance of key, searching every
-// level newest-first; see Filter.Remove for the deletion contract.
-func (e *Elastic) Remove(key []byte) bool { return e.RemoveHash(e.hash(key)) }
-
-// RemoveString removes a string key.
-func (e *Elastic) RemoveString(key string) bool {
-	return e.RemoveHash(hashing.HashString(key, e.seed))
-}
-
-// RemoveUint64 removes a uint64 key.
-func (e *Elastic) RemoveUint64(key uint64) bool {
-	return e.RemoveHash(hashing.HashUint64(key, e.seed))
-}
-
-// RemoveHash removes a pre-hashed 64-bit key.
-func (e *Elastic) RemoveHash(h uint64) bool {
-	if e.rec.Sample(h) {
-		start := time.Now()
-		ok := e.impl.Remove(h)
-		e.rec.Record(telemetry.OpRemove, h, time.Since(start))
-		return ok
-	}
-	return e.impl.Remove(h)
-}
-
-// AddHashBatch inserts a slice of pre-hashed keys and returns the number
-// inserted. Unlike Filter.AddHashBatch the count is always len(hs): the
-// cascade grows instead of filling, so elastic inserts never fail (the
-// signature matches for batch-caller parity).
-func (e *Elastic) AddHashBatch(hs []uint64) int {
-	end := telemetry.Region("vqf.batch.insert")
-	start := time.Now()
-	n := 0
-	for _, h := range hs {
-		if e.impl.Insert(h) {
-			n++
-		}
-	}
-	e.rec.RecordBatch(telemetry.OpInsertBatch, 0, time.Since(start), len(hs))
-	end()
-	return n
-}
-
-// ContainsHashBatch reports membership for each pre-hashed key of hs, in
-// input order, reusing dst when it has sufficient capacity (dst may be
-// nil). The cascade resolves the batch level by level with a shrinking
-// working set — keys found in the newest level never touch the older ones
-// — so it is substantially faster than a loop over ContainsHash.
-func (e *Elastic) ContainsHashBatch(hs []uint64, dst []bool) []bool {
-	end := telemetry.Region("vqf.batch.lookup")
-	start := time.Now()
-	var out []bool
-	if b, ok := e.impl.(interface {
-		ContainsBatch(hs []uint64, dst []bool) []bool
-	}); ok {
-		out = b.ContainsBatch(hs, dst)
-	} else {
-		out = dst
-		if cap(out) < len(hs) {
-			out = make([]bool, len(hs))
-		}
-		out = out[:len(hs)]
-		for i, h := range hs {
-			out[i] = e.impl.Contains(h)
-		}
-	}
-	e.rec.RecordBatch(telemetry.OpLookupBatch, 0, time.Since(start), len(hs))
-	end()
-	return out
-}
-
-// RemoveHashBatch removes one instance of each pre-hashed key of hs and
-// returns the number found and removed.
-func (e *Elastic) RemoveHashBatch(hs []uint64) int {
-	end := telemetry.Region("vqf.batch.remove")
-	start := time.Now()
-	n := 0
-	for _, h := range hs {
-		if e.impl.Remove(h) {
-			n++
-		}
-	}
-	e.rec.RecordBatch(telemetry.OpRemoveBatch, 0, time.Since(start), len(hs))
-	end()
-	return n
-}
-
-// Count returns the number of items currently stored across all levels.
-func (e *Elastic) Count() uint64 { return e.impl.Count() }
-
-// Capacity returns the currently allocated fingerprint slots across all
-// levels; it rises with each growth.
-func (e *Elastic) Capacity() uint64 { return e.impl.Capacity() }
-
-// LoadFactor returns Count divided by the current Capacity.
-func (e *Elastic) LoadFactor() float64 {
-	return float64(e.impl.Count()) / float64(e.impl.Capacity())
-}
-
-// SizeBytes returns the filter's current memory footprint.
-func (e *Elastic) SizeBytes() uint64 { return e.impl.SizeBytes() }
+// cascade returns the impl with its cascade-only surface.
+func (e *Elastic) cascade() elasticImpl { return e.impl.(elasticImpl) }
 
 // Levels returns the current number of cascade levels (1 before the first
 // growth).
-func (e *Elastic) Levels() int { return e.impl.NumLevels() }
+func (e *Elastic) Levels() int { return e.cascade().NumLevels() }
 
 // FalsePositiveRate returns the configured total false-positive budget ε,
 // which upper-bounds the realized rate at every size.
-func (e *Elastic) FalsePositiveRate() float64 { return e.impl.TargetFPR() }
-
-// Stats returns operation counters summed over all levels; the per-call
-// consistency contract matches Filter.Stats for the corresponding variant.
-func (e *Elastic) Stats() OpStats { return e.impl.Stats() }
+func (e *Elastic) FalsePositiveRate() float64 { return e.cascade().TargetFPR() }
 
 // Snapshot returns the cascade-wide aggregate snapshot, which makes Elastic
 // a metrics Source like Filter and Map. The aggregate's occupancy section
 // describes the newest (actively filling) level; use CascadeSnapshot for
 // every level.
-func (e *Elastic) Snapshot() Snapshot { return e.impl.Snapshot().Aggregate }
+func (e *Elastic) Snapshot() Snapshot { return e.cascade().Snapshot().Aggregate }
 
 // CascadeSnapshot returns the aggregate plus per-level snapshots: level
 // count, each level's occupancy, load factor and FPR estimate. On
 // concurrent filters it is safe alongside live traffic.
-func (e *Elastic) CascadeSnapshot() CascadeSnapshot { return e.impl.Snapshot() }
+func (e *Elastic) CascadeSnapshot() CascadeSnapshot { return e.cascade().Snapshot() }
 
 // CompactNow merges runs of old, sparse cascade levels into right-sized
 // replacements, cutting the per-negative-lookup level count after
@@ -338,7 +160,7 @@ func (e *Elastic) CascadeSnapshot() CascadeSnapshot { return e.impl.Snapshot() }
 // published with the same atomic swap growth uses; removes racing the
 // compaction are reconciled so they can never resurrect in the merged
 // level. Use WithAutoCompaction to trigger compaction automatically.
-func (e *Elastic) CompactNow() CompactionResult { return e.impl.CompactNow() }
+func (e *Elastic) CompactNow() CompactionResult { return e.cascade().CompactNow() }
 
 // FreezeNow rebuilds every qualifying run of old VQF levels into immutable
 // binary-fuse levels: ~30–40% fewer bits per item and a single probe per
@@ -355,20 +177,21 @@ func (e *Elastic) CompactNow() CompactionResult { return e.impl.CompactNow() }
 // traffic, reusing the compaction protocol: lookups stay lock-free and
 // removes racing the freeze are reconciled against the new level. Use
 // WithAutoFreeze to trigger freezing automatically.
-func (e *Elastic) FreezeNow() FreezeResult { return e.impl.FreezeNow() }
+func (e *Elastic) FreezeNow() FreezeResult { return e.cascade().FreezeNow() }
 
 // WriteTo serializes the cascade (config, every level's blocks, and the
 // hash seed). Only filters created with NewElastic serialize, matching
 // Filter.WriteTo; it implements io.WriterTo.
 func (e *Elastic) WriteTo(w io.Writer) (int64, error) {
-	if e.seq == nil {
+	seq, ok := e.impl.(*elastic.Filter)
+	if !ok {
 		return 0, fmt.Errorf("vqf: concurrent elastic filters do not support serialization")
 	}
 	n, err := writeEnvelope(w, kindElastic, e.seed)
 	if err != nil {
 		return n, err
 	}
-	m, err := e.seq.WriteTo(w)
+	m, err := seq.WriteTo(w)
 	return n + m, err
 }
 
@@ -387,7 +210,7 @@ func ReadElastic(r io.Reader) (*Elastic, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Elastic{impl: impl, seq: impl, seed: seed}
+	e := &Elastic{front{impl: impl, seed: seed}}
 	e.initObservability(telemetry.DefaultSamplingRate, false)
 	return e, nil
 }

@@ -116,8 +116,57 @@ var (
 	ErrDraining   = errors.New("service: server draining")
 )
 
-// hosted is one named filter plus its service-level lock. Exactly one of
-// filter/elastic/kv is non-nil.
+// hostedFilter is the surface every hosted kind presents to the data
+// plane, the registry and snapshots: batch membership ops, structural
+// numbers, a metrics snapshot and its envelope stream. *vqf.Filter and
+// *vqf.Elastic satisfy it as they are, *vqf.Map through kvFilter.
+type hostedFilter interface {
+	vqf.Source
+	AddHashBatch(hs []uint64) int
+	ContainsHashBatch(hs []uint64, dst []bool) []bool
+	RemoveHashBatch(hs []uint64) int
+	Count() uint64
+	Capacity() uint64
+	SizeBytes() uint64
+	WriteTo(w io.Writer) (int64, error)
+}
+
+// kvFilter gives a vqf.Map the membership ops: insert stores each key with
+// value 0, contains reports presence, remove deletes.
+type kvFilter struct{ *vqf.Map }
+
+func (m kvFilter) AddHashBatch(hs []uint64) int {
+	n := 0
+	for _, kh := range hs {
+		if m.PutHash(kh, 0) == nil {
+			n++
+		}
+	}
+	return n
+}
+
+func (m kvFilter) ContainsHashBatch(hs []uint64, dst []bool) []bool {
+	if cap(dst) < len(hs) {
+		dst = make([]bool, len(hs))
+	}
+	dst = dst[:len(hs)]
+	for i, kh := range hs {
+		_, dst[i] = m.GetHash(kh)
+	}
+	return dst
+}
+
+func (m kvFilter) RemoveHashBatch(hs []uint64) int {
+	n := 0
+	for _, kh := range hs {
+		if m.DeleteHash(kh) {
+			n++
+		}
+	}
+	return n
+}
+
+// hosted is one named filter plus its service-level lock.
 //
 // Locking: snapshotting needs quiescence (WriteTo rejects in-flight
 // writers) and the sequential kinds need mutual exclusion the filter
@@ -132,9 +181,7 @@ type hosted struct {
 	spec       Spec
 	threadSafe bool
 	mu         sync.RWMutex
-	filter     *vqf.Filter
-	elastic    *vqf.Elastic
-	kv         *vqf.Map
+	filter     hostedFilter
 }
 
 // newHosted constructs the filter a spec describes. The spec must be
@@ -152,9 +199,9 @@ func newHosted(spec Spec) (*hosted, error) {
 		h.filter = vqf.NewSharded(spec.Capacity, spec.Shards, opts...)
 		h.threadSafe = true
 	case KindElastic:
-		h.elastic = vqf.NewElastic(append(opts, vqf.WithInitialCapacity(spec.Capacity))...)
+		h.filter = vqf.NewElastic(append(opts, vqf.WithInitialCapacity(spec.Capacity))...)
 	case KindMap:
-		h.kv = vqf.NewMap(spec.Capacity, opts...)
+		h.filter = kvFilter{vqf.NewMap(spec.Capacity, opts...)}
 	default:
 		return nil, fmt.Errorf("service: unknown filter kind %q", spec.Kind)
 	}
@@ -213,20 +260,7 @@ func (h *hosted) Insert(ctx context.Context, hs []uint64) (int, error) {
 		return 0, err
 	}
 	defer unlock()
-	switch {
-	case h.filter != nil:
-		return h.filter.AddHashBatch(hs), nil
-	case h.elastic != nil:
-		return h.elastic.AddHashBatch(hs), nil
-	default:
-		n := 0
-		for _, kh := range hs {
-			if h.kv.PutHash(kh, 0) == nil {
-				n++
-			}
-		}
-		return n, nil
-	}
+	return h.filter.AddHashBatch(hs), nil
 }
 
 // Contains reports membership for pre-hashed keys into dst (reused when
@@ -237,21 +271,7 @@ func (h *hosted) Contains(ctx context.Context, hs []uint64, dst []bool) ([]bool,
 		return dst, err
 	}
 	defer unlock()
-	switch {
-	case h.filter != nil:
-		return h.filter.ContainsHashBatch(hs, dst), nil
-	case h.elastic != nil:
-		return h.elastic.ContainsHashBatch(hs, dst), nil
-	default:
-		if cap(dst) < len(hs) {
-			dst = make([]bool, len(hs))
-		}
-		dst = dst[:len(hs)]
-		for i, kh := range hs {
-			_, dst[i] = h.kv.GetHash(kh)
-		}
-		return dst, nil
-	}
+	return h.filter.ContainsHashBatch(hs, dst), nil
 }
 
 // Remove removes one instance of each pre-hashed key, returning how many
@@ -262,26 +282,14 @@ func (h *hosted) Remove(ctx context.Context, hs []uint64) (int, error) {
 		return 0, err
 	}
 	defer unlock()
-	switch {
-	case h.filter != nil:
-		return h.filter.RemoveHashBatch(hs), nil
-	case h.elastic != nil:
-		return h.elastic.RemoveHashBatch(hs), nil
-	default:
-		n := 0
-		for _, kh := range hs {
-			if h.kv.DeleteHash(kh) {
-				n++
-			}
-		}
-		return n, nil
-	}
+	return h.filter.RemoveHashBatch(hs), nil
 }
 
 // Put stores (or with update, rewrites) key→value pairs on a map filter,
 // returning how many succeeded.
 func (h *hosted) Put(ctx context.Context, hs []uint64, vals []byte, update bool) (int, error) {
-	if h.kv == nil {
+	kv, ok := h.filter.(kvFilter)
+	if !ok {
 		return 0, ErrWrongKind
 	}
 	unlock, err := h.lockOp(ctx)
@@ -292,10 +300,10 @@ func (h *hosted) Put(ctx context.Context, hs []uint64, vals []byte, update bool)
 	n := 0
 	for i, kh := range hs {
 		if update {
-			if h.kv.UpdateHash(kh, vals[i]) {
+			if kv.UpdateHash(kh, vals[i]) {
 				n++
 			}
-		} else if h.kv.PutHash(kh, vals[i]) == nil {
+		} else if kv.PutHash(kh, vals[i]) == nil {
 			n++
 		}
 	}
@@ -306,7 +314,8 @@ func (h *hosted) Put(ctx context.Context, hs []uint64, vals []byte, update bool)
 // vals[i] the stored byte (0 when absent). Both slices are reused when
 // large enough.
 func (h *hosted) Get(ctx context.Context, hs []uint64, vals []byte, found []bool) ([]byte, []bool, error) {
-	if h.kv == nil {
+	kv, ok := h.filter.(kvFilter)
+	if !ok {
 		return vals, found, ErrWrongKind
 	}
 	unlock, err := h.lockOp(ctx)
@@ -323,7 +332,7 @@ func (h *hosted) Get(ctx context.Context, hs []uint64, vals []byte, found []bool
 	}
 	found = found[:len(hs)]
 	for i, kh := range hs {
-		vals[i], found[i] = h.kv.GetHash(kh)
+		vals[i], found[i] = kv.GetHash(kh)
 	}
 	return vals, found, nil
 }
@@ -334,7 +343,8 @@ func (h *hosted) Get(ctx context.Context, hs []uint64, vals []byte, found []bool
 // variant, and holding the write side also means a snapshot can never
 // observe a half-spliced level list.
 func (h *hosted) Compact(ctx context.Context) (vqf.CompactionResult, error) {
-	if h.elastic == nil {
+	e, ok := h.filter.(*vqf.Elastic)
+	if !ok {
 		return vqf.CompactionResult{}, ErrNotElastic
 	}
 	h.mu.Lock()
@@ -342,13 +352,14 @@ func (h *hosted) Compact(ctx context.Context) (vqf.CompactionResult, error) {
 	if err := ctx.Err(); err != nil {
 		return vqf.CompactionResult{}, err
 	}
-	return h.elastic.CompactNow(), nil
+	return e.CompactNow(), nil
 }
 
 // Freeze rebuilds an elastic filter's qualifying old levels into immutable
 // fuse levels; ErrNotElastic for every other kind. Locking matches Compact.
 func (h *hosted) Freeze(ctx context.Context) (vqf.FreezeResult, error) {
-	if h.elastic == nil {
+	e, ok := h.filter.(*vqf.Elastic)
+	if !ok {
 		return vqf.FreezeResult{}, ErrNotElastic
 	}
 	h.mu.Lock()
@@ -356,87 +367,11 @@ func (h *hosted) Freeze(ctx context.Context) (vqf.FreezeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return vqf.FreezeResult{}, err
 	}
-	return h.elastic.FreezeNow(), nil
-}
-
-// Count returns the hosted filter's stored-item count.
-func (h *hosted) Count() uint64 {
-	switch {
-	case h.filter != nil:
-		return h.filter.Count()
-	case h.elastic != nil:
-		return h.elastic.Count()
-	default:
-		return h.kv.Count()
-	}
-}
-
-// Capacity returns the hosted filter's current slot capacity.
-func (h *hosted) Capacity() uint64 {
-	switch {
-	case h.filter != nil:
-		return h.filter.Capacity()
-	case h.elastic != nil:
-		return h.elastic.Capacity()
-	default:
-		return h.kv.Capacity()
-	}
-}
-
-// SizeBytes returns the hosted filter's memory footprint.
-func (h *hosted) SizeBytes() uint64 {
-	switch {
-	case h.filter != nil:
-		return h.filter.SizeBytes()
-	case h.elastic != nil:
-		return h.elastic.SizeBytes()
-	default:
-		return h.kv.SizeBytes()
-	}
-}
-
-// Source returns the filter as a metrics source (every kind implements
-// vqf.Source).
-func (h *hosted) Source() vqf.Source {
-	switch {
-	case h.filter != nil:
-		return h.filter
-	case h.elastic != nil:
-		return h.elastic
-	default:
-		return h.kv
-	}
-}
-
-// EventSource returns the filter's event ring, or nil for kinds without
-// one (vqf.Map).
-func (h *hosted) EventSource() vqf.EventSource {
-	switch {
-	case h.filter != nil:
-		return h.filter
-	case h.elastic != nil:
-		return h.elastic
-	default:
-		return nil
-	}
-}
-
-// writeTo serializes the hosted filter through its envelope. The caller
-// must hold the write lock (quiescence: WriteTo rejects in-flight
-// writers).
-func (h *hosted) writeTo(w io.Writer) (int64, error) {
-	switch {
-	case h.filter != nil:
-		return h.filter.WriteTo(w)
-	case h.elastic != nil:
-		return h.elastic.WriteTo(w)
-	default:
-		return h.kv.WriteTo(w)
-	}
+	return e.FreezeNow(), nil
 }
 
 // readHosted deserializes a filter of the spec's kind from r, wrapping it
-// as a hosted filter. It is the warm-restart counterpart of writeTo: each
+// as a hosted filter. It is the warm-restart counterpart of WriteTo: each
 // kind dispatches to the envelope reader that reconstructs the variant
 // the daemon hosts for that kind.
 func readHosted(spec Spec, r io.Reader) (*hosted, error) {
@@ -452,9 +387,11 @@ func readHosted(spec Spec, r io.Reader) (*hosted, error) {
 		h.filter, err = vqf.Read(r) // sharded streams always load sharded
 		h.threadSafe = true
 	case KindElastic:
-		h.elastic, err = vqf.ReadElastic(r)
+		h.filter, err = vqf.ReadElastic(r)
 	case KindMap:
-		h.kv, err = vqf.NewMapFromReader(r)
+		var m *vqf.Map
+		m, err = vqf.NewMapFromReader(r)
+		h.filter = kvFilter{m}
 	default:
 		return nil, fmt.Errorf("service: unknown filter kind %q", spec.Kind)
 	}

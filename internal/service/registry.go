@@ -34,12 +34,12 @@ type Info struct {
 
 // info snapshots one hosted filter's Info.
 func (h *hosted) info() Info {
-	count, capacity := h.Count(), h.Capacity()
+	count, capacity := h.filter.Count(), h.filter.Capacity()
 	lf := 0.0
 	if capacity > 0 {
 		lf = float64(count) / float64(capacity)
 	}
-	return Info{Spec: h.spec, Count: count, SlotCap: capacity, LoadFactor: lf, SizeBytes: h.SizeBytes()}
+	return Info{Spec: h.spec, Count: count, SlotCap: capacity, LoadFactor: lf, SizeBytes: h.filter.SizeBytes()}
 }
 
 // Create validates spec, constructs its filter, and registers it.
@@ -116,7 +116,7 @@ func (r *Registry) Sources() map[string]vqf.Source {
 	defer r.mu.RUnlock()
 	out := make(map[string]vqf.Source, len(r.m))
 	for name, h := range r.m {
-		out[name] = h.Source()
+		out[name] = h.filter
 	}
 	return out
 }
@@ -129,7 +129,7 @@ func (r *Registry) EventSources() map[string]vqf.EventSource {
 	defer r.mu.RUnlock()
 	out := make(map[string]vqf.EventSource, len(r.m))
 	for name, h := range r.m {
-		if es := h.EventSource(); es != nil {
+		if es, ok := h.filter.(vqf.EventSource); ok {
 			out[name] = es
 		}
 	}

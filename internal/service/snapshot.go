@@ -76,7 +76,7 @@ func writeFileAtomic(dir, name string, h *hosted) (int64, uint32, error) {
 		return 0, 0, err
 	}
 	cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	if _, err := h.writeTo(cw); err != nil {
+	if _, err := h.filter.WriteTo(cw); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return 0, 0, err
@@ -125,7 +125,7 @@ func (r *Registry) SnapshotTo(dir string) (Manifest, error) {
 	for _, h := range r.snapshotSet() {
 		file := h.spec.Name + snapshotSuffix
 		h.mu.Lock()
-		count := h.Count()
+		count := h.filter.Count()
 		n, crc, err := writeFileAtomic(dir, file, h)
 		h.mu.Unlock()
 		if err != nil {
@@ -236,7 +236,7 @@ func loadEntry(dir string, e ManifestEntry) (*hosted, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got := h.Count(); got != e.Count {
+	if got := h.filter.Count(); got != e.Count {
 		return nil, fmt.Errorf("deserialized count %d, manifest says %d", got, e.Count)
 	}
 	return h, nil

@@ -64,7 +64,7 @@ func TestWarmRestartAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s missing after restart", kind)
 		}
-		if got, want := h.Count(), orig.Count(); got != want {
+		if got, want := h.filter.Count(), orig.filter.Count(); got != want {
 			t.Fatalf("%s count %d after restart, want %d", kind, got, want)
 		}
 		if h.spec.Seed != 99 {
@@ -162,8 +162,8 @@ func TestLoadDirTruncatedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("intact filter count %d after partial restart", h.Count())
+	if h.filter.Count() != 1000 {
+		t.Fatalf("intact filter count %d after partial restart", h.filter.Count())
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //	request:  op(1) flags(1) nameLen(2) name(nameLen) count(4)
 //	          keys(count × 8, little-endian uint64)
 //	          [values(count × 1), opPut only]
-//	response: op(1) status(1) reserved(2) count(4) body
+//	response: op(1) status(1) reserved(2, zero) count(4) body
 //
 // Keys are raw 64-bit client keys: the server hashes them with the target
 // filter's seed and dispatches the whole frame into one batch call
@@ -206,6 +206,9 @@ func writeResponse(w *bufio.Writer, op, status byte, count uint32, body []byte) 
 func parseResponse(payload []byte, resp *response) error {
 	if len(payload) < respFixedBytes {
 		return fmt.Errorf("service: response payload %d bytes, want >= %d", len(payload), respFixedBytes)
+	}
+	if payload[2]|payload[3] != 0 {
+		return fmt.Errorf("service: response reserved bytes %#x %#x, want zero", payload[2], payload[3])
 	}
 	resp.op = payload[0]
 	resp.status = payload[1]

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -87,10 +88,12 @@ type Event struct {
 	C uint64 `json:"c"`
 }
 
-// ringSlot holds one event with every field an atomic word. seq doubles as
-// the publication flag: 0 while a writer is filling the slot, the event's
-// 1-based sequence number once published. A reader validates seq before
-// and after loading the payload and discards the slot on mismatch.
+// ringSlot holds one event with every field an atomic word. seq is both
+// the publication flag and the slot's owner: the published event's
+// 1-based sequence number, or slotBusy|seq while the writer holding seq
+// fills the slot. A writer takes the slot by CAS, so one slot never has
+// two writers at once. A reader validates seq before and after loading
+// the payload and discards the slot on mismatch.
 type ringSlot struct {
 	seq  atomic.Uint64
 	t    atomic.Int64
@@ -101,15 +104,17 @@ type ringSlot struct {
 }
 
 // Ring is a bounded lock-free overwrite ring of structured events.
-// Recording claims a slot with one atomic add and fills it with atomic
-// stores — no locks, no allocation — so it is safe on any path, though it
-// is meant for rare events (growths, fallbacks, stalls), not per-op
-// traffic. When the ring wraps, the oldest events are overwritten.
+// Recording claims a sequence number with one atomic add, takes its slot
+// by CAS and fills it with atomic stores — no locks, no allocation — so it
+// is safe on any path, though it is meant for rare events (growths,
+// fallbacks, stalls), not per-op traffic. When the ring wraps, the oldest
+// events are overwritten.
 //
 // Events is best-effort on two counts: a drain concurrent with heavy
 // recording can miss slots being rewritten (they fail seq validation and
 // are skipped), and a writer that stalls mid-fill leaves its slot
-// unpublished until it finishes. Neither perturbs recorders.
+// unpublished until it finishes. A writer a whole lap behind drops its
+// event rather than overwrite a newer one.
 type Ring struct {
 	slots []ringSlot
 	mask  uint64
@@ -130,15 +135,33 @@ func NewRing(n int) *Ring {
 	return &Ring{slots: make([]ringSlot, size), mask: uint64(size) - 1}
 }
 
+// slotBusy marks a slot's seq while its writer fills the payload.
+const slotBusy = 1 << 63
+
 // Record appends an event. Safe for any number of concurrent recorders;
-// never blocks, never allocates.
+// never allocates. Writers a lap apart map to the same slot: the newer
+// one waits (yielding) while an older one is mid-fill, and the older one
+// drops its event once a newer one holds or has published the slot, so
+// every slot ends holding the newest event that maps to it.
 func (r *Ring) Record(kind EventKind, a, b, c uint64) {
 	if r == nil {
 		return
 	}
 	seq := r.widx.Add(1)
 	s := &r.slots[(seq-1)&r.mask]
-	s.seq.Store(0)
+	for {
+		cur := s.seq.Load()
+		if cur&^slotBusy > seq {
+			return // a newer event owns the slot; ours is already stale
+		}
+		if cur&slotBusy != 0 {
+			runtime.Gosched() // an older writer is mid-fill
+			continue
+		}
+		if s.seq.CompareAndSwap(cur, seq|slotBusy) {
+			break
+		}
+	}
 	s.t.Store(time.Now().UnixNano())
 	s.kind.Store(uint64(kind))
 	s.a.Store(a)

@@ -66,15 +66,6 @@ func latencySnapshot(rec *telemetry.Recorder) LatencySnapshot {
 	}
 }
 
-// Latency returns the filter's sampled latency snapshot. Safe at any time
-// on concurrent filters. With sampling disabled every summary is empty and
-// SamplingRate is 0.
-func (f *Filter) Latency() LatencySnapshot { return latencySnapshot(f.rec) }
-
-// Latency returns the elastic filter's sampled latency snapshot; see
-// Filter.Latency.
-func (e *Elastic) Latency() LatencySnapshot { return latencySnapshot(e.rec) }
-
 // latencyOps pairs each recorder op with its exposition label.
 var latencyOps = []struct {
 	op    telemetry.Op
@@ -109,9 +100,6 @@ type latencySource interface {
 	latencyRecorder() *telemetry.Recorder
 }
 
-func (f *Filter) latencyRecorder() *telemetry.Recorder  { return f.rec }
-func (e *Elastic) latencyRecorder() *telemetry.Recorder { return e.rec }
-
 // Event is one rare structural event drained from a filter's event ring:
 // elastic level growth (A=level, B=allocated slots, C=build ns), seqlock
 // retry-exhaustion fallback (A=block, B=retries), sharded batch-pool claim
@@ -119,15 +107,6 @@ func (e *Elastic) latencyRecorder() *telemetry.Recorder { return e.rec }
 // dispatch decision on the global ring (A=asm enabled, B=fused probe,
 // C=asm available).
 type Event = telemetry.Event
-
-// Events drains the filter's event ring, oldest first, without consuming:
-// repeated calls return overlapping windows of the most recent events.
-// Safe at any time on concurrent filters.
-func (f *Filter) Events() []Event { return f.ring.Events() }
-
-// Events drains the elastic filter's event ring; see Filter.Events. Growth
-// events (kind "elastic_grow"/"elastic_swap") land here.
-func (e *Elastic) Events() []Event { return e.ring.Events() }
 
 // GlobalEvents drains the process-wide event ring, which carries events
 // not tied to one filter instance — currently assembly-kernel dispatch

@@ -138,7 +138,7 @@ func readFilter(r io.Reader, concurrent bool) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Filter{seed: seed}
+	f := &Filter{front: front{seed: seed}}
 	switch kind {
 	case kind8:
 		f.fpr = geom8.fpr

@@ -56,15 +56,33 @@ func TestShardedFilterBasic(t *testing.T) {
 	}
 }
 
+// hashBatcher is the key-facing surface Filter and Elastic share.
+type hashBatcher interface {
+	AddHash(h uint64) error
+	ContainsHash(h uint64) bool
+	RemoveHash(h uint64) bool
+	AddHashBatch(hs []uint64) int
+	ContainsHashBatch(hs []uint64, dst []bool) []bool
+	RemoveHashBatch(hs []uint64) int
+	Count() uint64
+}
+
+// TestFilterHashBatch checks every batch entry point against a twin
+// driven one key at a time. The elastic rows start small so the batch
+// crosses growths; elastic.Sharded has no batch methods, so its row runs
+// the per-key fallback of all three batch calls.
 func TestFilterHashBatch(t *testing.T) {
-	for name, mk := range map[string]func() *Filter{
-		"sequential": func() *Filter { return New(8000) },
-		"concurrent": func() *Filter { return NewConcurrent(8000) },
-		"sharded":    func() *Filter { return NewSharded(8000, 4) },
+	for name, mk := range map[string]func() hashBatcher{
+		"sequential":         func() hashBatcher { return New(8000) },
+		"concurrent":         func() hashBatcher { return NewConcurrent(8000) },
+		"sharded":            func() hashBatcher { return NewSharded(8000, 4) },
+		"elastic":            func() hashBatcher { return NewElastic(WithInitialCapacity(1000)) },
+		"concurrent-elastic": func() hashBatcher { return NewConcurrentElastic(WithInitialCapacity(1000)) },
+		"sharded-elastic":    func() hashBatcher { return NewShardedElastic(4, WithInitialCapacity(1000)) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			f := mk()
-			hs := make([]uint64, 4000)
+			f, twin := mk(), mk()
+			hs := make([]uint64, 8000) // 4000 stored keys, then 4000 negatives
 			rng := uint64(0x9e3779b97f4a7c15)
 			for i := range hs {
 				rng ^= rng << 13
@@ -72,17 +90,35 @@ func TestFilterHashBatch(t *testing.T) {
 				rng ^= rng << 17
 				hs[i] = rng
 			}
-			if n := f.AddHashBatch(hs); n != len(hs) {
-				t.Fatalf("AddHashBatch inserted %d of %d at low load", n, len(hs))
+			stored := hs[:4000]
+			if n := f.AddHashBatch(stored); n != len(stored) {
+				t.Fatalf("AddHashBatch inserted %d of %d at low load", n, len(stored))
 			}
-			out := f.ContainsHashBatch(hs, nil)
-			for i := range out {
-				if !out[i] {
-					t.Fatalf("batch false negative at %d", i)
+			for _, h := range stored {
+				if err := twin.AddHash(h); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if n := f.RemoveHashBatch(hs); n != len(hs) {
-				t.Fatalf("RemoveHashBatch removed %d of %d", n, len(hs))
+			if f.Count() != twin.Count() {
+				t.Fatalf("count %d after batch insert, %d one key at a time", f.Count(), twin.Count())
+			}
+			out := f.ContainsHashBatch(hs, nil)
+			for i, h := range hs {
+				if i < len(stored) && !out[i] {
+					t.Fatalf("batch false negative at %d", i)
+				}
+				if out[i] != twin.ContainsHash(h) {
+					t.Fatalf("key %d: batch says %v, one key at a time %v", i, out[i], !out[i])
+				}
+			}
+			want := 0
+			for _, h := range stored {
+				if twin.RemoveHash(h) {
+					want++
+				}
+			}
+			if n := f.RemoveHashBatch(stored); n != len(stored) || n != want {
+				t.Fatalf("RemoveHashBatch removed %d of %d, one key at a time %d", n, len(stored), want)
 			}
 			if f.Count() != 0 {
 				t.Fatalf("count %d after removing everything", f.Count())

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"vqf/internal/core"
-	"vqf/internal/hashing"
 	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
@@ -40,27 +39,11 @@ import (
 // filter holds ≈ 93% of Capacity items.
 var ErrFull = errors.New("vqf: filter is full")
 
-// hashedFilter is the common surface of the four core filter variants.
-type hashedFilter interface {
-	Insert(h uint64) bool
-	Contains(h uint64) bool
-	Remove(h uint64) bool
-	Count() uint64
-	Capacity() uint64
-	SizeBytes() uint64
-	Stats() stats.OpCounts
-	BlockOccupancies() []uint
-	SlotsPerBlock() uint
-}
-
 // Filter is a vector quotient filter. The zero value is not usable; create
 // filters with New or NewConcurrent.
 type Filter struct {
-	impl hashedFilter
-	seed uint64
-	fpr  float64
-	rec  *telemetry.Recorder
-	ring *telemetry.Ring
+	front
+	fpr float64
 }
 
 type config struct {
@@ -207,18 +190,6 @@ func buildConfig(opts []Option) (config, error) {
 	return c, nil
 }
 
-// initObservability attaches the filter's latency recorder and event ring.
-// concurrent selects the thread-safe sampling gate; it must match the
-// impl's threading contract. Called from every constructor, including the
-// deserializing ones (which use the default sampling rate).
-func (f *Filter) initObservability(rate int, concurrent bool) {
-	f.rec = telemetry.NewRecorder(rate, concurrent)
-	f.ring = telemetry.NewRing(telemetry.DefaultRingSize)
-	if h, ok := f.impl.(interface{ SetEventRing(*telemetry.Ring) }); ok {
-		h.SetEventRing(f.ring)
-	}
-}
-
 // geometry is one of the paper's two block geometries (§6.1) with its
 // analytic full-load false-positive rate 2·(s/b)·2⁻ᶠ.
 type geometry struct {
@@ -246,14 +217,15 @@ func geometryFor(fpr float64) geometry {
 // validates opts, sizes the filter for n items, picks the geometry, builds
 // the impl with mk and attaches observability. It panics on invalid
 // options.
-func newFilter(n uint64, opts []Option, concurrent bool, mk func(g geometry, slots uint64, o core.Options) hashedFilter) *Filter {
+func newFilter(n uint64, opts []Option, concurrent bool, mk func(g geometry, slots uint64, o core.Options) filterImpl) *Filter {
 	c, err := buildConfig(opts)
 	if err != nil {
 		panic(err)
 	}
 	g := geometryFor(c.fpr)
 	slots := uint64(float64(n)/c.sizingLoad) + 1
-	f := &Filter{seed: c.seed, fpr: g.fpr, impl: mk(g, slots, core.Options{NoShortcut: c.noShortcut})}
+	impl := mk(g, slots, core.Options{NoShortcut: c.noShortcut})
+	f := &Filter{front: front{impl: impl, seed: c.seed}, fpr: g.fpr}
 	f.initObservability(c.latencyRate, concurrent)
 	return f
 }
@@ -262,7 +234,7 @@ func newFilter(n uint64, opts []Option, concurrent bool, mk func(g geometry, slo
 // (mirroring make's behaviour for invalid sizes); use the Option docs for
 // valid ranges.
 func New(n uint64, opts ...Option) *Filter {
-	return newFilter(n, opts, false, func(g geometry, slots uint64, o core.Options) hashedFilter {
+	return newFilter(n, opts, false, func(g geometry, slots uint64, o core.Options) filterImpl {
 		if g.is16 {
 			return core.NewFilter16(slots, o)
 		}
@@ -273,7 +245,7 @@ func New(n uint64, opts ...Option) *Filter {
 // NewConcurrent returns a filter safe for concurrent use. Sizing and options
 // are as for New.
 func NewConcurrent(n uint64, opts ...Option) *Filter {
-	return newFilter(n, opts, true, func(g geometry, slots uint64, o core.Options) hashedFilter {
+	return newFilter(n, opts, true, func(g geometry, slots uint64, o core.Options) filterImpl {
 		if g.is16 {
 			return core.NewCFilter16(slots, o)
 		}
@@ -281,114 +253,10 @@ func NewConcurrent(n uint64, opts ...Option) *Filter {
 	})
 }
 
-func (f *Filter) hash(key []byte) uint64 { return hashing.HashBytes(key, f.seed) }
-
-// Add inserts key into the filter. It returns ErrFull if both candidate
-// blocks are full.
-func (f *Filter) Add(key []byte) error { return f.AddHash(f.hash(key)) }
-
-// AddString inserts a string key.
-func (f *Filter) AddString(key string) error { return f.AddHash(hashing.HashString(key, f.seed)) }
-
-// AddUint64 inserts a uint64 key.
-func (f *Filter) AddUint64(key uint64) error { return f.AddHash(hashing.HashUint64(key, f.seed)) }
-
-// AddHash inserts a pre-hashed 64-bit key. The hash must be uniformly
-// distributed (use AddString/AddUint64/Add for raw keys).
-func (f *Filter) AddHash(h uint64) error {
-	var ok bool
-	if f.rec.Sample(h) {
-		start := time.Now()
-		ok = f.impl.Insert(h)
-		f.rec.Record(telemetry.OpInsert, h, time.Since(start))
-	} else {
-		ok = f.impl.Insert(h)
-	}
-	if !ok {
-		return ErrFull
-	}
-	return nil
-}
-
-// Contains reports whether key may be in the filter: true for every added
-// key, and false with probability ≥ 1−ε for keys never added.
-func (f *Filter) Contains(key []byte) bool { return f.ContainsHash(f.hash(key)) }
-
-// ContainsString queries a string key.
-func (f *Filter) ContainsString(key string) bool {
-	return f.ContainsHash(hashing.HashString(key, f.seed))
-}
-
-// ContainsUint64 queries a uint64 key.
-func (f *Filter) ContainsUint64(key uint64) bool {
-	return f.ContainsHash(hashing.HashUint64(key, f.seed))
-}
-
-// ContainsHash queries a pre-hashed 64-bit key.
-func (f *Filter) ContainsHash(h uint64) bool {
-	if f.rec.Sample(h) {
-		start := time.Now()
-		found := f.impl.Contains(h)
-		f.rec.Record(telemetry.OpLookup, h, time.Since(start))
-		return found
-	}
-	return f.impl.Contains(h)
-}
-
-// Remove deletes one previously added instance of key. It returns false if
-// key's fingerprint is not present. Only keys that were actually added may be
-// removed; removing an arbitrary key can evict a colliding key's fingerprint
-// (a property shared by every deletion-capable filter).
-func (f *Filter) Remove(key []byte) bool { return f.RemoveHash(f.hash(key)) }
-
-// RemoveString removes a string key.
-func (f *Filter) RemoveString(key string) bool {
-	return f.RemoveHash(hashing.HashString(key, f.seed))
-}
-
-// RemoveUint64 removes a uint64 key.
-func (f *Filter) RemoveUint64(key uint64) bool {
-	return f.RemoveHash(hashing.HashUint64(key, f.seed))
-}
-
-// RemoveHash removes a pre-hashed 64-bit key.
-func (f *Filter) RemoveHash(h uint64) bool {
-	if f.rec.Sample(h) {
-		start := time.Now()
-		ok := f.impl.Remove(h)
-		f.rec.Record(telemetry.OpRemove, h, time.Since(start))
-		return ok
-	}
-	return f.impl.Remove(h)
-}
-
-// Count returns the number of items currently stored (added minus removed).
-func (f *Filter) Count() uint64 { return f.impl.Count() }
-
-// Capacity returns the total number of fingerprint slots. The filter
-// operates reliably up to ≈ 93% of this.
-func (f *Filter) Capacity() uint64 { return f.impl.Capacity() }
-
-// LoadFactor returns Count divided by Capacity.
-func (f *Filter) LoadFactor() float64 {
-	return float64(f.impl.Count()) / float64(f.impl.Capacity())
-}
-
-// SizeBytes returns the filter's memory footprint.
-func (f *Filter) SizeBytes() uint64 { return f.impl.SizeBytes() }
-
 // FalsePositiveRate returns the filter's analytic false-positive rate at full
 // load (2·(s/b)·2⁻ʳ, paper §5). The realized rate is proportionally lower at
 // lower load factors.
 func (f *Filter) FalsePositiveRate() float64 { return f.fpr }
-
-// Stats returns the filter's cumulative operation counters. On concurrent
-// filters it is safe to call at any time — counters are summed with atomic
-// loads and writers are never blocked — and each counter is individually
-// exact and monotone, though the set is not a single consistent cut (see
-// Snapshot). On sequential filters it must not race with mutations, like
-// every other method.
-func (f *Filter) Stats() OpStats { return f.impl.Stats() }
 
 // Snapshot returns a full structural snapshot: operation counters, load
 // factor, space efficiency, estimated false-positive rate, and the per-block
@@ -398,7 +266,11 @@ func (f *Filter) Stats() OpStats { return f.impl.Stats() }
 // the histogram is a smear over the scan window rather than an instantaneous
 // cut. Snapshot reads are not recorded in the operation counters.
 func (f *Filter) Snapshot() Snapshot {
+	occ := f.impl.(interface {
+		BlockOccupancies() []uint
+		SlotsPerBlock() uint
+	})
 	return stats.BuildSnapshot(
 		f.impl.Count(), f.impl.Capacity(), f.impl.SizeBytes(), f.fpr,
-		f.impl.BlockOccupancies(), f.impl.SlotsPerBlock(), f.impl.Stats())
+		occ.BlockOccupancies(), occ.SlotsPerBlock(), f.impl.Stats())
 }
