@@ -1,12 +1,16 @@
 package core
 
+import "vqf/internal/minifilter"
+
 // Batch operations. The Morton filter paper (and §7.1 of the VQF paper)
 // highlights bulk workloads: when many keys arrive at once, sorting them by
 // primary block turns the filter's random cache-line walk into a
-// mostly-sequential sweep. All batch APIs — sequential and concurrent —
-// share the radix-partitioning helpers below; the concurrent filters
-// additionally fan the partitions out across a worker pool
-// (concurrent_batch.go).
+// mostly-sequential sweep. The batch inserts and removes — sequential and
+// concurrent — and the concurrent lookups share the radix-partitioning
+// helpers below; the concurrent filters additionally fan the partitions out
+// across a worker pool (concurrent_batch.go). The sequential lookups skip
+// the sort and run a branch-free batch kernel in caller order instead (see
+// Filter8.ContainsBatch).
 
 const (
 	batchRadixBits = 8
@@ -18,7 +22,7 @@ const (
 )
 
 // maxIdxSegment bounds any single radix pass that carries int32 scatter
-// indices (partitionIdx/radixPartitionIdx); larger batches are processed in
+// indices (radixPartitionIdx); larger batches are processed in
 // segments so the indices always fit. A variable so tests can shrink it and
 // exercise the segmented path without multi-gigabyte inputs.
 var maxIdxSegment = 1 << 30
@@ -109,7 +113,6 @@ const batchPrefetchDist = 8
 // compiler cannot eliminate them.
 type batchScratch struct {
 	sorted []uint64
-	idx    []int32
 	sink   uint64
 }
 
@@ -141,39 +144,6 @@ func (s *batchScratch) partition(hs []uint64, mask uint64, blockShift uint) []ui
 	return sorted
 }
 
-// partitionIdx is partition carrying each key's position in hs, so
-// order-sensitive results (ContainsBatch) scatter back to input order.
-// Indices are int32; callers split larger batches first.
-func (s *batchScratch) partitionIdx(hs []uint64, mask uint64, blockShift uint) ([]uint64, []int32) {
-	effShift := effectiveShift(mask)
-	var counts [batchShards]int
-	for _, h := range hs {
-		counts[batchRadix(h, mask, blockShift, effShift)]++
-	}
-	var next [batchShards]int
-	sum := 0
-	for i, c := range counts {
-		next[i] = sum
-		sum += c
-	}
-	// Grown separately from partition's sorted buffer: either method may run
-	// first and each only grows what it uses.
-	if cap(s.sorted) < len(hs) {
-		s.sorted = make([]uint64, len(hs))
-	}
-	if cap(s.idx) < len(hs) {
-		s.idx = make([]int32, len(hs))
-	}
-	sorted, idx := s.sorted[:len(hs)], s.idx[:len(hs)]
-	for i, h := range hs {
-		r := batchRadix(h, mask, blockShift, effShift)
-		sorted[next[r]] = h
-		idx[next[r]] = int32(i)
-		next[r]++
-	}
-	return sorted, idx
-}
-
 // InsertBatch inserts the keys of hs, returning the number successfully
 // inserted. Every key is attempted, even after an insert fails: when the
 // filter approaches capacity the successes can come from anywhere in hs, not
@@ -200,37 +170,22 @@ func (f *Filter8) InsertBatch(hs []uint64) int {
 }
 
 // ContainsBatch reports membership for every key of hs in input order:
-// result[i] corresponds to hs[i], even though the probes themselves run in
-// radix-reordered block-address order. The result reuses dst if it has
-// sufficient capacity (dst may be nil).
+// result[i] corresponds to hs[i]. The result reuses dst if it has
+// sufficient capacity (dst may be nil). Lookups do not write, so unlike
+// inserts and removes they need no radix order: the branch-free batch kernel
+// walks hs in caller order and lets the CPU overlap independent keys. Where
+// the kernel is unavailable, keys are probed one Contains at a time.
 func (f *Filter8) ContainsBatch(hs []uint64, dst []bool) []bool {
 	f.st.Batch(len(hs))
 	out := resizeBools(dst, len(hs))
-	if len(hs) < minBatchPartition {
-		for i, h := range hs {
-			out[i] = f.Contains(h)
-		}
+	if minifilter.ProbeBatch8(f.blocks, hs, out) {
+		f.st.Lookups(len(hs))
 		return out
 	}
-	for off := 0; off < len(hs); off += maxIdxSegment {
-		end := min(off+maxIdxSegment, len(hs))
-		f.containsSegment(hs[off:end], out[off:end])
+	for i, h := range hs {
+		out[i] = f.Contains(h)
 	}
 	return out
-}
-
-// containsSegment probes one index-safe segment in radix order, scattering
-// results back to segment order.
-func (f *Filter8) containsSegment(hs []uint64, out []bool) {
-	sorted, idx := f.scratch.partitionIdx(hs, f.mask, blockShift8)
-	sink := f.scratch.sink
-	for i, h := range sorted {
-		if i+batchPrefetchDist < len(sorted) {
-			sink ^= f.blocks[(sorted[i+batchPrefetchDist]>>blockShift8)&f.mask].MetaLo
-		}
-		out[idx[i]] = f.Contains(h)
-	}
-	f.scratch.sink = sink
 }
 
 // RemoveBatch removes one previously inserted instance of each key of hs,
@@ -282,31 +237,14 @@ func (f *Filter16) InsertBatch(hs []uint64) int {
 func (f *Filter16) ContainsBatch(hs []uint64, dst []bool) []bool {
 	f.st.Batch(len(hs))
 	out := resizeBools(dst, len(hs))
-	if len(hs) < minBatchPartition {
-		for i, h := range hs {
-			out[i] = f.Contains(h)
-		}
+	if minifilter.ProbeBatch16(f.blocks, hs, out) {
+		f.st.Lookups(len(hs))
 		return out
 	}
-	for off := 0; off < len(hs); off += maxIdxSegment {
-		end := min(off+maxIdxSegment, len(hs))
-		f.containsSegment(hs[off:end], out[off:end])
+	for i, h := range hs {
+		out[i] = f.Contains(h)
 	}
 	return out
-}
-
-// containsSegment probes one index-safe segment in radix order, scattering
-// results back to segment order.
-func (f *Filter16) containsSegment(hs []uint64, out []bool) {
-	sorted, idx := f.scratch.partitionIdx(hs, f.mask, blockShift16)
-	sink := f.scratch.sink
-	for i, h := range sorted {
-		if i+batchPrefetchDist < len(sorted) {
-			sink ^= f.blocks[(sorted[i+batchPrefetchDist]>>blockShift16)&f.mask].Meta
-		}
-		out[idx[i]] = f.Contains(h)
-	}
-	f.scratch.sink = sink
 }
 
 // RemoveBatch removes one instance of each key of hs; see

@@ -3,10 +3,13 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"vqf/internal/stats"
+	"vqf/internal/swar"
 )
 
 // TestContainsBatchInputOrder pins the ContainsBatch contract: out[i]
-// answers hs[i] even though probes run in radix-reordered block order.
+// answers hs[i].
 // Membership is deterministic for a fixed filter, so batch answers must
 // equal per-key Contains exactly (false positives included).
 func TestContainsBatchInputOrder(t *testing.T) {
@@ -28,8 +31,7 @@ func TestContainsBatchInputOrder(t *testing.T) {
 				insert, contains, containsBatch = f.InsertBatch, f.Contains, f.ContainsBatch
 			}
 			insert(present)
-			// Interleave present and absent keys so hits and misses alternate
-			// within each radix shard.
+			// Interleave present and absent keys so hits and misses alternate.
 			hs := make([]uint64, 0, 2*len(present))
 			for _, h := range present {
 				hs = append(hs, h, rng.Uint64())
@@ -218,13 +220,13 @@ func checkAllocs(t *testing.T, name string, fn func()) {
 	}
 }
 
-// TestContainsBatchSegmented shrinks maxIdxSegment to force the
-// multi-segment scatter path (normally reached only by >2^30-key batches,
-// where int32 indices would otherwise overflow) and checks input-order
-// results across segment boundaries, with duplicates straddling segments.
+// TestContainsBatchSegmented shrinks maxIdxSegment, which bounds the
+// int32-indexed radix passes of the concurrent batches. The sequential
+// lookups do not segment, so here it checks that their input-order results
+// do not depend on the setting, with a duplicate spread across the batch.
 func TestContainsBatchSegmented(t *testing.T) {
 	old := maxIdxSegment
-	maxIdxSegment = 300 // several segments per batch, each still radix-worthy
+	maxIdxSegment = 300 // several segments per 1024-key batch
 	defer func() { maxIdxSegment = old }()
 
 	rng := rand.New(rand.NewSource(15))
@@ -269,5 +271,129 @@ func TestContainsBatchSegmented(t *testing.T) {
 				t.Fatalf("segmented out[%d] = %v, Contains = %v", i, out[i], f.Contains(h))
 			}
 		}
+	})
+}
+
+// withAsm runs fn once with the assembly kernels on and once with them off,
+// so both ContainsBatch paths — the batch kernel and the per-key fallback —
+// see the same checks.
+func withAsm(t *testing.T, fn func(t *testing.T)) {
+	defer swar.SetAsmKernels(true)
+	for _, asm := range []bool{true, false} {
+		swar.SetAsmKernels(asm)
+		name := "generic"
+		if swar.FastProbeEnabled() {
+			name = "kernel"
+		}
+		t.Run(name, fn)
+	}
+}
+
+// TestContainsBatchCountsLookups: a batch counts one lookup per key, on the
+// batch kernel's bulk path as on the per-key fallback.
+func TestContainsBatchCountsLookups(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	hs := make([]uint64, 3000)
+	for i := range hs {
+		hs[i] = rng.Uint64()
+	}
+	withAsm(t, func(t *testing.T) {
+		f8 := NewFilter8(1<<12, Options{})
+		f16 := NewFilter16(1<<12, Options{})
+		for _, f := range []interface {
+			InsertBatch([]uint64) int
+			ContainsBatch([]uint64, []bool) []bool
+			Stats() stats.OpCounts
+		}{f8, f16} {
+			f.InsertBatch(hs[:1000])
+			before := f.Stats()
+			f.ContainsBatch(hs, nil)
+			d := f.Stats().Sub(before)
+			if d.Lookups != uint64(len(hs)) || d.BatchKeys != uint64(len(hs)) || d.BatchOps != 1 {
+				t.Fatalf("%T: ContainsBatch of %d keys counted %d lookups, %d batch keys, %d batch ops",
+					f, len(hs), d.Lookups, d.BatchKeys, d.BatchOps)
+			}
+		}
+	})
+}
+
+// TestContainsBatchSplit pins the batch kernel's key split to split8 and
+// split16: a fingerprint planted at the key's bucket in either block that
+// CandidateBlocks names must be found, and one planted in any other block,
+// any other bucket or as any other fingerprint must not (each key is probed
+// alone against an otherwise empty filter, so nothing else can answer).
+func TestContainsBatchSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	hs := make([]uint64, 300)
+	for i := range hs {
+		hs[i] = rng.Uint64()
+	}
+	probe := func(t *testing.T, h uint64, contains func([]uint64, []bool) []bool, want bool, what string) {
+		t.Helper()
+		if got := contains([]uint64{h}, nil)[0]; got != want {
+			t.Fatalf("key %#x planted %s: ContainsBatch = %v, want %v", h, what, got, want)
+		}
+	}
+	t.Run("Filter8", func(t *testing.T) {
+		withAsm(t, func(t *testing.T) {
+			f := NewFilter8(1<<12, Options{})
+			blocks := f.Blocks()
+			for _, h := range hs {
+				b1, b2 := f.CandidateBlocks(h)
+				_, bucket, fp, _ := split8(h, f.mask)
+				other := (b1 + 1) & f.mask
+				if other == b2 {
+					other = (other + 1) & f.mask
+				}
+				for _, c := range []struct {
+					blk    uint64
+					bucket uint
+					fp     byte
+					want   bool
+					what   string
+				}{
+					{b1, bucket, fp, true, "in the primary block"},
+					{b2, bucket, fp, true, "in the partner block"},
+					{other, bucket, fp, false, "in another block"},
+					{b1, (bucket + 1) % 80, fp, false, "in another bucket"},
+					{b2, bucket, fp + 1, false, "as another fingerprint"},
+				} {
+					blocks[c.blk].Insert(c.bucket, c.fp)
+					probe(t, h, f.ContainsBatch, c.want, c.what)
+					blocks[c.blk].Remove(c.bucket, c.fp)
+				}
+			}
+		})
+	})
+	t.Run("Filter16", func(t *testing.T) {
+		withAsm(t, func(t *testing.T) {
+			f := NewFilter16(1<<12, Options{})
+			blocks := f.Blocks()
+			for _, h := range hs {
+				b1, b2 := f.CandidateBlocks(h)
+				_, bucket, fp, _ := split16(h, f.mask)
+				other := (b1 + 1) & f.mask
+				if other == b2 {
+					other = (other + 1) & f.mask
+				}
+				for _, c := range []struct {
+					blk    uint64
+					bucket uint
+					fp     uint16
+					want   bool
+					what   string
+				}{
+					{b1, bucket, fp, true, "in the primary block"},
+					{b2, bucket, fp, true, "in the partner block"},
+					{other, bucket, fp, false, "in another block"},
+					{b1, (bucket + 1) % 36, fp, false, "in another bucket"},
+					{b2, bucket, fp + 1, false, "as another fingerprint"},
+				} {
+					blocks[c.blk].Insert(c.bucket, c.fp)
+					probe(t, h, f.ContainsBatch, c.want, c.what)
+					blocks[c.blk].Remove(c.bucket, c.fp)
+				}
+			}
+		})
 	})
 }

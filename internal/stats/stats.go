@@ -148,6 +148,9 @@ func (l *Local) InsertFailure() { l.c[opInsertFailures]++ }
 // Lookup counts one membership query.
 func (l *Local) Lookup() { l.c[opLookups]++ }
 
+// Lookups counts n membership queries answered together by a batch kernel.
+func (l *Local) Lookups(n int) { l.c[opLookups] += uint64(n) }
+
 // Remove counts a successful deletion.
 func (l *Local) Remove() { l.c[opRemoves]++ }
 
