@@ -133,7 +133,7 @@ func (f *front) RemoveHash(h uint64) bool {
 // successfully inserted (the rest hit full blocks; see ErrFull). Elastic
 // filters grow instead of filling, so there it is always len(hs). Filters
 // process the keys in a cache-friendly order — sorted by block, and on
-// sharded filters partitioned across shard-disjoint parallel workers —
+// sharded filters sorted by shard across shard-disjoint parallel workers —
 // which is substantially faster than a loop over AddHash for large
 // batches. On concurrent filters it is safe alongside any other
 // operations.
@@ -157,9 +157,12 @@ func (f *front) AddHashBatch(hs []uint64) int {
 
 // ContainsHashBatch reports membership for each pre-hashed key of hs, in
 // input order. The result reuses dst if it has sufficient capacity (dst may
-// be nil). On concurrent filters lookups run lock-free. Unsharded elastic
-// filters resolve the batch level by level with a shrinking working set —
-// keys found in the newest level never touch the older ones.
+// be nil). Lookups never sort: filters walk hs in caller order, the
+// sequential ones through a branch-free batch kernel, the concurrent and
+// sharded ones lock-free, split into contiguous chunks across parallel
+// workers when the batch is large. Unsharded elastic filters resolve the
+// batch level by level with a shrinking working set — keys found in the
+// newest level never touch the older ones.
 func (f *front) ContainsHashBatch(hs []uint64, dst []bool) []bool {
 	end := telemetry.Region("vqf.batch.lookup")
 	start := time.Now()

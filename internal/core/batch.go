@@ -1,16 +1,22 @@
 package core
 
-import "vqf/internal/minifilter"
+import (
+	"math/bits"
+
+	"vqf/internal/minifilter"
+)
 
 // Batch operations. The Morton filter paper (and §7.1 of the VQF paper)
 // highlights bulk workloads: when many keys arrive at once, sorting them by
 // primary block turns the filter's random cache-line walk into a
-// mostly-sequential sweep. The batch inserts and removes — sequential and
-// concurrent — and the concurrent lookups share the radix-partitioning
-// helpers below; the concurrent filters additionally fan the partitions out
-// across a worker pool (concurrent_batch.go). The sequential lookups skip
-// the sort and run a branch-free batch kernel in caller order instead (see
-// Filter8.ContainsBatch).
+// mostly-sequential sweep. Batch inserts and removes — sequential,
+// concurrent and sharded — share the one counting sort below (radixSort);
+// the concurrent and sharded writers fan its buckets out over the one
+// atomic-cursor claim loop (claim, concurrent_batch.go). Lookups write
+// nothing and need no block order, so every ContainsBatch answers in caller
+// order: the sequential filters through a branch-free batch kernel (see
+// Filter8.ContainsBatch), the concurrent and sharded ones one Contains per
+// key in contiguous caller-order chunks.
 
 const (
 	batchRadixBits = 8
@@ -21,70 +27,48 @@ const (
 	minBatchPartition = 256
 )
 
-// maxIdxSegment bounds any single radix pass that carries int32 scatter
-// indices (radixPartitionIdx); larger batches are processed in
-// segments so the indices always fit. A variable so tests can shrink it and
-// exercise the segmented path without multi-gigabyte inputs.
-var maxIdxSegment = 1 << 30
-
-// batchRadix maps a key hash to its shard: the top batchRadixBits bits of
-// the primary block index. effShift is precomputed by effectiveShift(mask).
-// The final mask is a no-op by construction; it lets the compiler prove
-// shard-array indexing in bounds in the partition loops.
-func batchRadix(h, mask uint64, blockShift, effShift uint) int {
-	return int(((h>>blockShift)&mask)>>effShift) & (batchShards - 1)
+// digit selects a radix sort's bucket from a key hash: (h>>shift)&mask,
+// with mask below batchShards.
+type digit struct {
+	shift uint
+	mask  uint64
 }
 
-// radixPartition reorders hs by shard, so that keys sharing a primary-block
-// prefix are adjacent. It returns the reordered keys and the shard bounds:
-// shard s occupies sorted[bounds[s]:bounds[s+1]].
-func radixPartition(hs []uint64, mask uint64, blockShift uint) (sorted []uint64, bounds [batchShards + 1]int) {
-	effShift := effectiveShift(mask)
-	var counts [batchShards]int
+// of returns h's bucket. The uint8 result lets the compiler prove the
+// bucket-array indexing in bounds.
+func (d digit) of(h uint64) uint8 { return uint8(h >> d.shift & d.mask) }
+
+// blockDigit buckets keys by the top batchRadixBits bits of their primary
+// block index (h>>blockShift)&mask, so keys sharing a block-index prefix
+// sort together.
+func blockDigit(mask uint64, blockShift uint) digit {
+	drop := uint(max(bits.Len64(mask)-batchRadixBits, 0))
+	return digit{blockShift + drop, mask >> drop}
+}
+
+// shardDigit buckets keys by shard: the top shardBits bits (see ShardOf).
+func shardDigit(shardBits uint) digit { return digit{64 - shardBits, 1<<shardBits - 1} }
+
+// radixSort stably counting-sorts hs into dst (len(dst) >= len(hs)) by d
+// and returns the bucket bounds: bucket b occupies dst[bounds[b]:bounds[b+1]].
+func radixSort(hs, dst []uint64, d digit) (sorted []uint64, bounds [batchShards + 1]int) {
+	var next [batchShards]int
 	for _, h := range hs {
-		counts[batchRadix(h, mask, blockShift, effShift)]++
+		next[d.of(h)]++
 	}
 	sum := 0
-	for i, c := range counts {
-		bounds[i] = sum
+	for b, c := range next {
+		bounds[b], next[b] = sum, sum
 		sum += c
 	}
 	bounds[batchShards] = sum
-	sorted = make([]uint64, len(hs))
-	next := bounds
+	sorted = dst[:len(hs)]
 	for _, h := range hs {
-		r := batchRadix(h, mask, blockShift, effShift)
-		sorted[next[r]] = h
-		next[r]++
+		b := d.of(h)
+		sorted[next[b]] = h
+		next[b]++
 	}
 	return sorted, bounds
-}
-
-// radixPartitionIdx is radixPartition carrying each key's position in hs, so
-// order-sensitive results (ContainsBatch) can be scattered back. Indices are
-// int32; callers split larger batches first.
-func radixPartitionIdx(hs []uint64, mask uint64, blockShift uint) (sorted []uint64, idx []int32, bounds [batchShards + 1]int) {
-	effShift := effectiveShift(mask)
-	var counts [batchShards]int
-	for _, h := range hs {
-		counts[batchRadix(h, mask, blockShift, effShift)]++
-	}
-	sum := 0
-	for i, c := range counts {
-		bounds[i] = sum
-		sum += c
-	}
-	bounds[batchShards] = sum
-	sorted = make([]uint64, len(hs))
-	idx = make([]int32, len(hs))
-	next := bounds
-	for i, h := range hs {
-		r := batchRadix(h, mask, blockShift, effShift)
-		sorted[next[r]] = h
-		idx[next[r]] = int32(i)
-		next[r]++
-	}
-	return sorted, idx, bounds
 }
 
 // applyCount applies op to every key and returns the number of successes.
@@ -116,32 +100,12 @@ type batchScratch struct {
 	sink   uint64
 }
 
-// partition radix-groups hs by primary block into the reusable sorted
-// buffer: keys sharing a block-index prefix become adjacent, so the sweep
-// walks the block array in address order and touches each 64-byte block once
-// per batch.
-func (s *batchScratch) partition(hs []uint64, mask uint64, blockShift uint) []uint64 {
-	effShift := effectiveShift(mask)
-	var counts [batchShards]int
-	for _, h := range hs {
-		counts[batchRadix(h, mask, blockShift, effShift)]++
+// buf returns the reusable sort buffer, grown to at least n keys.
+func (s *batchScratch) buf(n int) []uint64 {
+	if cap(s.sorted) < n {
+		s.sorted = make([]uint64, n)
 	}
-	var next [batchShards]int
-	sum := 0
-	for i, c := range counts {
-		next[i] = sum
-		sum += c
-	}
-	if cap(s.sorted) < len(hs) {
-		s.sorted = make([]uint64, len(hs))
-	}
-	sorted := s.sorted[:len(hs)]
-	for _, h := range hs {
-		r := batchRadix(h, mask, blockShift, effShift)
-		sorted[next[r]] = h
-		next[r]++
-	}
-	return sorted
+	return s.sorted
 }
 
 // InsertBatch inserts the keys of hs, returning the number successfully
@@ -154,7 +118,7 @@ func (f *Filter8) InsertBatch(hs []uint64) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, f.Insert)
 	}
-	sorted := f.scratch.partition(hs, f.mask, blockShift8)
+	sorted, _ := radixSort(hs, f.scratch.buf(len(hs)), blockDigit(f.mask, blockShift8))
 	n := 0
 	sink := f.scratch.sink
 	for i, h := range sorted {
@@ -196,7 +160,7 @@ func (f *Filter8) RemoveBatch(hs []uint64) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, f.Remove)
 	}
-	sorted := f.scratch.partition(hs, f.mask, blockShift8)
+	sorted, _ := radixSort(hs, f.scratch.buf(len(hs)), blockDigit(f.mask, blockShift8))
 	n := 0
 	sink := f.scratch.sink
 	for i, h := range sorted {
@@ -217,7 +181,7 @@ func (f *Filter16) InsertBatch(hs []uint64) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, f.Insert)
 	}
-	sorted := f.scratch.partition(hs, f.mask, blockShift16)
+	sorted, _ := radixSort(hs, f.scratch.buf(len(hs)), blockDigit(f.mask, blockShift16))
 	n := 0
 	sink := f.scratch.sink
 	for i, h := range sorted {
@@ -254,7 +218,7 @@ func (f *Filter16) RemoveBatch(hs []uint64) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, f.Remove)
 	}
-	sorted := f.scratch.partition(hs, f.mask, blockShift16)
+	sorted, _ := radixSort(hs, f.scratch.buf(len(hs)), blockDigit(f.mask, blockShift16))
 	n := 0
 	sink := f.scratch.sink
 	for i, h := range sorted {
@@ -267,17 +231,4 @@ func (f *Filter16) RemoveBatch(hs []uint64) int {
 	}
 	f.scratch.sink = sink
 	return n
-}
-
-// effectiveShift returns how far to shift a block index so its top
-// batchRadixBits bits remain.
-func effectiveShift(mask uint64) uint {
-	bitsUsed := uint(0)
-	for m := mask; m != 0; m >>= 1 {
-		bitsUsed++
-	}
-	if bitsUsed <= batchRadixBits {
-		return 0
-	}
-	return bitsUsed - batchRadixBits
 }

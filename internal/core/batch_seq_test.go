@@ -2,48 +2,84 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"vqf/internal/stats"
 	"vqf/internal/swar"
 )
 
-// TestContainsBatchInputOrder pins the ContainsBatch contract: out[i]
-// answers hs[i].
+// TestContainsBatchInputOrder pins the ContainsBatch contract on every
+// filter with one: out[i] answers hs[i], into a dirty, oversized dst that
+// is reused.
 // Membership is deterministic for a fixed filter, so batch answers must
-// equal per-key Contains exactly (false positives included).
+// equal per-key Contains exactly (false positives included), and an empty
+// batch answers nothing. The concurrent and sharded rows run at GOMAXPROCS 4 with a batch that is cut
+// into caller-order chunks, and repeat one key on both sides of every
+// chunk edge.
 func TestContainsBatchInputOrder(t *testing.T) {
-	for _, geom := range []string{"8", "16"} {
-		t.Run(geom, func(t *testing.T) {
+	type lookupFilter interface {
+		InsertBatch([]uint64) int
+		Contains(uint64) bool
+		ContainsBatch([]uint64, []bool) []bool
+	}
+	for _, c := range []struct {
+		name    string
+		chunked bool
+		f       lookupFilter
+	}{
+		{"8", false, NewFilter8(1<<13, Options{})},
+		{"16", false, NewFilter16(1<<13, Options{})},
+		{"CFilter8", true, NewCFilter8(1<<13, Options{})},
+		{"CFilter16", true, NewCFilter16(1<<13, Options{})},
+		{"Sharded8x1", true, NewSharded8(1<<13, 1, Options{})},
+		{"Sharded8x4", true, NewSharded8(1<<13, 4, Options{})},
+		{"Sharded16x1", true, NewSharded16(1<<13, 1, Options{})},
+		{"Sharded16x4", true, NewSharded16(1<<13, 4, Options{})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			present := make([]uint64, 4096)
+			present := make([]uint64, minParallelBatch)
 			for i := range present {
 				present[i] = rng.Uint64()
 			}
-			var insert func([]uint64) int
-			var contains func(uint64) bool
-			var containsBatch func([]uint64, []bool) []bool
-			if geom == "8" {
-				f := NewFilter8(1<<13, Options{})
-				insert, contains, containsBatch = f.InsertBatch, f.Contains, f.ContainsBatch
-			} else {
-				f := NewFilter16(1<<13, Options{})
-				insert, contains, containsBatch = f.InsertBatch, f.Contains, f.ContainsBatch
-			}
-			insert(present)
-			// Interleave present and absent keys so hits and misses alternate.
-			hs := make([]uint64, 0, 2*len(present))
+			c.f.InsertBatch(present)
+			// Interleave present and absent keys so hits and misses
+			// alternate: 2*minParallelBatch+1 keys.
+			hs := make([]uint64, 0, 2*len(present)+1)
 			for _, h := range present {
 				hs = append(hs, h, rng.Uint64())
 			}
-			got := containsBatch(hs, nil)
+			hs = append(hs, rng.Uint64())
+			if c.chunked {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+				w := batchWorkers(len(hs), len(hs))
+				if w < 2 {
+					t.Fatalf("scenario too weak: a %d-key batch runs on %d worker", len(hs), w)
+				}
+				for k := 1; k < w; k++ {
+					edge := k * len(hs) / w
+					hs[edge-1], hs[edge] = present[k], present[k]
+				}
+			}
+			dst := make([]bool, len(hs)+100)
+			for i := range dst {
+				dst[i] = true
+			}
+			got := c.f.ContainsBatch(hs, dst)
 			if len(got) != len(hs) {
 				t.Fatalf("result length %d != %d", len(got), len(hs))
 			}
+			if &got[0] != &dst[0] {
+				t.Fatal("oversized dst was not reused")
+			}
 			for i, h := range hs {
-				if got[i] != contains(h) {
-					t.Fatalf("out[%d] = %v, Contains(hs[%d]) = %v", i, got[i], i, contains(h))
+				if got[i] != c.f.Contains(h) {
+					t.Fatalf("out[%d] = %v, Contains(hs[%d]) = %v", i, got[i], i, c.f.Contains(h))
 				}
+			}
+			if out := c.f.ContainsBatch(nil, dst); len(out) != 0 {
+				t.Fatalf("empty batch returned %d results", len(out))
 			}
 		})
 	}
@@ -162,7 +198,7 @@ func TestRemoveBatchMatchesPerKey(t *testing.T) {
 	for i := 0; i < len(present); i += 2 {
 		victims = append(victims, present[i], rng.Uint64())
 	}
-	sorted := model.scratch.partition(victims, model.mask, blockShift16)
+	sorted, _ := radixSort(victims, make([]uint64, len(victims)), blockDigit(model.mask, blockShift16))
 	want := 0
 	for _, h := range sorted {
 		if model.Remove(h) {
@@ -211,6 +247,26 @@ func TestBatchZeroAlloc(t *testing.T) {
 		checkAllocs(t, "Contains", func() { f.Contains(k) })
 		checkAllocs(t, "Remove", func() { f.Remove(k) })
 	})
+	// The concurrent and sharded lookups answer in caller order with no
+	// partition, so on one worker they allocate nothing either.
+	for _, c := range []struct {
+		name string
+		f    interface {
+			InsertBatch([]uint64) int
+			ContainsBatch([]uint64, []bool) []bool
+		}
+	}{
+		{"CFilter8", NewCFilter8(1<<16, Options{})},
+		{"CFilter16", NewCFilter16(1<<16, Options{})},
+		{"Sharded8", NewSharded8(1<<16, 4, Options{})},
+		{"Sharded16", NewSharded16(1<<16, 4, Options{})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			c.f.InsertBatch(hs)
+			checkAllocs(t, "ContainsBatch", func() { c.f.ContainsBatch(hs, dst) })
+		})
+	}
 }
 
 func checkAllocs(t *testing.T, name string, fn func()) {
@@ -218,60 +274,6 @@ func checkAllocs(t *testing.T, name string, fn func()) {
 	if avg := testing.AllocsPerRun(20, fn); avg != 0 {
 		t.Errorf("%s allocates %.1f times per call, want 0", name, avg)
 	}
-}
-
-// TestContainsBatchSegmented shrinks maxIdxSegment, which bounds the
-// int32-indexed radix passes of the concurrent batches. The sequential
-// lookups do not segment, so here it checks that their input-order results
-// do not depend on the setting, with a duplicate spread across the batch.
-func TestContainsBatchSegmented(t *testing.T) {
-	old := maxIdxSegment
-	maxIdxSegment = 300 // several segments per 1024-key batch
-	defer func() { maxIdxSegment = old }()
-
-	rng := rand.New(rand.NewSource(15))
-	present := make([]uint64, 512)
-	for i := range present {
-		present[i] = rng.Uint64()
-	}
-	hs := make([]uint64, 0, 2048)
-	for i := 0; i < 1024; i++ {
-		// Mix hits, misses, and a recurring duplicate so the same key lands in
-		// multiple segments.
-		switch i % 3 {
-		case 0:
-			hs = append(hs, present[i%len(present)])
-		case 1:
-			hs = append(hs, rng.Uint64())
-		default:
-			hs = append(hs, present[0])
-		}
-	}
-
-	t.Run("Filter8", func(t *testing.T) {
-		f := NewFilter8(1<<13, Options{})
-		f.InsertBatch(present)
-		out := f.ContainsBatch(hs, nil)
-		for i, h := range hs {
-			if out[i] != f.Contains(h) {
-				t.Fatalf("segmented out[%d] = %v, Contains = %v", i, out[i], f.Contains(h))
-			}
-		}
-	})
-	t.Run("Filter16", func(t *testing.T) {
-		f := NewFilter16(1<<13, Options{})
-		f.InsertBatch(present)
-		dst := make([]bool, len(hs)) // aliased reuse across both segment sweeps
-		out := f.ContainsBatch(hs, dst)
-		if &out[0] != &dst[0] {
-			t.Fatal("dst not reused on segmented path")
-		}
-		for i, h := range hs {
-			if out[i] != f.Contains(h) {
-				t.Fatalf("segmented out[%d] = %v, Contains = %v", i, out[i], f.Contains(h))
-			}
-		}
-	})
 }
 
 // withAsm runs fn once with the assembly kernels on and once with them off,

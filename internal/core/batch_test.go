@@ -81,7 +81,7 @@ func TestInsertBatchAttemptsAllKeys(t *testing.T) {
 	}
 	// Reference: the same radix order fed through Insert one key at a time,
 	// attempting every key. Counts must match exactly.
-	sorted, _ := radixPartition(keys, f.mask, blockShift8)
+	sorted, _ := radixSort(keys, make([]uint64, len(keys)), blockDigit(f.mask, blockShift8))
 	want := 0
 	failedBeforeSuccess := false
 	failedYet := false

@@ -114,12 +114,17 @@ func (f *CFilter8) Insert(h uint64) bool {
 // Contains reports whether the pre-hashed key h may be in the filter. Safe
 // for concurrent use and lock-free on the common path: each candidate block
 // is snapshotted optimistically and scanned without acquiring its lock.
-func (f *CFilter8) Contains(h uint64) bool {
+func (f *CFilter8) Contains(h uint64) bool { return f.contains(h, h>>blockShift8) }
+
+// contains is Contains counting on stats stripe sel: a point lookup
+// stripes by its primary block, a batch range by its first key (see
+// containsRange).
+func (f *CFilter8) contains(h, sel uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
-	f.st.Lookup(b1)
+	f.st.Lookup(sel)
 	bc := swar.BroadcastByte(fp)
 	found, retries, fellBack := f.blocks[b1].ContainsOptimisticCountedB(f.seq(b1), bucket, bc)
-	f.st.Optimistic(b1, retries, fellBack)
+	f.st.Optimistic(sel, retries, fellBack)
 	if fellBack {
 		f.fallbackEvent(b1, retries)
 	}
@@ -131,7 +136,7 @@ func (f *CFilter8) Contains(h uint64) bool {
 		return false
 	}
 	found, retries, fellBack = f.blocks[b2].ContainsOptimisticCountedB(f.seq(b2), bucket, bc)
-	f.st.Optimistic(b1, retries, fellBack)
+	f.st.Optimistic(sel, retries, fellBack)
 	if fellBack {
 		f.fallbackEvent(b2, retries)
 	}
@@ -197,13 +202,26 @@ func (f *CFilter8) Remove(h uint64) bool {
 	return ok
 }
 
-// containsScan answers sorted[lo:hi] into out at the scatter positions idx
-// for the sharded filter's ContainsBatch: one call per shard segment, each
-// key a static Contains.
-func (f *CFilter8) containsScan(sorted []uint64, out []bool, idx []int32, lo, hi int) {
-	f.st.Batch(hi - lo)
-	for j := lo; j < hi; j++ {
-		out[idx[j]] = f.Contains(sorted[j])
+// ContainsBatch reports membership for every key of hs in input order:
+// result[i] corresponds to hs[i]. Lookups run lock-free, in parallel over
+// contiguous chunks of hs when the batch is large enough. The result reuses
+// dst if it has sufficient capacity (dst may be nil). Safe for concurrent
+// use.
+func (f *CFilter8) ContainsBatch(hs []uint64, dst []bool) []bool {
+	f.st.Batch(len(hs))
+	return lookupBatch(f, hs, dst)
+}
+
+// containsRange answers out[i] = Contains(hs[i]) in caller order. It
+// counts every key on the stats stripe of the range's first key rather than
+// of each key's own block: a batch worker's counter lines then stay in its
+// core's cache instead of bouncing between the cores of parallel workers,
+// while concurrent ranges still spread over the stripes.
+func (f *CFilter8) containsRange(hs []uint64, out []bool) {
+	sel := hs[0]
+	out = out[:len(hs)]
+	for i, h := range hs {
+		out[i] = f.contains(h, sel)
 	}
 }
 
@@ -295,12 +313,16 @@ func (f *CFilter16) Insert(h uint64) bool {
 
 // Contains reports whether the pre-hashed key h may be in the filter. Safe
 // for concurrent use and lock-free on the common path.
-func (f *CFilter16) Contains(h uint64) bool {
+func (f *CFilter16) Contains(h uint64) bool { return f.contains(h, h>>blockShift16) }
+
+// contains is Contains counting on stats stripe sel; see
+// CFilter8.contains.
+func (f *CFilter16) contains(h, sel uint64) bool {
 	b1, bucket, fp, tag := split16(h, f.mask)
-	f.st.Lookup(b1)
+	f.st.Lookup(sel)
 	bc := swar.BroadcastU16(fp)
 	found, retries, fellBack := f.blocks[b1].ContainsOptimisticCountedB(f.seq(b1), bucket, bc)
-	f.st.Optimistic(b1, retries, fellBack)
+	f.st.Optimistic(sel, retries, fellBack)
 	if fellBack {
 		f.fallbackEvent(b1, retries)
 	}
@@ -312,7 +334,7 @@ func (f *CFilter16) Contains(h uint64) bool {
 		return false
 	}
 	found, retries, fellBack = f.blocks[b2].ContainsOptimisticCountedB(f.seq(b2), bucket, bc)
-	f.st.Optimistic(b1, retries, fellBack)
+	f.st.Optimistic(sel, retries, fellBack)
 	if fellBack {
 		f.fallbackEvent(b2, retries)
 	}
@@ -375,11 +397,19 @@ func (f *CFilter16) Remove(h uint64) bool {
 	return ok
 }
 
-// containsScan answers one shard segment of a sharded ContainsBatch; see
-// CFilter8.containsScan.
-func (f *CFilter16) containsScan(sorted []uint64, out []bool, idx []int32, lo, hi int) {
-	f.st.Batch(hi - lo)
-	for j := lo; j < hi; j++ {
-		out[idx[j]] = f.Contains(sorted[j])
+// ContainsBatch reports membership for every key of hs in input order; see
+// CFilter8.ContainsBatch.
+func (f *CFilter16) ContainsBatch(hs []uint64, dst []bool) []bool {
+	f.st.Batch(len(hs))
+	return lookupBatch(f, hs, dst)
+}
+
+// containsRange answers out[i] = Contains(hs[i]) in caller order; see
+// CFilter8.containsRange.
+func (f *CFilter16) containsRange(hs []uint64, out []bool) {
+	sel := hs[0]
+	out = out[:len(hs)]
+	for i, h := range hs {
+		out[i] = f.contains(h, sel)
 	}
 }

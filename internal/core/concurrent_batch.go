@@ -1,14 +1,16 @@
 package core
 
-// Parallel batch operations for the concurrent filters. Keys are
-// radix-partitioned by primary block (the same partitioning the sequential
-// batch path uses for locality, batch.go) and the shards are fanned out
-// across a bounded worker pool. Because a shard is a contiguous range of
-// primary-block prefixes, two workers never write the same primary block
-// concurrently; secondary-block collisions across shards remain possible and
-// are serialized by the per-block locks, so correctness never depends on the
-// partitioning — it only removes almost all lock contention and restores the
-// sequential batch path's cache locality within each worker.
+// Parallel batch operations for the concurrent and sharded filters. Every
+// fan-out runs on claim: workers take buckets of a partition from an atomic
+// cursor. Writes partition by radix order (batch.go) — primary-block
+// prefixes on a CFilter, so two workers never write the same primary block
+// concurrently and secondary-block collisions across buckets are serialized
+// by the per-block locks; shards on a sharded filter, so workers own whole
+// shards. Correctness never depends on the partitioning — it only removes
+// almost all lock contention and restores the sequential batch path's cache
+// locality within each worker. Lookups are lock-free reads that need no
+// block ownership, so they partition nothing: a large batch is cut into
+// contiguous caller-order chunks, one Contains per key.
 
 import (
 	"runtime"
@@ -20,106 +22,85 @@ import (
 // than it saves and the keys are processed on the calling goroutine.
 const minParallelBatch = 4096
 
-// batchWorkers returns the worker-pool size for a batch of n keys: bounded
-// by GOMAXPROCS, the shard count, and a floor of ~4k keys per worker.
-func batchWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > batchShards {
-		w = batchShards
-	}
-	if byLoad := n / minParallelBatch; w > byLoad {
-		w = byLoad
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// batchWorkers returns the worker-pool size for a batch of n keys that
+// splits into at most pieces independent parts: bounded by GOMAXPROCS,
+// pieces, and a floor of minParallelBatch keys per worker.
+func batchWorkers(n, pieces int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), pieces, n/minParallelBatch))
 }
 
-// parallelShardCount applies op to every key of hs, sharded across workers,
-// and returns the number of true results. Workers claim shards with an
-// atomic cursor, which load-balances skewed partitions.
-func parallelShardCount(hs []uint64, mask uint64, blockShift uint, op func(uint64) bool) int {
-	w := batchWorkers(len(hs))
+// claim runs op over every non-empty bucket [bounds[b], bounds[b+1]) on w
+// workers that claim buckets from an atomic cursor, which load-balances
+// skewed buckets. It returns the sum of op's results and the number of
+// workers that ran at least one bucket. With w == 1 it runs on the calling
+// goroutine, in bucket order.
+func claim(w int, bounds []int, op func(lo, hi, b int) int) (total, active int) {
+	nb := len(bounds) - 1
 	if w == 1 {
-		if len(hs) >= minBatchPartition {
-			sorted, _ := radixPartition(hs, mask, blockShift)
-			return applyCount(sorted, op)
+		for b := 0; b < nb; b++ {
+			if bounds[b] < bounds[b+1] {
+				total += op(bounds[b], bounds[b+1], b)
+				active = 1
+			}
 		}
-		return applyCount(hs, op)
+		return total, active
 	}
-	sorted, bounds := radixPartition(hs, mask, blockShift)
-	var cursor, total atomic.Int64
+	var cursor, sum, fed atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n := 0
+			n, ran := 0, false
 			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= batchShards {
+				b := int(cursor.Add(1)) - 1
+				if b >= nb {
 					break
 				}
-				n += applyCount(sorted[bounds[s]:bounds[s+1]], op)
+				if bounds[b] < bounds[b+1] {
+					n += op(bounds[b], bounds[b+1], b)
+					ran = true
+				}
 			}
-			total.Add(int64(n))
+			if ran {
+				fed.Add(1)
+			}
+			sum.Add(int64(n))
 		}()
 	}
 	wg.Wait()
-	return int(total.Load())
+	return int(sum.Load()), int(fed.Load())
 }
 
-// parallelShardContains fills out[i] with contains(hs[i]), sharded across
-// workers. out must have len(hs) elements; each position is written by
-// exactly one worker (the index array scatters shard results back to caller
-// order), so no synchronization on out is needed beyond the final Wait.
-func parallelShardContains(hs []uint64, out []bool, mask uint64, blockShift uint, contains func(uint64) bool) {
-	w := batchWorkers(len(hs))
+// lookupScanner is a filter whose containsRange answers out[i] for hs[i],
+// hs non-empty.
+type lookupScanner interface {
+	containsRange(hs []uint64, out []bool)
+}
+
+// lookupBatch answers hs in caller order into dst (reused if its capacity
+// suffices) through f.containsRange. A batch large enough to fan out is
+// cut into one contiguous chunk per worker; each position of the result is
+// written by exactly one worker, so no synchronization beyond claim's
+// final wait is needed.
+func lookupBatch[F lookupScanner](f F, hs []uint64, dst []bool) []bool {
+	out := resizeBools(dst, len(hs))
+	w := batchWorkers(len(hs), len(hs))
 	if w == 1 {
-		if len(hs) < minBatchPartition {
-			for i, h := range hs {
-				out[i] = contains(h)
-			}
-			return
+		if len(hs) > 0 {
+			f.containsRange(hs, out)
 		}
-		// Same int32 index-width concern as below: a GOMAXPROCS=1 process can
-		// still be handed a multi-billion-key batch.
-		for off := 0; off < len(hs); off += maxIdxSegment {
-			end := min(off+maxIdxSegment, len(hs))
-			seg, segOut := hs[off:end], out[off:end]
-			sorted, idx, _ := radixPartitionIdx(seg, mask, blockShift)
-			for j, h := range sorted {
-				segOut[idx[j]] = contains(h)
-			}
-		}
-		return
+		return out
 	}
-	// radixPartitionIdx carries int32 positions; segment huge batches so the
-	// indices always fit.
-	for off := 0; off < len(hs); off += maxIdxSegment {
-		end := min(off+maxIdxSegment, len(hs))
-		seg, segOut := hs[off:end], out[off:end]
-		sorted, idx, bounds := radixPartitionIdx(seg, mask, blockShift)
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(cursor.Add(1)) - 1
-					if s >= batchShards {
-						break
-					}
-					for j := bounds[s]; j < bounds[s+1]; j++ {
-						segOut[idx[j]] = contains(sorted[j])
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	bounds := make([]int, w+1)
+	for i := range bounds {
+		bounds[i] = i * len(hs) / w
 	}
+	claim(w, bounds, func(lo, hi, _ int) int {
+		f.containsRange(hs[lo:hi], out[lo:hi])
+		return 0
+	})
+	return out
 }
 
 // resizeBools returns dst resized to n, reallocating only if its capacity is

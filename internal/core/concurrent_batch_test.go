@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -163,39 +162,5 @@ func TestCFilter8BatchConcurrentWithPointOps(t *testing.T) {
 	wg.Wait()
 	if got := f.RemoveBatch(batch); got != len(batch) {
 		t.Fatalf("RemoveBatch = %d, want %d", got, len(batch))
-	}
-}
-
-// TestParallelContainsSingleWorkerSegmented pins the GOMAXPROCS=1 fallback of
-// parallelShardContains: it, too, carries int32 scatter indices and must
-// segment oversized batches rather than overflow. maxIdxSegment is shrunk so
-// the boundary is actually crossed.
-func TestParallelContainsSingleWorkerSegmented(t *testing.T) {
-	old := maxIdxSegment
-	maxIdxSegment = 300
-	defer func() { maxIdxSegment = old }()
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-
-	f := NewCFilter8(1<<13, Options{})
-	rng := rand.New(rand.NewSource(16))
-	keys := make([]uint64, 512)
-	for i := range keys {
-		keys[i] = rng.Uint64()
-	}
-	f.InsertBatch(keys)
-	probes := make([]uint64, 0, 1024)
-	for i := 0; i < 1024; i++ {
-		if i%2 == 0 {
-			probes = append(probes, keys[i%len(keys)])
-		} else {
-			probes = append(probes, rng.Uint64())
-		}
-	}
-	out := f.ContainsBatch(probes, nil)
-	for i, h := range probes {
-		if out[i] != f.Contains(h) {
-			t.Fatalf("probe %d: batch=%v single=%v", i, out[i], f.Contains(h))
-		}
 	}
 }

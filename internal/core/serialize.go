@@ -416,7 +416,7 @@ func ReadSharded(r io.Reader) (*Sharded8, *Sharded16, error) {
 
 // readShards reads nshards shard streams in shard order.
 func readShards[S shardFilter](r io.Reader, nshards uint32, read func(io.Reader) (S, error)) (sharded[S], error) {
-	f := sharded[S]{shards: make([]S, nshards), shardBits: shardBitsFor(int(nshards))}
+	f := sharded[S]{shards: make([]S, nshards), shardBits: ShardBitsFor(int(nshards))}
 	for i := range f.shards {
 		var err error
 		if f.shards[i], err = read(r); err != nil {

@@ -17,19 +17,19 @@ package core
 // 2^40-block cap anyway. Keys therefore spread near-uniformly and
 // independently of their in-shard placement.
 //
-// Batch operations radix-partition the keys by shard and fan the partitions
-// out over a worker pool in which each worker *owns* the shards it claims
-// (atomic-cursor claiming): two workers never operate on the same shard, so
-// batch workers contend on nothing at all — not even the secondary-block
-// collisions the single-filter parallel batches retain. Within its claimed
-// partition a worker re-partitions by primary block for the sequential
-// sweep locality of the non-sharded batch path.
+// Batch writes radix-sort the keys by shard and fan the shards out over a
+// worker pool in which each worker *owns* the shards it claims
+// (atomic-cursor claiming, see claim): two workers never write the same
+// shard, so batch writers contend on nothing at all — not even the
+// secondary-block collisions the single-filter parallel batches retain.
+// Within its claimed shard a worker sorts again by primary block for the
+// sequential sweep locality of the non-sharded batch path. Batch lookups
+// need no ownership: they answer in caller order, one Contains per key
+// through its shard, cut into contiguous chunks when the batch is large
+// enough to fan out.
 
 import (
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
@@ -39,9 +39,10 @@ import (
 // machine this code plausibly meets, and it keeps the shard radix one byte.
 const maxShardBits = 8
 
-// shardBitsFor returns ceil(log2(n)) clamped to [0, maxShardBits]; n <= 0
-// selects a single shard.
-func shardBitsFor(n int) uint {
+// ShardBitsFor returns ceil(log2(n)) clamped to [0, 8], the shard-index
+// width of a filter with n shards rounded up to a power of two and capped at
+// 256; n <= 0 selects a single shard.
+func ShardBitsFor(n int) uint {
 	bits := uint(0)
 	for 1<<bits < n && bits < maxShardBits {
 		bits++
@@ -49,95 +50,20 @@ func shardBitsFor(n int) uint {
 	return bits
 }
 
-// shardOf returns the shard index of hash h: its top shardBits bits. For
+// ShardOf returns the shard index of hash h: its top shardBits bits. For
 // shardBits == 0 the shift count is 64, which in Go yields 0 — every key
-// lands in the single shard.
-func shardOf(h uint64, shardBits uint) uint64 { return h >> (64 - shardBits) }
-
-// shardPartition reorders hs so keys of the same shard are adjacent; shard s
-// occupies sorted[bounds[s]:bounds[s+1]].
-func shardPartition(hs []uint64, shardBits uint) (sorted []uint64, bounds []int) {
-	n := 1 << shardBits
-	counts := make([]int, n)
-	for _, h := range hs {
-		counts[shardOf(h, shardBits)]++
-	}
-	bounds = make([]int, n+1)
-	sum := 0
-	for i, c := range counts {
-		bounds[i] = sum
-		sum += c
-	}
-	bounds[n] = sum
-	sorted = make([]uint64, len(hs))
-	next := counts // reuse: next[i] becomes the write cursor for shard i
-	copy(next, bounds[:n])
-	for _, h := range hs {
-		s := shardOf(h, shardBits)
-		sorted[next[s]] = h
-		next[s]++
-	}
-	return sorted, bounds
-}
-
-// shardPartitionIdx is shardPartition carrying each key's original position,
-// for order-sensitive scatter (ContainsBatch). Indices are int32; callers
-// segment larger batches (maxIdxSegment) first.
-func shardPartitionIdx(hs []uint64, shardBits uint) (sorted []uint64, idx []int32, bounds []int) {
-	n := 1 << shardBits
-	counts := make([]int, n)
-	for _, h := range hs {
-		counts[shardOf(h, shardBits)]++
-	}
-	bounds = make([]int, n+1)
-	sum := 0
-	for i, c := range counts {
-		bounds[i] = sum
-		sum += c
-	}
-	bounds[n] = sum
-	sorted = make([]uint64, len(hs))
-	idx = make([]int32, len(hs))
-	next := counts
-	copy(next, bounds[:n])
-	for i, h := range hs {
-		s := shardOf(h, shardBits)
-		sorted[next[s]] = h
-		idx[next[s]] = int32(i)
-		next[s]++
-	}
-	return sorted, idx, bounds
-}
-
-// shardBatchWorkers returns the worker-pool size for a sharded batch of n
-// keys over nshards shards: bounded by GOMAXPROCS, the shard count (workers
-// own whole shards), and the ~4k-keys-per-worker floor shared with the
-// non-sharded parallel batches.
-func shardBatchWorkers(n, nshards int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > nshards {
-		w = nshards
-	}
-	if byLoad := n / minParallelBatch; w > byLoad {
-		w = byLoad
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// lands in the single shard. Every sharded filter, core or elastic, selects
+// shards with it.
+func ShardOf(h uint64, shardBits uint) uint64 { return h >> (64 - shardBits) }
 
 // shardFilter is the shard surface the sharded shell uses: a concurrent
 // filter, *CFilter8 or *CFilter16. Its per-key methods are called only by
-// the batch workers, through func values; the single-key paths
-// (Sharded8/16.Insert etc.) and the ContainsBatch scan (containsScan) call
+// the batch writers, through func values; the single-key paths
+// (Sharded8/16.Insert etc.) and the ContainsBatch scan (containsRange) call
 // the concrete shard type.
 type shardFilter interface {
 	Insert(h uint64) bool
 	Remove(h uint64) bool
-	InsertBatch(hs []uint64) int
-	RemoveBatch(hs []uint64) int
-	ContainsBatch(hs []uint64, dst []bool) []bool
 	Count() uint64
 	Capacity() uint64
 	SizeBytes() uint64
@@ -146,8 +72,7 @@ type shardFilter interface {
 	SlotsPerBlock() uint
 	SetEventRing(r *telemetry.Ring)
 	WriteTo(w io.Writer) (int64, error)
-	batchSegment(seg []uint64) []uint64
-	containsScan(sorted []uint64, out []bool, idx []int32, lo, hi int)
+	sweep(hs []uint64, w int, op func(uint64) bool) int
 	geom() *geometry
 }
 
@@ -164,7 +89,7 @@ type sharded[S shardFilter] struct {
 // newSharded creates nshards shards (rounded up to a power of two, clamped
 // to [1, 256]), each sized for its share of nslots.
 func newSharded[S shardFilter](nslots uint64, nshards int, opts Options, newShard func(uint64, Options) S) sharded[S] {
-	bits := shardBitsFor(nshards)
+	bits := ShardBitsFor(nshards)
 	n := uint64(1) << bits
 	per := (nslots + n - 1) / n
 	f := sharded[S]{shards: make([]S, n), shardBits: bits}
@@ -188,15 +113,42 @@ func NewSharded8(nslots uint64, nshards int, opts Options) *Sharded8 {
 }
 
 // Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
-func (f *Sharded8) Insert(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Insert(h) }
+func (f *Sharded8) Insert(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Insert(h) }
 
 // Contains reports whether h may be in the filter; lock-free on the common
 // path. Safe for concurrent use.
-func (f *Sharded8) Contains(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Contains(h) }
+func (f *Sharded8) Contains(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Contains(h) }
 
 // Remove deletes one previously inserted instance of h. Safe for concurrent
 // use.
-func (f *Sharded8) Remove(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Remove(h) }
+func (f *Sharded8) Remove(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Remove(h) }
+
+// ContainsBatch reports membership for every key of hs in input order:
+// result[i] corresponds to hs[i]. Lookups run lock-free, in parallel over
+// contiguous chunks of hs when the batch is large enough. The result reuses
+// dst if it has sufficient capacity (dst may be nil). Safe for concurrent
+// use.
+func (f *Sharded8) ContainsBatch(hs []uint64, dst []bool) []bool { return lookupBatch(f, hs, dst) }
+
+// containsRange answers out[i] = Contains(hs[i]) in caller order and counts
+// the keys each shard answered as one batch on that shard. Like
+// CFilter8.containsRange, it counts on the stats stripe of the range's
+// first key.
+func (f *Sharded8) containsRange(hs []uint64, out []bool) {
+	var keys [1 << maxShardBits]int
+	sel := hs[0]
+	out = out[:len(hs)]
+	for i, h := range hs {
+		s := ShardOf(h, f.shardBits)
+		keys[uint8(s)]++
+		out[i] = f.shards[s].contains(h, sel)
+	}
+	for s, sh := range f.shards {
+		if keys[s] > 0 {
+			sh.st.Batch(keys[s])
+		}
+	}
+}
 
 // Sharded16 is the sharded thread-safe filter with 16-bit fingerprints; see
 // Sharded8.
@@ -210,14 +162,36 @@ func NewSharded16(nslots uint64, nshards int, opts Options) *Sharded16 {
 }
 
 // Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
-func (f *Sharded16) Insert(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Insert(h) }
+func (f *Sharded16) Insert(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Insert(h) }
 
 // Contains reports whether h may be in the filter. Safe for concurrent use.
-func (f *Sharded16) Contains(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Contains(h) }
+func (f *Sharded16) Contains(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Contains(h) }
 
 // Remove deletes one previously inserted instance of h. Safe for concurrent
 // use.
-func (f *Sharded16) Remove(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Remove(h) }
+func (f *Sharded16) Remove(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Remove(h) }
+
+// ContainsBatch reports membership for every key of hs in input order; see
+// Sharded8.ContainsBatch.
+func (f *Sharded16) ContainsBatch(hs []uint64, dst []bool) []bool { return lookupBatch(f, hs, dst) }
+
+// containsRange answers out[i] = Contains(hs[i]) in caller order; see
+// Sharded8.containsRange.
+func (f *Sharded16) containsRange(hs []uint64, out []bool) {
+	var keys [1 << maxShardBits]int
+	sel := hs[0]
+	out = out[:len(hs)]
+	for i, h := range hs {
+		s := ShardOf(h, f.shardBits)
+		keys[uint8(s)]++
+		out[i] = f.shards[s].contains(h, sel)
+	}
+	for s, sh := range f.shards {
+		if keys[s] > 0 {
+			sh.st.Batch(keys[s])
+		}
+	}
+}
 
 // NumShards returns the shard count (a power of two).
 func (f *sharded[S]) NumShards() int { return len(f.shards) }
@@ -323,113 +297,28 @@ func stallEvent(ring *telemetry.Ring, active, w, keys int) {
 // InsertBatch inserts the keys of hs in parallel with shard-disjoint
 // workers, returning the number successfully inserted. Safe for concurrent
 // use alongside any other operations.
-func (f *sharded[S]) InsertBatch(hs []uint64) int { return f.apply(hs, S.InsertBatch, S.Insert) }
+func (f *sharded[S]) InsertBatch(hs []uint64) int { return f.apply(hs, S.Insert) }
 
 // RemoveBatch removes one instance of each key of hs in parallel with
 // shard-disjoint workers, returning the number found and removed.
-func (f *sharded[S]) RemoveBatch(hs []uint64) int { return f.apply(hs, S.RemoveBatch, S.Remove) }
+func (f *sharded[S]) RemoveBatch(hs []uint64) int { return f.apply(hs, S.Remove) }
 
-// apply partitions hs by shard and applies the batch (whole partition) or
-// single-key form of an operation with shard-disjoint workers; see the
-// package comment for the contention argument.
-func (f *sharded[S]) apply(hs []uint64, batch func(S, []uint64) int, op func(S, uint64) bool) int {
+// apply radix-sorts hs by shard and sweeps each shard's keys with op on
+// shard-disjoint workers; see the package comment for the contention
+// argument. A single shard sweeps the whole batch with its own worker pool.
+func (f *sharded[S]) apply(hs []uint64, op func(S, uint64) bool) int {
 	if len(f.shards) == 1 {
-		return batch(f.shards[0], hs)
+		sh := f.shards[0]
+		return sh.sweep(hs, batchWorkers(len(hs), batchShards), func(h uint64) bool { return op(sh, h) })
 	}
-	sorted, bounds := shardPartition(hs, f.shardBits)
-	w := shardBatchWorkers(len(hs), len(f.shards))
-	if w == 1 {
-		// One worker: keep the shard partition for locality but let each
-		// shard's own batch path handle its segment (it may still fan out
-		// across blocks if GOMAXPROCS allows).
-		total := 0
-		for s := range f.shards {
-			if seg := sorted[bounds[s]:bounds[s+1]]; len(seg) > 0 {
-				total += batch(f.shards[s], seg)
-			}
-		}
-		return total
+	sorted, bounds := radixSort(hs, make([]uint64, len(hs)), shardDigit(f.shardBits))
+	w := batchWorkers(len(hs), len(f.shards))
+	n, active := claim(w, bounds[:len(f.shards)+1], func(lo, hi, s int) int {
+		sh := f.shards[s]
+		return sh.sweep(sorted[lo:hi], 1, func(h uint64) bool { return op(sh, h) })
+	})
+	if w > 1 {
+		stallEvent(f.ring, active, w, len(hs))
 	}
-	var cursor, total, active atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n, fed := 0, false
-			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= len(f.shards) {
-					break
-				}
-				seg := sorted[bounds[s]:bounds[s+1]]
-				if len(seg) == 0 {
-					continue
-				}
-				fed = true
-				shard := f.shards[s]
-				for _, h := range shard.batchSegment(seg) {
-					if op(shard, h) {
-						n++
-					}
-				}
-			}
-			if fed {
-				active.Add(1)
-			}
-			total.Add(int64(n))
-		}()
-	}
-	wg.Wait()
-	stallEvent(f.ring, int(active.Load()), w, len(hs))
-	return int(total.Load())
-}
-
-// ContainsBatch reports membership for every key of hs in input order;
-// lookups run lock-free with shard-disjoint workers. The result reuses dst
-// if it has sufficient capacity (dst may be nil).
-//
-// hs is partitioned by shard (segmented so int32 scatter indices always
-// fit) and each shard's slice is scanned, inline or from shard-disjoint
-// workers, by the shard's own containsScan.
-func (f *sharded[S]) ContainsBatch(hs []uint64, dst []bool) []bool {
-	if len(f.shards) == 1 {
-		return f.shards[0].ContainsBatch(hs, dst)
-	}
-	out := resizeBools(dst, len(hs))
-	nshards := len(f.shards)
-	for off := 0; off < len(hs); off += maxIdxSegment {
-		end := min(off+maxIdxSegment, len(hs))
-		seg, segOut := hs[off:end], out[off:end]
-		sorted, idx, bounds := shardPartitionIdx(seg, f.shardBits)
-		scan := func(s int) {
-			if bounds[s] < bounds[s+1] {
-				f.shards[s].containsScan(sorted, segOut, idx, bounds[s], bounds[s+1])
-			}
-		}
-		w := shardBatchWorkers(len(seg), nshards)
-		if w == 1 {
-			for s := 0; s < nshards; s++ {
-				scan(s)
-			}
-			continue
-		}
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(cursor.Add(1)) - 1
-					if s >= nshards {
-						break
-					}
-					scan(s)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return out
+	return n
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -10,38 +11,71 @@ import (
 	"vqf/internal/workload"
 )
 
-// TestShardPartition checks the shard counting sort: every key lands in its
-// shard's [bounds[s], bounds[s+1]) range, and the index-carrying variant
-// records each key's original position.
-func TestShardPartition(t *testing.T) {
+// TestRadixSort checks the one counting sort behind every batch write, for
+// block-prefix and shard digits: the output is a stable permutation of the
+// input and every key lies inside its bucket's bounds, where its bucket is
+// the top bits of its block index or its shard.
+func TestRadixSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, bits := range []uint{0, 1, 3, 8} {
-		hs := make([]uint64, 5000)
-		for i := range hs {
-			hs[i] = rng.Uint64()
-		}
-		sorted, bounds := shardPartition(hs, bits)
-		if len(sorted) != len(hs) || len(bounds) != (1<<bits)+1 {
-			t.Fatalf("bits %d: bad partition shape", bits)
-		}
-		for s := 0; s < 1<<bits; s++ {
-			for _, h := range sorted[bounds[s]:bounds[s+1]] {
-				if shardOf(h, bits) != uint64(s) {
-					t.Fatalf("bits %d: key %#x filed under shard %d", bits, h, s)
+	keys := make([]uint64, 5000)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	// blockPrefix is a key's primary block index cut to its top 8 bits.
+	blockPrefix := func(mask uint64, shift uint) func(uint64) uint64 {
+		drop := uint(max(bits.Len64(mask)-batchRadixBits, 0))
+		return func(h uint64) uint64 { return (h >> shift & mask) >> drop }
+	}
+	shard := func(sb uint) func(uint64) uint64 { return func(h uint64) uint64 { return ShardOf(h, sb) } }
+	for _, c := range []struct {
+		name   string
+		d      digit
+		bucket func(uint64) uint64
+		n      int
+	}{
+		{"shard/0bits", shardDigit(0), shard(0), len(keys)},
+		{"shard/1bit", shardDigit(1), shard(1), len(keys)},
+		{"shard/8bits", shardDigit(8), shard(8), len(keys)},
+		{"block/0bits", blockDigit(0, blockShift8), blockPrefix(0, blockShift8), len(keys)},
+		{"block/1bit", blockDigit(1, blockShift8), blockPrefix(1, blockShift8), len(keys)},
+		{"block/8bits", blockDigit(1<<8-1, blockShift16), blockPrefix(1<<8-1, blockShift16), len(keys)},
+		{"block/prefix", blockDigit(1<<20-1, blockShift8), blockPrefix(1<<20-1, blockShift8), len(keys)},
+		{"shard/empty", shardDigit(8), shard(8), 0},
+		{"block/empty", blockDigit(1<<20-1, blockShift8), blockPrefix(1<<20-1, blockShift8), 0},
+		{"shard/one", shardDigit(8), shard(8), 1},
+		{"block/one", blockDigit(1<<20-1, blockShift16), blockPrefix(1<<20-1, blockShift16), 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hs := keys[:c.n]
+			pos := make(map[uint64]int, len(hs)) // keys are distinct
+			for i, h := range hs {
+				pos[h] = i
+			}
+			sorted, bounds := radixSort(hs, make([]uint64, len(hs)+3), c.d)
+			if len(sorted) != len(hs) || bounds[0] != 0 || bounds[batchShards] != len(hs) {
+				t.Fatalf("shape: %d keys out of %d, bounds %d..%d", len(sorted), len(hs), bounds[0], bounds[batchShards])
+			}
+			for b := 0; b < batchShards; b++ {
+				if bounds[b] > bounds[b+1] {
+					t.Fatalf("bounds decrease at bucket %d", b)
+				}
+				last := -1
+				for _, h := range sorted[bounds[b]:bounds[b+1]] {
+					if got := c.bucket(h); got != uint64(b) {
+						t.Fatalf("key %#x (bucket %d) filed under bucket %d", h, got, b)
+					}
+					i, ok := pos[h]
+					if !ok || i <= last {
+						t.Fatalf("bucket %d: key %#x out of input order or not an input key", b, h)
+					}
+					last = i
+					delete(pos, h)
 				}
 			}
-		}
-		sortedIdx, idx, boundsIdx := shardPartitionIdx(hs, bits)
-		for i := range bounds {
-			if bounds[i] != boundsIdx[i] {
-				t.Fatalf("bits %d: bounds disagree between variants", bits)
+			if len(pos) != 0 {
+				t.Fatalf("%d input keys missing from the output", len(pos))
 			}
-		}
-		for j, h := range sortedIdx {
-			if hs[idx[j]] != h {
-				t.Fatalf("bits %d: idx[%d] does not point at its key", bits, j)
-			}
-		}
+		})
 	}
 }
 
@@ -50,7 +84,7 @@ func TestShardPartition(t *testing.T) {
 func TestShardedBasic(t *testing.T) {
 	for _, nshards := range []int{1, 4, 5, 8} {
 		f := NewSharded8(1<<13, nshards, Options{})
-		want := 1 << shardBitsFor(nshards)
+		want := 1 << ShardBitsFor(nshards)
 		if f.NumShards() != want {
 			t.Fatalf("nshards %d: got %d shards, want %d", nshards, f.NumShards(), want)
 		}

@@ -161,12 +161,11 @@ func (s *lockState) fallbackEvent(b uint64, retries uint) {
 	}
 }
 
-// keyOps is a concrete filter's per-key operation set, which the shell's
-// batch wrappers apply through func values.
+// keyOps is a concrete filter's per-key write set, which the shell's batch
+// writers apply through func values.
 type keyOps interface {
 	Insert(h uint64) bool
 	Remove(h uint64) bool
-	Contains(h uint64) bool
 }
 
 // cfilter is the shell of the thread-safe CFilter8 and CFilter16.
@@ -257,36 +256,26 @@ func (f *cfilter[B, P]) CandidateBlocks(h uint64) (uint64, uint64) {
 // order is unspecified. Safe for concurrent use alongside any other
 // operations.
 func (f *cfilter[B, P]) InsertBatch(hs []uint64) int {
-	f.st.Batch(len(hs))
-	return parallelShardCount(hs, f.mask, f.geo.blockShift, f.ops.Insert)
+	return f.sweep(hs, batchWorkers(len(hs), batchShards), f.ops.Insert)
 }
 
 // RemoveBatch removes one previously inserted instance of each key of hs in
 // parallel, returning the number found and removed. Safe for concurrent use.
 func (f *cfilter[B, P]) RemoveBatch(hs []uint64) int {
-	f.st.Batch(len(hs))
-	return parallelShardCount(hs, f.mask, f.geo.blockShift, f.ops.Remove)
+	return f.sweep(hs, batchWorkers(len(hs), batchShards), f.ops.Remove)
 }
 
-// ContainsBatch reports membership for every key of hs, in input order:
-// result[i] corresponds to hs[i]. Lookups run lock-free in parallel. The
-// result reuses dst if it has sufficient capacity (dst may be nil). Safe for
-// concurrent use.
-func (f *cfilter[B, P]) ContainsBatch(hs []uint64, dst []bool) []bool {
+// sweep counts hs as one batch and applies op to every key, radix-grouped
+// by primary block when the batch is long enough to pay off, with w workers
+// claiming the radix buckets. It returns the number of true results.
+func (f *cfilter[B, P]) sweep(hs []uint64, w int, op func(uint64) bool) int {
 	f.st.Batch(len(hs))
-	out := resizeBools(dst, len(hs))
-	parallelShardContains(hs, out, f.mask, f.geo.blockShift, f.ops.Contains)
-	return out
-}
-
-// batchSegment counts a sharded batch's segment for this shard and returns
-// it radix-grouped by primary block when it is long enough to pay off.
-func (f *cfilter[B, P]) batchSegment(seg []uint64) []uint64 {
-	f.st.Batch(len(seg))
-	if len(seg) >= minBatchPartition {
-		seg, _ = radixPartition(seg, f.mask, f.geo.blockShift)
+	if len(hs) < minBatchPartition {
+		return applyCount(hs, op)
 	}
-	return seg
+	sorted, bounds := radixSort(hs, make([]uint64, len(hs)), blockDigit(f.mask, f.geo.blockShift))
+	n, _ := claim(w, bounds[:], func(lo, hi, _ int) int { return applyCount(sorted[lo:hi], op) })
+	return n
 }
 
 // geom returns the filter's block geometry.

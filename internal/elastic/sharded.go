@@ -1,13 +1,14 @@
 package elastic
 
 import (
+	"vqf/internal/core"
 	"vqf/internal/stats"
 )
 
 // Sharded is a sharded thread-safe elastic filter: a power-of-two array of
-// independent concurrent cascades, selected by the top hash bits (the same
-// selector the sharded core filters use — the cascade levels consume only
-// lower hash bits). Each shard grows independently, so a growth in one
+// independent concurrent cascades, selected by the top hash bits (core.ShardOf,
+// the selector the sharded core filters use — the cascade levels consume
+// only lower hash bits). Each shard grows independently, so a growth in one
 // shard never serializes inserts in another; with a uniform hash the shards
 // stay within a few percent of each other in depth and load.
 //
@@ -20,17 +21,6 @@ type Sharded struct {
 	cfg       Config
 }
 
-// maxShardBits mirrors the core sharded filters' 256-shard cap.
-const maxShardBits = 8
-
-func shardBitsFor(n int) uint {
-	bits := uint(0)
-	for 1<<bits < n && bits < maxShardBits {
-		bits++
-	}
-	return bits
-}
-
 // NewSharded creates a sharded concurrent cascade with nshards shards
 // (rounded up to a power of two, clamped to [1, 256]). cfg.InitialSlots is
 // the whole filter's initial budget; each shard starts at its 1/nshards
@@ -39,7 +29,7 @@ func NewSharded(cfg Config, nshards int) (*Sharded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bits := shardBitsFor(nshards)
+	bits := core.ShardBitsFor(nshards)
 	n := 1 << bits
 	per := cfg.InitialSlots / uint64(n)
 	if per < minSlotsPerShard {
@@ -65,7 +55,7 @@ const minSlotsPerShard = 48
 // NumShards returns the shard count (a power of two).
 func (f *Sharded) NumShards() int { return len(f.shards) }
 
-func (f *Sharded) shard(h uint64) *CFilter { return f.shards[h>>(64-f.shardBits)] }
+func (f *Sharded) shard(h uint64) *CFilter { return f.shards[core.ShardOf(h, f.shardBits)] }
 
 // Insert adds the pre-hashed key h to its shard, growing that shard as
 // needed. Safe for concurrent use.
