@@ -20,31 +20,23 @@ import (
 //
 // All methods are safe for concurrent use: the filter is immutable.
 type Frozen struct {
-	f8   *fuse.Filter8
-	f16  *fuse.Filter16
+	f    *fuse.Filter
 	seed uint64
-	fpr  float64
 }
 
-// frozenFromHashes builds the fuse structure for the configured FPR: the
-// 8-bit fingerprint meets rates down to 2⁻⁸, tighter rates take the 16-bit
-// width (rejecting < 2⁻¹⁶, which no width meets).
+// frozenFromHashes builds the fuse structure at the loosest fingerprint
+// width that meets the configured FPR (fuse.WidthFor), rejecting rates
+// below 2⁻¹⁶, which no width meets.
 func frozenFromHashes(hs []uint64, c config) (*Frozen, error) {
-	f := &Frozen{seed: c.seed}
-	var err error
-	if c.fpr >= 1.0/256 {
-		f.fpr = 1.0 / 256
-		f.f8, err = fuse.Build8(hs)
-	} else if c.fpr >= 1.0/65536 {
-		f.fpr = 1.0 / 65536
-		f.f16, err = fuse.Build16(hs)
-	} else {
+	bits, ok := fuse.WidthFor(c.fpr)
+	if !ok {
 		return nil, fmt.Errorf("vqf: false-positive rate %g below frozen filter minimum 2^-16", c.fpr)
 	}
+	f, err := fuse.Build(hs, bits)
 	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return &Frozen{f: f, seed: c.seed}, nil
 }
 
 // NewFrozen builds an immutable filter over keys. Duplicate keys collapse
@@ -91,50 +83,27 @@ func (f *Frozen) ContainsUint64(key uint64) bool {
 }
 
 // ContainsHash queries a pre-hashed 64-bit key.
-func (f *Frozen) ContainsHash(h uint64) bool {
-	if f.f8 != nil {
-		return f.f8.Contains(h)
-	}
-	return f.f16.Contains(h)
-}
+func (f *Frozen) ContainsHash(h uint64) bool { return f.f.Contains(h) }
 
 // ContainsHashBatch answers membership for every pre-hashed key of hs in
 // input order, reusing dst when it has capacity (dst may be nil).
 func (f *Frozen) ContainsHashBatch(hs []uint64, dst []bool) []bool {
-	if f.f8 != nil {
-		return f.f8.ContainsBatch(hs, dst)
-	}
-	return f.f16.ContainsBatch(hs, dst)
+	return f.f.ContainsBatch(hs, dst)
 }
 
 // Count returns the number of distinct keys the filter was built over.
-func (f *Frozen) Count() uint64 {
-	if f.f8 != nil {
-		return f.f8.Keys()
-	}
-	return f.f16.Keys()
-}
+func (f *Frozen) Count() uint64 { return f.f.Keys() }
 
 // SizeBytes returns the fingerprint array's footprint.
-func (f *Frozen) SizeBytes() uint64 {
-	if f.f8 != nil {
-		return f.f8.SizeBytes()
-	}
-	return f.f16.SizeBytes()
-}
+func (f *Frozen) SizeBytes() uint64 { return f.f.SizeBytes() }
 
 // BitsPerItem returns the realized space cost per key, ≈1.13·w for a large
 // filter with w-bit fingerprints (0 when empty).
-func (f *Frozen) BitsPerItem() float64 {
-	if f.f8 != nil {
-		return f.f8.BitsPerKey()
-	}
-	return f.f16.BitsPerKey()
-}
+func (f *Frozen) BitsPerItem() float64 { return f.f.BitsPerKey() }
 
 // FalsePositiveRate returns the analytic false-positive rate of the chosen
 // fingerprint width (2⁻⁸ or 2⁻¹⁶).
-func (f *Frozen) FalsePositiveRate() float64 { return f.fpr }
+func (f *Frozen) FalsePositiveRate() float64 { return f.f.FPR() }
 
 // WriteTo serializes the filter (envelope, fingerprint width, fuse stream);
 // it implements io.WriterTo.
@@ -143,20 +112,11 @@ func (f *Frozen) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	width := []byte{16}
-	if f.f8 != nil {
-		width[0] = 8
-	}
-	if _, err := w.Write(width); err != nil {
+	if _, err := w.Write([]byte{f.f.Bits()}); err != nil {
 		return n, err
 	}
 	n++
-	var m int64
-	if f.f8 != nil {
-		m, err = f.f8.WriteTo(w)
-	} else {
-		m, err = f.f16.WriteTo(w)
-	}
+	m, err := f.f.WriteTo(w)
 	return n + m, err
 }
 
@@ -172,19 +132,9 @@ func ReadFrozen(r io.Reader) (*Frozen, error) {
 	if _, err := io.ReadFull(r, width[:]); err != nil {
 		return nil, fmt.Errorf("vqf: reading frozen width: %w", err)
 	}
-	f := &Frozen{seed: seed}
-	switch width[0] {
-	case 8:
-		f.fpr = 1.0 / 256
-		f.f8, err = fuse.Read8(r)
-	case 16:
-		f.fpr = 1.0 / 65536
-		f.f16, err = fuse.Read16(r)
-	default:
-		return nil, fmt.Errorf("vqf: frozen fingerprint width %d", width[0])
-	}
+	f, err := fuse.Read(r, width[0])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("vqf: frozen filter: %w", err)
 	}
-	return f, nil
+	return &Frozen{f: f, seed: seed}, nil
 }

@@ -2,7 +2,9 @@ package vqf
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -138,6 +140,32 @@ func TestFrozenSerializeRoundTrip(t *testing.T) {
 	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "ReadFrozen") {
 		t.Fatalf("want kind mismatch naming ReadFrozen, got %v", err)
+	}
+}
+
+// TestFrozenStreamStability pins the Frozen stream format at both
+// fingerprint widths: a filter built from a fixed key set must serialize to
+// the recorded SHA-256, so any change to the envelope, the width byte or
+// the fuse stream fails here even when writer and reader change together.
+func TestFrozenStreamStability(t *testing.T) {
+	for _, tc := range []struct {
+		fpr  float64
+		want string
+	}{
+		{1.0 / 256, "692bb2cc9f89bafe26531537661f08cc06e66a2a34306818d3534864fb70323d"},
+		{1.0 / 65536, "dee8dddd52d12bca940f883bd17b707139a0d7507dd25b4a708d9f912011b311"},
+	} {
+		f, err := NewFrozen(frozenTestKeys(5000), WithFalsePositiveRate(tc.fpr), WithSeed(77))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := sha256.New()
+		if _, err := f.WriteTo(d); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(d.Sum(nil)); got != tc.want {
+			t.Errorf("ε=%g: frozen stream digest %s, want %s", tc.fpr, got, tc.want)
+		}
 	}
 }
 

@@ -29,37 +29,18 @@ func NewCFilter8(nslots uint64, opts Options) *CFilter8 {
 	// Locked-mode convention: the stored top bit is purely the lock flag.
 	// A fresh block is empty, so the natural top bit is already 0.
 	f := new(CFilter8)
-	f.init(geom8, newBlocks[minifilter.Block8](blocksFor(nslots, minifilter.B8Slots)), 0, opts, f)
+	f.init(Geom8, newBlocks[minifilter.Block8](Geom8.Blocks(nslots)), 0, opts, f)
 	return f
 }
 
 // Insert adds the pre-hashed key h, returning false if both candidate blocks
-// are full. Safe for concurrent use. The shortcut occupancy probe is
-// optimistic, so the common low-occupancy insert acquires exactly one lock.
+// are full. Safe for concurrent use. The shortcut decision reads the
+// primary block's occupancy under its lock, so the common low-occupancy
+// insert acquires exactly one lock.
 func (f *CFilter8) Insert(h uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	blk1 := &f.blocks[b1]
 	seq1 := f.seq(b1)
-	if !f.opts.NoShortcut {
-		occ, retries, ok := blk1.OccupancyOptimisticCounted(seq1)
-		f.st.Optimistic(b1, retries, !ok)
-		if !ok {
-			f.fallbackEvent(b1, retries)
-		}
-		if ok && occ < f.thresh {
-			blk1.Lock()
-			// Re-check under the lock: a racing writer may have filled the
-			// block past the threshold since the probe.
-			if blk1.OccupancyLocked() < f.thresh {
-				blk1.InsertLocked(bucket, fp)
-				blk1.UnlockBump(seq1)
-				f.count.Add(1)
-				f.st.ShortcutInsert(b1)
-				return true
-			}
-			blk1.Unlock()
-		}
-	}
 	blk1.Lock()
 	occ1 := blk1.OccupancyLocked()
 	if !f.opts.NoShortcut && occ1 < f.thresh {
@@ -234,7 +215,7 @@ type CFilter16 struct {
 // NewCFilter16 creates a thread-safe 16-bit-fingerprint filter.
 func NewCFilter16(nslots uint64, opts Options) *CFilter16 {
 	f := new(CFilter16)
-	f.init(geom16, newBlocks[minifilter.Block16](blocksFor(nslots, minifilter.B16Slots)), 0, opts, f)
+	f.init(Geom16, newBlocks[minifilter.Block16](Geom16.Blocks(nslots)), 0, opts, f)
 	return f
 }
 
@@ -244,24 +225,6 @@ func (f *CFilter16) Insert(h uint64) bool {
 	b1, bucket, fp, tag := split16(h, f.mask)
 	blk1 := &f.blocks[b1]
 	seq1 := f.seq(b1)
-	if !f.opts.NoShortcut {
-		occ, retries, ok := blk1.OccupancyOptimisticCounted(seq1)
-		f.st.Optimistic(b1, retries, !ok)
-		if !ok {
-			f.fallbackEvent(b1, retries)
-		}
-		if ok && occ < f.thresh {
-			blk1.Lock()
-			if blk1.OccupancyLocked() < f.thresh {
-				blk1.InsertLocked(bucket, fp)
-				blk1.UnlockBump(seq1)
-				f.count.Add(1)
-				f.st.ShortcutInsert(b1)
-				return true
-			}
-			blk1.Unlock()
-		}
-	}
 	blk1.Lock()
 	occ1 := blk1.OccupancyLocked()
 	if !f.opts.NoShortcut && occ1 < f.thresh {

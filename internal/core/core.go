@@ -50,13 +50,13 @@ type Options struct {
 	ShortcutThreshold uint
 }
 
-func (o Options) threshold(g *geometry) uint {
+func (o Options) threshold(g *Geometry) uint {
 	t := o.ShortcutThreshold
 	if t == 0 {
-		t = g.defThresh
+		t = g.Threshold
 	}
-	if t > uint(g.slots) {
-		t = uint(g.slots) // a threshold beyond capacity would let the shortcut path hit a full block
+	if t > uint(g.Slots) {
+		t = uint(g.Slots) // a threshold beyond capacity would let the shortcut path hit a full block
 	}
 	return t
 }
@@ -68,39 +68,98 @@ const (
 	blockShift16 = 32
 )
 
-// geometry is one block width's constants as data, for the shared shell
-// (shell.go). The width-specific hot paths use the constants directly.
-type geometry struct {
-	slots, buckets uint64
+// Geometry is one of the paper's two block geometries (§6.1) as a value:
+// 48 slots over 80 buckets with 8-bit fingerprints, or 28 over 36 with
+// 16-bit ones. The width is a type only where a block or fingerprint
+// kernel runs per key (Filter8/Filter16, CFilter8/CFilter16 and the split
+// functions beneath them); everything above those kernels — the facade,
+// the cascade, the frozen tier, the harness — holds a *Geometry and asks
+// it. Geom8 and Geom16 are the only values; compare them by pointer.
+type Geometry struct {
+	// Slots and Buckets are the fingerprint slots and buckets per block.
+	Slots, Buckets uint64
+	// FPBits is the fingerprint width; it is also the on-disk tag of the
+	// geometry (sharded streams, cascade level records).
+	FPBits uint
+	// BlockShift is the hash bit offset of the primary block index.
+	BlockShift uint
+	// Threshold is the default shortcut threshold in slots (see
+	// Options.ShortcutThreshold).
+	Threshold uint
+	// FPR is the analytic full-load false-positive rate 2·(s/b)·2⁻ʳ
+	// (paper §5).
+	FPR float64
+
 	// metaWords is how many of the block's eight words hold metadata: two
 	// for Block8 (MetaLo, MetaHi), one for Block16 (Meta). The top bit of
 	// the last one is the lock bit in locked mode.
 	metaWords int
-	// defThresh is the geometry-default shortcut threshold (see
-	// Options.ShortcutThreshold).
-	defThresh  uint
-	blockShift uint
-	// fpBits is the fingerprint width; it is also the sharded stream's
-	// geometry tag.
-	fpBits uint16
-	magic  uint32
+	magic     uint32
 }
 
-var (
-	geom8 = &geometry{slots: minifilter.B8Slots, buckets: minifilter.B8Buckets, metaWords: 2,
-		defThresh: 36, blockShift: blockShift8, fpBits: 8, magic: magic8} // threshold 75% of 48
-	geom16 = &geometry{slots: minifilter.B16Slots, buckets: minifilter.B16Buckets, metaWords: 1,
-		defThresh: 18, blockShift: blockShift16, fpBits: 16, magic: magic16} // threshold 64% of 28
+// FPR8 and FPR16 are the two geometries' analytic full-load
+// false-positive rates 2·(s/b)·2⁻ʳ (paper §5).
+const (
+	FPR8  = 2.0 * minifilter.B8Slots / minifilter.B8Buckets / (1 << 8)
+	FPR16 = 2.0 * minifilter.B16Slots / minifilter.B16Buckets / (1 << 16)
 )
 
-// candidates returns h's primary block and its xor-linked partner under
-// mask: split8/split16 with the geometry's constants read from g.
-func (g *geometry) candidates(h, mask uint64) (uint64, uint64) {
-	bucket := uint64(uint32(h&0xffff) * uint32(g.buckets) >> 16)
-	fp := h >> 16 & (1<<g.fpBits - 1)
-	b1 := h >> g.blockShift & mask
-	return b1, hashing.AltIndex(b1, bucket<<g.fpBits|fp, mask)
+var (
+	// Geom8 is the 8-bit-fingerprint geometry, with the paper's 75%
+	// (36/48) shortcut threshold.
+	Geom8 = &Geometry{Slots: minifilter.B8Slots, Buckets: minifilter.B8Buckets, FPBits: 8,
+		BlockShift: blockShift8, Threshold: 36, FPR: FPR8, metaWords: 2, magic: magic8}
+	// Geom16 is the 16-bit-fingerprint geometry, with a 64% (18/28)
+	// shortcut threshold.
+	Geom16 = &Geometry{Slots: minifilter.B16Slots, Buckets: minifilter.B16Buckets, FPBits: 16,
+		BlockShift: blockShift16, Threshold: 18, FPR: FPR16, metaWords: 1, magic: magic16}
+)
+
+// GeometryFor picks the geometry for a target false-positive rate: Geom8
+// when its full-load rate — the loosest a VQF meets — satisfies the
+// target, Geom16 otherwise.
+func GeometryFor(fpr float64) *Geometry {
+	if fpr >= Geom8.FPR {
+		return Geom8
+	}
+	return Geom16
 }
+
+// GeometryOfBits returns the geometry with bits-bit fingerprints, or nil
+// when there is none; readers use it to decode an on-disk geometry tag.
+func GeometryOfBits(bits uint) *Geometry {
+	switch bits {
+	case Geom8.FPBits:
+		return Geom8
+	case Geom16.FPBits:
+		return Geom16
+	}
+	return nil
+}
+
+// Split decomposes h as split8/split16 do, with the geometry's constants
+// read from g: its primary block b1, the xor-linked partner b2 under mask
+// (equal to b1 when the tag maps the block onto itself), and its bucket
+// and fingerprint.
+func (g *Geometry) Split(h, mask uint64) (b1, b2 uint64, bucket uint, fp uint64) {
+	bucket = uint(uint32(h&0xffff) * uint32(g.Buckets) >> 16)
+	fp = h >> 16 & (1<<g.FPBits - 1)
+	b1 = h >> g.BlockShift & mask
+	return b1, hashing.AltIndex(b1, uint64(bucket)<<g.FPBits|fp, mask), bucket, fp
+}
+
+// Candidates returns h's primary block and its xor-linked partner under
+// mask. Fold anchors its representative at the smaller of the two;
+// callers that must enumerate every block a key can occupy — reconcile's
+// stride walk over a frozen fuse level — need both.
+func (g *Geometry) Candidates(h, mask uint64) (uint64, uint64) {
+	b1, b2, _, _ := g.Split(h, mask)
+	return b1, b2
+}
+
+// Blocks returns the power-of-two number of blocks (at least two) that
+// hold nslots slots of this geometry.
+func (g *Geometry) Blocks(nslots uint64) uint64 { return blocksFor(nslots, g.Slots) }
 
 // blocksFor returns the power-of-two number of blocks needed for nslots slots
 // of capacity with slotsPerBlock slots each.

@@ -18,7 +18,7 @@ type Filter16 struct {
 // NewFilter8 for sizing semantics.
 func NewFilter16(nslots uint64, opts Options) *Filter16 {
 	f := new(Filter16)
-	f.init(geom16, newBlocks[minifilter.Block16](blocksFor(nslots, minifilter.B16Slots)), 0, opts)
+	f.init(Geom16, newBlocks[minifilter.Block16](Geom16.Blocks(nslots)), 0, opts)
 	return f
 }
 

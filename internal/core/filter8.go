@@ -20,7 +20,7 @@ type Filter8 struct {
 // (≈ 94.4% without).
 func NewFilter8(nslots uint64, opts Options) *Filter8 {
 	f := new(Filter8)
-	f.init(geom8, newBlocks[minifilter.Block8](blocksFor(nslots, minifilter.B8Slots)), 0, opts)
+	f.init(Geom8, newBlocks[minifilter.Block8](Geom8.Blocks(nslots)), 0, opts)
 	return f
 }
 

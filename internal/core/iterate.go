@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"vqf/internal/hashing"
@@ -34,70 +35,83 @@ func canonLow16(bucket uint, nbuckets uint) uint64 {
 	return (uint64(bucket)<<16 + uint64(nbuckets) - 1) / uint64(nbuckets)
 }
 
-// CanonicalHash8 reconstructs a canonical preimage hash for an item iterated
+// canonical8 reconstructs a canonical preimage hash for an item iterated
 // from block b of an 8-bit-fingerprint filter: split8 maps it back to
 // exactly (b&mask, bucket, fp) on any filter whose block mask covers b.
-func CanonicalHash8(b uint64, bucket uint, fp byte) uint64 {
-	return canonLow16(bucket, minifilter.B8Buckets) | uint64(fp)<<16 | b<<24
+func canonical8(b uint64, bucket uint, fp byte) uint64 {
+	return canonLow16(bucket, minifilter.B8Buckets) | uint64(fp)<<16 | b<<blockShift8
 }
 
-// CanonicalHash16 reconstructs a canonical preimage hash for an item
-// iterated from block b of a 16-bit-fingerprint filter; see CanonicalHash8.
-func CanonicalHash16(b uint64, bucket uint, fp uint16) uint64 {
-	return canonLow16(bucket, minifilter.B16Buckets) | uint64(fp)<<16 | b<<32
+// canonical16 is canonical8 for the 16-bit-fingerprint geometry.
+func canonical16(b uint64, bucket uint, fp uint16) uint64 {
+	return canonLow16(bucket, minifilter.B16Buckets) | uint64(fp)<<16 | b<<blockShift16
 }
 
-// BlocksFor exposes the geometry's block-count rounding (power of two,
-// minimum 2) so cascade compaction can size a merged level without
-// duplicating the rule.
-func BlocksFor(nslots, slotsPerBlock uint64) uint64 {
-	return blocksFor(nslots, slotsPerBlock)
-}
-
-// FoldHash8 returns the canonical representative hash of h's candidate
-// block PAIR under the given block mask (mask = blocks−1, power of two
-// minus one): the canonical hash anchored at the smaller of the two
-// xor-linked candidate blocks. Every hash indistinguishable from h to an
-// 8-bit-fingerprint filter of that size — including any canonical hash
-// iterated from a LARGER xor-linked filter that stored h — folds to the
-// same representative: the candidate pair is closed under mask truncation
-// (see the package comment), and min() picks the same element regardless of
-// which member the input hash was anchored at. The frozen tier keys its
-// immutable filters by this value, collapsing the two-block probe of the
-// VQF geometry into one exact-match key.
-func FoldHash8(h, mask uint64) uint64 {
-	b1, bucket, fp, tag := split8(h, mask)
-	if b2 := hashing.AltIndex(b1, tag, mask); b2 < b1 {
-		b1 = b2
+// Canonical reconstructs a canonical preimage hash for an item with the
+// given bucket and fingerprint iterated from block b: splitting it under
+// any block mask that covers b yields exactly (b&mask, bucket, fp).
+func (g *Geometry) Canonical(b uint64, bucket uint, fp uint64) uint64 {
+	if g.FPBits == 8 {
+		return canonical8(b, bucket, byte(fp))
 	}
-	return CanonicalHash8(b1, bucket, fp)
+	return canonical16(b, bucket, uint16(fp))
 }
 
-// CandidatePair8 returns h's two xor-linked candidate block indices in an
-// 8-bit-fingerprint geometry under the given block mask (equal when the tag
-// maps the primary block onto itself). FoldHash8 anchors its representative
-// at the smaller of the two; callers that must enumerate every block a key
-// can occupy — reconcile's stride walk over a frozen fuse level — need both.
-func CandidatePair8(h, mask uint64) (uint64, uint64) {
-	b1, _, _, tag := split8(h, mask)
-	return b1, hashing.AltIndex(b1, tag, mask)
-}
-
-// CandidatePair16 returns h's two candidate block indices in a
-// 16-bit-fingerprint geometry; see CandidatePair8.
-func CandidatePair16(h, mask uint64) (uint64, uint64) {
-	b1, _, _, tag := split16(h, mask)
-	return b1, hashing.AltIndex(b1, tag, mask)
-}
-
-// FoldHash16 returns the canonical pair-representative hash of h for the
-// 16-bit-fingerprint geometry; see FoldHash8.
-func FoldHash16(h, mask uint64) uint64 {
+// Fold returns the canonical representative hash of h's candidate block
+// PAIR under the given block mask (mask = blocks−1, power of two minus
+// one): the canonical hash anchored at the smaller of the two xor-linked
+// candidate blocks. Every hash indistinguishable from h to a filter of this
+// geometry and size — including any canonical hash iterated from a LARGER
+// xor-linked filter that stored h — folds to the same representative: the
+// candidate pair is closed under mask truncation (see the package
+// comment), and min() picks the same element regardless of which member
+// the input hash was anchored at. The frozen tier keys its immutable
+// filters by this value, collapsing the two-block probe of the VQF
+// geometry into one exact-match key.
+//
+// Every cascade lookup that reaches a fuse level folds its key here, so
+// Fold branches once on the width and then runs that width's static split
+// and canonical helpers: the bucket count stays a constant and
+// canonLow16's division compiles to a multiply.
+func (g *Geometry) Fold(h, mask uint64) uint64 {
+	if g.FPBits == 8 {
+		b1, bucket, fp, tag := split8(h, mask)
+		if b2 := hashing.AltIndex(b1, tag, mask); b2 < b1 {
+			b1 = b2
+		}
+		return canonical8(b1, bucket, fp)
+	}
 	b1, bucket, fp, tag := split16(h, mask)
 	if b2 := hashing.AltIndex(b1, tag, mask); b2 < b1 {
 		b1 = b2
 	}
-	return CanonicalHash16(b1, bucket, fp)
+	return canonical16(b1, bucket, fp)
+}
+
+// Pack maps a canonical hash to a dense integer — (block·2^FPBits +
+// fingerprint)·Buckets + bucket — monotone in (block, fingerprint,
+// bucket).
+func (g *Geometry) Pack(k uint64) uint64 {
+	return (k>>16)*g.Buckets + (k&0xffff)*g.Buckets>>16
+}
+
+// Unpack inverts Pack back to the canonical hash. Like Fold it branches
+// once on the width, so its division is by a constant bucket count.
+func (g *Geometry) Unpack(p uint64) uint64 {
+	if g.FPBits == 8 {
+		rest, bucket := p/minifilter.B8Buckets, p%minifilter.B8Buckets
+		return canonical8(rest>>8, uint(bucket), byte(rest))
+	}
+	rest, bucket := p/minifilter.B16Buckets, p%minifilter.B16Buckets
+	return canonical16(rest>>16, uint(bucket), uint16(rest))
+}
+
+// CanonicalFPR is the canonical-collision false-positive rate of live keys
+// folded onto blocks blocks: a negative key collides with one of the stored
+// (block, bucket, fingerprint) representatives with probability
+// ≈ 2·live/(blocks·buckets·2^FPBits).
+func (g *Geometry) CanonicalFPR(live, blocks uint64) float64 {
+	return 2 * float64(live) / (float64(blocks) * float64(g.Buckets) * math.Ldexp(1, int(g.FPBits)))
 }
 
 // IterateHashes yields one canonical hash per stored fingerprint instance,
@@ -109,7 +123,7 @@ func (f *Filter8) IterateHashes(yield func(h uint64) bool) bool {
 	for i := range f.blocks {
 		b := uint64(i)
 		if !f.blocks[i].Iterate(func(bucket uint, fp byte) bool {
-			return yield(CanonicalHash8(b, bucket, fp))
+			return yield(canonical8(b, bucket, fp))
 		}) {
 			return false
 		}
@@ -123,7 +137,7 @@ func (f *Filter16) IterateHashes(yield func(h uint64) bool) bool {
 	for i := range f.blocks {
 		b := uint64(i)
 		if !f.blocks[i].Iterate(func(bucket uint, fp uint16) bool {
-			return yield(CanonicalHash16(b, bucket, fp))
+			return yield(canonical16(b, bucket, fp))
 		}) {
 			return false
 		}
@@ -142,7 +156,7 @@ func (f *CFilter8) IterateHashes(yield func(h uint64) bool) bool {
 	for i := range f.blocks {
 		b := uint64(i)
 		if !f.blocks[i].SnapshotIterate(f.seq(b), func(bucket uint, fp byte) bool {
-			return yield(CanonicalHash8(b, bucket, fp))
+			return yield(canonical8(b, bucket, fp))
 		}) {
 			return false
 		}
@@ -156,7 +170,7 @@ func (f *CFilter16) IterateHashes(yield func(h uint64) bool) bool {
 	for i := range f.blocks {
 		b := uint64(i)
 		if !f.blocks[i].SnapshotIterate(f.seq(b), func(bucket uint, fp uint16) bool {
-			return yield(CanonicalHash16(b, bucket, fp))
+			return yield(canonical16(b, bucket, fp))
 		}) {
 			return false
 		}

@@ -30,9 +30,9 @@ type KVFilter8 struct {
 
 // NewKV8 creates a value-associating filter with at least nslots slots.
 func NewKV8(nslots uint64) *KVFilter8 {
-	k := blocksFor(nslots, minifilter.B8Slots)
+	k := Geom8.Blocks(nslots)
 	f := &KVFilter8{vals: make([]byte, k*minifilter.B8Slots)}
-	f.init(geom8, newBlocks[minifilter.Block8](k), 0, Options{})
+	f.init(Geom8, newBlocks[minifilter.Block8](k), 0, Options{})
 	return f
 }
 

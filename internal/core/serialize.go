@@ -154,7 +154,7 @@ func readHeader(r io.Reader, wantMagic uint32, bytesPerBlock, slotsPerBlock uint
 // words of ws and, for the KV filter, its share of vals. locked converts
 // each block from the concurrent filters' locked-mode metadata to the plain
 // form (see the file comment).
-func writeStream(w io.Writer, magic uint32, g *geometry, ws []uint64, vals []byte, count uint64, opts Options, locked bool) (int64, error) {
+func writeStream(w io.Writer, magic uint32, g *Geometry, ws []uint64, vals []byte, count uint64, opts Options, locked bool) (int64, error) {
 	nblocks := len(ws) / 8
 	if err := writeHeader(w, magic, uint64(nblocks), count, opts); err != nil {
 		return 0, err
@@ -171,7 +171,7 @@ func writeStream(w io.Writer, magic uint32, g *geometry, ws []uint64, vals []byt
 			if blk[last]&minifilter.LockBit != 0 {
 				return n, errLockedBlock(i)
 			}
-			if metaOnes(blk, g) == g.buckets-1 {
+			if metaOnes(blk, g) == g.Buckets-1 {
 				// Full: the top bit is the final terminator.
 				binary.LittleEndian.PutUint64(buf[8*last:], blk[last]|minifilter.LockBit)
 			}
@@ -190,8 +190,8 @@ func writeStream(w io.Writer, magic uint32, g *geometry, ws []uint64, vals []byt
 // array (and value array, when valsPerBlock > 0), checking the header
 // against magic and g, the block count against wantBlocks when that is
 // nonzero, and the blocks' plain-form invariants once read.
-func readStream[B any](r io.Reader, magic uint32, g *geometry, wantBlocks uint64, valsPerBlock int) (blocks []B, vals []byte, count uint64, opts Options, err error) {
-	nblocks, count, opts, err := readHeader(r, magic, uint64(blockBytes+valsPerBlock), g.slots)
+func readStream[B any](r io.Reader, magic uint32, g *Geometry, wantBlocks uint64, valsPerBlock int) (blocks []B, vals []byte, count uint64, opts Options, err error) {
+	nblocks, count, opts, err := readHeader(r, magic, uint64(blockBytes+valsPerBlock), g.Slots)
 	if err != nil {
 		return nil, nil, 0, opts, err
 	}
@@ -228,7 +228,7 @@ func readStream[B any](r io.Reader, magic uint32, g *geometry, wantBlocks uint64
 }
 
 // metaOnes counts the terminator bits in a block's metadata words.
-func metaOnes(blk []uint64, g *geometry) uint64 {
+func metaOnes(blk []uint64, g *Geometry) uint64 {
 	ones := 0
 	for _, m := range blk[:g.metaWords] {
 		ones += bits.OnesCount64(m)
@@ -241,12 +241,12 @@ func metaOnes(blk []uint64, g *geometry) uint64 {
 // occupancies sum to count. With exactly that many terminators the final
 // one is the highest set metadata bit, so no used bit can lie above it and
 // the occupancy is its position past the bucket count.
-func checkBlocks(ws []uint64, g *geometry, count uint64) error {
+func checkBlocks(ws []uint64, g *Geometry, count uint64) error {
 	var total uint64
 	for i := 0; i < len(ws); i += 8 {
 		blk := ws[i : i+8]
-		if ones := metaOnes(blk, g); ones != g.buckets {
-			return fmt.Errorf("block %d: %d terminator bits, want %d", i/8, ones, g.buckets)
+		if ones := metaOnes(blk, g); ones != g.Buckets {
+			return fmt.Errorf("block %d: %d terminator bits, want %d", i/8, ones, g.Buckets)
 		}
 		top := 0
 		for j, m := range blk[:g.metaWords] {
@@ -254,9 +254,9 @@ func checkBlocks(ws []uint64, g *geometry, count uint64) error {
 				top = 64*j + bits.Len64(m)
 			}
 		}
-		occ := uint64(top) - g.buckets
-		if occ > g.slots {
-			return fmt.Errorf("block %d: occupancy %d exceeds %d slots", i/8, occ, g.slots)
+		occ := uint64(top) - g.Buckets
+		if occ > g.Slots {
+			return fmt.Errorf("block %d: occupancy %d exceeds %d slots", i/8, occ, g.Slots)
 		}
 		total += occ
 	}
@@ -275,7 +275,7 @@ func errLockedBlock(i int) error {
 // ReadFilter8 deserializes a Filter8 written by WriteTo.
 func ReadFilter8(r io.Reader) (*Filter8, error) {
 	f := new(Filter8)
-	return readInto(f, f.read(r, geom8, 0))
+	return readInto(f, f.read(r, Geom8, 0))
 }
 
 // ReadFilter8Sized deserializes a Filter8 whose geometry is known in advance
@@ -284,33 +284,33 @@ func ReadFilter8(r io.Reader) (*Filter8, error) {
 // would build, rejecting inconsistent streams before any block allocation.
 func ReadFilter8Sized(r io.Reader, wantSlots uint64) (*Filter8, error) {
 	f := new(Filter8)
-	return readInto(f, f.read(r, geom8, blocksFor(wantSlots, minifilter.B8Slots)))
+	return readInto(f, f.read(r, Geom8, Geom8.Blocks(wantSlots)))
 }
 
 // ReadFilter16 deserializes a Filter16 written by WriteTo.
 func ReadFilter16(r io.Reader) (*Filter16, error) {
 	f := new(Filter16)
-	return readInto(f, f.read(r, geom16, 0))
+	return readInto(f, f.read(r, Geom16, 0))
 }
 
 // ReadFilter16Sized is ReadFilter8Sized for the 16-bit geometry.
 func ReadFilter16Sized(r io.Reader, wantSlots uint64) (*Filter16, error) {
 	f := new(Filter16)
-	return readInto(f, f.read(r, geom16, blocksFor(wantSlots, minifilter.B16Slots)))
+	return readInto(f, f.read(r, Geom16, Geom16.Blocks(wantSlots)))
 }
 
 // ReadCFilter8 deserializes a concurrent filter from a Filter8-format stream
 // (written by either CFilter8.WriteTo or Filter8.WriteTo).
 func ReadCFilter8(r io.Reader) (*CFilter8, error) {
 	f := new(CFilter8)
-	return readInto(f, f.read(r, geom8, f))
+	return readInto(f, f.read(r, Geom8, f))
 }
 
 // ReadCFilter16 deserializes a concurrent filter from a Filter16-format
 // stream.
 func ReadCFilter16(r io.Reader) (*CFilter16, error) {
 	f := new(CFilter16)
-	return readInto(f, f.read(r, geom16, f))
+	return readInto(f, f.read(r, Geom16, f))
 }
 
 // readInto returns the filter a reader filled, or nil and the read error.
@@ -325,17 +325,17 @@ func readInto[F any](f *F, err error) (*F, error) {
 // then each block's 64 bytes followed by its parallel value bytes. It
 // implements io.WriterTo.
 func (f *KVFilter8) WriteTo(w io.Writer) (int64, error) {
-	return writeStream(w, magicKV, geom8, words(f.blocks), f.vals, f.count, Options{}, false)
+	return writeStream(w, magicKV, Geom8, words(f.blocks), f.vals, f.count, Options{}, false)
 }
 
 // ReadKV8 deserializes a KVFilter8 written by WriteTo.
 func ReadKV8(r io.Reader) (*KVFilter8, error) {
-	blocks, vals, count, _, err := readStream[minifilter.Block8](r, magicKV, geom8, 0, minifilter.B8Slots)
+	blocks, vals, count, _, err := readStream[minifilter.Block8](r, magicKV, Geom8, 0, minifilter.B8Slots)
 	if err != nil {
 		return nil, err
 	}
 	f := &KVFilter8{vals: vals}
-	f.init(geom8, blocks, count, Options{})
+	f.init(Geom8, blocks, count, Options{})
 	return f, nil
 }
 
@@ -363,7 +363,7 @@ func readShardHeader(r io.Reader) (geom uint16, nshards uint32, err error) {
 		return 0, 0, fmt.Errorf("%w: unsupported shard version %d", ErrBadFormat, v)
 	}
 	geom = binary.LittleEndian.Uint16(hdr[6:])
-	if geom != 8 && geom != 16 {
+	if GeometryOfBits(uint(geom)) == nil {
 		return 0, 0, fmt.Errorf("%w: unknown shard geometry %d", ErrBadFormat, geom)
 	}
 	nshards = binary.LittleEndian.Uint32(hdr[8:])
@@ -378,7 +378,7 @@ func readShardHeader(r io.Reader) (geom uint16, nshards uint32, err error) {
 // each shard's stream. It implements io.WriterTo; the filter must be
 // quiescent.
 func (f *sharded[S]) WriteTo(w io.Writer) (int64, error) {
-	n, err := writeShardHeader(w, f.shards[0].geom().fpBits, uint32(len(f.shards)))
+	n, err := writeShardHeader(w, uint16(f.Geometry().FPBits), uint32(len(f.shards)))
 	if err != nil {
 		return n, err
 	}

@@ -73,7 +73,7 @@ type shardFilter interface {
 	SetEventRing(r *telemetry.Ring)
 	WriteTo(w io.Writer) (int64, error)
 	sweep(hs []uint64, w int, op func(uint64) bool) int
-	geom() *geometry
+	Geometry() *Geometry
 }
 
 // sharded is the shell of Sharded8 and Sharded16: an array of concurrent
@@ -262,6 +262,9 @@ func (f *sharded[S]) Stats() stats.OpCounts {
 
 // SlotsPerBlock returns the fingerprint slots per mini-filter block.
 func (f *sharded[S]) SlotsPerBlock() uint { return f.shards[0].SlotsPerBlock() }
+
+// Geometry returns the block geometry every shard shares.
+func (f *sharded[S]) Geometry() *Geometry { return f.shards[0].Geometry() }
 
 // BlockOccupancies returns the concatenated per-block occupancies of every
 // shard, in shard order — all shards share one geometry, so the combined

@@ -57,7 +57,7 @@ type filter[B any, P blockPtr[B]] struct {
 	count  uint64
 	opts   Options
 	thresh uint
-	geo    *geometry
+	geo    *Geometry
 	st     stats.Local
 
 	// scratch backs the sequential batch pipeline (batch.go); owning it here
@@ -65,13 +65,13 @@ type filter[B any, P blockPtr[B]] struct {
 	scratch batchScratch
 }
 
-func (f *filter[B, P]) init(g *geometry, blocks []B, count uint64, opts Options) {
+func (f *filter[B, P]) init(g *Geometry, blocks []B, count uint64, opts Options) {
 	f.blocks, f.mask, f.count = blocks, uint64(len(blocks))-1, count
 	f.opts, f.thresh, f.geo = opts, opts.threshold(g), g
 }
 
 // Capacity returns the total number of fingerprint slots.
-func (f *filter[B, P]) Capacity() uint64 { return uint64(len(f.blocks)) * f.geo.slots }
+func (f *filter[B, P]) Capacity() uint64 { return uint64(len(f.blocks)) * f.geo.Slots }
 
 // Count returns the number of fingerprints currently stored.
 func (f *filter[B, P]) Count() uint64 { return f.count }
@@ -86,7 +86,10 @@ func (f *filter[B, P]) NumBlocks() uint64 { return uint64(len(f.blocks)) }
 func (f *filter[B, P]) SizeBytes() uint64 { return uint64(len(f.blocks)) * 64 }
 
 // SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *filter[B, P]) SlotsPerBlock() uint { return uint(f.geo.slots) }
+func (f *filter[B, P]) SlotsPerBlock() uint { return uint(f.geo.Slots) }
+
+// Geometry returns the filter's block geometry.
+func (f *filter[B, P]) Geometry() *Geometry { return f.geo }
 
 // Stats returns the filter's operation counters. Like every other method of
 // the single-threaded filter, it must not race with mutations.
@@ -105,7 +108,7 @@ func (f *filter[B, P]) BlockOccupancies() []uint {
 // CandidateBlocks returns the two block indices the pre-hashed key h may
 // occupy (equal when the xor trick maps a tag back onto its primary block).
 func (f *filter[B, P]) CandidateBlocks(h uint64) (uint64, uint64) {
-	return f.geo.candidates(h, f.mask)
+	return f.geo.Candidates(h, f.mask)
 }
 
 // CheckInvariants verifies the filter's structural invariants: every block's
@@ -125,7 +128,7 @@ func (f *filter[B, P]) WriteTo(w io.Writer) (int64, error) {
 
 // read loads a plain-form filter stream into f; wantBlocks != 0
 // pins the block count (see ReadFilter8Sized).
-func (f *filter[B, P]) read(r io.Reader, g *geometry, wantBlocks uint64) error {
+func (f *filter[B, P]) read(r io.Reader, g *Geometry, wantBlocks uint64) error {
 	blocks, _, count, opts, err := readStream[B](r, g.magic, g, wantBlocks, 0)
 	if err != nil {
 		return err
@@ -176,12 +179,12 @@ type cfilter[B any, P blockPtr[B]] struct {
 	count  atomic.Uint64
 	opts   Options
 	thresh uint
-	geo    *geometry
+	geo    *Geometry
 	st     stats.Striped
 	ops    keyOps // the embedding filter itself
 }
 
-func (f *cfilter[B, P]) init(g *geometry, blocks []B, count uint64, opts Options, ops keyOps) {
+func (f *cfilter[B, P]) init(g *Geometry, blocks []B, count uint64, opts Options, ops keyOps) {
 	nstripes := min(uint64(len(blocks)), seqStripesMax) // both powers of two
 	f.blocks, f.mask = blocks, uint64(len(blocks))-1
 	f.seqs, f.seqMask = make([]atomic.Uint64, nstripes), nstripes-1
@@ -190,7 +193,7 @@ func (f *cfilter[B, P]) init(g *geometry, blocks []B, count uint64, opts Options
 }
 
 // Capacity returns the total number of fingerprint slots.
-func (f *cfilter[B, P]) Capacity() uint64 { return uint64(len(f.blocks)) * f.geo.slots }
+func (f *cfilter[B, P]) Capacity() uint64 { return uint64(len(f.blocks)) * f.geo.Slots }
 
 // Count returns the number of fingerprints currently stored.
 func (f *cfilter[B, P]) Count() uint64 { return f.count.Load() }
@@ -208,7 +211,7 @@ func (f *cfilter[B, P]) SizeBytes() uint64 {
 }
 
 // SlotsPerBlock returns the fingerprint slots per mini-filter block.
-func (f *cfilter[B, P]) SlotsPerBlock() uint { return uint(f.geo.slots) }
+func (f *cfilter[B, P]) SlotsPerBlock() uint { return uint(f.geo.Slots) }
 
 // Stats returns the filter's operation counters. Safe for concurrent use:
 // stripes are summed with atomic loads and writers are never blocked. Each
@@ -247,7 +250,7 @@ func (f *cfilter[B, P]) BlockOccupancies() []uint {
 
 // CandidateBlocks returns the two candidate block indices for h.
 func (f *cfilter[B, P]) CandidateBlocks(h uint64) (uint64, uint64) {
-	return f.geo.candidates(h, f.mask)
+	return f.geo.Candidates(h, f.mask)
 }
 
 // InsertBatch inserts the keys of hs in parallel, returning the number
@@ -273,13 +276,13 @@ func (f *cfilter[B, P]) sweep(hs []uint64, w int, op func(uint64) bool) int {
 	if len(hs) < minBatchPartition {
 		return applyCount(hs, op)
 	}
-	sorted, bounds := radixSort(hs, make([]uint64, len(hs)), blockDigit(f.mask, f.geo.blockShift))
+	sorted, bounds := radixSort(hs, make([]uint64, len(hs)), blockDigit(f.mask, f.geo.BlockShift))
 	n, _ := claim(w, bounds[:], func(lo, hi, _ int) int { return applyCount(sorted[lo:hi], op) })
 	return n
 }
 
-// geom returns the filter's block geometry.
-func (f *cfilter[B, P]) geom() *geometry { return f.geo }
+// Geometry returns the filter's block geometry.
+func (f *cfilter[B, P]) Geometry() *Geometry { return f.geo }
 
 // WriteTo serializes the filter in the sequential stream format of its
 // width; it implements io.WriterTo. The filter must be quiescent (see
@@ -290,7 +293,7 @@ func (f *cfilter[B, P]) WriteTo(w io.Writer) (int64, error) {
 
 // read loads a stream of either the sequential or the concurrent writer
 // into f, converting each block to the locked-mode form.
-func (f *cfilter[B, P]) read(r io.Reader, g *geometry, ops keyOps) error {
+func (f *cfilter[B, P]) read(r io.Reader, g *Geometry, ops keyOps) error {
 	blocks, _, count, opts, err := readStream[B](r, g.magic, g, 0, 0)
 	if err != nil {
 		return err

@@ -55,7 +55,7 @@ type cascadeState struct {
 
 	// newCore builds every VQF level's core filter: the sequential or the
 	// thread-safe variants, chosen once at construction.
-	newCore func(kind uint8, slots uint64, opts core.Options) coreFilter
+	newCore func(g *core.Geometry, slots uint64, opts core.Options) coreFilter
 	// growEvent is the event kind growth records (EvElasticGrow or
 	// EvElasticSwap).
 	growEvent telemetry.EventKind
@@ -72,15 +72,15 @@ type opTotals struct {
 }
 
 // sequentialCore and concurrentCore are the two level constructors.
-func sequentialCore(kind uint8, slots uint64, opts core.Options) coreFilter {
-	if kind == 8 {
+func sequentialCore(g *core.Geometry, slots uint64, opts core.Options) coreFilter {
+	if g == core.Geom8 {
 		return core.NewFilter8(slots, opts)
 	}
 	return core.NewFilter16(slots, opts)
 }
 
-func concurrentCore(kind uint8, slots uint64, opts core.Options) coreFilter {
-	if kind == 8 {
+func concurrentCore(g *core.Geometry, slots uint64, opts core.Options) coreFilter {
+	if g == core.Geom8 {
 		return core.NewCFilter8(slots, opts)
 	}
 	return core.NewCFilter16(slots, opts)
@@ -97,20 +97,20 @@ func (s *cascadeState) start() {
 func (s *cascadeState) list() []*level { return *s.levels.Load() }
 
 // vqfLevel allocates a VQF level with the cascade's core constructor.
-func (s *cascadeState) vqfLevel(kind uint8, slots uint64, budget float64, trigger uint64) *level {
+func (s *cascadeState) vqfLevel(g *core.Geometry, slots uint64, budget float64, trigger uint64) *level {
 	return &level{
-		filter:  s.newCore(kind, slots, core.Options{NoShortcut: s.cfg.NoShortcut}),
-		kind:    kind,
+		filter:  s.newCore(g, slots, core.Options{NoShortcut: s.cfg.NoShortcut}),
+		geom:    g,
 		budget:  budget,
 		trigger: trigger,
-		geomFPR: geomOf(kind).fullFPR,
+		geomFPR: g.FPR,
 	}
 }
 
 // newLevel builds level i of the growth schedule.
 func (s *cascadeState) newLevel(i int) *level {
 	_, trigger, allocSlots := levelSizing(s.cfg, i)
-	return s.vqfLevel(levelKind(s.cfg, i), allocSlots, levelBudget(s.cfg, i), trigger)
+	return s.vqfLevel(levelGeometry(s.cfg, i), allocSlots, levelBudget(s.cfg, i), trigger)
 }
 
 // grow appends the next scheduled level if seen is still the newest level;

@@ -57,12 +57,12 @@ func vqfRuns(ls []*level, gate func(*level) bool) []levelRun {
 	var runs []levelRun
 	frozen := len(ls) - 1
 	for lo := 0; lo < frozen; {
-		if !vqfKind(ls[lo].kind) || (gate != nil && !gate(ls[lo])) {
+		if ls[lo].fused() || (gate != nil && !gate(ls[lo])) {
 			lo++
 			continue
 		}
 		hi := lo + 1
-		for hi < frozen && ls[hi].kind == ls[lo].kind && (gate == nil || gate(ls[hi])) {
+		for hi < frozen && ls[hi].kind() == ls[lo].kind() && (gate == nil || gate(ls[hi])) {
 			hi++
 		}
 		runs = append(runs, levelRun{lo, hi})
@@ -84,10 +84,10 @@ func compactRuns(ls []*level) []levelRun {
 }
 
 // newMergedLevel allocates the destination level of a rebuild: nblocks
-// mini-filter blocks of the given kind, budget εm.
-func (s *cascadeState) newMergedLevel(kind uint8, nblocks uint64, budget float64) *level {
-	slots := nblocks * geomOf(kind).slotsPerBlock
-	return s.vqfLevel(kind, slots, budget, max(1, uint64(s.cfg.FillThreshold*float64(slots))))
+// mini-filter blocks of geometry g, budget εm.
+func (s *cascadeState) newMergedLevel(g *core.Geometry, nblocks uint64, budget float64) *level {
+	slots := nblocks * g.Slots
+	return s.vqfLevel(g, slots, budget, max(1, uint64(s.cfg.FillThreshold*float64(slots))))
 }
 
 // summarize returns a run's summed budget and its smallest block count (the
@@ -101,14 +101,12 @@ func summarize(run []*level) (budget float64, minBlocks uint64) {
 	return budget, minBlocks
 }
 
-// blocksNeeded returns the block count a VQF level of the given kind needs
-// to hold live items within budget: enough slots that the realized FPR at
-// the live load stays within the budget, and enough fill headroom for the
+// blocksNeeded returns the block count a VQF level of geometry g needs to
+// hold live items within budget: enough slots that the realized FPR at the
+// live load stays within the budget, and enough fill headroom for the
 // rebuild inserts.
-func blocksNeeded(cfg Config, kind uint8, live uint64, budget float64) uint64 {
-	g := geomOf(kind)
-	need := max(float64(live)/cfg.FillThreshold, float64(live)*g.fullFPR/budget)
-	return core.BlocksFor(uint64(need), g.slotsPerBlock)
+func blocksNeeded(cfg Config, g *core.Geometry, live uint64, budget float64) uint64 {
+	return g.Blocks(uint64(max(float64(live)/cfg.FillThreshold, float64(live)*g.FPR/budget)))
 }
 
 // mergeBlocks returns the block count for merging the run holding live
@@ -119,20 +117,20 @@ func blocksNeeded(cfg Config, kind uint8, live uint64, budget float64) uint64 {
 // merges.
 func mergeBlocks(cfg Config, run []*level, live uint64) uint64 {
 	budget, minBlocks := summarize(run)
-	if nblocks := blocksNeeded(cfg, run[0].kind, live, budget); nblocks <= minBlocks {
+	if nblocks := blocksNeeded(cfg, run[0].geom, live, budget); nblocks <= minBlocks {
 		return nblocks
 	}
 	return 0
 }
 
-// rebuild iterates every source level into a fresh VQF level of the given
-// kind and budget, starting at nblocks blocks. On an insert failure
+// rebuild iterates every source level into a fresh VQF level of geometry g
+// and the given budget, starting at nblocks blocks. On an insert failure
 // (block-pair overflow despite the fill headroom) the destination is
 // doubled and rebuilt, up to maxBlocks (the cross-mask bound); nil means
 // the sources could not be rebuilt and the caller keeps them.
-func (s *cascadeState) rebuild(srcs []*level, kind uint8, nblocks, maxBlocks uint64, budget float64) *level {
+func (s *cascadeState) rebuild(srcs []*level, g *core.Geometry, nblocks, maxBlocks uint64, budget float64) *level {
 	for ; nblocks <= maxBlocks; nblocks *= 2 {
-		dst := s.newMergedLevel(kind, nblocks, budget)
+		dst := s.newMergedLevel(g, nblocks, budget)
 		ok := true
 		for _, src := range srcs {
 			if ok = src.filter.IterateHashes(dst.filter.Insert); !ok {
@@ -186,7 +184,7 @@ func planRun(cfg Config, r levelRun, ls []*level) []splice {
 		}
 		plans = append(plans, splice{hi: hi, sub: sub, build: func(s *cascadeState) *level {
 			budget, minBlocks := summarize(sub)
-			return s.rebuild(sub, sub[0].kind, nblocks, minBlocks, budget)
+			return s.rebuild(sub, sub[0].geom, nblocks, minBlocks, budget)
 		}})
 		hi -= len(sub)
 	}

@@ -239,7 +239,7 @@ func TestCompactSerializeRoundTrip(t *testing.T) {
 	for i := range f.list() {
 		if g.list()[i].budget != f.list()[i].budget ||
 			g.list()[i].trigger != f.list()[i].trigger ||
-			g.list()[i].kind != f.list()[i].kind {
+			g.list()[i].kind() != f.list()[i].kind() {
 			t.Fatalf("level %d parameters did not survive the round trip", i)
 		}
 	}
@@ -296,7 +296,7 @@ func TestReadV1Stream(t *testing.T) {
 		t.Fatalf("v1 reload count %d != %d", g.Count(), f.Count())
 	}
 	for i := range f.list() {
-		if g.list()[i].budget != f.list()[i].budget || g.list()[i].kind != f.list()[i].kind {
+		if g.list()[i].budget != f.list()[i].budget || g.list()[i].kind() != f.list()[i].kind() {
 			t.Fatalf("v1 reload level %d parameters differ", i)
 		}
 	}

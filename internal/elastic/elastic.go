@@ -36,47 +36,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vqf/internal/core"
 	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
 )
 
-// Analytic full-load false-positive rates of the two core geometries
-// (2·(s/b)·2⁻ʳ, paper §5).
-const (
-	FPR8Full  = 2.0 * float64(minifilter.B8Slots) / float64(minifilter.B8Buckets) / 256
-	FPR16Full = 2.0 * float64(minifilter.B16Slots) / float64(minifilter.B16Buckets) / 65536
-)
-
-// geometry is one VQF fingerprint width's block layout. Fuse levels carry
-// their source VQF kind and use its geometry for the fold key space.
-type geometry struct {
-	slotsPerBlock uint64
-	buckets       uint64
-	fpBits        uint // fingerprint space is 2^fpBits
-	fullFPR       float64
-}
-
-var (
-	geom8  = geometry{minifilter.B8Slots, minifilter.B8Buckets, 8, FPR8Full}
-	geom16 = geometry{minifilter.B16Slots, minifilter.B16Buckets, 16, FPR16Full}
-)
-
-// geomOf returns the geometry of VQF kind 8 or 16.
-func geomOf(kind uint8) geometry {
-	if kind == 8 {
-		return geom8
-	}
-	return geom16
-}
-
-// canonFPR is the canonical-collision false-positive rate of live keys
-// folded onto blocks blocks: a negative key collides with one of the stored
-// (block, bucket, fingerprint) representatives with probability
-// ≈ 2·live/(blocks·buckets·2^fpBits).
-func (g geometry) canonFPR(live, blocks uint64) float64 {
-	return 2 * float64(live) / (float64(blocks) * float64(g.buckets) * math.Ldexp(1, int(g.fpBits)))
-}
+// FPR8Full is the analytic full-load false-positive rate of the 8-bit core
+// geometry (2·(s/b)·2⁻ʳ, paper §5).
+const FPR8Full float64 = core.FPR8
 
 // MaxLevels bounds the cascade depth. With the default growth factor the
 // cap is unreachable (it implies 2⁶⁴× the initial capacity); it exists so
@@ -203,9 +171,9 @@ type coreFilter interface {
 // newest level).
 type level struct {
 	filter coreFilter
-	// kind is the fingerprint width in bits (8 or 16) for VQF levels, or a
-	// frozen-tier kind (kindFuse8/kindFuse16, see freeze.go).
-	kind uint8
+	// geom is the level's VQF block geometry. A frozen fuse level keeps its
+	// sources' geometry: its fold keys live in that canonical key space.
+	geom *core.Geometry
 	// budget is this level's share εᵢ of the cascade's FPR budget.
 	budget float64
 	// trigger is the item count at which the cascade grows past this level
@@ -229,19 +197,35 @@ type level struct {
 	sealed atomic.Bool
 }
 
+// fused reports whether the level is a frozen fuse level (freeze.go)
+// rather than a live VQF level.
+func (l *level) fused() bool {
+	_, ok := l.filter.(*fuseLevel)
+	return ok
+}
+
+// kind is the level's on-disk kind tag: the fingerprint width of a VQF
+// level, or fuseTag plus its source width for a fuse level.
+func (l *level) kind() uint8 {
+	if l.fused() {
+		return fuseTag + uint8(l.geom.FPBits)
+	}
+	return uint8(l.geom.FPBits)
+}
+
 // levelBudget returns εᵢ = ε·(1−r)·rⁱ.
 func levelBudget(c Config, i int) float64 {
 	return c.TargetFPR * (1 - c.TightenRatio) * math.Pow(c.TightenRatio, float64(i))
 }
 
-// levelKind returns the fingerprint width for level i: the loosest geometry
-// whose full-load FPR fits within the level's budget after the fill
-// threshold's load discount, falling back to 16 bits plus over-provisioning.
-func levelKind(c Config, i int) uint8 {
-	if levelBudget(c, i) >= FPR8Full*c.FillThreshold {
-		return 8
+// levelGeometry returns the geometry for level i: the loosest one whose
+// full-load FPR fits within the level's budget after the fill threshold's
+// load discount, falling back to 16 bits plus over-provisioning.
+func levelGeometry(c Config, i int) *core.Geometry {
+	if levelBudget(c, i) >= core.Geom8.FPR*c.FillThreshold {
+		return core.Geom8
 	}
-	return 16
+	return core.Geom16
 }
 
 // levelSizing returns level i's item budget (baseSlots), growth trigger and
@@ -255,7 +239,7 @@ func levelKind(c Config, i int) uint8 {
 // The core's power-of-two block rounding only adds slack on top.
 func levelSizing(c Config, i int) (baseSlots, trigger, allocSlots uint64) {
 	fbase := float64(c.InitialSlots) * math.Pow(c.GrowthFactor, float64(i))
-	overProv := geomOf(levelKind(c, i)).fullFPR * c.FillThreshold / levelBudget(c, i)
+	overProv := levelGeometry(c, i).FPR * c.FillThreshold / levelBudget(c, i)
 	if overProv < 1 {
 		overProv = 1
 	}

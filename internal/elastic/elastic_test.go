@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vqf/internal/core"
 	"vqf/internal/workload"
 )
 
@@ -84,11 +85,7 @@ func TestBudgetSchedule(t *testing.T) {
 	// ~2^50 slots the sizing clamp kicks in and the level could not be built).
 	for i := 0; i < 24; i++ {
 		_, trigger, alloc := levelSizing(cfg, i)
-		geomFPR := FPR8Full
-		if levelKind(cfg, i) == 16 {
-			geomFPR = FPR16Full
-		}
-		realized := geomFPR * float64(trigger) / float64(alloc)
+		realized := levelGeometry(cfg, i).FPR * float64(trigger) / float64(alloc)
 		if realized > levelBudget(cfg, i)*(1+1e-9) {
 			t.Fatalf("level %d: worst-case realized FPR %g exceeds budget %g",
 				i, realized, levelBudget(cfg, i))
@@ -96,8 +93,8 @@ func TestBudgetSchedule(t *testing.T) {
 	}
 	// The schedule must tighten: deep levels get 16-bit fingerprints and
 	// eventually over-provisioned slots.
-	if levelKind(cfg, 0) != 16 { // ε/2 < 8-bit full-load FPR already
-		t.Fatalf("level 0 kind %d", levelKind(cfg, 0))
+	if g := levelGeometry(cfg, 0); g != core.Geom16 { // ε/2 < 8-bit full-load FPR already
+		t.Fatalf("level 0 has %d-bit fingerprints", g.FPBits)
 	}
 	base20, _, alloc20 := levelSizing(cfg, 20)
 	if alloc20 <= base20 {
@@ -110,11 +107,11 @@ func TestLooseBudgetUses8Bit(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if levelKind(cfg, 0) != 8 {
-		t.Fatalf("ε=0.02 level 0 should use 8-bit fingerprints, got %d-bit", levelKind(cfg, 0))
+	if g := levelGeometry(cfg, 0); g != core.Geom8 {
+		t.Fatalf("ε=0.02 level 0 should use 8-bit fingerprints, got %d-bit", g.FPBits)
 	}
-	if levelKind(cfg, 3) != 16 {
-		t.Fatalf("ε=0.02 level 3 should have tightened to 16-bit, got %d-bit", levelKind(cfg, 3))
+	if g := levelGeometry(cfg, 3); g != core.Geom16 {
+		t.Fatalf("ε=0.02 level 3 should have tightened to 16-bit, got %d-bit", g.FPBits)
 	}
 }
 

@@ -2,7 +2,6 @@ package elastic
 
 import (
 	"encoding/binary"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,7 +9,6 @@ import (
 
 	"vqf/internal/core"
 	"vqf/internal/fuse"
-	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
 )
@@ -19,7 +17,7 @@ import (
 // keeps paying the VQF's ~25% metadata overhead for update support nobody
 // uses anymore. Freezing rebuilds a run of frozen VQF levels into ONE
 // immutable binary-fuse level (internal/fuse, ~1.08× entropy overhead),
-// keyed by the pair-representative canonical hash (core.FoldHash8/16): both
+// keyed by the pair-representative canonical hash (core.Geometry.Fold): both
 // candidate blocks of a key map to the same representative, so a membership
 // probe costs a single 3-segment fuse lookup instead of two VQF block scans.
 //
@@ -53,27 +51,10 @@ import (
 // destination; thaw: fuse as source): a key's instances are "located" only
 // at its representative block.
 
-// Level kinds of the frozen tier, distinct from the VQF fingerprint widths
-// 8/16 used as level kinds so serialization and run planning can tell the
-// tiers apart. The value encodes the SOURCE geometry the fold keys carry.
-const (
-	kindFuse8  uint8 = 108
-	kindFuse16 uint8 = 116
-)
-
-// vqfKind reports whether a level kind is a live VQF geometry (as opposed
-// to a frozen fuse level).
-func vqfKind(k uint8) bool { return k == 8 || k == 16 }
-
-// fuseKind reports whether a level kind is a frozen fuse tier.
-func fuseKind(k uint8) bool { return k == kindFuse8 || k == kindFuse16 }
-
-func fuseKindFor(srcKind uint8) uint8 {
-	if srcKind == 8 {
-		return kindFuse8
-	}
-	return kindFuse16
-}
+// fuseTag offsets a fuse level's on-disk kind tag from its source
+// geometry's fingerprint width: fuse levels are tagged 108 and 116, apart
+// from the VQF tags 8 and 16, so a reader can tell the tiers apart.
+const fuseTag = 100
 
 // thawNum/thawDen: a fuse level thaws once tombstones cover ≥ 1/4 of the
 // population it froze with.
@@ -198,18 +179,16 @@ func (v *vault) sizeBytes() uint64 {
 // ledger for removes. All structure except the tombstones is immutable
 // after construction, so Contains is lock-free by construction.
 type fuseLevel struct {
-	// srcKind is the source VQF geometry (8 or 16) whose canonical key
-	// space the fold keys live in; fpBits is the fuse fingerprint width.
-	srcKind uint8
-	fpBits  uint8
+	// src is the source VQF geometry whose canonical key space the fold
+	// keys live in.
+	src *core.Geometry
 	// foldBlocks/foldMask is the fold geometry: the minimum block count of
 	// the frozen run (the destination mask must be a suffix of every source
 	// mask; see internal/core/iterate.go).
 	foldBlocks uint64
 	foldMask   uint64
 
-	f8  *fuse.Filter8
-	f16 *fuse.Filter16
+	f *fuse.Filter
 
 	vault vault
 	// dupes maps packed keys stored more than once to their extra instance
@@ -229,10 +208,9 @@ type fuseLevel struct {
 // newFuseLevel builds the immutable structures from the folded canonical
 // keys of a frozen run (one per stored instance, duplicates allowed; the
 // slice is consumed as scratch).
-func newFuseLevel(srcKind, fpBits uint8, foldBlocks uint64, keys []uint64) (*fuseLevel, error) {
+func newFuseLevel(src *core.Geometry, fpBits uint8, foldBlocks uint64, keys []uint64) (*fuseLevel, error) {
 	l := &fuseLevel{
-		srcKind:    srcKind,
-		fpBits:     fpBits,
+		src:        src,
 		foldBlocks: foldBlocks,
 		foldMask:   foldBlocks - 1,
 		baseTotal:  uint64(len(keys)),
@@ -260,12 +238,7 @@ func newFuseLevel(srcKind, fpBits uint8, foldBlocks uint64, keys []uint64) (*fus
 		ck = append(ck, l.unpack(p))
 	}
 	var err error
-	if fpBits == 8 {
-		l.f8, err = fuse.Build8(ck)
-	} else {
-		l.f16, err = fuse.Build16(ck)
-	}
-	if err != nil {
+	if l.f, err = fuse.Build(ck, fpBits); err != nil {
 		return nil, err
 	}
 	l.vault = buildVault(distinct)
@@ -274,45 +247,18 @@ func newFuseLevel(srcKind, fpBits uint8, foldBlocks uint64, keys []uint64) (*fus
 }
 
 // key folds a raw hash to its pair-representative canonical key.
-func (l *fuseLevel) key(h uint64) uint64 {
-	if l.srcKind == 8 {
-		return core.FoldHash8(h, l.foldMask)
-	}
-	return core.FoldHash16(h, l.foldMask)
-}
+func (l *fuseLevel) key(h uint64) uint64 { return l.src.Fold(h, l.foldMask) }
 
 // blockOf extracts a canonical key's (representative) block index.
-func (l *fuseLevel) blockOf(k uint64) uint64 {
-	if l.srcKind == 8 {
-		return k >> 24
-	}
-	return k >> 32
-}
+func (l *fuseLevel) blockOf(k uint64) uint64 { return k >> l.src.BlockShift }
 
-// pack maps a canonical key to a dense integer — (block·2^srcBits +
-// fingerprint)·buckets + bucket — monotone in (block, fp, bucket), which
-// keeps vault deltas small and freeze-time key streams nearly sorted.
-func (l *fuseLevel) pack(k uint64) uint64 {
-	buckets := geomOf(l.srcKind).buckets
-	return (k>>16)*buckets + (k&0xffff)*buckets>>16
-}
+// pack maps a canonical key to a dense integer (core.Geometry.Pack),
+// which keeps vault deltas small and freeze-time key streams nearly
+// sorted.
+func (l *fuseLevel) pack(k uint64) uint64 { return l.src.Pack(k) }
 
 // unpack inverts pack back to the canonical key.
-func (l *fuseLevel) unpack(p uint64) uint64 {
-	if l.srcKind == 8 {
-		rest, bucket := p/minifilter.B8Buckets, p%minifilter.B8Buckets
-		return core.CanonicalHash8(rest>>8, uint(bucket), byte(rest))
-	}
-	rest, bucket := p/minifilter.B16Buckets, p%minifilter.B16Buckets
-	return core.CanonicalHash16(rest>>16, uint(bucket), uint16(rest))
-}
-
-func (l *fuseLevel) fuseContains(k uint64) bool {
-	if l.fpBits == 8 {
-		return l.f8.Contains(k)
-	}
-	return l.f16.Contains(k)
-}
+func (l *fuseLevel) unpack(p uint64) uint64 { return l.src.Unpack(p) }
 
 // instances returns how many instances of packed key p were frozen (0 when
 // p is not in the vault — exact, immune to fuse false positives).
@@ -377,7 +323,7 @@ func (l *fuseLevel) Insert(h uint64) bool { return false }
 func (l *fuseLevel) Contains(h uint64) bool {
 	k := l.key(h)
 	l.ops.Lookup(l.blockOf(k))
-	if !l.fuseContains(k) {
+	if !l.f.Contains(k) {
 		return false
 	}
 	if l.tombTotal.Load() == 0 {
@@ -404,11 +350,7 @@ func (l *fuseLevel) ContainsBatch(hs []uint64, dst []bool) []bool {
 			tile[i] = l.key(hs[base+i])
 		}
 		chunk := out[base : base+n]
-		if l.fpBits == 8 {
-			l.f8.ContainsBatch(tile[:n], chunk)
-		} else {
-			l.f16.ContainsBatch(tile[:n], chunk)
-		}
+		l.f.ContainsBatch(tile[:n], chunk)
 		if tombs {
 			for i := 0; i < n; i++ {
 				if chunk[i] {
@@ -428,7 +370,7 @@ func (l *fuseLevel) ContainsBatch(hs []uint64, dst []bool) []bool {
 func (l *fuseLevel) Remove(h uint64) bool {
 	k := l.key(h)
 	sel := l.blockOf(k)
-	if !l.fuseContains(k) {
+	if !l.f.Contains(k) {
 		l.ops.RemoveMiss(sel)
 		return false
 	}
@@ -467,15 +409,7 @@ func (l *fuseLevel) Capacity() uint64 { return l.baseTotal }
 
 // SizeBytes covers the immutable structures (fuse array + vault); the
 // tombstone ledger is transient thaw-bounded state.
-func (l *fuseLevel) SizeBytes() uint64 {
-	var fb uint64
-	if l.fpBits == 8 {
-		fb = l.f8.SizeBytes()
-	} else {
-		fb = l.f16.SizeBytes()
-	}
-	return fb + l.vault.sizeBytes()
-}
+func (l *fuseLevel) SizeBytes() uint64 { return l.f.SizeBytes() + l.vault.sizeBytes() }
 
 func (l *fuseLevel) Stats() stats.OpCounts { return l.ops.Counts() }
 
@@ -520,10 +454,7 @@ func (l *fuseLevel) IterateHashes(yield func(h uint64) bool) bool {
 // then locates instances only at the representative, keeping the
 // count-differencing exactly-once.
 func (l *fuseLevel) CandidateBlocks(h uint64) (uint64, uint64) {
-	if l.srcKind == 8 {
-		return core.CandidatePair8(h, l.foldMask)
-	}
-	return core.CandidatePair16(h, l.foldMask)
+	return l.src.Candidates(h, l.foldMask)
 }
 
 // CountAtBlock counts h's (bucket, fingerprint) instances anchored at block
@@ -532,12 +463,8 @@ func (l *fuseLevel) CandidateBlocks(h uint64) (uint64, uint64) {
 // exactly one block, which is what reconcile's cross-geometry stride sums
 // rely on (in both the freeze and thaw directions).
 func (l *fuseLevel) CountAtBlock(b, h uint64) uint64 {
-	var k uint64
-	if l.srcKind == 8 {
-		k = core.FoldHash8(h&0xffffff|b<<24, l.foldMask)
-	} else {
-		k = core.FoldHash16(h&0xffffffff|b<<32, l.foldMask)
-	}
+	shift := l.src.BlockShift
+	k := l.key(h&(1<<shift-1) | b<<shift)
 	if l.blockOf(k) != b {
 		return 0
 	}
@@ -567,16 +494,11 @@ func freezeParams(run []*level, live uint64) (freezePlan, bool) {
 	if live == 0 {
 		return freezePlan{drop: true}, true
 	}
-	if geomOf(run[0].kind).canonFPR(live, minBlocks) > budget/2 {
+	if run[0].geom.CanonicalFPR(live, minBlocks) > budget/2 {
 		return freezePlan{}, false
 	}
-	var fpBits uint8
-	switch {
-	case 1.0/256 <= budget/2:
-		fpBits = 8
-	case 1.0/65536 <= budget/2:
-		fpBits = 16
-	default:
+	fpBits, ok := fuse.WidthFor(budget / 2)
+	if !ok {
 		return freezePlan{}, false
 	}
 	return freezePlan{fpBits: fpBits, foldBlocks: minBlocks, budget: budget}, true
@@ -626,26 +548,22 @@ func planFreezes(ls []*level, gate func(*level) bool) []splice {
 // and the analytic FPR as its geomFPR. nil means peeling failed (vanishingly
 // rare) and the sources stay as they are.
 func buildFuseLevel(sub []*level, p freezePlan) *level {
-	srcKind := sub[0].kind
+	g := sub[0].geom
 	foldMask := p.foldBlocks - 1
-	fold := core.FoldHash16
-	if srcKind == 8 {
-		fold = core.FoldHash8
-	}
 	keys := make([]uint64, 0, sumCounts(sub))
 	for _, src := range sub {
 		src.filter.IterateHashes(func(h uint64) bool {
-			keys = append(keys, fold(h, foldMask))
+			keys = append(keys, g.Fold(h, foldMask))
 			return true
 		})
 	}
-	return newFuseTier(srcKind, p.fpBits, p.foldBlocks, p.budget, keys)
+	return newFuseTier(g, p.fpBits, p.foldBlocks, p.budget, keys)
 }
 
 // newFuseTier builds a fuse level from folded canonical keys and wraps it
 // as a cascade level; nil means peeling failed.
-func newFuseTier(srcKind, fpBits uint8, foldBlocks uint64, budget float64, keys []uint64) *level {
-	fl, err := newFuseLevel(srcKind, fpBits, foldBlocks, keys)
+func newFuseTier(src *core.Geometry, fpBits uint8, foldBlocks uint64, budget float64, keys []uint64) *level {
+	fl, err := newFuseLevel(src, fpBits, foldBlocks, keys)
 	if err != nil {
 		return nil
 	}
@@ -658,9 +576,9 @@ func newFuseTier(srcKind, fpBits uint8, foldBlocks uint64, budget float64, keys 
 func (l *fuseLevel) asLevel(budget float64) *level {
 	return &level{
 		filter:  l,
-		kind:    fuseKindFor(l.srcKind),
+		geom:    l.src,
 		budget:  budget,
-		geomFPR: geomOf(l.srcKind).canonFPR(l.baseTotal, l.foldBlocks) + math.Ldexp(1, -int(l.fpBits)),
+		geomFPR: l.src.CanonicalFPR(l.baseTotal, l.foldBlocks) + l.f.FPR(),
 	}
 }
 
@@ -740,8 +658,8 @@ func (s *cascadeState) thawNow() {
 func (s *cascadeState) thawedLevel(lvl *level) *level {
 	fl := lvl.filter.(*fuseLevel)
 	live := fl.Count()
-	nblocks := blocksNeeded(s.cfg, fl.srcKind, live, lvl.budget)
-	if nl := s.rebuild([]*level{lvl}, fl.srcKind, nblocks, fl.foldBlocks, lvl.budget); nl != nil {
+	nblocks := blocksNeeded(s.cfg, fl.src, live, lvl.budget)
+	if nl := s.rebuild([]*level{lvl}, fl.src, nblocks, fl.foldBlocks, lvl.budget); nl != nil {
 		return nl
 	}
 	// Survivors need more blocks than the fold bound allows back into VQF
@@ -751,7 +669,7 @@ func (s *cascadeState) thawedLevel(lvl *level) *level {
 		keys = append(keys, h)
 		return true
 	})
-	return newFuseTier(fl.srcKind, fl.fpBits, fl.foldBlocks, lvl.budget, keys)
+	return newFuseTier(fl.src, fl.f.Bits(), fl.foldBlocks, lvl.budget, keys)
 }
 
 // FreezeNow freezes every shard, summing the per-shard results.

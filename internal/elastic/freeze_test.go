@@ -2,7 +2,6 @@ package elastic
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -14,7 +13,7 @@ import (
 func fuseLevelCount(ls []*level) int {
 	n := 0
 	for _, l := range ls {
-		if fuseKind(l.kind) {
+		if l.fused() {
 			n++
 		}
 	}
@@ -123,7 +122,7 @@ func TestFreezeRemoveSemantics(t *testing.T) {
 	if fl == nil {
 		t.Fatal("no fuse level in cascade")
 	}
-	canon := geomFPR - math.Pow(2, -float64(fl.fpBits))
+	canon := geomFPR - fl.f.FPR()
 	before := fl.Count()
 	ghosts := workload.NewStream(777).Keys(200000)
 	succ := 0
@@ -292,7 +291,7 @@ func TestFreezeSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("reclaimed pool %g did not survive the round trip (want %g)", g.Reclaimed(), f.Reclaimed())
 	}
 	for i := range f.list() {
-		if g.list()[i].budget != f.list()[i].budget || g.list()[i].kind != f.list()[i].kind {
+		if g.list()[i].budget != f.list()[i].budget || g.list()[i].kind() != f.list()[i].kind() {
 			t.Fatalf("level %d parameters did not survive the round trip", i)
 		}
 	}

@@ -29,8 +29,8 @@ import (
 // adds the frozen tier: the header grows an 8-byte reclaimed-budget field
 // (dropping an emptied level retires its εᵢ; without it a reloaded cascade
 // would violate the budget invariant), and level records may carry the fuse
-// kinds (kindFuse8/kindFuse16) whose streams are fuse levels — see
-// writeFuseLevel. Version 4 appends the auto-trigger policy
+// kinds 108 and 116 (fuseTag plus the source width) whose streams are fuse
+// levels — see fuseLevel.WriteTo. Version 4 appends the auto-trigger policy
 // (CompactMinLevels, CompactMaxLoad, FreezeMinAge, FreezeMaxLoad, and
 // AutoFreeze as a header flag), so a reloaded cascade keeps compacting and
 // freezing on its own. Versions 1–3 are still read, with the policy off.
@@ -53,7 +53,7 @@ const (
 	levelRecordBytes = 1 + 1 + 6 + 8 + 8
 
 	// fuseLevelHeaderBytes: srcKind(1) fpBits(1) pad(6) baseTotal(8)
-	// vaultN(8) dupeN(8) tombN(8); see writeFuseLevel.
+	// vaultN(8) dupeN(8) tombN(8); see fuseLevel.WriteTo.
 	fuseLevelHeaderBytes = 1 + 1 + 6 + 8 + 8 + 8 + 8
 
 	eflagNoShortcut = 1 << 0
@@ -92,7 +92,7 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	n := int64(len(hdr))
 	for _, lvl := range ls {
 		var rec [levelRecordBytes]byte
-		rec[0] = lvl.kind
+		rec[0] = lvl.kind()
 		rec[1] = byte(bits.TrailingZeros64(lvl.filter.NumBlocks()))
 		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(lvl.budget))
 		binary.LittleEndian.PutUint64(rec[16:], lvl.trigger)
@@ -113,11 +113,11 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// readLevelStream reads one core filter stream of the given kind, checking
-// it against the expected slot count, and wraps it in a level.
-func readLevelStream(r io.Reader, kind uint8, slots uint64, budget float64, trigger uint64) (*level, error) {
-	lvl := &level{kind: kind, budget: budget, trigger: trigger, geomFPR: geomOf(kind).fullFPR}
-	if kind == 8 {
+// readLevelStream reads one core filter stream of geometry g, checking it
+// against the expected slot count, and wraps it in a level.
+func readLevelStream(r io.Reader, g *core.Geometry, slots uint64, budget float64, trigger uint64) (*level, error) {
+	lvl := &level{geom: g, budget: budget, trigger: trigger, geomFPR: g.FPR}
+	if g == core.Geom8 {
 		impl, err := core.ReadFilter8Sized(r, slots)
 		if err != nil {
 			return nil, err
@@ -202,7 +202,7 @@ func Read(r io.Reader) (*Filter, error) {
 		f.sched = nlevels
 		for i := 0; i < nlevels; i++ {
 			_, trigger, allocSlots := levelSizing(cfg, i)
-			lvl, err := readLevelStream(r, levelKind(cfg, i), allocSlots, levelBudget(cfg, i), trigger)
+			lvl, err := readLevelStream(r, levelGeometry(cfg, i), allocSlots, levelBudget(cfg, i), trigger)
 			if err != nil {
 				return nil, fmt.Errorf("level %d: %w", i, err)
 			}
@@ -226,7 +226,13 @@ func Read(r io.Reader) (*Filter, error) {
 		blocksLog2 := rec[1]
 		budget := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
 		trigger := binary.LittleEndian.Uint64(rec[16:])
-		if kind != 8 && kind != 16 && (version < 3 || !fuseKind(kind)) {
+		fused := version >= 3 && kind > fuseTag
+		bits := kind
+		if fused {
+			bits -= fuseTag
+		}
+		g := core.GeometryOfBits(uint(bits))
+		if g == nil {
 			return nil, fmt.Errorf("%w: level %d fingerprint kind %d", core.ErrBadFormat, i, kind)
 		}
 		if blocksLog2 > 40 {
@@ -236,22 +242,22 @@ func Read(r io.Reader) (*Filter, error) {
 			return nil, fmt.Errorf("%w: level %d budget %g outside (0, 1)", core.ErrBadFormat, i, budget)
 		}
 		budgetSum += budget
-		if fuseKind(kind) {
+		if fused {
 			if trigger != 0 {
 				return nil, fmt.Errorf("%w: level %d fuse trigger %d nonzero", core.ErrBadFormat, i, trigger)
 			}
-			lvl, err := readFuseLevel(r, kind, uint64(1)<<blocksLog2, budget)
+			lvl, err := readFuseLevel(r, g, uint64(1)<<blocksLog2, budget)
 			if err != nil {
 				return nil, fmt.Errorf("level %d: %w", i, err)
 			}
 			ls = append(ls, lvl)
 			continue
 		}
-		slots := (uint64(1) << blocksLog2) * geomOf(kind).slotsPerBlock
+		slots := (uint64(1) << blocksLog2) * g.Slots
 		if trigger < 1 || trigger > slots {
 			return nil, fmt.Errorf("%w: level %d trigger %d outside [1, %d]", core.ErrBadFormat, i, trigger, slots)
 		}
-		lvl, err := readLevelStream(r, kind, slots, budget, trigger)
+		lvl, err := readLevelStream(r, g, slots, budget, trigger)
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i, err)
 		}
@@ -322,8 +328,8 @@ func (l *fuseLevel) WriteTo(w io.Writer) (int64, error) {
 	sort.Slice(dupes, func(i, j int) bool { return dupes[i].p < dupes[j].p })
 
 	var hdr [fuseLevelHeaderBytes]byte
-	hdr[0] = l.srcKind
-	hdr[1] = l.fpBits
+	hdr[0] = uint8(l.src.FPBits)
+	hdr[1] = l.f.Bits()
 	binary.LittleEndian.PutUint64(hdr[8:], l.baseTotal)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(l.vault.n))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(dupes)))
@@ -333,13 +339,7 @@ func (l *fuseLevel) WriteTo(w io.Writer) (int64, error) {
 	}
 	n := int64(len(hdr))
 
-	var m int64
-	var err error
-	if l.fpBits == 8 {
-		m, err = l.f8.WriteTo(w)
-	} else {
-		m, err = l.f16.WriteTo(w)
-	}
+	m, err := l.f.WriteTo(w)
 	n += m
 	if err != nil {
 		return n, err
@@ -422,18 +422,15 @@ func readEntries(blob []byte, n, bound uint64, what string) ([]packedEntry, []by
 // total, tombstones never exceed what they remove from), every ledger key
 // must exist in the vault, and the fuse filter must cover exactly the
 // vault's distinct keys.
-func readFuseLevel(r io.Reader, kind uint8, foldBlocks uint64, budget float64) (*level, error) {
+func readFuseLevel(r io.Reader, g *core.Geometry, foldBlocks uint64, budget float64) (*level, error) {
 	var hdr [fuseLevelHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrBadFormat, err)
 	}
-	srcKind := hdr[0]
+	srcBits := hdr[0]
 	fpBits := hdr[1]
-	if srcKind != 8 && srcKind != 16 {
-		return nil, fmt.Errorf("%w: fuse level source kind %d", core.ErrBadFormat, srcKind)
-	}
-	if fuseKindFor(srcKind) != kind {
-		return nil, fmt.Errorf("%w: fuse level source kind %d under level kind %d", core.ErrBadFormat, srcKind, kind)
+	if uint(srcBits) != g.FPBits {
+		return nil, fmt.Errorf("%w: fuse level source kind %d under level kind %d", core.ErrBadFormat, srcBits, fuseTag+g.FPBits)
 	}
 	if fpBits != 8 && fpBits != 16 {
 		return nil, fmt.Errorf("%w: fuse fingerprint width %d", core.ErrBadFormat, fpBits)
@@ -442,8 +439,7 @@ func readFuseLevel(r io.Reader, kind uint8, foldBlocks uint64, budget float64) (
 	vaultN := binary.LittleEndian.Uint64(hdr[16:])
 	dupeN := binary.LittleEndian.Uint64(hdr[24:])
 	tombN := binary.LittleEndian.Uint64(hdr[32:])
-	g := geomOf(srcKind)
-	bound := (foldBlocks << g.fpBits) * g.buckets
+	bound := (foldBlocks << g.FPBits) * g.Buckets
 	if vaultN < 1 || vaultN > bound || vaultN > baseTotal {
 		return nil, fmt.Errorf("%w: fuse level vault size %d outside [1, min(%d, %d)]", core.ErrBadFormat, vaultN, bound, baseTotal)
 	}
@@ -452,30 +448,17 @@ func readFuseLevel(r io.Reader, kind uint8, foldBlocks uint64, budget float64) (
 	}
 
 	l := &fuseLevel{
-		srcKind:    srcKind,
-		fpBits:     fpBits,
+		src:        g,
 		foldBlocks: foldBlocks,
 		foldMask:   foldBlocks - 1,
 		baseTotal:  baseTotal,
 	}
-	var fkeys uint64
 	var err error
-	if fpBits == 8 {
-		l.f8, err = fuse.Read8(r)
-		if err == nil {
-			fkeys = l.f8.Keys()
-		}
-	} else {
-		l.f16, err = fuse.Read16(r)
-		if err == nil {
-			fkeys = l.f16.Keys()
-		}
-	}
-	if err != nil {
+	if l.f, err = fuse.Read(r, fpBits); err != nil {
 		return nil, err
 	}
-	if fkeys != vaultN {
-		return nil, fmt.Errorf("%w: fuse filter holds %d keys, vault %d", core.ErrBadFormat, fkeys, vaultN)
+	if l.f.Keys() != vaultN {
+		return nil, fmt.Errorf("%w: fuse filter holds %d keys, vault %d", core.ErrBadFormat, l.f.Keys(), vaultN)
 	}
 
 	var lenbuf [8]byte

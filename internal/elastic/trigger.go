@@ -73,7 +73,7 @@ func quietRemoves(cfg Config, ls []*level, now int64) int64 {
 		// freeze plan either contains a level gated later (which takes its
 		// own count down to the gate) or is a suffix of a run gated now.
 		for _, l := range frozen {
-			if !vqfKind(l.kind) || freezeGate(cfg, l, now) {
+			if l.fused() || freezeGate(cfg, l, now) {
 				continue
 			}
 			if !freezeAged(cfg, l, now) {

@@ -221,7 +221,7 @@ func structure(f *cascadeState) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "c%d f%d t%d |", f.compactions.runs.Load(), f.freezes.runs.Load(), f.thaws.levels.Load())
 	for _, l := range f.list() {
-		fmt.Fprintf(&b, " %d/%d/%d", l.kind, l.filter.Count(), l.filter.Capacity())
+		fmt.Fprintf(&b, " %d/%d/%d", l.kind(), l.filter.Count(), l.filter.Capacity())
 	}
 	return b.String()
 }

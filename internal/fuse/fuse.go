@@ -41,22 +41,47 @@ const (
 	dedupeAtIteration  = 10
 )
 
-type fpuint interface{ ~uint8 | ~uint16 }
-
-// filter is the generic core shared by the 8- and 16-bit variants. The
-// segment layout follows the paper: the array is segmentCount+2 segments of
-// segmentLength cells, a key's first cell index lands uniformly in the first
-// segmentCount segments, and its other two cells sit in the following two
-// segments at xor-perturbed offsets — the locality that makes the 3-cell
-// probe touch three nearby-ish cache lines instead of three random ones.
-type filter[F fpuint] struct {
+// Filter is a static binary fuse filter with w-bit fingerprints, w ∈ {8, 16}
+// (FPR ≈ 2⁻ʷ). The width is a value, not a type: the fingerprint array is
+// kept as its little-endian byte image, and every cell access reads a
+// 16-bit word at cell·(w/8) bytes masked to w bits, so one branch-free probe
+// serves both widths and the array serializes as it sits in memory. One pad
+// byte past the array keeps the last 8-bit cell's word load in bounds.
+//
+// The segment layout follows the paper: the array is segmentCount+2
+// segments of segmentLength cells, a key's first cell index lands uniformly
+// in the first segmentCount segments, and its other two cells sit in the
+// following two segments at xor-perturbed offsets — the locality that makes
+// the 3-cell probe touch three nearby-ish cache lines instead of three
+// random ones.
+type Filter struct {
 	seed               uint64
 	segmentLength      uint32
 	segmentLengthMask  uint32
 	segmentCount       uint32
 	segmentCountLength uint32
-	fingerprints       []F
+	bits               uint8  // fingerprint width w
+	shift              uint8  // log₂ of the bytes per cell
+	mask               uint16 // 2ʷ − 1
+	cells              []byte // arrayLength cells of w/8 bytes each, plus the pad byte
 	keys               uint64 // distinct keys built in
+}
+
+// WidthFor returns the narrowest fingerprint width whose false-positive rate
+// 2⁻ʷ meets fpr; ok is false when fpr is below 2⁻¹⁶, which no width meets.
+func WidthFor(fpr float64) (bits uint8, ok bool) {
+	switch {
+	case fpr >= 1.0/256:
+		return 8, true
+	case fpr >= 1.0/65536:
+		return 16, true
+	}
+	return 0, false
+}
+
+// newFilter returns an empty filter of width bits.
+func newFilter(bits uint8) *Filter {
+	return &Filter{bits: bits, shift: bits / 16, mask: uint16(1)<<bits - 1}
 }
 
 // calcSegmentLength is the paper's tuning for 3-wise fuse graphs, capped so
@@ -86,7 +111,7 @@ func calcSizeFactor(size uint32) float64 {
 
 // layout initializes the segment geometry for size keys and allocates the
 // fingerprint array.
-func (f *filter[F]) layout(size uint32) {
+func (f *Filter) layout(size uint32) {
 	f.segmentLength = calcSegmentLength(size)
 	f.segmentLengthMask = f.segmentLength - 1
 	capacity := uint32(math.Round(float64(size) * calcSizeFactor(size)))
@@ -101,13 +126,40 @@ func (f *filter[F]) layout(size uint32) {
 	arrayLength = (segmentCount + 2) * f.segmentLength
 	f.segmentCount = segmentCount
 	f.segmentCountLength = segmentCount * f.segmentLength
-	f.fingerprints = make([]F, arrayLength)
+	f.alloc(uint64(arrayLength))
 }
 
-// cells derives a key hash's three cell indices: the high word of
+// alloc allocates a zeroed array of n cells.
+func (f *Filter) alloc(n uint64) {
+	f.cells = make([]byte, uint(n)<<f.shift+1)
+}
+
+// arrayBytes returns the byte length of the fingerprint array, without the
+// pad byte.
+func (f *Filter) arrayBytes() int { return len(f.cells) - 1 }
+
+// cell returns the fingerprint in cell i, in the low w bits (for w = 8 the
+// high byte holds the next cell). The shift is masked so the compiler can
+// drop its out-of-range check.
+func (f *Filter) cell(i uint32) uint16 {
+	off := uint(i) << (f.shift & 1)
+	c := f.cells
+	_ = c[off+1]
+	return uint16(c[off]) | uint16(c[off+1])<<8
+}
+
+// setCell stores the low w bits of v in cell i, leaving any neighbouring
+// cell that shares the word untouched.
+func (f *Filter) setCell(i uint32, v uint16) {
+	off := uint(i) << (f.shift & 1)
+	w := f.cell(i)&^f.mask | v&f.mask
+	f.cells[off], f.cells[off+1] = byte(w), byte(w>>8)
+}
+
+// cellsOf derives a key hash's three cell indices: the high word of
 // hash·segmentCountLength picks the base segment, the next two segments get
 // xor-perturbed offsets from independent hash bits.
-func (f *filter[F]) cells(hash uint64) (h0, h1, h2 uint32) {
+func (f *Filter) cellsOf(hash uint64) (h0, h1, h2 uint32) {
 	hi, _ := bits.Mul64(hash, uint64(f.segmentCountLength))
 	h0 = uint32(hi)
 	h1 = h0 + f.segmentLength
@@ -117,21 +169,23 @@ func (f *filter[F]) cells(hash uint64) (h0, h1, h2 uint32) {
 	return
 }
 
-func fingerprintOf[F fpuint](hash uint64) F {
-	return F(hash ^ (hash >> 32))
+// fingerprintOf returns a mixed key hash's fingerprint; only its low w bits
+// are stored or compared.
+func fingerprintOf(hash uint64) uint16 {
+	return uint16(hash ^ (hash >> 32))
 }
 
-// contains probes the three cells of k and compares fingerprints. An empty
-// filter answers false outright — its all-zero array would otherwise match
-// the ~2⁻ʷ of keys whose fingerprint is zero.
-func (f *filter[F]) contains(k uint64) bool {
+// Contains reports whether k may be in the set: always true for built-in
+// keys, true with probability ≈2⁻ʷ otherwise. An empty filter answers false
+// outright — its all-zero array would otherwise match the ~2⁻ʷ of keys whose
+// fingerprint is zero. Safe for concurrent use (the filter is immutable).
+func (f *Filter) Contains(k uint64) bool {
 	if f.keys == 0 {
 		return false
 	}
 	hash := hashing.Mix64Seeded(k, f.seed)
-	fp := fingerprintOf[F](hash)
-	h0, h1, h2 := f.cells(hash)
-	return fp^f.fingerprints[h0]^f.fingerprints[h1]^f.fingerprints[h2] == 0
+	h0, h1, h2 := f.cellsOf(hash)
+	return (fingerprintOf(hash)^f.cell(h0)^f.cell(h1)^f.cell(h2))&f.mask == 0
 }
 
 // batchTile is the working-set size of the two-pass batched probe: hashes
@@ -141,9 +195,9 @@ func (f *filter[F]) contains(k uint64) bool {
 // the stack so steady-state batches allocate nothing.
 const batchTile = 256
 
-// containsBatch answers membership for every key of ks in input order,
-// reusing dst when it has capacity.
-func (f *filter[F]) containsBatch(ks []uint64, dst []bool) []bool {
+// ContainsBatch answers membership for every key of ks in input order,
+// reusing dst when it has capacity (dst may be nil). Safe for concurrent use.
+func (f *Filter) ContainsBatch(ks []uint64, dst []bool) []bool {
 	if cap(dst) < len(ks) {
 		dst = make([]bool, len(ks))
 	}
@@ -163,10 +217,24 @@ func (f *filter[F]) containsBatch(ks []uint64, dst []bool) []bool {
 		for i := 0; i < n; i++ {
 			hashes[i] = hashing.Mix64Seeded(ks[base+i], f.seed)
 		}
-		for i := 0; i < n; i++ {
-			hash := hashes[i]
-			h0, h1, h2 := f.cells(hash)
-			out[base+i] = fingerprintOf[F](hash)^f.fingerprints[h0]^f.fingerprints[h1]^f.fingerprints[h2] == 0
+		// The probe is cellsOf and cell written out over locals: through
+		// f, every store to out would force the layout fields to be
+		// reloaded, and the spills cost the loop its memory-level
+		// parallelism.
+		c, sh, m := f.cells, f.shift&1, f.mask
+		scl, sl, slm := uint64(f.segmentCountLength), f.segmentLength, f.segmentLengthMask
+		o := out[base : base+n]
+		for i, hash := range hashes[:n] {
+			hi, _ := bits.Mul64(hash, scl)
+			h0 := uint32(hi)
+			h1 := (h0 + sl) ^ uint32(hash>>18)&slm
+			h2 := (h0 + 2*sl) ^ uint32(hash)&slm
+			o0, o1, o2 := uint(h0)<<sh, uint(h1)<<sh, uint(h2)<<sh
+			_, _, _ = c[o0+1], c[o1+1], c[o2+1]
+			x := uint16(c[o0]) | uint16(c[o0+1])<<8
+			x ^= uint16(c[o1]) | uint16(c[o1+1])<<8
+			x ^= uint16(c[o2]) | uint16(c[o2+1])<<8
+			o[i] = (fingerprintOf(hash)^x)&m == 0
 		}
 	}
 	return out
@@ -184,14 +252,14 @@ func buildSeed(iteration int) uint64 {
 // key, then assign fingerprints in reverse peel order so each key's xor
 // identity holds. On a failed peel it reseeds and retries; at
 // dedupeAtIteration it deduplicates a private copy of the keys.
-func (f *filter[F]) populate(keys []uint64) error {
+func (f *Filter) populate(keys []uint64) error {
 	if len(keys) == 0 {
 		f.keys = 0
 		return nil
 	}
 	size := uint32(len(keys))
 	f.layout(size)
-	capacity := uint32(len(f.fingerprints))
+	capacity := f.segmentCountLength + 2*f.segmentLength
 
 	alone := make([]uint32, capacity)
 	// t2count packs a cell's key count (high 6 bits) with the xor of the
@@ -212,7 +280,7 @@ func (f *filter[F]) populate(keys []uint64) error {
 			size = uint32(len(keys))
 			f.keys = 0
 			f.layout(size)
-			capacity = uint32(len(f.fingerprints))
+			capacity = f.segmentCountLength + 2*f.segmentLength
 			alone = make([]uint32, capacity)
 			t2count = make([]uint8, capacity)
 			t2hash = make([]uint64, capacity)
@@ -225,7 +293,7 @@ func (f *filter[F]) populate(keys []uint64) error {
 		overflow := false
 		for _, k := range keys {
 			hash := hashing.Mix64Seeded(k, f.seed)
-			h0, h1, h2 := f.cells(hash)
+			h0, h1, h2 := f.cellsOf(hash)
 			t2count[h0] += 4
 			t2hash[h0] ^= hash
 			t2count[h1] += 4
@@ -263,7 +331,7 @@ func (f *filter[F]) populate(keys []uint64) error {
 				reverseH[stacksize] = found
 				reverseOrder[stacksize] = hash
 				stacksize++
-				h0, h1, h2 := f.cells(hash)
+				h0, h1, h2 := f.cellsOf(hash)
 				cellAt := [5]uint32{h0, h1, h2, h0, h1}
 				for off := uint8(1); off <= 2; off++ {
 					other := cellAt[found+off]
@@ -288,12 +356,10 @@ func (f *filter[F]) populate(keys []uint64) error {
 			// own cell is written.
 			for i := int(size) - 1; i >= 0; i-- {
 				hash := reverseOrder[i]
-				fp := fingerprintOf[F](hash)
-				h0, h1, h2 := f.cells(hash)
+				h0, h1, h2 := f.cellsOf(hash)
 				found := reverseH[i]
 				cellAt := [5]uint32{h0, h1, h2, h0, h1}
-				f.fingerprints[cellAt[found]] = fp ^
-					f.fingerprints[cellAt[found+1]] ^ f.fingerprints[cellAt[found+2]]
+				f.setCell(cellAt[found], fingerprintOf(hash)^f.cell(cellAt[found+1])^f.cell(cellAt[found+2]))
 			}
 			f.keys = uint64(size)
 			return nil
@@ -320,70 +386,39 @@ func dedupe(keys []uint64) []uint64 {
 	return out
 }
 
-// Filter8 is a static binary fuse filter with 8-bit fingerprints (FPR ≈ 2⁻⁸),
-// mirroring the VQF cascade's 8-bit level geometry class.
-type Filter8 struct{ f filter[uint8] }
-
-// Filter16 is a static binary fuse filter with 16-bit fingerprints
-// (FPR ≈ 2⁻¹⁶), mirroring the 16-bit level geometry class.
-type Filter16 struct{ f filter[uint16] }
-
-// Build8 constructs an 8-bit filter over keys (order-insensitive; the slice
-// is not retained). Duplicate keys are tolerated but collapse to one
-// membership entry.
-func Build8(keys []uint64) (*Filter8, error) {
-	fl := &Filter8{}
-	if err := fl.f.populate(keys); err != nil {
+// Build constructs a filter with bits-bit fingerprints (8 or 16) over keys
+// (order-insensitive; the slice is not retained). Duplicate keys are
+// tolerated but collapse to one membership entry.
+func Build(keys []uint64, bits uint8) (*Filter, error) {
+	if bits != 8 && bits != 16 {
+		return nil, fmt.Errorf("fuse: fingerprint width %d", bits)
+	}
+	f := newFilter(bits)
+	if err := f.populate(keys); err != nil {
 		return nil, err
 	}
-	return fl, nil
+	return f, nil
 }
 
-// Build16 constructs a 16-bit filter over keys; see Build8.
-func Build16(keys []uint64) (*Filter16, error) {
-	fl := &Filter16{}
-	if err := fl.f.populate(keys); err != nil {
-		return nil, err
+// Bits returns the fingerprint width w.
+func (f *Filter) Bits() uint8 { return f.bits }
+
+// FPR returns the analytic false-positive rate 2⁻ʷ.
+func (f *Filter) FPR() float64 { return math.Ldexp(1, -int(f.bits)) }
+
+// Keys returns the number of distinct keys the filter was built over.
+func (f *Filter) Keys() uint64 { return f.keys }
+
+// SizeBytes returns the fingerprint array's footprint.
+func (f *Filter) SizeBytes() uint64 {
+	if f.keys == 0 {
+		return 0
 	}
-	return fl, nil
+	return uint64(f.arrayBytes())
 }
 
-// Contains reports whether k may be in the set: always true for built-in
-// keys, true with probability ≈2⁻⁸ otherwise. Safe for concurrent use (the
-// filter is immutable).
-func (fl *Filter8) Contains(k uint64) bool { return fl.f.contains(k) }
-
-// Contains reports whether k may be in the set; false positives ≈2⁻¹⁶.
-func (fl *Filter16) Contains(k uint64) bool { return fl.f.contains(k) }
-
-// ContainsBatch answers membership for every key of ks in input order,
-// reusing dst when it has capacity (dst may be nil). Safe for concurrent use.
-func (fl *Filter8) ContainsBatch(ks []uint64, dst []bool) []bool {
-	return fl.f.containsBatch(ks, dst)
-}
-
-// ContainsBatch answers membership for every key of ks; see Filter8.
-func (fl *Filter16) ContainsBatch(ks []uint64, dst []bool) []bool {
-	return fl.f.containsBatch(ks, dst)
-}
-
-// Keys returns the number of distinct keys the filter was built over.
-func (fl *Filter8) Keys() uint64 { return fl.f.keys }
-
-// Keys returns the number of distinct keys the filter was built over.
-func (fl *Filter16) Keys() uint64 { return fl.f.keys }
-
-// SizeBytes returns the fingerprint array's footprint.
-func (fl *Filter8) SizeBytes() uint64 { return uint64(len(fl.f.fingerprints)) }
-
-// SizeBytes returns the fingerprint array's footprint.
-func (fl *Filter16) SizeBytes() uint64 { return 2 * uint64(len(fl.f.fingerprints)) }
-
-// BitsPerKey returns the realized space cost, ≈1.13·8 for a large filter.
-func (fl *Filter8) BitsPerKey() float64 { return bitsPerKey(fl.SizeBytes(), fl.f.keys) }
-
-// BitsPerKey returns the realized space cost, ≈1.13·16 for a large filter.
-func (fl *Filter16) BitsPerKey() float64 { return bitsPerKey(fl.SizeBytes(), fl.f.keys) }
+// BitsPerKey returns the realized space cost, ≈1.13·w for a large filter.
+func (f *Filter) BitsPerKey() float64 { return bitsPerKey(f.SizeBytes(), f.keys) }
 
 func bitsPerKey(sizeBytes, keys uint64) float64 {
 	if keys == 0 {
@@ -402,11 +437,12 @@ const (
 	maxArrayLength  = 1 << 32
 )
 
-func (f *filter[F]) writeTo(w io.Writer, fpBits uint16) (int64, error) {
+// WriteTo serializes the filter; it implements io.WriterTo.
+func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	var hdr [fuseHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magicFuse)
 	binary.LittleEndian.PutUint16(hdr[4:], fuseVersion)
-	binary.LittleEndian.PutUint16(hdr[6:], fpBits)
+	binary.LittleEndian.PutUint16(hdr[6:], uint16(f.bits))
 	binary.LittleEndian.PutUint64(hdr[8:], f.seed)
 	binary.LittleEndian.PutUint32(hdr[16:], f.segmentLength)
 	binary.LittleEndian.PutUint32(hdr[20:], f.segmentCount)
@@ -418,21 +454,13 @@ func (f *filter[F]) writeTo(w io.Writer, fpBits uint16) (int64, error) {
 	if f.keys == 0 {
 		return n, nil
 	}
-	buf := make([]byte, len(f.fingerprints)*int(fpBits)/8)
-	if fpBits == 8 {
-		for i, fp := range f.fingerprints {
-			buf[i] = byte(fp)
-		}
-	} else {
-		for i, fp := range f.fingerprints {
-			binary.LittleEndian.PutUint16(buf[2*i:], uint16(fp))
-		}
-	}
-	m, err := w.Write(buf)
+	m, err := w.Write(f.cells[:f.arrayBytes()])
 	return n + int64(m), err
 }
 
-func readFilter[F fpuint](r io.Reader, wantBits uint16) (*filter[F], error) {
+// Read deserializes a filter written by WriteTo, which must hold
+// bits-bit fingerprints.
+func Read(r io.Reader, bits uint8) (*Filter, error) {
 	var hdr [fuseHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("fuse: short header: %w", err)
@@ -443,15 +471,14 @@ func readFilter[F fpuint](r io.Reader, wantBits uint16) (*filter[F], error) {
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != fuseVersion {
 		return nil, fmt.Errorf("fuse: unsupported version %d", v)
 	}
-	if got := binary.LittleEndian.Uint16(hdr[6:]); got != wantBits {
-		return nil, fmt.Errorf("fuse: fingerprint width %d, want %d", got, wantBits)
+	if got := binary.LittleEndian.Uint16(hdr[6:]); got != uint16(bits) || (bits != 8 && bits != 16) {
+		return nil, fmt.Errorf("fuse: fingerprint width %d, want %d", got, bits)
 	}
-	f := &filter[F]{
-		seed:          binary.LittleEndian.Uint64(hdr[8:]),
-		segmentLength: binary.LittleEndian.Uint32(hdr[16:]),
-		segmentCount:  binary.LittleEndian.Uint32(hdr[20:]),
-		keys:          binary.LittleEndian.Uint64(hdr[24:]),
-	}
+	f := newFilter(bits)
+	f.seed = binary.LittleEndian.Uint64(hdr[8:])
+	f.segmentLength = binary.LittleEndian.Uint32(hdr[16:])
+	f.segmentCount = binary.LittleEndian.Uint32(hdr[20:])
+	f.keys = binary.LittleEndian.Uint64(hdr[24:])
 	if f.keys == 0 {
 		return f, nil
 	}
@@ -470,43 +497,9 @@ func readFilter[F fpuint](r io.Reader, wantBits uint16) (*filter[F], error) {
 	}
 	f.segmentLengthMask = f.segmentLength - 1
 	f.segmentCountLength = f.segmentCount * f.segmentLength
-	f.fingerprints = make([]F, arrayLength)
-	buf := make([]byte, int(arrayLength)*int(wantBits)/8)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	f.alloc(arrayLength)
+	if _, err := io.ReadFull(r, f.cells[:f.arrayBytes()]); err != nil {
 		return nil, fmt.Errorf("fuse: short fingerprint array: %w", err)
 	}
-	if wantBits == 8 {
-		for i := range f.fingerprints {
-			f.fingerprints[i] = F(buf[i])
-		}
-	} else {
-		for i := range f.fingerprints {
-			f.fingerprints[i] = F(binary.LittleEndian.Uint16(buf[2*i:]))
-		}
-	}
 	return f, nil
-}
-
-// WriteTo serializes the filter; it implements io.WriterTo.
-func (fl *Filter8) WriteTo(w io.Writer) (int64, error) { return fl.f.writeTo(w, 8) }
-
-// WriteTo serializes the filter; it implements io.WriterTo.
-func (fl *Filter16) WriteTo(w io.Writer) (int64, error) { return fl.f.writeTo(w, 16) }
-
-// Read8 deserializes a Filter8 written by WriteTo.
-func Read8(r io.Reader) (*Filter8, error) {
-	f, err := readFilter[uint8](r, 8)
-	if err != nil {
-		return nil, err
-	}
-	return &Filter8{f: *f}, nil
-}
-
-// Read16 deserializes a Filter16 written by WriteTo.
-func Read16(r io.Reader) (*Filter16, error) {
-	f, err := readFilter[uint16](r, 16)
-	if err != nil {
-		return nil, err
-	}
-	return &Filter16{f: *f}, nil
 }

@@ -35,55 +35,46 @@ type ablationVQF[B any, F byte | uint16, P scalarBlock[B, F]] struct {
 	blocks      []B
 	mask        uint64
 	count       uint64
-	slots       uint64
-	buckets     uint32
-	fpBits      uint
-	shift       uint // hash bit offset of the primary block index
+	geo         *core.Geometry
 	thresh      uint // shortcut threshold in slots; 0 disables the shortcut
 	independent bool
 	st          stats.Local
 }
 
-func newAblation[B any, F byte | uint16, P scalarBlock[B, F]](nslots, slots uint64, buckets uint32, fpBits, shift, thresh uint, independent bool) *ablationVQF[B, F, P] {
-	k := core.BlocksFor(nslots, slots)
-	a := &ablationVQF[B, F, P]{blocks: make([]B, k), mask: k - 1, slots: slots, buckets: buckets,
-		fpBits: fpBits, shift: shift, thresh: thresh, independent: independent}
+// newAblation builds a scalar ablation VQF of geometry g (whose block type
+// is B) with at least nslots slots, and with g's default shortcut
+// threshold or none.
+func newAblation[B any, F byte | uint16, P scalarBlock[B, F]](g *core.Geometry, nslots uint64, shortcut, independent bool) *ablationVQF[B, F, P] {
+	k := g.Blocks(nslots)
+	a := &ablationVQF[B, F, P]{blocks: make([]B, k), mask: k - 1, geo: g, independent: independent}
+	if shortcut {
+		a.thresh = g.Threshold
+	}
 	for i := range a.blocks {
 		P(&a.blocks[i]).Reset()
 	}
 	return a
 }
 
-// newScalar8 is the 8-bit scalar ablation VQF, with core's default 75%
-// shortcut threshold (36/48) or none.
+// newScalar8 is the 8-bit scalar ablation VQF.
 func newScalar8(nslots uint64, shortcut, independent bool) *ablationVQF[minifilter.Block8, byte, *minifilter.Block8] {
-	thresh := uint(0)
-	if shortcut {
-		thresh = 36
-	}
-	return newAblation[minifilter.Block8, byte](nslots, minifilter.B8Slots, minifilter.B8Buckets, 8, 24, thresh, independent)
+	return newAblation[minifilter.Block8, byte](core.Geom8, nslots, shortcut, independent)
 }
 
-// newScalar16 is the 16-bit scalar ablation VQF, with core's default
-// shortcut threshold (18/28) or none.
+// newScalar16 is the 16-bit scalar ablation VQF.
 func newScalar16(nslots uint64, shortcut bool) *ablationVQF[minifilter.Block16, uint16, *minifilter.Block16] {
-	thresh := uint(0)
-	if shortcut {
-		thresh = 18
-	}
-	return newAblation[minifilter.Block16, uint16](nslots, minifilter.B16Slots, minifilter.B16Buckets, 16, 32, thresh, false)
+	return newAblation[minifilter.Block16, uint16](core.Geom16, nslots, shortcut, false)
 }
 
-// split decomposes h as core's split8/split16 do and returns its two
-// candidate blocks, bucket and fingerprint.
+// split returns h's two candidate blocks, bucket and fingerprint: the
+// geometry's split, with the §3.4 ablation's independent partner block
+// when asked.
 func (a *ablationVQF[B, F, P]) split(h uint64) (b1, b2 uint64, bucket uint, fp F) {
-	bucket = uint(uint32(h&0xffff) * a.buckets >> 16)
-	fp = F(h >> 16)
-	b1 = h >> a.shift & a.mask
+	b1, b2, bucket, f := a.geo.Split(h, a.mask)
 	if a.independent {
-		return b1, hashing.Mix64(h) & a.mask, bucket, fp
+		b2 = hashing.Mix64(h) & a.mask
 	}
-	return b1, hashing.AltIndex(b1, uint64(bucket)<<a.fpBits|uint64(fp), a.mask), bucket, fp
+	return b1, b2, bucket, F(f)
 }
 
 func (a *ablationVQF[B, F, P]) Insert(h uint64) bool {
@@ -125,12 +116,13 @@ func (a *ablationVQF[B, F, P]) Remove(h uint64) bool {
 	return false
 }
 
-func (a *ablationVQF[B, F, P]) Count() uint64         { return a.count }
-func (a *ablationVQF[B, F, P]) Capacity() uint64      { return uint64(len(a.blocks)) * a.slots }
-func (a *ablationVQF[B, F, P]) SizeBytes() uint64     { return uint64(len(a.blocks)) * 64 }
-func (a *ablationVQF[B, F, P]) LoadFactor() float64   { return float64(a.count) / float64(a.Capacity()) }
-func (a *ablationVQF[B, F, P]) SlotsPerBlock() uint   { return uint(a.slots) }
-func (a *ablationVQF[B, F, P]) Stats() stats.OpCounts { return a.st.Counts() }
+func (a *ablationVQF[B, F, P]) Count() uint64            { return a.count }
+func (a *ablationVQF[B, F, P]) Capacity() uint64         { return uint64(len(a.blocks)) * a.geo.Slots }
+func (a *ablationVQF[B, F, P]) SizeBytes() uint64        { return uint64(len(a.blocks)) * 64 }
+func (a *ablationVQF[B, F, P]) LoadFactor() float64      { return float64(a.count) / float64(a.Capacity()) }
+func (a *ablationVQF[B, F, P]) SlotsPerBlock() uint      { return uint(a.geo.Slots) }
+func (a *ablationVQF[B, F, P]) Geometry() *core.Geometry { return a.geo }
+func (a *ablationVQF[B, F, P]) Stats() stats.OpCounts    { return a.st.Counts() }
 
 func (a *ablationVQF[B, F, P]) BlockOccupancies() []uint {
 	out := make([]uint, len(a.blocks))

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"sync"
 
-	"vqf/internal/minifilter"
+	"vqf/internal/core"
 	"vqf/internal/stats"
 )
 
@@ -22,6 +22,7 @@ type statsProvider interface {
 	Stats() stats.OpCounts
 	BlockOccupancies() []uint
 	SlotsPerBlock() uint
+	Geometry() *core.Geometry
 }
 
 var (
@@ -41,7 +42,7 @@ func Observe(name string, f Filter) {
 	}
 	snap := func() stats.Snapshot {
 		return stats.BuildSnapshot(
-			f.Count(), f.Capacity(), f.SizeBytes(), fprForGeometry(sp.SlotsPerBlock()),
+			f.Count(), f.Capacity(), f.SizeBytes(), sp.Geometry().FPR,
 			sp.BlockOccupancies(), sp.SlotsPerBlock(), sp.Stats())
 	}
 	obsMu.Lock()
@@ -56,18 +57,6 @@ func ObserveSnapshot(name string, snap func() stats.Snapshot) {
 	obsMu.Lock()
 	observed[name] = snap
 	obsMu.Unlock()
-}
-
-// fprForGeometry returns the analytic full-load false-positive rate of the
-// VQF geometry with the given slots per block (paper §5).
-func fprForGeometry(slotsPerBlock uint) float64 {
-	switch slotsPerBlock {
-	case minifilter.B8Slots:
-		return 2 * float64(minifilter.B8Slots) / float64(minifilter.B8Buckets) / 256
-	case minifilter.B16Slots:
-		return 2 * float64(minifilter.B16Slots) / float64(minifilter.B16Buckets) / 65536
-	}
-	return 0
 }
 
 // WriteObservedMetrics renders a fresh snapshot of every observed filter in

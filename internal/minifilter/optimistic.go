@@ -127,25 +127,18 @@ func (b *Block8) ContainsOptimisticCountedB(seq *atomic.Uint64, bucket uint, bca
 // read of the metadata words. ok is false after repeated conflicts; the
 // caller should then fall back to its locked path.
 func (b *Block8) OccupancyOptimistic(seq *atomic.Uint64) (occ uint, ok bool) {
-	occ, _, ok = b.OccupancyOptimisticCounted(seq)
-	return occ, ok
-}
-
-// OccupancyOptimisticCounted is OccupancyOptimistic reporting the number of
-// conflicted attempts; see ContainsOptimisticCounted.
-func (b *Block8) OccupancyOptimisticCounted(seq *atomic.Uint64) (occ uint, retries uint, ok bool) {
 	for i := 0; i < optRetries; i++ {
 		ver := seq.Load()
 		hi := atomic.LoadUint64(&b.MetaHi)
 		if hi&lockBit == 0 {
 			lo := atomic.LoadUint64(&b.MetaLo)
 			if atomic.LoadUint64(&b.MetaHi)&lockBit == 0 && seq.Load() == ver {
-				return occupancy128(lo, hi|lockBit), uint(i), true
+				return occupancy128(lo, hi|lockBit), true
 			}
 		}
 		runtime.Gosched()
 	}
-	return 0, optRetries, false
+	return 0, false
 }
 
 // snap16 is an optimistic reader's private copy of a Block16; see snap8.
@@ -208,22 +201,15 @@ func (b *Block16) ContainsOptimisticCountedB(seq *atomic.Uint64, bucket uint, bc
 // OccupancyOptimistic is the lock-free occupancy probe; see
 // Block8.OccupancyOptimistic.
 func (b *Block16) OccupancyOptimistic(seq *atomic.Uint64) (occ uint, ok bool) {
-	occ, _, ok = b.OccupancyOptimisticCounted(seq)
-	return occ, ok
-}
-
-// OccupancyOptimisticCounted is the counted lock-free occupancy probe; see
-// Block8.OccupancyOptimisticCounted.
-func (b *Block16) OccupancyOptimisticCounted(seq *atomic.Uint64) (occ uint, retries uint, ok bool) {
 	for i := 0; i < optRetries; i++ {
 		ver := seq.Load()
 		meta := atomic.LoadUint64(&b.Meta)
 		if meta&lockBit == 0 {
 			if atomic.LoadUint64(&b.Meta)&lockBit == 0 && seq.Load() == ver {
-				return occupancy64(meta | lockBit), uint(i), true
+				return occupancy64(meta | lockBit), true
 			}
 		}
 		runtime.Gosched()
 	}
-	return 0, optRetries, false
+	return 0, false
 }

@@ -93,7 +93,7 @@ func (m *Map) SizeBytes() uint64 { return m.impl.SizeBytes() }
 // FalsePositiveRate returns the Map's analytic false-positive rate at full
 // load: the 8-bit geometry's (the Map always uses 8-bit fingerprints); see
 // Filter.FalsePositiveRate.
-func (m *Map) FalsePositiveRate() float64 { return geom8.fpr }
+func (m *Map) FalsePositiveRate() float64 { return core.Geom8.FPR }
 
 // Stats returns the Map's cumulative operation counters: Puts count as
 // inserts, Gets and Updates as lookups, Deletes as removes. Like every other
@@ -104,6 +104,6 @@ func (m *Map) Stats() OpStats { return m.impl.Stats() }
 // Filter.Snapshot.
 func (m *Map) Snapshot() Snapshot {
 	return stats.BuildSnapshot(
-		m.impl.Count(), m.impl.Capacity(), m.impl.SizeBytes(), geom8.fpr,
+		m.impl.Count(), m.impl.Capacity(), m.impl.SizeBytes(), core.Geom8.FPR,
 		m.impl.BlockOccupancies(), m.impl.SlotsPerBlock(), m.impl.Stats())
 }

@@ -162,7 +162,7 @@ func (f *Filter) ShardedSnapshot() (ShardedSnapshot, bool) {
 	if !ok {
 		return ShardedSnapshot{}, false
 	}
-	return stats.BuildShardedSnapshot(f.Snapshot(), s.ShardSnapshots(f.fpr)), true
+	return stats.BuildShardedSnapshot(f.Snapshot(), s.ShardSnapshots(f.FalsePositiveRate())), true
 }
 
 // ShardedSnapshot returns the elastic filter's per-shard cascade

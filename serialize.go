@@ -18,8 +18,8 @@ import (
 const (
 	envMagic    = 0x53465156 // "VQFS"
 	envVersion  = 1
-	kind8       = 8
-	kind16      = 16
+	kind8       = 8    // unsharded Filter, core.Geom8: the tag is the fingerprint width
+	kind16      = 16   // unsharded Filter, core.Geom16
 	kindMap     = 0x4b // 'K': value-associating filter (Map)
 	kindElastic = 0x45 // 'E': elastic cascade
 	kindSharded = 0x53 // 'S': sharded concurrent filter
@@ -94,29 +94,17 @@ func readEnvelope(r io.Reader, want uint16) (seed uint64, err error) {
 // and sharded filters must be quiescent — no in-flight writers — while
 // WriteTo runs; a held block lock is detected and reported as an error.
 func (f *Filter) WriteTo(w io.Writer) (int64, error) {
-	var kind uint16
-	var wt io.WriterTo
-	switch impl := f.impl.(type) {
-	case *core.Filter8:
-		kind, wt = kind8, impl
-	case *core.Filter16:
-		kind, wt = kind16, impl
-	case *core.CFilter8:
-		kind, wt = kind8, impl
-	case *core.CFilter16:
-		kind, wt = kind16, impl
-	case *core.Sharded8:
-		kind, wt = kindSharded, impl
-	case *core.Sharded16:
-		kind, wt = kindSharded, impl
-	default:
-		return 0, fmt.Errorf("vqf: filter type %T does not support serialization", f.impl)
+	c := f.coreImpl()
+	kind := uint16(c.Geometry().FPBits) // kind8 or kind16
+	switch c.(type) {
+	case *core.Sharded8, *core.Sharded16:
+		kind = kindSharded
 	}
 	n, err := writeEnvelope(w, kind, f.seed)
 	if err != nil {
 		return n, err
 	}
-	m, err := wt.WriteTo(w)
+	m, err := c.WriteTo(w)
 	return n + m, err
 }
 
@@ -141,14 +129,12 @@ func readFilter(r io.Reader, concurrent bool) (*Filter, error) {
 	f := &Filter{front: front{seed: seed}}
 	switch kind {
 	case kind8:
-		f.fpr = geom8.fpr
 		if concurrent {
 			f.impl, err = core.ReadCFilter8(r)
 		} else {
 			f.impl, err = core.ReadFilter8(r)
 		}
 	case kind16:
-		f.fpr = geom16.fpr
 		if concurrent {
 			f.impl, err = core.ReadCFilter16(r)
 		} else {
@@ -157,9 +143,9 @@ func readFilter(r io.Reader, concurrent bool) (*Filter, error) {
 	case kindSharded:
 		concurrent = true
 		s8, s16, serr := core.ReadSharded(r)
-		f.impl, f.fpr, err = s16, geom16.fpr, serr
+		f.impl, err = s16, serr
 		if s8 != nil {
-			f.impl, f.fpr = s8, geom8.fpr
+			f.impl = s8
 		}
 	default:
 		return nil, fmt.Errorf("vqf: stream holds %s", kindName(kind))

@@ -20,11 +20,11 @@ import (
 // fan out over shard-disjoint workers, so two workers never touch the same
 // shard.
 func NewSharded(n uint64, nshards int, opts ...Option) *Filter {
-	return newFilter(n, opts, true, func(g geometry, slots uint64, o core.Options) filterImpl {
-		if g.is16 {
-			return core.NewSharded16(slots, nshards, o)
+	return newFilter(n, opts, true, func(g *core.Geometry, slots uint64, o core.Options) filterImpl {
+		if g == core.Geom8 {
+			return core.NewSharded8(slots, nshards, o)
 		}
-		return core.NewSharded8(slots, nshards, o)
+		return core.NewSharded16(slots, nshards, o)
 	})
 }
 

@@ -26,10 +26,10 @@ package vqf
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"vqf/internal/core"
-	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
 )
@@ -43,8 +43,20 @@ var ErrFull = errors.New("vqf: filter is full")
 // filters with New or NewConcurrent.
 type Filter struct {
 	front
-	fpr float64
 }
+
+// coreImpl is the surface of the core filters behind a Filter (sequential,
+// concurrent or sharded, in either geometry) beyond filterImpl.
+type coreImpl interface {
+	filterImpl
+	io.WriterTo
+	BlockOccupancies() []uint
+	SlotsPerBlock() uint
+	Geometry() *core.Geometry
+}
+
+// coreImpl returns the filter's core filter.
+func (f *Filter) coreImpl() coreImpl { return f.impl.(coreImpl) }
 
 type config struct {
 	fpr         float64
@@ -174,7 +186,7 @@ func WithSizingLoadFactor(lf float64) Option {
 }
 
 func buildConfig(opts []Option) (config, error) {
-	c := config{fpr: geom8.fpr, sizingLoad: 0.90}
+	c := config{fpr: core.Geom8.FPR, sizingLoad: 0.90}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -190,42 +202,19 @@ func buildConfig(opts []Option) (config, error) {
 	return c, nil
 }
 
-// geometry is one of the paper's two block geometries (§6.1) with its
-// analytic full-load false-positive rate 2·(s/b)·2⁻ᶠ.
-type geometry struct {
-	is16 bool
-	fpr  float64
-}
-
-var (
-	geom8  = geometry{false, 2.0 * minifilter.B8Slots / minifilter.B8Buckets / 256}
-	geom16 = geometry{true, 2.0 * minifilter.B16Slots / minifilter.B16Buckets / 65536}
-)
-
-// geometryFor picks the geometry for a target false-positive rate: the
-// 8-bit one when its rate — the loosest the filter meets, and the default
-// target — satisfies the target, the 16-bit one otherwise. Every
-// constructor makes the choice here.
-func geometryFor(fpr float64) geometry {
-	if fpr >= geom8.fpr {
-		return geom8
-	}
-	return geom16
-}
-
 // newFilter is the body New, NewConcurrent and NewSharded share: it
-// validates opts, sizes the filter for n items, picks the geometry, builds
-// the impl with mk and attaches observability. It panics on invalid
-// options.
-func newFilter(n uint64, opts []Option, concurrent bool, mk func(g geometry, slots uint64, o core.Options) filterImpl) *Filter {
+// validates opts, sizes the filter for n items, picks the geometry
+// (core.GeometryFor, the one place the choice is made), builds the impl
+// with mk and attaches observability. It panics on invalid options.
+func newFilter(n uint64, opts []Option, concurrent bool, mk func(g *core.Geometry, slots uint64, o core.Options) filterImpl) *Filter {
 	c, err := buildConfig(opts)
 	if err != nil {
 		panic(err)
 	}
-	g := geometryFor(c.fpr)
+	g := core.GeometryFor(c.fpr)
 	slots := uint64(float64(n)/c.sizingLoad) + 1
 	impl := mk(g, slots, core.Options{NoShortcut: c.noShortcut})
-	f := &Filter{front: front{impl: impl, seed: c.seed}, fpr: g.fpr}
+	f := &Filter{front{impl: impl, seed: c.seed}}
 	f.initObservability(c.latencyRate, concurrent)
 	return f
 }
@@ -234,29 +223,29 @@ func newFilter(n uint64, opts []Option, concurrent bool, mk func(g geometry, slo
 // (mirroring make's behaviour for invalid sizes); use the Option docs for
 // valid ranges.
 func New(n uint64, opts ...Option) *Filter {
-	return newFilter(n, opts, false, func(g geometry, slots uint64, o core.Options) filterImpl {
-		if g.is16 {
-			return core.NewFilter16(slots, o)
+	return newFilter(n, opts, false, func(g *core.Geometry, slots uint64, o core.Options) filterImpl {
+		if g == core.Geom8 {
+			return core.NewFilter8(slots, o)
 		}
-		return core.NewFilter8(slots, o)
+		return core.NewFilter16(slots, o)
 	})
 }
 
 // NewConcurrent returns a filter safe for concurrent use. Sizing and options
 // are as for New.
 func NewConcurrent(n uint64, opts ...Option) *Filter {
-	return newFilter(n, opts, true, func(g geometry, slots uint64, o core.Options) filterImpl {
-		if g.is16 {
-			return core.NewCFilter16(slots, o)
+	return newFilter(n, opts, true, func(g *core.Geometry, slots uint64, o core.Options) filterImpl {
+		if g == core.Geom8 {
+			return core.NewCFilter8(slots, o)
 		}
-		return core.NewCFilter8(slots, o)
+		return core.NewCFilter16(slots, o)
 	})
 }
 
 // FalsePositiveRate returns the filter's analytic false-positive rate at full
 // load (2·(s/b)·2⁻ʳ, paper §5). The realized rate is proportionally lower at
 // lower load factors.
-func (f *Filter) FalsePositiveRate() float64 { return f.fpr }
+func (f *Filter) FalsePositiveRate() float64 { return f.coreImpl().Geometry().FPR }
 
 // Snapshot returns a full structural snapshot: operation counters, load
 // factor, space efficiency, estimated false-positive rate, and the per-block
@@ -266,11 +255,8 @@ func (f *Filter) FalsePositiveRate() float64 { return f.fpr }
 // the histogram is a smear over the scan window rather than an instantaneous
 // cut. Snapshot reads are not recorded in the operation counters.
 func (f *Filter) Snapshot() Snapshot {
-	occ := f.impl.(interface {
-		BlockOccupancies() []uint
-		SlotsPerBlock() uint
-	})
+	c := f.coreImpl()
 	return stats.BuildSnapshot(
-		f.impl.Count(), f.impl.Capacity(), f.impl.SizeBytes(), f.fpr,
-		occ.BlockOccupancies(), occ.SlotsPerBlock(), f.impl.Stats())
+		c.Count(), c.Capacity(), c.SizeBytes(), c.Geometry().FPR,
+		c.BlockOccupancies(), c.SlotsPerBlock(), c.Stats())
 }
