@@ -47,8 +47,8 @@ import (
 	"vqf/internal/analysis"
 	"vqf/internal/elastic"
 	"vqf/internal/harness"
+	"vqf/internal/minifilter"
 	"vqf/internal/stats"
-	"vqf/internal/swar"
 )
 
 type config struct {
@@ -112,7 +112,7 @@ func main() {
 	fs.StringVar(&cfg.httpserve, "httpserve", "",
 		"serve /metrics (Prometheus, live filters), /debug/pprof/ and /debug/vars on this address (e.g. 127.0.0.1:8080) while experiments run")
 	fs.StringVar(&cfg.kernelsImpl, "kernels-impl", "auto",
-		"kernel implementation: auto (assembly where built in), asm (require assembly), generic (portable Go)")
+		"kernel implementation: auto (assembly where supported), asm (require assembly), generic (portable Go)")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: vqfbench [flags] <experiment>\n\nexperiments: table1 fig2 fig3 table2 fig4 fig5 fig6 table3 table4 concurrent elastic compact freeze maxload maxloadscale choices ablation kernels kernelgate multicore observe oracle service all\n\nflags:\n")
 		fs.PrintDefaults()
@@ -126,13 +126,13 @@ func main() {
 	switch cfg.kernelsImpl {
 	case "auto":
 	case "asm":
-		if !swar.HasAsmKernels() {
-			fmt.Fprintln(os.Stderr, "vqfbench: -kernels-impl=asm but this build has no assembly kernels (GOARCH or purego)")
+		if !minifilter.AsmSupported() {
+			fmt.Fprintln(os.Stderr, "vqfbench: -kernels-impl=asm but the assembly kernels cannot run here (GOARCH, purego, or a CPU without BMI1/BMI2/POPCNT)")
 			os.Exit(2)
 		}
-		swar.SetAsmKernels(true)
+		minifilter.SetAsmKernels(true)
 	case "generic":
-		swar.SetAsmKernels(false)
+		minifilter.SetAsmKernels(false)
 	default:
 		fmt.Fprintf(os.Stderr, "vqfbench: unknown -kernels-impl %q (want auto, asm or generic)\n", cfg.kernelsImpl)
 		os.Exit(2)

@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"vqf/internal/minifilter"
 	"vqf/internal/stats"
-	"vqf/internal/swar"
 )
 
 // TestContainsBatchInputOrder pins the ContainsBatch contract on every
@@ -280,11 +280,11 @@ func checkAllocs(t *testing.T, name string, fn func()) {
 // so both ContainsBatch paths — the batch kernel and the per-key fallback —
 // see the same checks.
 func withAsm(t *testing.T, fn func(t *testing.T)) {
-	defer swar.SetAsmKernels(true)
+	defer minifilter.SetAsmKernels(true)
 	for _, asm := range []bool{true, false} {
-		swar.SetAsmKernels(asm)
+		minifilter.SetAsmKernels(asm)
 		name := "generic"
-		if swar.FastProbeEnabled() {
+		if minifilter.AsmEnabled() {
 			name = "kernel"
 		}
 		t.Run(name, fn)

@@ -43,7 +43,7 @@ func (f *CFilter8) Insert(h uint64) bool {
 	seq1 := f.seq(b1)
 	blk1.Lock()
 	occ1 := blk1.OccupancyLocked()
-	if !f.opts.NoShortcut && occ1 < f.thresh {
+	if occ1 < f.thresh {
 		blk1.InsertLocked(bucket, fp)
 		blk1.UnlockBump(seq1)
 		f.count.Add(1)
@@ -104,24 +104,25 @@ func (f *CFilter8) contains(h, sel uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	f.st.Lookup(sel)
 	bc := swar.BroadcastByte(fp)
-	found, retries, fellBack := f.blocks[b1].ContainsOptimisticCountedB(f.seq(b1), bucket, bc)
+	var s minifilter.Snap8
+	retries, fellBack := f.blocks[b1].Snapshot(f.seq(b1), &s)
 	f.st.Optimistic(sel, retries, fellBack)
 	if fellBack {
 		f.fallbackEvent(b1, retries)
 	}
-	if found {
+	if s.Probe(bucket, bc) != 0 {
 		return true
 	}
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		return false
 	}
-	found, retries, fellBack = f.blocks[b2].ContainsOptimisticCountedB(f.seq(b2), bucket, bc)
+	retries, fellBack = f.blocks[b2].Snapshot(f.seq(b2), &s)
 	f.st.Optimistic(sel, retries, fellBack)
 	if fellBack {
 		f.fallbackEvent(b2, retries)
 	}
-	return found
+	return s.Probe(bucket, bc) != 0
 }
 
 // ContainsLocked is the pre-optimistic lookup path: it acquires each
@@ -227,7 +228,7 @@ func (f *CFilter16) Insert(h uint64) bool {
 	seq1 := f.seq(b1)
 	blk1.Lock()
 	occ1 := blk1.OccupancyLocked()
-	if !f.opts.NoShortcut && occ1 < f.thresh {
+	if occ1 < f.thresh {
 		blk1.InsertLocked(bucket, fp)
 		blk1.UnlockBump(seq1)
 		f.count.Add(1)
@@ -284,24 +285,25 @@ func (f *CFilter16) contains(h, sel uint64) bool {
 	b1, bucket, fp, tag := split16(h, f.mask)
 	f.st.Lookup(sel)
 	bc := swar.BroadcastU16(fp)
-	found, retries, fellBack := f.blocks[b1].ContainsOptimisticCountedB(f.seq(b1), bucket, bc)
+	var s minifilter.Snap16
+	retries, fellBack := f.blocks[b1].Snapshot(f.seq(b1), &s)
 	f.st.Optimistic(sel, retries, fellBack)
 	if fellBack {
 		f.fallbackEvent(b1, retries)
 	}
-	if found {
+	if s.Probe(bucket, bc) != 0 {
 		return true
 	}
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		return false
 	}
-	found, retries, fellBack = f.blocks[b2].ContainsOptimisticCountedB(f.seq(b2), bucket, bc)
+	retries, fellBack = f.blocks[b2].Snapshot(f.seq(b2), &s)
 	f.st.Optimistic(sel, retries, fellBack)
 	if fellBack {
 		f.fallbackEvent(b2, retries)
 	}
-	return found
+	return s.Probe(bucket, bc) != 0
 }
 
 // ContainsLocked is the lock-acquiring lookup baseline; see

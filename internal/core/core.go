@@ -50,7 +50,13 @@ type Options struct {
 	ShortcutThreshold uint
 }
 
+// threshold returns the occupancy below which an insert takes the shortcut.
+// NoShortcut is threshold 0 — no occupancy is below it — so the insert paths
+// test only occ1 < f.thresh.
 func (o Options) threshold(g *Geometry) uint {
+	if o.NoShortcut {
+		return 0
+	}
 	t := o.ShortcutThreshold
 	if t == 0 {
 		t = g.Threshold

@@ -27,7 +27,7 @@ func (f *Filter16) Insert(h uint64) bool {
 	b1, bucket, fp, tag := split16(h, f.mask)
 	blk1 := &f.blocks[b1]
 	occ1 := blk1.Occupancy()
-	if !f.opts.NoShortcut && occ1 < f.thresh {
+	if occ1 < f.thresh {
 		blk1.Insert(bucket, fp)
 		f.count++
 		f.st.ShortcutInsert()

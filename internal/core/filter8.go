@@ -31,7 +31,7 @@ func (f *Filter8) Insert(h uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	blk1 := &f.blocks[b1]
 	occ1 := blk1.Occupancy()
-	if !f.opts.NoShortcut && occ1 < f.thresh {
+	if occ1 < f.thresh {
 		// Shortcut (§6.2): the primary block is emptier than the threshold,
 		// so skip the secondary block entirely — one cache line touched.
 		blk1.Insert(bucket, fp)

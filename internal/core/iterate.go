@@ -195,15 +195,19 @@ func (f *Filter16) CountAtBlock(b, h uint64) uint64 {
 }
 
 // CountAtBlock returns the number of matching instances in block b from a
-// consistent lock-free block snapshot; see Filter8.CountAtBlock.
+// consistent block Snapshot; see Filter8.CountAtBlock.
 func (f *CFilter8) CountAtBlock(b, h uint64) uint64 {
 	_, bucket, fp, _ := split8(h, f.mask)
-	return uint64(bits.OnesCount64(f.blocks[b].ProbeOptimistic(f.seq(b), bucket, swar.BroadcastByte(fp))))
+	var s minifilter.Snap8
+	f.blocks[b].Snapshot(f.seq(b), &s)
+	return uint64(bits.OnesCount64(s.Probe(bucket, swar.BroadcastByte(fp))))
 }
 
 // CountAtBlock returns the number of matching instances in block b; see
 // CFilter8.CountAtBlock.
 func (f *CFilter16) CountAtBlock(b, h uint64) uint64 {
 	_, bucket, fp, _ := split16(h, f.mask)
-	return uint64(bits.OnesCount64(f.blocks[b].ProbeOptimistic(f.seq(b), bucket, swar.BroadcastU16(fp))))
+	var s minifilter.Snap16
+	f.blocks[b].Snapshot(f.seq(b), &s)
+	return uint64(bits.OnesCount64(s.Probe(bucket, swar.BroadcastU16(fp))))
 }

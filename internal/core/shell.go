@@ -22,10 +22,7 @@ type blockPtr[B any] interface {
 	*B
 	Reset()
 	Occupancy() uint
-	OccupancyOptimistic(seq *atomic.Uint64) (uint, bool)
-	Lock()
-	Unlock()
-	OccupancyLocked() uint
+	OccupancySnapshot(seq *atomic.Uint64) uint
 }
 
 // Both block types are exactly eight uint64 words (see words).
@@ -227,23 +224,16 @@ func (f *cfilter[B, P]) Stats() stats.OpCounts { return f.st.Counts() }
 func (f *cfilter[B, P]) SetEventRing(r *telemetry.Ring) { f.ring = r }
 
 // BlockOccupancies returns a point-in-time occupancy of every block. Safe
-// for concurrent use; each block is read with the validated optimistic
-// protocol (falling back to a brief single-block lock on repeated
-// conflicts), so writers are never blocked for more than one block's
-// critical section. Blocks are sampled one at a time: the vector is exact
-// per block but not a consistent cut of the whole filter. Snapshot reads are
-// not recorded in the operation counters.
+// for concurrent use; each block is read from one Snapshot (falling back to
+// a brief single-block lock on repeated conflicts), so writers are never
+// blocked for more than one block's critical section. Blocks are sampled
+// one at a time: the vector is exact per block but not a consistent cut of
+// the whole filter. Snapshot reads are not recorded in the operation
+// counters.
 func (f *cfilter[B, P]) BlockOccupancies() []uint {
 	out := make([]uint, len(f.blocks))
 	for i := range f.blocks {
-		blk := P(&f.blocks[i])
-		if occ, ok := blk.OccupancyOptimistic(f.seq(uint64(i))); ok {
-			out[i] = occ
-			continue
-		}
-		blk.Lock()
-		out[i] = blk.OccupancyLocked()
-		blk.Unlock()
+		out[i] = P(&f.blocks[i]).OccupancySnapshot(f.seq(uint64(i)))
 	}
 	return out
 }

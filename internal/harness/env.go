@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"strings"
 
-	"vqf/internal/swar"
+	"vqf/internal/minifilter"
 )
 
 // BenchEnv records the execution environment of a benchmark run. Every
@@ -28,11 +28,10 @@ type BenchEnv struct {
 	GOOS          string `json:"goos"`
 	GOARCH        string `json:"goarch"`
 	GoVersion     string `json:"go_version"`
-	// AsmKernels reports whether the hand-written assembly match kernels
-	// were enabled; FastProbe whether the fused BMI2 probe kernels were
-	// available and enabled (both false on non-amd64 and purego builds).
+	// AsmKernels reports whether the fused assembly kernels were selected
+	// (false on non-amd64 and purego builds, on CPUs without BMI2, and under
+	// -kernels-impl generic).
 	AsmKernels bool `json:"asm_kernels"`
-	FastProbe  bool `json:"fast_probe"`
 }
 
 // CaptureEnv snapshots the current benchmark environment.
@@ -44,8 +43,7 @@ func CaptureEnv() BenchEnv {
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,
 		GoVersion:     runtime.Version(),
-		AsmKernels:    swar.AsmKernelsEnabled(),
-		FastProbe:     swar.FastProbeEnabled(),
+		AsmKernels:    minifilter.AsmEnabled(),
 	}
 }
 

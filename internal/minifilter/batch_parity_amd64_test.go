@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"vqf/internal/hashing"
-	"vqf/internal/swar"
 )
 
 // Differential parity gate for the batch contains kernels: over block arrays
@@ -221,7 +220,7 @@ func checkBatchParity(t *testing.T, c batchCase, hs []uint64) {
 	for i := range out {
 		out[i] = i%3 == 0
 	}
-	fast := swar.FastProbeEnabled()
+	fast := AsmEnabled()
 	var ran bool
 	if c.blocks8 != nil {
 		ran = ProbeBatch8(c.blocks8, hs, out)
@@ -259,14 +258,14 @@ func checkBatchParity(t *testing.T, c batchCase, hs []uint64) {
 // (bucket 0 and the last bucket included) and partners equal to their
 // primaries, at batch lengths around the wrapper's 1024-key chunk.
 func TestProbeBatchParity(t *testing.T) {
-	if !swar.HasFastSelect() {
+	if !AsmSupported() {
 		t.Skip("CPU lacks PDEP/TZCNT/POPCNT")
 	}
-	defer swar.SetAsmKernels(true)
+	defer SetAsmKernels(true)
 	r := rand.New(rand.NewSource(17))
 	cases := batchCases(r)
 	for _, asm := range []bool{true, false} {
-		swar.SetAsmKernels(asm)
+		SetAsmKernels(asm)
 		for _, c := range cases {
 			for _, n := range []int{0, 1, 1023, 1024, 1025, 5000} {
 				checkBatchParity(t, c, c.keys[:n])
@@ -279,7 +278,7 @@ func TestProbeBatchParity(t *testing.T) {
 // unchecked assembly, a block array whose mask would index past its end and
 // an out slice too short for the batch.
 func TestProbeBatchPreconditions(t *testing.T) {
-	if !swar.FastProbeEnabled() {
+	if !AsmEnabled() {
 		t.Skip("batch kernel not in use")
 	}
 	hs := make([]uint64, 10)
@@ -307,10 +306,10 @@ func FuzzProbeBatchParity(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 79, 2, 2, 40, 3}, []byte("01234567abcdefgh"))
 	f.Add([]byte("fuzzing builds character and valid metadata"), []byte{})
 	f.Fuzz(func(t *testing.T, ops, query []byte) {
-		if !swar.HasFastSelect() {
+		if !AsmSupported() {
 			t.Skip("CPU lacks PDEP/TZCNT/POPCNT")
 		}
-		defer swar.SetAsmKernels(true)
+		defer SetAsmKernels(true)
 		b8, b16 := newBlocks8(4), newBlocks16(4)
 		var k8, k16 []uint64
 		for i := 0; i+2 < len(ops); i += 3 {
@@ -328,7 +327,7 @@ func FuzzProbeBatchParity(f *testing.F) {
 			query = query[8:]
 		}
 		for _, asm := range []bool{true, false} {
-			swar.SetAsmKernels(asm)
+			SetAsmKernels(asm)
 			checkBatchParity(t, batchCase{name: "fuzz8", blocks8: b8, keys: k8}, k8)
 			checkBatchParity(t, batchCase{name: "fuzz16", blocks16: b16, keys: k16}, k16)
 		}

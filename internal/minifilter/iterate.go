@@ -2,7 +2,6 @@ package minifilter
 
 import (
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 
 	"vqf/internal/swar"
@@ -90,9 +89,9 @@ func (b *Block16) Iterate(yield func(bucket uint, fp uint16) bool) bool {
 }
 
 // SnapshotIterate walks the occupied slots of a locked-mode block from a
-// consistent point-in-time copy, yielding (bucket, fingerprint) pairs. The
-// copy is taken with the optimistic seqlock protocol (see optimistic.go)
-// and, after repeated conflicts, under the block lock — either way yield
+// consistent point-in-time copy (Block8.Snapshot), yielding (bucket,
+// fingerprint) pairs. The copy is taken with the optimistic seqlock protocol
+// or, after repeated conflicts, under the block lock — either way yield
 // always observes one internally consistent block state, never a torn mix,
 // and runs on the private copy so it may take arbitrarily long without
 // blocking writers. Blocks mutated after the copy are not re-read; callers
@@ -100,70 +99,15 @@ func (b *Block16) Iterate(yield func(bucket uint, fp uint16) bool) bool {
 // externally (compaction quiesces inserts and logs removals). It returns
 // false if yield stopped the walk early.
 func (b *Block8) SnapshotIterate(seq *atomic.Uint64, yield func(bucket uint, fp byte) bool) bool {
-	var s snap8
-	for i := 0; i < optRetries; i++ {
-		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return IterSlots128(s.lo, s.hi, &s.fps, yield)
-		}
-		runtime.Gosched()
-	}
-	b.Lock()
-	s.lo, s.hi = b.metaLocked()
-	s.fps = b.Fps // plain read is safe under the lock
-	b.Unlock()
+	var s Snap8
+	b.Snapshot(seq, &s)
 	return IterSlots128(s.lo, s.hi, &s.fps, yield)
 }
 
 // SnapshotIterate walks a locked-mode block from a consistent copy; see
 // Block8.SnapshotIterate.
 func (b *Block16) SnapshotIterate(seq *atomic.Uint64, yield func(bucket uint, fp uint16) bool) bool {
-	var s snap16
-	for i := 0; i < optRetries; i++ {
-		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return IterSlots64(s.meta, &s.fps, yield)
-		}
-		runtime.Gosched()
-	}
-	b.Lock()
-	s.meta = b.metaLocked()
-	s.fps = b.Fps
-	b.Unlock()
+	var s Snap16
+	b.Snapshot(seq, &s)
 	return IterSlots64(s.meta, &s.fps, yield)
-}
-
-// ProbeOptimistic returns the slot match mask of the pre-broadcast
-// fingerprint within bucket from a validated lock-free snapshot of a
-// locked-mode block, falling back to the block lock after repeated
-// conflicts. It is the counting analogue of ContainsOptimisticCountedB
-// (which only needs mask != 0): compaction's removal reconciliation counts
-// matching instances, so it needs the full mask.
-func (b *Block8) ProbeOptimistic(seq *atomic.Uint64, bucket uint, bcast uint64) uint64 {
-	var s snap8
-	for i := 0; i < optRetries; i++ {
-		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return probe8(s.lo, s.hi, &s.fps, bucket, bcast)
-		}
-		runtime.Gosched()
-	}
-	b.Lock()
-	lo, hi := b.metaLocked()
-	mask := probe8(lo, hi, &b.Fps, bucket, bcast)
-	b.Unlock()
-	return mask
-}
-
-// ProbeOptimistic returns the slot match mask from a validated lock-free
-// snapshot; see Block8.ProbeOptimistic.
-func (b *Block16) ProbeOptimistic(seq *atomic.Uint64, bucket uint, bcast uint64) uint64 {
-	var s snap16
-	for i := 0; i < optRetries; i++ {
-		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return probe16(s.meta, &s.fps, bucket, bcast)
-		}
-		runtime.Gosched()
-	}
-	b.Lock()
-	mask := probe16(b.metaLocked(), &b.Fps, bucket, bcast)
-	b.Unlock()
-	return mask
 }

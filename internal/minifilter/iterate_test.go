@@ -209,6 +209,9 @@ func TestSnapshotIterateUnderWriters(t *testing.T) {
 	wg.Wait()
 }
 
+// TestProbeOptimistic checks the counted optimistic probe the concurrent
+// filters run — Snapshot, then Probe on the copy — counts every matching
+// instance and reports no retry on a quiescent block.
 func TestProbeOptimistic(t *testing.T) {
 	var b Block8
 	b.Reset()
@@ -219,12 +222,17 @@ func TestProbeOptimistic(t *testing.T) {
 	b.InsertLocked(5, 0xCD)
 	b.UnlockBump(&seq)
 	bcast := uint64(0xABABABABABABABAB)
-	if got := popcount(b.ProbeOptimistic(&seq, 5, bcast)); got != 2 {
-		t.Fatalf("ProbeOptimistic matched %d instances, want 2", got)
+	var s Snap8
+	if retries, fellBack := b.Snapshot(&seq, &s); retries != 0 || fellBack {
+		t.Fatalf("quiescent snapshot: retries %d, fell back %v", retries, fellBack)
 	}
-	if got := popcount(b.ProbeOptimistic(&seq, 6, bcast)); got != 0 {
-		t.Fatalf("ProbeOptimistic matched %d in empty bucket", got)
+	if got := popcount(s.Probe(5, bcast)); got != 2 {
+		t.Fatalf("snapshot probe matched %d instances, want 2", got)
 	}
+	if got := popcount(s.Probe(6, bcast)); got != 0 {
+		t.Fatalf("snapshot probe matched %d in empty bucket", got)
+	}
+
 }
 
 func popcount(x uint64) int {

@@ -2,12 +2,62 @@ package minifilter
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"vqf/internal/bitvec"
 	"vqf/internal/swar"
+	"vqf/internal/telemetry"
 )
 
-// Fused hot-path kernels. Each kernel takes a block's *logical* metadata
+// Kernel dispatch. Every bucket search — lookup, remove, and the
+// slot-reporting variants, in plain, locked and optimistic mode — runs
+// probe8/probe16. On amd64 (without purego) on a CPU with BMI1, BMI2 and
+// POPCNT that is a fused assembly kernel (kernel_amd64.s); everywhere else,
+// or with the assembly switched off, it is the portable SWAR body
+// (probe8Generic/probe16Generic), which is also the differential reference
+// the parity tests compare the assembly against.
+//
+// The switch is a package-level atomic so one process can benchmark both
+// paths (vqfbench -kernels-impl, the asm-vs-generic regression gate) and so
+// toggling under -race tests is sound. It is read once per kernel call; the
+// load is a plain MOV on amd64 and the branch predicts perfectly.
+
+// useAsm holds whether the assembly kernels are selected. It is only ever
+// true when hasAsm is.
+var useAsm atomic.Bool
+
+func init() { SetAsmKernels(true) }
+
+// AsmSupported reports whether the assembly kernels can run here: an amd64
+// build without the purego tag, on a CPU with BMI1, BMI2 and POPCNT.
+func AsmSupported() bool { return hasAsm }
+
+// AsmEnabled reports whether the assembly kernels are currently selected.
+func AsmEnabled() bool { return useAsm.Load() }
+
+// SetAsmKernels selects between the assembly and generic kernels and
+// reports the resulting state: enabling has no effect where AsmSupported is
+// false. Each call records the selection (A = enabled, B = supported) as an
+// asm-dispatch event in the global ring, so a process's event stream shows
+// which implementation its numbers came from. Intended for benchmarks,
+// parity gates and tests; concurrent use with running filter operations is
+// safe (operations observe one implementation or the other, which agree
+// bit for bit).
+func SetAsmKernels(enable bool) bool {
+	on := enable && hasAsm
+	useAsm.Store(on)
+	telemetry.Global().Record(telemetry.EvAsmDispatch, b2u(on), b2u(hasAsm), 0)
+	return on
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Hot-path kernels. Each kernel takes a block's *logical* metadata
 // words explicitly — the plain paths pass the stored words, the locked paths
 // pass the lock-bit-adjusted form, and the optimistic paths pass a validated
 // snapshot — so one zero-allocation implementation serves Contains, Insert,
@@ -24,10 +74,8 @@ import (
 // This is the portable body behind probe8, which is build-tagged: on amd64
 // (without purego) kernel_amd64.go dispatches to a fused assembly kernel that
 // folds the metadata select and the lane match into one routine, falling back
-// here when the CPU lacks PDEP/TZCNT or the assembly kernels are switched
-// off; everywhere else kernel_generic.go aliases probe8 to this directly.
-// The generic body is always compiled so the differential parity tests can
-// compare both implementations in one binary.
+// here when the assembly kernels are unsupported or switched off; everywhere
+// else kernel_generic.go aliases probe8 to this directly.
 func probe8Generic(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) uint64 {
 	start, end := bucketRange128(lo, hi, bucket)
 	return swar.Match48Range(fps, bcast, start, end)
@@ -69,8 +117,7 @@ func insertSlot16(meta uint64, fps *[swar.Words16]uint64, bucket uint, fp uint16
 // pass the stored word for both. The down shift feeds zero at the top, so
 // the freed lane needs no explicit clear and occupancy is not consulted.
 func removeSlot8(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) (newLo, newHi uint64, z int) {
-	start, end := bucketRange128(lo, hiSel, bucket)
-	mask := swar.Match48Range(fps, bcast, start, end)
+	mask := probe8(lo, hiSel, fps, bucket, bcast)
 	if mask == 0 {
 		return lo, hiLog, -1
 	}
@@ -82,8 +129,7 @@ func removeSlot8(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint,
 
 // removeSlot16 is the 16-bit-fingerprint analog of removeSlot8.
 func removeSlot16(metaSel, metaLog uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) (newMeta uint64, z int) {
-	start, end := bucketRange64(metaSel, bucket)
-	mask := swar.Match28Range(fps, bcast, start, end)
+	mask := probe16(metaSel, fps, bucket, bcast)
 	if mask == 0 {
 		return metaLog, -1
 	}

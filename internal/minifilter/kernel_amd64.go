@@ -4,27 +4,45 @@ package minifilter
 
 import "vqf/internal/swar"
 
-// Fused assembly probes. The generic probe is two dependent steps — a SWAR
-// metadata select (bucketRange128/bucketRange64: byte-wise popcount prefix
-// plus a table lookup) feeding a lane match — and the select dominates the
-// critical path. With BMI2 the select collapses to two instructions
-// (PDEP to isolate the bucket's terminator, TZCNT for its position), so the
-// whole probe — select, slot-range arithmetic, SSE2 lane compare, range
-// mask — fits in one assembly routine with no function-call boundary in the
-// middle. The CPUID gate lives in internal/swar next to the kernel switch:
-// one SetAsmKernels toggle moves the match kernels and the fused probes
-// together, which is what the asm-vs-generic benchmark and parity gates
-// flip.
+// The fused assembly kernels. The generic probe is two dependent steps — a
+// SWAR metadata select (bucketRange128/bucketRange64: byte-wise popcount
+// prefix plus a table lookup) feeding a lane match — and the select
+// dominates the critical path. With BMI2 the select collapses to two
+// instructions (PDEP to isolate the bucket's terminator, TZCNT for its
+// position), so the whole probe — select, slot-range arithmetic, SSE2 lane
+// compare, range mask — fits in one assembly routine with no function-call
+// boundary in the middle.
+
+// cpuid executes the CPUID instruction with the given leaf (EAX) and
+// subleaf (ECX); implemented in kernel_amd64.s.
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// hasAsm reports whether the CPU has the instructions the kernels need:
+// POPCNT (CPUID leaf 1 ECX bit 23), and BMI1/BMI2 for TZCNT and PDEP (leaf
+// 7 subleaf 0 EBX bits 3 and 8). They are not part of the amd64 baseline,
+// so the kernels are gated at runtime.
+var hasAsm = func() bool {
+	maxID, _, _, _ := cpuid(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	_, _, c1, _ := cpuid(1, 0)
+	const popcntBit = 1 << 23
+	_, b7, _, _ := cpuid(7, 0)
+	const bmi1Bit = 1 << 3
+	const bmi2Bit = 1 << 8
+	return c1&popcntBit != 0 && b7&bmi1Bit != 0 && b7&bmi2Bit != 0
+}()
 
 func probe8(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) uint64 {
-	if swar.FastProbeEnabled() {
+	if useAsm.Load() {
 		return fusedProbe8Asm(lo, hi, fps, bucket, bcast)
 	}
 	return probe8Generic(lo, hi, fps, bucket, bcast)
 }
 
 func probe16(meta uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) uint64 {
-	if swar.FastProbeEnabled() {
+	if useAsm.Load() {
 		return fusedProbe16Asm(meta, fps, bucket, bcast)
 	}
 	return probe16Generic(meta, fps, bucket, bcast)
@@ -32,10 +50,10 @@ func probe16(meta uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) 
 
 // fusedProbe8Asm is probe8Generic in one assembly routine: PDEP/TZCNT
 // metadata select over the 128-bit terminator words, then the SSE2 lane
-// match restricted to the bucket's slot range. Requires swar.HasFastSelect
-// and *valid* block metadata (80 terminators among the 128 bits, bucket <
-// 80); both are guaranteed by the callers, which probe only locked blocks or
-// validated optimistic snapshots.
+// match restricted to the bucket's slot range. Requires hasAsm and *valid*
+// block metadata (80 terminators among the 128 bits, bucket < 80); both are
+// guaranteed by the callers, which probe only plain blocks, locked blocks
+// or validated snapshots.
 //
 //go:noescape
 func fusedProbe8Asm(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) uint64
@@ -76,7 +94,7 @@ func ProbeBatch16(blocks []Block16, hs []uint64, out []bool) bool {
 // enforces the memory-safety preconditions the assembly does not check:
 // every masked block index is in bounds and every result lands inside out.
 func probeBatch[B any](blocks []B, hs []uint64, out []bool, kernel func(*B, uint64, *uint64, *bool, int)) bool {
-	if !swar.FastProbeEnabled() {
+	if !useAsm.Load() {
 		return false
 	}
 	nb := len(blocks)
@@ -93,8 +111,7 @@ func probeBatch[B any](blocks []B, hs []uint64, out []bool, kernel func(*B, uint
 }
 
 // probeBatch8Asm writes out[i] for the n ≥ 0 keys at hs; see ProbeBatch8
-// and kernel_amd64.s. Requires swar.HasFastSelect and valid plain-mode block
-// metadata.
+// and kernel_amd64.s. Requires hasAsm and valid plain-mode block metadata.
 //
 //go:noescape
 func probeBatch8Asm(blocks *Block8, mask uint64, hs *uint64, out *bool, n int)

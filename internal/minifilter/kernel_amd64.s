@@ -8,9 +8,9 @@
 //	position of k-th set bit of m  =  TZCNT(PDEP(1 << k, m))
 //
 // which replaces the generic SWAR popcount-prefix select. The bucket's slot
-// range [start, end) then falls out of two terminator positions, and the
-// SSE2 compare + range mask is identical to the swar match kernels. Callers
-// guarantee valid block metadata (see kernel_amd64.go), which bounds every
+// range [start, end) then falls out of two terminator positions, and an
+// SSE2 PCMPEQB/PCMPEQW lane compare with a PMOVMSKB movemask, masked to the
+// range, yields the match mask. Callers guarantee valid block metadata (see kernel_amd64.go), which bounds every
 // shift count below 64:
 //
 //   - a terminator always follows terminator bucket-1 (bucket is in range),
@@ -19,7 +19,18 @@
 //   - "bits strictly above p" is built as (-1 << p) << 1 — two shifts each
 //     < 64 — rather than -1 << (p+1), which would wrap at p = 63.
 //
-// Requires swar.HasFastSelect (POPCNT + BMI1 + BMI2); gated by the caller.
+// Requires POPCNT + BMI1 + BMI2 (hasAsm); gated by the caller.
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
 
 // func fusedProbe8Asm(lo, hi uint64, fps *[6]uint64, bucket uint, bcast uint64) uint64
 TEXT ·fusedProbe8Asm(SB), NOSPLIT, $0-48

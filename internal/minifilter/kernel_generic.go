@@ -4,8 +4,10 @@ package minifilter
 
 import "vqf/internal/swar"
 
-// On builds without the fused assembly probes, probe8/probe16 are the
-// generic kernels; see kernel_amd64.go for the assembly dispatch.
+// Builds without the fused assembly kernels (another GOARCH, or -tags
+// purego) run the generic kernels; see kernel_amd64.go.
+
+const hasAsm = false
 
 func probe8(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) uint64 {
 	return probe8Generic(lo, hi, fps, bucket, bcast)

@@ -46,7 +46,7 @@ func fillBlock16(r *rand.Rand, n int) (*Block16, []uint16) {
 }
 
 func TestFusedProbe8Parity(t *testing.T) {
-	if !swar.HasFastSelect() {
+	if !AsmSupported() {
 		t.Skip("CPU lacks PDEP/TZCNT/POPCNT")
 	}
 	r := rand.New(rand.NewSource(11))
@@ -71,7 +71,7 @@ func TestFusedProbe8Parity(t *testing.T) {
 }
 
 func TestFusedProbe16Parity(t *testing.T) {
-	if !swar.HasFastSelect() {
+	if !AsmSupported() {
 		t.Skip("CPU lacks PDEP/TZCNT/POPCNT")
 	}
 	r := rand.New(rand.NewSource(12))
@@ -100,7 +100,7 @@ func TestFusedProbe16Parity(t *testing.T) {
 // must hold for it as well, including on a completely full block where the
 // forced bit is the real 80th (resp. 36th) terminator.
 func TestFusedProbeLockedForm(t *testing.T) {
-	if !swar.HasFastSelect() {
+	if !AsmSupported() {
 		t.Skip("CPU lacks PDEP/TZCNT/POPCNT")
 	}
 	r := rand.New(rand.NewSource(13))
@@ -133,7 +133,7 @@ func FuzzFusedProbeParity(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1}, uint16(0))
 	f.Add([]byte("fuzzing builds character and valid metadata"), uint16(0x2a2a))
 	f.Fuzz(func(t *testing.T, ops []byte, fp uint16) {
-		if !swar.HasFastSelect() {
+		if !AsmSupported() {
 			t.Skip("CPU lacks PDEP/TZCNT/POPCNT")
 		}
 		var b8 Block8

@@ -139,13 +139,8 @@ func bucketRange128(lo, hi uint64, bucket uint) (start, end uint) {
 // ContainsLocked reports whether fp is present in bucket. The caller must
 // hold the block lock.
 func (b *Block8) ContainsLocked(bucket uint, fp byte) bool {
-	return b.ContainsLockedB(bucket, swar.BroadcastByte(fp))
-}
-
-// ContainsLockedB is ContainsLocked with a pre-broadcast fingerprint.
-func (b *Block8) ContainsLockedB(bucket uint, bcast uint64) bool {
 	lo, hi := b.metaLocked()
-	return probe8(lo, hi, &b.Fps, bucket, bcast) != 0
+	return probe8(lo, hi, &b.Fps, bucket, swar.BroadcastByte(fp)) != 0
 }
 
 // InsertLocked adds fp to bucket. The caller must hold the block lock; the
@@ -264,12 +259,7 @@ func bucketRange64(meta uint64, bucket uint) (start, end uint) {
 // ContainsLocked reports whether fp is present in bucket. The caller must
 // hold the block lock.
 func (b *Block16) ContainsLocked(bucket uint, fp uint16) bool {
-	return b.ContainsLockedB(bucket, swar.BroadcastU16(fp))
-}
-
-// ContainsLockedB is ContainsLocked with a pre-broadcast fingerprint.
-func (b *Block16) ContainsLockedB(bucket uint, bcast uint64) bool {
-	return probe16(b.metaLocked(), &b.Fps, bucket, bcast) != 0
+	return probe16(b.metaLocked(), &b.Fps, bucket, swar.BroadcastU16(fp)) != 0
 }
 
 // InsertLocked adds fp to bucket. The caller must hold the block lock. The

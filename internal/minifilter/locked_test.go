@@ -21,37 +21,37 @@ func logicalState8(b *Block8) (uint64, uint64, [swar.Words8]uint64) {
 }
 
 // TestBlock8LockedEquivalence runs an identical op sequence through the plain
-// and locked variants and requires the same logical state at every step.
+// and locked variants and requires the same logical state at every step. The
+// sequence runs with the assembly kernels on and then off; both runs must
+// agree op for op and leave bit-identical blocks.
 func TestBlock8LockedEquivalence(t *testing.T) {
+	replayBothKernels(t, func() ([]uint64, []bool) { return lockedEquivalence8(t) })
+}
+
+func lockedEquivalence8(t *testing.T) ([]uint64, []bool) {
 	var plain, locked Block8
 	plain.Reset()
 	locked.Reset()
 	locked.Lock()
 	defer locked.Unlock()
 	rng := rand.New(rand.NewSource(1))
+	var results []bool
 	for step := 0; step < 20000; step++ {
 		bucket := uint(rng.Intn(B8Buckets))
 		fp := byte(rng.Intn(16))
+		var a, b bool
 		switch rng.Intn(3) {
 		case 0:
-			a := plain.Insert(bucket, fp)
-			b := locked.InsertLocked(bucket, fp)
-			if a != b {
-				t.Fatalf("step %d: insert plain=%v locked=%v", step, a, b)
-			}
+			a, b = plain.Insert(bucket, fp), locked.InsertLocked(bucket, fp)
 		case 1:
-			a := plain.Remove(bucket, fp)
-			b := locked.RemoveLocked(bucket, fp)
-			if a != b {
-				t.Fatalf("step %d: remove plain=%v locked=%v", step, a, b)
-			}
+			a, b = plain.Remove(bucket, fp), locked.RemoveLocked(bucket, fp)
 		case 2:
-			a := plain.Contains(bucket, fp)
-			b := locked.ContainsLocked(bucket, fp)
-			if a != b {
-				t.Fatalf("step %d: contains plain=%v locked=%v", step, a, b)
-			}
+			a, b = plain.Contains(bucket, fp), locked.ContainsLocked(bucket, fp)
 		}
+		if a != b {
+			t.Fatalf("step %d: plain=%v locked=%v", step, a, b)
+		}
+		results = append(results, a)
 		if plain.Occupancy() != locked.OccupancyLocked() {
 			t.Fatalf("step %d: occupancy diverged %d vs %d",
 				step, plain.Occupancy(), locked.OccupancyLocked())
@@ -61,6 +61,7 @@ func TestBlock8LockedEquivalence(t *testing.T) {
 			t.Fatalf("step %d: logical state diverged", step)
 		}
 	}
+	return append(blockWords(&plain), blockWords(&locked)...), results
 }
 
 func TestBlock8LockedFullBlock(t *testing.T) {
@@ -129,36 +130,36 @@ func TestBlock8TryLock(t *testing.T) {
 	b.Unlock()
 }
 
+// TestBlock16LockedEquivalence is the 16-bit analog of
+// TestBlock8LockedEquivalence.
 func TestBlock16LockedEquivalence(t *testing.T) {
+	replayBothKernels(t, func() ([]uint64, []bool) { return lockedEquivalence16(t) })
+}
+
+func lockedEquivalence16(t *testing.T) ([]uint64, []bool) {
 	var plain, locked Block16
 	plain.Reset()
 	locked.Reset()
 	locked.Lock()
 	defer locked.Unlock()
 	rng := rand.New(rand.NewSource(3))
+	var results []bool
 	for step := 0; step < 20000; step++ {
 		bucket := uint(rng.Intn(B16Buckets))
 		fp := uint16(rng.Intn(16))
+		var a, b bool
 		switch rng.Intn(3) {
 		case 0:
-			a := plain.Insert(bucket, fp)
-			b := locked.InsertLocked(bucket, fp)
-			if a != b {
-				t.Fatalf("step %d: insert plain=%v locked=%v", step, a, b)
-			}
+			a, b = plain.Insert(bucket, fp), locked.InsertLocked(bucket, fp)
 		case 1:
-			a := plain.Remove(bucket, fp)
-			b := locked.RemoveLocked(bucket, fp)
-			if a != b {
-				t.Fatalf("step %d: remove plain=%v locked=%v", step, a, b)
-			}
+			a, b = plain.Remove(bucket, fp), locked.RemoveLocked(bucket, fp)
 		case 2:
-			a := plain.Contains(bucket, fp)
-			b := locked.ContainsLocked(bucket, fp)
-			if a != b {
-				t.Fatalf("step %d: contains plain=%v locked=%v", step, a, b)
-			}
+			a, b = plain.Contains(bucket, fp), locked.ContainsLocked(bucket, fp)
 		}
+		if a != b {
+			t.Fatalf("step %d: plain=%v locked=%v", step, a, b)
+		}
+		results = append(results, a)
 		if plain.Occupancy() != locked.OccupancyLocked() {
 			t.Fatalf("step %d: occupancy diverged", step)
 		}
@@ -166,6 +167,7 @@ func TestBlock16LockedEquivalence(t *testing.T) {
 			t.Fatalf("step %d: fingerprints diverged", step)
 		}
 	}
+	return append(blockWords(&plain), blockWords(&locked)...), results
 }
 
 func TestBlock16LockedFullBlock(t *testing.T) {

@@ -53,11 +53,11 @@ const optRetries = 4
 // fell back reports exactly this many retries.
 const OptRetryBudget = optRetries
 
-// snap8 is an optimistic reader's private copy of a Block8, plus the version
-// observed before the copy. Fields hold the locked-mode logical form (top
-// metadata bit forced to 1); fps is the word-native fingerprint array,
-// probed with the same fused kernel the plain and locked paths use.
-type snap8 struct {
+// Snap8 is a reader's private point-in-time copy of a locked-mode Block8,
+// filled by Block8.Snapshot. Its metadata is in the locked-mode logical
+// form (top bit forced to 1), so it is probed with the same fused kernel the
+// plain and locked paths use. ver is the version snapRead observed.
+type Snap8 struct {
 	lo, hi uint64
 	fps    [swar.Words8]uint64
 	ver    uint64
@@ -66,7 +66,7 @@ type snap8 struct {
 // snapRead copies the block without taking the lock. It fails if a writer
 // holds the lock bit. On success the copy must still be checked with
 // snapValidate before use.
-func (b *Block8) snapRead(seq *atomic.Uint64, s *snap8) bool {
+func (b *Block8) snapRead(seq *atomic.Uint64, s *Snap8) bool {
 	s.ver = seq.Load()
 	hi := atomic.LoadUint64(&b.MetaHi)
 	if hi&lockBit != 0 {
@@ -82,74 +82,57 @@ func (b *Block8) snapRead(seq *atomic.Uint64, s *snap8) bool {
 
 // snapValidate reports whether the copy taken by snapRead is consistent:
 // no writer was active at any point during the copy.
-func (b *Block8) snapValidate(seq *atomic.Uint64, s *snap8) bool {
+func (b *Block8) snapValidate(seq *atomic.Uint64, s *Snap8) bool {
 	if atomic.LoadUint64(&b.MetaHi)&lockBit != 0 {
 		return false
 	}
 	return seq.Load() == s.ver
 }
 
-// ContainsOptimistic reports whether fp is present in bucket without taking
-// the block lock in the common case: it snapshots the block against the
-// version stripe seq and scans the private copy. After optRetries conflicts
-// it falls back to a locked scan, so the operation always terminates even
-// under a continuous writer storm.
-func (b *Block8) ContainsOptimistic(seq *atomic.Uint64, bucket uint, fp byte) bool {
-	found, _, _ := b.ContainsOptimisticCountedB(seq, bucket, swar.BroadcastByte(fp))
-	return found
-}
-
-// ContainsOptimisticCounted is ContainsOptimistic reporting how the read
-// resolved: retries is the number of conflicted snapshot attempts, and
-// fellBack is true when the retry budget was exhausted and the scan ran
-// under the block lock. The counts feed the internal/stats counters.
-func (b *Block8) ContainsOptimisticCounted(seq *atomic.Uint64, bucket uint, fp byte) (found bool, retries uint, fellBack bool) {
-	return b.ContainsOptimisticCountedB(seq, bucket, swar.BroadcastByte(fp))
-}
-
-// ContainsOptimisticCountedB is ContainsOptimisticCounted with a
-// pre-broadcast fingerprint, so a two-block probe broadcasts once.
-func (b *Block8) ContainsOptimisticCountedB(seq *atomic.Uint64, bucket uint, bcast uint64) (found bool, retries uint, fellBack bool) {
-	var s snap8
+// Snapshot fills s with a consistent copy of the block without taking the
+// lock in the common case: it copies the block and validates the copy
+// against the version stripe seq. After optRetries conflicts it copies the
+// block under its lock instead, so the read always terminates even under a
+// continuous writer storm. It reports the conflicted attempts (retries) and
+// whether the budget ran out (fellBack); the counts feed the
+// internal/stats counters. Every optimistic read — lookups, instance
+// counts, iteration and occupancy — goes through it.
+func (b *Block8) Snapshot(seq *atomic.Uint64, s *Snap8) (retries uint, fellBack bool) {
 	for i := 0; i < optRetries; i++ {
-		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return probe8(s.lo, s.hi, &s.fps, bucket, bcast) != 0, uint(i), false
+		if b.snapRead(seq, s) && b.snapValidate(seq, s) {
+			return uint(i), false
 		}
 		runtime.Gosched()
 	}
 	b.Lock()
-	found = b.ContainsLockedB(bucket, bcast)
+	s.lo, s.hi = b.metaLocked()
+	s.fps = b.Fps // plain read is safe under the lock
 	b.Unlock()
-	return found, optRetries, true
+	return optRetries, true
 }
 
-// OccupancyOptimistic returns the block occupancy from a validated lock-free
-// read of the metadata words. ok is false after repeated conflicts; the
-// caller should then fall back to its locked path.
-func (b *Block8) OccupancyOptimistic(seq *atomic.Uint64) (occ uint, ok bool) {
-	for i := 0; i < optRetries; i++ {
-		ver := seq.Load()
-		hi := atomic.LoadUint64(&b.MetaHi)
-		if hi&lockBit == 0 {
-			lo := atomic.LoadUint64(&b.MetaLo)
-			if atomic.LoadUint64(&b.MetaHi)&lockBit == 0 && seq.Load() == ver {
-				return occupancy128(lo, hi|lockBit), true
-			}
-		}
-		runtime.Gosched()
-	}
-	return 0, false
+// Probe returns the slot match mask of the pre-broadcast fingerprint within
+// bucket of the copied block; see Block8.Probe.
+func (s *Snap8) Probe(bucket uint, bcast uint64) uint64 {
+	return probe8(s.lo, s.hi, &s.fps, bucket, bcast)
 }
 
-// snap16 is an optimistic reader's private copy of a Block16; see snap8.
-type snap16 struct {
+// OccupancySnapshot returns the block occupancy from a Snapshot.
+func (b *Block8) OccupancySnapshot(seq *atomic.Uint64) uint {
+	var s Snap8
+	b.Snapshot(seq, &s)
+	return occupancy128(s.lo, s.hi)
+}
+
+// Snap16 is a reader's private copy of a locked-mode Block16; see Snap8.
+type Snap16 struct {
 	meta uint64
 	fps  [swar.Words16]uint64
 	ver  uint64
 }
 
 // snapRead copies the block without taking the lock; see Block8.snapRead.
-func (b *Block16) snapRead(seq *atomic.Uint64, s *snap16) bool {
+func (b *Block16) snapRead(seq *atomic.Uint64, s *Snap16) bool {
 	s.ver = seq.Load()
 	meta := atomic.LoadUint64(&b.Meta)
 	if meta&lockBit != 0 {
@@ -163,53 +146,38 @@ func (b *Block16) snapRead(seq *atomic.Uint64, s *snap16) bool {
 }
 
 // snapValidate reports whether the copy taken by snapRead is consistent.
-func (b *Block16) snapValidate(seq *atomic.Uint64, s *snap16) bool {
+func (b *Block16) snapValidate(seq *atomic.Uint64, s *Snap16) bool {
 	if atomic.LoadUint64(&b.Meta)&lockBit != 0 {
 		return false
 	}
 	return seq.Load() == s.ver
 }
 
-// ContainsOptimistic is the lock-free lookup; see Block8.ContainsOptimistic.
-func (b *Block16) ContainsOptimistic(seq *atomic.Uint64, bucket uint, fp uint16) bool {
-	found, _, _ := b.ContainsOptimisticCountedB(seq, bucket, swar.BroadcastU16(fp))
-	return found
-}
-
-// ContainsOptimisticCounted is the counted lock-free lookup; see
-// Block8.ContainsOptimisticCounted.
-func (b *Block16) ContainsOptimisticCounted(seq *atomic.Uint64, bucket uint, fp uint16) (found bool, retries uint, fellBack bool) {
-	return b.ContainsOptimisticCountedB(seq, bucket, swar.BroadcastU16(fp))
-}
-
-// ContainsOptimisticCountedB is the counted lock-free lookup with a
-// pre-broadcast fingerprint; see Block8.ContainsOptimisticCountedB.
-func (b *Block16) ContainsOptimisticCountedB(seq *atomic.Uint64, bucket uint, bcast uint64) (found bool, retries uint, fellBack bool) {
-	var s snap16
+// Snapshot fills s with a consistent copy of the block; see
+// Block8.Snapshot.
+func (b *Block16) Snapshot(seq *atomic.Uint64, s *Snap16) (retries uint, fellBack bool) {
 	for i := 0; i < optRetries; i++ {
-		if b.snapRead(seq, &s) && b.snapValidate(seq, &s) {
-			return probe16(s.meta, &s.fps, bucket, bcast) != 0, uint(i), false
+		if b.snapRead(seq, s) && b.snapValidate(seq, s) {
+			return uint(i), false
 		}
 		runtime.Gosched()
 	}
 	b.Lock()
-	found = b.ContainsLockedB(bucket, bcast)
+	s.meta = b.metaLocked()
+	s.fps = b.Fps
 	b.Unlock()
-	return found, optRetries, true
+	return optRetries, true
 }
 
-// OccupancyOptimistic is the lock-free occupancy probe; see
-// Block8.OccupancyOptimistic.
-func (b *Block16) OccupancyOptimistic(seq *atomic.Uint64) (occ uint, ok bool) {
-	for i := 0; i < optRetries; i++ {
-		ver := seq.Load()
-		meta := atomic.LoadUint64(&b.Meta)
-		if meta&lockBit == 0 {
-			if atomic.LoadUint64(&b.Meta)&lockBit == 0 && seq.Load() == ver {
-				return occupancy64(meta | lockBit), true
-			}
-		}
-		runtime.Gosched()
-	}
-	return 0, false
+// Probe returns the slot match mask within bucket of the copied block; see
+// Block8.Probe.
+func (s *Snap16) Probe(bucket uint, bcast uint64) uint64 {
+	return probe16(s.meta, &s.fps, bucket, bcast)
+}
+
+// OccupancySnapshot returns the block occupancy from a Snapshot.
+func (b *Block16) OccupancySnapshot(seq *atomic.Uint64) uint {
+	var s Snap16
+	b.Snapshot(seq, &s)
+	return occupancy64(s.meta)
 }

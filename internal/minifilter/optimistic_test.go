@@ -5,7 +5,31 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"vqf/internal/swar"
 )
+
+// containsOpt8 is the optimistic lookup the concurrent filters run: a
+// Snapshot probed for fp. It fails the test if a quiescent read (want
+// quiet) retried or fell back.
+func containsOpt8(t *testing.T, b *Block8, seq *atomic.Uint64, bucket uint, fp byte, quiet bool) bool {
+	var s Snap8
+	retries, fellBack := b.Snapshot(seq, &s)
+	if quiet && (retries != 0 || fellBack) {
+		t.Fatalf("quiescent snapshot retried %d times (fell back: %v)", retries, fellBack)
+	}
+	return s.Probe(bucket, swar.BroadcastByte(fp)) != 0
+}
+
+// containsOpt16 is containsOpt8 for Block16.
+func containsOpt16(t *testing.T, b *Block16, seq *atomic.Uint64, bucket uint, fp uint16, quiet bool) bool {
+	var s Snap16
+	retries, fellBack := b.Snapshot(seq, &s)
+	if quiet && (retries != 0 || fellBack) {
+		t.Fatalf("quiescent snapshot retried %d times (fell back: %v)", retries, fellBack)
+	}
+	return s.Probe(bucket, swar.BroadcastU16(fp)) != 0
+}
 
 // TestBlock8OptimisticEquivalence checks that, absent concurrent writers,
 // the optimistic lookup agrees with the locked one across a random op mix.
@@ -33,7 +57,7 @@ func TestBlock8OptimisticEquivalence(t *testing.T) {
 				b.Unlock()
 			}
 		default:
-			opt := b.ContainsOptimistic(&seq, bucket, fp)
+			opt := containsOpt8(t, &b, &seq, bucket, fp, true)
 			b.Lock()
 			locked := b.ContainsLocked(bucket, fp)
 			b.Unlock()
@@ -41,9 +65,9 @@ func TestBlock8OptimisticEquivalence(t *testing.T) {
 				t.Fatalf("step %d: optimistic=%v locked=%v", step, opt, locked)
 			}
 		}
-		if occ, ok := b.OccupancyOptimistic(&seq); !ok || occ != b.OccupancyLocked() {
-			t.Fatalf("step %d: occupancy opt=(%d,%v) locked=%d",
-				step, occ, ok, b.OccupancyLocked())
+		if occ := b.OccupancySnapshot(&seq); occ != b.OccupancyLocked() {
+			t.Fatalf("step %d: occupancy opt=%d locked=%d",
+				step, occ, b.OccupancyLocked())
 		}
 	}
 }
@@ -72,7 +96,7 @@ func TestBlock16OptimisticEquivalence(t *testing.T) {
 				b.Unlock()
 			}
 		default:
-			opt := b.ContainsOptimistic(&seq, bucket, fp)
+			opt := containsOpt16(t, &b, &seq, bucket, fp, true)
 			b.Lock()
 			locked := b.ContainsLocked(bucket, fp)
 			b.Unlock()
@@ -80,7 +104,7 @@ func TestBlock16OptimisticEquivalence(t *testing.T) {
 				t.Fatalf("step %d: optimistic=%v locked=%v", step, opt, locked)
 			}
 		}
-		if occ, ok := b.OccupancyOptimistic(&seq); !ok || occ != b.OccupancyLocked() {
+		if occ := b.OccupancySnapshot(&seq); occ != b.OccupancyLocked() {
 			t.Fatalf("step %d: occupancy diverged", step)
 		}
 	}
@@ -101,7 +125,7 @@ func TestBlock8SnapshotABADetected(t *testing.T) {
 	b.UnlockBump(&seq)
 
 	// Reader copies the block...
-	var s snap8
+	var s Snap8
 	if !b.snapRead(&seq, &s) {
 		t.Fatal("snapRead failed on quiescent block")
 	}
@@ -139,7 +163,7 @@ func TestBlock16SnapshotABADetected(t *testing.T) {
 	b.InsertLocked(bucket, 0x1111)
 	b.UnlockBump(&seq)
 
-	var s snap16
+	var s Snap16
 	if !b.snapRead(&seq, &s) {
 		t.Fatal("snapRead failed on quiescent block")
 	}
@@ -173,7 +197,7 @@ func TestBlock8SnapshotValidatesWhenQuiescent(t *testing.T) {
 	b.Lock()
 	b.InsertLocked(3, 0x42)
 	b.UnlockBump(&seq)
-	var s snap8
+	var s Snap8
 	if !b.snapRead(&seq, &s) || !b.snapValidate(&seq, &s) {
 		t.Fatal("snapshot of quiescent block failed to validate")
 	}
@@ -261,19 +285,19 @@ func TestBlock8OptimisticConcurrentStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < ops; i++ {
 				p := pins[rng.Intn(len(pins))]
-				if !b.ContainsOptimistic(&seq, p.bucket, p.fp) {
+				if !containsOpt8(t, &b, &seq, p.bucket, p.fp, false) {
 					t.Error("false negative on pinned key")
 					return
 				}
 				// Also exercise misses and the occupancy probe.
-				b.ContainsOptimistic(&seq, uint(rng.Intn(B8Buckets)), byte(5+rng.Intn(90)))
-				b.OccupancyOptimistic(&seq)
+				containsOpt8(t, &b, &seq, uint(rng.Intn(B8Buckets)), byte(5+rng.Intn(90)), false)
+				b.OccupancySnapshot(&seq)
 			}
 		}(int64(r + 70))
 	}
 	wg.Wait()
 	for _, p := range pins {
-		if !b.ContainsOptimistic(&seq, p.bucket, p.fp) {
+		if !containsOpt8(t, &b, &seq, p.bucket, p.fp, true) {
 			t.Fatal("pinned key missing after stress")
 		}
 	}

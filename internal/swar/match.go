@@ -1,125 +1,37 @@
 package swar
 
-import (
-	"sync/atomic"
-
-	"vqf/internal/telemetry"
-)
-
-// Kernel dispatch. On amd64 the whole-block match kernels have a second
-// implementation in SSE2 assembly (match_amd64.s): three 16-byte unaligned
-// loads, PCMPEQB/PCMPEQW byte compares against the broadcast fingerprint and
-// a PMOVMSKB movemask — the closest baseline-amd64 analog of the AVX-512
-// VPCMPB probe the paper builds on. Both implementations are always present:
-// the generic one is the differential reference (FuzzMatchParity asserts
-// bit-exact agreement on random blocks) and the portability fallback for
-// every other GOARCH or a -tags purego build.
-//
-// Selection is a package-level atomic so one process can benchmark both
-// paths (vqfbench -kernels-impl, the asm-vs-generic regression gate) and so
-// toggling under -race tests is sound. The flag is read once per kernel
-// call; the load is a plain MOV on amd64 and the branch predicts perfectly,
-// which keeps the dispatch cost below measurement noise. On architectures
-// without assembly kernels hasAsm is a compile-time false and the asm branch
-// folds away entirely.
-
-// useAsm holds whether the assembly kernels are active. It is true at init
-// exactly when they exist for this GOARCH (and the build is not purego).
-var useAsm atomic.Bool
-
-func init() {
-	useAsm.Store(hasAsm)
-	recordDispatch()
-}
-
-// recordDispatch logs the current kernel selection (asm on/off, fused
-// probe availability, whether asm exists at all) to the global event ring,
-// so a process's event stream shows which implementation its numbers came
-// from — at init and again on every SetAsmKernels toggle.
-func recordDispatch() {
-	telemetry.Global().Record(telemetry.EvAsmDispatch,
-		b2u(AsmKernelsEnabled()), b2u(FastProbeEnabled()), b2u(hasAsm))
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// HasAsmKernels reports whether this build contains assembly match kernels
-// (amd64 without the purego tag).
-func HasAsmKernels() bool { return hasAsm }
-
-// AsmKernelsEnabled reports whether the assembly kernels are currently
-// selected.
-func AsmKernelsEnabled() bool { return hasAsm && useAsm.Load() }
-
-// SetAsmKernels selects between the assembly and generic match kernels at
-// runtime. It reports the resulting state: enabling has no effect on builds
-// without assembly kernels. Intended for benchmarks, parity gates and tests;
-// concurrent use with running filter operations is safe (operations observe
-// one implementation or the other, which agree bit-for-bit).
-func SetAsmKernels(enable bool) bool {
-	useAsm.Store(enable && hasAsm)
-	recordDispatch()
-	return AsmKernelsEnabled()
-}
-
-// HasFastSelect reports whether the CPU (and build) supports the
-// PDEP/TZCNT/POPCNT metadata-select instructions used by the fused probe
-// kernels in internal/minifilter. These are post-baseline amd64 extensions
-// (BMI1/BMI2, Haswell-era), so unlike the SSE2 match kernels they carry a
-// CPUID gate.
-func HasFastSelect() bool { return hasFastSelect }
-
-// FastProbeEnabled reports whether fused assembly probe kernels should be
-// used: the CPU supports them and assembly kernels are currently selected.
-// It shares the SetAsmKernels switch so one toggle moves every kernel
-// between its assembly and generic implementation.
-func FastProbeEnabled() bool { return hasFastSelect && useAsm.Load() }
-
-// Match48 compares every byte lane of the word-native fingerprint array
-// against the pre-broadcast target, returning a bitmask with bit i set iff
-// lane i matches — the whole-block VPCMPB analog.
-func Match48(fps *[Words8]uint64, bcast uint64) uint64 {
-	if hasAsm && useAsm.Load() {
-		return match48Asm(fps, bcast)
-	}
-	return match48Generic(fps, bcast)
-}
-
-// Match28 is the 16-bit-lane analog of Match48: bit i set iff uint16 lane i
-// matches the pre-broadcast target.
-func Match28(fps *[Words16]uint64, bcast uint64) uint64 {
-	if hasAsm && useAsm.Load() {
-		return match28Asm(fps, bcast)
-	}
-	return match28Generic(fps, bcast)
-}
-
-// Match48Range is Match48 restricted to lanes [start, end): bits outside the
-// range are clear. An empty range returns 0 without touching the block —
-// roughly half of all bucket probes at 85% load, so the early-out stays in
-// front of both implementations.
+// Match48Range compares the byte lanes [start, end) of the word-native
+// fingerprint array against the pre-broadcast target, returning a bitmask
+// with bit i set iff lane i is in the range and matches — the VPCMPB analog
+// restricted to one bucket's run. Only the words overlapping the range are
+// compared: bucket runs are short — at 85% load roughly half are empty
+// (early-out) and the rest almost always fit one word — so skipping the
+// other five words' compares beats a branch-free full scan in scalar code.
+// It is the portable body of internal/minifilter's probe, which runs a
+// fused assembly kernel instead where one exists.
 func Match48Range(fps *[Words8]uint64, bcast uint64, start, end uint) uint64 {
 	if start >= end {
 		return 0
 	}
-	if hasAsm && useAsm.Load() {
-		return matchRange48Asm(fps, bcast, start, end)
+	w0, w1 := start>>3, (end-1)>>3
+	var mask uint64
+	// The w < Words8 condition both clamps an out-of-contract end and lets
+	// the compiler prove fps[w] in bounds (no check in the loop body).
+	for w := w0; w < Words8 && w <= w1; w++ {
+		mask |= matchBytesB(fps[w], bcast) << (8 * w)
 	}
-	return match48RangeGeneric(fps, bcast, start, end)
+	return mask & RangeMask(start, end)
 }
 
-// Match28Range is Match28 restricted to lanes [start, end); see Match48Range.
+// Match28Range is Match48Range for the 28 uint16 lanes.
 func Match28Range(fps *[Words16]uint64, bcast uint64, start, end uint) uint64 {
 	if start >= end {
 		return 0
 	}
-	if hasAsm && useAsm.Load() {
-		return matchRange28Asm(fps, bcast, start, end)
+	w0, w1 := start>>2, (end-1)>>2
+	var mask uint64
+	for w := w0; w < Words16 && w <= w1; w++ {
+		mask |= matchU16B(fps[w], bcast) << (4 * w)
 	}
-	return match28RangeGeneric(fps, bcast, start, end)
+	return mask & RangeMask(start, end)
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The range variants are defined as the full-mask kernel masked to the range
-// (there is exactly one matching implementation per lane width); these tests
-// pin that equivalence and the boundary behaviour.
+// The range matches compare only the words overlapping [start, end); these
+// tests pin them to the lane-by-lane scalar reference and the boundary
+// behaviour.
 
 func TestMatch48RangeMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -23,7 +23,7 @@ func TestMatch48RangeMatchesFull(t *testing.T) {
 		}
 		fps := packLanes8(&lanes)
 		bc := BroadcastByte(target)
-		want := Match48(&fps, bc) & RangeMask(start, end)
+		want := scalarMatch48(&lanes, target, start, end)
 		if got := Match48Range(&fps, bc, start, end); got != want {
 			t.Fatalf("Match48Range(%d,%d) = %#x, want %#x", start, end, got, want)
 		}
@@ -71,7 +71,7 @@ func TestMatch28RangeMatchesFull(t *testing.T) {
 		}
 		fps := packLanes16(&lanes)
 		bc := BroadcastU16(target)
-		want := Match28(&fps, bc) & RangeMask(start, end)
+		want := scalarMatch28(&lanes, target, start, end)
 		if got := Match28Range(&fps, bc, start, end); got != want {
 			t.Fatalf("Match28Range(%d,%d) = %#x, want %#x", start, end, got, want)
 		}

@@ -79,67 +79,6 @@ func MatchU16Mask(word uint64, target uint16) uint8 {
 	return uint8(matchU16B(word, BroadcastU16(target)))
 }
 
-// match48Generic is the portable whole-block VPCMPB analog behind Match48:
-// six independent word compares, fully unrolled, no loads beyond the block
-// itself and no bounds checks. It is always compiled — on amd64 it is the
-// reference the assembly kernel is differentially verified against
-// (FuzzMatchParity) and the fallback SetAsmKernels(false) selects.
-func match48Generic(fps *[Words8]uint64, bcast uint64) uint64 {
-	return matchBytesB(fps[0], bcast) |
-		matchBytesB(fps[1], bcast)<<8 |
-		matchBytesB(fps[2], bcast)<<16 |
-		matchBytesB(fps[3], bcast)<<24 |
-		matchBytesB(fps[4], bcast)<<32 |
-		matchBytesB(fps[5], bcast)<<40
-}
-
-// match28Generic is the 16-bit-lane analog of match48Generic: bit i set iff
-// uint16 lane i matches the pre-broadcast target.
-func match28Generic(fps *[Words16]uint64, bcast uint64) uint64 {
-	return matchU16B(fps[0], bcast) |
-		matchU16B(fps[1], bcast)<<4 |
-		matchU16B(fps[2], bcast)<<8 |
-		matchU16B(fps[3], bcast)<<12 |
-		matchU16B(fps[4], bcast)<<16 |
-		matchU16B(fps[5], bcast)<<20 |
-		matchU16B(fps[6], bcast)<<24
-}
-
-// match48RangeGeneric is the portable word-selective range match behind
-// Match48Range: only the words overlapping [start, end) are compared, and
-// the result is masked to the range. Bucket runs are short — at 85% load
-// roughly half are empty (early-out) and the rest almost always fit one word
-// — so skipping the other five words' compares beats a branch-free full
-// scan in scalar code. The per-word compare is shared with match48Generic
-// (matchBytesB), the final mask with everything else (RangeMask): the range
-// variant adds only the word-overlap bookkeeping.
-func match48RangeGeneric(fps *[Words8]uint64, bcast uint64, start, end uint) uint64 {
-	if start >= end {
-		return 0
-	}
-	w0, w1 := start>>3, (end-1)>>3
-	var mask uint64
-	// The w < Words8 condition both clamps an out-of-contract end and lets
-	// the compiler prove fps[w] in bounds (no check in the loop body).
-	for w := w0; w < Words8 && w <= w1; w++ {
-		mask |= matchBytesB(fps[w], bcast) << (8 * w)
-	}
-	return mask & RangeMask(start, end)
-}
-
-// match28RangeGeneric is match48RangeGeneric for uint16 lanes.
-func match28RangeGeneric(fps *[Words16]uint64, bcast uint64, start, end uint) uint64 {
-	if start >= end {
-		return 0
-	}
-	w0, w1 := start>>2, (end-1)>>2
-	var mask uint64
-	for w := w0; w < Words16 && w <= w1; w++ {
-		mask |= matchU16B(fps[w], bcast) << (4 * w)
-	}
-	return mask & RangeMask(start, end)
-}
-
 // RangeMask returns a bitmask with bits [start, end) set. start <= end <= 64.
 func RangeMask(start, end uint) uint64 {
 	var hi uint64
@@ -320,7 +259,7 @@ func RemoveLane16(fps *[Words16]uint64, z int) {
 
 // Lane8 returns byte lane i of the word-native fingerprint array. Lane
 // accessors serve the cold paths — the scalar ablation variant,
-// serialization, and tests; hot paths use the whole-block kernels above.
+// serialization, and tests; hot paths use the range and shift kernels.
 func Lane8(fps *[Words8]uint64, i int) byte {
 	return byte(fps[i>>3] >> (uint(i&7) * 8))
 }

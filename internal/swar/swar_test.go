@@ -104,6 +104,30 @@ func TestMatchU16MaskAllLanesMatch(t *testing.T) {
 	}
 }
 
+// scalarMatch48 is the lane-by-lane reference for Match48Range: bit i set
+// iff lane i lies in [start, end) and equals target.
+func scalarMatch48(lanes *[48]byte, target byte, start, end uint) uint64 {
+	var want uint64
+	for i := start; i < end; i++ {
+		if lanes[i] == target {
+			want |= 1 << i
+		}
+	}
+	return want
+}
+
+// scalarMatch28 is the lane-by-lane reference for Match28Range.
+func scalarMatch28(lanes *[28]uint16, target uint16, start, end uint) uint64 {
+	var want uint64
+	for i := start; i < end; i++ {
+		if lanes[i] == target {
+			want |= 1 << i
+		}
+	}
+	return want
+}
+
+// TestMatch48 checks the full-block range [0, 48) against the scalar loop.
 func TestMatch48(t *testing.T) {
 	var lanes [48]byte
 	rng := rand.New(rand.NewSource(3))
@@ -115,19 +139,14 @@ func TestMatch48(t *testing.T) {
 			lanes[rng.Intn(48)] = target
 		}
 		fps := packLanes8(&lanes)
-		got := Match48(&fps, BroadcastByte(target))
-		var want uint64
-		for i, b := range lanes {
-			if b == target {
-				want |= 1 << i
-			}
-		}
-		if got != want {
-			t.Fatalf("Match48 = %#x, want %#x", got, want)
+		got := Match48Range(&fps, BroadcastByte(target), 0, 48)
+		if want := scalarMatch48(&lanes, target, 0, 48); got != want {
+			t.Fatalf("Match48Range(0,48) = %#x, want %#x", got, want)
 		}
 	}
 }
 
+// TestMatch28 checks the full-block range [0, 28) against the scalar loop.
 func TestMatch28(t *testing.T) {
 	var lanes [28]uint16
 	rng := rand.New(rand.NewSource(4))
@@ -138,15 +157,9 @@ func TestMatch28(t *testing.T) {
 		target := uint16(rng.Intn(1 << 16))
 		lanes[rng.Intn(28)] = target
 		fps := packLanes16(&lanes)
-		got := Match28(&fps, BroadcastU16(target))
-		var want uint64
-		for i, v := range lanes {
-			if v == target {
-				want |= 1 << i
-			}
-		}
-		if got != want {
-			t.Fatalf("Match28 = %#x, want %#x", got, want)
+		got := Match28Range(&fps, BroadcastU16(target), 0, 28)
+		if want := scalarMatch28(&lanes, target, 0, 28); got != want {
+			t.Fatalf("Match28Range(0,28) = %#x, want %#x", got, want)
 		}
 	}
 }
@@ -301,7 +314,7 @@ func BenchmarkMatch48(b *testing.B) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += Match48(&fps, BroadcastByte(byte(i)))
+		sink += Match48Range(&fps, BroadcastByte(byte(i)), 0, 48)
 	}
 	_ = sink
 }
@@ -316,7 +329,7 @@ func BenchmarkMatch28(b *testing.B) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += Match28(&fps, BroadcastU16(uint16(i)))
+		sink += Match28Range(&fps, BroadcastU16(uint16(i)), 0, 28)
 	}
 	_ = sink
 }

@@ -28,8 +28,8 @@ const (
 	// back. A = walk length.
 	EvEvictionRollback
 	// EvAsmDispatch: the assembly-kernel selection changed (or was set at
-	// init). A = asm kernels enabled, B = fused fast probes enabled,
-	// C = assembly present in this build (1/0 each).
+	// init). A = assembly kernels enabled, B = assembly kernels supported
+	// by this build and CPU (1/0 each).
 	EvAsmDispatch
 	// EvShardClaimStall: a sharded batch finished with workers that
 	// claimed no work — the shard partition was too skewed to feed the

@@ -296,7 +296,7 @@ func TestEventsAndHandler(t *testing.T) {
 	if _, ok := out["global"]; !ok {
 		t.Fatal("handler output missing global ring")
 	}
-	// The swar init dispatch record always lands in the global ring.
+	// The minifilter init dispatch record always lands in the global ring.
 	found := false
 	for _, ev := range GlobalEvents() {
 		if ev.Kind == "asm-dispatch" {
