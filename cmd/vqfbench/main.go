@@ -19,7 +19,6 @@
 //	fig6     aggregate throughput, 8/16-bit × RAM/cache (Figure 6a–d)
 //	table3   write-heavy mixed workload at 90% load (Table 3)
 //	table4   multi-threaded insert scaling (Table 4)
-//	concurrent reader-scaling sweep, locked vs optimistic lookups (writes JSON)
 //	observe  telemetry-layer overhead and quantile accuracy (writes JSON)
 //	service  vqfd daemon protocols: HTTP/JSON vs binary batches (writes JSON)
 //	elastic  online-growth cascade: throughput and FPR across growth events (writes JSON)
@@ -100,7 +99,7 @@ func main() {
 		"kernelgate failure threshold: max tolerated significant slowdown in percent")
 	fs.BoolVar(&cfg.csv, "csv", false, "emit CSV instead of aligned text")
 	fs.StringVar(&cfg.benchout, "benchout", "auto",
-		"output file for JSON-emitting experiments (fig4, fig5, concurrent, elastic, choices); \"auto\" writes BENCH_<experiment>.json, empty skips")
+		"output file for JSON-emitting experiments (fig4, fig5, elastic, choices); \"auto\" writes BENCH_<experiment>.json, empty skips")
 	fs.IntVar(&cfg.oracleRounds, "oracle-rounds", 4, "oracle: traces per (subject, property) pair")
 	fs.IntVar(&cfg.oracleOps, "oracle-ops", 8000, "oracle: operations per trace")
 	fs.IntVar(&cfg.oracleUniverse, "oracle-universe", 2000, "oracle: distinct keys per trace")
@@ -114,7 +113,7 @@ func main() {
 	fs.StringVar(&cfg.kernelsImpl, "kernels-impl", "auto",
 		"kernel implementation: auto (assembly where supported), asm (require assembly), generic (portable Go)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: vqfbench [flags] <experiment>\n\nexperiments: table1 fig2 fig3 table2 fig4 fig5 fig6 table3 table4 concurrent elastic compact freeze maxload maxloadscale choices ablation kernels kernelgate multicore observe oracle service all\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: vqfbench [flags] <experiment>\n\nexperiments: table1 fig2 fig3 table2 fig4 fig5 fig6 table3 table4 elastic compact freeze maxload maxloadscale choices ablation kernels kernelgate multicore observe oracle service all\n\nflags:\n")
 		fs.PrintDefaults()
 	}
 	fs.Parse(os.Args[1:])
@@ -155,7 +154,6 @@ func main() {
 		"fig6":         runFig6,
 		"table3":       runTable3,
 		"table4":       runTable4,
-		"concurrent":   runConcurrent,
 		"elastic":      runElastic,
 		"compact":      runCompact,
 		"freeze":       runFreeze,
@@ -481,27 +479,6 @@ func runTable4(cfg config) {
 		t.AddRow(r.Threads, r.Mops)
 	}
 	emit(cfg, t)
-}
-
-func runConcurrent(cfg config) {
-	fmt.Printf("Concurrent reader scaling: locked vs optimistic lookups (2^%d slots, 85%% load, %d ops/goroutine; GOMAXPROCS=%d)\n",
-		cfg.logSlotsCache, cfg.queries, runtime.GOMAXPROCS(0))
-	threads := []int{1, 2, 4, 8}
-	results := harness.RunReaderScaling(1<<cfg.logSlotsCache, threads, cfg.queries, cfg.repeat, cfg.seed)
-	t := harness.NewTable("threads", "lookup-locked", "lookup-opt", "mixed90-locked", "mixed90-opt")
-	for _, r := range results {
-		t.AddRow(r.Threads, r.LookupLockedMops, r.LookupOptMops, r.MixedLockedMops, r.MixedOptMops)
-	}
-	emit(cfg, t)
-	doc := struct {
-		Experiment   string                        `json:"experiment"`
-		Env          harness.BenchEnv              `json:"env"`
-		Log2Slots    uint                          `json:"log2_slots"`
-		OpsPerThread int                           `json:"ops_per_thread"`
-		Seed         uint64                        `json:"seed"`
-		Results      []harness.ReaderScalingResult `json:"results"`
-	}{"concurrent-reader-scaling", harness.CaptureEnv(), cfg.logSlotsCache, cfg.queries, cfg.seed, results}
-	writeJSON(cfg, "concurrent", doc)
 }
 
 func runElastic(cfg config) {

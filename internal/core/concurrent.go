@@ -127,9 +127,10 @@ func (f *CFilter8) contains(h, sel uint64) bool {
 
 // ContainsLocked is the pre-optimistic lookup path: it acquires each
 // candidate block's spin lock for the duration of its fingerprint scan. It
-// is retained as the baseline the reader-scaling benchmark compares the
-// optimistic path against (cmd/vqfbench concurrent); application code
-// should use Contains.
+// is retained as the locked variant `vqfbench multicore` compares the
+// optimistic path against, and as the reference the oracle's
+// optimistic-equivalence property checks Contains against; application
+// code should use Contains.
 func (f *CFilter8) ContainsLocked(h uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	f.st.Lookup(b1)

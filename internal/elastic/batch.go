@@ -4,15 +4,8 @@ package elastic
 // every level for every key; instead the working set shrinks as it descends:
 // keys found at a level drop out, so older (smaller, colder) levels only see
 // the residue. For workloads where most hits land in the newest level this
-// probes each key about once, and each level's probes go through the core
-// filters' block-address-ordered batch sweep.
-
-// batchProber is implemented by the core filters that provide a batched
-// lookup (sequential pipeline for Filter8/16, parallel shards for
-// CFilter8/16).
-type batchProber interface {
-	ContainsBatch(hs []uint64, dst []bool) []bool
-}
+// probes each key about once, and each level's probes go through its
+// filter's ContainsBatch.
 
 // cascadeScratch holds the reusable working-set buffers of a batched cascade
 // lookup.
@@ -46,26 +39,14 @@ func containsBatchLevels(ls []*level, hs []uint64, dst []bool, s *cascadeScratch
 	}
 	n := len(keys)
 	for li := len(ls) - 1; li >= 0 && n > 0; li-- {
-		lf := ls[li].filter
+		s.hits = ls[li].filter.ContainsBatch(keys[:n], s.hits)
 		m := 0
-		if bp, ok := lf.(batchProber); ok {
-			s.hits = bp.ContainsBatch(keys[:n], s.hits)
-			for i := 0; i < n; i++ {
-				if s.hits[i] {
-					out[pos[i]] = true
-				} else {
-					keys[m], pos[m] = keys[i], pos[i]
-					m++
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if lf.Contains(keys[i]) {
-					out[pos[i]] = true
-				} else {
-					keys[m], pos[m] = keys[i], pos[i]
-					m++
-				}
+		for i := 0; i < n; i++ {
+			if s.hits[i] {
+				out[pos[i]] = true
+			} else {
+				keys[m], pos[m] = keys[i], pos[i]
+				m++
 			}
 		}
 		n = m

@@ -152,6 +152,7 @@ func (c *Config) Validate() error {
 type coreFilter interface {
 	Insert(h uint64) bool
 	Contains(h uint64) bool
+	ContainsBatch(hs []uint64, dst []bool) []bool
 	Remove(h uint64) bool
 	Count() uint64
 	Capacity() uint64

@@ -332,7 +332,7 @@ func (l *fuseLevel) Contains(h uint64) bool {
 	return l.tombAlive(k)
 }
 
-// ContainsBatch implements batchProber: folds a tile of keys, probes the
+// ContainsBatch folds a tile of keys, probes the
 // fuse filter's batched path, then rechecks positives against tombstones.
 func (l *fuseLevel) ContainsBatch(hs []uint64, dst []bool) []bool {
 	if cap(dst) < len(hs) {

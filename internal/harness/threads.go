@@ -46,145 +46,3 @@ func RunThreadScaling(nslots uint64, threads []int, seed uint64) []ThreadResult 
 	}
 	return out
 }
-
-// ReaderScalingResult is one row of the reader-scaling sweep: aggregate
-// throughput at one goroutine count for a pure-lookup workload and a 90/10
-// read-mostly mixed workload, each measured twice — once through the
-// lock-acquiring lookup baseline (CFilter8.ContainsLocked) and once through
-// the lock-free optimistic path (CFilter8.Contains). The JSON tags are the
-// schema of BENCH_concurrent.json.
-type ReaderScalingResult struct {
-	Threads          int     `json:"threads"`
-	LookupLockedMops float64 `json:"lookup_locked_mops"`
-	LookupOptMops    float64 `json:"lookup_optimistic_mops"`
-	MixedLockedMops  float64 `json:"mixed90_locked_mops"`
-	MixedOptMops     float64 `json:"mixed90_optimistic_mops"`
-	// Deltas of the filter's optimistic-read counters across this row's
-	// measurements (all four workloads at this thread count): how often the
-	// seqlock protocol conflicted with writers and how often it gave up and
-	// took a lock.
-	OptAttempts  uint64 `json:"optimistic_attempts"`
-	OptRetries   uint64 `json:"optimistic_retries"`
-	OptFallbacks uint64 `json:"optimistic_fallbacks"`
-}
-
-// RunReaderScaling measures how concurrent queries scale with goroutines.
-// A thread-safe 8-bit filter is filled once to 85% load; then, for each
-// goroutine count, four aggregate-throughput measurements run: pure lookups
-// (half present keys, half random probes) and a 90% lookup / 10% write mix,
-// each with the locked and the optimistic lookup path. opsPerThread is the
-// per-goroutine operation count of one measurement; each measurement runs
-// repeat times and the best throughput is kept (scheduler noise only ever
-// slows a run down, so max is the least-biased estimator).
-func RunReaderScaling(nslots uint64, threads []int, opsPerThread, repeat int, seed uint64) []ReaderScalingResult {
-	f := core.NewCFilter8(nslots, core.Options{})
-	total := f.Capacity() * 85 / 100
-	fill := workload.NewStream(seed)
-	keys := make([]uint64, 0, total)
-	for uint64(len(keys)) < total {
-		h := fill.Next()
-		if f.Insert(h) {
-			keys = append(keys, h)
-		}
-	}
-
-	if repeat < 1 {
-		repeat = 1
-	}
-	best := func(run func() float64) float64 {
-		m := 0.0
-		for i := 0; i < repeat; i++ {
-			if v := run(); v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	Observe("vqf-concurrent", f)
-	out := make([]ReaderScalingResult, 0, len(threads))
-	for _, t := range threads {
-		r := ReaderScalingResult{Threads: t}
-		prev := f.Stats()
-		r.LookupLockedMops = best(func() float64 {
-			return runLookups(f, keys, t, opsPerThread, seed, f.ContainsLocked)
-		})
-		r.LookupOptMops = best(func() float64 {
-			return runLookups(f, keys, t, opsPerThread, seed, f.Contains)
-		})
-		r.MixedLockedMops = best(func() float64 {
-			return runMixed90(f, keys, t, opsPerThread, seed, f.ContainsLocked)
-		})
-		r.MixedOptMops = best(func() float64 {
-			return runMixed90(f, keys, t, opsPerThread, seed, f.Contains)
-		})
-		d := f.Stats().Sub(prev)
-		r.OptAttempts, r.OptRetries, r.OptFallbacks = d.OptAttempts, d.OptRetries, d.OptFallbacks
-		out = append(out, r)
-	}
-	return out
-}
-
-// runLookups measures aggregate pure-lookup throughput: each goroutine
-// alternates probes of present keys and uniformly random keys (mostly
-// negative), the paper's successful/random lookup mix.
-func runLookups(f *core.CFilter8, keys []uint64, threads, opsPerThread int, seed uint64, contains func(uint64) bool) float64 {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := workload.NewStream(seed ^ uint64(w+1)*0x9e3779b97f4a7c15)
-			for i := 0; i < opsPerThread; i++ {
-				h := s.Next()
-				if i&1 == 0 {
-					h = keys[h%uint64(len(keys))]
-				}
-				contains(h)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return mops(uint64(threads)*uint64(opsPerThread), time.Since(start))
-}
-
-// runMixed90 measures a read-mostly workload: 90% lookups through the given
-// lookup path, 10% writes (alternating inserts of fresh keys and removes of
-// the worker's own previous inserts, so the load factor stays put). The
-// writes always go through the locked mutation path — what varies between
-// the two measurements is only how the lookups read.
-func runMixed90(f *core.CFilter8, keys []uint64, threads, opsPerThread int, seed uint64, contains func(uint64) bool) float64 {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := workload.NewStream(seed ^ uint64(w+1)*0xbf58476d1ce4e5b9)
-			var churn []uint64
-			for i := 0; i < opsPerThread; i++ {
-				h := s.Next()
-				if i%10 == 9 {
-					if len(churn) > 0 && (i%20 == 19 || len(churn) > 64) {
-						k := churn[len(churn)-1]
-						churn = churn[:len(churn)-1]
-						f.Remove(k)
-					} else if f.Insert(h) {
-						churn = append(churn, h)
-					}
-					continue
-				}
-				if i&1 == 0 {
-					h = keys[h%uint64(len(keys))]
-				}
-				contains(h)
-			}
-			// Restore the load factor for the next measurement.
-			for _, k := range churn {
-				f.Remove(k)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return mops(uint64(threads)*uint64(opsPerThread), time.Since(start))
-}

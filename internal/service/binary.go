@@ -2,20 +2,19 @@ package service
 
 import (
 	"bufio"
-	"context"
-	"errors"
 	"net"
-	"os"
+	"time"
 )
 
 // Binary data plane. Each connection gets one goroutine that loops:
 // read frame → hash keys → one batch call on the target filter → write
 // response. All per-connection buffers (frame, decoded keys, hashes,
-// result bools, response body) are reused across frames, so a sustained
-// batch stream runs allocation-free in steady state and every frame
+// result bools, response body) are reused across frames, and every frame
 // costs two syscalls (one read, one write) for any batch size — the
 // amortization that makes the batched wire path beat per-key HTTP by an
-// order of magnitude.
+// order of magnitude. In steady state lookup frames on every kind, and
+// write frames on plain and map filters, allocate nothing; concurrent and
+// sharded writes still allocate in the core's write sweep.
 
 // serveBinary accepts binary-protocol connections until the listener
 // closes (shutdown).
@@ -99,53 +98,34 @@ func (s *Server) handleFrame(payload []byte, bw *bufio.Writer, sc *connScratch) 
 	if s.draining.Load() {
 		return writeResponse(bw, req.op, statusDraining, 0, nil)
 	}
-	h, err := s.reg.get(req.name)
+	h, err := s.reg.lookup(req.name)
 	if err != nil {
-		return writeResponse(bw, req.op, statusNoFilter, 0, nil)
+		return writeResponse(bw, req.op, statusOf(err), 0, nil)
 	}
 	sc.hashes = h.HashUint64s(req.keys, sc.hashes)
-	ctx, cancel := s.opContext(context.Background())
-	defer cancel()
-	status := func(err error) byte {
-		switch {
-		case err == nil:
-			return statusOK
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, os.ErrDeadlineExceeded):
-			return statusTimeout
-		case errors.Is(err, ErrWrongKind):
-			return statusWrongKind
-		default:
-			return statusBadRequest
-		}
-	}
+	deadline := time.Now().Add(s.cfg.OpTimeout)
+	n := 0
+	sc.body = sc.body[:0]
 	switch req.op {
 	case opInsert:
-		n, err := h.Insert(ctx, sc.hashes)
-		return writeResponse(bw, req.op, status(err), uint32(n), nil)
+		n, err = h.Insert(deadline, sc.hashes)
 	case opContains:
-		found, err := h.Contains(ctx, sc.hashes, sc.found)
-		sc.found = found
-		if err != nil {
-			return writeResponse(bw, req.op, status(err), 0, nil)
-		}
-		sc.body = packBools(sc.body[:0], found)
-		return writeResponse(bw, req.op, statusOK, uint32(len(found)), sc.body)
+		sc.found, err = h.Contains(deadline, sc.hashes, sc.found)
+		n = len(sc.hashes)
+		sc.body = packBools(sc.body, sc.found)
 	case opRemove:
-		n, err := h.Remove(ctx, sc.hashes)
-		return writeResponse(bw, req.op, status(err), uint32(n), nil)
+		n, err = h.Remove(deadline, sc.hashes)
 	case opPut:
-		n, err := h.Put(ctx, sc.hashes, req.vals, req.flags&flagUpdate != 0)
-		return writeResponse(bw, req.op, status(err), uint32(n), nil)
+		n, err = h.Put(deadline, sc.hashes, req.vals, req.flags&flagUpdate != 0)
 	case opGet:
-		vals, found, err := h.Get(ctx, sc.hashes, sc.vals, sc.found)
-		sc.vals, sc.found = vals, found
-		if err != nil {
-			return writeResponse(bw, req.op, status(err), 0, nil)
-		}
-		sc.body = packBools(sc.body[:0], found)
-		sc.body = append(sc.body, vals...)
-		return writeResponse(bw, req.op, statusOK, uint32(len(found)), sc.body)
+		sc.vals, sc.found, err = h.Get(deadline, sc.hashes, sc.vals, sc.found)
+		n = len(sc.hashes)
+		sc.body = append(packBools(sc.body, sc.found), sc.vals...)
 	default:
 		return writeResponse(bw, req.op, statusBadRequest, 0, nil)
 	}
+	if err != nil {
+		return writeResponse(bw, req.op, statusOf(err), 0, nil)
+	}
+	return writeResponse(bw, req.op, statusOK, uint32(n), sc.body)
 }

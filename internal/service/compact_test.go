@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -15,13 +14,12 @@ import (
 // still-live key hashes.
 func churnElastic(t *testing.T, h *hosted, seed uint64, total int) []uint64 {
 	t.Helper()
-	ctx := context.Background()
 	hs := h.HashUint64s(workload.NewStream(seed).Keys(total), nil)
-	if n, err := h.Insert(ctx, hs); err != nil || n != total {
+	if n, err := h.Insert(noDeadline, hs); err != nil || n != total {
 		t.Fatalf("insert %d/%d: %v", n, total, err)
 	}
 	cut := total * 3 / 4
-	if n, err := h.Remove(ctx, hs[:cut]); err != nil || n != cut {
+	if n, err := h.Remove(noDeadline, hs[:cut]); err != nil || n != cut {
 		t.Fatalf("remove %d/%d: %v", n, cut, err)
 	}
 	return hs[cut:]
@@ -50,7 +48,7 @@ func TestHTTPCompact(t *testing.T) {
 	if res.LevelsMerged == 0 || res.LevelsAfter >= res.LevelsBefore {
 		t.Fatalf("compaction did not shrink the cascade: %+v", res)
 	}
-	found, err := h.Contains(context.Background(), live, nil)
+	found, err := h.Contains(noDeadline, live, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +82,7 @@ func TestCompactNotElastic(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, _ := reg.get(name)
-		if _, err := h.Compact(context.Background()); !errors.Is(err, ErrNotElastic) {
+		if _, err := h.Compact(noDeadline); !errors.Is(err, ErrNotElastic) {
 			t.Fatalf("%s: Compact error %v, want ErrNotElastic", kind, err)
 		}
 	}
@@ -109,7 +107,6 @@ func TestSnapshotDuringCompaction(t *testing.T) {
 	// contain it regardless of where it lands relative to a compaction.
 	stable := churnElastic(t, h, 41, 15000)
 
-	ctx := context.Background()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -123,9 +120,9 @@ func TestSnapshotDuringCompaction(t *testing.T) {
 			default:
 			}
 			hs := h.HashUint64s(churnStream.Keys(2000), nil)
-			h.Insert(ctx, hs)
-			h.Remove(ctx, hs[:1500])
-			h.Compact(ctx)
+			h.Insert(noDeadline, hs)
+			h.Remove(noDeadline, hs[:1500])
+			h.Compact(noDeadline)
 		}
 	}()
 
@@ -145,7 +142,7 @@ func TestSnapshotDuringCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		found, err := restored.Contains(ctx, stable, nil)
+		found, err := restored.Contains(noDeadline, stable, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -33,8 +32,7 @@ func TestHTTPFreeze(t *testing.T) {
 	if res.LevelsFrozen == 0 || res.FuseLevels == 0 {
 		t.Fatalf("freeze retired nothing: %+v", res)
 	}
-	ctx := context.Background()
-	found, err := h.Contains(ctx, live, nil)
+	found, err := h.Contains(noDeadline, live, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,7 @@ func TestHTTPFreeze(t *testing.T) {
 	}
 	// Removes against the frozen tier go to tombstones but must still count.
 	cut := len(live) / 8
-	if n, err := h.Remove(ctx, live[:cut]); err != nil || n != cut {
+	if n, err := h.Remove(noDeadline, live[:cut]); err != nil || n != cut {
 		t.Fatalf("remove after freeze %d/%d: %v", n, cut, err)
 	}
 
@@ -62,7 +60,7 @@ func TestHTTPFreeze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err = restored.Contains(ctx, live[cut:], nil)
+	found, err = restored.Contains(noDeadline, live[cut:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +94,7 @@ func TestFreezeNotElastic(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, _ := reg.get(name)
-		if _, err := h.Freeze(context.Background()); !errors.Is(err, ErrNotElastic) {
+		if _, err := h.Freeze(noDeadline); !errors.Is(err, ErrNotElastic) {
 			t.Fatalf("%s: Freeze error %v, want ErrNotElastic", kind, err)
 		}
 	}
@@ -114,19 +112,18 @@ func TestFreezeKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := churnElastic(t, h, 53, 15000)
-	ctx := context.Background()
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		h.Freeze(ctx)
-		h.Freeze(ctx) // second pass: idempotent no-op
+		h.Freeze(noDeadline)
+		h.Freeze(noDeadline) // second pass: idempotent no-op
 	}()
 	extra := h.HashUint64s(workload.NewStream(99).Keys(3000), nil)
-	h.Insert(ctx, extra)
+	h.Insert(noDeadline, extra)
 	<-done
 
-	found, err := h.Contains(ctx, live, nil)
+	found, err := h.Contains(noDeadline, live, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

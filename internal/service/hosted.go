@@ -1,13 +1,13 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"regexp"
 	"runtime"
 	"sync"
+	"time"
 
 	"vqf"
 	"vqf/internal/hashing"
@@ -114,6 +114,7 @@ var (
 	ErrWrongKind  = errors.New("service: operation requires a map filter")
 	ErrNotElastic = errors.New("service: operation requires an elastic filter")
 	ErrDraining   = errors.New("service: server draining")
+	ErrTimeout    = errors.New("service: op timeout")
 )
 
 // hostedFilter is the surface every hosted kind presents to the data
@@ -170,18 +171,16 @@ func (m kvFilter) RemoveHashBatch(hs []uint64) int {
 //
 // Locking: snapshotting needs quiescence (WriteTo rejects in-flight
 // writers) and the sequential kinds need mutual exclusion the filter
-// itself does not provide, so every hosted filter carries a RWMutex.
-// Data-plane ops on internally thread-safe kinds (concurrent, sharded)
-// take the read side — they exclude only snapshots, not each other — and
-// sequential kinds (plain, elastic, map) take the write side. Snapshot
-// always takes the write side. Per-op deadlines are enforced at the lock:
-// a request that waited past its deadline (queued behind a snapshot or a
-// long batch) is rejected before touching the filter.
+// itself does not provide, so every hosted filter carries a RWMutex, and
+// every access to the filter goes through acquire and release. The
+// data-plane side is the read side on internally thread-safe kinds
+// (concurrent, sharded) — their ops exclude only snapshots, not each
+// other — and the write side on sequential kinds (plain, elastic, map).
+// Snapshots and structural ops take the write side on every kind.
 type hosted struct {
-	spec       Spec
-	threadSafe bool
-	mu         sync.RWMutex
-	filter     hostedFilter
+	spec   Spec
+	mu     sync.RWMutex
+	filter hostedFilter
 }
 
 // newHosted constructs the filter a spec describes. The spec must be
@@ -194,10 +193,8 @@ func newHosted(spec Spec) (*hosted, error) {
 		h.filter = vqf.New(spec.Capacity, opts...)
 	case KindConcurrent:
 		h.filter = vqf.NewConcurrent(spec.Capacity, opts...)
-		h.threadSafe = true
 	case KindSharded:
 		h.filter = vqf.NewSharded(spec.Capacity, spec.Shards, opts...)
-		h.threadSafe = true
 	case KindElastic:
 		h.filter = vqf.NewElastic(append(opts, vqf.WithInitialCapacity(spec.Capacity))...)
 	case KindMap:
@@ -208,22 +205,35 @@ func newHosted(spec Spec) (*hosted, error) {
 	return h, nil
 }
 
-// lockOp acquires the data-plane side of the hosted lock, honoring ctx's
-// deadline: if the deadline passed while waiting for the lock the lock is
-// released again and the context error returned.
-func (h *hosted) lockOp(ctx context.Context) (unlock func(), err error) {
-	if h.threadSafe {
-		h.mu.RLock()
-		unlock = h.mu.RUnlock
-	} else {
+// acquire takes the hosted lock, the write side when exclusive is set and
+// the data-plane side otherwise. Once it is held, a nonzero deadline with
+// now ≥ deadline releases it again and returns ErrTimeout, so a request
+// queued too long never touches the filter.
+func (h *hosted) acquire(deadline time.Time, exclusive bool) error {
+	if h.writeSide(exclusive) {
 		h.mu.Lock()
-		unlock = h.mu.Unlock
+	} else {
+		h.mu.RLock()
 	}
-	if err := ctx.Err(); err != nil {
-		unlock()
-		return nil, err
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		h.release(exclusive)
+		return ErrTimeout
 	}
-	return unlock, nil
+	return nil
+}
+
+// writeSide reports whether an access takes the write side of the lock.
+func (h *hosted) writeSide(exclusive bool) bool {
+	return exclusive || (h.spec.Kind != KindConcurrent && h.spec.Kind != KindSharded)
+}
+
+// release drops the side of the hosted lock acquire took for exclusive.
+func (h *hosted) release(exclusive bool) {
+	if h.writeSide(exclusive) {
+		h.mu.Unlock()
+	} else {
+		h.mu.RUnlock()
+	}
 }
 
 // HashUint64s hashes raw 64-bit keys with the filter's seed into dst
@@ -254,49 +264,45 @@ func (h *hosted) HashStrings(keys []string, dst []uint64) []uint64 {
 
 // Insert inserts pre-hashed keys and returns how many were stored (the
 // rest hit full blocks). On a map filter, keys are stored with value 0.
-func (h *hosted) Insert(ctx context.Context, hs []uint64) (int, error) {
-	unlock, err := h.lockOp(ctx)
-	if err != nil {
+func (h *hosted) Insert(deadline time.Time, hs []uint64) (int, error) {
+	if err := h.acquire(deadline, false); err != nil {
 		return 0, err
 	}
-	defer unlock()
+	defer h.release(false)
 	return h.filter.AddHashBatch(hs), nil
 }
 
 // Contains reports membership for pre-hashed keys into dst (reused when
 // large enough).
-func (h *hosted) Contains(ctx context.Context, hs []uint64, dst []bool) ([]bool, error) {
-	unlock, err := h.lockOp(ctx)
-	if err != nil {
+func (h *hosted) Contains(deadline time.Time, hs []uint64, dst []bool) ([]bool, error) {
+	if err := h.acquire(deadline, false); err != nil {
 		return dst, err
 	}
-	defer unlock()
+	defer h.release(false)
 	return h.filter.ContainsHashBatch(hs, dst), nil
 }
 
 // Remove removes one instance of each pre-hashed key, returning how many
 // were found.
-func (h *hosted) Remove(ctx context.Context, hs []uint64) (int, error) {
-	unlock, err := h.lockOp(ctx)
-	if err != nil {
+func (h *hosted) Remove(deadline time.Time, hs []uint64) (int, error) {
+	if err := h.acquire(deadline, false); err != nil {
 		return 0, err
 	}
-	defer unlock()
+	defer h.release(false)
 	return h.filter.RemoveHashBatch(hs), nil
 }
 
 // Put stores (or with update, rewrites) key→value pairs on a map filter,
 // returning how many succeeded.
-func (h *hosted) Put(ctx context.Context, hs []uint64, vals []byte, update bool) (int, error) {
+func (h *hosted) Put(deadline time.Time, hs []uint64, vals []byte, update bool) (int, error) {
 	kv, ok := h.filter.(kvFilter)
 	if !ok {
 		return 0, ErrWrongKind
 	}
-	unlock, err := h.lockOp(ctx)
-	if err != nil {
+	if err := h.acquire(deadline, false); err != nil {
 		return 0, err
 	}
-	defer unlock()
+	defer h.release(false)
 	n := 0
 	for i, kh := range hs {
 		if update {
@@ -313,16 +319,15 @@ func (h *hosted) Put(ctx context.Context, hs []uint64, vals []byte, update bool)
 // Get looks up values on a map filter: found[i] reports presence and
 // vals[i] the stored byte (0 when absent). Both slices are reused when
 // large enough.
-func (h *hosted) Get(ctx context.Context, hs []uint64, vals []byte, found []bool) ([]byte, []bool, error) {
+func (h *hosted) Get(deadline time.Time, hs []uint64, vals []byte, found []bool) ([]byte, []bool, error) {
 	kv, ok := h.filter.(kvFilter)
 	if !ok {
 		return vals, found, ErrWrongKind
 	}
-	unlock, err := h.lockOp(ctx)
-	if err != nil {
+	if err := h.acquire(deadline, false); err != nil {
 		return vals, found, err
 	}
-	defer unlock()
+	defer h.release(false)
 	if cap(vals) < len(hs) {
 		vals = make([]byte, len(hs))
 	}
@@ -342,31 +347,29 @@ func (h *hosted) Get(ctx context.Context, hs []uint64, vals []byte, found []bool
 // write side of the hosted lock — the hosted cascade is the sequential
 // variant, and holding the write side also means a snapshot can never
 // observe a half-spliced level list.
-func (h *hosted) Compact(ctx context.Context) (vqf.CompactionResult, error) {
+func (h *hosted) Compact(deadline time.Time) (vqf.CompactionResult, error) {
 	e, ok := h.filter.(*vqf.Elastic)
 	if !ok {
 		return vqf.CompactionResult{}, ErrNotElastic
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if err := h.acquire(deadline, true); err != nil {
 		return vqf.CompactionResult{}, err
 	}
+	defer h.release(true)
 	return e.CompactNow(), nil
 }
 
 // Freeze rebuilds an elastic filter's qualifying old levels into immutable
 // fuse levels; ErrNotElastic for every other kind. Locking matches Compact.
-func (h *hosted) Freeze(ctx context.Context) (vqf.FreezeResult, error) {
+func (h *hosted) Freeze(deadline time.Time) (vqf.FreezeResult, error) {
 	e, ok := h.filter.(*vqf.Elastic)
 	if !ok {
 		return vqf.FreezeResult{}, ErrNotElastic
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if err := h.acquire(deadline, true); err != nil {
 		return vqf.FreezeResult{}, err
 	}
+	defer h.release(true)
 	return e.FreezeNow(), nil
 }
 
@@ -382,10 +385,8 @@ func readHosted(spec Spec, r io.Reader) (*hosted, error) {
 		h.filter, err = vqf.Read(r)
 	case KindConcurrent:
 		h.filter, err = vqf.ReadConcurrent(r)
-		h.threadSafe = true
 	case KindSharded:
 		h.filter, err = vqf.Read(r) // sharded streams always load sharded
-		h.threadSafe = true
 	case KindElastic:
 		h.filter, err = vqf.ReadElastic(r)
 	case KindMap:

@@ -1,11 +1,12 @@
 package service
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"vqf"
 )
@@ -43,9 +44,7 @@ func (s *Server) httpHandler() http.Handler {
 	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /v1/restore", s.handleRestore)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		vqf.MetricsHandler(s.reg.Sources()).ServeHTTP(w, r)
-	})
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/vqf/events", func(w http.ResponseWriter, r *http.Request) {
 		vqf.EventsHandler(s.reg.EventSources()).ServeHTTP(w, r)
 	})
@@ -86,15 +85,42 @@ func opError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusConflict, "%v", err)
 	case errors.Is(err, ErrWrongKind), errors.Is(err, ErrNotElastic):
 		httpError(w, http.StatusBadRequest, "%v", err)
-	case errors.Is(err, errTimeout):
+	case errors.Is(err, ErrTimeout):
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		httpError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
-// errTimeout matches per-op deadline expiry from hosted.lockOp.
-var errTimeout = errors.New("service: op timeout")
+// scrapeBuffer holds a /metrics response until the hosted locks are released.
+type scrapeBuffer struct {
+	bytes.Buffer
+	header http.Header
+	code   int
+}
+
+func (b *scrapeBuffer) Header() http.Header  { return b.header }
+func (b *scrapeBuffer) WriteHeader(code int) { b.code = code }
+
+// handleMetrics renders one vqf.MetricsHandler over the live registry
+// with every hosted filter's data-plane lock held, taken in name order
+// (every other path holds at most one, so scrapes cannot deadlock), and
+// writes the response once they are released.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	buf := scrapeBuffer{header: w.Header(), code: http.StatusOK}
+	func() {
+		hs := s.reg.sorted()
+		sources := make(map[string]vqf.Source, len(hs))
+		for _, h := range hs {
+			_ = h.acquire(time.Time{}, false) // no deadline: cannot fail
+			defer h.release(false)
+			sources[h.spec.Name] = h.filter
+		}
+		vqf.MetricsHandler(sources).ServeHTTP(&buf, r)
+	}()
+	w.WriteHeader(buf.code)
+	w.Write(buf.Bytes())
+}
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
@@ -164,36 +190,20 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hs := body.hashKeys(h)
-	ctx, cancel := s.opContext(r.Context())
-	defer cancel()
-	wrap := func(err error) error {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return errTimeout
-		}
-		return err
-	}
+	deadline := time.Now().Add(s.cfg.OpTimeout)
+	var n int
+	var found []bool
+	var out any
 	switch r.PathValue("op") {
 	case "insert":
-		n, err := h.Insert(ctx, hs)
-		if err != nil {
-			opError(w, wrap(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"inserted": n})
+		n, err = h.Insert(deadline, hs)
+		out = map[string]int{"inserted": n}
 	case "contains":
-		found, err := h.Contains(ctx, hs, nil)
-		if err != nil {
-			opError(w, wrap(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"found": found})
+		found, err = h.Contains(deadline, hs, nil)
+		out = map[string]any{"found": found}
 	case "remove":
-		n, err := h.Remove(ctx, hs)
-		if err != nil {
-			opError(w, wrap(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"removed": n})
+		n, err = h.Remove(deadline, hs)
+		out = map[string]int{"removed": n}
 	case "put":
 		if len(body.Values) != len(hs) {
 			httpError(w, http.StatusBadRequest, "%d values for %d keys", len(body.Values), len(hs))
@@ -207,49 +217,42 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 			}
 			vals[i] = byte(v)
 		}
-		n, err := h.Put(ctx, hs, vals, body.Update)
-		if err != nil {
-			opError(w, wrap(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"stored": n})
+		n, err = h.Put(deadline, hs, vals, body.Update)
+		out = map[string]int{"stored": n}
 	case "get":
-		vals, found, err := h.Get(ctx, hs, nil, nil)
-		if err != nil {
-			opError(w, wrap(err))
-			return
-		}
+		var vals []byte
+		vals, found, err = h.Get(deadline, hs, nil, nil)
 		ints := make([]int, len(vals))
 		for i, v := range vals {
 			ints[i] = int(v)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"found": found, "values": ints})
+		out = map[string]any{"found": found, "values": ints}
 	case "compact":
-		res, err := h.Compact(ctx)
-		if err != nil {
-			opError(w, wrap(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{
+		var res vqf.CompactionResult
+		res, err = h.Compact(deadline)
+		out = map[string]int{
 			"levels_before": res.LevelsBefore,
 			"levels_after":  res.LevelsAfter,
 			"levels_merged": res.LevelsMerged,
-		})
-	case "freeze":
-		res, err := h.Freeze(ctx)
-		if err != nil {
-			opError(w, wrap(err))
-			return
 		}
-		writeJSON(w, http.StatusOK, map[string]int{
+	case "freeze":
+		var res vqf.FreezeResult
+		res, err = h.Freeze(deadline)
+		out = map[string]int{
 			"levels_before": res.LevelsBefore,
 			"levels_after":  res.LevelsAfter,
 			"levels_frozen": res.LevelsFrozen,
 			"fuse_levels":   res.FuseLevels,
-		})
+		}
 	default:
 		httpError(w, http.StatusNotFound, "unknown data op %q", r.PathValue("op"))
+		return
 	}
+	if err != nil {
+		opError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package service
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"vqf"
 )
@@ -32,14 +33,16 @@ type Info struct {
 	SizeBytes  uint64  `json:"size_bytes"`
 }
 
-// info snapshots one hosted filter's Info.
+// info snapshots one hosted filter's Info under its data-plane lock.
 func (h *hosted) info() Info {
-	count, capacity := h.filter.Count(), h.filter.Capacity()
+	_ = h.acquire(time.Time{}, false) // no deadline: cannot fail
+	count, capacity, size := h.filter.Count(), h.filter.Capacity(), h.filter.SizeBytes()
+	h.release(false)
 	lf := 0.0
 	if capacity > 0 {
 		lf = float64(count) / float64(capacity)
 	}
-	return Info{Spec: h.spec, Count: count, SlotCap: capacity, LoadFactor: lf, SizeBytes: h.filter.SizeBytes()}
+	return Info{Spec: h.spec, Count: count, SlotCap: capacity, LoadFactor: lf, SizeBytes: size}
 }
 
 // Create validates spec, constructs its filter, and registers it.
@@ -75,9 +78,12 @@ func (r *Registry) Drop(name string) error {
 }
 
 // get returns the named hosted filter.
-func (r *Registry) get(name string) (*hosted, error) {
+func (r *Registry) get(name string) (*hosted, error) { return r.lookup([]byte(name)) }
+
+// lookup is get for a name in frame bytes; m[string(name)] never allocates.
+func (r *Registry) lookup(name []byte) (*hosted, error) {
 	r.mu.RLock()
-	h, ok := r.m[name]
+	h, ok := r.m[string(name)]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, ErrNotFound
@@ -94,13 +100,7 @@ func (r *Registry) Len() int {
 
 // List returns every hosted filter's Info, sorted by name.
 func (r *Registry) List() []Info {
-	r.mu.RLock()
-	hs := make([]*hosted, 0, len(r.m))
-	for _, h := range r.m {
-		hs = append(hs, h)
-	}
-	r.mu.RUnlock()
-	sort.Slice(hs, func(i, j int) bool { return hs[i].spec.Name < hs[j].spec.Name })
+	hs := r.sorted()
 	out := make([]Info, len(hs))
 	for i, h := range hs {
 		out[i] = h.info()
@@ -108,9 +108,9 @@ func (r *Registry) List() []Info {
 	return out
 }
 
-// Sources returns the current filters as metrics sources for
-// vqf.MetricsHandler. The daemon rebuilds the handler per scrape, so
-// filters created after startup are exported too.
+// Sources returns the current filters as metrics sources, without the
+// hosted locks: a sequential kind (plain, elastic, map) must be read
+// under its lock, as the daemon's /metrics route does.
 func (r *Registry) Sources() map[string]vqf.Source {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -136,9 +136,9 @@ func (r *Registry) EventSources() map[string]vqf.EventSource {
 	return out
 }
 
-// snapshotSet returns the hosted filters sorted by name (the snapshot
-// iteration order, so manifests are deterministic).
-func (r *Registry) snapshotSet() []*hosted {
+// sorted returns the hosted filters by name: the order of List, of
+// snapshots (so manifests are deterministic) and of scrape locking.
+func (r *Registry) sorted() []*hosted {
 	r.mu.RLock()
 	hs := make([]*hosted, 0, len(r.m))
 	for _, h := range r.m {

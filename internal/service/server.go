@@ -26,9 +26,11 @@ type Config struct {
 	// SnapshotEvery, when positive, snapshots the registry to DataDir on
 	// this period in addition to the final shutdown snapshot.
 	SnapshotEvery time.Duration
-	// OpTimeout bounds how long a data-plane request may wait for its
-	// filter (queued behind a snapshot or another request on a sequential
-	// filter) before being rejected. 0 means 5s.
+	// OpTimeout bounds how long a data-plane, compact or freeze request may
+	// wait for its filter's lock (queued behind a snapshot or another
+	// request on a sequential filter); past it the request is rejected
+	// without touching the filter. Admin reads and snapshots carry no
+	// deadline. 0 means 5s.
 	OpTimeout time.Duration
 	// MaxFrameBytes bounds one binary frame's payload; 0 means
 	// DefaultMaxFrameBytes.
@@ -252,9 +254,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	return drainErr
-}
-
-// opContext returns the per-operation deadline context.
-func (s *Server) opContext(parent context.Context) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(parent, s.cfg.OpTimeout)
 }

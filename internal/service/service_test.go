@@ -358,3 +358,66 @@ func TestShutdownIdempotent(t *testing.T) {
 		t.Fatalf("second shutdown: %v", err)
 	}
 }
+
+// TestScrapeAndListDuringWrites reads every hosted filter's numbers —
+// /metrics scrapes and Registry.List — while binary clients write to the
+// sequential kinds. Under -race it checks that those reads take the
+// hosted lock like the data plane does.
+func TestScrapeAndListDuringWrites(t *testing.T) {
+	srv := startServer(t, Config{})
+	kinds := []Kind{KindPlain, KindElastic, KindMap}
+	for _, kind := range kinds {
+		if _, err := srv.Registry().Create(Spec{Name: string(kind), Kind: kind, Capacity: 1 << 14}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var writers sync.WaitGroup
+	errs := make(chan error, len(kinds))
+	for i, kind := range kinds {
+		writers.Add(1)
+		go func(i int, name string) {
+			defer writers.Done()
+			c, err := Dial(srv.BinaryAddr())
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			keys := workload.NewStream(uint64(200 + i)).Keys(200 * 64)
+			for lo := 0; lo < len(keys); lo += 64 {
+				if _, err := c.Insert(name, keys[lo:lo+64]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(i, string(kind))
+	}
+	done := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(done)
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		resp, err := http.Get("http://" + srv.HTTPAddr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/metrics status %d", resp.StatusCode)
+		}
+		if infos := srv.Registry().List(); len(infos) != len(kinds) {
+			t.Fatalf("List returned %d filters, want %d", len(infos), len(kinds))
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}

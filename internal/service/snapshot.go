@@ -122,12 +122,12 @@ func (r *Registry) SnapshotTo(dir string) (Manifest, error) {
 		return Manifest{}, err
 	}
 	man := Manifest{Version: manifestVersion, SavedAt: time.Now().UTC()}
-	for _, h := range r.snapshotSet() {
+	for _, h := range r.sorted() {
 		file := h.spec.Name + snapshotSuffix
-		h.mu.Lock()
+		_ = h.acquire(time.Time{}, true) // no deadline: cannot fail
 		count := h.filter.Count()
 		n, crc, err := writeFileAtomic(dir, file, h)
-		h.mu.Unlock()
+		h.release(true)
 		if err != nil {
 			return Manifest{}, fmt.Errorf("service: snapshot %q: %w", h.spec.Name, err)
 		}

@@ -17,7 +17,6 @@ import (
 func TestWarmRestartAllKinds(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	ctx := context.Background()
 	const n = 4000
 	keys := workload.NewStream(21).Keys(n)
 	for _, kind := range Kinds() {
@@ -35,11 +34,11 @@ func TestWarmRestartAllKinds(t *testing.T) {
 			for i := range vals {
 				vals[i] = byte(i * 7)
 			}
-			if got, err := h.Put(ctx, hs, vals, false); err != nil || got != n {
+			if got, err := h.Put(noDeadline, hs, vals, false); err != nil || got != n {
 				t.Fatalf("%s put %d/%d: %v", kind, got, n, err)
 			}
 		} else {
-			if got, err := h.Insert(ctx, hs); err != nil || got != n {
+			if got, err := h.Insert(noDeadline, hs); err != nil || got != n {
 				t.Fatalf("%s insert %d/%d: %v", kind, got, n, err)
 			}
 		}
@@ -71,7 +70,7 @@ func TestWarmRestartAllKinds(t *testing.T) {
 			t.Fatalf("%s seed %d after restart, want 99", kind, h.spec.Seed)
 		}
 		hs := h.HashUint64s(keys, nil)
-		found, err := h.Contains(ctx, hs, nil)
+		found, err := h.Contains(noDeadline, hs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +83,11 @@ func TestWarmRestartAllKinds(t *testing.T) {
 			// Fingerprint collisions can make a stored key resolve to another
 			// key's value, so the contract is bit-parity with the pre-snapshot
 			// filter, not the originally-written values.
-			wantVals, wantFound, err := orig.Get(ctx, hs, nil, nil)
+			wantVals, wantFound, err := orig.Get(noDeadline, hs, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vals, vfound, err := h.Get(ctx, hs, nil, nil)
+			vals, vfound, err := h.Get(noDeadline, hs, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,14 +127,13 @@ func TestLoadDirCorruptManifest(t *testing.T) {
 func TestLoadDirTruncatedFile(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	ctx := context.Background()
 	keys := workload.NewStream(5).Keys(1000)
 	for _, name := range []string{"keep", "lose"} {
 		if _, err := reg.Create(Spec{Name: name, Kind: KindPlain, Capacity: 1 << 12}); err != nil {
 			t.Fatal(err)
 		}
 		h, _ := reg.get(name)
-		if _, err := h.Insert(ctx, h.HashUint64s(keys, nil)); err != nil {
+		if _, err := h.Insert(noDeadline, h.HashUint64s(keys, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +173,7 @@ func TestLoadDirBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, _ := reg.get("crc")
-	if _, err := h.Insert(context.Background(), h.HashUint64s(workload.NewStream(6).Keys(500), nil)); err != nil {
+	if _, err := h.Insert(noDeadline, h.HashUint64s(workload.NewStream(6).Keys(500), nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.SnapshotTo(dir); err != nil {
@@ -265,7 +263,7 @@ func TestServerFinalSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := h.Contains(context.Background(), h.HashUint64s(keys, nil), nil)
+	found, err := h.Contains(noDeadline, h.HashUint64s(keys, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

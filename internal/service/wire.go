@@ -10,6 +10,7 @@ package service
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -75,6 +76,22 @@ func statusText(status byte) string {
 	return fmt.Sprintf("unknown status %d", status)
 }
 
+// statusOf maps a service error to its wire status.
+func statusOf(err error) byte {
+	switch {
+	case err == nil:
+		return statusOK
+	case errors.Is(err, ErrNotFound):
+		return statusNoFilter
+	case errors.Is(err, ErrTimeout):
+		return statusTimeout
+	case errors.Is(err, ErrWrongKind):
+		return statusWrongKind
+	default:
+		return statusBadRequest
+	}
+}
+
 // flagUpdate, on opPut, updates the values of already-stored keys instead
 // of inserting new fingerprints (vqf.Map.Update semantics).
 const flagUpdate byte = 1
@@ -118,7 +135,7 @@ func readFrame(r *bufio.Reader, buf []byte, maxLen int) ([]byte, error) {
 type request struct {
 	op    byte
 	flags byte
-	name  string
+	name  []byte
 	keys  []uint64
 	vals  []byte
 }
@@ -158,7 +175,7 @@ func parseRequest(payload []byte, req *request) error {
 		return fmt.Errorf("service: request name length %d overruns payload", nameLen)
 	}
 	p := payload[4:]
-	req.name = string(p[:nameLen])
+	req.name = p[:nameLen]
 	p = p[nameLen:]
 	count := int(binary.LittleEndian.Uint32(p))
 	p = p[4:]
@@ -189,13 +206,13 @@ type response struct {
 	body   []byte
 }
 
-// writeResponse writes an encoded response frame to w.
+// writeResponse writes an encoded response frame to w. The header is
+// built in w's free buffer space, so it costs no allocation.
 func writeResponse(w *bufio.Writer, op, status byte, count uint32, body []byte) error {
-	var hdr [4 + respFixedBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(respFixedBytes+len(body)))
-	hdr[4], hdr[5] = op, status
-	binary.LittleEndian.PutUint32(hdr[8:], count)
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(respFixedBytes+len(body)))
+	hdr = append(hdr, op, status, 0, 0)
+	hdr = binary.LittleEndian.AppendUint32(hdr, count)
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(body)

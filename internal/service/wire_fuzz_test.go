@@ -120,7 +120,7 @@ func FuzzParseRequest(f *testing.F) {
 		if parseRequest(payload, &req) != nil {
 			return
 		}
-		frame, err := appendRequest(nil, req.op, req.flags, req.name, req.keys, req.vals)
+		frame, err := appendRequest(nil, req.op, req.flags, string(req.name), req.keys, req.vals)
 		if err != nil {
 			t.Fatalf("parsed request does not re-encode: %v", err)
 		}

@@ -32,7 +32,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err := parseRequest(frame[4:], &req); err != nil {
 			t.Fatalf("parse %+v: %v", c, err)
 		}
-		if req.op != c.op || req.flags != c.flags || req.name != c.name {
+		if req.op != c.op || req.flags != c.flags || string(req.name) != c.name {
 			t.Fatalf("decoded header %d/%d/%q, want %d/%d/%q", req.op, req.flags, req.name, c.op, c.flags, c.name)
 		}
 		if len(req.keys) != len(c.keys) {
