@@ -157,12 +157,12 @@ func (f *front) AddHashBatch(hs []uint64) int {
 
 // ContainsHashBatch reports membership for each pre-hashed key of hs, in
 // input order. The result reuses dst if it has sufficient capacity (dst may
-// be nil). Lookups never sort: filters walk hs in caller order, the
-// sequential ones through a branch-free batch kernel, the concurrent and
-// sharded ones lock-free, split into contiguous chunks across parallel
-// workers when the batch is large. Unsharded elastic filters resolve the
-// batch level by level with a shrinking working set — keys found in the
-// newest level never touch the older ones.
+// be nil). Lookups never sort: filters walk hs in caller order through a
+// branch-free batch kernel, the concurrent and sharded ones through its
+// seqlock-validated lock-free form, split into contiguous chunks across
+// parallel workers when the batch is large. Unsharded elastic filters
+// resolve the batch level by level with a shrinking working set — keys
+// found in the newest level never touch the older ones.
 func (f *front) ContainsHashBatch(hs []uint64, dst []bool) []bool {
 	end := telemetry.Region("vqf.batch.lookup")
 	start := time.Now()

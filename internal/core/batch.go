@@ -14,9 +14,10 @@ import (
 // the concurrent and sharded writers fan its buckets out over the one
 // atomic-cursor claim loop (claim, concurrent_batch.go). Lookups write
 // nothing and need no block order, so every ContainsBatch answers in caller
-// order: the sequential filters through a branch-free batch kernel (see
-// Filter8.ContainsBatch), the concurrent and sharded ones one Contains per
-// key in contiguous caller-order chunks.
+// order through a branch-free batch kernel: the sequential filters through
+// ProbeBatch8/16 (see Filter8.ContainsBatch), the concurrent and sharded
+// ones through the seqlock-validated ProbeLocked8/16 in contiguous
+// caller-order chunks (see cfilter.containsRange).
 
 const (
 	batchRadixBits = 8

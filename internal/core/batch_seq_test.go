@@ -248,11 +248,13 @@ func TestBatchZeroAlloc(t *testing.T) {
 		checkAllocs(t, "Remove", func() { f.Remove(k) })
 	})
 	// The concurrent and sharded lookups answer in caller order with no
-	// partition, so on one worker they allocate nothing either.
+	// partition, and their writes sort into a parked buffer, so on one
+	// worker they allocate nothing either.
 	for _, c := range []struct {
 		name string
 		f    interface {
 			InsertBatch([]uint64) int
+			RemoveBatch([]uint64) int
 			ContainsBatch([]uint64, []bool) []bool
 		}
 	}{
@@ -263,8 +265,10 @@ func TestBatchZeroAlloc(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			c.f.InsertBatch(hs)
+			c.f.InsertBatch(hs) // warm up the parked sort buffers
 			checkAllocs(t, "ContainsBatch", func() { c.f.ContainsBatch(hs, dst) })
+			checkAllocs(t, "RemoveBatch", func() { c.f.RemoveBatch(hs) })
+			checkAllocs(t, "InsertBatch", func() { c.f.InsertBatch(hs[:512]) })
 		})
 	}
 }
@@ -317,6 +321,52 @@ func TestContainsBatchCountsLookups(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestContainsBatchExactCounters: with no writer running, the validated
+// kernel answers every key of a concurrent or sharded batch itself, so a
+// batch of n keys counts exactly n lookups and 2n optimistic attempts (both
+// candidates of every key), and no retry or fallback.
+func TestContainsBatchExactCounters(t *testing.T) {
+	if !minifilter.AsmEnabled() {
+		t.Skip("batch kernel not in use")
+	}
+	rng := rand.New(rand.NewSource(18))
+	hs := make([]uint64, 3000)
+	for i := range hs {
+		hs[i] = rng.Uint64()
+	}
+	for _, c := range []struct {
+		name string
+		f    interface {
+			InsertBatch([]uint64) int
+			ContainsBatch([]uint64, []bool) []bool
+			Stats() stats.OpCounts
+		}
+	}{
+		{"CFilter8", NewCFilter8(1<<14, Options{})},
+		{"CFilter16", NewCFilter16(1<<14, Options{})},
+		{"Sharded8", NewSharded8(1<<14, 4, Options{})},
+		{"Sharded16", NewSharded16(1<<14, 4, Options{})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			c.f.InsertBatch(hs[:1500])
+			before := c.f.Stats()
+			out := c.f.ContainsBatch(hs, nil)
+			d := c.f.Stats().Sub(before)
+			n := uint64(len(hs))
+			if d.Lookups != n || d.OptAttempts != 2*n || d.OptRetries != 0 || d.OptFallbacks != 0 || d.BatchKeys != n {
+				t.Fatalf("batch of %d keys counted %d lookups, %d attempts, %d retries, %d fallbacks, %d batch keys",
+					n, d.Lookups, d.OptAttempts, d.OptRetries, d.OptFallbacks, d.BatchKeys)
+			}
+			for i, h := range hs[:1500] {
+				if !out[i] {
+					t.Fatalf("inserted key %d (%#x) not found", i, h)
+				}
+			}
+		})
+	}
 }
 
 // TestContainsBatchSplit pins the batch kernel's key split to split8 and

@@ -99,7 +99,8 @@ func (f *CFilter8) Contains(h uint64) bool { return f.contains(h, h>>blockShift8
 
 // contains is Contains counting on stats stripe sel: a point lookup
 // stripes by its primary block, a batch range by its first key (see
-// containsRange).
+// cfilter.containsRange), which also sends here the keys the batch kernel
+// hands back.
 func (f *CFilter8) contains(h, sel uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	f.st.Lookup(sel)
@@ -183,29 +184,6 @@ func (f *CFilter8) Remove(h uint64) bool {
 		f.st.RemoveMiss(b1)
 	}
 	return ok
-}
-
-// ContainsBatch reports membership for every key of hs in input order:
-// result[i] corresponds to hs[i]. Lookups run lock-free, in parallel over
-// contiguous chunks of hs when the batch is large enough. The result reuses
-// dst if it has sufficient capacity (dst may be nil). Safe for concurrent
-// use.
-func (f *CFilter8) ContainsBatch(hs []uint64, dst []bool) []bool {
-	f.st.Batch(len(hs))
-	return lookupBatch(f, hs, dst)
-}
-
-// containsRange answers out[i] = Contains(hs[i]) in caller order. It
-// counts every key on the stats stripe of the range's first key rather than
-// of each key's own block: a batch worker's counter lines then stay in its
-// core's cache instead of bouncing between the cores of parallel workers,
-// while concurrent ranges still spread over the stripes.
-func (f *CFilter8) containsRange(hs []uint64, out []bool) {
-	sel := hs[0]
-	out = out[:len(hs)]
-	for i, h := range hs {
-		out[i] = f.contains(h, sel)
-	}
 }
 
 // CFilter16 is the thread-safe vector quotient filter with 16-bit
@@ -361,21 +339,4 @@ func (f *CFilter16) Remove(h uint64) bool {
 		f.st.RemoveMiss(b1)
 	}
 	return ok
-}
-
-// ContainsBatch reports membership for every key of hs in input order; see
-// CFilter8.ContainsBatch.
-func (f *CFilter16) ContainsBatch(hs []uint64, dst []bool) []bool {
-	f.st.Batch(len(hs))
-	return lookupBatch(f, hs, dst)
-}
-
-// containsRange answers out[i] = Contains(hs[i]) in caller order; see
-// CFilter8.containsRange.
-func (f *CFilter16) containsRange(hs []uint64, out []bool) {
-	sel := hs[0]
-	out = out[:len(hs)]
-	for i, h := range hs {
-		out[i] = f.contains(h, sel)
-	}
 }

@@ -10,12 +10,16 @@ package core
 // almost all lock contention and restores the sequential batch path's cache
 // locality within each worker. Lookups are lock-free reads that need no
 // block ownership, so they partition nothing: a large batch is cut into
-// contiguous caller-order chunks, one Contains per key.
+// contiguous caller-order chunks, each answered by the validated batch
+// kernel (probeLocked) with a per-key fallback for the keys it hands back.
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"vqf/internal/minifilter"
 )
 
 // minParallelBatch is the batch size below which spawning workers costs more
@@ -29,22 +33,16 @@ func batchWorkers(n, pieces int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), pieces, n/minParallelBatch))
 }
 
-// claim runs op over every non-empty bucket [bounds[b], bounds[b+1]) on w
-// workers that claim buckets from an atomic cursor, which load-balances
-// skewed buckets. It returns the sum of op's results and the number of
-// workers that ran at least one bucket. With w == 1 it runs on the calling
-// goroutine, in bucket order.
+// claim runs op over every non-empty bucket [bounds[b], bounds[b+1]) on
+// w ≥ 2 worker goroutines that claim buckets from an atomic cursor, which
+// load-balances skewed buckets. It returns the sum of op's results and the
+// number of workers that ran at least one bucket. op escapes to the
+// workers, so callers build it only on their parallel path; one worker
+// runs the buckets in order on the calling goroutine, with no closure. The
+// workers read a copy of bounds, so the caller's may live on its stack.
 func claim(w int, bounds []int, op func(lo, hi, b int) int) (total, active int) {
-	nb := len(bounds) - 1
-	if w == 1 {
-		for b := 0; b < nb; b++ {
-			if bounds[b] < bounds[b+1] {
-				total += op(bounds[b], bounds[b+1], b)
-				active = 1
-			}
-		}
-		return total, active
-	}
+	bs := slices.Clone(bounds)
+	nb := len(bs) - 1
 	var cursor, sum, fed atomic.Int64
 	var wg sync.WaitGroup
 	for range w {
@@ -57,8 +55,8 @@ func claim(w int, bounds []int, op func(lo, hi, b int) int) (total, active int) 
 				if b >= nb {
 					break
 				}
-				if bounds[b] < bounds[b+1] {
-					n += op(bounds[b], bounds[b+1], b)
+				if bs[b] < bs[b+1] {
+					n += op(bs[b], bs[b+1], b)
 					ran = true
 				}
 			}
@@ -101,6 +99,28 @@ func lookupBatch[F lookupScanner](f F, hs []uint64, dst []bool) []bool {
 		return 0
 	})
 	return out
+}
+
+// probeLocked answers hs into out in caller order through g's validated
+// batch kernel over tab, and hands each key the kernel reports as
+// conflicted — it overlapped a writer — to retry, which answers it through
+// the per-key path (that path retries, falls back to the lock, and counts
+// the key). It returns how many leading keys are answered, conflicts of
+// them by retry; the rest, all of hs where the kernel is unavailable, are
+// the caller's to answer per key.
+func probeLocked(g *Geometry, tab []minifilter.LockedArray, hs []uint64, out []bool, retry func(i int)) (done, conflicts int) {
+	for done < len(hs) {
+		n, ok := g.lockedKernel(tab, hs[done:], out[done:])
+		if !ok {
+			break
+		}
+		if done += n; done < len(hs) {
+			retry(done)
+			done++
+			conflicts++
+		}
+	}
+	return done, conflicts
 }
 
 // resizeBools returns dst resized to n, reallocating only if its capacity is

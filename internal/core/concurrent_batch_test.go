@@ -3,7 +3,12 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"vqf/internal/stats"
+	"vqf/internal/workload"
 )
 
 func TestCFilter8BatchRoundTrip(t *testing.T) {
@@ -162,5 +167,83 @@ func TestCFilter8BatchConcurrentWithPointOps(t *testing.T) {
 	wg.Wait()
 	if got := f.RemoveBatch(batch); got != len(batch) {
 		t.Fatalf("RemoveBatch = %d, want %d", got, len(batch))
+	}
+}
+
+// TestBatchLookupChurn races the validated batch kernel against writers on
+// a 64-block filter, so that batches keep overlapping writes to their
+// blocks. A resident set is inserted up front and never removed; every
+// ContainsBatch over it must find every resident, and the run lasts until
+// the filter has counted optimistic retries, which shows that the conflict
+// path — the kernel handing keys back to the per-key path — ran. The race
+// detector does not see into assembly, so this test, not -race, is what
+// checks the kernel's validation; CI runs it repeatedly at GOMAXPROCS 4.
+func TestBatchLookupChurn(t *testing.T) {
+	const slots = 64 * 48 // 64 Block8s; the 16-bit filters get 128 blocks of 28 slots
+	for _, c := range []struct {
+		name string
+		f    interface {
+			Insert(h uint64) bool
+			Remove(h uint64) bool
+			ContainsBatch(hs []uint64, dst []bool) []bool
+			Stats() stats.OpCounts
+		}
+	}{
+		{"CFilter8", NewCFilter8(slots, Options{})},
+		{"CFilter16", NewCFilter16(slots, Options{})},
+		{"Sharded8", NewSharded8(slots, 2, Options{})},
+		{"Sharded16", NewSharded16(slots, 2, Options{})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := c.f
+			res := workload.NewStream(41).Keys(slots / 3)
+			for _, h := range res {
+				if !f.Insert(h) {
+					t.Fatal("resident insert failed at a third of capacity")
+				}
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					s := workload.NewStream(uint64(500 + w))
+					var live []uint64
+					for !stop.Load() {
+						if len(live) == 64 {
+							for _, h := range live {
+								f.Remove(h)
+							}
+							live = live[:0]
+						}
+						if h := s.Next(); f.Insert(h) {
+							live = append(live, h)
+						}
+					}
+					for _, h := range live {
+						f.Remove(h)
+					}
+				}(w)
+			}
+			dst := make([]bool, len(res))
+			deadline := time.Now().Add(10 * time.Second)
+			rounds := 0
+			for ; rounds < 200 || f.Stats().OptRetries == 0 && time.Now().Before(deadline); rounds++ {
+				out := f.ContainsBatch(res, dst)
+				for i, ok := range out {
+					if !ok {
+						stop.Store(true)
+						wg.Wait()
+						t.Fatalf("round %d: resident %d (%#x) lost under churn", rounds, i, res[i])
+					}
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			if st := f.Stats(); st.OptRetries == 0 {
+				t.Fatalf("%d batch rounds under 3 writers counted no optimistic retry", rounds)
+			}
+		})
 	}
 }

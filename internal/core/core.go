@@ -101,6 +101,9 @@ type Geometry struct {
 	// the last one is the lock bit in locked mode.
 	metaWords int
 	magic     uint32
+	// lockedKernel is the validated batch lookup over locked-mode arrays of
+	// this geometry's blocks: minifilter.ProbeLocked8 or ProbeLocked16.
+	lockedKernel func(tab []minifilter.LockedArray, hs []uint64, out []bool) (int, bool)
 }
 
 // FPR8 and FPR16 are the two geometries' analytic full-load
@@ -114,11 +117,13 @@ var (
 	// Geom8 is the 8-bit-fingerprint geometry, with the paper's 75%
 	// (36/48) shortcut threshold.
 	Geom8 = &Geometry{Slots: minifilter.B8Slots, Buckets: minifilter.B8Buckets, FPBits: 8,
-		BlockShift: blockShift8, Threshold: 36, FPR: FPR8, metaWords: 2, magic: magic8}
+		BlockShift: blockShift8, Threshold: 36, FPR: FPR8, metaWords: 2, magic: magic8,
+		lockedKernel: minifilter.ProbeLocked8}
 	// Geom16 is the 16-bit-fingerprint geometry, with a 64% (18/28)
 	// shortcut threshold.
 	Geom16 = &Geometry{Slots: minifilter.B16Slots, Buckets: minifilter.B16Buckets, FPBits: 16,
-		BlockShift: blockShift16, Threshold: 18, FPR: FPR16, metaWords: 1, magic: magic16}
+		BlockShift: blockShift16, Threshold: 18, FPR: FPR16, metaWords: 1, magic: magic16,
+		lockedKernel: minifilter.ProbeLocked16}
 )
 
 // GeometryFor picks the geometry for a target false-positive rate: Geom8

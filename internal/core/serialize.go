@@ -401,27 +401,31 @@ func ReadSharded(r io.Reader) (*Sharded8, *Sharded16, error) {
 		return nil, nil, err
 	}
 	if geom == 8 {
-		s, err := readShards(r, nshards, ReadCFilter8)
+		shards, err := readShards(r, nshards, ReadCFilter8)
 		if err != nil {
 			return nil, nil, err
 		}
-		return &Sharded8{s}, nil, nil
+		f := new(Sharded8)
+		f.init(shards)
+		return f, nil, nil
 	}
-	s, err := readShards(r, nshards, ReadCFilter16)
+	shards, err := readShards(r, nshards, ReadCFilter16)
 	if err != nil {
 		return nil, nil, err
 	}
-	return nil, &Sharded16{s}, nil
+	f := new(Sharded16)
+	f.init(shards)
+	return nil, f, nil
 }
 
 // readShards reads nshards shard streams in shard order.
-func readShards[S shardFilter](r io.Reader, nshards uint32, read func(io.Reader) (S, error)) (sharded[S], error) {
-	f := sharded[S]{shards: make([]S, nshards), shardBits: ShardBitsFor(int(nshards))}
-	for i := range f.shards {
+func readShards[S shardFilter](r io.Reader, nshards uint32, read func(io.Reader) (S, error)) ([]S, error) {
+	shards := make([]S, nshards)
+	for i := range shards {
 		var err error
-		if f.shards[i], err = read(r); err != nil {
-			return f, fmt.Errorf("shard %d: %w", i, err)
+		if shards[i], err = read(r); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	return f, nil
+	return shards, nil
 }

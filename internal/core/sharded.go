@@ -24,13 +24,15 @@ package core
 // secondary-block collisions the single-filter parallel batches retain.
 // Within its claimed shard a worker sorts again by primary block for the
 // sequential sweep locality of the non-sharded batch path. Batch lookups
-// need no ownership: they answer in caller order, one Contains per key
-// through its shard, cut into contiguous chunks when the batch is large
+// need no ownership: they answer in caller order through the validated
+// batch kernel, which reads the shards as one table and picks each key's
+// shard by its top bits, cut into contiguous chunks when the batch is large
 // enough to fan out.
 
 import (
 	"io"
 
+	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
 )
@@ -57,13 +59,10 @@ func ShardBitsFor(n int) uint {
 func ShardOf(h uint64, shardBits uint) uint64 { return h >> (64 - shardBits) }
 
 // shardFilter is the shard surface the sharded shell uses: a concurrent
-// filter, *CFilter8 or *CFilter16. Its per-key methods are called only by
-// the batch writers, through func values; the single-key paths
-// (Sharded8/16.Insert etc.) and the ContainsBatch scan (containsRange) call
-// the concrete shard type.
+// filter, *CFilter8 or *CFilter16. Its per-key lookup is called only for
+// keys the batch kernel hands back; the single-key paths
+// (Sharded8/16.Insert etc.) call the concrete shard type.
 type shardFilter interface {
-	Insert(h uint64) bool
-	Remove(h uint64) bool
 	Count() uint64
 	Capacity() uint64
 	SizeBytes() uint64
@@ -72,31 +71,48 @@ type shardFilter interface {
 	SlotsPerBlock() uint
 	SetEventRing(r *telemetry.Ring)
 	WriteTo(w io.Writer) (int64, error)
-	sweep(hs []uint64, w int, op func(uint64) bool) int
+	sweep(hs []uint64, w int, remove bool) int
 	Geometry() *Geometry
+	contains(h, sel uint64) bool
+	counters() *stats.Striped
+	lockedArray() minifilter.LockedArray
 }
 
 // sharded is the shell of Sharded8 and Sharded16: an array of concurrent
 // shards selected by the top hash bits. All single-key operations delegate
-// to one shard; batch operations partition by shard and run shard-disjoint
-// workers.
+// to one shard; batch writes partition by shard and run shard-disjoint
+// workers, batch lookups read the shards as one kernel table.
 type sharded[S shardFilter] struct {
 	shards    []S
 	shardBits uint
 	ring      *telemetry.Ring
+
+	// tab holds every shard's entry of the validated batch kernel's table,
+	// in shard order; sorts parks the batch writers' shard-sort buffer.
+	tab   []minifilter.LockedArray
+	sorts sortBuf
 }
 
-// newSharded creates nshards shards (rounded up to a power of two, clamped
+// newShards creates nshards shards (rounded up to a power of two, clamped
 // to [1, 256]), each sized for its share of nslots.
-func newSharded[S shardFilter](nslots uint64, nshards int, opts Options, newShard func(uint64, Options) S) sharded[S] {
-	bits := ShardBitsFor(nshards)
-	n := uint64(1) << bits
+func newShards[S shardFilter](nslots uint64, nshards int, opts Options, newShard func(uint64, Options) S) []S {
+	n := uint64(1) << ShardBitsFor(nshards)
 	per := (nslots + n - 1) / n
-	f := sharded[S]{shards: make([]S, n), shardBits: bits}
-	for i := range f.shards {
-		f.shards[i] = newShard(per, opts)
+	shards := make([]S, n)
+	for i := range shards {
+		shards[i] = newShard(per, opts)
 	}
-	return f
+	return shards
+}
+
+// init adopts shards, a power-of-two count of at most 256, and builds the
+// batch kernel's table over them.
+func (f *sharded[S]) init(shards []S) {
+	f.shards, f.shardBits = shards, ShardBitsFor(len(shards))
+	f.tab = make([]minifilter.LockedArray, len(shards))
+	for i, s := range shards {
+		f.tab[i] = s.lockedArray()
+	}
 }
 
 // Sharded8 is a sharded thread-safe filter with 8-bit fingerprints: an array
@@ -109,7 +125,9 @@ type Sharded8 struct {
 // spread over nshards shards (rounded up to a power of two, clamped to
 // [1, 256]). Each shard is an independent CFilter8 sized for its share.
 func NewSharded8(nslots uint64, nshards int, opts Options) *Sharded8 {
-	return &Sharded8{newSharded(nslots, nshards, opts, NewCFilter8)}
+	f := new(Sharded8)
+	f.init(newShards(nslots, nshards, opts, NewCFilter8))
+	return f
 }
 
 // Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
@@ -123,33 +141,6 @@ func (f *Sharded8) Contains(h uint64) bool { return f.shards[ShardOf(h, f.shardB
 // use.
 func (f *Sharded8) Remove(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Remove(h) }
 
-// ContainsBatch reports membership for every key of hs in input order:
-// result[i] corresponds to hs[i]. Lookups run lock-free, in parallel over
-// contiguous chunks of hs when the batch is large enough. The result reuses
-// dst if it has sufficient capacity (dst may be nil). Safe for concurrent
-// use.
-func (f *Sharded8) ContainsBatch(hs []uint64, dst []bool) []bool { return lookupBatch(f, hs, dst) }
-
-// containsRange answers out[i] = Contains(hs[i]) in caller order and counts
-// the keys each shard answered as one batch on that shard. Like
-// CFilter8.containsRange, it counts on the stats stripe of the range's
-// first key.
-func (f *Sharded8) containsRange(hs []uint64, out []bool) {
-	var keys [1 << maxShardBits]int
-	sel := hs[0]
-	out = out[:len(hs)]
-	for i, h := range hs {
-		s := ShardOf(h, f.shardBits)
-		keys[uint8(s)]++
-		out[i] = f.shards[s].contains(h, sel)
-	}
-	for s, sh := range f.shards {
-		if keys[s] > 0 {
-			sh.st.Batch(keys[s])
-		}
-	}
-}
-
 // Sharded16 is the sharded thread-safe filter with 16-bit fingerprints; see
 // Sharded8.
 type Sharded16 struct {
@@ -158,7 +149,9 @@ type Sharded16 struct {
 
 // NewSharded16 creates a sharded 16-bit-fingerprint filter; see NewSharded8.
 func NewSharded16(nslots uint64, nshards int, opts Options) *Sharded16 {
-	return &Sharded16{newSharded(nslots, nshards, opts, NewCFilter16)}
+	f := new(Sharded16)
+	f.init(newShards(nslots, nshards, opts, NewCFilter16))
+	return f
 }
 
 // Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
@@ -171,24 +164,46 @@ func (f *Sharded16) Contains(h uint64) bool { return f.shards[ShardOf(h, f.shard
 // use.
 func (f *Sharded16) Remove(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Remove(h) }
 
-// ContainsBatch reports membership for every key of hs in input order; see
-// Sharded8.ContainsBatch.
-func (f *Sharded16) ContainsBatch(hs []uint64, dst []bool) []bool { return lookupBatch(f, hs, dst) }
+// ContainsBatch reports membership for every key of hs in input order:
+// result[i] corresponds to hs[i]. Lookups run lock-free through the
+// validated batch kernel, in parallel over contiguous chunks of hs when the
+// batch is large enough. The result reuses dst if it has sufficient
+// capacity (dst may be nil). Safe for concurrent use.
+func (f *sharded[S]) ContainsBatch(hs []uint64, dst []bool) []bool { return lookupBatch(f, hs, dst) }
 
-// containsRange answers out[i] = Contains(hs[i]) in caller order; see
-// Sharded8.containsRange.
-func (f *Sharded16) containsRange(hs []uint64, out []bool) {
+// containsRange answers out[i] = Contains(hs[i]) in caller order through
+// the validated batch kernel over every shard at once, and through the
+// key's shard's per-key contains for each key the kernel hands back and for
+// every key where it is unavailable. Like cfilter.containsRange it counts
+// on the stats stripe of the range's first key, per shard: the shard's keys
+// as one batch, then, once perKey has taken out the keys it answered, the
+// shard's kernel-answered keys as one Probed.
+func (f *sharded[S]) containsRange(hs []uint64, out []bool) {
 	var keys [1 << maxShardBits]int
-	sel := hs[0]
-	out = out[:len(hs)]
-	for i, h := range hs {
-		s := ShardOf(h, f.shardBits)
-		keys[uint8(s)]++
-		out[i] = f.shards[s].contains(h, sel)
+	for _, h := range hs {
+		keys[uint8(ShardOf(h, f.shardBits))]++
 	}
-	for s, sh := range f.shards {
-		if keys[s] > 0 {
-			sh.st.Batch(keys[s])
+	for s, n := range keys[:len(f.shards)] {
+		if n > 0 {
+			f.shards[s].counters().Batch(n)
+		}
+	}
+	sel := hs[0]
+	perKey := func(i int) {
+		s := ShardOf(hs[i], f.shardBits)
+		keys[uint8(s)]--
+		out[i] = f.shards[s].contains(hs[i], sel)
+	}
+	i, _ := probeLocked(f.Geometry(), f.tab, hs, out, func(i int) {
+		f.shards[ShardOf(hs[i], f.shardBits)].counters().Probed(sel, 0, 1)
+		perKey(i)
+	})
+	for ; i < len(hs); i++ {
+		perKey(i)
+	}
+	for s, n := range keys[:len(f.shards)] {
+		if n > 0 {
+			f.shards[s].counters().Probed(sel, n, 0)
 		}
 	}
 }
@@ -300,28 +315,38 @@ func stallEvent(ring *telemetry.Ring, active, w, keys int) {
 // InsertBatch inserts the keys of hs in parallel with shard-disjoint
 // workers, returning the number successfully inserted. Safe for concurrent
 // use alongside any other operations.
-func (f *sharded[S]) InsertBatch(hs []uint64) int { return f.apply(hs, S.Insert) }
+func (f *sharded[S]) InsertBatch(hs []uint64) int { return f.apply(hs, false) }
 
 // RemoveBatch removes one instance of each key of hs in parallel with
 // shard-disjoint workers, returning the number found and removed.
-func (f *sharded[S]) RemoveBatch(hs []uint64) int { return f.apply(hs, S.Remove) }
+func (f *sharded[S]) RemoveBatch(hs []uint64) int { return f.apply(hs, true) }
 
-// apply radix-sorts hs by shard and sweeps each shard's keys with op on
-// shard-disjoint workers; see the package comment for the contention
-// argument. A single shard sweeps the whole batch with its own worker pool.
-func (f *sharded[S]) apply(hs []uint64, op func(S, uint64) bool) int {
+// apply radix-sorts hs by shard and sweeps each shard's keys — inserting
+// them, or removing them when remove is set — on shard-disjoint workers;
+// see the package comment for the contention argument. A single shard
+// sweeps the whole batch with its own worker pool. Like cfilter.sweep, it
+// sorts into the parked buffer and builds a closure only for the parallel
+// path, so one worker allocates nothing.
+func (f *sharded[S]) apply(hs []uint64, remove bool) int {
 	if len(f.shards) == 1 {
-		sh := f.shards[0]
-		return sh.sweep(hs, batchWorkers(len(hs), batchShards), func(h uint64) bool { return op(sh, h) })
+		return f.shards[0].sweep(hs, batchWorkers(len(hs), batchShards), remove)
 	}
-	sorted, bounds := radixSort(hs, make([]uint64, len(hs)), shardDigit(f.shardBits))
+	buf := f.sorts.take(len(hs))
+	defer f.sorts.park(buf)
+	sorted, bounds := radixSort(hs, *buf, shardDigit(f.shardBits))
 	w := batchWorkers(len(hs), len(f.shards))
-	n, active := claim(w, bounds[:len(f.shards)+1], func(lo, hi, s int) int {
-		sh := f.shards[s]
-		return sh.sweep(sorted[lo:hi], 1, func(h uint64) bool { return op(sh, h) })
-	})
-	if w > 1 {
-		stallEvent(f.ring, active, w, len(hs))
+	if w == 1 {
+		n := 0
+		for s, sh := range f.shards {
+			if lo, hi := bounds[s], bounds[s+1]; lo < hi {
+				n += sh.sweep(sorted[lo:hi], 1, remove)
+			}
+		}
+		return n
 	}
+	n, active := claim(w, bounds[:len(f.shards)+1], func(lo, hi, s int) int {
+		return f.shards[s].sweep(sorted[lo:hi], 1, remove)
+	})
+	stallEvent(f.ring, active, w, len(hs))
 	return n
 }

@@ -161,15 +161,18 @@ func (s *lockState) fallbackEvent(b uint64, retries uint) {
 	}
 }
 
-// keyOps is a concrete filter's per-key write set, which the shell's batch
-// writers apply through func values.
+// keyOps is a concrete filter's per-key path, which the shell's batch
+// operations call: the writes for every key of a batch, the lookup only
+// for keys the batch kernel hands back (or all of them where it is
+// unavailable).
 type keyOps interface {
 	Insert(h uint64) bool
 	Remove(h uint64) bool
+	contains(h, sel uint64) bool
 }
 
 // cfilter is the shell of the thread-safe CFilter8 and CFilter16.
-type cfilter[B any, P blockPtr[B]] struct {
+type cfilter[B minifilter.Block8 | minifilter.Block16, P blockPtr[B]] struct {
 	blocks []B
 	lockState
 	mask   uint64
@@ -179,6 +182,11 @@ type cfilter[B any, P blockPtr[B]] struct {
 	geo    *Geometry
 	st     stats.Striped
 	ops    keyOps // the embedding filter itself
+
+	// tab is the filter as the one-entry table the validated batch kernel
+	// reads; sorts parks the batch writers' radix-sort buffer.
+	tab   [1]minifilter.LockedArray
+	sorts sortBuf
 }
 
 func (f *cfilter[B, P]) init(g *Geometry, blocks []B, count uint64, opts Options, ops keyOps) {
@@ -187,7 +195,26 @@ func (f *cfilter[B, P]) init(g *Geometry, blocks []B, count uint64, opts Options
 	f.seqs, f.seqMask = make([]atomic.Uint64, nstripes), nstripes-1
 	f.count.Store(count)
 	f.opts, f.thresh, f.geo, f.ops = opts, opts.threshold(g), g, ops
+	f.tab[0] = minifilter.NewLockedArray(f.blocks, f.seqs)
 }
+
+// sortBuf parks one radix-sort buffer between a filter's batch writes, so
+// steady-state writes allocate nothing. A writer takes the parked buffer,
+// or makes one when none is parked (another writer holds it) or it is too
+// short, and parks it again when done.
+type sortBuf struct{ p atomic.Pointer[[]uint64] }
+
+// take returns a buffer of at least n keys, owned by the caller until park.
+func (b *sortBuf) take(n int) *[]uint64 {
+	if p := b.p.Swap(nil); p != nil && cap(*p) >= n {
+		return p
+	}
+	s := make([]uint64, n)
+	return &s
+}
+
+// park hands p back for the next writer.
+func (b *sortBuf) park(p *[]uint64) { b.p.Store(p) }
 
 // Capacity returns the total number of fingerprint slots.
 func (f *cfilter[B, P]) Capacity() uint64 { return uint64(len(f.blocks)) * f.geo.Slots }
@@ -243,31 +270,91 @@ func (f *cfilter[B, P]) CandidateBlocks(h uint64) (uint64, uint64) {
 	return f.geo.Candidates(h, f.mask)
 }
 
+// ContainsBatch reports membership for every key of hs in input order:
+// result[i] corresponds to hs[i]. Lookups run lock-free through the
+// validated batch kernel, in parallel over contiguous chunks of hs when the
+// batch is large enough. The result reuses dst if it has sufficient
+// capacity (dst may be nil). Safe for concurrent use.
+func (f *cfilter[B, P]) ContainsBatch(hs []uint64, dst []bool) []bool {
+	f.st.Batch(len(hs))
+	return lookupBatch(f, hs, dst)
+}
+
+// containsRange answers out[i] = Contains(hs[i]) in caller order: through
+// the validated batch kernel (see probeLocked), and through the per-key
+// contains for each key the kernel hands back and for every key where it
+// is unavailable. It counts every key on the stats stripe of the range's
+// first key rather than of each key's own block: a batch worker's counter
+// lines then stay in its core's cache instead of bouncing between the cores
+// of parallel workers, while concurrent ranges still spread over the
+// stripes. The kernel's keys are counted with one Probed call.
+func (f *cfilter[B, P]) containsRange(hs []uint64, out []bool) {
+	sel := hs[0]
+	i, conflicts := probeLocked(f.geo, f.tab[:], hs, out, func(i int) { out[i] = f.ops.contains(hs[i], sel) })
+	f.st.Probed(sel, i-conflicts, conflicts)
+	for ; i < len(hs); i++ {
+		out[i] = f.ops.contains(hs[i], sel)
+	}
+}
+
+// counters returns the filter's striped operation counters, for the
+// sharded shell's batch lookups.
+func (f *cfilter[B, P]) counters() *stats.Striped { return &f.st }
+
+// lockedArray returns the filter as an entry of the validated batch
+// kernel's table.
+func (f *cfilter[B, P]) lockedArray() minifilter.LockedArray { return f.tab[0] }
+
 // InsertBatch inserts the keys of hs in parallel, returning the number
 // successfully inserted. Every key is attempted (the result is a success
 // count, not a prefix length — see Filter8.InsertBatch) and the insertion
 // order is unspecified. Safe for concurrent use alongside any other
 // operations.
 func (f *cfilter[B, P]) InsertBatch(hs []uint64) int {
-	return f.sweep(hs, batchWorkers(len(hs), batchShards), f.ops.Insert)
+	return f.sweep(hs, batchWorkers(len(hs), batchShards), false)
 }
 
 // RemoveBatch removes one previously inserted instance of each key of hs in
 // parallel, returning the number found and removed. Safe for concurrent use.
 func (f *cfilter[B, P]) RemoveBatch(hs []uint64) int {
-	return f.sweep(hs, batchWorkers(len(hs), batchShards), f.ops.Remove)
+	return f.sweep(hs, batchWorkers(len(hs), batchShards), true)
 }
 
-// sweep counts hs as one batch and applies op to every key, radix-grouped
-// by primary block when the batch is long enough to pay off, with w workers
-// claiming the radix buckets. It returns the number of true results.
-func (f *cfilter[B, P]) sweep(hs []uint64, w int, op func(uint64) bool) int {
+// sweep counts hs as one batch and inserts every key, or removes it when
+// remove is set, radix-grouped by primary block when the batch is long
+// enough to pay off, with w workers claiming the radix buckets. It returns
+// the number of successes. The sort buffer is the parked one, and only the
+// parallel path builds a closure, so one worker allocates nothing.
+func (f *cfilter[B, P]) sweep(hs []uint64, w int, remove bool) int {
 	f.st.Batch(len(hs))
 	if len(hs) < minBatchPartition {
-		return applyCount(hs, op)
+		return writeKeys(f.ops, hs, remove)
 	}
-	sorted, bounds := radixSort(hs, make([]uint64, len(hs)), blockDigit(f.mask, f.geo.BlockShift))
-	n, _ := claim(w, bounds[:], func(lo, hi, _ int) int { return applyCount(sorted[lo:hi], op) })
+	buf := f.sorts.take(len(hs))
+	defer f.sorts.park(buf)
+	sorted, bounds := radixSort(hs, *buf, blockDigit(f.mask, f.geo.BlockShift))
+	if w == 1 {
+		return writeKeys(f.ops, sorted, remove) // the buckets, in order
+	}
+	n, _ := claim(w, bounds[:], func(lo, hi, _ int) int { return writeKeys(f.ops, sorted[lo:hi], remove) })
+	return n
+}
+
+// writeKeys inserts every key of hs through k, or removes it when remove is
+// set, and returns the number of successes.
+func writeKeys(k keyOps, hs []uint64, remove bool) int {
+	n := 0
+	for _, h := range hs {
+		var ok bool
+		if remove {
+			ok = k.Remove(h)
+		} else {
+			ok = k.Insert(h)
+		}
+		if ok {
+			n++
+		}
+	}
 	return n
 }
 

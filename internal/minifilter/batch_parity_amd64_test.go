@@ -5,8 +5,11 @@ package minifilter
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"vqf/internal/hashing"
 )
@@ -15,7 +18,9 @@ import (
 // built through the real insert path, every key's batch answer must equal
 // the per-key lookup — split, xor partner, two block probes — that
 // internal/core's Contains performs, computed once with the fused probes and
-// once with the generic ones.
+// once with the generic ones. The validated kernels for locked-mode arrays
+// (ProbeLocked8/16) answer the same keys over locked twins of the same
+// arrays, rebuilt through InsertLocked and RemoveLocked.
 
 // contains8 is the per-key reference: internal/core's split8 plus the two
 // Block8 probes of Filter8.Contains.
@@ -253,10 +258,141 @@ func checkBatchParity(t *testing.T, c batchCase, hs []uint64) {
 	}
 }
 
+// candidates returns key h's two blocks in an array of nblocks blocks, split
+// as internal/core's split8 (wide false) or split16 (wide true) splits it.
+func candidates(h uint64, nblocks int, wide bool) (uint64, uint64) {
+	mask := uint64(nblocks - 1)
+	if wide {
+		bucket := uint64(uint32(h&0xffff) * B16Buckets >> 16)
+		b1 := h >> 32 & mask
+		return b1, hashing.AltIndex(b1, bucket<<16|h>>16&0xffff, mask)
+	}
+	bucket := uint64(uint32(h&0xffff) * B8Buckets >> 16)
+	b1 := h >> 24 & mask
+	return b1, hashing.AltIndex(b1, bucket<<8|h>>16&0xff, mask)
+}
+
+// lockedTwin8 rebuilds blocks in locked mode through the writers' path:
+// each block's fingerprints are re-inserted under the lock with
+// InsertLocked, and every eighth step also inserts and removes a decoy with
+// RemoveLocked, so the twin holds the same fingerprints per bucket. A full
+// twin's last terminator is the forced top bit. Block i bumps stripe
+// i & (len(seqs)-1) on every write.
+func lockedTwin8(blocks []Block8, seqs []atomic.Uint64) []Block8 {
+	twin := newBlocks8(len(blocks))
+	for i := range blocks {
+		b, seq, step := &twin[i], &seqs[i&(len(seqs)-1)], 0
+		blocks[i].Iterate(func(bucket uint, fp byte) bool {
+			b.Lock()
+			if step%8 == 7 {
+				b.InsertLocked(bucket, ^fp)
+				b.RemoveLocked(bucket, ^fp)
+			}
+			b.InsertLocked(bucket, fp)
+			b.UnlockBump(seq)
+			step++
+			return true
+		})
+	}
+	return twin
+}
+
+// lockedTwin16 is lockedTwin8 for Block16 arrays.
+func lockedTwin16(blocks []Block16, seqs []atomic.Uint64) []Block16 {
+	twin := newBlocks16(len(blocks))
+	for i := range blocks {
+		b, seq, step := &twin[i], &seqs[i&(len(seqs)-1)], 0
+		blocks[i].Iterate(func(bucket uint, fp uint16) bool {
+			b.Lock()
+			if step%8 == 7 {
+				b.InsertLocked(bucket, ^fp)
+				b.RemoveLocked(bucket, ^fp)
+			}
+			b.InsertLocked(bucket, fp)
+			b.UnlockBump(seq)
+			step++
+			return true
+		})
+	}
+	return twin
+}
+
+// lockedTable builds the kernel table of the locked twins of shards (all of
+// one width), each with two version stripes so that blocks share them.
+func lockedTable(shards []batchCase) []LockedArray {
+	tab := make([]LockedArray, len(shards))
+	for s, c := range shards {
+		seqs := make([]atomic.Uint64, 2)
+		if c.blocks8 != nil {
+			tab[s] = NewLockedArray(lockedTwin8(c.blocks8, seqs), seqs)
+		} else {
+			tab[s] = NewLockedArray(lockedTwin16(c.blocks16, seqs), seqs)
+		}
+	}
+	return tab
+}
+
+// lockedWant is the per-key reference for a locked table over shards: the
+// plain-array lookup of the key's shard, selected by its top bits.
+func lockedWant(shards []batchCase, h uint64) bool {
+	c := shards[h>>56>>(8-bits.TrailingZeros(uint(len(shards))))]
+	if c.blocks8 != nil {
+		return contains8(c.blocks8, h)
+	}
+	return contains16(c.blocks16, h)
+}
+
+// runLocked runs the validated kernel of tab's width over hs until the
+// first conflict: through ProbeLocked8/16 when the fused kernels are
+// selected, else straight through the assembly, so the generic reference
+// still has an assembly answer to check.
+func runLocked(t *testing.T, wide bool, tab []LockedArray, hs []uint64, out []bool) int {
+	t.Helper()
+	probe, kernel := ProbeLocked8, probeLocked8Asm
+	if wide {
+		probe, kernel = ProbeLocked16, probeLocked16Asm
+	}
+	n, ran := probe(tab, hs, out)
+	if ran != AsmEnabled() {
+		t.Fatalf("locked kernel ran = %v with fused probes enabled = %v", ran, AsmEnabled())
+	}
+	if !ran && len(hs) > 0 {
+		n = kernel(&tab[0], uint(8-bits.TrailingZeros(uint(len(tab)))), &hs[0], &out[0], len(hs))
+	}
+	return n
+}
+
+// checkLockedParity answers hs over the locked twins of shards and compares
+// every answer with the plain per-key reference. No writer runs, so no key
+// may conflict.
+func checkLockedParity(t *testing.T, name string, shards []batchCase, hs []uint64) {
+	t.Helper()
+	tab := lockedTable(shards)
+	out := make([]bool, len(hs)+1)
+	for i := range out {
+		out[i] = i%3 == 0
+	}
+	if n := runLocked(t, shards[0].blocks8 == nil, tab, hs, out); n != len(hs) {
+		t.Fatalf("%s len %d: key %d conflicted with no writer running", name, len(hs), n)
+	}
+	for i, h := range hs {
+		if want := lockedWant(shards, h); out[i] != want {
+			t.Fatalf("%s len %d: locked out[%d] = %v, per-key Contains(%#x) = %v (fused probes %v)",
+				name, len(hs), i, out[i], h, want, AsmEnabled())
+		}
+	}
+	if out[len(hs)] != (len(hs)%3 == 0) {
+		t.Fatalf("%s len %d: locked kernel wrote past the batch", name, len(hs))
+	}
+}
+
 // TestProbeBatchParity checks the batch kernels against per-key Contains on
 // random arrays at loads 0–93%, full blocks, crowded and empty buckets
 // (bucket 0 and the last bucket included) and partners equal to their
-// primaries, at batch lengths around the wrapper's 1024-key chunk.
+// primaries, at batch lengths around the wrapper's 1024-key chunk. The
+// validated kernels answer the same keys over the arrays' locked twins, as
+// a one-array table and as 2- and 4-array tables whose other entries are
+// the next cases of the same width (other sizes, so other masks).
 func TestProbeBatchParity(t *testing.T) {
 	if !AsmSupported() {
 		t.Skip("CPU lacks PDEP/TZCNT/POPCNT")
@@ -266,10 +402,81 @@ func TestProbeBatchParity(t *testing.T) {
 	cases := batchCases(r)
 	for _, asm := range []bool{true, false} {
 		SetAsmKernels(asm)
-		for _, c := range cases {
+		for ci, c := range cases {
 			for _, n := range []int{0, 1, 1023, 1024, 1025, 5000} {
 				checkBatchParity(t, c, c.keys[:n])
 			}
+			for _, nshards := range []int{1, 2, 4} {
+				shards := make([]batchCase, nshards)
+				for s := range shards {
+					shards[s] = cases[(ci+2*s)%len(cases)] // cases alternate 8/16 bits
+				}
+				for _, n := range []int{0, 1, 1025, 5000} {
+					checkLockedParity(t, fmt.Sprintf("%s/locked%d", c.name, nshards), shards, c.keys[:n])
+				}
+			}
+		}
+	}
+}
+
+// TestProbeLockedConflicts: a key whose candidate block has its lock bit
+// set is never answered by the validated kernel; it is handed back as a
+// conflict, and every key touching no locked block is answered.
+func TestProbeLockedConflicts(t *testing.T) {
+	if !AsmEnabled() {
+		t.Skip("batch kernel not in use")
+	}
+	r := rand.New(rand.NewSource(23))
+	for _, wide := range []bool{false, true} {
+		seqs := make([]atomic.Uint64, 4)
+		locked := map[uint64]bool{3: true, 11: true}
+		var c batchCase
+		var tab []LockedArray
+		if wide {
+			c.blocks16 = newBlocks16(16)
+			fillTwoChoice16(r, c.blocks16, 0.7)
+			twin := lockedTwin16(c.blocks16, seqs)
+			for b := range locked {
+				twin[b].Lock()
+			}
+			tab = []LockedArray{NewLockedArray(twin, seqs)}
+		} else {
+			c.blocks8 = newBlocks8(16)
+			fillTwoChoice8(r, c.blocks8, 0.7)
+			twin := lockedTwin8(c.blocks8, seqs)
+			for b := range locked {
+				twin[b].Lock()
+			}
+			tab = []LockedArray{NewLockedArray(twin, seqs)}
+		}
+		hs := make([]uint64, 4000)
+		for i := range hs {
+			hs[i] = r.Uint64()
+		}
+		out := make([]bool, len(hs))
+		conflicts := 0
+		for i := 0; i < len(hs); {
+			n := runLocked(t, wide, tab, hs[i:], out[i:])
+			for k := i; k < i+n; k++ {
+				b1, b2 := candidates(hs[k], 16, wide)
+				if locked[b1] || locked[b2] {
+					t.Fatalf("wide=%v: key %d on locked block %d/%d answered", wide, k, b1, b2)
+				}
+				if want := lockedWant([]batchCase{c}, hs[k]); out[k] != want {
+					t.Fatalf("wide=%v: out[%d] = %v, want %v", wide, k, out[k], want)
+				}
+			}
+			i += n
+			if i < len(hs) {
+				if b1, b2 := candidates(hs[i], 16, wide); !locked[b1] && !locked[b2] {
+					t.Fatalf("wide=%v: key %d on unlocked blocks %d/%d conflicted", wide, i, b1, b2)
+				}
+				conflicts++
+				i++
+			}
+		}
+		if conflicts == 0 {
+			t.Fatalf("wide=%v: no key touched a locked block", wide)
 		}
 	}
 }
@@ -296,12 +503,50 @@ func TestProbeBatchPreconditions(t *testing.T) {
 			ProbeBatch8(newBlocks8(c.blocks), hs, make([]bool, c.out))
 		}()
 	}
+	seqs := make([]atomic.Uint64, 1)
+	entry := NewLockedArray(newBlocks8(2), seqs)
+	for _, c := range []struct {
+		name    string
+		entries int
+		out     int
+	}{{"three arrays", 3, 10}, {"no arrays", 0, 10}, {"512 arrays", 512, 10}, {"short out", 1, 9}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ProbeLocked8 did not panic", c.name)
+				}
+			}()
+			tab := make([]LockedArray, c.entries)
+			for i := range tab {
+				tab[i] = entry
+			}
+			ProbeLocked8(tab, hs, make([]bool, c.out))
+		}()
+	}
+	for _, c := range []struct {
+		name         string
+		blocks, seqs int
+	}{{"three blocks", 3, 1}, {"no blocks", 0, 1}, {"three stripes", 2, 3}, {"no stripes", 2, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewLockedArray did not panic", c.name)
+				}
+			}()
+			NewLockedArray(newBlocks16(c.blocks), make([]atomic.Uint64, c.seqs))
+		}()
+	}
 }
 
 // FuzzProbeBatchParity is the fuzz form of the batch parity gate. The ops
 // bytes fill a four-block array at both widths (block, bucket, fingerprint
 // triples); the query bytes become key hashes as they stand, plus keys
-// rebuilt from each triple so that stored fingerprints are probed too.
+// rebuilt from each triple so that stored fingerprints are probed too. The
+// validated kernels answer the same keys over the arrays' locked twins, as
+// one- and two-array tables. Then the ops bytes, repeated, overwrite every
+// word of the arrays — arbitrary metadata, lock bits included — and both
+// kernels run over them: neither may fault, and the validated one must hand
+// back exactly the keys that touch a block whose lock bit is set.
 func FuzzProbeBatchParity(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 79, 2, 2, 40, 3}, []byte("01234567abcdefgh"))
 	f.Add([]byte("fuzzing builds character and valid metadata"), []byte{})
@@ -326,10 +571,65 @@ func FuzzProbeBatchParity(f *testing.F) {
 			k8, k16 = append(k8, h), append(k16, h)
 			query = query[8:]
 		}
+		c8 := batchCase{name: "fuzz8", blocks8: b8, keys: k8}
+		c16 := batchCase{name: "fuzz16", blocks16: b16, keys: k16}
 		for _, asm := range []bool{true, false} {
 			SetAsmKernels(asm)
-			checkBatchParity(t, batchCase{name: "fuzz8", blocks8: b8, keys: k8}, k8)
-			checkBatchParity(t, batchCase{name: "fuzz16", blocks16: b16, keys: k16}, k16)
+			checkBatchParity(t, c8, k8)
+			checkBatchParity(t, c16, k16)
+			checkLockedParity(t, "fuzz8/locked1", []batchCase{c8}, k8)
+			checkLockedParity(t, "fuzz16/locked1", []batchCase{c16}, k16)
+			checkLockedParity(t, "fuzz8/locked2", []batchCase{c8, {blocks8: newBlocks8(2)}}, k8)
+			checkLockedParity(t, "fuzz16/locked2", []batchCase{c16, {blocks16: newBlocks16(2)}}, k16)
 		}
+		if len(ops) == 0 {
+			return
+		}
+		w8, w16 := wordsOf(b8), wordsOf(b16)
+		for i := range w8 {
+			var word [8]byte
+			for j := range word {
+				word[j] = ops[(8*i+j)%len(ops)]
+			}
+			w8[i] = binary.LittleEndian.Uint64(word[:])
+			w16[i] = w8[i]
+		}
+		SetAsmKernels(true)
+		out := make([]bool, max(len(k8), len(k16)))
+		ProbeBatch8(b8, k8, out)
+		ProbeBatch16(b16, k16, out)
+		seqs := make([]atomic.Uint64, 1)
+		checkLockBits(t, false, []LockedArray{NewLockedArray(b8, seqs)}, 4,
+			func(b uint64) bool { return b8[b].MetaHi&LockBit != 0 }, k8, out)
+		checkLockBits(t, true, []LockedArray{NewLockedArray(b16, seqs)}, 4,
+			func(b uint64) bool { return b16[b].Meta&LockBit != 0 }, k16, out)
 	})
+}
+
+// wordsOf views a block array as its raw words.
+func wordsOf[B Block8 | Block16](blocks []B) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&blocks[0])), len(blocks)*8)
+}
+
+// checkLockBits runs the validated kernel over hs against tab, one array of
+// nblocks blocks holding arbitrary words, restarting after every conflict:
+// exactly the keys with a candidate whose lock bit is set (isLocked) must
+// conflict. The answers themselves are unchecked.
+func checkLockBits(t *testing.T, wide bool, tab []LockedArray, nblocks int, isLocked func(b uint64) bool, hs []uint64, out []bool) {
+	t.Helper()
+	for i := 0; i < len(hs); {
+		n := runLocked(t, wide, tab, hs[i:], out[i:])
+		for k := i; k < i+n; k++ {
+			if b1, b2 := candidates(hs[k], nblocks, wide); isLocked(b1) || isLocked(b2) {
+				t.Fatalf("wide=%v: key %#x on a locked block answered", wide, hs[k])
+			}
+		}
+		i += n
+		if i < len(hs) {
+			if b1, b2 := candidates(hs[i], nblocks, wide); !isLocked(b1) && !isLocked(b2) {
+				t.Fatalf("wide=%v: key %#x on unlocked blocks conflicted", wide, hs[i])
+			}
+			i++
+		}
+	}
 }

@@ -2,7 +2,11 @@
 
 package minifilter
 
-import "vqf/internal/swar"
+import (
+	"math/bits"
+
+	"vqf/internal/swar"
+)
 
 // The fused assembly kernels. The generic probe is two dependent steps — a
 // SWAR metadata select (bucketRange128/bucketRange64: byte-wise popcount
@@ -111,7 +115,12 @@ func probeBatch[B any](blocks []B, hs []uint64, out []bool, kernel func(*B, uint
 }
 
 // probeBatch8Asm writes out[i] for the n ≥ 0 keys at hs; see ProbeBatch8
-// and kernel_amd64.s. Requires hasAsm and valid plain-mode block metadata.
+// and kernel_amd64.s. Requires hasAsm. It reads the stored metadata words as
+// they stand, so it is only meaningful on plain-mode arrays, which no other
+// goroutine writes: a locked-mode array's top bit is the lock, and its
+// writers run concurrently — ProbeLocked8 serves those. Invalid metadata
+// yields wrong answers, never an out-of-bounds access: addresses depend only
+// on the hash and the mask.
 //
 //go:noescape
 func probeBatch8Asm(blocks *Block8, mask uint64, hs *uint64, out *bool, n int)
@@ -120,3 +129,67 @@ func probeBatch8Asm(blocks *Block8, mask uint64, hs *uint64, out *bool, n int)
 //
 //go:noescape
 func probeBatch16Asm(blocks *Block16, mask uint64, hs *uint64, out *bool, n int)
+
+// ProbeLocked8 answers lookups against a table of locked-mode Block8 arrays
+// (the concurrent filters' form, whose top metadata bit is the lock) while
+// writers run: out[i] reports whether hs[i]'s fingerprint is stored in its
+// bucket of either candidate block. Key h is answered by tab[s], s the top
+// log2(len(tab)) bits of h (internal/core's ShardOf), and split as
+// ProbeBatch8 splits it. Every key is validated with the seqlock protocol of
+// Block8.Snapshot, over both candidates at once: the kernel loads the two
+// version stripes, then each block's MetaHi (the lock pre-check, and the
+// metadata probed with the lock bit forced) and its remaining words, then
+// both MetaHi words again, then both stripes again. An answer stands only if
+// neither lock bit was set and neither version moved.
+//
+// It answers keys in caller order until the first conflict and returns how
+// many it answered, n: out[:n] is written, and n < len(hs) means key n
+// overlapped a writer and is left to the caller's per-key path, which
+// retries and falls back to the lock. It reports ok = false, writing
+// nothing, where the fused kernels are unavailable or switched off. len(tab)
+// must be a power of two of at most 256, every entry built by
+// NewLockedArray, and len(out) at least len(hs).
+func ProbeLocked8(tab []LockedArray, hs []uint64, out []bool) (n int, ok bool) {
+	return probeLocked(tab, hs, out, probeLocked8Asm)
+}
+
+// ProbeLocked16 is ProbeLocked8 for Block16 arrays and split16 keys.
+func ProbeLocked16(tab []LockedArray, hs []uint64, out []bool) (n int, ok bool) {
+	return probeLocked(tab, hs, out, probeLocked16Asm)
+}
+
+// probeLocked runs kernel over hs in chunks of probeBatchChunk keys until a
+// key conflicts. It enforces the preconditions the assembly does not check:
+// every shard index lands in tab and every result inside out.
+func probeLocked(tab []LockedArray, hs []uint64, out []bool, kernel func(*LockedArray, uint, *uint64, *bool, int) int) (int, bool) {
+	if !useAsm.Load() {
+		return 0, false
+	}
+	nt := len(tab)
+	if nt == 0 || nt > 256 || nt&(nt-1) != 0 || len(out) < len(hs) {
+		panic("minifilter: locked batch probe needs a power-of-two table of at most 256 arrays and room for every result")
+	}
+	shift := uint(8 - bits.TrailingZeros(uint(nt))) // shard = h>>56>>shift
+	done := 0
+	for done < len(hs) {
+		n := min(len(hs)-done, probeBatchChunk)
+		k := kernel(&tab[0], shift, &hs[done], &out[done], n)
+		done += k
+		if k < n {
+			break
+		}
+	}
+	return done, true
+}
+
+// probeLocked8Asm answers the n ≥ 0 keys at hs until the first conflict and
+// returns how many it answered; see ProbeLocked8 and kernel_amd64.s.
+// Requires hasAsm.
+//
+//go:noescape
+func probeLocked8Asm(tab *LockedArray, shift uint, hs *uint64, out *bool, n int) int
+
+// probeLocked16Asm is probeLocked8Asm for Block16 arrays.
+//
+//go:noescape
+func probeLocked16Asm(tab *LockedArray, shift uint, hs *uint64, out *bool, n int) int

@@ -242,6 +242,11 @@ empty16:
 #define PROBE8(off) \
 	MOVQ     0(DI)(off*1), R12; \
 	MOVQ     8(DI)(off*1), R13; \
+	MATCH8(off)
+
+// MATCH8(off): the body of PROBE8 once the metadata words are in R12 (lo)
+// and R13 (hi): load the fingerprint lanes, compare, select the range.
+#define MATCH8(off) \
 	MOVOU    16(DI)(off*1), X1; \
 	MOVOU    32(DI)(off*1), X2; \
 	MOVOU    48(DI)(off*1), X3; \
@@ -316,6 +321,10 @@ done8:
 // compare read zero padding; end <= 28 strips them.
 #define PROBE16(off) \
 	MOVQ     0(DI)(off*1), R12; \
+	MATCH16(off)
+
+// MATCH16(off): the body of PROBE16 once the metadata word is in R12.
+#define MATCH16(off) \
 	MOVOU    8(DI)(off*1), X1; \
 	MOVOU    24(DI)(off*1), X2; \
 	MOVOU    40(DI)(off*1), X3; \
@@ -386,4 +395,226 @@ loop16:
 	JNE     loop16
 
 done16:
+	RET
+
+// Validated batch kernels for locked-mode arrays, which writers change
+// while the kernel reads them. Each key is split and probed as above, but
+// its two blocks come from a table entry {blocks, mask, seqs, seqMask}
+// (LockedArray) picked by the key's top bits, and its answer is validated
+// with Snapshot's seqlock protocol, loads in this order:
+//
+//	1. both version stripes, summed into ver;
+//	2. per block, the lock word (MetaHi, or Meta) — ORed into lk, then
+//	   probed with the lock bit forced, the locked-mode logical form —
+//	   followed by the block's other words;
+//	3. both lock words again;
+//	4. both version stripes again.
+//
+// x86-TSO keeps loads in program order and writers publish with locked
+// instructions, so plain MOVs are the acquire loads the protocol needs (Go's
+// atomic loads are the same MOVs). The answer stands if no lock bit was set
+// in 2 or 3 and the stripes still sum to ver; stripes only grow, so an
+// unchanged sum means neither moved. Otherwise the kernel stops and returns
+// the key's index for the per-key path to retry.
+//
+// Memory safety does not depend on the words read: every address comes
+// from the hash, the entry's masks and the table, and metadata feeds only
+// shift counts and bit selects, which cannot fault. A torn or invalid
+// metadata word yields an answer the validation discards, never an
+// out-of-bounds load.
+//
+// Registers as in the plain loop, plus R8 the table entry until the probes;
+// the stripe addresses, block offsets, ver and lk live in the frame.
+
+// PROBE8L(off): PROBE8 on a locked-mode Block8: MetaHi first, its raw
+// value ORed into lk, probed with the lock bit forced.
+#define PROBE8L(off) \
+	MOVQ     8(DI)(off*1), R13; \
+	ORQ      R13, lk-48(SP); \
+	BTSQ     $63, R13; \
+	MOVQ     0(DI)(off*1), R12; \
+	MATCH8(off)
+
+// func probeLocked8Asm(tab *LockedArray, shift uint, hs *uint64, out *bool, n int) int
+TEXT ·probeLocked8Asm(SB), NOSPLIT, $48-48
+	MOVQ    hs+16(FP), SI
+	MOVQ    out+24(FP), R9
+	MOVQ    n+32(FP), CX
+	TESTQ   CX, CX
+	JLE     lockedDone8
+	LEAQ    (SI)(CX*8), SI
+	ADDQ    CX, R9
+	NEGQ    CX
+
+lockedLoop8:
+	MOVQ    (SI)(CX*8), AX      // h
+	MOVQ    AX, R8
+	SHRQ    $56, R8
+	MOVQ    shift+8(FP), R11
+	SHRXQ   R11, R8, R8         // shard = h>>56>>shift
+	SHLQ    $5, R8
+	ADDQ    tab+0(FP), R8       // R8 = &tab[shard]
+	MOVQ    0(R8), DI           // blocks
+	MOVWQZX AX, BX
+	IMUL3Q  $80, BX, BX
+	SHRQ    $16, BX             // bucket = (h & 0xffff) * 80 >> 16
+	MOVQ    AX, DX
+	SHRQ    $16, DX
+	MOVBQZX DX, DX              // fp = byte(h >> 16)
+	MOVQ    BX, R10
+	SHLQ    $8, R10
+	ORQ     DX, R10             // tag = bucket<<8 | fp
+	IMUL3Q  $0x5bd1e995, R10, R10
+	SHRQ    $24, AX
+	ANDQ    8(R8), AX           // b1
+	XORQ    AX, R10
+	ANDQ    8(R8), R10          // b2 = (b1 ^ tag*Murmur3Mul) & mask
+	MOVQ    16(R8), R11         // seqs
+	MOVQ    24(R8), R12         // seqMask
+	MOVQ    R12, R13
+	ANDQ    AX, R13
+	LEAQ    (R11)(R13*8), R13
+	MOVQ    R13, s1-16(SP)
+	MOVQ    (R13), R14          // 1. version of b1's stripe
+	ANDQ    R10, R12
+	LEAQ    (R11)(R12*8), R12
+	MOVQ    R12, s2-24(SP)
+	ADDQ    (R12), R14          //    plus b2's
+	MOVQ    R14, ver-8(SP)
+	MOVQ    $0, lk-48(SP)
+	SHLQ    $6, AX
+	SHLQ    $6, R10
+	MOVQ    AX, o1-32(SP)
+	MOVQ    R10, o2-40(SP)
+	MOVQ    $0x0101010101010101, R11
+	IMULQ   R11, DX
+	MOVQ    DX, X0
+	PUNPCKLQDQ X0, X0
+	PROBE8L(AX)                 // 2.
+	PROBE8L(R10)
+	ORQ     R10, AX             // nonzero: found
+	MOVQ    o1-32(SP), R11
+	MOVQ    o2-40(SP), R12
+	MOVQ    8(DI)(R11*1), R13   // 3. lock words again
+	ORQ     8(DI)(R12*1), R13
+	ORQ     lk-48(SP), R13
+	MOVQ    s1-16(SP), R11
+	MOVQ    (R11), R11          // 4. stripes again
+	MOVQ    s2-24(SP), R12
+	ADDQ    (R12), R11
+	SUBQ    ver-8(SP), R11
+	SHRQ    $63, R13
+	ORQ     R11, R13
+	JNE     lockedConflict8
+	TESTQ   AX, AX
+	SETNE   (R9)(CX*1)
+	INCQ    CX
+	JNE     lockedLoop8
+
+lockedDone8:
+	MOVQ    n+32(FP), AX
+	MOVQ    AX, ret+40(FP)
+	RET
+
+lockedConflict8:
+	MOVQ    n+32(FP), AX
+	ADDQ    CX, AX              // the conflicted key's index
+	MOVQ    AX, ret+40(FP)
+	RET
+
+// PROBE16L(off): PROBE16 on a locked-mode Block16: Meta ORed into lk, then
+// probed with the lock bit forced.
+#define PROBE16L(off) \
+	MOVQ     0(DI)(off*1), R12; \
+	ORQ      R12, lk-48(SP); \
+	BTSQ     $63, R12; \
+	MATCH16(off)
+
+// func probeLocked16Asm(tab *LockedArray, shift uint, hs *uint64, out *bool, n int) int
+TEXT ·probeLocked16Asm(SB), NOSPLIT, $48-48
+	MOVQ    hs+16(FP), SI
+	MOVQ    out+24(FP), R9
+	MOVQ    n+32(FP), CX
+	TESTQ   CX, CX
+	JLE     lockedDone16
+	LEAQ    (SI)(CX*8), SI
+	ADDQ    CX, R9
+	NEGQ    CX
+
+lockedLoop16:
+	MOVQ    (SI)(CX*8), AX      // h
+	MOVQ    AX, R8
+	SHRQ    $56, R8
+	MOVQ    shift+8(FP), R11
+	SHRXQ   R11, R8, R8         // shard = h>>56>>shift
+	SHLQ    $5, R8
+	ADDQ    tab+0(FP), R8       // R8 = &tab[shard]
+	MOVQ    0(R8), DI           // blocks
+	MOVWQZX AX, BX
+	IMUL3Q  $36, BX, BX
+	SHRQ    $16, BX             // bucket = (h & 0xffff) * 36 >> 16
+	MOVQ    AX, DX
+	SHRQ    $16, DX
+	MOVWQZX DX, DX              // fp = uint16(h >> 16)
+	MOVQ    BX, R10
+	SHLQ    $16, R10
+	ORQ     DX, R10             // tag = bucket<<16 | fp
+	IMUL3Q  $0x5bd1e995, R10, R10
+	SHRQ    $32, AX
+	ANDQ    8(R8), AX           // b1
+	XORQ    AX, R10
+	ANDQ    8(R8), R10          // b2 = (b1 ^ tag*Murmur3Mul) & mask
+	MOVQ    16(R8), R11         // seqs
+	MOVQ    24(R8), R12         // seqMask
+	MOVQ    R12, R13
+	ANDQ    AX, R13
+	LEAQ    (R11)(R13*8), R13
+	MOVQ    R13, s1-16(SP)
+	MOVQ    (R13), R14          // 1. version of b1's stripe
+	ANDQ    R10, R12
+	LEAQ    (R11)(R12*8), R12
+	MOVQ    R12, s2-24(SP)
+	ADDQ    (R12), R14          //    plus b2's
+	MOVQ    R14, ver-8(SP)
+	MOVQ    $0, lk-48(SP)
+	SHLQ    $6, AX
+	SHLQ    $6, R10
+	MOVQ    AX, o1-32(SP)
+	MOVQ    R10, o2-40(SP)
+	MOVQ    $0x0001000100010001, R11
+	IMULQ   R11, DX
+	MOVQ    DX, X0
+	PUNPCKLQDQ X0, X0
+	XORL    R8, R8
+	BTSQ    BX, R8              // 1 << bucket
+	PROBE16L(AX)                // 2.
+	PROBE16L(R10)
+	ORQ     R10, AX             // nonzero: found
+	MOVQ    o1-32(SP), R11
+	MOVQ    o2-40(SP), R12
+	MOVQ    0(DI)(R11*1), R13   // 3. lock words again
+	ORQ     0(DI)(R12*1), R13
+	ORQ     lk-48(SP), R13
+	MOVQ    s1-16(SP), R11
+	MOVQ    (R11), R11          // 4. stripes again
+	MOVQ    s2-24(SP), R12
+	ADDQ    (R12), R11
+	SUBQ    ver-8(SP), R11
+	SHRQ    $63, R13
+	ORQ     R11, R13
+	JNE     lockedConflict16
+	TESTQ   AX, AX
+	SETNE   (R9)(CX*1)
+	INCQ    CX
+	JNE     lockedLoop16
+
+lockedDone16:
+	MOVQ    n+32(FP), AX
+	MOVQ    AX, ret+40(FP)
+	RET
+
+lockedConflict16:
+	MOVQ    n+32(FP), AX
+	ADDQ    CX, AX              // the conflicted key's index
+	MOVQ    AX, ret+40(FP)
 	RET

@@ -23,3 +23,10 @@ func ProbeBatch8(blocks []Block8, hs []uint64, out []bool) bool { return false }
 
 // ProbeBatch16 is ProbeBatch8 for Block16 arrays.
 func ProbeBatch16(blocks []Block16, hs []uint64, out []bool) bool { return false }
+
+// ProbeLocked8 has no portable body either: it reports false and the caller
+// answers every key through its per-key optimistic path.
+func ProbeLocked8(tab []LockedArray, hs []uint64, out []bool) (int, bool) { return 0, false }
+
+// ProbeLocked16 is ProbeLocked8 for Block16 arrays.
+func ProbeLocked16(tab []LockedArray, hs []uint64, out []bool) (int, bool) { return 0, false }

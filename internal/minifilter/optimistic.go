@@ -3,6 +3,7 @@ package minifilter
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"vqf/internal/swar"
 )
@@ -180,4 +181,35 @@ func (b *Block16) OccupancySnapshot(seq *atomic.Uint64) uint {
 	var s Snap16
 	b.Snapshot(seq, &s)
 	return occupancy64(s.meta)
+}
+
+// LockedArray is one locked-mode block array with its seqlock version
+// stripes, as the validated batch kernels (ProbeLocked8/16) read it: a
+// concurrent filter is a one-entry table of them, a sharded filter one
+// entry per shard. Build entries with NewLockedArray, which checks what the
+// kernels rely on: both lengths are powers of two, so every masked index
+// stays inside its array whatever the hash.
+type LockedArray struct {
+	blocks  unsafe.Pointer // first of mask+1 64-byte blocks
+	mask    uint64
+	seqs    *atomic.Uint64 // first of seqMask+1 version stripes
+	seqMask uint64
+}
+
+// The kernels index table entries by their 32-byte stride and read the
+// fields at fixed offsets.
+var (
+	_ [0]struct{} = [unsafe.Sizeof(LockedArray{}) - 32]struct{}{}
+	_ [0]struct{} = [unsafe.Offsetof(LockedArray{}.seqMask) - 24]struct{}{}
+)
+
+// NewLockedArray describes blocks and its version stripes seqs (the array
+// UnlockBump bumps, block i on stripe i & (len(seqs)-1)) as a table entry.
+// It panics unless both are non-empty powers of two in length.
+func NewLockedArray[B Block8 | Block16](blocks []B, seqs []atomic.Uint64) LockedArray {
+	nb, ns := len(blocks), len(seqs)
+	if nb == 0 || nb&(nb-1) != 0 || ns == 0 || ns&(ns-1) != 0 {
+		panic("minifilter: a locked array needs power-of-two block and stripe counts")
+	}
+	return LockedArray{unsafe.Pointer(&blocks[0]), uint64(nb - 1), &seqs[0], uint64(ns - 1)}
 }

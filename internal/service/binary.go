@@ -12,9 +12,8 @@ import (
 // result bools, response body) are reused across frames, and every frame
 // costs two syscalls (one read, one write) for any batch size — the
 // amortization that makes the batched wire path beat per-key HTTP by an
-// order of magnitude. In steady state lookup frames on every kind, and
-// write frames on plain and map filters, allocate nothing; concurrent and
-// sharded writes still allocate in the core's write sweep.
+// order of magnitude. In steady state every frame — lookup, insert or
+// remove, on every kind — allocates nothing.
 
 // serveBinary accepts binary-protocol connections until the listener
 // closes (shutdown).

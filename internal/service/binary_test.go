@@ -10,10 +10,8 @@ import (
 )
 
 // TestHandleFrameAllocs pins the steady-state binary data plane at zero
-// allocations per frame: a 512-key lookup on every kind, and inserts and
-// removes on the sequential kinds. (Concurrent and sharded writes still
-// allocate in the core's write sweep.) GOMAXPROCS 1 keeps sharded batches
-// on the calling goroutine.
+// allocations per frame: 512-key inserts, lookups and removes on every
+// kind. GOMAXPROCS 1 keeps sharded batches on the calling goroutine.
 func TestHandleFrameAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	srv, err := New(Config{})
@@ -27,11 +25,7 @@ func TestHandleFrameAllocs(t *testing.T) {
 		if _, err := srv.Registry().Create(Spec{Name: string(kind), Kind: kind, Capacity: 1 << 16, Shards: 2}); err != nil {
 			t.Fatal(err)
 		}
-		ops := []byte{opInsert, opContains}
-		if kind == KindPlain || kind == KindMap {
-			ops = append(ops, opRemove)
-		}
-		for _, op := range ops {
+		for _, op := range []byte{opInsert, opContains, opRemove} {
 			frame, err := appendRequest(nil, op, 0, string(kind), keys, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -41,9 +35,8 @@ func TestHandleFrameAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			// The insert runs first on every kind so lookups hit; only the
-			// sequential kinds' writes are asserted allocation-free.
-			if allocs != 0 && (op != opInsert || kind == KindPlain || kind == KindMap) {
+			// The insert runs first on every kind so lookups hit.
+			if allocs != 0 {
 				t.Errorf("%s op %d: %v allocations per frame, want 0", kind, op, allocs)
 			}
 			if h, _ := srv.reg.get(string(kind)); op == opInsert && h.filter.Count() == 0 {

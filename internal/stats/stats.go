@@ -225,6 +225,22 @@ func (t *Striped) Optimistic(sel uint64, retries uint, fellBack bool) {
 	}
 }
 
+// Probed counts, on stripe sel, n lookups a validated batch kernel
+// answered, each one optimistic attempt on both candidate blocks, and
+// conflicts keys it handed back to the per-key path, one retry each; that
+// path counts those keys' lookups and attempts itself. Zero counts add
+// nothing.
+func (t *Striped) Probed(sel uint64, n, conflicts int) {
+	s := t.at(sel)
+	if n > 0 {
+		s.c[opLookups].Add(uint64(n))
+		s.c[opOptAttempts].Add(2 * uint64(n))
+	}
+	if conflicts > 0 {
+		s.c[opOptRetries].Add(uint64(conflicts))
+	}
+}
+
 // Batch counts one batch call carrying n keys.
 func (t *Striped) Batch(n int) {
 	s := t.at(0)
