@@ -11,10 +11,10 @@ import (
 // operation, always in increasing index order. Queries are lock-free on the
 // common path: they use the seqlock-style optimistic snapshot protocol of
 // internal/minifilter/optimistic.go, validated against a striped array of
-// version counters that writers bump on every mutation (UnlockBump). A
-// lookup therefore costs zero atomic read-modify-writes unless it collides
-// with an in-flight writer on the same block, in which case it retries and
-// eventually falls back to the lock.
+// version counters that every write's commit bumps (InsertUnlock and
+// RemoveUnlock take the stripe). A lookup therefore costs zero atomic
+// read-modify-writes unless it collides with an in-flight writer on the same
+// block, in which case it retries and eventually falls back to the lock.
 
 // CFilter8 is the thread-safe vector quotient filter with 8-bit
 // fingerprints. Inserts and removes lock at most two blocks; Contains is
@@ -44,21 +44,18 @@ func (f *CFilter8) Insert(h uint64) bool {
 	blk1.Lock()
 	occ1 := blk1.OccupancyLocked()
 	if occ1 < f.thresh {
-		blk1.InsertLocked(bucket, fp)
-		blk1.UnlockBump(seq1)
+		blk1.InsertUnlock(bucket, fp, seq1)
 		f.count.Add(1)
 		f.st.ShortcutInsert(b1)
 		return true
 	}
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
-		ok := blk1.InsertLocked(bucket, fp)
+		ok := blk1.InsertUnlock(bucket, fp, seq1)
 		if ok {
-			blk1.UnlockBump(seq1)
 			f.count.Add(1)
 			f.st.Insert(b1)
 		} else {
-			blk1.Unlock()
 			f.st.InsertFailure(b1)
 		}
 		return ok
@@ -80,13 +77,11 @@ func (f *CFilter8) Insert(h uint64) bool {
 		tgt, other, tgtSeq = blk2, blk1, f.seq(b2)
 	}
 	other.Unlock()
-	ok := tgt.InsertLocked(bucket, fp)
+	ok := tgt.InsertUnlock(bucket, fp, tgtSeq)
 	if ok {
-		tgt.UnlockBump(tgtSeq)
 		f.count.Add(1)
 		f.st.Insert(b1)
 	} else {
-		tgt.Unlock()
 		f.st.InsertFailure(b1)
 	}
 	return ok
@@ -159,14 +154,11 @@ func (f *CFilter8) Remove(h uint64) bool {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	blk1 := &f.blocks[b1]
 	blk1.Lock()
-	ok := blk1.RemoveLocked(bucket, fp)
-	if ok {
-		blk1.UnlockBump(f.seq(b1))
+	if blk1.RemoveUnlock(bucket, fp, f.seq(b1)) {
 		f.count.Add(^uint64(0))
 		f.st.Remove(b1)
 		return true
 	}
-	blk1.Unlock()
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		f.st.RemoveMiss(b1)
@@ -174,13 +166,11 @@ func (f *CFilter8) Remove(h uint64) bool {
 	}
 	blk2 := &f.blocks[b2]
 	blk2.Lock()
-	ok = blk2.RemoveLocked(bucket, fp)
+	ok := blk2.RemoveUnlock(bucket, fp, f.seq(b2))
 	if ok {
-		blk2.UnlockBump(f.seq(b2))
 		f.count.Add(^uint64(0))
 		f.st.Remove(b1)
 	} else {
-		blk2.Unlock()
 		f.st.RemoveMiss(b1)
 	}
 	return ok
@@ -208,21 +198,18 @@ func (f *CFilter16) Insert(h uint64) bool {
 	blk1.Lock()
 	occ1 := blk1.OccupancyLocked()
 	if occ1 < f.thresh {
-		blk1.InsertLocked(bucket, fp)
-		blk1.UnlockBump(seq1)
+		blk1.InsertUnlock(bucket, fp, seq1)
 		f.count.Add(1)
 		f.st.ShortcutInsert(b1)
 		return true
 	}
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
-		ok := blk1.InsertLocked(bucket, fp)
+		ok := blk1.InsertUnlock(bucket, fp, seq1)
 		if ok {
-			blk1.UnlockBump(seq1)
 			f.count.Add(1)
 			f.st.Insert(b1)
 		} else {
-			blk1.Unlock()
 			f.st.InsertFailure(b1)
 		}
 		return ok
@@ -242,13 +229,11 @@ func (f *CFilter16) Insert(h uint64) bool {
 		tgt, other, tgtSeq = blk2, blk1, f.seq(b2)
 	}
 	other.Unlock()
-	ok := tgt.InsertLocked(bucket, fp)
+	ok := tgt.InsertUnlock(bucket, fp, tgtSeq)
 	if ok {
-		tgt.UnlockBump(tgtSeq)
 		f.count.Add(1)
 		f.st.Insert(b1)
 	} else {
-		tgt.Unlock()
 		f.st.InsertFailure(b1)
 	}
 	return ok
@@ -314,14 +299,11 @@ func (f *CFilter16) Remove(h uint64) bool {
 	b1, bucket, fp, tag := split16(h, f.mask)
 	blk1 := &f.blocks[b1]
 	blk1.Lock()
-	ok := blk1.RemoveLocked(bucket, fp)
-	if ok {
-		blk1.UnlockBump(f.seq(b1))
+	if blk1.RemoveUnlock(bucket, fp, f.seq(b1)) {
 		f.count.Add(^uint64(0))
 		f.st.Remove(b1)
 		return true
 	}
-	blk1.Unlock()
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
 		f.st.RemoveMiss(b1)
@@ -329,13 +311,11 @@ func (f *CFilter16) Remove(h uint64) bool {
 	}
 	blk2 := &f.blocks[b2]
 	blk2.Lock()
-	ok = blk2.RemoveLocked(bucket, fp)
+	ok := blk2.RemoveUnlock(bucket, fp, f.seq(b2))
 	if ok {
-		blk2.UnlockBump(f.seq(b2))
 		f.count.Add(^uint64(0))
 		f.st.Remove(b1)
 	} else {
-		blk2.Unlock()
 		f.st.RemoveMiss(b1)
 	}
 	return ok

@@ -12,9 +12,11 @@ import (
 // (optimistic Contains, and ContainsBatch's parallel shards) against writers
 // driving the fused insert/remove kernels under block locks. A resident key
 // set is inserted up front and never removed, so every lookup must find it
-// no matter how the seqlock retries interleave with lane shifts — the
-// go test -race run additionally checks the atomics discipline of the
-// word-native block layout.
+// no matter how the seqlock retries interleave with lane shifts. Under
+// go test -race the detector checks the readers' atomic loads, but on amd64
+// with the assembly kernels on it no longer sees the writers: their commit
+// is plain assembly stores. TestWriteCommitChurn runs the generic commit
+// too, which is where -race checks the writers' atomics discipline.
 func TestConcurrentFusedKernelsUnderChurn(t *testing.T) {
 	type cfilter interface {
 		Insert(h uint64) bool

@@ -45,11 +45,37 @@ func TestStatsUnderContention(t *testing.T) {
 		readers = 2
 		perG    = 20000
 	)
+	// Sampler: counters must be individually monotone while ops are in
+	// flight, and structural snapshots must never block or corrupt anything.
+	// It starts first and the workers wait for its first sample, so it runs
+	// however the scheduler orders the goroutines.
+	var stop atomic.Bool
+	var samplerWG sync.WaitGroup
+	samplerWG.Add(1)
+	samples := 0
+	sampled := make(chan struct{})
+	go func() {
+		defer samplerWG.Done()
+		prev := f.Stats()
+		for !stop.Load() {
+			cur := f.Stats()
+			if !monotone(prev, cur) {
+				panic("stats regressed between samples")
+			}
+			prev = cur
+			f.BlockOccupancies() // concurrent structural snapshot
+			if samples++; samples == 1 {
+				close(sampled)
+			}
+		}
+	}()
+
 	var workersWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		workersWG.Add(1)
 		go func(w int) {
 			defer workersWG.Done()
+			<-sampled
 			s := workload.NewStream(uint64(100 + w))
 			var churn []uint64
 			for i := 0; i < perG; i++ {
@@ -73,6 +99,7 @@ func TestStatsUnderContention(t *testing.T) {
 		workersWG.Add(1)
 		go func(r int) {
 			defer workersWG.Done()
+			<-sampled
 			s := workload.NewStream(uint64(200 + r))
 			for i := 0; i < perG; i++ {
 				h := s.Next()
@@ -87,26 +114,6 @@ func TestStatsUnderContention(t *testing.T) {
 			}
 		}(r)
 	}
-
-	// Sampler: counters must be individually monotone while ops are in
-	// flight, and structural snapshots must never block or corrupt anything.
-	var stop atomic.Bool
-	var samplerWG sync.WaitGroup
-	samplerWG.Add(1)
-	samples := 0
-	go func() {
-		defer samplerWG.Done()
-		prev := f.Stats()
-		for !stop.Load() {
-			cur := f.Stats()
-			if !monotone(prev, cur) {
-				panic("stats regressed between samples")
-			}
-			prev = cur
-			f.BlockOccupancies() // concurrent structural snapshot
-			samples++
-		}
-	}()
 
 	workersWG.Wait()
 	stop.Store(true)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"vqf/internal/analysis"
@@ -12,7 +13,9 @@ import (
 
 // Kernel microbenchmarks: repeated timed runs of the fused hot-path kernels
 // (single-key Insert/Contains/Remove and the sequential batch pipeline) on
-// both geometries at a fixed load factor. Unlike the paper-figure sweeps,
+// both geometries at a fixed load factor, plus the concurrent filters'
+// write and batch-lookup rows, which run the locked-mode write commit and
+// the validated batch kernel. Unlike the paper-figure sweeps,
 // these exist to feed a regression gate: each op is sampled Reps times and
 // reported with a benchstat-style mean ± 95% CI so an old-vs-new comparison
 // can tell a real slowdown from run-to-run noise.
@@ -56,8 +59,8 @@ type KernelResult struct {
 	Latency *telemetry.Summary `json:"latency_ns,omitempty"`
 }
 
-// kernelFilter is the surface the kernel benchmarks exercise; both
-// sequential core geometries satisfy it.
+// kernelFilter is the surface the kernel benchmarks exercise; the
+// sequential and concurrent core filters of both geometries satisfy it.
 type kernelFilter interface {
 	Insert(h uint64) bool
 	Contains(h uint64) bool
@@ -68,22 +71,37 @@ type kernelFilter interface {
 	RemoveBatch(hs []uint64) int
 }
 
-// RunKernels measures the hot-path kernels of both geometries and returns
-// one result per (geometry, op). Result names are stable identifiers — the
-// regression gate matches old and new runs by them.
+// cfilterOps are the ops timed on the concurrent filters: their writes run
+// the locked-mode write commit and contains-batch the validated batch
+// kernel, while their single-key lookups share the sequential filters'
+// probe kernel.
+var cfilterOps = []string{"insert", "insert-batch", "contains-batch", "remove", "remove-batch"}
+
+// RunKernels measures the hot-path kernels of both geometries, sequential
+// (every op) and concurrent (cfilterOps), and returns one result per
+// (filter, op). Result names are stable identifiers — the regression gate
+// matches old and new runs by them.
 func RunKernels(cfg KernelConfig) []KernelResult {
 	cfg.defaults()
 	var out []KernelResult
-	out = append(out, runKernelGeom(cfg, "filter8", func() kernelFilter {
+	out = append(out, runKernelGeom(cfg, "filter8", nil, func() kernelFilter {
 		return core.NewFilter8(cfg.NSlots, core.Options{})
 	})...)
-	out = append(out, runKernelGeom(cfg, "filter16", func() kernelFilter {
+	out = append(out, runKernelGeom(cfg, "filter16", nil, func() kernelFilter {
 		return core.NewFilter16(cfg.NSlots, core.Options{})
+	})...)
+	out = append(out, runKernelGeom(cfg, "cfilter8", cfilterOps, func() kernelFilter {
+		return core.NewCFilter8(cfg.NSlots, core.Options{})
+	})...)
+	out = append(out, runKernelGeom(cfg, "cfilter16", cfilterOps, func() kernelFilter {
+		return core.NewCFilter16(cfg.NSlots, core.Options{})
 	})...)
 	return out
 }
 
-func runKernelGeom(cfg KernelConfig, geom string, mk func() kernelFilter) []KernelResult {
+// runKernelGeom times the ops named in only (every op when only is nil) on
+// filters built by mk, naming each result geom/op.
+func runKernelGeom(cfg KernelConfig, geom string, only []string, mk func() kernelFilter) []KernelResult {
 	f := mk()
 	n := uint64(float64(f.Capacity()) * cfg.Load)
 	keys := workload.NewStream(cfg.Seed).Keys(int(n))
@@ -231,6 +249,10 @@ func runKernelGeom(cfg KernelConfig, geom string, mk func() kernelFilter) []Kern
 				lh.RecordN(uint64(lo), d/uint64(len(b)), uint64(len(b)), d)
 			}
 		}},
+	}
+
+	if only != nil {
+		specs = slices.DeleteFunc(specs, func(s kernelSpec) bool { return !slices.Contains(only, s.name) })
 	}
 
 	// Sampling is interleaved: round r times every kernel once, rather than

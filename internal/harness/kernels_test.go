@@ -3,7 +3,8 @@ package harness
 import "testing"
 
 // TestRunKernelsSmoke runs the kernel microbenchmarks at toy scale and
-// checks the result inventory: every geometry/op pair present, every sample
+// checks the result inventory: every filter/op pair present (every op on
+// the sequential filters, cfilterOps on the concurrent ones), every sample
 // positive, summaries populated.
 func TestRunKernelsSmoke(t *testing.T) {
 	results := RunKernels(KernelConfig{NSlots: 1 << 12, Batch: 512, Reps: 2, Seed: 7})
@@ -11,6 +12,11 @@ func TestRunKernelsSmoke(t *testing.T) {
 	for _, geom := range []string{"filter8", "filter16"} {
 		for _, op := range []string{"insert", "insert-batch", "lookup-pos",
 			"lookup-rand", "contains-batch", "remove", "remove-batch"} {
+			want[geom+"/"+op] = false
+		}
+	}
+	for _, geom := range []string{"cfilter8", "cfilter16"} {
+		for _, op := range []string{"insert", "insert-batch", "contains-batch", "remove", "remove-batch"} {
 			want[geom+"/"+op] = false
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // internal/core's Contains performs, computed once with the fused probes and
 // once with the generic ones. The validated kernels for locked-mode arrays
 // (ProbeLocked8/16) answer the same keys over locked twins of the same
-// arrays, rebuilt through InsertLocked and RemoveLocked.
+// arrays, rebuilt through InsertUnlock and RemoveUnlock.
 
 // contains8 is the per-key reference: internal/core's split8 plus the two
 // Block8 probes of Filter8.Contains.
@@ -274,22 +274,23 @@ func candidates(h uint64, nblocks int, wide bool) (uint64, uint64) {
 
 // lockedTwin8 rebuilds blocks in locked mode through the writers' path:
 // each block's fingerprints are re-inserted under the lock with
-// InsertLocked, and every eighth step also inserts and removes a decoy with
-// RemoveLocked, so the twin holds the same fingerprints per bucket. A full
-// twin's last terminator is the forced top bit. Block i bumps stripe
-// i & (len(seqs)-1) on every write.
+// InsertUnlock, and every eighth step first inserts and removes a decoy
+// (InsertUnlock, RemoveUnlock), so the twin holds the same fingerprints per
+// bucket. A full twin's last terminator is the forced top bit. Block i
+// bumps stripe i & (len(seqs)-1) on every write.
 func lockedTwin8(blocks []Block8, seqs []atomic.Uint64) []Block8 {
 	twin := newBlocks8(len(blocks))
 	for i := range blocks {
 		b, seq, step := &twin[i], &seqs[i&(len(seqs)-1)], 0
 		blocks[i].Iterate(func(bucket uint, fp byte) bool {
-			b.Lock()
 			if step%8 == 7 {
-				b.InsertLocked(bucket, ^fp)
-				b.RemoveLocked(bucket, ^fp)
+				b.Lock()
+				b.InsertUnlock(bucket, ^fp, seq)
+				b.Lock()
+				b.RemoveUnlock(bucket, ^fp, seq)
 			}
-			b.InsertLocked(bucket, fp)
-			b.UnlockBump(seq)
+			b.Lock()
+			b.InsertUnlock(bucket, fp, seq)
 			step++
 			return true
 		})
@@ -303,13 +304,14 @@ func lockedTwin16(blocks []Block16, seqs []atomic.Uint64) []Block16 {
 	for i := range blocks {
 		b, seq, step := &twin[i], &seqs[i&(len(seqs)-1)], 0
 		blocks[i].Iterate(func(bucket uint, fp uint16) bool {
-			b.Lock()
 			if step%8 == 7 {
-				b.InsertLocked(bucket, ^fp)
-				b.RemoveLocked(bucket, ^fp)
+				b.Lock()
+				b.InsertUnlock(bucket, ^fp, seq)
+				b.Lock()
+				b.RemoveUnlock(bucket, ^fp, seq)
 			}
-			b.InsertLocked(bucket, fp)
-			b.UnlockBump(seq)
+			b.Lock()
+			b.InsertUnlock(bucket, fp, seq)
 			step++
 			return true
 		})

@@ -122,10 +122,9 @@ func TestSnapshotIterateLockedForms(t *testing.T) {
 			bucket := uint(rng.Intn(B8Buckets))
 			fp := byte(rng.Intn(256))
 			b.Lock()
-			if !b.InsertLocked(bucket, fp) {
+			if !b.InsertUnlock(bucket, fp, &seq) {
 				t.Fatalf("locked insert %d failed below capacity", i)
 			}
-			b.UnlockBump(&seq)
 			want[[2]uint16{uint16(bucket), uint16(fp)}]++
 		}
 		got := map[[2]uint16]int{}
@@ -149,10 +148,9 @@ func TestSnapshotIterateLockedForms(t *testing.T) {
 	b16.Reset()
 	for i := 0; i < B16Slots; i++ {
 		b16.Lock()
-		if !b16.InsertLocked(uint(i%B16Buckets), uint16(i*7)) {
+		if !b16.InsertUnlock(uint(i%B16Buckets), uint16(i*7), &seq) {
 			t.Fatalf("locked insert %d failed", i)
 		}
-		b16.UnlockBump(&seq)
 	}
 	count := 0
 	b16.SnapshotIterate(&seq, func(uint, uint16) bool { count++; return true })
@@ -184,10 +182,10 @@ func TestSnapshotIterateUnderWriters(t *testing.T) {
 			}
 			bucket, fp := uint(i%B8Buckets), byte(i)
 			b.Lock()
-			if !b.InsertLocked(bucket, fp) {
-				b.RemoveLocked(bucket, fp)
+			if !b.InsertUnlock(bucket, fp, &seq) {
+				b.Lock()
+				b.RemoveUnlock(bucket, fp, &seq)
 			}
-			b.UnlockBump(&seq)
 			i++
 		}
 	}()
@@ -216,11 +214,10 @@ func TestProbeOptimistic(t *testing.T) {
 	var b Block8
 	b.Reset()
 	var seq atomic.Uint64
-	b.Lock()
-	b.InsertLocked(5, 0xAB)
-	b.InsertLocked(5, 0xAB)
-	b.InsertLocked(5, 0xCD)
-	b.UnlockBump(&seq)
+	for _, fp := range []byte{0xAB, 0xAB, 0xCD} {
+		b.Lock()
+		b.InsertUnlock(5, fp, &seq)
+	}
 	bcast := uint64(0xABABABABABABABAB)
 	var s Snap8
 	if retries, fellBack := b.Snapshot(&seq, &s); retries != 0 || fellBack {

@@ -11,11 +11,13 @@ import (
 
 // Kernel dispatch. Every bucket search — lookup, remove, and the
 // slot-reporting variants, in plain, locked and optimistic mode — runs
-// probe8/probe16. On amd64 (without purego) on a CPU with BMI1, BMI2 and
-// POPCNT that is a fused assembly kernel (kernel_amd64.s); everywhere else,
-// or with the assembly switched off, it is the portable SWAR body
-// (probe8Generic/probe16Generic), which is also the differential reference
-// the parity tests compare the assembly against.
+// probe8/probe16, and every locked-mode write commits through
+// commit8/commit16 (locked.go). On amd64 (without purego) on a CPU with
+// BMI1, BMI2 and POPCNT those are assembly routines (kernel_amd64.s);
+// everywhere else, or with the assembly switched off, they are the portable
+// bodies (probe8Generic/probe16Generic, commit8Generic/commit16Generic),
+// which are also the differential reference the parity tests compare the
+// assembly against.
 //
 // The switch is a package-level atomic so one process can benchmark both
 // paths (vqfbench -kernels-impl, the asm-vs-generic regression gate) and so

@@ -4,6 +4,7 @@ package minifilter
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"vqf/internal/swar"
 )
@@ -51,6 +52,48 @@ func probe16(meta uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) 
 	}
 	return probe16Generic(meta, fps, bucket, bcast)
 }
+
+func commit8(b *Block8, fps *[swar.Words8]uint64, lo, hi uint64, seq *atomic.Uint64) {
+	if useAsm.Load() {
+		commit8Asm(b, fps, lo, hi, seq)
+		return
+	}
+	commit8Generic(b, fps, lo, hi, seq)
+}
+
+func commit16(b *Block16, fps *[swar.Words16]uint64, meta uint64, seq *atomic.Uint64) {
+	if useAsm.Load() {
+		commit16Asm(b, fps, meta, seq)
+		return
+	}
+	commit16Generic(b, fps, meta, seq)
+}
+
+func unlock(w *uint64) {
+	if useAsm.Load() {
+		unlockAsm(w)
+		return
+	}
+	unlockGeneric(w)
+}
+
+// commit8Asm is commit8Generic with ordered plain stores: the fingerprint
+// words and MetaLo, a LOCK XADD of seq, then MetaHi = hi. See the write
+// commits in kernel_amd64.s for why x86-TSO makes the plain stores safe.
+//
+//go:noescape
+func commit8Asm(b *Block8, fps *[swar.Words8]uint64, lo, hi uint64, seq *atomic.Uint64)
+
+// commit16Asm is commit16Generic with ordered plain stores; see
+// commit8Asm.
+//
+//go:noescape
+func commit16Asm(b *Block16, fps *[swar.Words16]uint64, meta uint64, seq *atomic.Uint64)
+
+// unlockAsm is unlockGeneric with a plain store.
+//
+//go:noescape
+func unlockAsm(w *uint64)
 
 // fusedProbe8Asm is probe8Generic in one assembly routine: PDEP/TZCNT
 // metadata select over the 128-bit terminator words, then the SSE2 lane

@@ -410,9 +410,9 @@ done16:
 //	3. both lock words again;
 //	4. both version stripes again.
 //
-// x86-TSO keeps loads in program order and writers publish with locked
-// instructions, so plain MOVs are the acquire loads the protocol needs (Go's
-// atomic loads are the same MOVs). The answer stands if no lock bit was set
+// x86-TSO keeps loads in program order and writers' stores in program
+// order (see the write commits below), so plain MOVs are the acquire loads
+// the protocol needs (Go's atomic loads are the same MOVs). The answer stands if no lock bit was set
 // in 2 or 3 and the stripes still sum to ver; stripes only grow, so an
 // unchanged sum means neither moved. Otherwise the kernel stops and returns
 // the key's index for the per-key path to retry.
@@ -617,4 +617,84 @@ lockedConflict16:
 	MOVQ    n+32(FP), AX
 	ADDQ    CX, AX              // the conflicted key's index
 	MOVQ    AX, ret+40(FP)
+	RET
+
+// Write commits for locked-mode blocks. The writer holds the block's lock
+// bit, taken with a LOCK CMPXCHG (a full barrier), and has prepared the
+// block's new words on its stack. The commit publishes them in this order:
+//
+//	1. every word except the lock word (Block8: the fingerprint words and
+//	   MetaLo; Block16: the fingerprint words), with plain MOVs;
+//	2. LOCK XADD of the block's version stripe;
+//	3. the lock word, once, with the lock bit clear.
+//
+// x86-TSO never reorders a store with an earlier store, so a reader that
+// sees the lock word of step 3 also sees every store of steps 1 and 2, and
+// a reader that loads any word of step 1 before step 3 is visible sees the
+// lock bit at its post-check or the moved stripe at its version re-read
+// (Snapshot and probeLocked8Asm/probeLocked16Asm load in that order). The
+// race detector does not see these stores; commit8Generic and
+// commit16Generic are the instrumented reference.
+
+// func commit8Asm(b *Block8, fps *[6]uint64, lo, hi uint64, seq *atomic.Uint64)
+TEXT ·commit8Asm(SB), NOSPLIT, $0-40
+	MOVQ    b+0(FP), DI
+	MOVQ    fps+8(FP), SI
+	MOVQ    0(SI), AX           // 1. fingerprint words
+	MOVQ    AX, 16(DI)
+	MOVQ    8(SI), AX
+	MOVQ    AX, 24(DI)
+	MOVQ    16(SI), AX
+	MOVQ    AX, 32(DI)
+	MOVQ    24(SI), AX
+	MOVQ    AX, 40(DI)
+	MOVQ    32(SI), AX
+	MOVQ    AX, 48(DI)
+	MOVQ    40(SI), AX
+	MOVQ    AX, 56(DI)
+	MOVQ    lo+16(FP), AX
+	MOVQ    AX, 0(DI)           //    and MetaLo
+	MOVQ    seq+32(FP), SI
+	MOVL    $1, AX
+	LOCK
+	XADDQ   AX, (SI)            // 2. version stripe
+	MOVQ    hi+24(FP), AX
+	MOVQ    AX, 8(DI)           // 3. MetaHi, lock bit clear
+	RET
+
+// func commit16Asm(b *Block16, fps *[7]uint64, meta uint64, seq *atomic.Uint64)
+TEXT ·commit16Asm(SB), NOSPLIT, $0-32
+	MOVQ    b+0(FP), DI
+	MOVQ    fps+8(FP), SI
+	MOVQ    0(SI), AX           // 1. fingerprint words
+	MOVQ    AX, 8(DI)
+	MOVQ    8(SI), AX
+	MOVQ    AX, 16(DI)
+	MOVQ    16(SI), AX
+	MOVQ    AX, 24(DI)
+	MOVQ    24(SI), AX
+	MOVQ    AX, 32(DI)
+	MOVQ    32(SI), AX
+	MOVQ    AX, 40(DI)
+	MOVQ    40(SI), AX
+	MOVQ    AX, 48(DI)
+	MOVQ    48(SI), AX
+	MOVQ    AX, 56(DI)
+	MOVQ    seq+24(FP), SI
+	MOVL    $1, AX
+	LOCK
+	XADDQ   AX, (SI)            // 2. version stripe
+	MOVQ    meta+16(FP), AX
+	MOVQ    AX, 0(DI)           // 3. Meta, lock bit clear
+	RET
+
+// func unlockAsm(w *uint64)
+//
+// Releases a lock word the caller holds and did not change: one plain
+// store, ordered after the holder's loads and stores by x86-TSO.
+TEXT ·unlockAsm(SB), NOSPLIT, $0-8
+	MOVQ    w+0(FP), DI
+	MOVQ    (DI), AX
+	BTRQ    $63, AX
+	MOVQ    AX, (DI)
 	RET

@@ -2,7 +2,11 @@
 
 package minifilter
 
-import "vqf/internal/swar"
+import (
+	"sync/atomic"
+
+	"vqf/internal/swar"
+)
 
 // Builds without the fused assembly kernels (another GOARCH, or -tags
 // purego) run the generic kernels; see kernel_amd64.go.
@@ -16,6 +20,16 @@ func probe8(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) 
 func probe16(meta uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) uint64 {
 	return probe16Generic(meta, fps, bucket, bcast)
 }
+
+func commit8(b *Block8, fps *[swar.Words8]uint64, lo, hi uint64, seq *atomic.Uint64) {
+	commit8Generic(b, fps, lo, hi, seq)
+}
+
+func commit16(b *Block16, fps *[swar.Words16]uint64, meta uint64, seq *atomic.Uint64) {
+	commit16Generic(b, fps, meta, seq)
+}
+
+func unlock(w *uint64) { unlockGeneric(w) }
 
 // ProbeBatch8 has no portable body: the batch kernel is assembly only, so
 // it reports false and the caller loops over its per-key Contains.

@@ -19,15 +19,22 @@ import (
 // bitvector"). Locks are acquired with compare-and-swap, the analog of the
 // paper's __sync_fetch_and_or.
 //
-// Mutations are written back with atomic word stores so that lock-free
-// optimistic readers (see optimistic.go) can snapshot a block with atomic
-// word loads: under the Go memory model a plain store racing an atomic load
-// is a data race even when a seqlock discards the torn value, so every word
-// a reader may touch is published atomically. The word-native fingerprint
-// layout makes this direct: Fps already is the array of uint64 words readers
-// snapshot, no reinterpreting cast needed. Lock holders may still *read*
-// their own block with plain loads (loads never race with loads, and no
-// other thread stores while the lock is held).
+// A write runs in three steps: take the lock (Lock), prepare the block's new
+// words on a private copy while holding it, then commit them and release the
+// lock in one call (InsertUnlock, RemoveUnlock). The commit stores every word
+// except the lock word, bumps the block's seqlock version stripe, and stores
+// the lock word last, once, with the lock bit clear, so lock-free optimistic
+// readers (see optimistic.go) that overlap it see the held lock bit or the
+// moved version. On amd64 the commit is a short assembly routine of plain
+// MOVs around one LOCK XADD: under x86-TSO the lock's CAS orders the data
+// stores after the acquisition and stores are never reordered with one
+// another, which is all the readers' validation needs (kernel_amd64.s spells
+// the argument out). The portable body (commit8Generic, commit16Generic)
+// publishes with sync/atomic word stores instead: under the Go memory model
+// a plain store racing an atomic load is a data race even when a seqlock
+// discards the torn value, and it is the body the race detector checks.
+// Lock holders may still *read* their own block with plain loads (loads never
+// race with loads, and no other thread stores while the lock is held).
 
 const lockBit = uint64(1) << 63
 
@@ -67,19 +74,14 @@ func (b *Block8) Lock() {
 	}
 }
 
-// Unlock releases the block's lock bit.
-func (b *Block8) Unlock() {
-	atomic.StoreUint64(&b.MetaHi, atomic.LoadUint64(&b.MetaHi)&^lockBit)
-}
+// Unlock releases the block's lock bit. The caller must hold it and must not
+// have changed the block: a mutation is released by its commit.
+func (b *Block8) Unlock() { unlock(&b.MetaHi) }
 
-// UnlockBump publishes a mutation and releases the lock: it bumps the
-// seqlock version stripe associated with this block, then clears the lock
-// bit. An optimistic reader overlapping the write observes either the held
-// lock bit or the changed version — never a silently torn snapshot. Callers
-// that did not mutate the block release with plain Unlock.
-func (b *Block8) UnlockBump(seq *atomic.Uint64) {
-	seq.Add(1)
-	b.Unlock()
+// unlockGeneric is the portable body of unlock: it clears the lock bit of
+// the held lock word w with an atomic store.
+func unlockGeneric(w *uint64) {
+	atomic.StoreUint64(w, atomic.LoadUint64(w)&^lockBit)
 }
 
 // metaLocked returns the logical metadata words while the lock is held (or
@@ -143,30 +145,31 @@ func (b *Block8) ContainsLocked(bucket uint, fp byte) bool {
 	return probe8(lo, hi, &b.Fps, bucket, swar.BroadcastByte(fp)) != 0
 }
 
-// InsertLocked adds fp to bucket. The caller must hold the block lock; the
-// lock bit is preserved. It returns false if the block is full. The mutation
-// is prepared on a private copy and written back with atomic word stores so
-// concurrent optimistic snapshots never race with it.
-func (b *Block8) InsertLocked(bucket uint, fp byte) bool {
+// InsertUnlock adds fp to bucket, commits the block and releases its lock,
+// which the caller must hold. It returns false, releasing the lock with the
+// block unchanged, if the block is full. The mutation is prepared on a
+// private copy and committed by commit8, which bumps seq, the block's
+// version stripe.
+func (b *Block8) InsertUnlock(bucket uint, fp byte, seq *atomic.Uint64) bool {
 	lo, hi := b.metaLocked()
 	if occupancy128(lo, hi) == B8Slots {
+		b.Unlock()
 		return false
 	}
 	buf := b.Fps // private copy; plain read is safe under the lock
-	// The forced top bit (spurious when not full) is discarded by the shift;
-	// re-set it afterwards: it is the still-held lock, and coincides with the
-	// final terminator if the insert filled the block.
+	// The forced top bit (spurious when not full) is discarded by the shift.
+	// The stored top bit is the lock alone, so the commit leaves it clear;
+	// if the insert filled the block, readers force it back as the final
+	// terminator.
 	newLo, newHi, _ := insertSlot8(lo, hi, &buf, bucket, fp)
-	b.publishFps(&buf)
-	atomic.StoreUint64(&b.MetaLo, newLo)
-	atomic.StoreUint64(&b.MetaHi, newHi|lockBit)
+	commit8(b, &buf, newLo, newHi&^lockBit, seq)
 	return true
 }
 
-// RemoveLocked deletes one instance of fp from bucket. The caller must hold
-// the block lock; the lock bit is preserved. It returns false if fp is not
-// present in bucket.
-func (b *Block8) RemoveLocked(bucket uint, fp byte) bool {
+// RemoveUnlock deletes one instance of fp from bucket, commits the block and
+// releases its lock, which the caller must hold. It returns false, releasing
+// the lock with the block unchanged, if fp is not present in bucket.
+func (b *Block8) RemoveUnlock(bucket uint, fp byte, seq *atomic.Uint64) bool {
 	lo, hi := b.metaLocked()
 	// The logical top bit is 1 only when the block is full; otherwise the
 	// forced lock bit must not shift down into the metadata body.
@@ -177,20 +180,26 @@ func (b *Block8) RemoveLocked(bucket uint, fp byte) bool {
 	buf := b.Fps
 	newLo, newHi, z := removeSlot8(lo, hi, hiLog, &buf, bucket, swar.BroadcastByte(fp))
 	if z < 0 {
+		b.Unlock()
 		return false
 	}
-	b.publishFps(&buf)
-	atomic.StoreUint64(&b.MetaLo, newLo)
-	atomic.StoreUint64(&b.MetaHi, newHi|lockBit)
+	commit8(b, &buf, newLo, newHi&^lockBit, seq)
 	return true
 }
 
-// publishFps stores the prepared fingerprint words with atomic word stores.
-// The caller must hold the block lock.
-func (b *Block8) publishFps(buf *[swar.Words8]uint64) {
-	for i := range buf {
-		atomic.StoreUint64(&b.Fps[i], buf[i])
+// commit8Generic is the portable body of commit8, and the reference the
+// parity tests hold the assembly to: it stores the prepared fingerprint
+// words and lo with atomic word stores while the lock is held, bumps seq,
+// then stores hi, which must have the lock bit clear, releasing the lock.
+// An optimistic reader overlapping the write observes either the held lock
+// bit or the changed version — never a silently torn snapshot.
+func commit8Generic(b *Block8, fps *[swar.Words8]uint64, lo, hi uint64, seq *atomic.Uint64) {
+	for i := range fps {
+		atomic.StoreUint64(&b.Fps[i], fps[i])
 	}
+	atomic.StoreUint64(&b.MetaLo, lo)
+	seq.Add(1)
+	atomic.StoreUint64(&b.MetaHi, hi)
 }
 
 // TryLock attempts to acquire the block's lock bit; it reports success.
@@ -214,17 +223,8 @@ func (b *Block16) Lock() {
 	}
 }
 
-// Unlock releases the block's lock bit.
-func (b *Block16) Unlock() {
-	atomic.StoreUint64(&b.Meta, atomic.LoadUint64(&b.Meta)&^lockBit)
-}
-
-// UnlockBump publishes a mutation and releases the lock; see
-// Block8.UnlockBump.
-func (b *Block16) UnlockBump(seq *atomic.Uint64) {
-	seq.Add(1)
-	b.Unlock()
-}
+// Unlock releases the block's lock bit; see Block8.Unlock.
+func (b *Block16) Unlock() { unlock(&b.Meta) }
 
 func (b *Block16) metaLocked() uint64 {
 	return atomic.LoadUint64(&b.Meta) | lockBit
@@ -262,24 +262,23 @@ func (b *Block16) ContainsLocked(bucket uint, fp uint16) bool {
 	return probe16(b.metaLocked(), &b.Fps, bucket, swar.BroadcastU16(fp)) != 0
 }
 
-// InsertLocked adds fp to bucket. The caller must hold the block lock. The
-// mutation is prepared on a private copy and written back atomically; see
-// Block8.InsertLocked.
-func (b *Block16) InsertLocked(bucket uint, fp uint16) bool {
+// InsertUnlock adds fp to bucket, commits the block and releases its lock;
+// see Block8.InsertUnlock.
+func (b *Block16) InsertUnlock(bucket uint, fp uint16, seq *atomic.Uint64) bool {
 	meta := b.metaLocked()
 	if occupancy64(meta) == B16Slots {
+		b.Unlock()
 		return false
 	}
 	buf := b.Fps
 	newMeta, _ := insertSlot16(meta, &buf, bucket, fp)
-	b.publishFps(&buf)
-	atomic.StoreUint64(&b.Meta, newMeta|lockBit)
+	commit16(b, &buf, newMeta&^lockBit, seq)
 	return true
 }
 
-// RemoveLocked deletes one instance of fp from bucket. The caller must hold
-// the block lock.
-func (b *Block16) RemoveLocked(bucket uint, fp uint16) bool {
+// RemoveUnlock deletes one instance of fp from bucket, commits the block and
+// releases its lock; see Block8.RemoveUnlock.
+func (b *Block16) RemoveUnlock(bucket uint, fp uint16, seq *atomic.Uint64) bool {
 	meta := b.metaLocked()
 	metaLog := meta &^ lockBit
 	if occupancy64(meta) == B16Slots {
@@ -288,17 +287,19 @@ func (b *Block16) RemoveLocked(bucket uint, fp uint16) bool {
 	buf := b.Fps
 	newMeta, z := removeSlot16(meta, metaLog, &buf, bucket, swar.BroadcastU16(fp))
 	if z < 0 {
+		b.Unlock()
 		return false
 	}
-	b.publishFps(&buf)
-	atomic.StoreUint64(&b.Meta, newMeta|lockBit)
+	commit16(b, &buf, newMeta&^lockBit, seq)
 	return true
 }
 
-// publishFps stores the prepared fingerprint words with atomic word stores.
-// The caller must hold the block lock.
-func (b *Block16) publishFps(buf *[swar.Words16]uint64) {
-	for i := range buf {
-		atomic.StoreUint64(&b.Fps[i], buf[i])
+// commit16Generic is the portable body of commit16; see commit8Generic.
+// meta must have the lock bit clear.
+func commit16Generic(b *Block16, fps *[swar.Words16]uint64, meta uint64, seq *atomic.Uint64) {
+	for i := range fps {
+		atomic.StoreUint64(&b.Fps[i], fps[i])
 	}
+	seq.Add(1)
+	atomic.StoreUint64(&b.Meta, meta)
 }

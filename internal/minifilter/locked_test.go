@@ -3,10 +3,52 @@ package minifilter
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vqf/internal/swar"
 )
+
+// lockedOp8 runs op (0 insert, 1 remove, 2 lookup) through the locked-mode
+// path the concurrent filters take: lock, then InsertUnlock or RemoveUnlock,
+// whose commit bumps seq and releases, or ContainsLocked and Unlock.
+func lockedOp8(b *Block8, seq *atomic.Uint64, op int, bucket uint, fp byte) bool {
+	b.Lock()
+	switch op {
+	case 0:
+		return b.InsertUnlock(bucket, fp, seq)
+	case 1:
+		return b.RemoveUnlock(bucket, fp, seq)
+	}
+	ok := b.ContainsLocked(bucket, fp)
+	b.Unlock()
+	return ok
+}
+
+// lockedOp16 is lockedOp8 for Block16.
+func lockedOp16(b *Block16, seq *atomic.Uint64, op int, bucket uint, fp uint16) bool {
+	b.Lock()
+	switch op {
+	case 0:
+		return b.InsertUnlock(bucket, fp, seq)
+	case 1:
+		return b.RemoveUnlock(bucket, fp, seq)
+	}
+	ok := b.ContainsLocked(bucket, fp)
+	b.Unlock()
+	return ok
+}
+
+// bothKernels runs body with the assembly kernels selected and then with the
+// generic ones, leaving the assembly selected. Under -race the generic pass
+// is the one the detector checks: it does not see the assembly's stores.
+func bothKernels(body func()) {
+	defer SetAsmKernels(true)
+	for _, asm := range []bool{true, false} {
+		SetAsmKernels(asm)
+		body()
+	}
+}
 
 // logicalState8 extracts the lock-independent view of a locked-mode block:
 // metadata with the top bit forced to (full ? 1 : 0), plus the fingerprints.
@@ -30,24 +72,25 @@ func TestBlock8LockedEquivalence(t *testing.T) {
 
 func lockedEquivalence8(t *testing.T) ([]uint64, []bool) {
 	var plain, locked Block8
+	var seq atomic.Uint64
 	plain.Reset()
 	locked.Reset()
-	locked.Lock()
-	defer locked.Unlock()
 	rng := rand.New(rand.NewSource(1))
 	var results []bool
 	for step := 0; step < 20000; step++ {
 		bucket := uint(rng.Intn(B8Buckets))
 		fp := byte(rng.Intn(16))
-		var a, b bool
-		switch rng.Intn(3) {
+		var a bool
+		op := rng.Intn(3)
+		switch op {
 		case 0:
-			a, b = plain.Insert(bucket, fp), locked.InsertLocked(bucket, fp)
+			a = plain.Insert(bucket, fp)
 		case 1:
-			a, b = plain.Remove(bucket, fp), locked.RemoveLocked(bucket, fp)
+			a = plain.Remove(bucket, fp)
 		case 2:
-			a, b = plain.Contains(bucket, fp), locked.ContainsLocked(bucket, fp)
+			a = plain.Contains(bucket, fp)
 		}
+		b := lockedOp8(&locked, &seq, op, bucket, fp)
 		if a != b {
 			t.Fatalf("step %d: plain=%v locked=%v", step, a, b)
 		}
@@ -66,8 +109,8 @@ func lockedEquivalence8(t *testing.T) ([]uint64, []bool) {
 
 func TestBlock8LockedFullBlock(t *testing.T) {
 	var b Block8
+	var seq atomic.Uint64
 	b.Reset()
-	b.Lock()
 	// Fill to capacity through the locked path.
 	rng := rand.New(rand.NewSource(2))
 	type entry struct {
@@ -77,7 +120,7 @@ func TestBlock8LockedFullBlock(t *testing.T) {
 	var entries []entry
 	for i := 0; i < B8Slots; i++ {
 		e := entry{uint(rng.Intn(B8Buckets)), byte(rng.Intn(256))}
-		if !b.InsertLocked(e.bucket, e.fp) {
+		if !lockedOp8(&b, &seq, 0, e.bucket, e.fp) {
 			t.Fatalf("locked insert %d failed", i)
 		}
 		entries = append(entries, e)
@@ -85,33 +128,37 @@ func TestBlock8LockedFullBlock(t *testing.T) {
 	if b.OccupancyLocked() != B8Slots {
 		t.Fatal("block not full")
 	}
-	if b.InsertLocked(0, 0) {
+	ver := seq.Load()
+	if lockedOp8(&b, &seq, 0, 0, 0) {
 		t.Fatal("insert into full block succeeded")
 	}
-	b.Unlock()
+	if seq.Load() != ver || b.MetaHi&lockBit != 0 {
+		t.Fatal("a failed insert bumped the version or kept the lock")
+	}
 
 	// After unlock the stored top bit is the lock flag (0), but a fresh
 	// lock/read cycle must still see a full block with all entries.
-	b.Lock()
 	if b.OccupancyLocked() != B8Slots {
 		t.Fatal("occupancy lost across unlock of full block")
 	}
 	for _, e := range entries {
-		if !b.ContainsLocked(e.bucket, e.fp) {
+		if !lockedOp8(&b, &seq, 2, e.bucket, e.fp) {
 			t.Fatalf("entry (%d,%d) lost across unlock", e.bucket, e.fp)
 		}
 	}
 	// Remove from the full block, then re-insert.
-	if !b.RemoveLocked(entries[3].bucket, entries[3].fp) {
+	if !lockedOp8(&b, &seq, 1, entries[3].bucket, entries[3].fp) {
 		t.Fatal("remove from full block failed")
 	}
 	if b.OccupancyLocked() != B8Slots-1 {
 		t.Fatal("occupancy wrong after remove")
 	}
-	if !b.InsertLocked(9, 123) {
+	if !lockedOp8(&b, &seq, 0, 9, 123) {
 		t.Fatal("insert after remove failed")
 	}
-	b.Unlock()
+	if got := seq.Load(); got != B8Slots+2 {
+		t.Fatalf("version %d after %d committed writes", got, B8Slots+2)
+	}
 }
 
 func TestBlock8TryLock(t *testing.T) {
@@ -138,24 +185,25 @@ func TestBlock16LockedEquivalence(t *testing.T) {
 
 func lockedEquivalence16(t *testing.T) ([]uint64, []bool) {
 	var plain, locked Block16
+	var seq atomic.Uint64
 	plain.Reset()
 	locked.Reset()
-	locked.Lock()
-	defer locked.Unlock()
 	rng := rand.New(rand.NewSource(3))
 	var results []bool
 	for step := 0; step < 20000; step++ {
 		bucket := uint(rng.Intn(B16Buckets))
 		fp := uint16(rng.Intn(16))
-		var a, b bool
-		switch rng.Intn(3) {
+		var a bool
+		op := rng.Intn(3)
+		switch op {
 		case 0:
-			a, b = plain.Insert(bucket, fp), locked.InsertLocked(bucket, fp)
+			a = plain.Insert(bucket, fp)
 		case 1:
-			a, b = plain.Remove(bucket, fp), locked.RemoveLocked(bucket, fp)
+			a = plain.Remove(bucket, fp)
 		case 2:
-			a, b = plain.Contains(bucket, fp), locked.ContainsLocked(bucket, fp)
+			a = plain.Contains(bucket, fp)
 		}
+		b := lockedOp16(&locked, &seq, op, bucket, fp)
 		if a != b {
 			t.Fatalf("step %d: plain=%v locked=%v", step, a, b)
 		}
@@ -172,32 +220,41 @@ func lockedEquivalence16(t *testing.T) ([]uint64, []bool) {
 
 func TestBlock16LockedFullBlock(t *testing.T) {
 	var b Block16
+	var seq atomic.Uint64
 	b.Reset()
-	b.Lock()
 	for i := 0; i < B16Slots; i++ {
-		if !b.InsertLocked(uint(i%B16Buckets), uint16(i)) {
+		if !lockedOp16(&b, &seq, 0, uint(i%B16Buckets), uint16(i)) {
 			t.Fatalf("locked insert %d failed", i)
 		}
 	}
-	if b.InsertLocked(0, 999) {
+	if lockedOp16(&b, &seq, 0, 0, 999) {
 		t.Fatal("insert into full block succeeded")
 	}
-	b.Unlock()
-	b.Lock()
 	if b.OccupancyLocked() != B16Slots {
 		t.Fatal("occupancy lost across unlock of full block")
 	}
-	if !b.RemoveLocked(0, 0) {
+	if !lockedOp16(&b, &seq, 1, 0, 0) {
 		t.Fatal("remove failed")
 	}
-	b.Unlock()
+	if lockedOp16(&b, &seq, 1, 0, 0) {
+		t.Fatal("second remove of a single instance succeeded")
+	}
+	if got := seq.Load(); got != B16Slots+1 || b.Meta&lockBit != 0 {
+		t.Fatalf("version %d after %d committed writes, lock word %#x", got, B16Slots+1, b.Meta)
+	}
 }
 
-// TestBlock8ConcurrentStress hammers one block from several goroutines. Run
-// with -race to exercise the memory-ordering contract: MetaHi is only touched
+// TestBlock8ConcurrentStress hammers one block from several goroutines,
+// once through each kernel selection. Run with -race to exercise the
+// memory-ordering contract on the generic pass: MetaHi is only touched
 // atomically, everything else only under the lock.
 func TestBlock8ConcurrentStress(t *testing.T) {
+	bothKernels(func() { block8ConcurrentStress(t) })
+}
+
+func block8ConcurrentStress(t *testing.T) {
 	var b Block8
+	var seq atomic.Uint64
 	b.Reset()
 	const workers = 4
 	const opsPerWorker = 5000
@@ -211,30 +268,26 @@ func TestBlock8ConcurrentStress(t *testing.T) {
 			for i := 0; i < opsPerWorker; i++ {
 				bucket := uint(rng.Intn(B8Buckets))
 				fp := byte(rng.Intn(256))
-				b.Lock()
 				switch {
 				case len(inserted) > 0 && rng.Intn(3) == 0:
 					k := inserted[len(inserted)-1]
 					inserted = inserted[:len(inserted)-1]
-					if !b.RemoveLocked(k.bucket, byte(k.fp)) {
+					if !lockedOp8(&b, &seq, 1, k.bucket, byte(k.fp)) {
 						t.Errorf("own insertion (%d,%d) missing", k.bucket, k.fp)
 					}
 				case rng.Intn(2) == 0:
-					if b.InsertLocked(bucket, fp) {
+					if lockedOp8(&b, &seq, 0, bucket, fp) {
 						inserted = append(inserted, modelKey{bucket, uint16(fp)})
 					}
 				default:
-					b.ContainsLocked(bucket, fp)
+					lockedOp8(&b, &seq, 2, bucket, fp)
 				}
-				b.Unlock()
 			}
 			// Drain our own insertions.
 			for _, k := range inserted {
-				b.Lock()
-				if !b.RemoveLocked(k.bucket, byte(k.fp)) {
+				if !lockedOp8(&b, &seq, 1, k.bucket, byte(k.fp)) {
 					t.Errorf("own insertion (%d,%d) missing at drain", k.bucket, k.fp)
 				}
-				b.Unlock()
 			}
 		}(int64(w + 100))
 	}

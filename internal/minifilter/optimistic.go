@@ -12,9 +12,9 @@ import (
 // block lock on the common path: it copies the block with atomic word loads
 // and validates that no writer overlapped the copy, retrying (and eventually
 // falling back to the lock) on conflict. Writers keep the lock bit set
-// through their atomic write-back and bump an external version counter
-// before releasing it (Block8.UnlockBump), which gives readers two conflict
-// signals:
+// through their write-back and bump an external version counter before
+// releasing it (the commit behind Block8.InsertUnlock and RemoveUnlock),
+// which gives readers two conflict signals:
 //
 //   - the lock bit, observed before the copy and again after it, catches any
 //     writer active while the copy was in flight;
@@ -36,8 +36,12 @@ import (
 // between, its version bump (which precedes release) lands between the two
 // version reads. A writer that completed entirely before the version
 // pre-read finished its stores before the copy began, so the snapshot is
-// consistent. Go's sync/atomic operations are sequentially consistent, which
-// is what makes these orderings global.
+// consistent. What makes these orderings global is that loads are not
+// reordered with loads (Go's atomic loads; plain MOVs under x86-TSO), and
+// that a writer's stores become visible in program order: the portable
+// commit publishes with sequentially consistent sync/atomic stores, the
+// amd64 commit with ordered plain stores around a LOCK XADD of the version
+// (see locked.go).
 //
 // The version counters live outside the 64-byte blocks (there is no spare
 // bit inside) and are owned by the concurrent filters in internal/core,
@@ -204,8 +208,8 @@ var (
 )
 
 // NewLockedArray describes blocks and its version stripes seqs (the array
-// UnlockBump bumps, block i on stripe i & (len(seqs)-1)) as a table entry.
-// It panics unless both are non-empty powers of two in length.
+// the write commits bump, block i on stripe i & (len(seqs)-1)) as a table
+// entry. It panics unless both are non-empty powers of two in length.
 func NewLockedArray[B Block8 | Block16](blocks []B, seqs []atomic.Uint64) LockedArray {
 	nb, ns := len(blocks), len(seqs)
 	if nb == 0 || nb&(nb-1) != 0 || ns == 0 || ns&(ns-1) != 0 {

@@ -44,18 +44,10 @@ func TestBlock8OptimisticEquivalence(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			b.Lock()
-			if b.InsertLocked(bucket, fp) {
-				b.UnlockBump(&seq)
-			} else {
-				b.Unlock()
-			}
+			b.InsertUnlock(bucket, fp, &seq)
 		case 1:
 			b.Lock()
-			if b.RemoveLocked(bucket, fp) {
-				b.UnlockBump(&seq)
-			} else {
-				b.Unlock()
-			}
+			b.RemoveUnlock(bucket, fp, &seq)
 		default:
 			opt := containsOpt8(t, &b, &seq, bucket, fp, true)
 			b.Lock()
@@ -83,18 +75,10 @@ func TestBlock16OptimisticEquivalence(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			b.Lock()
-			if b.InsertLocked(bucket, fp) {
-				b.UnlockBump(&seq)
-			} else {
-				b.Unlock()
-			}
+			b.InsertUnlock(bucket, fp, &seq)
 		case 1:
 			b.Lock()
-			if b.RemoveLocked(bucket, fp) {
-				b.UnlockBump(&seq)
-			} else {
-				b.Unlock()
-			}
+			b.RemoveUnlock(bucket, fp, &seq)
 		default:
 			opt := containsOpt16(t, &b, &seq, bucket, fp, true)
 			b.Lock()
@@ -121,8 +105,7 @@ func TestBlock8SnapshotABADetected(t *testing.T) {
 	var seq atomic.Uint64
 	const bucket, fpOld, fpNew = 5, 0xAA, 0xBB
 	b.Lock()
-	b.InsertLocked(bucket, fpOld)
-	b.UnlockBump(&seq)
+	b.InsertUnlock(bucket, fpOld, &seq)
 
 	// Reader copies the block...
 	var s Snap8
@@ -132,13 +115,13 @@ func TestBlock8SnapshotABADetected(t *testing.T) {
 	// ...then a writer slips in a remove-then-insert before validation.
 	loBefore, hiBefore := b.MetaLo, atomic.LoadUint64(&b.MetaHi)
 	b.Lock()
-	if !b.RemoveLocked(bucket, fpOld) {
+	if !b.RemoveUnlock(bucket, fpOld, &seq) {
 		t.Fatal("remove failed")
 	}
-	if !b.InsertLocked(bucket, fpNew) {
+	b.Lock()
+	if !b.InsertUnlock(bucket, fpNew, &seq) {
 		t.Fatal("insert failed")
 	}
-	b.UnlockBump(&seq)
 
 	// Preconditions of the hazard: metadata words restored exactly,
 	// fingerprint bytes changed.
@@ -160,8 +143,7 @@ func TestBlock16SnapshotABADetected(t *testing.T) {
 	var seq atomic.Uint64
 	const bucket = 7
 	b.Lock()
-	b.InsertLocked(bucket, 0x1111)
-	b.UnlockBump(&seq)
+	b.InsertUnlock(bucket, 0x1111, &seq)
 
 	var s Snap16
 	if !b.snapRead(&seq, &s) {
@@ -169,13 +151,13 @@ func TestBlock16SnapshotABADetected(t *testing.T) {
 	}
 	metaBefore := atomic.LoadUint64(&b.Meta)
 	b.Lock()
-	if !b.RemoveLocked(bucket, 0x1111) {
+	if !b.RemoveUnlock(bucket, 0x1111, &seq) {
 		t.Fatal("remove failed")
 	}
-	if !b.InsertLocked(bucket, 0x2222) {
+	b.Lock()
+	if !b.InsertUnlock(bucket, 0x2222, &seq) {
 		t.Fatal("insert failed")
 	}
-	b.UnlockBump(&seq)
 
 	if atomic.LoadUint64(&b.Meta) != metaBefore {
 		t.Fatalf("test setup: metadata word changed; not an ABA scenario")
@@ -195,8 +177,7 @@ func TestBlock8SnapshotValidatesWhenQuiescent(t *testing.T) {
 	b.Reset()
 	var seq atomic.Uint64
 	b.Lock()
-	b.InsertLocked(3, 0x42)
-	b.UnlockBump(&seq)
+	b.InsertUnlock(3, 0x42, &seq)
 	var s Snap8
 	if !b.snapRead(&seq, &s) || !b.snapValidate(&seq, &s) {
 		t.Fatal("snapshot of quiescent block failed to validate")
@@ -216,10 +197,15 @@ func TestBlock8SnapshotValidatesWhenQuiescent(t *testing.T) {
 }
 
 // TestBlock8OptimisticConcurrentStress hammers one block with locked
-// writers and lock-free optimistic readers. Run with -race: it exercises
-// the contract that every word an optimistic reader touches is published
-// atomically. Keys inserted once and never removed must always be found.
+// writers and lock-free optimistic readers, once through each kernel
+// selection. Keys inserted once and never removed must always be found.
+// Run with -race: on the generic pass it exercises the contract that every
+// word an optimistic reader touches is published atomically.
 func TestBlock8OptimisticConcurrentStress(t *testing.T) {
+	bothKernels(func() { block8OptimisticConcurrentStress(t) })
+}
+
+func block8OptimisticConcurrentStress(t *testing.T) {
 	var b Block8
 	b.Reset()
 	var seq atomic.Uint64
@@ -230,13 +216,12 @@ func TestBlock8OptimisticConcurrentStress(t *testing.T) {
 		fp     byte
 	}
 	pins := []pin{{0, 1}, {17, 2}, {42, 3}, {B8Buckets - 1, 4}}
-	b.Lock()
 	for _, p := range pins {
-		if !b.InsertLocked(p.bucket, p.fp) {
+		b.Lock()
+		if !b.InsertUnlock(p.bucket, p.fp, &seq) {
 			t.Fatal("pin insert failed")
 		}
 	}
-	b.UnlockBump(&seq)
 
 	const writers, readers = 2, 4
 	const ops = 4000
@@ -252,29 +237,24 @@ func TestBlock8OptimisticConcurrentStress(t *testing.T) {
 					k := mine[len(mine)-1]
 					mine = mine[:len(mine)-1]
 					b.Lock()
-					if !b.RemoveLocked(k.bucket, k.fp) {
+					if !b.RemoveUnlock(k.bucket, k.fp, &seq) {
 						t.Error("own churn key missing")
 					}
-					b.UnlockBump(&seq)
 					continue
 				}
 				// Churn fingerprints live in 100..255 so they never collide
 				// with the pinned ones.
 				k := pin{uint(rng.Intn(B8Buckets)), byte(100 + rng.Intn(156))}
 				b.Lock()
-				if b.InsertLocked(k.bucket, k.fp) {
-					b.UnlockBump(&seq)
+				if b.InsertUnlock(k.bucket, k.fp, &seq) {
 					mine = append(mine, k)
-				} else {
-					b.Unlock()
 				}
 			}
 			for _, k := range mine {
 				b.Lock()
-				if !b.RemoveLocked(k.bucket, k.fp) {
+				if !b.RemoveUnlock(k.bucket, k.fp, &seq) {
 					t.Error("own churn key missing at drain")
 				}
-				b.UnlockBump(&seq)
 			}
 		}(int64(w + 7))
 	}
