@@ -39,7 +39,12 @@ func init() {
 // This is the software stand-in for the PDEP-based select trick: a SWAR
 // byte-wise popcount prefix scan locates the containing byte, then a table
 // lookup finds the bit within it. The instruction count is a small constant
-// independent of x.
+// independent of x. It is the portable path only: on amd64 with BMI2 every
+// mini-filter probe, insert and remove selects with PDEP+TZCNT in
+// internal/minifilter's assembly kernels, so this body serves the other
+// builds (purego, other GOARCHes, the assembly switched off), the
+// differential reference those kernels are tested against, the blocks'
+// BucketCount accessor, and the rsqf comparator's block select.
 func Select64(x uint64, k uint) uint {
 	// Byte-wise popcounts via SWAR: spread popcount of each byte into that
 	// byte lane, then prefix-sum the lanes with a multiply.

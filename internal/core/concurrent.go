@@ -37,7 +37,12 @@ func NewCFilter8(nslots uint64, opts Options) *CFilter8 {
 // are full. Safe for concurrent use. The shortcut decision reads the
 // primary block's occupancy under its lock, so the common low-occupancy
 // insert acquires exactly one lock.
-func (f *CFilter8) Insert(h uint64) bool {
+func (f *CFilter8) Insert(h uint64) bool { return f.recordInsert(h>>blockShift8, f.insert(h)) }
+
+// insert is Insert without the bookkeeping: it reports what it did and
+// leaves the operation counters and the count to its caller (see
+// cfilter.recordInsert and cfilter.sweep).
+func (f *CFilter8) insert(h uint64) writeOutcome {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	blk1 := &f.blocks[b1]
 	seq1 := f.seq(b1)
@@ -45,20 +50,11 @@ func (f *CFilter8) Insert(h uint64) bool {
 	occ1 := blk1.OccupancyLocked()
 	if occ1 < f.thresh {
 		blk1.InsertUnlock(bucket, fp, seq1)
-		f.count.Add(1)
-		f.st.ShortcutInsert(b1)
-		return true
+		return writeShortcut
 	}
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
-		ok := blk1.InsertUnlock(bucket, fp, seq1)
-		if ok {
-			f.count.Add(1)
-			f.st.Insert(b1)
-		} else {
-			f.st.InsertFailure(b1)
-		}
-		return ok
+		return outcome(blk1.InsertUnlock(bucket, fp, seq1))
 	}
 	blk2 := &f.blocks[b2]
 	// Lock-ordering protocol: if the secondary block has the lower index,
@@ -77,14 +73,7 @@ func (f *CFilter8) Insert(h uint64) bool {
 		tgt, other, tgtSeq = blk2, blk1, f.seq(b2)
 	}
 	other.Unlock()
-	ok := tgt.InsertUnlock(bucket, fp, tgtSeq)
-	if ok {
-		f.count.Add(1)
-		f.st.Insert(b1)
-	} else {
-		f.st.InsertFailure(b1)
-	}
-	return ok
+	return outcome(tgt.InsertUnlock(bucket, fp, tgtSeq))
 }
 
 // Contains reports whether the pre-hashed key h may be in the filter. Safe
@@ -150,30 +139,23 @@ func (f *CFilter8) ContainsLocked(h uint64) bool {
 
 // Remove deletes one previously inserted instance of the pre-hashed key h.
 // Safe for concurrent use.
-func (f *CFilter8) Remove(h uint64) bool {
+func (f *CFilter8) Remove(h uint64) bool { return f.recordRemove(h>>blockShift8, f.remove(h)) }
+
+// remove is Remove without the bookkeeping; see CFilter8.insert.
+func (f *CFilter8) remove(h uint64) writeOutcome {
 	b1, bucket, fp, tag := split8(h, f.mask)
 	blk1 := &f.blocks[b1]
 	blk1.Lock()
 	if blk1.RemoveUnlock(bucket, fp, f.seq(b1)) {
-		f.count.Add(^uint64(0))
-		f.st.Remove(b1)
-		return true
+		return writeDone
 	}
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
-		f.st.RemoveMiss(b1)
-		return false
+		return writeMissed
 	}
 	blk2 := &f.blocks[b2]
 	blk2.Lock()
-	ok := blk2.RemoveUnlock(bucket, fp, f.seq(b2))
-	if ok {
-		f.count.Add(^uint64(0))
-		f.st.Remove(b1)
-	} else {
-		f.st.RemoveMiss(b1)
-	}
-	return ok
+	return outcome(blk2.RemoveUnlock(bucket, fp, f.seq(b2)))
 }
 
 // CFilter16 is the thread-safe vector quotient filter with 16-bit
@@ -191,7 +173,10 @@ func NewCFilter16(nslots uint64, opts Options) *CFilter16 {
 
 // Insert adds the pre-hashed key h. Safe for concurrent use; see
 // CFilter8.Insert.
-func (f *CFilter16) Insert(h uint64) bool {
+func (f *CFilter16) Insert(h uint64) bool { return f.recordInsert(h>>blockShift16, f.insert(h)) }
+
+// insert is Insert without the bookkeeping; see CFilter8.insert.
+func (f *CFilter16) insert(h uint64) writeOutcome {
 	b1, bucket, fp, tag := split16(h, f.mask)
 	blk1 := &f.blocks[b1]
 	seq1 := f.seq(b1)
@@ -199,20 +184,11 @@ func (f *CFilter16) Insert(h uint64) bool {
 	occ1 := blk1.OccupancyLocked()
 	if occ1 < f.thresh {
 		blk1.InsertUnlock(bucket, fp, seq1)
-		f.count.Add(1)
-		f.st.ShortcutInsert(b1)
-		return true
+		return writeShortcut
 	}
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
-		ok := blk1.InsertUnlock(bucket, fp, seq1)
-		if ok {
-			f.count.Add(1)
-			f.st.Insert(b1)
-		} else {
-			f.st.InsertFailure(b1)
-		}
-		return ok
+		return outcome(blk1.InsertUnlock(bucket, fp, seq1))
 	}
 	blk2 := &f.blocks[b2]
 	if b2 < b1 {
@@ -229,14 +205,7 @@ func (f *CFilter16) Insert(h uint64) bool {
 		tgt, other, tgtSeq = blk2, blk1, f.seq(b2)
 	}
 	other.Unlock()
-	ok := tgt.InsertUnlock(bucket, fp, tgtSeq)
-	if ok {
-		f.count.Add(1)
-		f.st.Insert(b1)
-	} else {
-		f.st.InsertFailure(b1)
-	}
-	return ok
+	return outcome(tgt.InsertUnlock(bucket, fp, tgtSeq))
 }
 
 // Contains reports whether the pre-hashed key h may be in the filter. Safe
@@ -295,28 +264,21 @@ func (f *CFilter16) ContainsLocked(h uint64) bool {
 
 // Remove deletes one previously inserted instance of the pre-hashed key h.
 // Safe for concurrent use.
-func (f *CFilter16) Remove(h uint64) bool {
+func (f *CFilter16) Remove(h uint64) bool { return f.recordRemove(h>>blockShift16, f.remove(h)) }
+
+// remove is Remove without the bookkeeping; see CFilter8.insert.
+func (f *CFilter16) remove(h uint64) writeOutcome {
 	b1, bucket, fp, tag := split16(h, f.mask)
 	blk1 := &f.blocks[b1]
 	blk1.Lock()
 	if blk1.RemoveUnlock(bucket, fp, f.seq(b1)) {
-		f.count.Add(^uint64(0))
-		f.st.Remove(b1)
-		return true
+		return writeDone
 	}
 	b2 := hashing.AltIndex(b1, tag, f.mask)
 	if b2 == b1 {
-		f.st.RemoveMiss(b1)
-		return false
+		return writeMissed
 	}
 	blk2 := &f.blocks[b2]
 	blk2.Lock()
-	ok := blk2.RemoveUnlock(bucket, fp, f.seq(b2))
-	if ok {
-		f.count.Add(^uint64(0))
-		f.st.Remove(b1)
-	} else {
-		f.st.RemoveMiss(b1)
-	}
-	return ok
+	return outcome(blk2.RemoveUnlock(bucket, fp, f.seq(b2)))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,6 +87,60 @@ func TestCFilter16BatchRoundTrip(t *testing.T) {
 	}
 	if f.Count() != 0 {
 		t.Fatalf("Count = %d after full RemoveBatch", f.Count())
+	}
+}
+
+// TestCFilterParallelBatchAccounting pins the parallel batch write's
+// bookkeeping: with several workers claiming radix buckets, the per-key
+// outcomes land in the operation counters and the count moves by exactly
+// the successes, with absent keys among the removes.
+func TestCFilterParallelBatchAccounting(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	type batchFilter interface {
+		InsertBatch([]uint64) int
+		RemoveBatch([]uint64) int
+		Count() uint64
+		Stats() stats.OpCounts
+	}
+	for _, c := range []struct {
+		name string
+		f    batchFilter
+	}{
+		{"CFilter8", NewCFilter8(1<<16, Options{})},
+		{"CFilter16", NewCFilter16(1<<16, Options{})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			keys := make([]uint64, 3*minParallelBatch)
+			for i := range keys {
+				keys[i] = rng.Uint64()
+			}
+			if w := batchWorkers(len(keys), batchShards); w < 2 {
+				t.Fatalf("scenario too weak: %d keys run on %d worker", len(keys), w)
+			}
+			if got := c.f.InsertBatch(keys); got != len(keys) {
+				t.Fatalf("InsertBatch = %d, want %d", got, len(keys))
+			}
+			// Every other removal is of an absent key.
+			mixed := make([]uint64, 0, len(keys))
+			for i, h := range keys[:len(keys)/2] {
+				mixed = append(mixed, h)
+				if i%2 == 0 {
+					mixed = append(mixed, rng.Uint64())
+				}
+			}
+			if got := c.f.RemoveBatch(mixed); got != len(keys)/2 {
+				t.Fatalf("RemoveBatch = %d, want %d", got, len(keys)/2)
+			}
+			if got, want := c.f.Count(), uint64(len(keys)-len(keys)/2); got != want {
+				t.Fatalf("Count = %d, want %d", got, want)
+			}
+			st := c.f.Stats()
+			if st.Inserts != uint64(len(keys)) || st.Removes != uint64(len(keys)/2) ||
+				st.RemoveMisses != uint64(len(mixed)-len(keys)/2) || st.BatchKeys != uint64(len(keys)+len(mixed)) {
+				t.Fatalf("counters %+v after %d inserts, %d removes of which %d hit", st, len(keys), len(mixed), len(keys)/2)
+			}
+		})
 	}
 }
 

@@ -165,10 +165,32 @@ func (s *lockState) fallbackEvent(b uint64, retries uint) {
 // operations call: the writes for every key of a batch, the lookup only
 // for keys the batch kernel hands back (or all of them where it is
 // unavailable).
+//
+// The writes report their outcome and leave the operation counters and
+// the count to their caller: Insert and Remove record one key at once
+// (recordInsert, recordRemove), a batch range records its totals when it
+// ends (writeKeys, sweep). The lookup counts on the stats stripe sel.
 type keyOps interface {
-	Insert(h uint64) bool
-	Remove(h uint64) bool
+	insert(h uint64) writeOutcome
+	remove(h uint64) writeOutcome
 	contains(h, sel uint64) bool
+}
+
+// writeOutcome is what one key's insert or remove did.
+type writeOutcome uint8
+
+const (
+	writeMissed   writeOutcome = iota // insert refused (both blocks full), or remove found nothing
+	writeDone                         // two-choice insert, or remove
+	writeShortcut                     // insert through the single-block shortcut
+)
+
+// outcome maps a write's success to writeDone or writeMissed.
+func outcome(ok bool) writeOutcome {
+	if ok {
+		return writeDone
+	}
+	return writeMissed
 }
 
 // cfilter is the shell of the thread-safe CFilter8 and CFilter16.
@@ -320,42 +342,91 @@ func (f *cfilter[B, P]) RemoveBatch(hs []uint64) int {
 	return f.sweep(hs, batchWorkers(len(hs), batchShards), true)
 }
 
+// recordInsert counts one key's insert outcome o on stats stripe sel and,
+// when it succeeded, in the count, and reports whether it did.
+func (f *cfilter[B, P]) recordInsert(sel uint64, o writeOutcome) bool {
+	switch o {
+	case writeShortcut:
+		f.st.ShortcutInsert(sel)
+	case writeDone:
+		f.st.Insert(sel)
+	default:
+		f.st.InsertFailure(sel)
+		return false
+	}
+	f.count.Add(1)
+	return true
+}
+
+// recordRemove is recordInsert for a remove.
+func (f *cfilter[B, P]) recordRemove(sel uint64, o writeOutcome) bool {
+	if o == writeMissed {
+		f.st.RemoveMiss(sel)
+		return false
+	}
+	f.st.Remove(sel)
+	f.count.Add(^uint64(0))
+	return true
+}
+
 // sweep counts hs as one batch and inserts every key, or removes it when
 // remove is set, radix-grouped by primary block when the batch is long
 // enough to pay off, with w workers claiming the radix buckets. It returns
-// the number of successes. The sort buffer is the parked one, and only the
+// the number of successes. The bookkeeping is per range, not per key: each
+// worker's range adds its outcome totals to one stats stripe, and the
+// count moves once, by the batch's total, at the end. Per-key adds from
+// every worker to the one count word, and to stripes picked by each key's
+// block, bounced those cache lines between the workers' cores on nearly
+// every write, which made a two-worker batch slower than the same keys
+// written one at a time. The sort buffer is the parked one, and only the
 // parallel path builds a closure, so one worker allocates nothing.
 func (f *cfilter[B, P]) sweep(hs []uint64, w int, remove bool) int {
 	f.st.Batch(len(hs))
+	n := f.writeSorted(hs, w, remove)
+	if remove {
+		f.count.Add(-uint64(n))
+	} else {
+		f.count.Add(uint64(n))
+	}
+	return n
+}
+
+// writeSorted is sweep without the batch and count bookkeeping.
+func (f *cfilter[B, P]) writeSorted(hs []uint64, w int, remove bool) int {
 	if len(hs) < minBatchPartition {
-		return writeKeys(f.ops, hs, remove)
+		return f.writeKeys(hs, remove)
 	}
 	buf := f.sorts.take(len(hs))
 	defer f.sorts.park(buf)
 	sorted, bounds := radixSort(hs, *buf, blockDigit(f.mask, f.geo.BlockShift))
 	if w == 1 {
-		return writeKeys(f.ops, sorted, remove) // the buckets, in order
+		return f.writeKeys(sorted, remove) // the buckets, in order
 	}
-	n, _ := claim(w, bounds[:], func(lo, hi, _ int) int { return writeKeys(f.ops, sorted[lo:hi], remove) })
+	n, _ := claim(w, bounds[:], func(lo, hi, _ int) int { return f.writeKeys(sorted[lo:hi], remove) })
 	return n
 }
 
-// writeKeys inserts every key of hs through k, or removes it when remove is
-// set, and returns the number of successes.
-func writeKeys(k keyOps, hs []uint64, remove bool) int {
-	n := 0
-	for _, h := range hs {
-		var ok bool
-		if remove {
-			ok = k.Remove(h)
-		} else {
-			ok = k.Insert(h)
-		}
-		if ok {
-			n++
-		}
+// writeKeys inserts every key of hs, or removes it when remove is set,
+// returns the number of successes, and adds the outcomes to the operation
+// counters on the stats stripe of hs's first key, as a batch lookup range
+// does (see containsRange). The count is the caller's.
+func (f *cfilter[B, P]) writeKeys(hs []uint64, remove bool) int {
+	if len(hs) == 0 {
+		return 0
 	}
-	return n
+	var tally [3]int // by writeOutcome
+	if remove {
+		for _, h := range hs {
+			tally[f.ops.remove(h)]++
+		}
+		f.st.Removed(hs[0], tally[writeDone], tally[writeMissed])
+	} else {
+		for _, h := range hs {
+			tally[f.ops.insert(h)]++
+		}
+		f.st.Inserted(hs[0], tally[writeDone]+tally[writeShortcut], tally[writeShortcut], tally[writeMissed])
+	}
+	return tally[writeDone] + tally[writeShortcut]
 }
 
 // Geometry returns the filter's block geometry.

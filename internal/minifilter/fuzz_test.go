@@ -19,9 +19,67 @@ func FuzzBlock8OpSequence(f *testing.F) {
 	f.Add([]byte{0, 10, 42, 0, 10, 42, 1, 10, 42, 2, 10, 42})
 	f.Add([]byte{0, 79, 255, 2, 79, 255, 1, 79, 255})
 	f.Add(make([]byte, 300)) // many op-0 on bucket 0
+	f.Add(edgeStream8())
+	f.Add(wordBoundaryStream8())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayBothModes(t, func(locked bool) ([]uint64, []bool) { return replay8(t, data, locked) })
 	})
+}
+
+// Op stream builders for the fuzz seeds: op 0 inserts, 1 removes, 2 looks
+// up. An 8-bit op is (op, bucket, fingerprint); a 16-bit one is (op, bucket,
+// fingerprint low byte, high byte).
+func op8(op, bucket, fp byte) []byte { return []byte{op, bucket, fp} }
+
+func op16(op, bucket byte, fp uint16) []byte { return []byte{op, bucket, byte(fp), byte(fp >> 8)} }
+
+// edgeStream8 fills a block through its last bucket, every insert landing at
+// z = occupancy, to one slot short of full; fills it through bucket 0
+// (z = 0); is refused a further insert; and removes from the full block at
+// both ends.
+func edgeStream8() []byte {
+	var s []byte
+	for i := 0; i < B8Slots-1; i++ {
+		s = append(s, op8(0, B8Buckets-1, byte(i))...)
+	}
+	s = append(s, op8(2, B8Buckets-1, 5)...)
+	s = append(s, op8(0, 0, 200)...)
+	s = append(s, op8(0, 3, 9)...)
+	s = append(s, op8(1, B8Buckets-1, 0)...)
+	s = append(s, op8(1, 0, 200)...)
+	s = append(s, op8(1, B8Buckets-1, B8Slots-2)...)
+	return s
+}
+
+// wordBoundaryStream8 moves bucket 63's terminator across the 64-bit word
+// boundary and then inserts and removes on both sides of it: after one
+// fingerprint in bucket 0 the first insert into bucket 62 selects bit 63
+// and the second bit 64.
+func wordBoundaryStream8() []byte {
+	var s []byte
+	for _, o := range [][3]byte{
+		{0, 0, 0xaa}, {0, 62, 1}, {0, 62, 2}, {0, 63, 3}, {0, 64, 4}, {0, 61, 5},
+		{2, 63, 3}, {1, 62, 1}, {1, 63, 3}, {1, 0, 0xaa}, {2, 64, 4}, {1, 64, 4},
+		{1, 62, 2}, {1, 61, 5},
+	} {
+		s = append(s, op8(o[0], o[1], o[2])...)
+	}
+	return s
+}
+
+// edgeStream16 is edgeStream8 for Block16.
+func edgeStream16() []byte {
+	var s []byte
+	for i := 0; i < B16Slots-1; i++ {
+		s = append(s, op16(0, B16Buckets-1, uint16(i)<<4|1)...)
+	}
+	s = append(s, op16(2, B16Buckets-1, 5<<4|1)...)
+	s = append(s, op16(0, 0, 0xbeef)...)
+	s = append(s, op16(0, 3, 9)...)
+	s = append(s, op16(1, B16Buckets-1, 1)...)
+	s = append(s, op16(1, 0, 0xbeef)...)
+	s = append(s, op16(1, B16Buckets-1, (B16Slots-2)<<4|1)...)
+	return s
 }
 
 // replay8 runs one FuzzBlock8OpSequence stream against the model, in locked
@@ -92,6 +150,7 @@ func replay8(t *testing.T, data []byte, locked bool) ([]uint64, []bool) {
 func FuzzBlock16OpSequence(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 2, 2, 5, 1, 2, 1, 5, 1, 2})
 	f.Add([]byte{0, 35, 255, 255, 1, 35, 255, 255})
+	f.Add(edgeStream16())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayBothModes(t, func(locked bool) ([]uint64, []bool) { return replay16(t, data, locked) })
 	})

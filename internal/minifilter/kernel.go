@@ -9,15 +9,19 @@ import (
 	"vqf/internal/telemetry"
 )
 
-// Kernel dispatch. Every bucket search — lookup, remove, and the
-// slot-reporting variants, in plain, locked and optimistic mode — runs
-// probe8/probe16, and every locked-mode write commits through
-// commit8/commit16 (locked.go). On amd64 (without purego) on a CPU with
-// BMI1, BMI2 and POPCNT those are assembly routines (kernel_amd64.s);
-// everywhere else, or with the assembly switched off, they are the portable
-// bodies (probe8Generic/probe16Generic, commit8Generic/commit16Generic),
-// which are also the differential reference the parity tests compare the
-// assembly against.
+// Kernel dispatch. Every bucket search — lookup and the slot-reporting
+// variants, in plain, locked and optimistic mode — runs probe8/probe16;
+// every insert and remove, in plain mode and on the locked path's private
+// copy, runs insertSlot8/insertSlot16 and removeSlot8/removeSlot16; and
+// every locked-mode write commits through commit8/commit16 (locked.go). On
+// amd64 (without purego) on a CPU with BMI1, BMI2 and POPCNT those are
+// assembly routines (kernel_amd64.s): the fused probes, the fused write
+// kernels (PDEP select, BZHI/ANDN metadata shift and SSE2 lane shift in one
+// branch-free routine per width and op) and the ordered-store commits.
+// Everywhere else, or with the assembly switched off, they are the portable
+// bodies (probe8Generic, insertSlot8Generic, removeSlot8Generic,
+// commit8Generic and their 16-bit twins), which are also the differential
+// reference the parity tests compare the assembly against.
 //
 // The switch is a package-level atomic so one process can benchmark both
 // paths (vqfbench -kernels-impl, the asm-vs-generic regression gate) and so
@@ -89,12 +93,18 @@ func probe16Generic(meta uint64, fps *[swar.Words16]uint64, bucket uint, bcast u
 	return swar.Match28Range(fps, bcast, start, end)
 }
 
-// insertSlot8 makes room for fp at the head of bucket and stores it, mutating
-// fps in place, and returns the updated metadata words plus the slot index
-// used. The funnel shift moves the whole lane tail, so occupancy is not
-// needed here — the caller must have verified the block is not full (lanes at
-// and above occupancy are zero, so nothing real falls off the top).
-func insertSlot8(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, fp byte) (newLo, newHi uint64, z int) {
+// insertSlot8Generic makes room for fp at the head of bucket and stores it,
+// mutating fps in place, and returns the updated metadata words plus the
+// slot index used. The funnel shift moves the whole lane tail, so occupancy
+// is not needed here — the caller must have verified the block is not full
+// (lanes at and above occupancy are zero, so nothing real falls off the
+// top).
+//
+// This is the portable body behind insertSlot8, which is build-tagged like
+// probe8: on amd64 (without purego) it runs the fused write kernel
+// insert8Asm, and it runs this body where the assembly is unsupported or
+// switched off.
+func insertSlot8Generic(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, fp byte) (newLo, newHi uint64, z int) {
 	m := bitvec.Select128(lo, hi, bucket)
 	z = int(m - bucket)
 	swar.InsertLane8(fps, z, fp)
@@ -102,24 +112,27 @@ func insertSlot8(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, fp byte) 
 	return
 }
 
-// insertSlot16 is the 16-bit-fingerprint analog of insertSlot8.
-func insertSlot16(meta uint64, fps *[swar.Words16]uint64, bucket uint, fp uint16) (newMeta uint64, z int) {
+// insertSlot16Generic is the 16-bit-fingerprint analog of
+// insertSlot8Generic.
+func insertSlot16Generic(meta uint64, fps *[swar.Words16]uint64, bucket uint, fp uint16) (newMeta uint64, z int) {
 	m := bitvec.Select64(meta, bucket)
 	z = int(m - bucket)
 	swar.InsertLane16(fps, z, fp)
 	return bitvec.InsertZero64(meta, m), z
 }
 
-// removeSlot8 deletes one instance of the pre-broadcast fingerprint from
-// bucket, mutating fps in place, and returns the updated metadata words plus
-// the slot index freed — or z = −1 with fps untouched when the fingerprint is
-// absent. hiSel is the select form of the high word (top bit forced in locked
-// mode); hiLog is the arithmetic form fed to the metadata shift (top bit set
-// only when it is a real terminator, i.e. the block is full). Plain callers
-// pass the stored word for both. The down shift feeds zero at the top, so
-// the freed lane needs no explicit clear and occupancy is not consulted.
-func removeSlot8(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) (newLo, newHi uint64, z int) {
-	mask := probe8(lo, hiSel, fps, bucket, bcast)
+// removeSlot8Generic deletes one instance of the pre-broadcast fingerprint
+// from bucket, mutating fps in place, and returns the updated metadata
+// words plus the slot index freed — or z = −1 with fps untouched when the
+// fingerprint is absent. hiSel is the select form of the high word (top bit
+// forced in locked mode); hiLog is the arithmetic form fed to the metadata
+// shift (top bit set only when it is a real terminator, i.e. the block is
+// full). Plain callers pass the stored word for both. The down shift feeds
+// zero at the top, so the freed lane needs no explicit clear and occupancy
+// is not consulted. It is the portable body behind removeSlot8 (see
+// insertSlot8Generic), whose fused kernel is remove8Asm.
+func removeSlot8Generic(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) (newLo, newHi uint64, z int) {
+	mask := probe8Generic(lo, hiSel, fps, bucket, bcast)
 	if mask == 0 {
 		return lo, hiLog, -1
 	}
@@ -129,9 +142,10 @@ func removeSlot8(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint,
 	return
 }
 
-// removeSlot16 is the 16-bit-fingerprint analog of removeSlot8.
-func removeSlot16(metaSel, metaLog uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) (newMeta uint64, z int) {
-	mask := probe16(metaSel, fps, bucket, bcast)
+// removeSlot16Generic is the 16-bit-fingerprint analog of
+// removeSlot8Generic.
+func removeSlot16Generic(metaSel, metaLog uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) (newMeta uint64, z int) {
+	mask := probe16Generic(metaSel, fps, bucket, bcast)
 	if mask == 0 {
 		return metaLog, -1
 	}

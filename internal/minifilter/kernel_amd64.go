@@ -53,6 +53,34 @@ func probe16(meta uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) 
 	return probe16Generic(meta, fps, bucket, bcast)
 }
 
+func insertSlot8(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, fp byte) (newLo, newHi uint64, z int) {
+	if useAsm.Load() {
+		return insert8Asm(lo, hi, fps, bucket, fp)
+	}
+	return insertSlot8Generic(lo, hi, fps, bucket, fp)
+}
+
+func insertSlot16(meta uint64, fps *[swar.Words16]uint64, bucket uint, fp uint16) (newMeta uint64, z int) {
+	if useAsm.Load() {
+		return insert16Asm(meta, fps, bucket, fp)
+	}
+	return insertSlot16Generic(meta, fps, bucket, fp)
+}
+
+func removeSlot8(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) (newLo, newHi uint64, z int) {
+	if useAsm.Load() {
+		return remove8Asm(lo, hiSel, hiLog, fps, bucket, bcast)
+	}
+	return removeSlot8Generic(lo, hiSel, hiLog, fps, bucket, bcast)
+}
+
+func removeSlot16(metaSel, metaLog uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) (newMeta uint64, z int) {
+	if useAsm.Load() {
+		return remove16Asm(metaSel, metaLog, fps, bucket, bcast)
+	}
+	return removeSlot16Generic(metaSel, metaLog, fps, bucket, bcast)
+}
+
 func commit8(b *Block8, fps *[swar.Words8]uint64, lo, hi uint64, seq *atomic.Uint64) {
 	if useAsm.Load() {
 		commit8Asm(b, fps, lo, hi, seq)
@@ -110,6 +138,35 @@ func fusedProbe8Asm(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, bcast 
 //
 //go:noescape
 func fusedProbe16Asm(meta uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) uint64
+
+// insert8Asm is insertSlot8Generic in one branch-free assembly routine:
+// the PDEP/TZCNT select of the bucket's terminator (both word candidates,
+// picked by CMOV), the metadata zero inserted with BZHI/ANDN, and the SSE2
+// lane shift with the fingerprint blended in through keep and insert lane
+// masks. Requires hasAsm and valid metadata with room for one more
+// fingerprint, as insertSlot8Generic does.
+//
+//go:noescape
+func insert8Asm(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, fp byte) (newLo, newHi uint64, z int)
+
+// insert16Asm is insert8Asm for Block16 (one metadata word, 28 two-byte
+// lanes in three SSE2 words and an 8-byte tail).
+//
+//go:noescape
+func insert16Asm(meta uint64, fps *[swar.Words16]uint64, bucket uint, fp uint16) (newMeta uint64, z int)
+
+// remove8Asm is removeSlot8Generic in one assembly routine: the branch-free
+// probe of probeBatch8Asm, then, when the fingerprint is present, the SSE2
+// lane shift-down and the metadata bit removal with BZHI/ANDN. Requires
+// hasAsm and valid metadata.
+//
+//go:noescape
+func remove8Asm(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) (newLo, newHi uint64, z int)
+
+// remove16Asm is remove8Asm for Block16.
+//
+//go:noescape
+func remove16Asm(metaSel, metaLog uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) (newMeta uint64, z int)
 
 // probeBatchChunk bounds the keys one batch-kernel call handles. Assembly
 // cannot be preempted asynchronously, so a single call over a huge batch

@@ -213,6 +213,12 @@ empty16:
 // destination first: on some cores its output carries a false dependency
 // that would chain one key's select to the previous key's.
 //
+// Each per-key loop head sits behind PCALIGN $64, which pads it to a cache
+// line and raises the routine's own alignment to match, so code added
+// elsewhere in the binary cannot slide the loop across fetch and uop-cache
+// boundaries and move the kernel benchmarks with it. The write kernels
+// align their entries the same way.
+//
 // Registers: DI blocks, SI/R9 one past the end of hs/out, CX the negative
 // remaining count, BX bucket, AX and R10 the two block byte offsets (each
 // then holds its block's match mask), X0 the broadcast fingerprint; DX, R8
@@ -283,6 +289,7 @@ TEXT ·probeBatch8Asm(SB), NOSPLIT, $0-40
 	LEAQ    (SI)(CX*8), SI
 	ADDQ    CX, R9
 	NEGQ    CX
+	PCALIGN $64
 
 loop8:
 	MOVQ    (SI)(CX*8), AX      // h
@@ -362,6 +369,7 @@ TEXT ·probeBatch16Asm(SB), NOSPLIT, $0-40
 	LEAQ    (SI)(CX*8), SI
 	ADDQ    CX, R9
 	NEGQ    CX
+	PCALIGN $64
 
 loop16:
 	MOVQ    (SI)(CX*8), AX      // h
@@ -445,6 +453,7 @@ TEXT ·probeLocked8Asm(SB), NOSPLIT, $48-48
 	LEAQ    (SI)(CX*8), SI
 	ADDQ    CX, R9
 	NEGQ    CX
+	PCALIGN $64
 
 lockedLoop8:
 	MOVQ    (SI)(CX*8), AX      // h
@@ -540,6 +549,7 @@ TEXT ·probeLocked16Asm(SB), NOSPLIT, $48-48
 	LEAQ    (SI)(CX*8), SI
 	ADDQ    CX, R9
 	NEGQ    CX
+	PCALIGN $64
 
 lockedLoop16:
 	MOVQ    (SI)(CX*8), AX      // h
@@ -617,6 +627,416 @@ lockedConflict16:
 	MOVQ    n+32(FP), AX
 	ADDQ    CX, AX              // the conflicted key's index
 	MOVQ    AX, ret+40(FP)
+	RET
+
+// Fused write kernels: one routine per width and op does everything an
+// insert or a remove changes in a block, with no call in the middle and no
+// branch on the bucket's position.
+//
+// Insert. The bucket's terminator m = select(meta, bucket) is found as in
+// SELECT128 (both word candidates, CMOV), the new fingerprint's slot is
+// z = m - bucket, and the metadata zero goes in at m:
+//
+//	new = meta&M | (meta&^M)<<1,    M = the bits below m
+//
+// over the 128-bit (or 64-bit) word. Mlo = BZHI(-1, m) is all ones once m
+// reaches the high word, and Mhi is BZHI(-1, m-64) picked by the same CMOV
+// as m, else zero. The fingerprint lanes are shifted up one lane with
+// PSLLO/PSRLO (PSLLDQ/PSRLDQ, the carry lane ORed in from the word below),
+// and each 16-byte word is blended from three sources by two lane masks read
+// out of laneMask: keep K (lanes below z: the old lane), insert K' (lanes up
+// to z: the new fingerprint where K is clear), and elsewhere the shifted
+// lane. Each blend is x ^ ((x ^ y) & mask), three SSE2 ops.
+//
+// Remove. The match runs as in MATCH8/MATCH16 (branch-free range), the
+// first match z is freed, and the metadata bit at p = z + bucket is removed:
+//
+//	new = meta&M | (meta>>1)&^M,    M = the bits below p
+//
+// with the lanes above z shifted down one lane, zero fed in at the top. An
+// absent fingerprint returns the words unchanged and z = -1 before any
+// store.
+//
+// Every mask-table load stays inside laneMask whatever the metadata: an
+// insert reduces z modulo the lane count's power of two, and a remove's z
+// is the TZCNT of a nonzero lane mask (below 48, or 32 for 16-bit lanes).
+// Invalid metadata yields a wrong block, never an out-of-bounds load, and
+// the fingerprint loads and stores touch exactly the block's lanes.
+
+// laneMask is 64 bytes of 0xff followed by 64 bytes of 0x00: the n-byte
+// prefix mask of any window starts at laneMask+64-n.
+DATA laneMask<>+0(SB)/8, $-1
+DATA laneMask<>+8(SB)/8, $-1
+DATA laneMask<>+16(SB)/8, $-1
+DATA laneMask<>+24(SB)/8, $-1
+DATA laneMask<>+32(SB)/8, $-1
+DATA laneMask<>+40(SB)/8, $-1
+DATA laneMask<>+48(SB)/8, $-1
+DATA laneMask<>+56(SB)/8, $-1
+DATA laneMask<>+64(SB)/8, $0
+DATA laneMask<>+72(SB)/8, $0
+DATA laneMask<>+80(SB)/8, $0
+DATA laneMask<>+88(SB)/8, $0
+DATA laneMask<>+96(SB)/8, $0
+DATA laneMask<>+104(SB)/8, $0
+DATA laneMask<>+112(SB)/8, $0
+DATA laneMask<>+120(SB)/8, $0
+GLOBL laneMask<>(SB), RODATA|NOPTR, $128
+
+// BLEND(mask, y, x): x = mask ? y : x, bytewise; y is clobbered.
+#define BLEND(mask, y, x) \
+	PXOR    x, y; \
+	PAND    mask, y; \
+	PXOR    y, x
+
+// func insert8Asm(lo, hi uint64, fps *[6]uint64, bucket uint, fp byte) (newLo, newHi uint64, z int)
+TEXT ·insert8Asm(SB), NOSPLIT, $0-64
+	PCALIGN $64
+	MOVQ    lo+0(FP), R8
+	MOVQ    hi+8(FP), R9
+	MOVQ    bucket+24(FP), BX
+	XORL    DX, DX
+	POPCNTQ R8, DX              // terminators in lo
+	XORL    R10, R10
+	BTSQ    BX, R10
+	PDEPQ   R8, R10, R10
+	TZCNTQ  R10, R10            // m if terminator bucket is in lo
+	MOVQ    BX, R11
+	SUBQ    DX, R11
+	XORL    R12, R12
+	BTSQ    R11, R12
+	PDEPQ   R9, R12, R12
+	TZCNTQ  R12, R12            // m - 64 if it is in hi
+	MOVQ    $-1, R13
+	BZHIQ   R12, R13, R13       // Mhi candidate
+	ADDQ    $64, R12
+	XORL    R15, R15
+	CMPQ    BX, DX
+	CMOVQCC R12, R10            // m
+	CMOVQCC R13, R15            // Mhi
+	MOVQ    $-1, R14
+	BZHIQ   R10, R14, R14       // Mlo
+	ANDNQ   R8, R14, R11        // lo &^ Mlo
+	ANDQ    R14, R8
+	LEAQ    (R8)(R11*2), R8     // new lo
+	SHRQ    $63, R11            // bit 63 carries into hi
+	ANDNQ   R9, R15, R12        // hi &^ Mhi
+	ANDQ    R15, R9
+	ORQ     R11, R9
+	LEAQ    (R9)(R12*2), R9     // new hi
+	SUBQ    BX, R10             // z = m - bucket
+	MOVQ    R8, newLo+40(FP)
+	MOVQ    R9, newHi+48(FP)
+	MOVQ    R10, z+56(FP)
+
+	MOVBQZX fp+32(FP), AX
+	MOVQ    $0x0101010101010101, DX
+	IMULQ   DX, AX
+	MOVQ    AX, X0
+	PUNPCKLQDQ X0, X0           // fp in every lane
+	ANDQ    $63, R10
+	LEAQ    laneMask<>+64(SB), DI
+	SUBQ    R10, DI             // K at DI, K' at DI-1
+	MOVQ    fps+16(FP), SI
+	MOVOU   (SI), X1
+	MOVOU   16(SI), X2
+	MOVOU   32(SI), X3
+	MOVO    X1, X4
+	PSLLO   $1, X4              // lanes shifted up: word 0
+	MOVO    X1, X8
+	PSRLO   $15, X8
+	MOVO    X2, X5
+	PSLLO   $1, X5
+	POR     X8, X5              // word 1
+	MOVO    X2, X8
+	PSRLO   $15, X8
+	MOVO    X3, X6
+	PSLLO   $1, X6
+	POR     X8, X6              // word 2
+	MOVOU   -1(DI), X8
+	MOVO    X0, X9
+	BLEND(X8, X9, X4)           // fp at lanes <= z
+	MOVOU   (DI), X8
+	BLEND(X8, X1, X4)           // old lanes below z
+	MOVOU   15(DI), X8
+	MOVO    X0, X9
+	BLEND(X8, X9, X5)
+	MOVOU   16(DI), X8
+	BLEND(X8, X2, X5)
+	MOVOU   31(DI), X8
+	MOVO    X0, X9
+	BLEND(X8, X9, X6)
+	MOVOU   32(DI), X8
+	BLEND(X8, X3, X6)
+	MOVOU   X4, (SI)
+	MOVOU   X5, 16(SI)
+	MOVOU   X6, 32(SI)
+	RET
+
+// func insert16Asm(meta uint64, fps *[7]uint64, bucket uint, fp uint16) (newMeta uint64, z int)
+TEXT ·insert16Asm(SB), NOSPLIT, $0-48
+	PCALIGN $64
+	MOVQ    meta+0(FP), R8
+	MOVQ    bucket+16(FP), BX
+	XORL    R10, R10
+	BTSQ    BX, R10
+	PDEPQ   R8, R10, R10
+	TZCNTQ  R10, R10            // m
+	MOVQ    $-1, R14
+	BZHIQ   R10, R14, R14       // M
+	ANDNQ   R8, R14, R11
+	ANDQ    R14, R8
+	LEAQ    (R8)(R11*2), R8     // new meta
+	SUBQ    BX, R10             // z = m - bucket
+	MOVQ    R8, newMeta+32(FP)
+	MOVQ    R10, z+40(FP)
+
+	MOVWQZX fp+24(FP), AX
+	MOVQ    $0x0001000100010001, DX
+	IMULQ   DX, AX
+	MOVQ    AX, X0
+	PUNPCKLQDQ X0, X0           // fp in every lane
+	ANDQ    $31, R10
+	LEAQ    laneMask<>+64(SB), DI
+	SUBQ    R10, DI
+	SUBQ    R10, DI             // K at DI, K' at DI-2
+	MOVQ    fps+8(FP), SI
+	MOVOU   (SI), X1
+	MOVOU   16(SI), X2
+	MOVOU   32(SI), X3
+	MOVQ    48(SI), X7          // lanes 24..27
+	MOVO    X1, X4
+	PSLLO   $2, X4              // lanes shifted up: word 0
+	MOVO    X1, X8
+	PSRLO   $14, X8
+	MOVO    X2, X5
+	PSLLO   $2, X5
+	POR     X8, X5              // word 1
+	MOVO    X2, X8
+	PSRLO   $14, X8
+	MOVO    X3, X6
+	PSLLO   $2, X6
+	POR     X8, X6              // word 2
+	MOVO    X3, X8
+	PSRLO   $14, X8
+	MOVO    X7, X10
+	PSLLO   $2, X10
+	POR     X8, X10             // tail; lane 27 falls off at the store
+	MOVOU   -2(DI), X8
+	MOVO    X0, X9
+	BLEND(X8, X9, X4)
+	MOVOU   (DI), X8
+	BLEND(X8, X1, X4)
+	MOVOU   14(DI), X8
+	MOVO    X0, X9
+	BLEND(X8, X9, X5)
+	MOVOU   16(DI), X8
+	BLEND(X8, X2, X5)
+	MOVOU   30(DI), X8
+	MOVO    X0, X9
+	BLEND(X8, X9, X6)
+	MOVOU   32(DI), X8
+	BLEND(X8, X3, X6)
+	MOVQ    46(DI), X8
+	MOVO    X0, X9
+	BLEND(X8, X9, X10)
+	MOVQ    48(DI), X8
+	BLEND(X8, X7, X10)
+	MOVOU   X4, (SI)
+	MOVOU   X5, 16(SI)
+	MOVOU   X6, 32(SI)
+	MOVQ    X10, 48(SI)
+	RET
+
+// func remove8Asm(lo, hiSel, hiLog uint64, fps *[6]uint64, bucket uint, bcast uint64) (newLo, newHi uint64, z int)
+TEXT ·remove8Asm(SB), NOSPLIT, $0-72
+	PCALIGN $64
+	MOVQ    lo+0(FP), R12
+	MOVQ    hiSel+8(FP), R13
+	MOVQ    fps+24(FP), SI
+	MOVQ    bucket+32(FP), BX
+	MOVQ    bcast+40(FP), X0
+	PUNPCKLQDQ X0, X0
+	MOVOU   (SI), X1
+	MOVOU   16(SI), X2
+	MOVOU   32(SI), X3
+	MOVO    X1, X4
+	MOVO    X2, X5
+	MOVO    X3, X6
+	PCMPEQB X0, X4
+	PCMPEQB X0, X5
+	PCMPEQB X0, X6
+	PMOVMSKB X4, R14
+	PMOVMSKB X5, R11
+	SHLQ    $16, R11
+	ORQ     R11, R14
+	PMOVMSKB X6, R11
+	SHLQ    $32, R11
+	ORQ     R11, R14            // lane matches
+	SELECT128(R12, R13, R11)
+	SUBQ    BX, R11             // end
+	MOVQ    R12, R9
+	MOVQ    R13, R10
+	ADDQ    R9, R9
+	ADCQ    R10, R10
+	ORQ     $1, R9
+	SELECT128(R9, R10, AX)
+	SUBQ    BX, AX              // start
+	MOVQ    $-1, R9
+	SHLXQ   AX, R9, AX
+	BZHIQ   R11, AX, AX
+	ANDQ    R14, AX             // matches in [start, end)
+	JEQ     absent8
+	TZCNTQ  AX, AX              // z
+	MOVQ    AX, z+64(FP)
+	LEAQ    (AX)(BX*1), CX      // p = z + bucket
+	MOVQ    hiLog+16(FP), R13
+	MOVQ    $-1, R9
+	BZHIQ   CX, R9, R10         // Mlo
+	LEAQ    -64(CX), DX
+	BZHIQ   DX, R9, R11         // Mhi candidate
+	XORL    R8, R8
+	CMPQ    CX, $64
+	CMOVQCC R11, R8             // Mhi
+	MOVQ    R12, DX
+	SHRQ    $1, DX
+	MOVQ    R13, R9
+	SHLQ    $63, R9
+	ORQ     R9, DX              // low word of (hi:lo) >> 1
+	ANDNQ   DX, R10, DX
+	ANDQ    R10, R12
+	ORQ     DX, R12             // new lo
+	MOVQ    R13, DX
+	SHRQ    $1, DX
+	ANDNQ   DX, R8, DX
+	ANDQ    R8, R13
+	ORQ     DX, R13             // new hi
+	MOVQ    R12, newLo+48(FP)
+	MOVQ    R13, newHi+56(FP)
+
+	LEAQ    laneMask<>+64(SB), DI
+	SUBQ    AX, DI              // K at DI; z < 48 as the TZCNT of a nonzero 48-bit mask
+	MOVO    X2, X4
+	PSLLO   $15, X4
+	MOVO    X1, X7
+	PSRLO   $1, X7
+	POR     X4, X7              // lanes shifted down: word 0
+	MOVO    X3, X4
+	PSLLO   $15, X4
+	MOVO    X2, X8
+	PSRLO   $1, X8
+	POR     X4, X8              // word 1
+	MOVO    X3, X9
+	PSRLO   $1, X9              // word 2, zero in lane 47
+	MOVOU   (DI), X4
+	BLEND(X4, X1, X7)
+	MOVOU   16(DI), X4
+	BLEND(X4, X2, X8)
+	MOVOU   32(DI), X4
+	BLEND(X4, X3, X9)
+	MOVOU   X7, (SI)
+	MOVOU   X8, 16(SI)
+	MOVOU   X9, 32(SI)
+	RET
+
+absent8:
+	MOVQ    R12, newLo+48(FP)
+	MOVQ    hiLog+16(FP), AX
+	MOVQ    AX, newHi+56(FP)
+	MOVQ    $-1, z+64(FP)
+	RET
+
+// func remove16Asm(metaSel, metaLog uint64, fps *[7]uint64, bucket uint, bcast uint64) (newMeta uint64, z int)
+TEXT ·remove16Asm(SB), NOSPLIT, $0-56
+	PCALIGN $64
+	MOVQ    metaSel+0(FP), R12
+	MOVQ    fps+16(FP), SI
+	MOVQ    bucket+24(FP), BX
+	MOVQ    bcast+32(FP), X0
+	PUNPCKLQDQ X0, X0
+	MOVOU   (SI), X1
+	MOVOU   16(SI), X2
+	MOVOU   32(SI), X3
+	MOVQ    48(SI), X4          // lanes 24..27, zero above
+	MOVO    X1, X5
+	MOVO    X2, X6
+	MOVO    X3, X7
+	MOVO    X4, X8
+	PCMPEQW X0, X5
+	PCMPEQW X0, X6
+	PCMPEQW X0, X7
+	PCMPEQW X0, X8
+	PACKSSWB X6, X5
+	PACKSSWB X8, X7
+	PMOVMSKB X5, R14
+	PMOVMSKB X7, R11
+	SHLQ    $16, R11
+	ORQ     R11, R14            // lane matches
+	XORL    R8, R8
+	BTSQ    BX, R8              // 1 << bucket
+	PDEPQ   R12, R8, R11
+	TZCNTQ  R11, R11
+	SUBQ    BX, R11             // end
+	LEAQ    1(R12)(R12*1), R9
+	PDEPQ   R9, R8, AX
+	TZCNTQ  AX, AX
+	SUBQ    BX, AX              // start
+	MOVQ    $-1, R9
+	SHLXQ   AX, R9, AX
+	BZHIQ   R11, AX, AX         // end <= 28 strips lanes 28..31
+	ANDQ    R14, AX
+	JEQ     absent16
+	TZCNTQ  AX, AX              // z
+	MOVQ    AX, z+48(FP)
+	LEAQ    (AX)(BX*1), CX      // p = z + bucket
+	MOVQ    metaLog+8(FP), R13
+	MOVQ    $-1, R9
+	BZHIQ   CX, R9, R10         // M
+	MOVQ    R13, DX
+	SHRQ    $1, DX
+	ANDNQ   DX, R10, DX
+	ANDQ    R10, R13
+	ORQ     DX, R13
+	MOVQ    R13, newMeta+40(FP)
+
+	LEAQ    laneMask<>+64(SB), DI
+	SUBQ    AX, DI
+	SUBQ    AX, DI              // K at DI; z < 32 as the TZCNT of a 32-bit mask
+	MOVO    X2, X5
+	PSLLO   $14, X5
+	MOVO    X1, X9
+	PSRLO   $2, X9
+	POR     X5, X9              // lanes shifted down: word 0
+	MOVO    X3, X5
+	PSLLO   $14, X5
+	MOVO    X2, X10
+	PSRLO   $2, X10
+	POR     X5, X10             // word 1
+	MOVO    X4, X5
+	PSLLO   $14, X5
+	MOVO    X3, X11
+	PSRLO   $2, X11
+	POR     X5, X11             // word 2
+	MOVO    X4, X12
+	PSRLO   $2, X12             // tail, zero in lane 27
+	MOVOU   (DI), X5
+	BLEND(X5, X1, X9)
+	MOVOU   16(DI), X5
+	BLEND(X5, X2, X10)
+	MOVOU   32(DI), X5
+	BLEND(X5, X3, X11)
+	MOVQ    48(DI), X5
+	BLEND(X5, X4, X12)
+	MOVOU   X9, (SI)
+	MOVOU   X10, 16(SI)
+	MOVOU   X11, 32(SI)
+	MOVQ    X12, 48(SI)
+	RET
+
+absent16:
+	MOVQ    metaLog+8(FP), AX
+	MOVQ    AX, newMeta+40(FP)
+	MOVQ    $-1, z+48(FP)
 	RET
 
 // Write commits for locked-mode blocks. The writer holds the block's lock

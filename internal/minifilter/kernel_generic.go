@@ -21,6 +21,22 @@ func probe16(meta uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) 
 	return probe16Generic(meta, fps, bucket, bcast)
 }
 
+func insertSlot8(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, fp byte) (newLo, newHi uint64, z int) {
+	return insertSlot8Generic(lo, hi, fps, bucket, fp)
+}
+
+func insertSlot16(meta uint64, fps *[swar.Words16]uint64, bucket uint, fp uint16) (newMeta uint64, z int) {
+	return insertSlot16Generic(meta, fps, bucket, fp)
+}
+
+func removeSlot8(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) (newLo, newHi uint64, z int) {
+	return removeSlot8Generic(lo, hiSel, hiLog, fps, bucket, bcast)
+}
+
+func removeSlot16(metaSel, metaLog uint64, fps *[swar.Words16]uint64, bucket uint, bcast uint64) (newMeta uint64, z int) {
+	return removeSlot16Generic(metaSel, metaLog, fps, bucket, bcast)
+}
+
 func commit8(b *Block8, fps *[swar.Words8]uint64, lo, hi uint64, seq *atomic.Uint64) {
 	commit8Generic(b, fps, lo, hi, seq)
 }

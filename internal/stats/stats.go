@@ -211,6 +211,30 @@ func (t *Striped) Remove(sel uint64) { t.at(sel).c[opRemoves].Add(1) }
 // RemoveMiss counts a missed deletion on stripe sel.
 func (t *Striped) RemoveMiss(sel uint64) { t.at(sel).c[opRemoveMisses].Add(1) }
 
+// Inserted counts, on stripe sel, a batch range's insert outcomes: n
+// successful insertions, shortcuts of them through the shortcut path, and
+// failures rejected ones. Zero counts add nothing.
+func (t *Striped) Inserted(sel uint64, n, shortcuts, failures int) {
+	s := t.at(sel)
+	addNonZero(&s.c[opInserts], n)
+	addNonZero(&s.c[opShortcutInserts], shortcuts)
+	addNonZero(&s.c[opInsertFailures], failures)
+}
+
+// Removed counts, on stripe sel, a batch range's n successful deletions
+// and misses missed ones. Zero counts add nothing.
+func (t *Striped) Removed(sel uint64, n, misses int) {
+	s := t.at(sel)
+	addNonZero(&s.c[opRemoves], n)
+	addNonZero(&s.c[opRemoveMisses], misses)
+}
+
+func addNonZero(c *atomic.Uint64, n int) {
+	if n > 0 {
+		c.Add(uint64(n))
+	}
+}
+
 // Optimistic records one optimistic block read on stripe sel: retries is the
 // number of conflicted attempts before it resolved, and fellBack reports
 // whether it gave up and took the block lock.

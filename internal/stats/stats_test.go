@@ -90,6 +90,10 @@ func TestStripedCounts(t *testing.T) {
 				st.RemoveMiss(sel)
 				st.Optimistic(sel, 0, false)
 				st.Optimistic(sel, 2, true)
+				st.Inserted(sel, 3, 1, 2)
+				st.Removed(sel, 2, 1)
+				st.Inserted(sel, 0, 0, 0)
+				st.Removed(sel, 0, 0)
 			}
 			st.Batch(perWorker)
 		}(w)
@@ -98,8 +102,8 @@ func TestStripedCounts(t *testing.T) {
 	const n = workers * perWorker
 	got := st.Counts()
 	want := OpCounts{
-		Inserts: 2 * n, ShortcutInserts: n, InsertFailures: n,
-		Lookups: n, Removes: n, RemoveMisses: n,
+		Inserts: 5 * n, ShortcutInserts: 2 * n, InsertFailures: 3 * n,
+		Lookups: n, Removes: 3 * n, RemoveMisses: 2 * n,
 		OptAttempts: 2 * n, OptRetries: 2 * n, OptFallbacks: n,
 		BatchOps: workers, BatchKeys: n,
 	}
