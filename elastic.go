@@ -28,8 +28,7 @@ type Elastic struct {
 	front
 }
 
-// elasticImpl is the shared surface of elastic.Filter, elastic.CFilter and
-// elastic.Sharded.
+// elasticImpl is the shared surface of elastic.Filter and elastic.CFilter.
 type elasticImpl interface {
 	filterImpl
 	NumLevels() int
@@ -41,13 +40,12 @@ type elasticImpl interface {
 
 // CompactionResult summarizes one CompactNow call: the cascade depth before
 // and after, and how many source levels were rebuilt away (0 when nothing
-// qualified). On sharded filters the fields are sums over all shards.
+// qualified).
 type CompactionResult = elastic.CompactionResult
 
 // FreezeResult summarizes one FreezeNow call: the cascade depth before and
 // after, how many source VQF levels were frozen or dropped, and how many
-// immutable fuse levels they became. On sharded filters the fields are sums
-// over all shards.
+// immutable fuse levels they became.
 type FreezeResult = elastic.FreezeResult
 
 // CascadeSnapshot is the structural snapshot of an Elastic filter: an
@@ -88,15 +86,20 @@ func elasticConfig(opts []Option) (elastic.Config, config, error) {
 	return ec, c, nil
 }
 
-// newElastic is the body NewElastic, NewConcurrentElastic and
-// NewShardedElastic share: it validates opts, builds the cascade with mk
-// and attaches observability. It panics on invalid options.
-func newElastic(opts []Option, concurrent bool, mk func(ec elastic.Config) (elasticImpl, error)) *Elastic {
+// newElastic is the body NewElastic and NewConcurrentElastic share: it
+// validates opts, builds the sequential or concurrent cascade and attaches
+// observability. It panics on invalid options.
+func newElastic(opts []Option, concurrent bool) *Elastic {
 	ec, c, err := elasticConfig(opts)
 	if err != nil {
 		panic(err)
 	}
-	impl, err := mk(ec)
+	var impl elasticImpl
+	if concurrent {
+		impl, err = elastic.NewConcurrent(ec)
+	} else {
+		impl, err = elastic.New(ec)
+	}
 	if err != nil {
 		panic(err)
 	}
@@ -111,9 +114,7 @@ func newElastic(opts []Option, concurrent bool, mk func(ec elastic.Config) (elas
 // WithFalsePositiveRate (same default as New) and holds across every
 // growth. Like New it panics on invalid options.
 func NewElastic(opts ...Option) *Elastic {
-	return newElastic(opts, false, func(ec elastic.Config) (elasticImpl, error) {
-		return elastic.New(ec)
-	})
+	return newElastic(opts, false)
 }
 
 // NewConcurrentElastic returns an elastic filter safe for concurrent use by
@@ -121,9 +122,7 @@ func NewElastic(opts ...Option) *Elastic {
 // atomic pointer swap, so readers never block on it; see NewElastic for
 // sizing and options.
 func NewConcurrentElastic(opts ...Option) *Elastic {
-	return newElastic(opts, true, func(ec elastic.Config) (elasticImpl, error) {
-		return elastic.NewConcurrent(ec)
-	})
+	return newElastic(opts, true)
 }
 
 // cascade returns the impl with its cascade-only surface.
@@ -155,11 +154,10 @@ func (e *Elastic) CascadeSnapshot() CascadeSnapshot { return e.cascade().Snapsho
 // budget is untouched: each merged level inherits the summed budget of the
 // levels it replaces. The newest (actively filling) level is never merged.
 //
-// On concurrent and sharded filters the call is safe alongside live
-// traffic — lookups stay lock-free throughout and the merged levels are
-// published with the same atomic swap growth uses; removes racing the
-// compaction are reconciled so they can never resurrect in the merged
-// level. Use WithAutoCompaction to trigger compaction automatically.
+// On concurrent filters the call is safe alongside live traffic — lookups
+// stay lock-free throughout and the merged levels are published with the
+// same atomic swap growth uses; removes racing the compaction are
+// reconciled so they can never resurrect in the merged level. Use WithAutoCompaction to trigger compaction automatically.
 func (e *Elastic) CompactNow() CompactionResult { return e.cascade().CompactNow() }
 
 // FreezeNow rebuilds every qualifying run of old VQF levels into immutable
@@ -173,10 +171,10 @@ func (e *Elastic) CompactNow() CompactionResult { return e.cascade().CompactNow(
 // their budget in the fuse representation are left as they are. The newest
 // (actively filling) level is never frozen.
 //
-// On concurrent and sharded filters the call is safe alongside live
-// traffic, reusing the compaction protocol: lookups stay lock-free and
-// removes racing the freeze are reconciled against the new level. Use
-// WithAutoFreeze to trigger freezing automatically.
+// On concurrent filters the call is safe alongside live traffic, reusing
+// the compaction protocol: lookups stay lock-free and removes racing the
+// freeze are reconciled against the new level. Use WithAutoFreeze to
+// trigger freezing automatically.
 func (e *Elastic) FreezeNow() FreezeResult { return e.cascade().FreezeNow() }
 
 // WriteTo serializes the cascade (config, every level's blocks, and the

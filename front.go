@@ -27,6 +27,7 @@ type filterImpl interface {
 	Insert(h uint64) bool
 	Contains(h uint64) bool
 	Remove(h uint64) bool
+	ContainsBatch(hs []uint64, dst []bool) []bool
 	Count() uint64
 	Capacity() uint64
 	SizeBytes() uint64
@@ -160,27 +161,13 @@ func (f *front) AddHashBatch(hs []uint64) int {
 // be nil). Lookups never sort: filters walk hs in caller order through a
 // branch-free batch kernel, the concurrent and sharded ones through its
 // seqlock-validated lock-free form, split into contiguous chunks across
-// parallel workers when the batch is large. Unsharded elastic filters
-// resolve the batch level by level with a shrinking working set — keys
-// found in the newest level never touch the older ones.
+// parallel workers when the batch is large. Elastic filters resolve the
+// batch level by level with a shrinking working set — keys found in the
+// newest level never touch the older ones.
 func (f *front) ContainsHashBatch(hs []uint64, dst []bool) []bool {
 	end := telemetry.Region("vqf.batch.lookup")
 	start := time.Now()
-	var out []bool
-	if b, ok := f.impl.(interface {
-		ContainsBatch(hs []uint64, dst []bool) []bool
-	}); ok {
-		out = b.ContainsBatch(hs, dst)
-	} else {
-		out = dst
-		if cap(out) < len(hs) {
-			out = make([]bool, len(hs))
-		}
-		out = out[:len(hs)]
-		for i, h := range hs {
-			out[i] = f.impl.Contains(h)
-		}
-	}
+	out := f.impl.ContainsBatch(hs, dst)
 	f.rec.RecordBatch(telemetry.OpLookupBatch, 0, time.Since(start), len(hs))
 	end()
 	return out
@@ -233,8 +220,7 @@ func (f *front) SizeBytes() uint64 { return f.impl.SizeBytes() }
 func (f *front) Stats() OpStats { return f.impl.Stats() }
 
 // NumShards returns the filter's shard count: the (rounded-up) configured
-// count for NewSharded and NewShardedElastic, 1 for every other
-// constructor.
+// count for NewSharded, 1 for every other constructor.
 func (f *front) NumShards() int {
 	if s, ok := f.impl.(interface{ NumShards() int }); ok {
 		return s.NumShards()

@@ -1,7 +1,6 @@
-// Package bloom implements the Bloom filter family used as comparators and
-// related work in the vector quotient filter paper: the standard Bloom filter
-// [Bloom 1970], the cache-friendly blocked Bloom filter [Putze et al. 2007],
-// and the deletion-capable counting Bloom filter [Fan et al. 2000].
+// Package bloom implements the Bloom filters used as comparators in the
+// vector quotient filter paper: the standard Bloom filter [Bloom 1970] and
+// the deletion-capable counting Bloom filter [Fan et al. 2000].
 //
 // All filters consume pre-hashed 64-bit keys; the k index hashes are derived
 // with double hashing, which preserves the asymptotic false-positive rate.
@@ -42,11 +41,6 @@ func Params(n uint64, fpr float64) (m uint64, k uint) {
 // false-positive rate.
 func New(n uint64, fpr float64) *Filter {
 	m, k := Params(n, fpr)
-	return &Filter{bits: bitvec.NewBitset(m), m: m, k: k}
-}
-
-// NewExplicit creates a Bloom filter with m bits and k hash functions.
-func NewExplicit(m uint64, k uint) *Filter {
 	return &Filter{bits: bitvec.NewBitset(m), m: m, k: k}
 }
 

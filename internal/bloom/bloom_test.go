@@ -74,41 +74,6 @@ func TestBloomRemoveUnsupported(t *testing.T) {
 	}
 }
 
-func TestBlockedNoFalseNegatives(t *testing.T) {
-	f := NewBlocked(10000, 0.01)
-	rng := rand.New(rand.NewSource(3))
-	keys := make([]uint64, 10000)
-	for i := range keys {
-		keys[i] = rng.Uint64()
-		f.Insert(keys[i])
-	}
-	for _, h := range keys {
-		if !f.Contains(h) {
-			t.Fatal("false negative in blocked bloom")
-		}
-	}
-}
-
-func TestBlockedFPRReasonable(t *testing.T) {
-	const n = 20000
-	f := NewBlocked(n, 0.01)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < n; i++ {
-		f.Insert(rng.Uint64())
-	}
-	fp := 0
-	const probes = 100000
-	for i := 0; i < probes; i++ {
-		if f.Contains(rng.Uint64()) {
-			fp++
-		}
-	}
-	// Blocked filters pay block-variance: allow up to 4× the target.
-	if rate := float64(fp) / probes; rate > 0.04 {
-		t.Errorf("blocked FPR = %.4f too high", rate)
-	}
-}
-
 func TestCountingInsertRemove(t *testing.T) {
 	f := NewCounting(10000, 0.01)
 	rng := rand.New(rand.NewSource(5))
@@ -171,10 +136,6 @@ func TestSizeAccounting(t *testing.T) {
 	if c.SizeBytes() < 4*f.SizeBytes()/2 {
 		t.Errorf("counting filter not ≈4× larger: %d vs %d", c.SizeBytes(), f.SizeBytes())
 	}
-	b := NewBlocked(100000, 0.01)
-	if b.SizeBytes()%64 != 0 {
-		t.Errorf("blocked size %d not block-aligned", b.SizeBytes())
-	}
 }
 
 func BenchmarkBloomInsert(b *testing.B) {
@@ -197,12 +158,4 @@ func BenchmarkBloomContains(b *testing.B) {
 		sink = f.Contains(uint64(i) * 0x9e3779b97f4a7c15)
 	}
 	_ = sink
-}
-
-func BenchmarkBlockedInsert(b *testing.B) {
-	f := NewBlocked(uint64(b.N)+1000, 0.01)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Insert(uint64(i) * 0x9e3779b97f4a7c15)
-	}
 }

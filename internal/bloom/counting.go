@@ -1,78 +1,5 @@
 package bloom
 
-import (
-	"math/bits"
-
-	"vqf/internal/hashing"
-)
-
-// Blocked is a blocked Bloom filter [Putze et al. 2007]: each key's k bits
-// all fall in one 512-bit (cache-line) block, so operations touch exactly one
-// cache line. It trades a slightly higher false-positive rate for locality.
-type Blocked struct {
-	blocks [][8]uint64 // 512-bit blocks
-	mask   uint64
-	k      uint
-	n      uint64
-}
-
-// NewBlocked creates a blocked Bloom filter sized for n items at roughly the
-// given false-positive rate. The per-block rate is inflated by block-load
-// variance, so k is chosen one higher than the classic optimum.
-func NewBlocked(n uint64, fpr float64) *Blocked {
-	m, k := Params(n, fpr)
-	nblocks := nextPow2((m + 511) / 512)
-	return &Blocked{blocks: make([][8]uint64, nblocks), mask: nblocks - 1, k: k + 1}
-}
-
-func nextPow2(x uint64) uint64 {
-	if x < 1 {
-		return 1
-	}
-	return 1 << bits.Len64(x-1)
-}
-
-// Insert adds the pre-hashed key h. It always succeeds.
-func (f *Blocked) Insert(h uint64) bool {
-	b := &f.blocks[h&f.mask]
-	g := hashing.Mix64(h)
-	for i := uint(0); i < f.k; i++ {
-		bit := g & 511
-		g = g>>9 | g<<55 // consume 9 bits per index
-		b[bit>>6] |= 1 << (bit & 63)
-	}
-	f.n++
-	return true
-}
-
-// Contains reports whether the pre-hashed key h may be in the filter.
-func (f *Blocked) Contains(h uint64) bool {
-	b := &f.blocks[h&f.mask]
-	g := hashing.Mix64(h)
-	for i := uint(0); i < f.k; i++ {
-		bit := g & 511
-		g = g>>9 | g<<55
-		if b[bit>>6]>>(bit&63)&1 == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Remove is unsupported on a blocked Bloom filter; it always returns false.
-func (f *Blocked) Remove(uint64) bool { return false }
-
-// Count returns the number of inserted items.
-func (f *Blocked) Count() uint64 { return f.n }
-
-// Capacity mirrors Filter.Capacity for the blocked layout.
-func (f *Blocked) Capacity() uint64 {
-	return uint64(float64(len(f.blocks)*512) * 0.693 / float64(f.k))
-}
-
-// SizeBytes returns the memory footprint of the block array.
-func (f *Blocked) SizeBytes() uint64 { return uint64(len(f.blocks)) * 64 }
-
 // Counting is a counting Bloom filter [Fan et al. 2000]: each bit of the
 // standard filter becomes a 4-bit saturating counter, enabling deletion at a
 // 4× space cost.

@@ -54,8 +54,7 @@ func ShardBitsFor(n int) uint {
 
 // ShardOf returns the shard index of hash h: its top shardBits bits. For
 // shardBits == 0 the shift count is 64, which in Go yields 0 — every key
-// lands in the single shard. Every sharded filter, core or elastic, selects
-// shards with it.
+// lands in the single shard.
 func ShardOf(h uint64, shardBits uint) uint64 { return h >> (64 - shardBits) }
 
 // shardFilter is the shard surface the sharded shell uses: a concurrent

@@ -236,15 +236,3 @@ func compactTrigger(cfg Config, ls []*level) bool {
 	frozen := ls[:len(ls)-1]
 	return compactLoadOK(cfg, sumCounts(frozen), sumCapacities(frozen))
 }
-
-// CompactNow compacts every shard, summing the per-shard results.
-func (f *Sharded) CompactNow() CompactionResult {
-	var res CompactionResult
-	for _, s := range f.shards {
-		r := s.CompactNow()
-		res.LevelsBefore += r.LevelsBefore
-		res.LevelsAfter += r.LevelsAfter
-		res.LevelsMerged += r.LevelsMerged
-	}
-	return res
-}

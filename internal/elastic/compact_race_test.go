@@ -15,12 +15,7 @@ import (
 // verifies the removed keys' absence is never "undone" by a compaction
 // (the live suffix must stay visible throughout). Returns the total number
 // of keys left live.
-func compactHammer(t *testing.T, f interface {
-	Insert(uint64) bool
-	Contains(uint64) bool
-	Remove(uint64) bool
-	CompactNow() CompactionResult
-}, nWorkers, rounds, batch int) uint64 {
+func compactHammer(t *testing.T, f *CFilter, nWorkers, rounds, batch int) uint64 {
 	t.Helper()
 	var live atomic.Uint64
 	var done atomic.Bool
@@ -110,28 +105,5 @@ func TestCompactRaceConcurrent(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCompactRaceSharded runs the same hammer against a sharded cascade
-// with auto-compaction enabled on top of the explicit compaction loop.
-func TestCompactRaceSharded(t *testing.T) {
-	cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9,
-		CompactMinLevels: 4, CompactMaxLoad: 0.6}
-	f, err := NewSharded(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds, batch := 8, 1500
-	if testing.Short() {
-		rounds = 3
-	}
-	live := compactHammer(t, f, 4, rounds, batch)
-	if f.Count() != live {
-		t.Fatalf("final count %d, want %d live keys", f.Count(), live)
-	}
-	snap := f.Snapshot()
-	if snap.Compactions == 0 {
-		t.Log("warning: sharded hammer finished without a completed compaction")
 	}
 }

@@ -672,19 +672,6 @@ func (s *cascadeState) thawedLevel(lvl *level) *level {
 	return newFuseTier(fl.src, fl.f.Bits(), fl.foldBlocks, lvl.budget, keys)
 }
 
-// FreezeNow freezes every shard, summing the per-shard results.
-func (f *Sharded) FreezeNow() FreezeResult {
-	var res FreezeResult
-	for _, s := range f.shards {
-		r := s.FreezeNow()
-		res.LevelsBefore += r.LevelsBefore
-		res.LevelsAfter += r.LevelsAfter
-		res.LevelsFrozen += r.LevelsFrozen
-		res.FuseLevels += r.FuseLevels
-	}
-	return res
-}
-
 // stampFrozen records when a level left the insert path (creation for
 // merged/fuse/thawed levels, growth time for a superseded newest level).
 func stampFrozen(l *level) { l.frozenAt.Store(time.Now().UnixNano()) }

@@ -17,13 +17,7 @@ import (
 // build's remove log, and thaw rebuilds. A dedicated goroutine loops
 // FreezeNow+CompactNow the whole time. Returns the number of keys left
 // live; the lag tail (the last two rounds' batches) is never removed.
-func freezeHammer(t *testing.T, f interface {
-	Insert(uint64) bool
-	Contains(uint64) bool
-	Remove(uint64) bool
-	FreezeNow() FreezeResult
-	CompactNow() CompactionResult
-}, nWorkers, rounds, batch int) uint64 {
+func freezeHammer(t *testing.T, f *CFilter, nWorkers, rounds, batch int) uint64 {
 	t.Helper()
 	const lag = 2
 	cut := batch * 3 / 4
@@ -127,26 +121,6 @@ func TestFreezeRaceConcurrent(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFreezeRaceSharded runs the hammer against a sharded cascade with
-// auto-freeze and auto-compaction stacked on the explicit loop.
-func TestFreezeRaceSharded(t *testing.T) {
-	cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9,
-		AutoFreeze: true, FreezeMaxLoad: 1,
-		CompactMinLevels: 4, CompactMaxLoad: 0.6}
-	f, err := NewSharded(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds, batch := 8, 1500
-	if testing.Short() {
-		rounds = 3
-	}
-	live := freezeHammer(t, f, 4, rounds, batch)
-	if f.Count() != live {
-		t.Fatalf("final count %d, want %d live keys", f.Count(), live)
 	}
 }
 

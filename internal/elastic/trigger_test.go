@@ -198,23 +198,6 @@ func TestQuietCountdownNeverLate(t *testing.T) {
 	}
 }
 
-func TestQuietCountdownSharded(t *testing.T) {
-	cfg := triggerPolicies()["churn"]
-	f, err := NewSharded(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, op := range triggerWorkloads()["sliding"] {
-		if !apply(f, op) {
-			t.Fatalf("op %d (%d) failed", i, op.kind)
-		}
-		s := f.shard(op.key)
-		s.growMu.Lock()
-		checkQuiet(t, fmt.Sprintf("op %d", i), s.cfg, *s.levels.Load(), s.quiet.Load())
-		s.growMu.Unlock()
-	}
-}
-
 // structure summarizes a cascade for trace comparison: every level's kind,
 // count and capacity, plus the lifetime structural-op totals.
 func structure(f *cascadeState) string {

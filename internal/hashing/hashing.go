@@ -35,13 +35,6 @@ func Reduce32(x uint32, n uint32) uint32 {
 	return uint32(uint64(x) * uint64(n) >> 32)
 }
 
-// Reduce64 maps a uniform 64-bit value x onto [0, n) without division, using
-// only the high 32 bits of x for the reduction (sufficient for the bucket
-// counts used here, which are far below 2^32).
-func Reduce64(x uint64, n uint64) uint64 {
-	return uint64(Reduce32(uint32(x>>32), uint32(n)))
-}
-
 // AltIndex derives the partner block index for a (block, tag) pair under a
 // power-of-two block count: alt = (idx ^ (tag * Murmur3Mul)) & mask. Because
 // xor is an involution, AltIndex(AltIndex(i, tag, mask), tag, mask) == i,

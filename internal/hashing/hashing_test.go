@@ -92,16 +92,6 @@ func TestReduce32Uniformity(t *testing.T) {
 	}
 }
 
-func TestReduce64Bounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10000; i++ {
-		n := uint64(rng.Intn(1<<20) + 1)
-		if got := Reduce64(rng.Uint64(), n); got >= n {
-			t.Fatalf("Reduce64 out of range: %d >= %d", got, n)
-		}
-	}
-}
-
 func TestAltIndexInvolution(t *testing.T) {
 	f := func(idx, tag uint64, logk uint8) bool {
 		mask := uint64(1)<<(logk%24+1) - 1

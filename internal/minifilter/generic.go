@@ -7,7 +7,8 @@ import "vqf/internal/swar"
 // data-structure layout is identical (word-native fingerprint lanes,
 // addressed through the scalar lane accessors), but select, compare, and
 // shift run as plain scalar loops instead of broadword/SWAR operations. The
-// filter types expose an option to route all block operations through these.
+// §7.7 scalar filter in internal/harness (ablation.go) is their only
+// production caller; the core filters always use the fused kernels.
 
 // selectLoop128 is the naive select over the 128-bit metadata word.
 func selectLoop128(lo, hi uint64, k uint) uint {

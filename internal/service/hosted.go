@@ -55,7 +55,10 @@ type Spec struct {
 	// FPR is the target false-positive rate; 0 means the package default
 	// (the 8-bit geometry's ≈0.0047).
 	FPR float64 `json:"fpr,omitempty"`
-	// Shards is the shard count for KindSharded (0 = GOMAXPROCS).
+	// Shards is the shard count for KindSharded: Create accepts 0
+	// (GOMAXPROCS) through 256, and the filter rounds it up to a power of
+	// two. A hosted filter's spec records the count it was built or
+	// loaded with.
 	Shards int `json:"shards,omitempty"`
 	// Seed is the hash seed for raw keys; it travels in the manifest.
 	Seed uint64 `json:"seed,omitempty"`
@@ -64,6 +67,10 @@ type Spec struct {
 // nameRe bounds filter names so they are safe as snapshot file names and
 // URL path segments.
 var nameRe = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,127}$`)
+
+// maxShards mirrors the core's 256-shard clamp so Create rejects a count
+// the filter would silently cap.
+const maxShards = 256
 
 // minSupportedFPR mirrors the package's 2^-17 floor so Spec validation
 // rejects what the constructors would panic on.
@@ -194,7 +201,8 @@ func newHosted(spec Spec) (*hosted, error) {
 	case KindConcurrent:
 		h.filter = vqf.NewConcurrent(spec.Capacity, opts...)
 	case KindSharded:
-		h.filter = vqf.NewSharded(spec.Capacity, spec.Shards, opts...)
+		f := vqf.NewSharded(spec.Capacity, spec.Shards, opts...)
+		h.filter, h.spec.Shards = f, f.NumShards()
 	case KindElastic:
 		h.filter = vqf.NewElastic(append(opts, vqf.WithInitialCapacity(spec.Capacity))...)
 	case KindMap:
@@ -386,7 +394,12 @@ func readHosted(spec Spec, r io.Reader) (*hosted, error) {
 	case KindConcurrent:
 		h.filter, err = vqf.ReadConcurrent(r)
 	case KindSharded:
-		h.filter, err = vqf.Read(r) // sharded streams always load sharded
+		// Sharded streams always load sharded, with the stream's shard
+		// count whatever the manifest says.
+		var f *vqf.Filter
+		if f, err = vqf.Read(r); err == nil {
+			h.filter, h.spec.Shards = f, f.NumShards()
+		}
 	case KindElastic:
 		h.filter, err = vqf.ReadElastic(r)
 	case KindMap:

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -48,6 +49,9 @@ func (h *hosted) info() Info {
 // Create validates spec, constructs its filter, and registers it.
 // It returns ErrExists if the name is taken.
 func (r *Registry) Create(spec Spec) (Info, error) {
+	if spec.Shards < 0 || spec.Shards > maxShards {
+		return Info{}, fmt.Errorf("service: shard count %d outside [0, %d]", spec.Shards, maxShards)
+	}
 	if err := spec.normalize(); err != nil {
 		return Info{}, err
 	}

@@ -2,12 +2,16 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"vqf"
 	"vqf/internal/workload"
 )
 
@@ -270,6 +274,79 @@ func TestServerFinalSnapshot(t *testing.T) {
 	for i, ok := range found {
 		if !ok {
 			t.Fatalf("acknowledged key %d lost across restart", i)
+		}
+	}
+}
+
+// TestShardCountRecorded checks that a sharded filter's spec holds the
+// shard count the filter has: Create rejects counts outside [0, 256],
+// records the rounded-up count it built (the GOMAXPROCS default included),
+// and the snapshot manifest carries it. A warm restart takes the count
+// from the loaded stream, so a manifest written with an unbuildable count
+// still loads and reports the filter's real shards.
+func TestShardCountRecorded(t *testing.T) {
+	def := 1
+	for def < runtime.GOMAXPROCS(0) && def < maxShards {
+		def <<= 1
+	}
+	reg := NewRegistry()
+	for _, tc := range []struct {
+		shards, want int // want 0: Create must reject
+	}{
+		{-3, 0}, {0, def}, {1, 1}, {3, 4}, {4, 4}, {256, 256}, {257, 0}, {1000, 0},
+	} {
+		name := fmt.Sprintf("s%d", tc.shards)
+		info, err := reg.Create(Spec{Name: name, Kind: KindSharded, Capacity: 1 << 14, Shards: tc.shards})
+		if tc.want == 0 {
+			if err == nil {
+				t.Errorf("shards %d: accepted, recorded %d", tc.shards, info.Shards)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("shards %d: %v", tc.shards, err)
+		}
+		h, _ := reg.get(name)
+		if got := h.filter.(*vqf.Filter).NumShards(); got != tc.want || info.Shards != tc.want {
+			t.Errorf("shards %d: built %d, recorded %d, want %d", tc.shards, got, info.Shards, tc.want)
+		}
+	}
+	dir := t.TempDir()
+	man, err := reg.SnapshotTo(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := map[string]int{}
+	for _, e := range man.Filters {
+		h, _ := reg.get(e.Name)
+		if built[e.Name] = h.filter.(*vqf.Filter).NumShards(); e.Shards != built[e.Name] {
+			t.Errorf("%s: manifest records %d shards, filter has %d", e.Name, e.Shards, built[e.Name])
+		}
+	}
+
+	// Rewrite the manifest the way an older daemon wrote it: the requested
+	// count verbatim, however far from what it built.
+	legacy := []int{-3, 1000, 0, 7}
+	for i := range man.Filters {
+		man.Filters[i].Shards = legacy[i%len(legacy)]
+	}
+	buf, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, warns := LoadDir(dir)
+	if len(warns) != 0 {
+		t.Fatalf("legacy manifest: %v", warns)
+	}
+	if loaded.Len() != len(built) {
+		t.Fatalf("loaded %d filters, want %d", loaded.Len(), len(built))
+	}
+	for _, info := range loaded.List() {
+		if info.Shards != built[info.Name] {
+			t.Errorf("%s after restart: recorded %d shards, stream has %d", info.Name, info.Shards, built[info.Name])
 		}
 	}
 }

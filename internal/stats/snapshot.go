@@ -160,73 +160,3 @@ func BuildSnapshot(count, capacity, sizeBytes uint64, fprFullLoad float64, occs 
 	s.FPREstimate = fprFullLoad * s.LoadFactor
 	return s
 }
-
-// Merge combines two occupancy summaries over disjoint block sets — the
-// same cascade level observed across the shards of a sharded filter, for
-// example. Both sides must describe the same block geometry (equal
-// SlotsPerBlock); the merged moments are recomputed exactly from the summed
-// histogram, so Merge(a, b) equals BuildOccupancy over the concatenated
-// block vectors.
-func (o Occupancy) Merge(other Occupancy) Occupancy {
-	if o.Blocks == 0 {
-		return other
-	}
-	if other.Blocks == 0 {
-		return o
-	}
-	m := Occupancy{
-		SlotsPerBlock: o.SlotsPerBlock,
-		Blocks:        o.Blocks + other.Blocks,
-		Histogram:     make([]uint64, o.SlotsPerBlock+1),
-		Min:           o.Min,
-		Max:           o.Max,
-	}
-	copy(m.Histogram, o.Histogram)
-	for i, h := range other.Histogram {
-		if i < len(m.Histogram) {
-			m.Histogram[i] += h
-		}
-	}
-	if other.Min < m.Min {
-		m.Min = other.Min
-	}
-	if other.Max > m.Max {
-		m.Max = other.Max
-	}
-	var sum, sumsq float64
-	for i, h := range m.Histogram {
-		sum += float64(i) * float64(h)
-		sumsq += float64(i) * float64(i) * float64(h)
-	}
-	n := float64(m.Blocks)
-	m.Mean = sum / n
-	m.Stddev = math.Sqrt(math.Max(sumsq/n-m.Mean*m.Mean, 0))
-	m.FullBlocks = m.Histogram[m.SlotsPerBlock]
-	return m
-}
-
-// Merge combines two snapshots of disjoint same-geometry filter components
-// (shards of one level): gauges and counters are summed, occupancy
-// histograms merged, and the derived ratios recomputed. FPRFullLoad is a
-// geometry constant shared by the components and carried through.
-func (s Snapshot) Merge(other Snapshot) Snapshot {
-	m := Snapshot{
-		Count:       s.Count + other.Count,
-		Capacity:    s.Capacity + other.Capacity,
-		SizeBytes:   s.SizeBytes + other.SizeBytes,
-		FPRFullLoad: s.FPRFullLoad,
-		Occupancy:   s.Occupancy.Merge(other.Occupancy),
-		Ops:         s.Ops.Add(other.Ops),
-	}
-	if m.FPRFullLoad == 0 {
-		m.FPRFullLoad = other.FPRFullLoad
-	}
-	if m.Capacity > 0 {
-		m.LoadFactor = float64(m.Count) / float64(m.Capacity)
-	}
-	if m.Count > 0 {
-		m.BitsPerItem = float64(m.SizeBytes) * 8 / float64(m.Count)
-	}
-	m.FPREstimate = m.FPRFullLoad * m.LoadFactor
-	return m
-}

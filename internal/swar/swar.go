@@ -68,17 +68,6 @@ func matchU16B(word, bcast uint64) uint64 {
 	return ((zero >> 15) * 0x1000200040008000) >> 60
 }
 
-// MatchByteMask is the single-word VPCMPB analog against an unbroadcast
-// target byte.
-func MatchByteMask(word uint64, target byte) uint8 {
-	return uint8(matchBytesB(word, BroadcastByte(target)))
-}
-
-// MatchU16Mask is the single-word lane compare against an unbroadcast uint16.
-func MatchU16Mask(word uint64, target uint16) uint8 {
-	return uint8(matchU16B(word, BroadcastU16(target)))
-}
-
 // RangeMask returns a bitmask with bits [start, end) set. start <= end <= 64.
 func RangeMask(start, end uint) uint64 {
 	var hi uint64

@@ -36,6 +36,9 @@ func unpackLanes16(fps *[Words16]uint64) (lanes [28]uint16) {
 	return
 }
 
+// The MatchByteMask/MatchU16Mask tests check the one-word lane compares
+// (matchBytesB, matchU16B) that every block match is built from.
+
 func TestMatchByteMaskExhaustivePattern(t *testing.T) {
 	// Every target byte against words built from nearby values, which is
 	// where zero-detection tricks typically break (off-by-one lanes).
@@ -46,7 +49,7 @@ func TestMatchByteMaskExhaustivePattern(t *testing.T) {
 			data[i] = byte(target + i - 4)
 			word |= uint64(data[i]) << (8 * i)
 		}
-		got := MatchByteMask(word, byte(target))
+		got := uint8(matchBytesB(word, BroadcastByte(byte(target))))
 		var want uint8
 		for i, b := range data {
 			if b == byte(target) {
@@ -54,7 +57,7 @@ func TestMatchByteMaskExhaustivePattern(t *testing.T) {
 			}
 		}
 		if got != want {
-			t.Fatalf("MatchByteMask(%#x, %#x) = %#b, want %#b", word, target, got, want)
+			t.Fatalf("matchBytesB(%#x, %#x) = %#b, want %#b", word, target, got, want)
 		}
 	}
 }
@@ -64,7 +67,7 @@ func TestMatchByteMaskRandom(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		word := rng.Uint64()
 		target := byte(rng.Intn(256))
-		got := MatchByteMask(word, target)
+		got := uint8(matchBytesB(word, BroadcastByte(target)))
 		var want uint8
 		for lane := 0; lane < 8; lane++ {
 			if byte(word>>(8*lane)) == target {
@@ -72,7 +75,7 @@ func TestMatchByteMaskRandom(t *testing.T) {
 			}
 		}
 		if got != want {
-			t.Fatalf("MatchByteMask(%#x, %#x) = %#b, want %#b", word, target, got, want)
+			t.Fatalf("matchBytesB(%#x, %#x) = %#b, want %#b", word, target, got, want)
 		}
 	}
 }
@@ -82,7 +85,7 @@ func TestMatchU16MaskRandom(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		word := rng.Uint64()
 		target := uint16(rng.Intn(1 << 16))
-		got := MatchU16Mask(word, target)
+		got := uint8(matchU16B(word, BroadcastU16(target)))
 		var want uint8
 		for lane := 0; lane < 4; lane++ {
 			if uint16(word>>(16*lane)) == target {
@@ -90,7 +93,7 @@ func TestMatchU16MaskRandom(t *testing.T) {
 			}
 		}
 		if got != want {
-			t.Fatalf("MatchU16Mask(%#x, %#x) = %#b, want %#b", word, target, got, want)
+			t.Fatalf("matchU16B(%#x, %#x) = %#b, want %#b", word, target, got, want)
 		}
 	}
 }
@@ -98,8 +101,8 @@ func TestMatchU16MaskRandom(t *testing.T) {
 func TestMatchU16MaskAllLanesMatch(t *testing.T) {
 	for _, v := range []uint16{0, 1, 0x7fff, 0x8000, 0xffff} {
 		word := BroadcastU16(v)
-		if got := MatchU16Mask(word, v); got != 0b1111 {
-			t.Errorf("MatchU16Mask(broadcast %#x) = %#b, want 1111", v, got)
+		if got := matchU16B(word, BroadcastU16(v)); got != 0b1111 {
+			t.Errorf("matchU16B(broadcast %#x) = %#b, want 1111", v, got)
 		}
 	}
 }

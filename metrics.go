@@ -62,10 +62,9 @@ const MetricsContentType = stats.ContentType
 // series per cascade level under "name.level<i>" — the level set follows
 // the filter's growth from scrape to scrape.
 //
-// Sharded sources (NewSharded, NewShardedElastic) additionally export the
-// whole metric set once per shard with a shard="<i>" label, plus a
-// vqf_shard_imbalance gauge (max/mean of per-shard item counts, the heat
-// skew indicator). Sources with latency sampling enabled export their
+// Sharded filters (NewSharded) additionally export the whole metric set
+// once per shard with a shard="<i>" label, plus a vqf_shard_imbalance
+// gauge (max/mean of per-shard item counts, the heat skew indicator). Sources with latency sampling enabled export their
 // per-operation histograms as vqf_op_latency_seconds{filter,op} with
 // sparse cumulative buckets in seconds.
 func MetricsHandler(sources map[string]Source) http.Handler {

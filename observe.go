@@ -146,12 +146,6 @@ func EventsHandler(sources map[string]EventSource) http.Handler {
 // workload's top hash bits are skewed).
 type ShardedSnapshot = stats.ShardedSnapshot
 
-// shardedSource is the internal surface MetricsHandler uses to detect
-// sharded filters and pull their per-shard series.
-type shardedSource interface {
-	ShardedSnapshot() (ShardedSnapshot, bool)
-}
-
 // ShardedSnapshot returns the filter's per-shard snapshots and imbalance.
 // ok is false for non-sharded filters (from New or NewConcurrent), whose
 // heat view would be a single shard.
@@ -163,16 +157,6 @@ func (f *Filter) ShardedSnapshot() (ShardedSnapshot, bool) {
 		return ShardedSnapshot{}, false
 	}
 	return stats.BuildShardedSnapshot(f.Snapshot(), s.ShardSnapshots(f.FalsePositiveRate())), true
-}
-
-// ShardedSnapshot returns the elastic filter's per-shard cascade
-// aggregates and imbalance; ok is false unless built by NewShardedElastic.
-func (e *Elastic) ShardedSnapshot() (ShardedSnapshot, bool) {
-	s, ok := e.impl.(interface{ ShardSnapshots() []stats.Snapshot })
-	if !ok {
-		return ShardedSnapshot{}, false
-	}
-	return stats.BuildShardedSnapshot(e.Snapshot(), s.ShardSnapshots()), true
 }
 
 // appendShardSeries renders a sharded source's per-shard series: the same
@@ -225,8 +209,8 @@ func collectMetrics(names []string, sources map[string]Source) (snaps []stats.Na
 		default:
 			snaps = append(snaps, stats.NamedSnapshot{Name: name, Snap: src.Snapshot()})
 		}
-		if sh, ok := src.(shardedSource); ok {
-			if ss, sharded := sh.ShardedSnapshot(); sharded {
+		if f, ok := src.(*Filter); ok {
+			if ss, sharded := f.ShardedSnapshot(); sharded {
 				snaps, gauges = appendShardSeries(snaps, gauges, name, ss)
 			}
 		}

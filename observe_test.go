@@ -107,20 +107,6 @@ func TestShardedSnapshotImbalance(t *testing.T) {
 	if _, ok := NewConcurrent(1000).ShardedSnapshot(); ok {
 		t.Fatal("concurrent filter claims a shard view")
 	}
-
-	e := NewShardedElastic(4)
-	for i := uint64(0); i < 10_000; i++ {
-		if err := e.AddUint64(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ess, ok := e.ShardedSnapshot()
-	if !ok {
-		t.Fatal("sharded elastic reported no shard view")
-	}
-	if len(ess.Shards) != 4 || ess.Imbalance < 1.0 {
-		t.Fatalf("sharded elastic heat view: %d shards, imbalance %g", len(ess.Shards), ess.Imbalance)
-	}
 }
 
 // TestPublishExpvarRepublish asserts the duplicate-name fix: publishing the

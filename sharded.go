@@ -1,9 +1,6 @@
 package vqf
 
-import (
-	"vqf/internal/core"
-	"vqf/internal/elastic"
-)
+import "vqf/internal/core"
 
 // NewSharded returns a concurrent filter sized for n items and split into
 // nshards independent shards (rounded up to a power of two, clamped to
@@ -25,20 +22,5 @@ func NewSharded(n uint64, nshards int, opts ...Option) *Filter {
 			return core.NewSharded8(slots, nshards, o)
 		}
 		return core.NewSharded16(slots, nshards, o)
-	})
-}
-
-// NewShardedElastic returns a growing filter split into nshards independent
-// concurrent cascades selected by the top hash bits. Each shard grows on
-// its own schedule, so one shard appending a level never serializes inserts
-// into the others. Every query probes exactly one shard, whose cascade
-// honors the full configured false-positive budget, so the sharded filter's
-// rate is bounded by the same ε with no budget splitting. Options are as
-// for NewElastic; the configured initial capacity is divided across shards.
-//
-// Sharded elastic filters do not support serialization.
-func NewShardedElastic(nshards int, opts ...Option) *Elastic {
-	return newElastic(opts, true, func(ec elastic.Config) (elasticImpl, error) {
-		return elastic.NewSharded(ec, nshards)
 	})
 }

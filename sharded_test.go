@@ -11,7 +11,7 @@ func TestShardedFilterBasic(t *testing.T) {
 	if f.NumShards() != 4 {
 		t.Fatalf("got %d shards, want 4", f.NumShards())
 	}
-	if New(100).NumShards() != 1 {
+	if New(100).NumShards() != 1 || NewElastic().NumShards() != 1 {
 		t.Fatal("unsharded filter should report 1 shard")
 	}
 	for i := 0; i < 10000; i++ {
@@ -69,8 +69,7 @@ type hashBatcher interface {
 
 // TestFilterHashBatch checks every batch entry point against a twin
 // driven one key at a time. The elastic rows start small so the batch
-// crosses growths; elastic.Sharded has no batch methods, so its row runs
-// the per-key fallback of all three batch calls.
+// crosses growths, and run the front's per-key fallback for batch writes.
 func TestFilterHashBatch(t *testing.T) {
 	for name, mk := range map[string]func() hashBatcher{
 		"sequential":         func() hashBatcher { return New(8000) },
@@ -78,7 +77,6 @@ func TestFilterHashBatch(t *testing.T) {
 		"sharded":            func() hashBatcher { return NewSharded(8000, 4) },
 		"elastic":            func() hashBatcher { return NewElastic(WithInitialCapacity(1000)) },
 		"concurrent-elastic": func() hashBatcher { return NewConcurrentElastic(WithInitialCapacity(1000)) },
-		"sharded-elastic":    func() hashBatcher { return NewShardedElastic(4, WithInitialCapacity(1000)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			f, twin := mk(), mk()
@@ -202,41 +200,5 @@ func TestConcurrentSerializePublic(t *testing.T) {
 		if !cf.ContainsUint64(uint64(i)) {
 			t.Fatal("false negative loading sequential stream as concurrent")
 		}
-	}
-}
-
-func TestShardedElasticBasic(t *testing.T) {
-	e := NewShardedElastic(4, WithSeed(8), WithFalsePositiveRate(0.01), WithInitialCapacity(1024))
-	if e.NumShards() != 4 {
-		t.Fatalf("got %d shards, want 4", e.NumShards())
-	}
-	if NewElastic().NumShards() != 1 {
-		t.Fatal("unsharded elastic should report 1 shard")
-	}
-	const n = 50000
-	for i := 0; i < n; i++ {
-		if err := e.AddUint64(uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !e.ContainsUint64(uint64(i)) {
-			t.Fatal("false negative after elastic sharded growth")
-		}
-	}
-	if e.Count() != n {
-		t.Fatalf("count %d != %d", e.Count(), n)
-	}
-	if e.Levels() < 2 {
-		t.Fatalf("expected growth, got %d levels", e.Levels())
-	}
-	fp := 0
-	for i := 0; i < n; i++ {
-		if e.ContainsUint64(uint64(n + i)) {
-			fp++
-		}
-	}
-	if rate := float64(fp) / n; rate > 0.02 {
-		t.Fatalf("false-positive rate %g above 2x the 0.01 budget", rate)
 	}
 }

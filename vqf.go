@@ -144,10 +144,10 @@ func WithGrowthThreshold(t float64) Option {
 // checked after every growth; between growths, removes from old levels
 // only count down to the first one that could make it hold, so the check
 // costs a counter decrement per remove and still fires at the same remove
-// a check after every remove would. On concurrent and sharded filters the
-// compaction runs in a background goroutine; on sequential filters it runs
-// inline in the triggering operation. Only NewElastic, NewConcurrentElastic
-// and NewShardedElastic use it.
+// a check after every remove would. On concurrent filters the compaction
+// runs in a background goroutine; on sequential filters it runs inline in
+// the triggering operation. Only NewElastic and NewConcurrentElastic use
+// it.
 func WithAutoCompaction(minLevels int, maxLoad float64) Option {
 	return func(c *config) {
 		c.compactMinLevels = minLevels
@@ -165,10 +165,10 @@ func WithAutoCompaction(minLevels int, maxLoad float64) Option {
 // qualifies). Eligibility is checked after every growth and, like
 // WithAutoCompaction's condition and the thaw of frozen levels, after the
 // first remove from an old level that could make it hold (every remove
-// while a level is still younger than minAge). On concurrent and sharded
-// filters the freeze runs in a background goroutine; on sequential filters
-// it runs inline in the triggering operation. Only NewElastic,
-// NewConcurrentElastic and NewShardedElastic use it.
+// while a level is still younger than minAge). On concurrent filters the
+// freeze runs in a background goroutine; on sequential filters it runs
+// inline in the triggering operation. Only NewElastic and
+// NewConcurrentElastic use it.
 func WithAutoFreeze(minAge time.Duration, maxLoad float64) Option {
 	return func(c *config) {
 		c.autoFreeze = true
