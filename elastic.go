@@ -152,12 +152,17 @@ func (e *Elastic) CascadeSnapshot() CascadeSnapshot { return e.cascade().Snapsho
 // insert/remove churn. Membership is preserved exactly (every key a merged
 // level answered true for stays true) and the cascade-wide false-positive
 // budget is untouched: each merged level inherits the summed budget of the
-// levels it replaces. The newest (actively filling) level is never merged.
+// levels it replaces. The newest (actively filling) level is never merged;
+// but when it is the only level and at most half of its size would hold
+// its live set, it is shrunk: rebuilt at the right size, with the same
+// geometry and budget.
 //
 // On concurrent filters the call is safe alongside live traffic — lookups
 // stay lock-free throughout and the merged levels are published with the
 // same atomic swap growth uses; removes racing the compaction are
-// reconciled so they can never resurrect in the merged level. Use WithAutoCompaction to trigger compaction automatically.
+// reconciled so they can never resurrect in the merged level, and inserts
+// wait only while a shrink rebuilds their level. Use WithAutoCompaction to
+// trigger compaction automatically.
 func (e *Elastic) CompactNow() CompactionResult { return e.cascade().CompactNow() }
 
 // FreezeNow rebuilds every qualifying run of old VQF levels into immutable

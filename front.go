@@ -132,12 +132,15 @@ func (f *front) RemoveHash(h uint64) bool {
 
 // AddHashBatch inserts a slice of pre-hashed keys and returns the number
 // successfully inserted (the rest hit full blocks; see ErrFull). Elastic
-// filters grow instead of filling, so there it is always len(hs). Filters
-// process the keys in a cache-friendly order — sorted by block, and on
-// sharded filters sorted by shard across shard-disjoint parallel workers —
-// which is substantially faster than a loop over AddHash for large
-// batches. On concurrent filters it is safe alongside any other
-// operations.
+// filters grow instead of filling, so there it is always len(hs). Core
+// filters process the keys sorted by block, and sharded filters sorted by
+// shard across shard-disjoint parallel workers; elastic filters loop over
+// their per-key insert. Whether a batch beats a loop over AddHash depends
+// on the filter: BENCH_kernels.json (2²² slots at load 0.85, 16384-key
+// batches) has the sequential filters slower batched (filter8 13.6 against
+// 18.7 Mops/s per key, filter16 9.8 against 11.3) and the concurrent ones
+// faster (cfilter8 12.0 against 5.4, cfilter16 9.5 against 3.8). On
+// concurrent filters it is safe alongside any other operations.
 func (f *front) AddHashBatch(hs []uint64) int {
 	end := telemetry.Region("vqf.batch.insert")
 	start := time.Now()

@@ -47,7 +47,7 @@ func blockDigit(mask uint64, blockShift uint) digit {
 	return digit{blockShift + drop, mask >> drop}
 }
 
-// shardDigit buckets keys by shard: the top shardBits bits (see ShardOf).
+// shardDigit buckets keys by shard: the top shardBits bits (see shardOf).
 func shardDigit(shardBits uint) digit { return digit{64 - shardBits, 1<<shardBits - 1} }
 
 // radixSort stably counting-sorts hs into dst (len(dst) >= len(hs)) by d

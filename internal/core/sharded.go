@@ -41,10 +41,10 @@ import (
 // machine this code plausibly meets, and it keeps the shard radix one byte.
 const maxShardBits = 8
 
-// ShardBitsFor returns ceil(log2(n)) clamped to [0, 8], the shard-index
+// shardBitsFor returns ceil(log2(n)) clamped to [0, 8], the shard-index
 // width of a filter with n shards rounded up to a power of two and capped at
 // 256; n <= 0 selects a single shard.
-func ShardBitsFor(n int) uint {
+func shardBitsFor(n int) uint {
 	bits := uint(0)
 	for 1<<bits < n && bits < maxShardBits {
 		bits++
@@ -52,10 +52,10 @@ func ShardBitsFor(n int) uint {
 	return bits
 }
 
-// ShardOf returns the shard index of hash h: its top shardBits bits. For
+// shardOf returns the shard index of hash h: its top shardBits bits. For
 // shardBits == 0 the shift count is 64, which in Go yields 0 — every key
 // lands in the single shard.
-func ShardOf(h uint64, shardBits uint) uint64 { return h >> (64 - shardBits) }
+func shardOf(h uint64, shardBits uint) uint64 { return h >> (64 - shardBits) }
 
 // shardFilter is the shard surface the sharded shell uses: a concurrent
 // filter, *CFilter8 or *CFilter16. Its per-key lookup is called only for
@@ -95,7 +95,7 @@ type sharded[S shardFilter] struct {
 // newShards creates nshards shards (rounded up to a power of two, clamped
 // to [1, 256]), each sized for its share of nslots.
 func newShards[S shardFilter](nslots uint64, nshards int, opts Options, newShard func(uint64, Options) S) []S {
-	n := uint64(1) << ShardBitsFor(nshards)
+	n := uint64(1) << shardBitsFor(nshards)
 	per := (nslots + n - 1) / n
 	shards := make([]S, n)
 	for i := range shards {
@@ -107,7 +107,7 @@ func newShards[S shardFilter](nslots uint64, nshards int, opts Options, newShard
 // init adopts shards, a power-of-two count of at most 256, and builds the
 // batch kernel's table over them.
 func (f *sharded[S]) init(shards []S) {
-	f.shards, f.shardBits = shards, ShardBitsFor(len(shards))
+	f.shards, f.shardBits = shards, shardBitsFor(len(shards))
 	f.tab = make([]minifilter.LockedArray, len(shards))
 	for i, s := range shards {
 		f.tab[i] = s.lockedArray()
@@ -130,15 +130,15 @@ func NewSharded8(nslots uint64, nshards int, opts Options) *Sharded8 {
 }
 
 // Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
-func (f *Sharded8) Insert(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Insert(h) }
+func (f *Sharded8) Insert(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Insert(h) }
 
 // Contains reports whether h may be in the filter; lock-free on the common
 // path. Safe for concurrent use.
-func (f *Sharded8) Contains(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Contains(h) }
+func (f *Sharded8) Contains(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Contains(h) }
 
 // Remove deletes one previously inserted instance of h. Safe for concurrent
 // use.
-func (f *Sharded8) Remove(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Remove(h) }
+func (f *Sharded8) Remove(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Remove(h) }
 
 // Sharded16 is the sharded thread-safe filter with 16-bit fingerprints; see
 // Sharded8.
@@ -154,14 +154,14 @@ func NewSharded16(nslots uint64, nshards int, opts Options) *Sharded16 {
 }
 
 // Insert adds the pre-hashed key h to its shard. Safe for concurrent use.
-func (f *Sharded16) Insert(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Insert(h) }
+func (f *Sharded16) Insert(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Insert(h) }
 
 // Contains reports whether h may be in the filter. Safe for concurrent use.
-func (f *Sharded16) Contains(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Contains(h) }
+func (f *Sharded16) Contains(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Contains(h) }
 
 // Remove deletes one previously inserted instance of h. Safe for concurrent
 // use.
-func (f *Sharded16) Remove(h uint64) bool { return f.shards[ShardOf(h, f.shardBits)].Remove(h) }
+func (f *Sharded16) Remove(h uint64) bool { return f.shards[shardOf(h, f.shardBits)].Remove(h) }
 
 // ContainsBatch reports membership for every key of hs in input order:
 // result[i] corresponds to hs[i]. Lookups run lock-free through the
@@ -180,7 +180,7 @@ func (f *sharded[S]) ContainsBatch(hs []uint64, dst []bool) []bool { return look
 func (f *sharded[S]) containsRange(hs []uint64, out []bool) {
 	var keys [1 << maxShardBits]int
 	for _, h := range hs {
-		keys[uint8(ShardOf(h, f.shardBits))]++
+		keys[uint8(shardOf(h, f.shardBits))]++
 	}
 	for s, n := range keys[:len(f.shards)] {
 		if n > 0 {
@@ -189,12 +189,12 @@ func (f *sharded[S]) containsRange(hs []uint64, out []bool) {
 	}
 	sel := hs[0]
 	perKey := func(i int) {
-		s := ShardOf(hs[i], f.shardBits)
+		s := shardOf(hs[i], f.shardBits)
 		keys[uint8(s)]--
 		out[i] = f.shards[s].contains(hs[i], sel)
 	}
 	i, _ := probeLocked(f.Geometry(), f.tab, hs, out, func(i int) {
-		f.shards[ShardOf(hs[i], f.shardBits)].counters().Probed(sel, 0, 1)
+		f.shards[shardOf(hs[i], f.shardBits)].counters().Probed(sel, 0, 1)
 		perKey(i)
 	})
 	for ; i < len(hs); i++ {

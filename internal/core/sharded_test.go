@@ -26,7 +26,7 @@ func TestRadixSort(t *testing.T) {
 		drop := uint(max(bits.Len64(mask)-batchRadixBits, 0))
 		return func(h uint64) uint64 { return (h >> shift & mask) >> drop }
 	}
-	shard := func(sb uint) func(uint64) uint64 { return func(h uint64) uint64 { return ShardOf(h, sb) } }
+	shard := func(sb uint) func(uint64) uint64 { return func(h uint64) uint64 { return shardOf(h, sb) } }
 	for _, c := range []struct {
 		name   string
 		d      digit
@@ -84,7 +84,7 @@ func TestRadixSort(t *testing.T) {
 func TestShardedBasic(t *testing.T) {
 	for _, nshards := range []int{1, 4, 5, 8} {
 		f := NewSharded8(1<<13, nshards, Options{})
-		want := 1 << ShardBitsFor(nshards)
+		want := 1 << shardBitsFor(nshards)
 		if f.NumShards() != want {
 			t.Fatalf("nshards %d: got %d shards, want %d", nshards, f.NumShards(), want)
 		}

@@ -174,17 +174,20 @@ type removeLog struct {
 	hashes  []uint64
 }
 
-// restructure runs one structural op — compaction, freeze or thaw — given
-// its planner. Every op follows the same protocol:
+// restructure runs one structural op — compaction (including the shrink of
+// a sole level), freeze or thaw — given its planner. Every op follows the
+// same protocol:
 //
 //  1. Plan under growMu (which also blocks growth, so the newest level — the
 //     only insert target — is stable for the duration). Plans come in
 //     descending hi order with disjoint sub-runs, so splicing them in order
 //     keeps earlier indices valid.
 //  2. Inside a removeMu write barrier, seal every source and publish the
-//     removal log: a stale inserter either lands wholly before the barrier
-//     (and the build sees it) or observes sealed and retries, and every
-//     later remove that hits a source logs its hash.
+//     removal log: an inserter either lands wholly before the barrier (and
+//     the build sees it) or observes sealed and waits for the op, and every
+//     later remove that hits a source logs its hash. Only a shrink makes
+//     the newest level a source; every other op seals frozen levels, which
+//     only stale inserters can reach.
 //  3. Build the new levels off-lock from the sources' per-block snapshots.
 //  4. Inside a second barrier (which drains in-flight removes), reconcile
 //     each built level against the log, splice, publish the new list and
@@ -192,7 +195,8 @@ type removeLog struct {
 //  5. Rearm the quiet countdown.
 //
 // Contains never blocks: it works on whichever list it loaded. Inserts
-// block only if they need to grow the cascade mid-op.
+// block only if they need to grow the cascade mid-op, or if the op shrinks
+// the level they insert into.
 func (s *cascadeState) restructure(ev opEvents, tot *opTotals, plan func([]*level) []splice) passResult {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()

@@ -1,6 +1,8 @@
 package elastic
 
 import (
+	"math"
+
 	"vqf/internal/core"
 	"vqf/internal/telemetry"
 )
@@ -51,7 +53,8 @@ type levelRun struct{ lo, hi int }
 // vqfRuns returns the maximal runs of contiguous same-kind VQF levels among
 // the frozen levels ls[:len(ls)-1] that pass the gate (nil gate accepts
 // everything). The newest level still receives inserts and is never a
-// source; immutable fuse levels cannot be rebuilt by reinsertion and break
+// merge or freeze source (only planShrink rebuilds it, when it is the sole
+// level); immutable fuse levels cannot be rebuilt by reinsertion and break
 // runs.
 func vqfRuns(ls []*level, gate func(*level) bool) []levelRun {
 	var runs []levelRun
@@ -84,10 +87,14 @@ func compactRuns(ls []*level) []levelRun {
 }
 
 // newMergedLevel allocates the destination level of a rebuild: nblocks
-// mini-filter blocks of geometry g, budget εm.
+// mini-filter blocks of geometry g, budget εm. Its trigger is growth's rule
+// (see levelSizing): FillThreshold of the slots, or less where the budget
+// needs a lower load, so that a rebuilt level that takes inserts — a shrunk
+// sole level — meets its budget up to the point it grows.
 func (s *cascadeState) newMergedLevel(g *core.Geometry, nblocks uint64, budget float64) *level {
 	slots := nblocks * g.Slots
-	return s.vqfLevel(g, slots, budget, max(1, uint64(s.cfg.FillThreshold*float64(slots))))
+	fill := min(s.cfg.FillThreshold, budget/g.FPR)
+	return s.vqfLevel(g, slots, budget, max(1, uint64(fill*float64(slots))))
 }
 
 // summarize returns a run's summed budget and its smallest block count (the
@@ -104,9 +111,10 @@ func summarize(run []*level) (budget float64, minBlocks uint64) {
 // blocksNeeded returns the block count a VQF level of geometry g needs to
 // hold live items within budget: enough slots that the realized FPR at the
 // live load stays within the budget, and enough fill headroom for the
-// rebuild inserts.
+// rebuild inserts. The slot count rounds up, so the load at live never
+// exceeds FillThreshold.
 func blocksNeeded(cfg Config, g *core.Geometry, live uint64, budget float64) uint64 {
-	return g.Blocks(uint64(max(float64(live)/cfg.FillThreshold, float64(live)*g.FPR/budget)))
+	return g.Blocks(uint64(math.Ceil(max(float64(live)/cfg.FillThreshold, float64(live)*g.FPR/budget))))
 }
 
 // mergeBlocks returns the block count for merging the run holding live
@@ -191,11 +199,50 @@ func planRun(cfg Config, r levelRun, ls []*level) []splice {
 	return plans
 }
 
-// planCompaction plans every qualifying run of the frozen levels. Plans
-// come out in descending hi order (runs back to front, and planRun yields
-// newest-first within a run), so splicing them in order keeps earlier
-// indices valid.
+// shrinkBlocks returns the block count a sole VQF level l holding live
+// items shrinks to, or 0 when that would not at least halve it. The target
+// is blocksNeeded at the level's own budget — so the rebuilt level meets its
+// εᵢ and stays at or below FillThreshold load at live — but never below the
+// first level's size, so a fresh or drained cascade does not shrink below
+// where it started. Requiring a halving keeps each rebuild worth its cost:
+// a shrunk level must lose about half its live set before it shrinks again.
+func shrinkBlocks(cfg Config, l *level, live uint64) uint64 {
+	nblocks := max(blocksNeeded(cfg, l.geom, live, l.budget), l.geom.Blocks(cfg.InitialSlots))
+	if nblocks > l.filter.NumBlocks()/2 {
+		return 0
+	}
+	return nblocks
+}
+
+// planShrink plans the rebuild of the sole level of ls, when shrinkBlocks
+// accepts it, into a right-sized level of the same geometry and budget.
+// Growth sizes each level for its schedule step, and after churn the
+// structural ops that drop the older levels can leave one level far larger
+// than the live set that survived; like the cascade filter of Don't
+// Thrash, whose merges end in one level sized for everything live, the
+// shrink rebuilds it. The rebuilt level keeps the source's budget, so the
+// schedule and the reclaimed pool are untouched. Its source is the newest
+// level: the engine seals it, and inserters wait for the op (see
+// CFilter.Insert).
+func planShrink(cfg Config, ls []*level) []splice {
+	l := ls[0]
+	nblocks := shrinkBlocks(cfg, l, l.filter.Count())
+	if nblocks == 0 {
+		return nil
+	}
+	return []splice{{hi: 1, sub: ls, build: func(s *cascadeState) *level {
+		return s.rebuild(ls, l.geom, nblocks, l.filter.NumBlocks()/2, l.budget)
+	}}}
+}
+
+// planCompaction plans every qualifying run of the frozen levels, or the
+// shrink of a sole level. Plans come out in descending hi order (runs back
+// to front, and planRun yields newest-first within a run), so splicing them
+// in order keeps earlier indices valid.
 func planCompaction(cfg Config, ls []*level) []splice {
+	if len(ls) == 1 {
+		return planShrink(cfg, ls)
+	}
 	var plans []splice
 	runs := compactRuns(ls)
 	for i := len(runs) - 1; i >= 0; i-- {
@@ -207,11 +254,13 @@ func planCompaction(cfg Config, ls []*level) []splice {
 // compactEvents are compaction's telemetry names.
 var compactEvents = opEvents{"vqf.elastic.compact", telemetry.EvCompactStart, telemetry.EvCompactFinish}
 
-// CompactNow merges every qualifying run of frozen levels, synchronously,
-// through the structural-op engine (see restructure): on CFilter readers
-// stay lock-free and writers keep writing. It returns how many levels were
-// merged away (zero when nothing qualified — a cascade still growing, or
-// runs whose geometry constraints could not be met).
+// CompactNow merges every qualifying run of frozen levels — or shrinks a
+// sole level at most half loaded to its right size — synchronously, through
+// the structural-op engine (see restructure): on CFilter readers stay
+// lock-free and writers keep writing, except that inserts wait out a
+// shrink. It returns how many source levels were rebuilt or dropped (zero
+// when nothing qualified — a cascade still growing, or runs whose geometry
+// constraints could not be met).
 func (s *cascadeState) CompactNow() CompactionResult {
 	r := s.restructure(compactEvents, &s.compactions, func(ls []*level) []splice {
 		return planCompaction(s.cfg, ls)
@@ -227,10 +276,17 @@ func compactLoadOK(cfg Config, count, capacity uint64) bool {
 
 // compactTrigger reports whether the automatic compaction trigger holds:
 // at least CompactMinLevels levels, and the frozen levels loaded at or
-// below CompactMaxLoad. Compacting shrinks the level count, so the next
-// trigger needs regrowth — the policy cannot thrash.
+// below CompactMaxLoad; or a sole level that shrinkBlocks would halve.
+// Compacting shrinks the level count, so the next trigger needs regrowth —
+// the policy cannot thrash.
 func compactTrigger(cfg Config, ls []*level) bool {
-	if cfg.CompactMinLevels == 0 || len(ls) < cfg.CompactMinLevels {
+	if cfg.CompactMinLevels == 0 {
+		return false
+	}
+	if len(ls) == 1 {
+		return shrinkBlocks(cfg, ls[0], ls[0].filter.Count()) != 0
+	}
+	if len(ls) < cfg.CompactMinLevels {
 		return false
 	}
 	frozen := ls[:len(ls)-1]

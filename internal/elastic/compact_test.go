@@ -171,6 +171,141 @@ func TestCompactThenGrow(t *testing.T) {
 	}
 }
 
+// soleLevel grows f past several levels with the keys of stream seed,
+// removes every key a frozen level holds and drops the emptied levels,
+// leaving one level sized for the whole growth. It returns the keys that
+// level still holds.
+func soleLevel(t *testing.T, f cascade, seed uint64, total int) []uint64 {
+	t.Helper()
+	keys := workload.NewStream(seed).Keys(total)
+	last := 0 // first key of the newest level
+	for i, k := range keys {
+		n := f.NumLevels()
+		if !f.Insert(k) {
+			t.Fatal("insert failed")
+		}
+		if f.NumLevels() > n {
+			last = i
+		}
+	}
+	if f.NumLevels() < 4 {
+		t.Fatalf("growth produced %d levels, want ≥ 4 (raise total)", f.NumLevels())
+	}
+	for _, k := range keys[:last] {
+		if !f.Remove(k) {
+			t.Fatal("remove of inserted key failed")
+		}
+	}
+	f.FreezeNow() // drops every all-empty frozen run
+	if f.NumLevels() != 1 {
+		t.Fatalf("%d levels after dropping the emptied ones, want 1", f.NumLevels())
+	}
+	return keys[last:]
+}
+
+// checkShrunk checks a sole level that a shrink just rebuilt from src: same
+// geometry and budget, at most half the blocks, no more than FillThreshold
+// load, a trigger that admits the live set within the level's budget, and
+// every live key still present.
+func checkShrunk(t *testing.T, f *cascadeState, src *level, live []uint64) {
+	t.Helper()
+	ls := f.list()
+	if len(ls) != 1 || ls[0] == src {
+		t.Fatalf("want one rebuilt level, have %d levels (rebuilt %v)", len(ls), len(ls) == 1 && ls[0] != src)
+	}
+	l := ls[0]
+	if l.geom != src.geom || l.budget != src.budget {
+		t.Fatalf("shrink changed geometry %d→%d or budget %g→%g", src.geom.FPBits, l.geom.FPBits, src.budget, l.budget)
+	}
+	if 2*l.filter.NumBlocks() > src.filter.NumBlocks() {
+		t.Fatalf("shrink kept %d of %d blocks, want at most half", l.filter.NumBlocks(), src.filter.NumBlocks())
+	}
+	count, slots := l.filter.Count(), float64(l.filter.Capacity())
+	if count != uint64(len(live)) || float64(count) > f.cfg.FillThreshold*slots {
+		t.Fatalf("shrunk level holds %d of %d slots, want %d at most FillThreshold load", count, l.filter.Capacity(), len(live))
+	}
+	if l.trigger < count || float64(l.trigger)*l.geomFPR > l.budget*slots {
+		t.Fatalf("trigger %d: below the live count %d or past the budget", l.trigger, count)
+	}
+	for _, k := range live {
+		if !l.filter.Contains(k) {
+			t.Fatalf("shrink lost key %#x", k)
+		}
+	}
+}
+
+func TestShrinkSoleLevel(t *testing.T) {
+	cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9}
+	f, _ := New(cfg)
+	if res := f.CompactNow(); res.LevelsMerged != 0 {
+		t.Fatalf("fresh cascade shrank below its first level: %+v", res)
+	}
+	live := soleLevel(t, f, 15, 20000)
+	src, sched, reclaimed := f.list()[0], f.sched, f.Reclaimed()
+	res := f.CompactNow()
+	if res.LevelsMerged != 1 || res.LevelsAfter != 1 {
+		t.Fatalf("CompactNow on an under-loaded sole level: %+v", res)
+	}
+	checkShrunk(t, &f.cascadeState, src, live)
+	if f.sched != sched || f.Reclaimed() != reclaimed {
+		t.Fatalf("shrink moved the schedule %d→%d or the reclaimed pool %g→%g", sched, f.sched, reclaimed, f.Reclaimed())
+	}
+	checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
+	if res := f.CompactNow(); res.LevelsMerged != 0 {
+		t.Fatalf("a just-shrunk level shrank again: %+v", res)
+	}
+	// The shrunk level takes inserts up to its trigger, then grows.
+	extra := workload.NewStream(16).Keys(20000)
+	for _, k := range extra {
+		if !f.Insert(k) {
+			t.Fatal("insert after shrink failed")
+		}
+	}
+	if f.NumLevels() < 2 {
+		t.Fatal("the shrunk level never grew")
+	}
+	for _, k := range append(live, extra...) {
+		if !f.Contains(k) {
+			t.Fatalf("lost key %#x after regrowth", k)
+		}
+	}
+	checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
+}
+
+// TestShrinkAutoOnRemoves drains a sole level through removes alone: under
+// auto compaction the shrink fires at the first remove that makes it due,
+// with no growth or explicit call to evaluate the planners.
+func TestShrinkAutoOnRemoves(t *testing.T) {
+	for _, kind := range []string{"sequential", "concurrent"} {
+		t.Run(kind, func(t *testing.T) {
+			cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9, CompactMinLevels: 4, CompactMaxLoad: 0.01}
+			f, st, wait := newCascade(t, kind, cfg)
+			live := soleLevel(t, f, 17, 20000)
+			shrinks := 0
+			for len(live) > 0 {
+				src, runs := st.list()[0], st.compactions.runs.Load()
+				if !f.Remove(live[0]) {
+					t.Fatal("remove of live key failed")
+				}
+				live = live[1:]
+				wait()
+				if st.compactions.runs.Load() != runs {
+					shrinks++
+					checkShrunk(t, st, src, live)
+				} else if compactDue(cfg, st.list()) {
+					t.Fatalf("%d live: shrink due but not run", len(live))
+				}
+			}
+			if shrinks < 2 {
+				t.Fatalf("draining ran %d shrinks, want ≥ 2", shrinks)
+			}
+			if n := st.list()[0].filter.NumBlocks(); n != st.list()[0].geom.Blocks(cfg.InitialSlots) {
+				t.Fatalf("drained level has %d blocks, want the first level's %d", n, st.list()[0].geom.Blocks(cfg.InitialSlots))
+			}
+		})
+	}
+}
+
 func TestCompactAutoTrigger(t *testing.T) {
 	cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9,
 		CompactMinLevels: 4, CompactMaxLoad: 0.5}

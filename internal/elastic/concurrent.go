@@ -56,7 +56,12 @@ func (f *CFilter) Insert(h uint64) bool {
 			return true
 		}
 		if sealed {
-			continue // a structural op retired lvl; reload the list
+			// A structural op took lvl as a source. A shrink of the newest
+			// level rebuilds it off-lock, so wait for the op (it holds
+			// growMu throughout) rather than spin, then reload the list.
+			f.growMu.Lock()
+			f.growMu.Unlock()
+			continue
 		}
 		grew, ok := f.grow(lvl)
 		if !ok {
@@ -69,11 +74,12 @@ func (f *CFilter) Insert(h uint64) bool {
 }
 
 // insertLevel lands h in lvl unless lvl has been sealed as a structural-op
-// source. An inserter can hold a stale level list whose newest entry has
-// since been demoted by growth and selected as a source — and churn can
-// pull such a level's count back under its trigger, re-opening the fast
-// path — so an unchecked raw insert could land in a level the rebuild has
-// already iterated and be dropped at the swap. The removeMu read side
+// source. The newest level is a source while a shrink rebuilds it, and an
+// inserter can hold a stale level list whose newest entry has since been
+// demoted by growth and selected as a source — churn can pull such a
+// level's count back under its trigger, re-opening the fast path — so an
+// unchecked raw insert could land in a level the rebuild has already
+// iterated and be dropped at the swap. The removeMu read side
 // orders this exactly against the op's first write barrier (which sets
 // sealed): either the whole section runs before the barrier, in which case
 // the off-lock rebuild is guaranteed to observe the landed insert, or the
@@ -120,11 +126,12 @@ func (f *CFilter) Remove(h uint64) bool {
 	if hit < 0 {
 		return false
 	}
-	// A frozen level just got sparser: count down to the auto triggers.
-	// Whether the level is frozen is judged against the current list, not
-	// ls: a growth since ls was loaded may have rearmed from counts that
-	// predate this remove, and the decrement keeps it from being lost.
-	if cur := f.list(); ls[hit] != cur[len(cur)-1] && f.quiet.Add(-1) <= 0 {
+	// A frozen or sole level just got sparser: count down to the auto
+	// triggers. Whether the level is frozen is judged against the current
+	// list, not ls: a growth since ls was loaded may have rearmed from
+	// counts that predate this remove, and the decrement keeps it from
+	// being lost.
+	if countsDown(f.cfg, f.list(), ls[hit]) && f.quiet.Add(-1) <= 0 {
 		f.dispatch()
 		f.rearm()
 	}

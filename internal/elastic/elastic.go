@@ -77,8 +77,10 @@ type Config struct {
 	// at or below CompactMaxLoad, a compaction runs (synchronously after the
 	// triggering growth or remove on the sequential filter, in a background
 	// goroutine on the concurrent ones; removes check it only when the quiet
-	// countdown of trigger.go runs out). Zero disables the automatic
-	// trigger; CompactNow always works. Must be 0 or in [3, MaxLevels].
+	// countdown of trigger.go runs out). It also enables the automatic
+	// shrink of a sole level (planShrink), whatever this value. Zero
+	// disables both; CompactNow always works. Must be 0 or in
+	// [3, MaxLevels].
 	CompactMinLevels int
 	// CompactMaxLoad is the occupancy-ratio threshold of the automatic
 	// trigger: compaction fires only while the frozen (non-newest) levels'
@@ -188,13 +190,13 @@ type level struct {
 	// the CFilter case, but one representation keeps the code shared.
 	frozenAt atomic.Int64
 	// sealed is set (inside a structural op's first removeMu write barrier)
-	// when the level becomes a compaction or freeze source. A concurrent
-	// insert that loaded a stale level list can still hold a pointer to a
-	// source level whose count dropped back under its trigger; the sealed
-	// check under removeMu's read side (see CFilter.insertLevel) turns that
-	// insert into a retry instead of a silently lost instance. The flag is
-	// never cleared on levels that leave the list, which is what protects
-	// arbitrarily stale inserters.
+	// when the level becomes a structural-op source. A concurrent insert
+	// can hold a pointer to a source level under its trigger — the newest
+	// level during a shrink, or a demoted one through a stale level list;
+	// the sealed check under removeMu's read side (see CFilter.insertLevel)
+	// turns that insert into a retry instead of a silently lost instance.
+	// The flag is never cleared on levels that leave the list, which is
+	// what protects arbitrarily stale inserters.
 	sealed atomic.Bool
 }
 
@@ -237,7 +239,11 @@ func levelGeometry(c Config, i int) *core.Geometry {
 //	realized = geomFPR·load = geomFPR·(FillThreshold·baseSlots/allocSlots)
 //	         ≤ geomFPR·FillThreshold/overProv ≤ εᵢ
 //
-// The core's power-of-two block rounding only adds slack on top.
+// The core's power-of-two block rounding adds slack on top, up to nearly
+// doubling the allocation. That slack costs space, not FPR budget: once
+// churn settles a cascade's live set below its newest level's trigger, that
+// level can hold it at a third of its slots, which is what the shrink of a
+// sole level (planShrink) gives back.
 func levelSizing(c Config, i int) (baseSlots, trigger, allocSlots uint64) {
 	fbase := float64(c.InitialSlots) * math.Pow(c.GrowthFactor, float64(i))
 	overProv := levelGeometry(c, i).FPR * c.FillThreshold / levelBudget(c, i)
@@ -322,9 +328,9 @@ func (f *Filter) Remove(h uint64) bool {
 	ls := f.list()
 	for i := len(ls) - 1; i >= 0; i-- {
 		if ls[i].filter.Remove(h) {
-			// A frozen level just got sparser: count down to the auto
-			// triggers.
-			if i < len(ls)-1 {
+			// A frozen or sole level just got sparser: count down to the
+			// auto triggers.
+			if countsDown(f.cfg, ls, ls[i]) {
 				if f.quiet--; f.quiet <= 0 {
 					f.runTriggers()
 					f.rearm()

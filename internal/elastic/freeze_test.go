@@ -356,55 +356,90 @@ func TestFreezeValidationRejectsBadPolicy(t *testing.T) {
 	}
 }
 
-// TestBudgetInvariantUnderInterleavings is the accounting property test:
-// across a seeded random interleaving of grow (insert bursts), remove
-// churn, CompactNow, FreezeNow and thaw (the removes trip it), the cascade
-// budget ledger must balance after every step — Σ live level budgets +
-// reclaimed equals the spent schedule prefix exactly, and adding the
-// unspent tail never exceeds ε.
+// TestBudgetInvariantUnderInterleavings is a property test of the budget
+// identity: across a seeded random interleaving of growth (insert bursts),
+// remove churn, CompactNow, FreezeNow, thaws (the removes trip them) and
+// shrinks (a drain to the newest level's keys, a FreezeNow that drops the
+// emptied levels, then CompactNow on the sole level), on both cascades, the
+// ledger balances after every step — Σ live level budgets + reclaimed
+// equals the spent schedule prefix exactly, and adding the unspent tail
+// never exceeds ε — and no live key is lost.
 func TestBudgetInvariantUnderInterleavings(t *testing.T) {
 	cfg := Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9}
-	for _, seed := range []int64{1, 2, 3} {
-		rng := rand.New(rand.NewSource(seed))
-		f, _ := New(cfg)
-		stream := workload.NewStream(uint64(29 + seed))
-		var liveKeys []uint64
-		steps := 60
-		if testing.Short() {
-			steps = 20
-		}
-		for step := 0; step < steps; step++ {
-			switch rng.Intn(4) {
-			case 0: // grow
-				batch := stream.Keys(500 + rng.Intn(3000))
-				for _, k := range batch {
-					if !f.Insert(k) {
-						t.Fatal("insert failed")
+	for _, kind := range []string{"sequential", "concurrent"} {
+		t.Run(kind, func(t *testing.T) {
+			var shrinks, thaws, merges, freezes uint64
+			for _, seed := range []int64{1, 2, 3} {
+				f, st, quiesce := newCascade(t, kind, cfg)
+				compact := func() { // CompactNow, counting the shrinks
+					sole, runs := len(st.list()) == 1, st.compactions.runs.Load()
+					f.CompactNow()
+					if sole && st.compactions.runs.Load() > runs {
+						shrinks++
 					}
 				}
-				liveKeys = append(liveKeys, batch...)
-			case 1: // churn (may trip thaw on frozen levels)
-				n := len(liveKeys) / 3
-				for _, k := range liveKeys[:n] {
-					if !f.Remove(k) {
-						t.Fatalf("remove of live key %#x failed", k)
+				rng := rand.New(rand.NewSource(seed))
+				stream := workload.NewStream(uint64(29 + seed))
+				var liveKeys []uint64
+				steps := 60
+				if testing.Short() {
+					steps = 20
+				}
+				for step := 0; step < steps; step++ {
+					switch rng.Intn(5) {
+					case 0: // grow
+						batch := stream.Keys(500 + rng.Intn(3000))
+						for _, k := range batch {
+							if !f.Insert(k) {
+								t.Fatal("insert failed")
+							}
+						}
+						liveKeys = append(liveKeys, batch...)
+					case 1: // churn (may trip thaw on frozen levels)
+						n := len(liveKeys) / 3
+						for _, k := range liveKeys[:n] {
+							if !f.Remove(k) {
+								t.Fatalf("remove of live key %#x failed", k)
+							}
+						}
+						liveKeys = liveKeys[n:]
+					case 2:
+						compact()
+					case 3:
+						f.FreezeNow()
+					case 4: // drain to the newest keys, drop the emptied levels, shrink
+						n := len(liveKeys) - min(len(liveKeys), 100+rng.Intn(400))
+						for _, k := range liveKeys[:n] {
+							if !f.Remove(k) {
+								t.Fatalf("remove of live key %#x failed", k)
+							}
+						}
+						liveKeys = liveKeys[n:]
+						quiesce()
+						f.FreezeNow()
+						compact()
+					}
+					quiesce()
+					st.growMu.Lock()
+					checkBudgetInvariant(t, st.cfg, st.list(), st.sched, st.Reclaimed())
+					st.growMu.Unlock()
+					if st.Count() != uint64(len(liveKeys)) {
+						t.Fatalf("seed %d step %d: count %d, want %d live", seed, step, st.Count(), len(liveKeys))
 					}
 				}
-				liveKeys = liveKeys[n:]
-			case 2:
-				f.CompactNow()
-			case 3:
-				f.FreezeNow()
+				for _, k := range liveKeys {
+					if !st.Contains(k) {
+						t.Fatalf("seed %d: lost live key %#x", seed, k)
+					}
+				}
+				thaws += st.thaws.levels.Load()
+				merges += st.compactions.runs.Load()
+				freezes += st.freezes.runs.Load()
 			}
-			checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
-			if f.Count() != uint64(len(liveKeys)) {
-				t.Fatalf("seed %d step %d: count %d, want %d live", seed, step, f.Count(), len(liveKeys))
+			t.Logf("%d shrinks, %d compactions, %d freezes, %d thaws", shrinks, merges, freezes, thaws)
+			if shrinks == 0 || thaws == 0 || freezes == 0 || merges <= shrinks {
+				t.Fatal("the interleavings missed a structural op; the property is vacuous for it")
 			}
-		}
-		for _, k := range liveKeys {
-			if !f.Contains(k) {
-				t.Fatalf("seed %d: lost live key %#x", seed, k)
-			}
-		}
+		})
 	}
 }

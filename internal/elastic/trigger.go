@@ -22,6 +22,12 @@ import "time"
 // the planners run at (or before) the same remove they would have under
 // per-remove polling, and the structural-op schedule is unchanged.
 //
+// A cascade of one level has no frozen levels, but under auto compaction
+// it can shrink (planShrink) once its count falls far enough, so removes
+// from a sole level count down too. Inserts there raise the count and so
+// only move the shrink further away: the bound stays a lower bound, and at
+// worst the countdown runs out early.
+//
 // The freeze gate's FreezeMinAge half is time-based, not count-based; while
 // any frozen VQF level is still too young, d is zero and the planners run on
 // every frozen-level remove, as they always did.
@@ -56,8 +62,9 @@ func removesUntil(live uint64, due func(live uint64) bool) int64 {
 }
 
 // quietRemoves returns the countdown for level list ls at time now: a lower
-// bound on the frozen-level removes before thaw, compaction or freeze could
-// become due (0 when one already is, or when a level waits on FreezeMinAge).
+// bound on the counted removes (see countsDown) before thaw, compaction,
+// shrink or freeze could become due (0 when one already is, or when a level
+// waits on FreezeMinAge).
 func quietRemoves(cfg Config, ls []*level, now int64) int64 {
 	d := never
 	for _, l := range ls {
@@ -114,7 +121,23 @@ func quietRemoves(cfg Config, ls []*level, now int64) int64 {
 		}
 		d = min(d, max(load, plan))
 	}
+	if cfg.CompactMinLevels != 0 && len(ls) == 1 {
+		l := ls[0]
+		d = min(d, removesUntil(l.filter.Count(), func(live uint64) bool {
+			return shrinkBlocks(cfg, l, live) != 0
+		}))
+	}
 	return d
+}
+
+// countsDown reports whether a remove that hit level hit of ls counts down
+// the quiet countdown: it hit a frozen level, or the sole level of a
+// cascade that may shrink.
+func countsDown(cfg Config, ls []*level, hit *level) bool {
+	if len(ls) == 1 {
+		return cfg.CompactMinLevels != 0
+	}
+	return hit != ls[len(ls)-1]
 }
 
 // thawDue reports whether some fuse level crossed the thaw threshold.

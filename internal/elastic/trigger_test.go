@@ -32,8 +32,32 @@ type churnOp struct {
 type cascade interface {
 	Insert(uint64) bool
 	Remove(uint64) bool
+	NumLevels() int
 	CompactNow() CompactionResult
 	FreezeNow() FreezeResult
+}
+
+// newCascade builds the sequential or the concurrent cascade (kind names
+// which) with its shared state, and a function that returns once no
+// background structural op is running.
+func newCascade(t *testing.T, kind string, cfg Config) (cascade, *cascadeState, func()) {
+	t.Helper()
+	if kind == "sequential" {
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, &f.cascadeState, func() {}
+	}
+	f, err := NewConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, &f.cascadeState, func() {
+		for f.busy.Load() {
+			runtime.Gosched()
+		}
+	}
 }
 
 // apply runs op against f and reports whether an insert or remove
@@ -210,19 +234,21 @@ func structure(f *cascadeState) string {
 }
 
 // pollStep applies op to f the way the cascade did before the countdown:
-// every frozen-level remove runs all three planners. f's own countdown is
-// held off so that only the polling evaluates.
+// every remove that hits a frozen level, or the sole level (which may
+// shrink), runs all three planners. f's own countdown is held off so that
+// only the polling evaluates.
 func pollStep(f *Filter, op churnOp) bool {
 	f.quiet = never
 	if op.kind != opRemove {
 		return apply(f, op)
 	}
-	newest := f.list()[len(f.list())-1]
+	ls := f.list()
+	newest := ls[len(ls)-1]
 	before := newest.filter.Count()
 	if !f.Remove(op.key) {
 		return false
 	}
-	if newest.filter.Count() == before { // the remove hit a frozen level
+	if len(ls) == 1 || newest.filter.Count() == before { // a sole or frozen level got sparser
 		f.maybeThaw()
 		f.maybeCompact()
 		f.maybeFreeze()
@@ -237,6 +263,7 @@ func pollStep(f *Filter, op churnOp) bool {
 func TestQuietCountdownMatchesPolling(t *testing.T) {
 	workloads := triggerWorkloads()
 	workloads["sliding-2k"] = slidingOps(73, 6<<11, 1<<11)
+	shrinks := 0
 	for wname, ops := range workloads {
 		for name, cfg := range triggerPolicies() {
 			if cfg.FreezeMinAge > 0 {
@@ -249,9 +276,13 @@ func TestQuietCountdownMatchesPolling(t *testing.T) {
 				}
 				b, _ := New(cfg)
 				for i, op := range ops {
+					sole, runs := len(a.list()) == 1, a.compactions.runs.Load()
 					okA, okB := apply(a, op), pollStep(b, op)
 					if okA != okB {
 						t.Fatalf("op %d: results differ: countdown %v, polling %v", i, okA, okB)
+					}
+					if sole && a.compactions.runs.Load() > runs {
+						shrinks++
 					}
 					if sa, sb := structure(&a.cascadeState), structure(&b.cascadeState); sa != sb {
 						t.Fatalf("op %d: structure differs\ncountdown: %s\npolling:   %s", i, sa, sb)
@@ -262,6 +293,9 @@ func TestQuietCountdownMatchesPolling(t *testing.T) {
 				}
 			})
 		}
+	}
+	if shrinks == 0 {
+		t.Fatal("no churn shrank a sole level; the comparison never covers the shrink")
 	}
 }
 

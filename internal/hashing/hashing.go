@@ -29,12 +29,6 @@ func Mix64Seeded(x, seed uint64) uint64 {
 	return Mix64(x + seed*0x9e3779b97f4a7c15)
 }
 
-// Reduce32 maps a uniform 32-bit value x onto [0, n) without division
-// (Lemire's multiply-shift reduction).
-func Reduce32(x uint32, n uint32) uint32 {
-	return uint32(uint64(x) * uint64(n) >> 32)
-}
-
 // AltIndex derives the partner block index for a (block, tag) pair under a
 // power-of-two block count: alt = (idx ^ (tag * Murmur3Mul)) & mask. Because
 // xor is an involution, AltIndex(AltIndex(i, tag, mask), tag, mask) == i,

@@ -61,37 +61,6 @@ func TestMix64SeededIndependence(t *testing.T) {
 	}
 }
 
-func TestReduce32Bounds(t *testing.T) {
-	f := func(x uint32, n32 uint32) bool {
-		n := n32%1000 + 1
-		return Reduce32(x, n) < n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduce32Uniformity(t *testing.T) {
-	// Chi-squared test of Reduce32 over 16 buckets with uniform inputs.
-	const buckets = 16
-	const samples = 160000
-	rng := rand.New(rand.NewSource(2))
-	counts := make([]int, buckets)
-	for i := 0; i < samples; i++ {
-		counts[Reduce32(rng.Uint32(), buckets)]++
-	}
-	expected := float64(samples) / buckets
-	var chi2 float64
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	// 15 degrees of freedom; 99.9th percentile ≈ 37.7.
-	if chi2 > 45 {
-		t.Errorf("chi2 = %.1f, distribution too skewed", chi2)
-	}
-}
-
 func TestAltIndexInvolution(t *testing.T) {
 	f := func(idx, tag uint64, logk uint8) bool {
 		mask := uint64(1)<<(logk%24+1) - 1

@@ -234,7 +234,7 @@ func probeBatch16Asm(blocks *Block16, mask uint64, hs *uint64, out *bool, n int)
 // (the concurrent filters' form, whose top metadata bit is the lock) while
 // writers run: out[i] reports whether hs[i]'s fingerprint is stored in its
 // bucket of either candidate block. Key h is answered by tab[s], s the top
-// log2(len(tab)) bits of h (internal/core's ShardOf), and split as
+// log2(len(tab)) bits of h (internal/core's shardOf), and split as
 // ProbeBatch8 splits it. Every key is validated with the seqlock protocol of
 // Block8.Snapshot, over both candidates at once: the kernel loads the two
 // version stripes, then each block's MetaHi (the lock pre-check, and the

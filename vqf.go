@@ -139,10 +139,12 @@ func WithGrowthThreshold(t float64) Option {
 // frozen (non-newest) levels are loaded at or below the maxLoad fraction
 // of their combined capacity, qualifying runs of old levels are merged
 // into right-sized replacements, restoring negative-lookup speed after
-// insert/remove churn (see Elastic.CompactNow). minLevels must be in
+// insert/remove churn (see Elastic.CompactNow); a cascade of one level is
+// shrunk once its live set fits in half of it. minLevels must be in
 // [3, 64]; maxLoad in (0, 1], or 0 for the default 0.5. The condition is
 // checked after every growth; between growths, removes from old levels
-// only count down to the first one that could make it hold, so the check
+// (or from the only level) only count down to the first one that could
+// make it hold, so the check
 // costs a counter decrement per remove and still fires at the same remove
 // a check after every remove would. On concurrent filters the compaction
 // runs in a background goroutine; on sequential filters it runs inline in
