@@ -191,7 +191,8 @@ type removeLog struct {
 //  3. Build the new levels off-lock from the sources' per-block snapshots.
 //  4. Inside a second barrier (which drains in-flight removes), reconcile
 //     each built level against the log, splice, publish the new list and
-//     count the pass.
+//     count the pass. A splice whose build failed keeps its sources and
+//     unseals them.
 //  5. Rearm the quiet countdown.
 //
 // Contains never blocks: it works on whichever list it loaded. Inserts
@@ -249,6 +250,10 @@ func (s *cascadeState) restructure(ev opEvents, tot *opTotals, plan func([]*leve
 			s.addReclaimed(budget)
 			next = append(next[:lo], next[p.hi:]...)
 		case built[i] == nil:
+			// The sources stay in place, so they take inserts again.
+			for _, l := range p.sub {
+				l.sealed.Store(false)
+			}
 			continue
 		default:
 			reconcile(built[i], p.sub, lg.hashes)

@@ -206,7 +206,13 @@ func planRun(cfg Config, r levelRun, ls []*level) []splice {
 // first level's size, so a fresh or drained cascade does not shrink below
 // where it started. Requiring a halving keeps each rebuild worth its cost:
 // a shrunk level must lose about half its live set before it shrinks again.
+// For the same reason, after a rebuild of l failed (a block pair of every
+// smaller size overflowed, as heavy duplicates can force) l shrinks again
+// only once its live set has halved since.
 func shrinkBlocks(cfg Config, l *level, live uint64) uint64 {
+	if failed := l.shrinkFailedAt.Load(); failed != 0 && live > failed/2 {
+		return 0
+	}
 	nblocks := max(blocksNeeded(cfg, l.geom, live, l.budget), l.geom.Blocks(cfg.InitialSlots))
 	if nblocks > l.filter.NumBlocks()/2 {
 		return 0
@@ -226,12 +232,17 @@ func shrinkBlocks(cfg Config, l *level, live uint64) uint64 {
 // CFilter.Insert).
 func planShrink(cfg Config, ls []*level) []splice {
 	l := ls[0]
-	nblocks := shrinkBlocks(cfg, l, l.filter.Count())
+	live := l.filter.Count()
+	nblocks := shrinkBlocks(cfg, l, live)
 	if nblocks == 0 {
 		return nil
 	}
 	return []splice{{hi: 1, sub: ls, build: func(s *cascadeState) *level {
-		return s.rebuild(ls, l.geom, nblocks, l.filter.NumBlocks()/2, l.budget)
+		dst := s.rebuild(ls, l.geom, nblocks, l.filter.NumBlocks()/2, l.budget)
+		if dst == nil {
+			l.shrinkFailedAt.Store(live) // live ≥ 1: an empty rebuild cannot fail
+		}
+		return dst
 	}}}
 }
 

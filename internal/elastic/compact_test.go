@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"testing"
+	"time"
 
 	"vqf/internal/workload"
 )
@@ -302,6 +303,98 @@ func TestShrinkAutoOnRemoves(t *testing.T) {
 			if n := st.list()[0].filter.NumBlocks(); n != st.list()[0].geom.Blocks(cfg.InitialSlots) {
 				t.Fatalf("drained level has %d blocks, want the first level's %d", n, st.list()[0].geom.Blocks(cfg.InitialSlots))
 			}
+		})
+	}
+}
+
+// TestShrinkRebuildFailure makes a shrink's rebuild fail: two keys that
+// share their tag and, in every level of at most half the sole level's
+// blocks, their block pair are each inserted 5/4 of a block's slots times,
+// more than any smaller level's pair can hold. The failed shrink must leave
+// the level in place and taking inserts (a level left sealed hangs
+// CFilter.Insert), must not be due again at once (or every remove would
+// retry the rebuild), and must run once the live set has halved.
+func TestShrinkRebuildFailure(t *testing.T) {
+	for _, kind := range []string{"sequential", "concurrent"} {
+		t.Run(kind, func(t *testing.T) {
+			// The cascade runs without auto compaction (the test runs the
+			// shrink itself); auto is the same config with it on.
+			f, st, _ := newCascade(t, kind, Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9})
+			auto := st.cfg
+			auto.CompactMinLevels = 4
+			live := soleLevel(t, f, 19, 20000)
+			keep := len(live) / 16
+			for _, k := range live[keep:] {
+				if !f.Remove(k) {
+					t.Fatal("remove of live key failed")
+				}
+			}
+			live = live[:keep]
+			l := st.list()[0]
+			h0 := uint64(0)
+			for _, k := range workload.NewStream(20).Keys(64) {
+				if p1, p2 := l.filter.CandidateBlocks(k); p1 != p2 {
+					h0 = k
+					break
+				}
+			}
+			h1 := h0 ^ l.filter.NumBlocks()/2<<l.geom.BlockShift
+			dups := 5 * int(l.geom.Slots) / 4
+			for i := 0; i < dups; i++ {
+				if !f.Insert(h0) || !f.Insert(h1) {
+					t.Fatal("duplicate insert failed")
+				}
+			}
+			failedAt := l.filter.Count()
+			if shrinkBlocks(auto, l, failedAt) == 0 {
+				t.Fatalf("%d live in %d blocks: no shrink due", failedAt, l.filter.NumBlocks())
+			}
+			if res := f.CompactNow(); res.LevelsMerged != 0 || st.list()[0] != l {
+				t.Fatalf("a shrink that cannot fit its duplicates replaced the level: %+v", res)
+			}
+			if l.sealed.Load() {
+				t.Fatal("the failed shrink left the level sealed")
+			}
+			if compactDue(auto, st.list()) || quietRemoves(auto, st.list(), time.Now().UnixNano()) == 0 {
+				t.Fatal("the failed shrink is due again at once")
+			}
+			extra := workload.NewStream(21).Keys(64)
+			inserted := make(chan bool, 1)
+			go func() {
+				for _, k := range extra {
+					if !f.Insert(k) {
+						inserted <- false
+						return
+					}
+				}
+				inserted <- true
+			}()
+			select {
+			case ok := <-inserted:
+				if !ok {
+					t.Fatal("insert after the failed shrink failed")
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("insert after the failed shrink did not return")
+			}
+			for i := 0; i < dups; i++ {
+				if !f.Remove(h0) || !f.Remove(h1) {
+					t.Fatal("duplicate remove failed")
+				}
+			}
+			live = append(live, extra...)
+			if half := int(failedAt / 2); len(live) > half {
+				for _, k := range live[half:] {
+					if !f.Remove(k) {
+						t.Fatal("remove of live key failed")
+					}
+				}
+				live = live[:half]
+			}
+			if res := f.CompactNow(); res.LevelsMerged != 1 {
+				t.Fatalf("no shrink once the live set halved: %+v", res)
+			}
+			checkShrunk(t, st, l, live)
 		})
 	}
 }

@@ -56,11 +56,14 @@ func (f *CFilter) Insert(h uint64) bool {
 			return true
 		}
 		if sealed {
-			// A structural op took lvl as a source. A shrink of the newest
-			// level rebuilds it off-lock, so wait for the op (it holds
-			// growMu throughout) rather than spin, then reload the list.
-			f.growMu.Lock()
-			f.growMu.Unlock()
+			// A structural op took lvl as a source. If lvl is still the
+			// newest level, a shrink is rebuilding it off-lock: wait for the
+			// op (it holds growMu throughout) rather than spin. A stale
+			// level was demoted, so the current list has a newer target.
+			if ls := f.list(); ls[len(ls)-1] == lvl {
+				f.growMu.Lock()
+				f.growMu.Unlock()
+			}
 			continue
 		}
 		grew, ok := f.grow(lvl)

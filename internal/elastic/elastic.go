@@ -196,8 +196,12 @@ type level struct {
 	// the sealed check under removeMu's read side (see CFilter.insertLevel)
 	// turns that insert into a retry instead of a silently lost instance.
 	// The flag is never cleared on levels that leave the list, which is
-	// what protects arbitrarily stale inserters.
+	// what protects arbitrarily stale inserters; it is cleared only when
+	// the op's build fails and the level stays in place.
 	sealed atomic.Bool
+	// shrinkFailedAt is the live count at which a shrink's rebuild of this
+	// level last failed (0 = never); see shrinkBlocks.
+	shrinkFailedAt atomic.Uint64
 }
 
 // fused reports whether the level is a frozen fuse level (freeze.go)
