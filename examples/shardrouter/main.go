@@ -82,8 +82,8 @@ func main() {
 	}
 
 	// Bulk-load the router over the binary protocol: each frame carries one
-	// key batch plus its shard IDs and becomes one radix-partitioned batch
-	// insert on the daemon.
+	// key batch plus its shard IDs and becomes one batch put on the
+	// daemon.
 	vals := make([]byte, batchSize)
 	for _, b := range batches(keys) {
 		vals = vals[:len(b)]

@@ -132,14 +132,15 @@ func (f *front) RemoveHash(h uint64) bool {
 
 // AddHashBatch inserts a slice of pre-hashed keys and returns the number
 // successfully inserted (the rest hit full blocks; see ErrFull). Elastic
-// filters grow instead of filling, so there it is always len(hs). Core
-// filters process the keys sorted by block, and sharded filters sorted by
-// shard across shard-disjoint parallel workers; elastic filters loop over
-// their per-key insert. Whether a batch beats a loop over AddHash depends
-// on the filter: BENCH_kernels.json (2²² slots at load 0.85, 16384-key
-// batches) has the sequential filters slower batched (filter8 13.6 against
-// 18.7 Mops/s per key, filter16 9.8 against 11.3) and the concurrent ones
-// faster (cfilter8 12.0 against 5.4, cfilter16 9.5 against 3.8). On
+// filters grow instead of filling, so there it is always len(hs). Keys are
+// inserted in caller order, as by a loop over AddHash, except where the
+// batch is split between workers: a concurrent filter sorts a large batch
+// by block for its parallel workers, and a sharded filter sorts by shard
+// for shard-disjoint ones. Elastic filters loop over their per-key insert.
+// BENCH_kernels.json (2²² slots at load 0.85, 16384-key batches, 2 CPUs)
+// has a sequential batch about as fast as the loop (filter8 18.1 against
+// 18.7 Mops/s per key, filter16 11.6 against 12.5) and a concurrent one
+// faster (cfilter8 13.5 against 5.1, cfilter16 9.4 against 4.5). On
 // concurrent filters it is safe alongside any other operations.
 func (f *front) AddHashBatch(hs []uint64) int {
 	end := telemetry.Region("vqf.batch.insert")
@@ -221,15 +222,6 @@ func (f *front) SizeBytes() uint64 { return f.impl.SizeBytes() }
 // sequential filters it must not race with mutations, like every other
 // method.
 func (f *front) Stats() OpStats { return f.impl.Stats() }
-
-// NumShards returns the filter's shard count: the (rounded-up) configured
-// count for NewSharded, 1 for every other constructor.
-func (f *front) NumShards() int {
-	if s, ok := f.impl.(interface{ NumShards() int }); ok {
-		return s.NumShards()
-	}
-	return 1
-}
 
 // Latency returns the filter's sampled latency snapshot. Safe at any time
 // on concurrent filters. With sampling disabled every summary is empty and

@@ -6,14 +6,18 @@ import (
 	"vqf/internal/minifilter"
 )
 
-// Batch operations. The Morton filter paper (and §7.1 of the VQF paper)
-// highlights bulk workloads: when many keys arrive at once, sorting them by
-// primary block turns the filter's random cache-line walk into a
-// mostly-sequential sweep. Batch inserts and removes — sequential,
-// concurrent and sharded — share the one counting sort below (radixSort);
-// the concurrent and sharded writers fan its buckets out over the one
-// atomic-cursor claim loop (claim, concurrent_batch.go). Lookups write
-// nothing and need no block order, so every ContainsBatch answers in caller
+// Batch operations. A write batch is sorted only to split it between
+// workers: a concurrent filter counting-sorts a batch large enough to fan
+// out by primary-block prefix (blockDigit), and a sharded filter with more
+// than one shard sorts by shard (shardDigit), both with the one counting
+// sort below (radixSort), and the buckets fan out over the one
+// atomic-cursor claim loop (claim, concurrent_batch.go). Every other batch
+// write runs in caller order, the sequential InsertBatch and RemoveBatch
+// among them, as loops over Insert and Remove. Each operation touches at
+// most two cache lines (§3 of the VQF paper), so a batch of random keys
+// gains no locality from a block sort unless it is about as large as the
+// block array; measured, the sort cost more than it saved (DESIGN.md
+// §Kernel fusion, "Sequential batch writes"). Lookups answer in caller
 // order through a branch-free batch kernel: the sequential filters through
 // ProbeBatch8/16 (see Filter8.ContainsBatch), the concurrent and sharded
 // ones through the seqlock-validated ProbeLocked8/16 in contiguous
@@ -22,10 +26,6 @@ import (
 const (
 	batchRadixBits = 8
 	batchShards    = 1 << batchRadixBits
-
-	// minBatchPartition is the batch size below which radix-grouping
-	// overhead isn't worth it and keys are processed in caller order.
-	minBatchPartition = 256
 )
 
 // digit selects a radix sort's bucket from a key hash: (h>>shift)&mask,
@@ -72,74 +72,27 @@ func radixSort(hs, dst []uint64, d digit) (sorted []uint64, bounds [batchShards 
 	return sorted, bounds
 }
 
-// applyCount applies op to every key and returns the number of successes.
-func applyCount(hs []uint64, op func(uint64) bool) int {
-	n := 0
-	for _, h := range hs {
-		if op(h) {
-			n++
-		}
-	}
-	return n
-}
-
-// batchPrefetchDist is how many keys ahead of the sweep cursor a block's
-// first metadata word is demand-loaded. Go has no prefetch intrinsic, so the
-// pipeline issues a real load for the upcoming block and folds it into a
-// sink the filter keeps; by the time the sweep reaches that key its cache
-// line is (usually) resident. Eight keys ≈ one partition stride of
-// out-of-order window on current cores.
-const batchPrefetchDist = 8
-
-// batchScratch holds the reusable buffers of the sequential batch pipeline,
-// owned by a filter so steady-state batch calls allocate nothing. The
-// sequential filters are single-goroutine by contract, which is what makes
-// a per-filter scratch sound. sink accumulates the prefetch loads so the
-// compiler cannot eliminate them.
-type batchScratch struct {
-	sorted []uint64
-	sink   uint64
-}
-
-// buf returns the reusable sort buffer, grown to at least n keys.
-func (s *batchScratch) buf(n int) []uint64 {
-	if cap(s.sorted) < n {
-		s.sorted = make([]uint64, n)
-	}
-	return s.sorted
-}
-
-// InsertBatch inserts the keys of hs, returning the number successfully
-// inserted. Every key is attempted, even after an insert fails: when the
-// filter approaches capacity the successes can come from anywhere in hs, not
-// a prefix of it (insertion order is a locality-driven radix reorder, not
-// caller order). Duplicates are stored like repeated Insert calls.
+// InsertBatch inserts the keys of hs in caller order, returning the number
+// successfully inserted. Every key is attempted, even after an insert
+// fails: when the filter approaches capacity the successes can come from
+// anywhere in hs, not a prefix of it. Duplicates are stored like repeated
+// Insert calls. The filter ends as a loop of Insert over hs leaves it.
 func (f *Filter8) InsertBatch(hs []uint64) int {
 	f.st.Batch(len(hs))
-	if len(hs) < minBatchPartition {
-		return applyCount(hs, f.Insert)
-	}
-	sorted, _ := radixSort(hs, f.scratch.buf(len(hs)), blockDigit(f.mask, blockShift8))
 	n := 0
-	sink := f.scratch.sink
-	for i, h := range sorted {
-		if i+batchPrefetchDist < len(sorted) {
-			sink ^= f.blocks[(sorted[i+batchPrefetchDist]>>blockShift8)&f.mask].MetaLo
-		}
+	for _, h := range hs {
 		if f.Insert(h) {
 			n++
 		}
 	}
-	f.scratch.sink = sink
 	return n
 }
 
 // ContainsBatch reports membership for every key of hs in input order:
 // result[i] corresponds to hs[i]. The result reuses dst if it has
-// sufficient capacity (dst may be nil). Lookups do not write, so unlike
-// inserts and removes they need no radix order: the branch-free batch kernel
-// walks hs in caller order and lets the CPU overlap independent keys. Where
-// the kernel is unavailable, keys are probed one Contains at a time.
+// sufficient capacity (dst may be nil). The branch-free batch kernel walks
+// hs in caller order and lets the CPU overlap independent keys. Where the
+// kernel is unavailable, keys are probed one Contains at a time.
 func (f *Filter8) ContainsBatch(hs []uint64, dst []bool) []bool {
 	f.st.Batch(len(hs))
 	out := resizeBools(dst, len(hs))
@@ -154,46 +107,27 @@ func (f *Filter8) ContainsBatch(hs []uint64, dst []bool) []bool {
 }
 
 // RemoveBatch removes one previously inserted instance of each key of hs,
-// returning the number found and removed. Like InsertBatch, keys are
-// processed in block-address order, not caller order.
+// in caller order, returning the number found and removed.
 func (f *Filter8) RemoveBatch(hs []uint64) int {
 	f.st.Batch(len(hs))
-	if len(hs) < minBatchPartition {
-		return applyCount(hs, f.Remove)
-	}
-	sorted, _ := radixSort(hs, f.scratch.buf(len(hs)), blockDigit(f.mask, blockShift8))
 	n := 0
-	sink := f.scratch.sink
-	for i, h := range sorted {
-		if i+batchPrefetchDist < len(sorted) {
-			sink ^= f.blocks[(sorted[i+batchPrefetchDist]>>blockShift8)&f.mask].MetaLo
-		}
+	for _, h := range hs {
 		if f.Remove(h) {
 			n++
 		}
 	}
-	f.scratch.sink = sink
 	return n
 }
 
 // InsertBatch inserts the keys of hs; see Filter8.InsertBatch.
 func (f *Filter16) InsertBatch(hs []uint64) int {
 	f.st.Batch(len(hs))
-	if len(hs) < minBatchPartition {
-		return applyCount(hs, f.Insert)
-	}
-	sorted, _ := radixSort(hs, f.scratch.buf(len(hs)), blockDigit(f.mask, blockShift16))
 	n := 0
-	sink := f.scratch.sink
-	for i, h := range sorted {
-		if i+batchPrefetchDist < len(sorted) {
-			sink ^= f.blocks[(sorted[i+batchPrefetchDist]>>blockShift16)&f.mask].Meta
-		}
+	for _, h := range hs {
 		if f.Insert(h) {
 			n++
 		}
 	}
-	f.scratch.sink = sink
 	return n
 }
 
@@ -216,20 +150,11 @@ func (f *Filter16) ContainsBatch(hs []uint64, dst []bool) []bool {
 // Filter8.RemoveBatch.
 func (f *Filter16) RemoveBatch(hs []uint64) int {
 	f.st.Batch(len(hs))
-	if len(hs) < minBatchPartition {
-		return applyCount(hs, f.Remove)
-	}
-	sorted, _ := radixSort(hs, f.scratch.buf(len(hs)), blockDigit(f.mask, blockShift16))
 	n := 0
-	sink := f.scratch.sink
-	for i, h := range sorted {
-		if i+batchPrefetchDist < len(sorted) {
-			sink ^= f.blocks[(sorted[i+batchPrefetchDist]>>blockShift16)&f.mask].Meta
-		}
+	for _, h := range hs {
 		if f.Remove(h) {
 			n++
 		}
 	}
-	f.scratch.sink = sink
 	return n
 }

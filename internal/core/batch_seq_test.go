@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -113,8 +115,8 @@ func TestContainsBatchReusesDst(t *testing.T) {
 	}
 }
 
-// TestBatchEmptyAndTiny: zero-length and single-key batches go through the
-// small-batch path without touching the radix machinery.
+// TestBatchEmptyAndTiny: zero-length and single-key batches insert, answer
+// and remove like the per-key calls.
 func TestBatchEmptyAndTiny(t *testing.T) {
 	f := NewFilter8(1<<10, Options{})
 	if got := f.InsertBatch(nil); got != 0 {
@@ -142,11 +144,11 @@ func TestBatchEmptyAndTiny(t *testing.T) {
 	}
 }
 
-// TestInsertBatchAllDuplicates: a radix-path batch of one repeated key lands
-// entirely on one block pair; successes must match repeated per-key Insert
-// on an identical filter (both candidate blocks fill, the rest fail).
+// TestInsertBatchAllDuplicates: a batch of one repeated key lands entirely
+// on one block pair; successes must match repeated per-key Insert on an
+// identical filter (both candidate blocks fill, the rest fail).
 func TestInsertBatchAllDuplicates(t *testing.T) {
-	const n = 1024 // >> minBatchPartition and >> two blocks' 96 slots
+	const n = 1024 // >> two blocks' 96 slots
 	hs := make([]uint64, n)
 	for i := range hs {
 		hs[i] = 0xdeadbeefcafef00d
@@ -182,7 +184,7 @@ func TestInsertBatchAllDuplicates(t *testing.T) {
 }
 
 // TestRemoveBatchMatchesPerKey: batch removal of a present/absent mix agrees
-// with per-key Remove fed the same radix order.
+// with per-key Remove fed the same keys in caller order.
 func TestRemoveBatchMatchesPerKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	present := make([]uint64, 4096)
@@ -198,9 +200,8 @@ func TestRemoveBatchMatchesPerKey(t *testing.T) {
 	for i := 0; i < len(present); i += 2 {
 		victims = append(victims, present[i], rng.Uint64())
 	}
-	sorted, _ := radixSort(victims, make([]uint64, len(victims)), blockDigit(model.mask, blockShift16))
 	want := 0
-	for _, h := range sorted {
+	for _, h := range victims {
 		if model.Remove(h) {
 			want++
 		}
@@ -448,4 +449,95 @@ func TestContainsBatchSplit(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestBatchWritesMatchCallerOrder pins the order of a batch write that runs
+// on one worker: on the sequential filters and on one-worker concurrent
+// filters filled close to full, InsertBatch and RemoveBatch return the same
+// counts as a caller-order loop of Insert and Remove, and leave a
+// byte-identical stream. Near full, placement depends on insertion order
+// (a key goes to the emptier of its two blocks, or fails when both are
+// full), so a batch that reordered its keys would store them elsewhere.
+func TestBatchWritesMatchCallerOrder(t *testing.T) {
+	type writer interface {
+		Insert(uint64) bool
+		Remove(uint64) bool
+		InsertBatch([]uint64) int
+		RemoveBatch([]uint64) int
+		Count() uint64
+		Capacity() uint64
+		WriteTo(io.Writer) (int64, error)
+	}
+	const nslots = 1 << 13
+	for _, c := range []struct {
+		name          string
+		batch, perKey writer
+	}{
+		{"Filter8", NewFilter8(nslots, Options{}), NewFilter8(nslots, Options{})},
+		{"Filter16", NewFilter16(nslots, Options{}), NewFilter16(nslots, Options{})},
+		{"CFilter8", NewCFilter8(nslots, Options{}), NewCFilter8(nslots, Options{})},
+		{"CFilter16", NewCFilter16(nslots, Options{}), NewCFilter16(nslots, Options{})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			stream := func(f writer) []byte {
+				var buf bytes.Buffer
+				if _, err := f.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			check := func(op string, i, got, want int) {
+				t.Helper()
+				if got != want {
+					t.Fatalf("%s batch %d: %d successes, caller-order loop %d", op, i, got, want)
+				}
+				if c.batch.Count() != c.perKey.Count() {
+					t.Fatalf("%s batch %d: count %d, caller-order loop %d", op, i, c.batch.Count(), c.perKey.Count())
+				}
+				if !bytes.Equal(stream(c.batch), stream(c.perKey)) {
+					t.Fatalf("%s batch %d: stream differs from the caller-order loop's", op, i)
+				}
+			}
+			rng := rand.New(rand.NewSource(19))
+			var offered []uint64
+			failed := false
+			// Offer 5% more keys than there are slots, in 1024-key
+			// batches, so the last batches run into full block pairs.
+			for i := 0; uint64(len(offered)) < c.batch.Capacity()*21/20; i++ {
+				hs := make([]uint64, 1024)
+				for j := range hs {
+					hs[j] = rng.Uint64()
+				}
+				want := 0
+				for _, h := range hs {
+					if c.perKey.Insert(h) {
+						want++
+					}
+				}
+				got := c.batch.InsertBatch(hs)
+				failed = failed || got < len(hs)
+				check("insert", i, got, want)
+				offered = append(offered, hs...)
+			}
+			if !failed {
+				t.Fatal("scenario too weak: no insert failed")
+			}
+			// Remove every other offered key, offered or refused, mixed
+			// with keys never offered.
+			for i := 0; i*2048 < len(offered); i++ {
+				hs := make([]uint64, 0, 1024)
+				for j := i * 2048; j < min((i+1)*2048, len(offered)); j += 4 {
+					hs = append(hs, offered[j], rng.Uint64())
+				}
+				want := 0
+				for _, h := range hs {
+					if c.perKey.Remove(h) {
+						want++
+					}
+				}
+				check("remove", i, c.batch.RemoveBatch(hs), want)
+			}
+		})
+	}
 }

@@ -7,11 +7,11 @@ package core
 // concurrently and secondary-block collisions across buckets are serialized
 // by the per-block locks; shards on a sharded filter, so workers own whole
 // shards. Correctness never depends on the partitioning — it only removes
-// almost all lock contention and restores the sequential batch path's cache
-// locality within each worker. Lookups are lock-free reads that need no
-// block ownership, so they partition nothing: a large batch is cut into
-// contiguous caller-order chunks, each answered by the validated batch
-// kernel (probeLocked) with a per-key fallback for the keys it hands back.
+// almost all lock contention between the workers. Lookups are lock-free
+// reads that need no block ownership, so they partition nothing: a large
+// batch is cut into contiguous caller-order chunks, each answered by the
+// validated batch kernel (probeLocked) with a per-key fallback for the keys
+// it hands back.
 
 import (
 	"runtime"

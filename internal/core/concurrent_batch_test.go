@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,24 +164,47 @@ func TestCFilter8BatchSmall(t *testing.T) {
 	}
 }
 
-// TestCFilter8BatchMatchesSequentialCount checks the parallel insert path
-// against the sequential filter on an identical radix-ordered stream: the
-// number of stored fingerprints and membership answers must agree.
+// TestCFilter8BatchMatchesSequentialCount checks the concurrent batch
+// insert against the sequential filter fed the same keys one at a time in
+// caller order. On one worker the batch runs in caller order too, so the
+// number of stored fingerprints and every membership answer, false
+// positives included, must agree; on the parallel path every key must
+// land.
 func TestCFilter8BatchMatchesSequentialCount(t *testing.T) {
-	cf := NewCFilter8(1<<14, Options{})
 	rng := rand.New(rand.NewSource(3))
 	keys := make([]uint64, 12000)
 	for i := range keys {
 		keys[i] = rng.Uint64()
 	}
-	got := cf.InsertBatch(keys)
-	if got != len(keys) {
-		t.Fatalf("InsertBatch = %d, want %d", got, len(keys))
-	}
-	for _, h := range keys {
-		if !cf.Contains(h) {
-			t.Fatal("batch-inserted key missing")
-		}
+	for _, procs := range []int{1, 4} {
+		t.Run(strconv.Itoa(procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cf := NewCFilter8(1<<14, Options{})
+			if got := cf.InsertBatch(keys); got != len(keys) {
+				t.Fatalf("InsertBatch = %d, want %d", got, len(keys))
+			}
+			for _, h := range keys {
+				if !cf.Contains(h) {
+					t.Fatal("batch-inserted key missing")
+				}
+			}
+			if batchWorkers(len(keys), batchShards) > 1 {
+				return
+			}
+			model := NewFilter8(1<<14, Options{})
+			for _, h := range keys {
+				model.Insert(h)
+			}
+			if cf.Count() != model.Count() {
+				t.Fatalf("count %d, caller-order reference %d", cf.Count(), model.Count())
+			}
+			probe := rand.New(rand.NewSource(33))
+			for range 50000 {
+				if h := probe.Uint64(); cf.Contains(h) != model.Contains(h) {
+					t.Fatalf("membership of %#x differs from the caller-order reference", h)
+				}
+			}
+		})
 	}
 }
 

@@ -22,8 +22,8 @@ package core
 // (atomic-cursor claiming, see claim): two workers never write the same
 // shard, so batch writers contend on nothing at all — not even the
 // secondary-block collisions the single-filter parallel batches retain.
-// Within its claimed shard a worker sorts again by primary block for the
-// sequential sweep locality of the non-sharded batch path. Batch lookups
+// Within its claimed shard a worker writes the shard's keys in the order
+// the shard sort left them, caller order within the shard. Batch lookups
 // need no ownership: they answer in caller order through the validated
 // batch kernel, which reads the shards as one table and picks each key's
 // shard by its top bits, cut into contiguous chunks when the batch is large
@@ -323,9 +323,9 @@ func (f *sharded[S]) RemoveBatch(hs []uint64) int { return f.apply(hs, true) }
 // apply radix-sorts hs by shard and sweeps each shard's keys — inserting
 // them, or removing them when remove is set — on shard-disjoint workers;
 // see the package comment for the contention argument. A single shard
-// sweeps the whole batch with its own worker pool. Like cfilter.sweep, it
-// sorts into the parked buffer and builds a closure only for the parallel
-// path, so one worker allocates nothing.
+// sweeps the whole batch with its own worker pool. The sort goes into the
+// parked buffer and only the parallel path builds a closure, so one worker
+// allocates nothing.
 func (f *sharded[S]) apply(hs []uint64, remove bool) int {
 	if len(f.shards) == 1 {
 		return f.shards[0].sweep(hs, batchWorkers(len(hs), batchShards), remove)

@@ -56,10 +56,6 @@ type filter[B any, P blockPtr[B]] struct {
 	thresh uint
 	geo    *Geometry
 	st     stats.Local
-
-	// scratch backs the sequential batch pipeline (batch.go); owning it here
-	// makes steady-state batch calls allocation-free.
-	scratch batchScratch
 }
 
 func (f *filter[B, P]) init(g *Geometry, blocks []B, count uint64, opts Options) {
@@ -327,17 +323,19 @@ func (f *cfilter[B, P]) counters() *stats.Striped { return &f.st }
 // kernel's table.
 func (f *cfilter[B, P]) lockedArray() minifilter.LockedArray { return f.tab[0] }
 
-// InsertBatch inserts the keys of hs in parallel, returning the number
-// successfully inserted. Every key is attempted (the result is a success
-// count, not a prefix length — see Filter8.InsertBatch) and the insertion
-// order is unspecified. Safe for concurrent use alongside any other
-// operations.
+// InsertBatch inserts the keys of hs, in parallel when the batch is large
+// enough, returning the number successfully inserted. Every key is
+// attempted (the result is a success count, not a prefix length — see
+// Filter8.InsertBatch). One worker inserts in caller order; parallel
+// workers in an unspecified order. Safe for concurrent use alongside any
+// other operations.
 func (f *cfilter[B, P]) InsertBatch(hs []uint64) int {
 	return f.sweep(hs, batchWorkers(len(hs), batchShards), false)
 }
 
-// RemoveBatch removes one previously inserted instance of each key of hs in
-// parallel, returning the number found and removed. Safe for concurrent use.
+// RemoveBatch removes one previously inserted instance of each key of hs,
+// in parallel when the batch is large enough, returning the number found
+// and removed. Safe for concurrent use.
 func (f *cfilter[B, P]) RemoveBatch(hs []uint64) int {
 	return f.sweep(hs, batchWorkers(len(hs), batchShards), true)
 }
@@ -370,16 +368,17 @@ func (f *cfilter[B, P]) recordRemove(sel uint64, o writeOutcome) bool {
 }
 
 // sweep counts hs as one batch and inserts every key, or removes it when
-// remove is set, radix-grouped by primary block when the batch is long
-// enough to pay off, with w workers claiming the radix buckets. It returns
-// the number of successes. The bookkeeping is per range, not per key: each
-// worker's range adds its outcome totals to one stats stripe, and the
-// count moves once, by the batch's total, at the end. Per-key adds from
-// every worker to the one count word, and to stripes picked by each key's
-// block, bounced those cache lines between the workers' cores on nearly
-// every write, which made a two-worker batch slower than the same keys
-// written one at a time. The sort buffer is the parked one, and only the
-// parallel path builds a closure, so one worker allocates nothing.
+// remove is set, on w workers, and returns the number of successes. One
+// worker writes hs in caller order; w ≥ 2 workers claim the buckets of a
+// radix sort by primary block, so no two write the same primary block. The
+// bookkeeping is per range, not per key: each worker's range adds its
+// outcome totals to one stats stripe, and the count moves once, by the
+// batch's total, at the end. Per-key adds from every worker to the one
+// count word, and to stripes picked by each key's block, bounced those
+// cache lines between the workers' cores on nearly every write, which made
+// a two-worker batch slower than the same keys written one at a time. The
+// sort buffer is the parked one, and only the parallel path sorts or
+// builds a closure, so one worker allocates nothing.
 func (f *cfilter[B, P]) sweep(hs []uint64, w int, remove bool) int {
 	f.st.Batch(len(hs))
 	n := f.writeSorted(hs, w, remove)
@@ -393,15 +392,12 @@ func (f *cfilter[B, P]) sweep(hs []uint64, w int, remove bool) int {
 
 // writeSorted is sweep without the batch and count bookkeeping.
 func (f *cfilter[B, P]) writeSorted(hs []uint64, w int, remove bool) int {
-	if len(hs) < minBatchPartition {
+	if w == 1 {
 		return f.writeKeys(hs, remove)
 	}
 	buf := f.sorts.take(len(hs))
 	defer f.sorts.park(buf)
 	sorted, bounds := radixSort(hs, *buf, blockDigit(f.mask, f.geo.BlockShift))
-	if w == 1 {
-		return f.writeKeys(sorted, remove) // the buckets, in order
-	}
 	n, _ := claim(w, bounds[:], func(lo, hi, _ int) int { return f.writeKeys(sorted[lo:hi], remove) })
 	return n
 }

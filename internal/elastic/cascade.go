@@ -150,7 +150,7 @@ type splice struct {
 }
 
 // opEvents names a structural op for telemetry: its runtime/trace task and
-// its start/finish ring events (EvNone records nothing).
+// its start/finish ring events.
 type opEvents struct {
 	task          string
 	start, finish telemetry.EventKind
@@ -215,7 +215,7 @@ func (s *cascadeState) restructure(ev opEvents, tot *opTotals, plan func([]*leve
 			lg.sources[l] = struct{}{}
 		}
 	}
-	s.record(ev.start, uint64(len(ls)), live, 0)
+	s.ring.Record(ev.start, uint64(len(ls)), live, 0)
 	end := telemetry.Task(ev.task)
 	start := time.Now()
 
@@ -273,15 +273,8 @@ func (s *cascadeState) restructure(ev opEvents, tot *opTotals, plan func([]*leve
 	s.rearmLocked()
 	end()
 	res.after = len(next)
-	s.record(ev.finish, uint64(res.spliced), uint64(res.after), uint64(time.Since(start)))
+	s.ring.Record(ev.finish, uint64(res.spliced), uint64(res.after), uint64(time.Since(start)))
 	return res
-}
-
-// record writes one ring event unless kind is EvNone.
-func (s *cascadeState) record(kind telemetry.EventKind, a, b, c uint64) {
-	if kind != telemetry.EvNone {
-		s.ring.Record(kind, a, b, c)
-	}
 }
 
 // reconcile makes the built level dst agree with its source levels at

@@ -611,6 +611,9 @@ func freezeLoadOK(cfg Config, count, capacity uint64) bool {
 // freezeEvents are freezing's telemetry names.
 var freezeEvents = opEvents{"vqf.elastic.freeze", telemetry.EvFreezeStart, telemetry.EvFreezeFinish}
 
+// thawEvents are thawing's telemetry names.
+var thawEvents = opEvents{"vqf.elastic.thaw", telemetry.EvThawStart, telemetry.EvThawFinish}
+
 // FreezeNow rebuilds every qualifying run of frozen VQF levels into
 // immutable fuse levels, synchronously, through the structural-op engine
 // (see restructure). Runs that cannot meet their budget in the fuse
@@ -631,10 +634,9 @@ func (s *cascadeState) freeze(gate func(*level) bool) FreezeResult {
 // through the structural-op engine, each as a one-level splice: the fuse
 // level is the source, so racing removes log themselves and reconcile
 // replays them against the rebuilt level. A fully tombstoned level is
-// dropped (no remove can hit it again) and its budget reclaimed. Thaws
-// record no ring events.
+// dropped (no remove can hit it again) and its budget reclaimed.
 func (s *cascadeState) thawNow() {
-	s.restructure(opEvents{task: "vqf.elastic.thaw"}, &s.thaws, func(ls []*level) []splice {
+	s.restructure(thawEvents, &s.thaws, func(ls []*level) []splice {
 		var plans []splice
 		for i := len(ls) - 1; i >= 0; i-- {
 			fl, ok := ls[i].filter.(*fuseLevel)

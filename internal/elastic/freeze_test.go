@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vqf/internal/telemetry"
 	"vqf/internal/workload"
 )
 
@@ -197,6 +198,52 @@ func TestFreezeThaw(t *testing.T) {
 		t.Fatalf("removed keys answer true at %g after thaw", rate)
 	}
 	checkBudgetInvariant(t, f.cfg, f.list(), f.sched, f.Reclaimed())
+}
+
+// TestThawEvents: a thaw records a start and a finish event in the
+// cascade's ring, like a freeze or a compaction, with the pass's level
+// counts in their arguments.
+func TestThawEvents(t *testing.T) {
+	f, _ := New(Config{TargetFPR: 1.0 / 256, InitialSlots: 1 << 9})
+	ring := telemetry.NewRing(telemetry.DefaultRingSize)
+	f.SetEventRing(ring)
+	live := churn(t, f, 24, 20000, 5, 0.6)
+	if res := f.FreezeNow(); res.FuseLevels == 0 {
+		t.Fatal("expected a fuse level")
+	}
+	for _, k := range live[:len(live)/2] {
+		f.Remove(k)
+	}
+	thawed := f.thaws.levels.Load()
+	if thawed == 0 {
+		t.Fatal("tombstone pressure never thawed a level")
+	}
+	var starts, finishes []telemetry.Event
+	for _, ev := range ring.Events() {
+		switch ev.Kind {
+		case "thaw-start":
+			starts = append(starts, ev)
+		case "thaw-finish":
+			finishes = append(finishes, ev)
+		}
+	}
+	if len(starts) == 0 || len(starts) != len(finishes) || uint64(len(finishes)) != f.thaws.runs.Load() {
+		t.Fatalf("%d thaw-start and %d thaw-finish events for %d thaw passes",
+			len(starts), len(finishes), f.thaws.runs.Load())
+	}
+	var levels uint64
+	for i, fin := range finishes {
+		if st := starts[i]; st.Seq >= fin.Seq || st.A == 0 || st.B == 0 {
+			t.Fatalf("thaw-start %+v does not open thaw-finish %+v", st, fin)
+		}
+		if fin.A == 0 || fin.B == 0 || fin.C == 0 {
+			t.Fatalf("thaw-finish %+v: want levels thawed, levels after and a duration", fin)
+		}
+		levels += fin.A
+	}
+	if levels != thawed {
+		t.Fatalf("thaw-finish events count %d levels, the cascade %d", levels, thawed)
+	}
 }
 
 // TestFreezeDegenerateCascades drives FreezeNow and CompactNow over the

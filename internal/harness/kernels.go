@@ -12,7 +12,7 @@ import (
 )
 
 // Kernel microbenchmarks: repeated timed runs of the fused hot-path kernels
-// (single-key Insert/Contains/Remove and the sequential batch pipeline) on
+// (single-key Insert/Contains/Remove and the sequential batch calls) on
 // both geometries at a fixed load factor, plus the concurrent filters'
 // write and batch-lookup rows, which run the locked-mode write commit and
 // the validated batch kernel. Unlike the paper-figure sweeps,
@@ -107,8 +107,7 @@ func runKernelGeom(cfg KernelConfig, geom string, only []string, mk func() kerne
 	keys := workload.NewStream(cfg.Seed).Keys(int(n))
 	absent := workload.NewStream(cfg.Seed ^ 0x5ca1ab1e0ddba11).Keys(int(n))
 	// Lookups and removes probe in an order unrelated to insertion order, so
-	// the single-key ops see the random cache-line walk the batch pipeline is
-	// built to avoid.
+	// the single-key ops see a random cache-line walk.
 	probe := append([]uint64(nil), keys...)
 	rand.New(rand.NewSource(int64(cfg.Seed))).Shuffle(len(probe), func(i, j int) {
 		probe[i], probe[j] = probe[j], probe[i]

@@ -273,8 +273,8 @@ func checkDifferential(s Subject, tr Trace) error {
 // false positives included; (b) a twin instance fed the trace through the
 // batch APIs must hold the same key multiset as the one fed per-op: equal
 // counts and no false negatives for live keys. Physical placement may differ
-// (batching radix-reorders inserts), so absent-key answers are not compared
-// across twins.
+// (parallel and sharded batches reorder inserts), so absent-key answers are
+// not compared across twins.
 func checkBatchEquivalence(s Subject, tr Trace) error {
 	single, err := s.New(tr.NSlots)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package service is the filter-as-a-service layer behind cmd/vqfd: a
 // registry of named hosted filters (plain, concurrent, sharded, elastic,
 // kv map), an HTTP/JSON admin+data API, a length-prefixed binary protocol
-// whose frames carry batches of keys straight into the radix-partitioned
-// batch kernels, snapshot persistence with warm restart, and graceful
+// whose frames carry batches of keys straight into one batch call each,
+// snapshot persistence with warm restart, and graceful
 // drain-then-snapshot shutdown. Everything is stdlib-only, like the rest
 // of the repository.
 package service

@@ -48,6 +48,13 @@ const (
 	// EvFreezeFinish: a cascade freeze finished. A = source levels frozen
 	// away, B = levels after, C = duration ns.
 	EvFreezeFinish
+	// EvThawStart: a cascade thaw (tombstone-laden fuse levels rebuilding
+	// into live form) began. A = levels before, B = live items in the
+	// fuse levels it thaws.
+	EvThawStart
+	// EvThawFinish: a cascade thaw finished. A = fuse levels thawed or
+	// dropped, B = levels after, C = duration ns.
+	EvThawFinish
 	numEventKinds
 )
 
@@ -63,6 +70,8 @@ var eventKindNames = [numEventKinds]string{
 	"compact-finish",
 	"freeze-start",
 	"freeze-finish",
+	"thaw-start",
+	"thaw-finish",
 }
 
 // String returns the event kind's stable identifier (used in JSON).

@@ -11,7 +11,7 @@ func TestShardedFilterBasic(t *testing.T) {
 	if f.NumShards() != 4 {
 		t.Fatalf("got %d shards, want 4", f.NumShards())
 	}
-	if New(100).NumShards() != 1 || NewElastic().NumShards() != 1 {
+	if New(100).NumShards() != 1 || NewConcurrent(100).NumShards() != 1 {
 		t.Fatal("unsharded filter should report 1 shard")
 	}
 	for i := 0; i < 10000; i++ {

@@ -249,6 +249,15 @@ func NewConcurrent(n uint64, opts ...Option) *Filter {
 // lower load factors.
 func (f *Filter) FalsePositiveRate() float64 { return f.coreImpl().Geometry().FPR }
 
+// NumShards returns the filter's shard count: the (rounded-up) configured
+// count for NewSharded, 1 for New and NewConcurrent.
+func (f *Filter) NumShards() int {
+	if s, ok := f.impl.(interface{ NumShards() int }); ok {
+		return s.NumShards()
+	}
+	return 1
+}
+
 // Snapshot returns a full structural snapshot: operation counters, load
 // factor, space efficiency, estimated false-positive rate, and the per-block
 // occupancy distribution. On concurrent filters the occupancy scan reads each
