@@ -188,12 +188,16 @@ func BenchmarkMaxLoadFactor(b *testing.B) {
 }
 
 // BenchmarkAblationGenericBlock regenerates the §7.7 analog: aggregate
-// throughput with SWAR block operations versus scalar loops.
+// throughput of the shortcut VQF on the assembly kernels versus their
+// portable Go bodies.
 func BenchmarkAblationGenericBlock(b *testing.B) {
-	for _, spec := range []harness.Spec{harness.SpecVQF8Shortcut(), harness.SpecVQF8Generic()} {
-		spec := spec
-		b.Run(spec.Name, func(b *testing.B) {
-			aggregateBench(b, spec, benchSlots)
+	for _, asm := range []bool{true, false} {
+		name := "portable"
+		if asm {
+			name = "asm"
+		}
+		b.Run(name, func(b *testing.B) {
+			harness.WithKernels(asm, func() { aggregateBench(b, harness.SpecVQF8Shortcut(), benchSlots) })
 		})
 	}
 }

@@ -26,7 +26,7 @@
 //	freeze   frozen tier: churned vs compacted vs fuse-frozen cascade (writes JSON)
 //	maxload  maximum load factor per design variant (§3.4, §6.2)
 //	choices  block-occupancy dispersion: two-choice vs single (Theorem 1)
-//	ablation SWAR vs scalar block operations (§7.7 analog)
+//	ablation assembly vs portable block kernels (§7.7 analog, writes JSON)
 //	all      everything above
 package main
 
@@ -35,6 +35,7 @@ import (
 	_ "expvar" // registers /debug/vars on the -httpserve endpoint
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on the -httpserve endpoint
@@ -90,7 +91,7 @@ func main() {
 	fs.IntVar(&cfg.probes, "probes", 2000000, "random probes for table2 FPR measurement")
 	fs.Uint64Var(&cfg.seed, "seed", 42, "workload seed")
 	fs.StringVar(&cfg.which, "which", "", "fig6 sub-panel: a, b, c or d (default: all four)")
-	fs.IntVar(&cfg.repeat, "repeat", 1, "repetitions to average for fig4/fig5 sweeps")
+	fs.IntVar(&cfg.repeat, "repeat", 1, "repetitions to average for fig4/fig5 sweeps, and runs per row for ablation")
 	fs.IntVar(&cfg.batch, "batch", 1<<14, "keys per sequential batch call for the kernels experiment")
 	fs.IntVar(&cfg.reps, "reps", 5, "timed samples per op for the kernels experiment")
 	fs.StringVar(&cfg.oldJSON, "old", "", "baseline BENCH_kernels.json for kernelgate")
@@ -99,7 +100,7 @@ func main() {
 		"kernelgate failure threshold: max tolerated significant slowdown in percent")
 	fs.BoolVar(&cfg.csv, "csv", false, "emit CSV instead of aligned text")
 	fs.StringVar(&cfg.benchout, "benchout", "auto",
-		"output file for JSON-emitting experiments (fig4, fig5, elastic, choices); \"auto\" writes BENCH_<experiment>.json, empty skips")
+		"output file for JSON-emitting experiments (fig4, fig5, elastic, choices, ablation); \"auto\" writes BENCH_<experiment>.json, empty skips")
 	fs.IntVar(&cfg.oracleRounds, "oracle-rounds", 4, "oracle: traces per (subject, property) pair")
 	fs.IntVar(&cfg.oracleOps, "oracle-ops", 8000, "oracle: operations per trace")
 	fs.IntVar(&cfg.oracleUniverse, "oracle-universe", 2000, "oracle: distinct keys per trace")
@@ -416,19 +417,18 @@ func runFig5(cfg config) {
 }
 
 func runFig6(cfg config) {
+	// Each panel leads with its shortcut VQF rerun on the portable kernels:
+	// the §7.7 analog of the paper's AVX2 build (see runAblation).
 	panels := map[string]struct {
 		label    string
 		logSlots uint
+		vqf      harness.Spec
 		specs    []harness.Spec
 	}{
-		"a": {"Figure 6a: aggregate, RAM, FPR 2^-8", cfg.logSlotsRAM,
-			append([]harness.Spec{harness.SpecVQF8Generic()}, harness.SpecsFPR8()...)},
-		"b": {"Figure 6b: aggregate, cache, FPR 2^-8", cfg.logSlotsCache,
-			append([]harness.Spec{harness.SpecVQF8Generic()}, harness.SpecsFPR8()...)},
-		"c": {"Figure 6c: aggregate, RAM, FPR 2^-16", cfg.logSlotsRAM,
-			append([]harness.Spec{harness.SpecVQF16Generic()}, harness.SpecsFPR16()...)},
-		"d": {"Figure 6d: aggregate, cache, FPR 2^-16", cfg.logSlotsCache,
-			append([]harness.Spec{harness.SpecVQF16Generic()}, harness.SpecsFPR16()...)},
+		"a": {"Figure 6a: aggregate, RAM, FPR 2^-8", cfg.logSlotsRAM, harness.SpecVQF8Shortcut(), harness.SpecsFPR8()},
+		"b": {"Figure 6b: aggregate, cache, FPR 2^-8", cfg.logSlotsCache, harness.SpecVQF8Shortcut(), harness.SpecsFPR8()},
+		"c": {"Figure 6c: aggregate, RAM, FPR 2^-16", cfg.logSlotsRAM, harness.SpecVQF16Shortcut(), harness.SpecsFPR16()},
+		"d": {"Figure 6d: aggregate, cache, FPR 2^-16", cfg.logSlotsCache, harness.SpecVQF16Shortcut(), harness.SpecsFPR16()},
 	}
 	order := []string{"a", "b", "c", "d"}
 	if cfg.which != "" {
@@ -442,13 +442,22 @@ func runFig6(cfg config) {
 		}
 		fmt.Println(p.label)
 		t := harness.NewTable("filter", "insert", "pos-lookup", "rand-lookup", "delete")
-		for _, spec := range p.specs {
-			r := harness.RunAggregate(spec, 1<<p.logSlots, cfg.seed)
+		add := func(r harness.AggregateResult) {
 			if r.Failed {
 				t.AddRow(r.Name, "FAILED", "-", "-", "-")
-				continue
+				return
 			}
 			t.AddRow(r.Name, r.InsertMops, r.PosLookupMops, r.RandLookupMops, r.DeleteMops)
+		}
+		// Under -kernels-impl generic every row already runs portable.
+		if minifilter.AsmEnabled() {
+			var r harness.AggregateResult
+			harness.WithKernels(false, func() { r = harness.RunAggregate(p.vqf, 1<<p.logSlots, cfg.seed) })
+			r.Name = strings.TrimSuffix(r.Name, "-shortcut") + "-portable"
+			add(r)
+		}
+		for _, spec := range p.specs {
+			add(harness.RunAggregate(spec, 1<<p.logSlots, cfg.seed))
 		}
 		emit(cfg, t)
 	}
@@ -646,17 +655,85 @@ func runChoices(cfg config) {
 	writeJSON(cfg, "choices", doc)
 }
 
+// ablationOp is one op's aggregate throughput over the ablation's repeats.
+// CI95 is absent when a single repeat leaves it undefined.
+type ablationOp struct {
+	Mops    float64   `json:"mops"`
+	CI95    *float64  `json:"ci95_mops,omitempty"`
+	Samples []float64 `json:"samples_mops"`
+}
+
+// ablationRow is one filter on one kernel implementation ("asm" or
+// "portable") in BENCH_ablation.json; samples collects the runs, one slice
+// per ablationOps entry, until Ops summarizes them.
+type ablationRow struct {
+	Filter  string                `json:"filter"`
+	Kernels string                `json:"kernels"`
+	Ops     map[string]ablationOp `json:"ops"`
+	spec    harness.Spec
+	samples [len(ablationOps)][]float64
+}
+
+// ablationOps names the Figure 6 bars each ablation row measures.
+var ablationOps = [...]string{"insert", "pos-lookup", "rand-lookup", "delete"}
+
+// runAblation is the §7.7 analog: the production shortcut VQFs' aggregate
+// throughput (RunAggregate) on the assembly kernels and on their portable
+// Go bodies, -repeat times each, interleaved so drift hits every row alike.
 func runAblation(cfg config) {
-	fmt.Printf("SWAR vs scalar block operations (§7.7 analog, 2^%d slots)\n", cfg.logSlotsRAM)
-	t := harness.NewTable("variant", "insert", "pos-lookup", "rand-lookup", "delete")
-	for _, spec := range []harness.Spec{
-		harness.SpecVQF8Shortcut(), harness.SpecVQF8Generic(),
-		harness.SpecVQF16Shortcut(), harness.SpecVQF16Generic(),
-	} {
-		r := harness.RunAggregate(spec, 1<<cfg.logSlotsRAM, cfg.seed)
-		t.AddRow(r.Name, r.InsertMops, r.PosLookupMops, r.RandLookupMops, r.DeleteMops)
+	kernels := []string{"asm", "portable"}
+	if !minifilter.AsmSupported() {
+		kernels = kernels[1:]
+	}
+	fmt.Printf("Assembly vs portable block kernels (§7.7 analog, 2^%d slots, %d repeats)\n",
+		cfg.logSlotsRAM, cfg.repeat)
+	if len(kernels) == 1 {
+		fmt.Println("the assembly kernels cannot run here (GOARCH, purego, or CPU): portable rows only")
+	}
+	var rows []ablationRow
+	for _, spec := range []harness.Spec{harness.SpecVQF8Shortcut(), harness.SpecVQF16Shortcut()} {
+		for _, impl := range kernels {
+			rows = append(rows, ablationRow{Filter: spec.Name, Kernels: impl, Ops: map[string]ablationOp{}, spec: spec})
+		}
+	}
+	for rep := 0; rep < cfg.repeat; rep++ {
+		for i := range rows {
+			row := &rows[i]
+			var r harness.AggregateResult
+			harness.WithKernels(row.Kernels == "asm", func() { r = harness.RunAggregate(row.spec, 1<<cfg.logSlotsRAM, cfg.seed) })
+			if r.Failed {
+				fmt.Fprintf(os.Stderr, "vqfbench: %s on %s kernels failed to fill\n", row.Filter, row.Kernels)
+				os.Exit(1)
+			}
+			for op, v := range [len(ablationOps)]float64{r.InsertMops, r.PosLookupMops, r.RandLookupMops, r.DeleteMops} {
+				row.samples[op] = append(row.samples[op], v)
+			}
+		}
+	}
+	t := harness.NewTable(append([]string{"filter", "kernels"}, ablationOps[:]...)...)
+	for _, row := range rows {
+		cells := []any{row.Filter, row.Kernels}
+		for op, name := range ablationOps {
+			mean, ci := analysis.MeanCI95(row.samples[op])
+			o := ablationOp{Mops: mean, Samples: row.samples[op]}
+			if !math.IsInf(ci, 1) {
+				o.CI95 = &ci
+			}
+			row.Ops[name] = o
+			cells = append(cells, fmt.Sprintf("%.2f ± %.2f", mean, ci))
+		}
+		t.AddRow(cells...)
 	}
 	emit(cfg, t)
+	doc := struct {
+		Experiment string           `json:"experiment"`
+		Env        harness.BenchEnv `json:"env"`
+		Log2Slots  uint             `json:"log2_slots"`
+		Repeat     int              `json:"repeat"`
+		Seed       uint64           `json:"seed"`
+		Results    []ablationRow    `json:"results"`
+	}{"kernel-ablation", harness.CaptureEnv(), cfg.logSlotsRAM, cfg.repeat, cfg.seed, rows}
+	writeJSON(cfg, "ablation", doc)
 }
 
 func log2(x float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"vqf/internal/elastic"
+	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/telemetry"
 )
@@ -56,7 +57,9 @@ type CascadeSnapshot = stats.CascadeSnapshot
 // elasticConfig translates the public options into the internal cascade
 // config. WithInitialCapacity counts items, the internal InitialSlots is a
 // slot budget; dividing by the growth threshold makes level 0 grow after
-// approximately the requested item count.
+// approximately the requested item count. The budget is raised to one
+// 8-bit block, the smallest level, so any capacity of at least one item
+// builds, as New(1) does.
 func elasticConfig(opts []Option) (elastic.Config, config, error) {
 	c, err := buildConfig(opts)
 	if err != nil {
@@ -78,7 +81,7 @@ func elasticConfig(opts []Option) (elastic.Config, config, error) {
 		return ec, c, err
 	}
 	if c.initialCap > 0 {
-		ec.InitialSlots = uint64(float64(c.initialCap) / ec.FillThreshold)
+		ec.InitialSlots = max(uint64(float64(c.initialCap)/ec.FillThreshold), minifilter.B8Slots)
 	}
 	if err := ec.Validate(); err != nil {
 		return ec, c, err

@@ -194,6 +194,29 @@ func TestElasticOptionValidation(t *testing.T) {
 	}
 }
 
+// TestElasticSmallInitialCapacity builds elastic filters for capacities
+// whose slot budget falls below one block: they start at one block, hold
+// their keys and grow past it.
+func TestElasticSmallInitialCapacity(t *testing.T) {
+	for _, n := range []uint64{1, 40, 41} {
+		for _, f := range []*Elastic{
+			NewElastic(WithInitialCapacity(n)),
+			NewConcurrentElastic(WithInitialCapacity(n)),
+		} {
+			for i := uint64(0); i < 200; i++ {
+				if err := f.AddUint64(i); err != nil {
+					t.Fatalf("n=%d: add %d: %v", n, i, err)
+				}
+			}
+			for i := uint64(0); i < 200; i++ {
+				if !f.ContainsUint64(i) {
+					t.Fatalf("n=%d: key %d missing", n, i)
+				}
+			}
+		}
+	}
+}
+
 func TestElasticRemovePublic(t *testing.T) {
 	f := NewElastic(WithInitialCapacity(1024))
 	for i := uint64(0); i < 4000; i++ {

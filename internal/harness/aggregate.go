@@ -3,6 +3,7 @@ package harness
 import (
 	"time"
 
+	"vqf/internal/minifilter"
 	"vqf/internal/workload"
 )
 
@@ -74,4 +75,16 @@ func RunAggregate(spec Spec, nslots uint64, seed uint64) AggregateResult {
 		res.DeleteMops = mops(n, time.Since(start))
 	}
 	return res
+}
+
+// WithKernels runs fn on the assembly block kernels (asm) or on their
+// portable Go bodies, then restores the previous selection. The two are
+// the §7.7 analog of the paper's AVX-512 and AVX2 builds: one filter, its
+// kernels on wide and on narrower instructions. Where
+// minifilter.AsmSupported is false, both choices run the portable bodies.
+func WithKernels(asm bool, fn func()) {
+	prev := minifilter.AsmEnabled()
+	minifilter.SetAsmKernels(asm)
+	defer minifilter.SetAsmKernels(prev)
+	fn()
 }

@@ -62,14 +62,6 @@ func SpecVQF8Shortcut() Spec {
 	}}
 }
 
-// SpecVQF8Generic is the scalar-loop ablation variant (§7.7 analog); see
-// ablation.go.
-func SpecVQF8Generic() Spec {
-	return Spec{Name: "vqf-generic", MaxLoad: 0.90, New: func(n uint64) (Filter, error) {
-		return newScalar8(n, true, false), nil
-	}}
-}
-
 // SpecQF8 is the quotient filter with 8-bit remainders: the rank-and-select
 // encoding (internal/rsqf), matching the paper's CQF comparator.
 func SpecQF8() Spec {
@@ -119,13 +111,6 @@ func SpecVQF16() Spec {
 func SpecVQF16Shortcut() Spec {
 	return Spec{Name: "vqf16-shortcut", MaxLoad: 0.88, New: func(n uint64) (Filter, error) {
 		return core.NewFilter16(n, core.Options{}), nil
-	}}
-}
-
-// SpecVQF16Generic is the 16-bit scalar-loop ablation variant.
-func SpecVQF16Generic() Spec {
-	return Spec{Name: "vqf16-generic", MaxLoad: 0.88, New: func(n uint64) (Filter, error) {
-		return newScalar16(n, true), nil
 	}}
 }
 

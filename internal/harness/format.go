@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table renders aligned text tables for the experiment driver's output.
@@ -28,16 +29,17 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// String renders the table with padded columns.
+// String renders the table with columns padded to their widest cell, in
+// runes, so a cell such as "1.00 ± 0.10" aligns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, r := range t.rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -48,7 +50,7 @@ func (t *Table) String() string {
 				b.WriteString("  ")
 			}
 			b.WriteString(c)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 		}
 		b.WriteByte('\n')
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"vqf/internal/core"
+	"vqf/internal/hashing"
 	"vqf/internal/minifilter"
 	"vqf/internal/stats"
 	"vqf/internal/workload"
@@ -30,8 +31,7 @@ func RunMaxLoad(nslots uint64, seed uint64) []MaxLoadRow {
 		name string
 		new  func() filter
 	}{
-		// The independent second hash is an ablation (§3.4), built only here.
-		{"independent-hash, no shortcut", func() filter { return newScalar8(nslots, false, true) }},
+		{"independent-hash, no shortcut", func() filter { return newIndependentFill(nslots) }},
 		{"xor-trick, no shortcut", vqf(core.Options{NoShortcut: true})},
 		{"shortcut 75% (36/48)", vqf(core.Options{})},
 		{"shortcut 87.5% (42/48)", vqf(core.Options{ShortcutThreshold: 42})},
@@ -46,6 +46,45 @@ func RunMaxLoad(nslots uint64, seed uint64) []MaxLoadRow {
 		rows = append(rows, MaxLoadRow{Config: c.name, MaxLoad: f.LoadFactor()})
 	}
 	return rows
+}
+
+// independentFill is the §3.4 independent-hash variant of the 8-bit VQF
+// without the shortcut: core.Filter8's key split and two-choice placement,
+// but with the partner block drawn from an independent hash of the key
+// (hashing.Mix64) instead of the xor trick. Removing from such a filter is
+// unsafe (§3.4), so it only fills: it exists for RunMaxLoad.
+type independentFill struct {
+	blocks []minifilter.Block8
+	mask   uint64
+	count  uint64
+}
+
+func newIndependentFill(nslots uint64) *independentFill {
+	k := core.Geom8.Blocks(nslots)
+	f := &independentFill{blocks: make([]minifilter.Block8, k), mask: k - 1}
+	for i := range f.blocks {
+		f.blocks[i].Reset()
+	}
+	return f
+}
+
+// Insert places h in the emptier of its two candidate blocks, the primary
+// on a tie, and reports false once that block is full.
+func (f *independentFill) Insert(h uint64) bool {
+	b1, _, bucket, fp := core.Geom8.Split(h, f.mask)
+	blk := &f.blocks[b1]
+	if alt := &f.blocks[hashing.Mix64(h)&f.mask]; alt.Occupancy() < blk.Occupancy() {
+		blk = alt
+	}
+	if !blk.Insert(bucket, byte(fp)) {
+		return false
+	}
+	f.count++
+	return true
+}
+
+func (f *independentFill) LoadFactor() float64 {
+	return float64(f.count) / float64(uint64(len(f.blocks))*core.Geom8.Slots)
 }
 
 // ChoiceStats summarizes block-occupancy dispersion for a placement policy —

@@ -93,54 +93,7 @@ func TestBlock16FillToCapacity(t *testing.T) {
 func TestBlock16ModelBased(t *testing.T) {
 	var b Block16
 	b.Reset()
-	model := map[modelKey]int{}
-	occ := 0
-	rng := rand.New(rand.NewSource(2))
-	for step := 0; step < 30000; step++ {
-		bucket := uint(rng.Intn(B16Buckets))
-		fp := uint16(rng.Intn(6))
-		k := modelKey{bucket, fp}
-		switch rng.Intn(3) {
-		case 0:
-			ok := b.Insert(bucket, fp)
-			if ok != (occ < B16Slots) {
-				t.Fatalf("step %d: insert ok=%v occ=%d", step, ok, occ)
-			}
-			if ok {
-				model[k]++
-				occ++
-			}
-		case 1:
-			ok := b.Remove(bucket, fp)
-			if ok != (model[k] > 0) {
-				t.Fatalf("step %d: remove ok=%v model=%d", step, ok, model[k])
-			}
-			if ok {
-				model[k]--
-				if model[k] == 0 {
-					delete(model, k)
-				}
-				occ--
-			}
-		case 2:
-			if got, want := b.Contains(bucket, fp), model[k] > 0; got != want {
-				t.Fatalf("step %d: contains=%v want %v", step, got, want)
-			}
-		}
-		if step%997 == 0 {
-			if got := b.Occupancy(); got != uint(occ) {
-				t.Fatalf("step %d: occupancy=%d model=%d", step, got, occ)
-			}
-			if ones := bits.OnesCount64(b.Meta); ones != B16Buckets {
-				t.Fatalf("step %d: %d ones in metadata", step, ones)
-			}
-		}
-	}
-	for k := range model {
-		if !b.Contains(k.bucket, k.fp) {
-			t.Fatalf("model entry (%d,%d) missing", k.bucket, k.fp)
-		}
-	}
+	testBlockModel[uint16](t, &b, B16Buckets, B16Slots, 6, func() int { return bits.OnesCount64(b.Meta) })
 }
 
 func TestBlock16BucketCountsMatchModel(t *testing.T) {

@@ -3,6 +3,7 @@ package minifilter
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -175,60 +176,112 @@ type modelKey struct {
 	fp     uint16
 }
 
-func TestBlock8ModelBased(t *testing.T) {
-	var b Block8
-	b.Reset()
-	model := map[modelKey]int{}
-	occ := 0
+// layoutModel is a block's reference layout: each bucket's fingerprints in
+// slot order. A block keeps its buckets' runs in bucket order, puts an
+// inserted fingerprint at the end of its bucket's run and closes the gap a
+// removal leaves, so its slots must read back as the concatenation of these
+// runs, with every lane past them zero. Equal fingerprints are
+// indistinguishable, so removing any one of them leaves the same layout.
+type layoutModel[F byte | uint16] struct {
+	runs [][]F
+	occ  int
+}
+
+func (m *layoutModel[F]) insert(bucket uint, fp F) {
+	m.runs[bucket] = append(m.runs[bucket], fp)
+	m.occ++
+}
+
+func (m *layoutModel[F]) remove(bucket uint, fp F) bool {
+	i := slices.Index(m.runs[bucket], fp)
+	if i < 0 {
+		return false
+	}
+	m.runs[bucket] = slices.Delete(m.runs[bucket], i, i+1)
+	m.occ--
+	return true
+}
+
+// modelBlock is the plain block surface of Block8 and Block16 with
+// fingerprints of type F.
+type modelBlock[F byte | uint16] interface {
+	Insert(bucket uint, fp F) bool
+	Remove(bucket uint, fp F) bool
+	Contains(bucket uint, fp F) bool
+	Occupancy() uint
+	Lane(i int) F
+	Iterate(yield func(bucket uint, fp F) bool) bool
+}
+
+// testBlockModel drives a random insert/remove/lookup stream over a small
+// fingerprint alphabet (to force duplicates) through an empty block b and
+// a layoutModel. After every op it requires the op's result, the
+// occupancy, metaOnes (the metadata's one bits, one per bucket) and the
+// exact slot layout to match the model.
+func testBlockModel[F byte | uint16](t *testing.T, b modelBlock[F], buckets, slots, alphabet int, metaOnes func() int) {
+	t.Helper()
+	m := &layoutModel[F]{runs: make([][]F, buckets)}
 	rng := rand.New(rand.NewSource(2))
 	for step := 0; step < 30000; step++ {
-		bucket := uint(rng.Intn(B8Buckets))
-		fp := byte(rng.Intn(8)) // small alphabet to force duplicates
-		k := modelKey{bucket, uint16(fp)}
-		switch rng.Intn(3) {
-		case 0: // insert
+		bucket := uint(rng.Intn(buckets))
+		fp := F(rng.Intn(alphabet))
+		op := [...]string{"insert", "remove", "contains"}[rng.Intn(3)]
+		switch op {
+		case "insert":
 			ok := b.Insert(bucket, fp)
-			if ok != (occ < B8Slots) {
-				t.Fatalf("step %d: insert ok=%v occ=%d", step, ok, occ)
+			if ok != (m.occ < slots) {
+				t.Fatalf("step %d: insert ok=%v occ=%d", step, ok, m.occ)
 			}
 			if ok {
-				model[k]++
-				occ++
+				m.insert(bucket, fp)
 			}
-		case 1: // remove
-			ok := b.Remove(bucket, fp)
-			if ok != (model[k] > 0) {
-				t.Fatalf("step %d: remove ok=%v model=%d", step, ok, model[k])
+		case "remove":
+			if ok, want := b.Remove(bucket, fp), m.remove(bucket, fp); ok != want {
+				t.Fatalf("step %d: remove ok=%v, want %v", step, ok, want)
 			}
-			if ok {
-				model[k]--
-				if model[k] == 0 {
-					delete(model, k)
-				}
-				occ--
-			}
-		case 2: // lookup
-			if got, want := b.Contains(bucket, fp), model[k] > 0; got != want {
+		case "contains":
+			if got, want := b.Contains(bucket, fp), slices.Contains(m.runs[bucket], fp); got != want {
 				t.Fatalf("step %d: contains=%v want %v", step, got, want)
 			}
 		}
-		if step%997 == 0 {
-			if got := b.Occupancy(); got != uint(occ) {
-				t.Fatalf("step %d: occupancy=%d model=%d", step, got, occ)
+		if got := b.Occupancy(); got != uint(m.occ) {
+			t.Fatalf("step %d: occupancy=%d model=%d", step, got, m.occ)
+		}
+		if ones := metaOnes(); ones != buckets {
+			t.Fatalf("step %d: %d ones in metadata, want %d", step, ones, buckets)
+		}
+		var got, want []modelKey
+		b.Iterate(func(bk uint, f F) bool {
+			got = append(got, modelKey{bk, uint16(f)})
+			return true
+		})
+		for bk, run := range m.runs {
+			for _, f := range run {
+				want = append(want, modelKey{uint(bk), uint16(f)})
 			}
-			// Metadata invariant: exactly B8Buckets ones and occ zeros in use.
-			ones := bits.OnesCount64(b.MetaLo) + bits.OnesCount64(b.MetaHi)
-			if ones != B8Buckets {
-				t.Fatalf("step %d: %d ones in metadata", step, ones)
+		}
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("step %d (%s bucket %d fp %d): slots diverge from the model at slot %d:\nblock %v\nmodel %v",
+				step, op, bucket, fp, i, got[i:], want[i:])
+		}
+		for i := m.occ; i < slots; i++ {
+			if lane := b.Lane(i); lane != 0 {
+				t.Fatalf("step %d (%s bucket %d fp %d): unused slot %d holds %d", step, op, bucket, fp, i, lane)
 			}
 		}
 	}
-	// Final sweep: every model entry present with the right multiplicity.
-	for k, n := range model {
-		if !b.Contains(k.bucket, byte(k.fp)) {
-			t.Fatalf("model entry (%d,%d)x%d missing", k.bucket, k.fp, n)
-		}
-	}
+}
+
+func TestBlock8ModelBased(t *testing.T) {
+	var b Block8
+	b.Reset()
+	testBlockModel[byte](t, &b, B8Buckets, B8Slots, 8, func() int {
+		return bits.OnesCount64(b.MetaLo) + bits.OnesCount64(b.MetaHi)
+	})
 }
 
 func TestBlock8BucketCountsMatchModel(t *testing.T) {

@@ -14,11 +14,13 @@
 //     bits. Filter target ε ≈ 2⁻¹⁶.
 //
 // All operations run in a constant number of word operations: select on the
-// metadata (the PDEP trick of Section 3.3, here broadword select), SWAR
-// compare over the fingerprint lanes (the VPCMPB analog), and a single
-// in-block shift (the VPERMB analog). Loop-based "generic" variants of every
-// operation are provided as the ablation baseline for the paper's Section 7.7
-// AVX-512-vs-AVX2 comparison.
+// metadata (the PDEP trick of Section 3.3), a compare over the fingerprint
+// lanes (the VPCMPB analog), and a single in-block shift (the VPERMB
+// analog). On amd64 with BMI2 they are assembly kernels (PDEP select, SSE2
+// compare and shift); elsewhere, or with SetAsmKernels(false), they are
+// portable Go bodies (broadword select, SWAR compare and shift). The two
+// agree bit for bit, and the pair is the analog of the paper's Section 7.7
+// AVX-512-vs-AVX2 comparison (vqfbench ablation).
 //
 // The top metadata bit of each block (bit b+s−1) doubles as a spin-lock bit
 // for the thread-safe filter (Section 6.3): it is only ever 1 in unlocked

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -99,6 +100,21 @@ func TestRegistryCRUD(t *testing.T) {
 	}
 	if _, err := reg.get("f-map"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get after drop: %v", err)
+	}
+}
+
+// TestRegistryCreateSmallElastic creates elastic filters at capacities
+// below one block's worth of items, which the registry accepts.
+func TestRegistryCreateSmallElastic(t *testing.T) {
+	reg := NewRegistry()
+	for _, n := range []uint64{1, 40} {
+		name := fmt.Sprintf("e%d", n)
+		if _, err := reg.Create(Spec{Name: name, Kind: KindElastic, Capacity: n}); err != nil {
+			t.Fatalf("create elastic capacity %d: %v", n, err)
+		}
+	}
+	if got := reg.Len(); got != 2 {
+		t.Fatalf("Len %d, want 2", got)
 	}
 }
 

@@ -246,26 +246,14 @@ func RemoveLane16(fps *[Words16]uint64, z int) {
 	}
 }
 
-// Lane8 returns byte lane i of the word-native fingerprint array. Lane
-// accessors serve the cold paths — the scalar ablation variant,
-// serialization, and tests; hot paths use the range and shift kernels.
+// Lane8 returns byte lane i of the word-native fingerprint array. The lane
+// readers serve cold paths such as block iteration and tests. Hot paths use
+// the range kernels, and every lane write goes through the shift kernels.
 func Lane8(fps *[Words8]uint64, i int) byte {
 	return byte(fps[i>>3] >> (uint(i&7) * 8))
-}
-
-// SetLane8 stores v into byte lane i.
-func SetLane8(fps *[Words8]uint64, i int, v byte) {
-	s := uint(i&7) * 8
-	fps[i>>3] = fps[i>>3]&^(0xff<<s) | uint64(v)<<s
 }
 
 // Lane16 returns uint16 lane i of the word-native fingerprint array.
 func Lane16(fps *[Words16]uint64, i int) uint16 {
 	return uint16(fps[i>>2] >> (uint(i&3) * 16))
-}
-
-// SetLane16 stores v into uint16 lane i.
-func SetLane16(fps *[Words16]uint64, i int, v uint16) {
-	s := uint(i&3) * 16
-	fps[i>>2] = fps[i>>2]&^(0xffff<<s) | uint64(v)<<s
 }

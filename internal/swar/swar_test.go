@@ -6,10 +6,22 @@ import (
 	"testing/quick"
 )
 
+// setLane8 stores v into byte lane i.
+func setLane8(fps *[Words8]uint64, i int, v byte) {
+	s := uint(i&7) * 8
+	fps[i>>3] = fps[i>>3]&^(0xff<<s) | uint64(v)<<s
+}
+
+// setLane16 stores v into uint16 lane i.
+func setLane16(fps *[Words16]uint64, i int, v uint16) {
+	s := uint(i&3) * 16
+	fps[i>>2] = fps[i>>2]&^(0xffff<<s) | uint64(v)<<s
+}
+
 // packLanes8 assembles 48 byte lanes into the word-native layout.
 func packLanes8(lanes *[48]byte) (fps [Words8]uint64) {
 	for i, b := range lanes {
-		SetLane8(&fps, i, b)
+		setLane8(&fps, i, b)
 	}
 	return
 }
@@ -24,7 +36,7 @@ func unpackLanes8(fps *[Words8]uint64) (lanes [48]byte) {
 
 func packLanes16(lanes *[28]uint16) (fps [Words16]uint64) {
 	for i, v := range lanes {
-		SetLane16(&fps, i, v)
+		setLane16(&fps, i, v)
 	}
 	return
 }
@@ -173,7 +185,7 @@ func TestLaneAccessorsRoundTrip(t *testing.T) {
 	rng.Read(lanes[:])
 	fps := packLanes8(&lanes)
 	if unpackLanes8(&fps) != lanes {
-		t.Fatal("Lane8/SetLane8 round trip mismatch")
+		t.Fatal("Lane8/setLane8 round trip mismatch")
 	}
 	var lanes16 [28]uint16
 	for i := range lanes16 {
@@ -181,7 +193,7 @@ func TestLaneAccessorsRoundTrip(t *testing.T) {
 	}
 	fps16 := packLanes16(&lanes16)
 	if unpackLanes16(&fps16) != lanes16 {
-		t.Fatal("Lane16/SetLane16 round trip mismatch")
+		t.Fatal("Lane16/setLane16 round trip mismatch")
 	}
 }
 

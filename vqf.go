@@ -106,7 +106,9 @@ func WithoutShortcut() Option {
 
 // WithInitialCapacity sets the item count an elastic filter's first level
 // is provisioned for; each growth multiplies capacity by the growth factor.
-// Only NewElastic and NewConcurrentElastic use it. The default is 4096.
+// Any n ≥ 1 is valid: the first level is never smaller than one block (48
+// slots), so a small n gets that block. Only NewElastic and
+// NewConcurrentElastic use it. The default is 4096.
 func WithInitialCapacity(n uint64) Option {
 	return func(c *config) { c.initialCap = n }
 }
