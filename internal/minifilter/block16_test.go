@@ -96,6 +96,13 @@ func TestBlock16ModelBased(t *testing.T) {
 	testBlockModel[uint16](t, &b, B16Buckets, B16Slots, 6, func() int { return bits.OnesCount64(b.Meta) })
 }
 
+// TestBlock16GenericEquivalence is TestBlock8GenericEquivalence for the
+// 16-bit block.
+func TestBlock16GenericEquivalence(t *testing.T) {
+	var b Block16
+	testBlockEncoding[uint16](t, &b, b.Reset, func() []uint64 { return blockWords(&b) }, B16Buckets, B16Slots, 1, 16, 2)
+}
+
 func TestBlock16BucketCountsMatchModel(t *testing.T) {
 	var b Block16
 	b.Reset()

@@ -284,6 +284,80 @@ func TestBlock8ModelBased(t *testing.T) {
 	})
 }
 
+// encodeLayout renders m as the eight raw words of the block it describes,
+// metadata first (as blockWords returns them), written here from the block
+// format alone: from metadata bit 0, each bucket is one zero per stored
+// fingerprint followed by its terminator one, and the fingerprints fill
+// consecutive lanes of width bits from the first fingerprint word, with
+// every lane past them zero.
+func encodeLayout[F byte | uint16](m *layoutModel[F], metaWords, width int) []uint64 {
+	w := make([]uint64, 8)
+	perWord := 64 / width
+	pos, lane := 0, 0
+	for _, run := range m.runs {
+		for _, fp := range run {
+			w[metaWords+lane/perWord] |= uint64(fp) << (width * (lane % perWord))
+			lane++
+		}
+		pos += len(run)
+		w[pos/64] |= 1 << (pos % 64)
+		pos++
+	}
+	return w
+}
+
+// testBlockEncoding drives one random insert/remove/lookup stream through
+// the block b (emptied by reset) on the generic kernels and then, where the
+// build has them, on the assembly kernels. After every op it requires the
+// op's result to match a layoutModel and the block's raw words to equal the
+// model's encodeLayout bit for bit, metadata included. It leaves the
+// assembly selected, the default.
+func testBlockEncoding[F byte | uint16](t *testing.T, b modelBlock[F], reset func(), words func() []uint64, buckets, slots, metaWords, width int, seed int64) {
+	t.Helper()
+	defer SetAsmKernels(true)
+	for _, asm := range []bool{false, true} {
+		if SetAsmKernels(asm) != asm {
+			continue // no assembly in this build: the generic pass is the only one
+		}
+		kernels := map[bool]string{false: "generic", true: "asm"}[asm]
+		reset()
+		m := &layoutModel[F]{runs: make([][]F, buckets)}
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 20000; step++ {
+			bucket := uint(rng.Intn(buckets))
+			fp := F(rng.Intn(16))
+			op := [...]string{"insert", "remove", "contains"}[rng.Intn(3)]
+			var got, want bool
+			switch op {
+			case "insert":
+				got, want = b.Insert(bucket, fp), m.occ < slots
+				if got {
+					m.insert(bucket, fp)
+				}
+			case "remove":
+				got, want = b.Remove(bucket, fp), m.remove(bucket, fp)
+			case "contains":
+				got, want = b.Contains(bucket, fp), slices.Contains(m.runs[bucket], fp)
+			}
+			if got != want {
+				t.Fatalf("%s kernels, step %d: %s(bucket %d, fp %d) = %v, want %v", kernels, step, op, bucket, fp, got, want)
+			}
+			if w, e := words(), encodeLayout(m, metaWords, width); !slices.Equal(w, e) {
+				t.Fatalf("%s kernels, step %d (%s bucket %d fp %d): block words diverge from the model's encoding:\nblock %#x\nmodel %#x",
+					kernels, step, op, bucket, fp, w, e)
+			}
+		}
+	}
+}
+
+// TestBlock8GenericEquivalence holds the block, on each kernel build, to an
+// independent encoding of its exact state: metadata words and fingerprint
+// lanes must match encodeLayout bit for bit after every op.
+func TestBlock8GenericEquivalence(t *testing.T) {
+	var b Block8
+	testBlockEncoding[byte](t, &b, b.Reset, func() []uint64 { return blockWords(&b) }, B8Buckets, B8Slots, 2, 8, 1)
+}
+
 func TestBlock8BucketCountsMatchModel(t *testing.T) {
 	var b Block8
 	b.Reset()
