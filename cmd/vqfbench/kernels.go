@@ -39,7 +39,7 @@ func runKernels(cfg config) {
 	results := harness.RunKernels(kcfg)
 	t := harness.NewTable("kernel", "Mops/s", "±95% CI")
 	for _, r := range results {
-		t.AddRow(r.Name, fmt.Sprintf("%.2f", r.Mops), fmt.Sprintf("%.2f", r.CI95))
+		t.AddRow(r.Name, fmt.Sprintf("%.2f", r.Mops), harness.FormatCI(r.CI95))
 	}
 	emit(cfg, t)
 	doc := kernelDoc{

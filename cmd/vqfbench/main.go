@@ -21,9 +21,8 @@
 //	table4   multi-threaded insert scaling (Table 4)
 //	observe  telemetry-layer overhead and quantile accuracy (writes JSON)
 //	service  vqfd daemon protocols: HTTP/JSON vs binary batches (writes JSON)
-//	elastic  online-growth cascade: throughput and FPR across growth events (writes JSON)
-//	compact  cascade compaction: negative-lookup recovery after churn (writes JSON)
-//	freeze   frozen tier: churned vs compacted vs fuse-frozen cascade (writes JSON)
+//	compact  cascade growth, churn, compaction and freeze; headline: negative-lookup recovery (writes JSON)
+//	freeze   the same run with long-lived survivors; headline: the frozen tier's bits/item (writes JSON)
 //	maxload  maximum load factor per design variant (§3.4, §6.2)
 //	choices  block-occupancy dispersion: two-choice vs single (Theorem 1)
 //	ablation assembly vs portable block kernels (§7.7 analog, writes JSON)
@@ -35,7 +34,6 @@ import (
 	_ "expvar" // registers /debug/vars on the -httpserve endpoint
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on the -httpserve endpoint
@@ -100,7 +98,7 @@ func main() {
 		"kernelgate failure threshold: max tolerated significant slowdown in percent")
 	fs.BoolVar(&cfg.csv, "csv", false, "emit CSV instead of aligned text")
 	fs.StringVar(&cfg.benchout, "benchout", "auto",
-		"output file for JSON-emitting experiments (fig4, fig5, elastic, choices, ablation); \"auto\" writes BENCH_<experiment>.json, empty skips")
+		"output file for JSON-emitting experiments (fig4, fig5, choices, ablation, kernels, multicore, observe, service, compact, freeze); \"auto\" writes BENCH_<experiment>.json, empty skips")
 	fs.IntVar(&cfg.oracleRounds, "oracle-rounds", 4, "oracle: traces per (subject, property) pair")
 	fs.IntVar(&cfg.oracleOps, "oracle-ops", 8000, "oracle: operations per trace")
 	fs.IntVar(&cfg.oracleUniverse, "oracle-universe", 2000, "oracle: distinct keys per trace")
@@ -114,7 +112,7 @@ func main() {
 	fs.StringVar(&cfg.kernelsImpl, "kernels-impl", "auto",
 		"kernel implementation: auto (assembly where supported), asm (require assembly), generic (portable Go)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: vqfbench [flags] <experiment>\n\nexperiments: table1 fig2 fig3 table2 fig4 fig5 fig6 table3 table4 elastic compact freeze maxload maxloadscale choices ablation kernels kernelgate multicore observe oracle service all\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: vqfbench [flags] <experiment>\n\nexperiments: table1 fig2 fig3 table2 fig4 fig5 fig6 table3 table4 compact freeze maxload maxloadscale choices ablation kernels kernelgate multicore observe oracle service all\n\nflags:\n")
 		fs.PrintDefaults()
 	}
 	fs.Parse(os.Args[1:])
@@ -155,7 +153,6 @@ func main() {
 		"fig6":         runFig6,
 		"table3":       runTable3,
 		"table4":       runTable4,
-		"elastic":      runElastic,
 		"compact":      runCompact,
 		"freeze":       runFreeze,
 		"maxload":      runMaxLoad,
@@ -171,7 +168,7 @@ func main() {
 	}
 	if cmd == "all" {
 		for _, name := range []string{"table1", "fig2", "fig3", "table2", "fig4",
-			"fig5", "fig6", "table3", "table4", "elastic", "maxload", "choices", "ablation"} {
+			"fig5", "fig6", "table3", "table4", "maxload", "choices", "ablation"} {
 			fmt.Printf("==== %s ====\n", name)
 			experiments[name](cfg)
 			fmt.Println()
@@ -490,123 +487,69 @@ func runTable4(cfg config) {
 	emit(cfg, t)
 }
 
-func runElastic(cfg config) {
-	// Start small enough (relative to -logslots) that the fill passes through
-	// several growth events; with growth factor 2 the cascade reaches the
-	// target item count after four to five levels.
-	initialSlots := uint64(1) << (cfg.logSlotsCache - 3)
-	totalItems := uint64(1) << cfg.logSlotsCache
-	ecfg := elastic.Config{TargetFPR: 1.0 / 256, InitialSlots: initialSlots}
-	fmt.Printf("Elastic growth: %d items through an initial capacity of %d slots (target FPR 2^-8)\n",
-		totalItems, initialSlots)
-	res := harness.RunGrowth(ecfg, totalItems, cfg.probes, cfg.queries, cfg.seed)
-	t := harness.NewTable("levels", "items", "insert", "pos-lookup", "rand-lookup", "measured FPR", "bits/item")
-	for _, s := range res.Segments {
-		t.AddRow(s.Levels, s.Items, s.InsertMops, s.PosLookupMops, s.RandLookupMops,
-			fmt.Sprintf("%.2e", s.MeasuredFPR), s.BitsPerItem)
-	}
-	emit(cfg, t)
-	if res.Failed {
-		fmt.Println("insert failed before reaching the target item count")
-	}
-	fmt.Printf("growth events: %d; FPR budget: %.2e (every checkpoint must stay below it)\n",
-		res.GrowthEvents, res.TargetFPR)
-	doc := struct {
-		Experiment string               `json:"experiment"`
-		Env        harness.BenchEnv     `json:"env"`
-		Probes     int                  `json:"probes"`
-		Queries    int                  `json:"queries_per_point"`
-		Seed       uint64               `json:"seed"`
-		Result     harness.GrowthResult `json:"result"`
-	}{"elastic-growth", harness.CaptureEnv(), cfg.probes, cfg.queries, cfg.seed, res}
-	writeJSON(cfg, "elastic", doc)
+// runCompact and runFreeze are two presets of one grow/churn/compact/freeze
+// run (harness.RunCascade). Both start from a 2^(cachelogslots-8)-slot level
+// so the fill stacks many levels. compact churns 2^cachelogslots items
+// through nine levels and removes the oldest 75%: its growth segments are
+// the growth table, and its headline is compaction's negative-lookup
+// recovery. freeze stops at 195x the initial budget, inside the 8-level
+// regime (a 9th level would grow near 217x), so the newest level, the one
+// a freeze never takes, is well loaded; it retires the oldest 85% with every
+// 16th key surviving, and its headline is the frozen twin's bits/item
+// against the churned cascade.
+func runCompact(cfg config) {
+	initial := uint64(1) << (cfg.logSlotsCache - 8)
+	runCascade(cfg, "compact", "cascade-compaction", harness.CascadeConfig{
+		Elastic:     elastic.Config{TargetFPR: 1.0 / 256, InitialSlots: initial},
+		TotalItems:  1 << cfg.logSlotsCache,
+		RemovedFrac: 0.75,
+	})
 }
 
-func runCompact(cfg config) {
-	// Start far smaller than runElastic so the fill stacks many levels: the
-	// point is a long churned cascade (≥6 levels) whose negative lookups pay
-	// one block probe per level before compaction collapses it.
-	initialSlots := uint64(1) << (cfg.logSlotsCache - 8)
-	totalItems := uint64(1) << cfg.logSlotsCache
-	probes := cfg.probes
-	if probes < 1_000_000 {
-		probes = 1_000_000 // FPR must be measured over at least a million probes
+func runFreeze(cfg config) {
+	initial := uint64(1) << (cfg.logSlotsCache - 8)
+	runCascade(cfg, "freeze", "frozen-tier", harness.CascadeConfig{
+		Elastic:        elastic.Config{TargetFPR: 1.0 / 256, InitialSlots: initial},
+		TotalItems:     initial * 195,
+		RemovedFrac:    0.85,
+		SurvivorStride: 16,
+	})
+}
+
+func runCascade(cfg config, name, experiment string, ccfg harness.CascadeConfig) {
+	// FPR must be measured over at least a million probes.
+	ccfg.Probes, ccfg.Queries, ccfg.Seed = max(cfg.probes, 1_000_000), cfg.queries, cfg.seed
+	fmt.Printf("Cascade lifecycle: %d items through an initial capacity of %d slots, oldest %.0f%% removed (survivor stride %d), then compact vs freeze on churned twins\n",
+		ccfg.TotalItems, ccfg.Elastic.InitialSlots, ccfg.RemovedFrac*100, ccfg.SurvivorStride)
+	res := harness.RunCascade(ccfg)
+	t := harness.NewTable("phase", "levels", "items", "insert", "neg-lookup", "pos-lookup", "measured FPR", "bits/item")
+	row := func(phase string, s harness.CascadeSide, insert any) {
+		t.AddRow(phase, s.Levels, s.Items, insert, s.NegLookupMops, s.PosLookupMops,
+			fmt.Sprintf("%.2e", s.MeasuredFPR), s.BitsPerItem)
 	}
-	ecfg := elastic.Config{TargetFPR: 1.0 / 256, InitialSlots: initialSlots}
-	fmt.Printf("Cascade compaction: %d items through an initial capacity of %d slots, then 75%% removed oldest-first\n",
-		totalItems, initialSlots)
-	res := harness.RunCompact(ecfg, totalItems, 0.75, probes, cfg.queries, cfg.seed)
-	t := harness.NewTable("phase", "levels", "items", "neg-lookup", "pos-lookup", "measured FPR", "bits/item")
-	for _, row := range []struct {
-		name string
-		s    harness.CompactSide
-	}{{"before", res.Before}, {"after", res.After}} {
-		t.AddRow(row.name, row.s.Levels, row.s.Items, row.s.NegLookupMops, row.s.PosLookupMops,
-			fmt.Sprintf("%.2e", row.s.MeasuredFPR), row.s.BitsPerItem)
+	for _, s := range res.Growth {
+		row("growth", s, s.InsertMops)
 	}
+	row("churned", res.Churned, "-")
+	row("compacted", res.Compacted, "-")
+	row("frozen", res.Frozen, "-")
 	emit(cfg, t)
 	if res.Failed {
-		fmt.Println("compaction run FAILED: a live key went missing or an op was rejected")
+		fmt.Println("cascade run FAILED: a live key went missing or an op was rejected")
 	}
-	fmt.Printf("merged %d levels in %.1f ms; negative-lookup speedup %.2fx (FPR budget %.2e)\n",
-		res.LevelsMerged, res.CompactMs, res.NegSpeedup, res.TargetFPR)
+	fmt.Printf("compaction merged %d levels in %.1f ms: neg-lookup %.2fx of churned\n",
+		res.LevelsMerged, res.CompactMs, res.NegSpeedup)
+	fmt.Printf("freeze took %d levels into %d fuse levels in %.1f ms: bits/item %.2fx of churned, neg-lookup %.2fx of compacted (FPR budget %.2e)\n",
+		res.LevelsFrozen, res.FuseLevels, res.FreezeMs, res.BitsRatioVsChurned, res.NegRatioVsCompacted, res.TargetFPR)
 	doc := struct {
 		Experiment string                `json:"experiment"`
 		Env        harness.BenchEnv      `json:"env"`
 		Probes     int                   `json:"probes"`
 		Queries    int                   `json:"queries_per_point"`
 		Seed       uint64                `json:"seed"`
-		Result     harness.CompactResult `json:"result"`
-	}{"cascade-compaction", harness.CaptureEnv(), probes, cfg.queries, cfg.seed, res}
-	writeJSON(cfg, "compact", doc)
-}
-
-func runFreeze(cfg config) {
-	// The lsmstore churn: fill an 8-level cascade to ~90% of the next growth
-	// trigger, then drop the oldest 85% of keys the way an LSM store retires
-	// runs — every 16th old key survives as a long-lived straggler. Two
-	// identically churned twins are then maintained both ways: CompactNow
-	// (the all-VQF baseline) versus FreezeNow on the churned state (the
-	// mixed VQF/fuse tier). The headline is bits/item against the churned
-	// cascade and negative-lookup throughput against the compacted one.
-	initialSlots := uint64(1) << (cfg.logSlotsCache - 8)
-	// 195× the initial budget lands inside the 8-level regime (growth to a
-	// 9th level would fire near 217×), so the insert-target level — the one
-	// a freeze can never take — is well loaded when the churn stops.
-	totalItems := initialSlots * 195
-	probes := cfg.probes
-	if probes < 1_000_000 {
-		probes = 1_000_000 // FPR must be measured over at least a million probes
-	}
-	ecfg := elastic.Config{TargetFPR: 1.0 / 256, InitialSlots: initialSlots}
-	fmt.Printf("Frozen tier: %d items through an initial capacity of %d slots, 85%% of runs retired oldest-first\n"+
-		"(1/%d long-lived survivors), then compact vs freeze on churned twins\n",
-		totalItems, initialSlots, harness.SurvivorStride)
-	res := harness.RunFreeze(ecfg, totalItems, 0.85, probes, cfg.queries, cfg.seed)
-	t := harness.NewTable("phase", "levels", "fuse", "items", "neg-lookup", "pos-lookup", "measured FPR", "bits/item")
-	for _, row := range []struct {
-		name string
-		s    harness.FreezeSide
-	}{{"churned", res.Churned}, {"compacted", res.Compacted}, {"frozen", res.Frozen}} {
-		t.AddRow(row.name, row.s.Levels, row.s.FuseLevels, row.s.Items, row.s.NegLookupMops,
-			row.s.PosLookupMops, fmt.Sprintf("%.2e", row.s.MeasuredFPR), row.s.BitsPerItem)
-	}
-	emit(cfg, t)
-	if res.Failed {
-		fmt.Println("freeze run FAILED: a live key went missing or an op was rejected")
-	}
-	fmt.Printf("froze %d levels into %d fuse levels in %.1f ms; bits/item %.2fx of churned, neg-lookup %.2fx of compacted (FPR budget %.2e)\n",
-		res.LevelsFrozen, res.FuseLevels, res.FreezeMs,
-		res.BitsRatioVsChurned, res.NegRatioVsCompacted, res.TargetFPR)
-	doc := struct {
-		Experiment string               `json:"experiment"`
-		Env        harness.BenchEnv     `json:"env"`
-		Probes     int                  `json:"probes"`
-		Queries    int                  `json:"queries_per_point"`
-		Seed       uint64               `json:"seed"`
-		Result     harness.FreezeResult `json:"result"`
-	}{"frozen-tier", harness.CaptureEnv(), probes, cfg.queries, cfg.seed, res}
-	writeJSON(cfg, "freeze", doc)
+		Result     harness.CascadeResult `json:"result"`
+	}{experiment, harness.CaptureEnv(), ccfg.Probes, ccfg.Queries, ccfg.Seed, res}
+	writeJSON(cfg, name, doc)
 }
 
 func runMaxLoad(cfg config) {
@@ -714,13 +657,9 @@ func runAblation(cfg config) {
 	for _, row := range rows {
 		cells := []any{row.Filter, row.Kernels}
 		for op, name := range ablationOps {
-			mean, ci := analysis.MeanCI95(row.samples[op])
-			o := ablationOp{Mops: mean, Samples: row.samples[op]}
-			if !math.IsInf(ci, 1) {
-				o.CI95 = &ci
-			}
-			row.Ops[name] = o
-			cells = append(cells, fmt.Sprintf("%.2f ± %.2f", mean, ci))
+			mean, ci := harness.MeanCI95(row.samples[op])
+			row.Ops[name] = ablationOp{Mops: mean, CI95: ci, Samples: row.samples[op]}
+			cells = append(cells, fmt.Sprintf("%.2f ± %s", mean, harness.FormatCI(ci)))
 		}
 		t.AddRow(cells...)
 	}

@@ -48,9 +48,9 @@ func runObserve(cfg config) {
 			label = "off"
 		}
 		t.AddRow(label,
-			fmt.Sprintf("%.2f", p.InsertMops), fmt.Sprintf("%.2f", p.InsertCI95),
+			fmt.Sprintf("%.2f", p.InsertMops), harness.FormatCI(p.InsertCI95),
 			fmt.Sprintf("%.2f", p.InsertOverheadPct),
-			fmt.Sprintf("%.2f", p.LookupMops), fmt.Sprintf("%.2f", p.LookupCI95),
+			fmt.Sprintf("%.2f", p.LookupMops), harness.FormatCI(p.LookupCI95),
 			fmt.Sprintf("%.2f", p.LookupOverheadPct))
 	}
 	emit(cfg, t)

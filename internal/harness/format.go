@@ -2,9 +2,32 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode/utf8"
+
+	"vqf/internal/analysis"
 )
+
+// MeanCI95 returns the samples' mean and 95% CI half-width for a JSON
+// document. The half-width is nil, and so left out of the JSON, when a
+// single sample leaves it undefined: encoding/json rejects analysis.MeanCI95's
+// +Inf.
+func MeanCI95(samples []float64) (float64, *float64) {
+	mean, ci := analysis.MeanCI95(samples)
+	if math.IsInf(ci, 1) {
+		return mean, nil
+	}
+	return mean, &ci
+}
+
+// FormatCI renders a MeanCI95 half-width for a table cell.
+func FormatCI(ci *float64) string {
+	if ci == nil {
+		return "inf"
+	}
+	return fmt.Sprintf("%.2f", *ci)
+}
 
 // Table renders aligned text tables for the experiment driver's output.
 type Table struct {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"vqf/internal/analysis"
 	"vqf/internal/core"
 	"vqf/internal/telemetry"
 	"vqf/internal/workload"
@@ -54,7 +53,7 @@ func (c *KernelConfig) defaults() {
 type KernelResult struct {
 	Name    string             `json:"name"`
 	Mops    float64            `json:"mops"`
-	CI95    float64            `json:"ci95_mops"`
+	CI95    *float64           `json:"ci95_mops,omitempty"` // nil for one sample
 	Samples []float64          `json:"samples_mops"`
 	Latency *telemetry.Summary `json:"latency_ns,omitempty"`
 }
@@ -276,7 +275,7 @@ func runKernelGeom(cfg KernelConfig, geom string, only []string, mk func() kerne
 		}
 	}
 	for i := range out {
-		out[i].Mops, out[i].CI95 = analysis.MeanCI95(out[i].Samples)
+		out[i].Mops, out[i].CI95 = MeanCI95(out[i].Samples)
 	}
 	// One latency pass per kernel, after every throughput sample is in: the
 	// per-op clock reads make this pass slower than a throughput rep, and

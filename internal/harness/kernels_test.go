@@ -1,6 +1,11 @@
 package harness
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+
+	"vqf/internal/core"
+)
 
 // TestRunKernelsSmoke runs the kernel microbenchmarks at toy scale and
 // checks the result inventory: every filter/op pair present (every op on
@@ -44,6 +49,32 @@ func TestRunKernelsSmoke(t *testing.T) {
 	for name, seen := range want {
 		if !seen {
 			t.Fatalf("kernel %q missing from results", name)
+		}
+	}
+}
+
+// observeCFilter adapts a core concurrent filter to ObserveFilter; it has no
+// sampling gate, so RunObserve's rates only relabel identical runs.
+type observeCFilter struct{ *core.CFilter8 }
+
+func (f observeCFilter) AddHash(h uint64) error     { f.Insert(h); return nil }
+func (f observeCFilter) ContainsHash(h uint64) bool { return f.Contains(h) }
+
+// TestOneRepResultsMarshal runs the kernel and observe experiments with a
+// single sample each, where the 95% CI is undefined, and requires their
+// results to encode as JSON.
+func TestOneRepResultsMarshal(t *testing.T) {
+	kernels := RunKernels(KernelConfig{NSlots: 1 << 12, Batch: 512, Reps: 1, Seed: 7})
+	observe := RunObserve(ObserveConfig{
+		NewFilter: func(int) ObserveFilter { return observeCFilter{core.NewCFilter8(1<<12, core.Options{})} },
+		Rates:     []int{0, 8},
+		Reps:      1,
+		Seed:      7,
+		OracleOps: 1000,
+	})
+	for name, v := range map[string]any{"kernels": kernels, "observe": observe} {
+		if _, err := json.Marshal(v); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

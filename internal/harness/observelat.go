@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"vqf/internal/analysis"
 	"vqf/internal/telemetry"
 	"vqf/internal/workload"
 )
@@ -69,9 +68,9 @@ func (c *ObserveConfig) defaults() {
 type ObservePoint struct {
 	Rate              int                `json:"rate"`
 	InsertMops        float64            `json:"insert_mops"`
-	InsertCI95        float64            `json:"insert_ci95_mops"`
+	InsertCI95        *float64           `json:"insert_ci95_mops,omitempty"` // nil for one rep
 	LookupMops        float64            `json:"lookup_mops"`
-	LookupCI95        float64            `json:"lookup_ci95_mops"`
+	LookupCI95        *float64           `json:"lookup_ci95_mops,omitempty"`
 	InsertOverheadPct float64            `json:"insert_overhead_pct"`
 	LookupOverheadPct float64            `json:"lookup_overhead_pct"`
 	LookupLatency     *telemetry.Summary `json:"lookup_latency_ns,omitempty"`
@@ -140,8 +139,8 @@ func RunObserve(cfg ObserveConfig) ObserveResult {
 	var baseIns, baseLkp float64
 	for i, rate := range cfg.Rates {
 		p := ObservePoint{Rate: rate, LookupLatency: lat[i]}
-		p.InsertMops, p.InsertCI95 = analysis.MeanCI95(ins[i])
-		p.LookupMops, p.LookupCI95 = analysis.MeanCI95(lkp[i])
+		p.InsertMops, p.InsertCI95 = MeanCI95(ins[i])
+		p.LookupMops, p.LookupCI95 = MeanCI95(lkp[i])
 		if i == 0 {
 			baseIns, baseLkp = p.InsertMops, p.LookupMops
 		}
