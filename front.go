@@ -162,10 +162,13 @@ func (f *front) AddHashBatch(hs []uint64) int {
 
 // ContainsHashBatch reports membership for each pre-hashed key of hs, in
 // input order. The result reuses dst if it has sufficient capacity (dst may
-// be nil). Lookups never sort: filters walk hs in caller order through a
-// branch-free batch kernel, the concurrent and sharded ones through its
-// seqlock-validated lock-free form, split into contiguous chunks across
-// parallel workers when the batch is large. Elastic filters resolve the
+// be nil). Lookups never sort: filters answer hs in caller order through a
+// batch kernel with no data-dependent branch. At 8 bits it compares every
+// key's fingerprint with both blocks' lanes first and selects a bucket's
+// slot range only in blocks holding a match; at 16 bits it probes each key
+// in one pass. The concurrent and sharded filters run a seqlock-validated
+// one-pass form, split into contiguous chunks across parallel workers when
+// the batch is large. Elastic filters resolve the
 // batch level by level with a shrinking working set — keys found in the
 // newest level never touch the older ones.
 func (f *front) ContainsHashBatch(hs []uint64, dst []bool) []bool {

@@ -90,9 +90,12 @@ func (f *Filter8) InsertBatch(hs []uint64) int {
 
 // ContainsBatch reports membership for every key of hs in input order:
 // result[i] corresponds to hs[i]. The result reuses dst if it has
-// sufficient capacity (dst may be nil). The branch-free batch kernel walks
-// hs in caller order and lets the CPU overlap independent keys. Where the
-// kernel is unavailable, keys are probed one Contains at a time.
+// sufficient capacity (dst may be nil). The batch kernel
+// (minifilter.ProbeBatch8) compares every key's fingerprint with both
+// blocks' lanes, then selects bucket ranges only in blocks that hold a
+// match; neither pass branches on data, so the CPU overlaps independent
+// keys. Where the kernel is unavailable, keys are probed one Contains at a
+// time.
 func (f *Filter8) ContainsBatch(hs []uint64, dst []bool) []bool {
 	f.st.Batch(len(hs))
 	out := resizeBools(dst, len(hs))

@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"vqf/internal/core"
 )
 
 // The harness tests run every experiment at a deliberately small scale: the
@@ -72,6 +76,38 @@ func TestRunThreadScaling(t *testing.T) {
 	for _, r := range rows {
 		if r.Mops <= 0 {
 			t.Fatalf("thread=%d throughput %f", r.Threads, r.Mops)
+		}
+	}
+}
+
+// TestMulticoreFillsToCapacity: the multicore fills reach 85% of the
+// filter's built capacity, not of the requested slot count, which the
+// power-of-two block count rounds up (30000 and 2^15 slots build 1024
+// blocks, 49152 slots: 85% of the request would be 52% and 57% load).
+func TestMulticoreFillsToCapacity(t *testing.T) {
+	for _, nslots := range []uint64{30000, 1 << 15} {
+		for _, c := range []struct {
+			name  string
+			fresh func() mcFilter
+		}{
+			{"cfilter8", func() mcFilter { return core.NewCFilter8(nslots, core.Options{}) }},
+			{"sharded8", func() mcFilter { return core.NewSharded8(nslots, 4, core.Options{}) }},
+		} {
+			check := func(fill string, f mcFilter) {
+				t.Helper()
+				if lf := f.(interface{ LoadFactor() float64 }).LoadFactor(); math.Abs(lf-0.85) > 0.002 {
+					t.Errorf("%s %d slots, %s: load %.4f after the fill, want 0.85 of capacity %d",
+						c.name, nslots, fill, lf, f.Capacity())
+				}
+			}
+			f := c.fresh()
+			fillTo85(f, 5)
+			check("fillTo85", f)
+			for _, threads := range []int{1, 2} {
+				f := c.fresh()
+				mcInsertFill(f, threads, 5)
+				check(fmt.Sprintf("mcInsertFill/%d", threads), f)
+			}
 		}
 	}
 }

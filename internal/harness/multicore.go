@@ -23,10 +23,11 @@ import (
 //     writes on different shards share no mutable cache lines.
 //
 // Per thread count and variant, three workloads: concurrent single-key
-// inserts filling a fresh filter to 85% (write scaling), concurrent
-// single-key lookups at 85% load (read scaling), and repeated whole-batch
-// ContainsBatch calls whose internal worker pool is bounded by GOMAXPROCS
-// (batch scaling — on the sharded variant this is the shard-disjoint path).
+// inserts filling a fresh filter to 85% of its capacity (write scaling),
+// concurrent single-key lookups at 85% load (read scaling), and repeated
+// whole-batch ContainsBatch calls whose internal worker pool is bounded by
+// GOMAXPROCS (batch scaling — on the sharded variant this is the
+// shard-disjoint path).
 //
 // Scaling efficiency is Mops(t) / (t · Mops(1)) per workload: 1.0 is
 // perfect linear scaling. On a host with fewer cores than t the ladder
@@ -68,10 +69,13 @@ type MulticoreVariant struct {
 	Points  []MulticorePoint `json:"points"`
 }
 
-// mcFilter is the surface the multicore workloads drive.
+// mcFilter is the surface the multicore workloads drive. Capacity is the
+// built slot count, which the power-of-two block count can make up to
+// twice the requested one; fills target 85% of it.
 type mcFilter interface {
 	Insert(h uint64) bool
 	ContainsBatch(hs []uint64, dst []bool) []bool
+	Capacity() uint64
 }
 
 // mcVariant bundles a variant's constructors: fresh builds a filter, and
@@ -124,7 +128,7 @@ func RunMulticore(cfg MulticoreConfig) []MulticoreVariant {
 		mv := MulticoreVariant{Variant: v.name}
 		// Lookup workloads run against one prefilled filter per variant.
 		prefilled := v.fresh()
-		keys := fillTo85(prefilled, cfg.NSlots, cfg.Seed)
+		keys := fillTo85(prefilled, cfg.Seed)
 		probe := makeProbe(keys, cfg.Seed^0xabcd)
 		var base MulticorePoint
 		for i, t := range cfg.Threads {
@@ -132,7 +136,7 @@ func RunMulticore(cfg MulticoreConfig) []MulticoreVariant {
 			WarnUnderprovisioned(t)
 			p := MulticorePoint{Threads: t}
 			p.InsertMops = bestOf(cfg.Repeat, func() float64 {
-				return mcInsertFill(v.fresh(), cfg.NSlots, t, cfg.Seed)
+				return mcInsertFill(v.fresh(), t, cfg.Seed)
 			})
 			p.LookupMops = bestOf(cfg.Repeat, func() float64 {
 				return mcLookups(v.contains(prefilled), keys, t, cfg.OpsPerThread, cfg.Seed)
@@ -174,9 +178,9 @@ func bestOf(repeat int, run func() float64) float64 {
 	return m
 }
 
-// fillTo85 fills f to 85% of nslots and returns the inserted keys.
-func fillTo85(f mcFilter, nslots, seed uint64) []uint64 {
-	total := nslots * 85 / 100
+// fillTo85 fills f to 85% of its capacity and returns the inserted keys.
+func fillTo85(f mcFilter, seed uint64) []uint64 {
+	total := f.Capacity() * 85 / 100
 	s := workload.NewStream(seed)
 	keys := make([]uint64, 0, total)
 	for uint64(len(keys)) < total {
@@ -203,9 +207,9 @@ func makeProbe(keys []uint64, seed uint64) []uint64 {
 }
 
 // mcInsertFill measures aggregate insert throughput: t goroutines fill a
-// fresh filter to 85% with disjoint streams.
-func mcInsertFill(f mcFilter, nslots uint64, t int, seed uint64) float64 {
-	total := nslots * 85 / 100
+// fresh filter to 85% of its capacity with disjoint streams.
+func mcInsertFill(f mcFilter, t int, seed uint64) float64 {
+	total := f.Capacity() * 85 / 100
 	per := total / uint64(t)
 	var wg sync.WaitGroup
 	start := time.Now()

@@ -213,17 +213,82 @@ func batchCases(r *rand.Rand) []batchCase {
 					return key16(uint64(r.Intn(nblocks)), uint(i%B16Buckets), uint16(i))
 				}, pool)})
 	}
+	// Candidate-dense arrays: every lane of every block holds the
+	// fingerprint all their queries carry, so both blocks of every key hold
+	// a candidate and the batch makes two records a key. The blocks are
+	// full (fingerprint 0xa5), or half full at fingerprint 0, which their
+	// empty lanes hold too. Buckets are random, so a key's primary block
+	// can answer yes while its partner answers no. One and two blocks make
+	// the partner the primary for every key or every even tag.
+	for _, nblocks := range []int{1, 2, 64} {
+		for _, full := range []bool{true, false} {
+			fp8, fp16 := byte(0xa5), uint16(0xa5a5)
+			if !full {
+				fp8, fp16 = 0, 0
+			}
+			dense8, dense16 := newBlocks8(nblocks), newBlocks16(nblocks)
+			var s8, s16 []uint64
+			for i := 0; i < nblocks; i++ {
+				for dense8[i].Occupancy() < B8Slots && (full || dense8[i].Occupancy() < B8Slots/2) {
+					bucket := uint(r.Intn(B8Buckets))
+					dense8[i].Insert(bucket, fp8)
+					s8 = append(s8, key8(uint64(i), bucket, fp8))
+				}
+				for dense16[i].Occupancy() < B16Slots && (full || dense16[i].Occupancy() < B16Slots/2) {
+					bucket := uint(r.Intn(B16Buckets))
+					dense16[i].Insert(bucket, fp16)
+					s16 = append(s16, key16(uint64(i), bucket, fp16))
+				}
+			}
+			name := fmt.Sprintf("blocks%d/full%v", nblocks, full)
+			cases = append(cases,
+				batchCase{name: "dense8/" + name, blocks8: dense8, keys: mixKeys(r, s8, func(int) uint64 {
+					return key8(uint64(r.Intn(nblocks)), uint(r.Intn(B8Buckets)), fp8)
+				}, pool)},
+				batchCase{name: "dense16/" + name, blocks16: dense16, keys: mixKeys(r, s16, func(int) uint64 {
+					return key16(uint64(r.Intn(nblocks)), uint(r.Intn(B16Buckets)), fp16)
+				}, pool)})
+		}
+	}
+
+	// Candidate-free batches: full blocks of fingerprints with the top bit
+	// clear, probed only with fingerprints that have it set, so no lane of
+	// either block matches any key and every answer is no.
+	free8, free16 := newBlocks8(64), newBlocks16(64)
+	for i := range free8 {
+		for !free8[i].Full() {
+			free8[i].Insert(uint(r.Intn(B8Buckets)), byte(1+r.Intn(0x7f)))
+		}
+		for !free16[i].Full() {
+			free16[i].Insert(uint(r.Intn(B16Buckets)), uint16(1+r.Intn(0x7fff)))
+		}
+	}
+	free := make([]uint64, pool)
+	for i := range free {
+		free[i] = r.Uint64() | 0x80<<16 | 0x8000<<16
+	}
+	cases = append(cases,
+		batchCase{name: "free8", blocks8: free8, keys: free},
+		batchCase{name: "free16", blocks16: free16, keys: free})
 	return cases
 }
 
 // checkBatchParity runs the kernel over hs and compares every answer with
-// the per-key reference under the current kernel selection. A dirty out buffer
-// catches positions the kernel skips.
+// the per-key reference under the current kernel selection, once into each
+// of two complementary dirty out buffers, which catch positions the kernel
+// skips or ORs into without clearing.
 func checkBatchParity(t *testing.T, c batchCase, hs []uint64) {
+	t.Helper()
+	for _, dirty := range []bool{true, false} {
+		checkBatchParityInto(t, c, hs, dirty)
+	}
+}
+
+func checkBatchParityInto(t *testing.T, c batchCase, hs []uint64, dirty bool) {
 	t.Helper()
 	out := make([]bool, len(hs)+1)
 	for i := range out {
-		out[i] = i%3 == 0
+		out[i] = (i%3 == 0) == dirty
 	}
 	fast := AsmEnabled()
 	var ran bool
@@ -253,7 +318,7 @@ func checkBatchParity(t *testing.T, c batchCase, hs []uint64) {
 				c.name, len(hs), i, out[i], h, want, fast)
 		}
 	}
-	if out[len(hs)] != (len(hs)%3 == 0) {
+	if out[len(hs)] != ((len(hs)%3 == 0) == dirty) {
 		t.Fatalf("%s len %d: kernel wrote past the batch", c.name, len(hs))
 	}
 }
@@ -390,8 +455,10 @@ func checkLockedParity(t *testing.T, name string, shards []batchCase, hs []uint6
 
 // TestProbeBatchParity checks the batch kernels against per-key Contains on
 // random arrays at loads 0–93%, full blocks, crowded and empty buckets
-// (bucket 0 and the last bucket included) and partners equal to their
-// primaries, at batch lengths around the wrapper's 1024-key chunk. The
+// (bucket 0 and the last bucket included), partners equal to their
+// primaries, candidate-dense arrays and candidate-free batches, at batch
+// lengths around the 8-bit kernel's 256-key chunk and the wrapper's
+// 1024-key chunk. The
 // validated kernels answer the same keys over the arrays' locked twins, as
 // a one-array table and as 2- and 4-array tables whose other entries are
 // the next cases of the same width (other sizes, so other masks).
@@ -405,7 +472,7 @@ func TestProbeBatchParity(t *testing.T) {
 	for _, asm := range []bool{true, false} {
 		SetAsmKernels(asm)
 		for ci, c := range cases {
-			for _, n := range []int{0, 1, 1023, 1024, 1025, 5000} {
+			for _, n := range []int{0, 1, 255, 256, 257, 1023, 1024, 1025, 5000} {
 				checkBatchParity(t, c, c.keys[:n])
 			}
 			for _, nshards := range []int{1, 2, 4} {
@@ -545,10 +612,14 @@ func TestProbeBatchPreconditions(t *testing.T) {
 // triples); the query bytes become key hashes as they stand, plus keys
 // rebuilt from each triple so that stored fingerprints are probed too. The
 // validated kernels answer the same keys over the arrays' locked twins, as
-// one- and two-array tables. Then the ops bytes, repeated, overwrite every
-// word of the arrays — arbitrary metadata, lock bits included — and both
-// kernels run over them: neither may fault, and the validated one must hand
-// back exactly the keys that touch a block whose lock bit is set.
+// one- and two-array tables. The same triples also fill one- and two-block
+// arrays, where partners coincide with primaries, and the 8-bit kernel
+// answers candidate-dense and candidate-free batches over every array size
+// (see fuzzDense8 and fuzzFree8). Then the ops bytes, repeated, overwrite
+// every word of the four-block arrays — arbitrary metadata, lock bits
+// included — and both kernels run over them: neither may fault, and the
+// validated one must hand back exactly the keys that touch a block whose
+// lock bit is set.
 func FuzzProbeBatchParity(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 79, 2, 2, 40, 3}, []byte("01234567abcdefgh"))
 	f.Add([]byte("fuzzing builds character and valid metadata"), []byte{})
@@ -557,33 +628,46 @@ func FuzzProbeBatchParity(f *testing.F) {
 			t.Skip("CPU lacks PDEP/TZCNT/POPCNT")
 		}
 		defer SetAsmKernels(true)
-		b8, b16 := newBlocks8(4), newBlocks16(4)
+		var hashes []uint64
+		for q := query; len(q) >= 8; q = q[8:] {
+			hashes = append(hashes, binary.LittleEndian.Uint64(q))
+		}
+		var b8 []Block8
+		var b16 []Block16
 		var k8, k16 []uint64
-		for i := 0; i+2 < len(ops); i += 3 {
-			blk := uint64(ops[i] % 4)
-			fp16 := uint16(ops[i+2]) | uint16(ops[i])<<8
-			bucket8, bucket16 := uint(ops[i+1])%B8Buckets, uint(ops[i+1])%B16Buckets
-			b8[blk].Insert(bucket8, ops[i+2])
-			b16[blk].Insert(bucket16, fp16)
-			k8 = append(k8, key8(blk, bucket8, ops[i+2]))
-			k16 = append(k16, key16(blk, bucket16, fp16))
+		for _, nblocks := range []int{1, 2, 4} {
+			b8, b16 = newBlocks8(nblocks), newBlocks16(nblocks)
+			k8, k16 = nil, nil
+			for i := 0; i+2 < len(ops); i += 3 {
+				blk := uint64(ops[i]) % uint64(nblocks)
+				fp16 := uint16(ops[i+2]) | uint16(ops[i])<<8
+				bucket8, bucket16 := uint(ops[i+1])%B8Buckets, uint(ops[i+1])%B16Buckets
+				b8[blk].Insert(bucket8, ops[i+2])
+				b16[blk].Insert(bucket16, fp16)
+				k8 = append(k8, key8(blk, bucket8, ops[i+2]))
+				k16 = append(k16, key16(blk, bucket16, fp16))
+			}
+			k8, k16 = append(k8, hashes...), append(k16, hashes...)
+			c8 := batchCase{name: fmt.Sprintf("fuzz8/blocks%d", nblocks), blocks8: b8, keys: k8}
+			c16 := batchCase{name: fmt.Sprintf("fuzz16/blocks%d", nblocks), blocks16: b16, keys: k16}
+			dense := fuzzDense8(ops, nblocks, k8)
+			free := fuzzFree8(c8)
+			for _, asm := range []bool{true, false} {
+				SetAsmKernels(asm)
+				checkBatchParity(t, c8, k8)
+				checkBatchParity(t, c16, k16)
+				checkBatchParity(t, dense, dense.keys)
+				checkBatchParity(t, free, free.keys)
+				if nblocks != 4 {
+					continue
+				}
+				checkLockedParity(t, "fuzz8/locked1", []batchCase{c8}, k8)
+				checkLockedParity(t, "fuzz16/locked1", []batchCase{c16}, k16)
+				checkLockedParity(t, "fuzz8/locked2", []batchCase{c8, {blocks8: newBlocks8(2)}}, k8)
+				checkLockedParity(t, "fuzz16/locked2", []batchCase{c16, {blocks16: newBlocks16(2)}}, k16)
+			}
 		}
-		for len(query) >= 8 {
-			h := binary.LittleEndian.Uint64(query)
-			k8, k16 = append(k8, h), append(k16, h)
-			query = query[8:]
-		}
-		c8 := batchCase{name: "fuzz8", blocks8: b8, keys: k8}
-		c16 := batchCase{name: "fuzz16", blocks16: b16, keys: k16}
-		for _, asm := range []bool{true, false} {
-			SetAsmKernels(asm)
-			checkBatchParity(t, c8, k8)
-			checkBatchParity(t, c16, k16)
-			checkLockedParity(t, "fuzz8/locked1", []batchCase{c8}, k8)
-			checkLockedParity(t, "fuzz16/locked1", []batchCase{c16}, k16)
-			checkLockedParity(t, "fuzz8/locked2", []batchCase{c8, {blocks8: newBlocks8(2)}}, k8)
-			checkLockedParity(t, "fuzz16/locked2", []batchCase{c16, {blocks16: newBlocks16(2)}}, k16)
-		}
+		// b8, b16, k8 and k16 now hold the four-block arrays and their keys.
 		if len(ops) == 0 {
 			return
 		}
@@ -606,6 +690,55 @@ func FuzzProbeBatchParity(f *testing.F) {
 		checkLockBits(t, true, []LockedArray{NewLockedArray(b16, seqs)}, 4,
 			func(b uint64) bool { return b16[b].Meta&LockBit != 0 }, k16, out)
 	})
+}
+
+// fuzzDense8 builds a candidate-dense 8-bit case from fuzz input: an
+// nblocks array whose blocks are filled with one fingerprint, the first
+// triple's (or 0 without one), in buckets taken in turn from the ops bytes,
+// until full, probed with keys whose fingerprint byte is replaced by it.
+// Every lane matches every key, so both of a key's blocks hold a candidate.
+func fuzzDense8(ops []byte, nblocks int, keys []uint64) batchCase {
+	var fp byte
+	if len(ops) >= 3 {
+		fp = ops[2]
+	}
+	blocks := newBlocks8(nblocks)
+	if len(ops) > 0 {
+		for i := range blocks {
+			for j := i; !blocks[i].Full(); j++ {
+				blocks[i].Insert(uint(ops[j%len(ops)])%B8Buckets, fp)
+			}
+		}
+	}
+	dense := make([]uint64, len(keys))
+	for i, h := range keys {
+		dense[i] = h&^(0xff<<16) | uint64(fp)<<16
+	}
+	return batchCase{name: fmt.Sprintf("fuzz8/dense/blocks%d", nblocks), blocks8: blocks, keys: dense}
+}
+
+// fuzzFree8 rewrites c's keys into a candidate-free batch: every key's
+// fingerprint byte becomes the smallest byte no lane of c's array holds
+// (none when all 256 appear), so no block of any key matches.
+func fuzzFree8(c batchCase) batchCase {
+	var seen [256]bool
+	for i := range c.blocks8 {
+		for _, w := range c.blocks8[i].Fps {
+			for k := 0; k < 8; k++ {
+				seen[byte(w>>(8*k))] = true
+			}
+		}
+	}
+	free := batchCase{name: c.name + "/free", blocks8: c.blocks8}
+	for fp := range seen {
+		if !seen[fp] {
+			for _, h := range c.keys {
+				free.keys = append(free.keys, h&^(0xff<<16)|uint64(fp)<<16)
+			}
+			break
+		}
+	}
+	return free
 }
 
 // wordsOf views a block array as its raw words.

@@ -156,9 +156,9 @@ func insert8Asm(lo, hi uint64, fps *[swar.Words8]uint64, bucket uint, fp byte) (
 func insert16Asm(meta uint64, fps *[swar.Words16]uint64, bucket uint, fp uint16) (newMeta uint64, z int)
 
 // remove8Asm is removeSlot8Generic in one assembly routine: the branch-free
-// probe of probeBatch8Asm, then, when the fingerprint is present, the SSE2
-// lane shift-down and the metadata bit removal with BZHI/ANDN. Requires
-// hasAsm and valid metadata.
+// range match of the one-pass batch kernels (MATCH8 in kernel_amd64.s),
+// then, when the fingerprint is present, the SSE2 lane shift-down and the
+// metadata bit removal with BZHI/ANDN. Requires hasAsm and valid metadata.
 //
 //go:noescape
 func remove8Asm(lo, hiSel, hiLog uint64, fps *[swar.Words8]uint64, bucket uint, bcast uint64) (newLo, newHi uint64, z int)
@@ -170,8 +170,10 @@ func remove16Asm(metaSel, metaLog uint64, fps *[swar.Words16]uint64, bucket uint
 
 // probeBatchChunk bounds the keys one batch-kernel call handles. Assembly
 // cannot be preempted asynchronously, so a single call over a huge batch
-// would hold off a GC stop-the-world. 1024 keys take about 15 µs from L2
-// and about 120 µs from DRAM.
+// would hold off a GC stop-the-world. On a 2-vCPU Xeon, 1024 half-stored
+// keys at 85% load take about 10 µs (8-bit) and 8 µs (16-bit) from a
+// 512 KiB block array in L2, and about 21 and 31 µs from a 64 MiB one in
+// its 300 MiB L3.
 const probeBatchChunk = 1024
 
 // ProbeBatch8 answers a batch of lookups against a filter's block array:
@@ -179,10 +181,17 @@ const probeBatchChunk = 1024
 // bucket of either candidate block. Keys use internal/core's split8 layout
 // (bucket from bits 0..15, fingerprint from bits 16..23, primary block from
 // bits 24 and up) and the xor-trick partner; len(blocks) must be a power of
-// two and len(out) at least len(hs). It runs the branch-free assembly loop
-// in caller order and reports true, or writes nothing and reports false when
-// the fused kernels are unavailable or switched off (the caller then loops
-// over its per-key Contains).
+// two and len(out) at least len(hs). It runs the assembly kernel and reports
+// true, or writes nothing and reports false when the fused kernels are
+// unavailable or switched off (the caller then loops over its per-key
+// Contains). The kernel makes two passes over each 256 keys, neither
+// branching on data: the first compares each key's fingerprint with every
+// lane of both candidate blocks and records the blocks holding a match, the
+// second selects the bucket's slot range in those blocks alone. Absent keys
+// rarely match a lane, so a half-absent batch selects in under one block a
+// key where a one-pass probe selects in two. Its records live in the
+// kernel's 8 KiB frame, so the first call grows a small goroutine stack
+// once and nothing is allocated.
 func ProbeBatch8(blocks []Block8, hs []uint64, out []bool) bool {
 	return probeBatch(blocks, hs, out, probeBatch8Asm)
 }
@@ -215,7 +224,9 @@ func probeBatch[B any](blocks []B, hs []uint64, out []bool, kernel func(*B, uint
 }
 
 // probeBatch8Asm writes out[i] for the n ≥ 0 keys at hs; see ProbeBatch8
-// and kernel_amd64.s. Requires hasAsm. It reads the stored metadata words as
+// and kernel_amd64.s. Requires hasAsm. Its frame (8 KiB of match records)
+// exceeds the nosplit limit, so it checks the stack on entry like a Go
+// function and calls nothing. It reads the stored metadata words as
 // they stand, so it is only meaningful on plain-mode arrays, which no other
 // goroutine writes: a locked-mode array's top bit is the lock, and its
 // writers run concurrently — ProbeLocked8 serves those. Invalid metadata
@@ -225,7 +236,8 @@ func probeBatch[B any](blocks []B, hs []uint64, out []bool, kernel func(*B, uint
 //go:noescape
 func probeBatch8Asm(blocks *Block8, mask uint64, hs *uint64, out *bool, n int)
 
-// probeBatch16Asm is probeBatch8Asm for Block16 arrays.
+// probeBatch16Asm is probeBatch8Asm for Block16 arrays, in one pass with
+// no frame: its range is one 64-bit select a block.
 //
 //go:noescape
 func probeBatch16Asm(blocks *Block16, mask uint64, hs *uint64, out *bool, n int)
