@@ -249,24 +249,78 @@ func TestCFilter8BatchConcurrentWithPointOps(t *testing.T) {
 	}
 }
 
+// lookupChurnFilter is the surface the batch lookup churn tests drive.
+type lookupChurnFilter interface {
+	Insert(h uint64) bool
+	Remove(h uint64) bool
+	ContainsBatch(hs []uint64, dst []bool) []bool
+	Stats() stats.OpCounts
+	Capacity() uint64
+}
+
+// churnLookups runs ContainsBatch over batch, made of f's residents, while
+// three writers insert keys of their own and remove them again once each
+// holds live of them. Every batch must find every key, and the rounds run
+// until the filter has counted optimistic retries (at least 200 rounds, at
+// most 10 s), which shows that the conflict path — the kernel handing keys
+// back to the per-key path — ran.
+func churnLookups(t *testing.T, f lookupChurnFilter, batch []uint64, live int, seed uint64) {
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := workload.NewStream(seed + uint64(w))
+			var mine []uint64
+			for !stop.Load() {
+				if len(mine) == live {
+					for _, h := range mine {
+						f.Remove(h)
+					}
+					mine = mine[:0]
+				}
+				if h := s.Next(); f.Insert(h) {
+					mine = append(mine, h)
+				}
+			}
+			for _, h := range mine {
+				f.Remove(h)
+			}
+		}(w)
+	}
+	dst := make([]bool, len(batch))
+	deadline := time.Now().Add(10 * time.Second)
+	rounds := 0
+	for ; rounds < 200 || f.Stats().OptRetries == 0 && time.Now().Before(deadline); rounds++ {
+		out := f.ContainsBatch(batch, dst)
+		for i, ok := range out {
+			if !ok {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("round %d: resident %#x (batch key %d) lost under churn", rounds, batch[i], i)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if st := f.Stats(); st.OptRetries == 0 {
+		t.Fatalf("%d batch rounds under 3 writers counted no optimistic retry", rounds)
+	}
+}
+
 // TestBatchLookupChurn races the validated batch kernel against writers on
 // a 64-block filter, so that batches keep overlapping writes to their
 // blocks. A resident set is inserted up front and never removed; every
-// ContainsBatch over it must find every resident, and the run lasts until
-// the filter has counted optimistic retries, which shows that the conflict
-// path — the kernel handing keys back to the per-key path — ran. The race
-// detector does not see into assembly, so this test, not -race, is what
-// checks the kernel's validation; CI runs it repeatedly at GOMAXPROCS 4.
+// ContainsBatch over it must find every resident (see churnLookups). The
+// race detector does not see into assembly, so this test and
+// TestBatchLookupChurnHot, not -race, are what check the kernel's
+// validation; CI runs them repeatedly at GOMAXPROCS 4.
 func TestBatchLookupChurn(t *testing.T) {
 	const slots = 64 * 48 // 64 Block8s; the 16-bit filters get 128 blocks of 28 slots
 	for _, c := range []struct {
 		name string
-		f    interface {
-			Insert(h uint64) bool
-			Remove(h uint64) bool
-			ContainsBatch(hs []uint64, dst []bool) []bool
-			Stats() stats.OpCounts
-		}
+		f    lookupChurnFilter
 	}{
 		{"CFilter8", NewCFilter8(slots, Options{})},
 		{"CFilter16", NewCFilter16(slots, Options{})},
@@ -274,55 +328,93 @@ func TestBatchLookupChurn(t *testing.T) {
 		{"Sharded16", NewSharded16(slots, 2, Options{})},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			f := c.f
 			res := workload.NewStream(41).Keys(slots / 3)
 			for _, h := range res {
-				if !f.Insert(h) {
+				if !c.f.Insert(h) {
 					t.Fatal("resident insert failed at a third of capacity")
 				}
 			}
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for w := 0; w < 3; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					s := workload.NewStream(uint64(500 + w))
-					var live []uint64
-					for !stop.Load() {
-						if len(live) == 64 {
-							for _, h := range live {
-								f.Remove(h)
-							}
-							live = live[:0]
-						}
-						if h := s.Next(); f.Insert(h) {
-							live = append(live, h)
-						}
-					}
-					for _, h := range live {
-						f.Remove(h)
-					}
-				}(w)
-			}
-			dst := make([]bool, len(res))
-			deadline := time.Now().Add(10 * time.Second)
-			rounds := 0
-			for ; rounds < 200 || f.Stats().OptRetries == 0 && time.Now().Before(deadline); rounds++ {
-				out := f.ContainsBatch(res, dst)
-				for i, ok := range out {
-					if !ok {
-						stop.Store(true)
-						wg.Wait()
-						t.Fatalf("round %d: resident %d (%#x) lost under churn", rounds, i, res[i])
-					}
+			churnLookups(t, c.f, res, 64, 500)
+		})
+	}
+}
+
+// TestBatchLookupChurnHot is TestBatchLookupChurn on filters of two blocks
+// (two per shard on the sharded ones) held near full: residents fill half
+// of every filter and the writers churn the rest. Each batch repeats the
+// residents to 1024 keys, four chunks of the 8-bit kernel, so between a
+// chunk's compare pass and its select pass the writers change the very
+// blocks, and bump the very stripes, that the chunk's records came from.
+func TestBatchLookupChurnHot(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    lookupChurnFilter
+	}{
+		{"CFilter8", NewCFilter8(2*48, Options{})},
+		{"CFilter16", NewCFilter16(2*28, Options{})},
+		{"Sharded8", NewSharded8(4*48, 2, Options{})},
+		{"Sharded16", NewSharded16(4*28, 2, Options{})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var res []uint64
+			for s := workload.NewStream(43); uint64(len(res)) < c.f.Capacity()/2; {
+				if h := s.Next(); c.f.Insert(h) {
+					res = append(res, h)
 				}
 			}
-			stop.Store(true)
-			wg.Wait()
-			if st := f.Stats(); st.OptRetries == 0 {
-				t.Fatalf("%d batch rounds under 3 writers counted no optimistic retry", rounds)
+			batch := make([]uint64, 1024)
+			for i := range batch {
+				batch[i] = res[i%len(res)]
 			}
+			churnLookups(t, c.f, batch, 8, 700)
+		})
+	}
+}
+
+// BenchmarkShardedContainsBatch times the validated batch kernel at the
+// vqfd-binary workload's geometry: 2^20 items over two shards (Sharded8:
+// 2 MiB of blocks), filled to 70% load, answering 512-key batches of which
+// every other key is stored. The queries cycle through 2^18 keys, so the
+// batches touch the whole array. Reported per key.
+func BenchmarkShardedContainsBatch(b *testing.B) {
+	const batch = 512
+	items := 1 << 20
+	nslots := uint64(float64(items)/0.9) + 1 // vqf.NewSharded's sizing
+	type filter interface {
+		Insert(h uint64) bool
+		ContainsBatch(hs []uint64, dst []bool) []bool
+		Capacity() uint64
+	}
+	for _, c := range []struct {
+		name string
+		make func() filter
+	}{
+		{"Sharded8", func() filter { return NewSharded8(nslots, 2, Options{}) }},
+		{"Sharded16", func() filter { return NewSharded16(nslots, 2, Options{}) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f, s := c.make(), workload.NewStream(7)
+			stored := make([]uint64, 0, f.Capacity())
+			for want := int(0.7 * float64(f.Capacity())); len(stored) < want; {
+				if h := s.Next(); f.Insert(h) {
+					stored = append(stored, h)
+				}
+			}
+			qs := make([]uint64, 1<<18)
+			for i := range qs {
+				if i%2 == 0 {
+					qs[i] = stored[i*7919%len(stored)]
+				} else {
+					qs[i] = s.Next()
+				}
+			}
+			dst := make([]bool, batch)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := i * batch % len(qs)
+				f.ContainsBatch(qs[off:off+batch], dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -219,7 +220,7 @@ func newFuseLevel(src *core.Geometry, fpBits uint8, foldBlocks uint64, keys []ui
 	for i, k := range keys {
 		packed[i] = l.pack(k)
 	}
-	sort.Slice(packed, func(i, j int) bool { return packed[i] < packed[j] })
+	slices.Sort(packed)
 	w := 0
 	for _, p := range packed {
 		if w > 0 && p == packed[w-1] {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vqf/internal/core"
 	"vqf/internal/telemetry"
 	"vqf/internal/workload"
 )
@@ -488,5 +489,25 @@ func TestBudgetInvariantUnderInterleavings(t *testing.T) {
 				t.Fatal("the interleavings missed a structural op; the property is vacuous for it")
 			}
 		})
+	}
+}
+
+// BenchmarkNewFuseLevel times a freeze's build step — pack, sort and
+// deduplicate the folded keys, peel the fuse filter, build the vault — over
+// 2^16 folded keys of 16-bit geometry at 4096 fold blocks.
+func BenchmarkNewFuseLevel(b *testing.B) {
+	const foldBlocks = 4096
+	s := workload.NewStream(11)
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = core.Geom16.Fold(s.Next(), foldBlocks-1)
+	}
+	scratch := make([]uint64, len(keys))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, keys)
+		if _, err := newFuseLevel(core.Geom16, 16, foldBlocks, scratch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

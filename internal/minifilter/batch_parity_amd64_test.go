@@ -409,6 +409,19 @@ func lockedWant(shards []batchCase, h uint64) bool {
 	return contains16(c.blocks16, h)
 }
 
+// staggered returns a copy of hs whose keys are re-aimed at a table of
+// nshards arrays so that key i goes to array (i/8) % nshards: with two or
+// more arrays, key i+8 — the key whose blocks a validated kernel prefetches
+// while it probes key i — is answered by another array than key i.
+func staggered(hs []uint64, nshards int) []uint64 {
+	top := 64 - bits.TrailingZeros(uint(nshards))
+	out := make([]uint64, len(hs))
+	for i, h := range hs {
+		out[i] = h&^(^uint64(0)<<top) | uint64(i/8%nshards)<<top
+	}
+	return out
+}
+
 // runLocked runs the validated kernel of tab's width over hs until the
 // first conflict: through ProbeLocked8/16 when the fused kernels are
 // selected, else straight through the assembly, so the generic reference
@@ -490,7 +503,9 @@ func TestProbeBatchParity(t *testing.T) {
 
 // TestProbeLockedConflicts: a key whose candidate block has its lock bit
 // set is never answered by the validated kernel; it is handed back as a
-// conflict, and every key touching no locked block is answered.
+// conflict, and every key touching no locked block is answered. The count
+// returned is the first conflicted key's index wherever that key falls,
+// also past the 8-bit kernel's first chunk and the wrapper's first call.
 func TestProbeLockedConflicts(t *testing.T) {
 	if !AsmEnabled() {
 		t.Skip("batch kernel not in use")
@@ -546,6 +561,22 @@ func TestProbeLockedConflicts(t *testing.T) {
 		}
 		if conflicts == 0 {
 			t.Fatalf("wide=%v: no key touched a locked block", wide)
+		}
+		// The first conflict k keys in, past the 8-bit kernel's first
+		// chunks and the wrapper's first call: exactly k keys are answered.
+		var free, hit []uint64
+		for _, h := range hs {
+			if b1, b2 := candidates(h, 16, wide); locked[b1] || locked[b2] {
+				hit = append(hit, h)
+			} else {
+				free = append(free, h)
+			}
+		}
+		for _, k := range []int{255, 256, 257, 600, 1023, 1024, 1500} {
+			batch := append(append([]uint64(nil), free[:k]...), hit[:3]...)
+			if n := runLocked(t, wide, tab, batch, out); n != k {
+				t.Fatalf("wide=%v: first conflict at key %d, kernel answered %d", wide, k, n)
+			}
 		}
 	}
 }
@@ -612,7 +643,8 @@ func TestProbeBatchPreconditions(t *testing.T) {
 // triples); the query bytes become key hashes as they stand, plus keys
 // rebuilt from each triple so that stored fingerprints are probed too. The
 // validated kernels answer the same keys over the arrays' locked twins, as
-// one- and two-array tables. The same triples also fill one- and two-block
+// a one-array table, and staggered (see staggered) over tables of 2 and 4
+// arrays of 1 to 4 blocks. The same triples also fill one- and two-block
 // arrays, where partners coincide with primaries, and the 8-bit kernel
 // answers candidate-dense and candidate-free batches over every array size
 // (see fuzzDense8 and fuzzFree8). Then the ops bytes, repeated, overwrite
@@ -635,6 +667,7 @@ func FuzzProbeBatchParity(f *testing.F) {
 		var b8 []Block8
 		var b16 []Block16
 		var k8, k16 []uint64
+		var cs8, cs16 []batchCase // the 1-, 2- and 4-block cases, in turn
 		for _, nblocks := range []int{1, 2, 4} {
 			b8, b16 = newBlocks8(nblocks), newBlocks16(nblocks)
 			k8, k16 = nil, nil
@@ -650,6 +683,7 @@ func FuzzProbeBatchParity(f *testing.F) {
 			k8, k16 = append(k8, hashes...), append(k16, hashes...)
 			c8 := batchCase{name: fmt.Sprintf("fuzz8/blocks%d", nblocks), blocks8: b8, keys: k8}
 			c16 := batchCase{name: fmt.Sprintf("fuzz16/blocks%d", nblocks), blocks16: b16, keys: k16}
+			cs8, cs16 = append(cs8, c8), append(cs16, c16)
 			dense := fuzzDense8(ops, nblocks, k8)
 			free := fuzzFree8(c8)
 			for _, asm := range []bool{true, false} {
@@ -661,10 +695,16 @@ func FuzzProbeBatchParity(f *testing.F) {
 				if nblocks != 4 {
 					continue
 				}
-				checkLockedParity(t, "fuzz8/locked1", []batchCase{c8}, k8)
-				checkLockedParity(t, "fuzz16/locked1", []batchCase{c16}, k16)
-				checkLockedParity(t, "fuzz8/locked2", []batchCase{c8, {blocks8: newBlocks8(2)}}, k8)
-				checkLockedParity(t, "fuzz16/locked2", []batchCase{c16, {blocks16: newBlocks16(2)}}, k16)
+				// Tables of 2 and 4 arrays, the four-block one first,
+				// with the keys staggered across them (see staggered).
+				t8 := []batchCase{c8, cs8[0], cs8[1], dense}
+				t16 := []batchCase{c16, cs16[0], cs16[1], {blocks16: newBlocks16(8)}}
+				checkLockedParity(t, "fuzz8/locked1", t8[:1], k8)
+				checkLockedParity(t, "fuzz16/locked1", t16[:1], k16)
+				for _, nshards := range []int{2, 4} {
+					checkLockedParity(t, fmt.Sprintf("fuzz8/locked%d", nshards), t8[:nshards], staggered(k8, nshards))
+					checkLockedParity(t, fmt.Sprintf("fuzz16/locked%d", nshards), t16[:nshards], staggered(k16, nshards))
+				}
 			}
 		}
 		// b8, b16, k8 and k16 now hold the four-block arrays and their keys.

@@ -213,28 +213,29 @@ empty16:
 // destination first: on some cores its output carries a false dependency
 // that would chain one key's select to the previous key's.
 //
-// The 16-bit kernel (and the validated kernels below) probe each key in one
-// pass: select, compare, mask. The 8-bit kernel compares first and selects
-// only on a match, in two passes over chunks of BATCH8_KEYS keys. Its
-// range costs two 128-bit selects a block, and an absent key's fingerprint
-// sits anywhere in a 48-lane block only about 17% of the time
-// (1 - (255/256)^48), so most blocks need none. Pass 1 splits each key,
-// compares its fingerprint with all 48 lanes of both blocks, zeroes out[i]
-// and prefetches the blocks of the key 8 ahead. Each block's record, {lane
-// mask | bucket<<48 | i<<56, block offset}, is stored unconditionally and
-// kept by advancing the record cursor by (mask != 0) with no branch. Pass
-// 2 computes each record's range and ORs (mask & range) != 0 into out[i]:
-// a key's two records may both hit or miss, or one each. Pass 2 shares one
-// POPCNT between its two selects and picks each select's word before a
-// single PDEP/TZCNT (SELECTC128): five uops a record on the port Intel
-// cores run PDEP, TZCNT and POPCNT on, where two SELECT128s take ten.
-// Pass 1 avoids that port too: LEA and a shift for the bucket's multiply
-// by 80, SSE2 unpacks for the fingerprint broadcast. On a 2-vCPU Xeon,
-// 4096-key batches, half of them stored keys, on 2^13 blocks (512 KiB) at
-// 85% load read 16.3 ns/key through a one-pass 8-bit loop (MATCH8 on both
-// blocks of every key) and 11.2 ns through the two passes; with pass 2 cut
-// out (wrong answers, for sizing only) 8.2 ns. Medians of 7 alternating
-// runs.
+// The 16-bit kernels probe each key in one pass: select, compare, mask.
+// The 8-bit kernels (this one and the validated one below) compare first
+// and select only on a match, in two passes over chunks of BATCH8_KEYS
+// keys. An 8-bit range costs two 128-bit selects a block, and an absent
+// key's fingerprint sits anywhere in a 48-lane block only about 17% of the
+// time (1 - (255/256)^48), so most blocks need none. Pass 1 splits each
+// key, compares its fingerprint with all 48 lanes of both blocks, zeroes
+// out[i] and prefetches the blocks of the key 8 ahead. Each block's
+// record, {lane mask | bucket<<48 | i<<56, block offset}, is stored
+// unconditionally and kept by advancing the record cursor by (mask != 0)
+// with no branch. Pass 2 computes each record's range and ORs
+// (mask & range) != 0 into out[i]: a key's two records may both hit or
+// miss, or one each. Pass 2 shares one POPCNT between its two selects and
+// picks each select's word before a single PDEP/TZCNT (SELECTC128): five
+// uops a record on the port Intel cores run PDEP, TZCNT and POPCNT on,
+// where two SELECT128s take ten. Pass 1 avoids that port too: LEA and a
+// shift for the bucket's multiply by 80, SSE2 unpacks for the fingerprint
+// broadcast. On a 2-vCPU Xeon, 4096-key batches, half of them stored keys,
+// on 2^13 blocks (512 KiB) at 85% load read 16.3 ns/key through the
+// one-pass 8-bit loop this replaced (two selects and a lane compare on
+// both blocks of every key) and 11.2 ns through the two passes; with pass
+// 2 cut out (wrong answers, for sizing only) 8.2 ns. Medians of 7
+// alternating runs.
 //
 // Each per-key loop head sits behind PCALIGN $64, which pads it to a cache
 // line and raises the routine's own alignment to match, so code added
@@ -242,11 +243,11 @@ empty16:
 // boundaries and move the kernel benchmarks with it. The write kernels
 // align their entries the same way.
 //
-// Registers of the one-pass loops: DI blocks, SI/R9 one past the end of
-// hs/out, CX the negative remaining count, BX bucket, AX and R10 the two
-// block byte offsets (each then holds its block's match mask), X0 the
-// broadcast fingerprint; DX, R8 and R11-R15 are scratch. The 16-bit loop
-// keeps 1 << bucket in R8. The 8-bit kernel's passes name theirs in place.
+// Registers of the one-pass 16-bit loop: DI blocks, SI/R9 one past the
+// end of hs/out, CX the negative remaining count, BX bucket, AX and R10 the
+// two block byte offsets (each then holds its block's match mask), R8
+// 1 << bucket, X0 the broadcast fingerprint; DX and R11-R15 are scratch.
+// The two-pass kernels name theirs in place.
 
 // SELECT128(lo, hi, out): out = position of terminator BX among the 128
 // bits hi:lo. Clobbers DX, R8, R15 and flags.
@@ -283,23 +284,6 @@ empty16:
 	PMOVMSKB X3, R11; \
 	SHLQ     $32, R11; \
 	ORQ      R11, m
-
-// MATCH8(off): off = match mask of X0 within bucket BX of the Block8 at
-// DI+off, once its metadata words are in R12 (lo) and R13 (hi): compare
-// the lanes, then select the range.
-#define MATCH8(off) \
-	LANES8(off, R14); \
-	SELECT128(R12, R13, R11); \
-	SUBQ     BX, R11; \
-	ADDQ     R12, R12; \
-	ADCQ     R13, R13; \
-	ORQ      $1, R12; \
-	SELECT128(R12, R13, off); \
-	SUBQ     BX, off; \
-	MOVQ     $-1, R12; \
-	SHLXQ    off, R12, off; \
-	BZHIQ    R11, off, off; \
-	ANDQ     R14, off
 
 // SPLIT8(h, bucket, fp, o2, m): split key hash h as internal/core's split8
 // does into bucket and fp, then turn h into its primary block's byte offset
@@ -340,6 +324,33 @@ empty16:
 	PDEPQ   R10, R8, R8; \
 	TZCNTQ  R8, R8; \
 	ADDQ    R8, out
+
+// HIT8: OR into out[i] (out at R9) whether record R14, lane mask |
+// bucket<<48 | i<<56, holds a match in its bucket's slot range, with the
+// record's bucket in BX and its block's metadata words in R12 (lo) and R13
+// (hi). The range end is SELECTC128's terminator BX less the bucket, its
+// start that of the metadata shifted up one with a one fed in; the end is
+// at most 48, so BZHI also drops the bucket and i. Clobbers AX, DX, R8,
+// R10-R12, R14, R15 and flags.
+#define HIT8 \
+	XORL    DX, DX; \
+	POPCNTQ R12, DX; \
+	SELECTC128(R12, R13, DX, R11); \
+	SUBQ    BX, R11; \
+	BTQ     $63, R12; \
+	SBBQ    $-1, DX; \
+	ADDQ    R12, R12; \
+	ADCQ    R13, R13; \
+	ORQ     $1, R12; \
+	SELECTC128(R12, R13, DX, AX); \
+	SUBQ    BX, AX; \
+	MOVQ    $-1, R12; \
+	SHLXQ   AX, R12, AX; \
+	BZHIQ   R11, AX, AX; \
+	ANDQ    R14, AX; \
+	SETNE   R12; \
+	SHRQ    $56, R14; \
+	ORB     R12, (R9)(R14*1)
 
 // BATCH8_KEYS keys make one chunk of the two-pass 8-bit kernel. Its
 // 8224-byte frame holds the chunk's records (16 bytes each, at most two
@@ -431,24 +442,7 @@ select8:
 	MOVBQZX BX, BX              // bucket
 	MOVQ    0(DI)(AX*1), R12
 	MOVQ    8(DI)(AX*1), R13
-	XORL    DX, DX
-	POPCNTQ R12, DX
-	SELECTC128(R12, R13, DX, R11)
-	SUBQ    BX, R11             // end
-	BTQ     $63, R12
-	SBBQ    $-1, DX             // popcount of the shifted low word
-	ADDQ    R12, R12
-	ADCQ    R13, R13
-	ORQ     $1, R12
-	SELECTC128(R12, R13, DX, AX)
-	SUBQ    BX, AX              // start
-	MOVQ    $-1, R12
-	SHLXQ   AX, R12, AX
-	BZHIQ   R11, AX, AX
-	ANDQ    R14, AX             // end <= 48 drops bucket and i
-	SETNE   R12
-	SHRQ    $56, R14            // i
-	ORB     R12, (R9)(R14*1)
+	HIT8
 	ADDQ    $16, SI
 	CMPQ    SI, CX
 	JNE     select8
@@ -496,6 +490,27 @@ done8:
 	BZHIQ    R11, off, off; \
 	ANDQ     R14, off
 
+// SPLIT16(h, bucket, fp, o2, m): SPLIT8 for internal/core's split16: the
+// bucket's multiply by 36, a 16-bit fingerprint, the primary block from
+// bits 32 and up.
+#define SPLIT16(h, bucket, fp, o2, m) \
+	MOVWQZX h, bucket; \
+	IMUL3Q  $36, bucket, bucket; \
+	SHRQ    $16, bucket; \
+	MOVQ    h, fp; \
+	SHRQ    $16, fp; \
+	MOVWQZX fp, fp; \
+	MOVQ    bucket, o2; \
+	SHLQ    $16, o2; \
+	ORQ     fp, o2; \
+	IMUL3Q  $0x5bd1e995, o2, o2; \
+	SHRQ    $32, h; \
+	ANDQ    m, h; \
+	XORQ    h, o2; \
+	ANDQ    m, o2; \
+	SHLQ    $6, h; \
+	SHLQ    $6, o2
+
 // func probeBatch16Asm(blocks *Block16, mask uint64, hs *uint64, out *bool, n int)
 TEXT ·probeBatch16Asm(SB), NOSPLIT, $0-40
 	MOVQ    blocks+0(FP), DI
@@ -511,22 +526,7 @@ TEXT ·probeBatch16Asm(SB), NOSPLIT, $0-40
 
 loop16:
 	MOVQ    (SI)(CX*8), AX      // h
-	MOVWQZX AX, BX
-	IMUL3Q  $36, BX, BX
-	SHRQ    $16, BX             // bucket = (h & 0xffff) * 36 >> 16
-	MOVQ    AX, DX
-	SHRQ    $16, DX
-	MOVWQZX DX, DX              // fp = uint16(h >> 16)
-	MOVQ    BX, R10
-	SHLQ    $16, R10
-	ORQ     DX, R10             // tag = bucket<<16 | fp
-	IMUL3Q  $0x5bd1e995, R10, R10
-	SHRQ    $32, AX
-	ANDQ    mask+8(FP), AX      // b1
-	XORQ    AX, R10
-	ANDQ    mask+8(FP), R10     // b2 = (b1 ^ tag*Murmur3Mul) & mask
-	SHLQ    $6, AX
-	SHLQ    $6, R10
+	SPLIT16(AX, BX, DX, R10, mask+8(FP))
 	MOVQ    $0x0001000100010001, R11
 	IMULQ   R11, DX
 	MOVQ    DX, X0
@@ -544,129 +544,201 @@ done16:
 	RET
 
 // Validated batch kernels for locked-mode arrays, which writers change
-// while the kernel reads them. Each key is split and probed as above, but
-// its two blocks come from a table entry {blocks, mask, seqs, seqMask}
-// (LockedArray) picked by the key's top bits, and its answer is validated
-// with Snapshot's seqlock protocol, loads in this order:
+// while the kernel reads them. Each key is split as above, but its two
+// blocks come from a table entry {blocks, mask, seqs, seqMask}
+// (LockedArray) picked by the key's top bits, and every block read is
+// validated with Snapshot's seqlock protocol, loads in this order:
 //
 //	1. both version stripes, summed into ver;
-//	2. per block, the lock word (MetaHi, or Meta) — ORed into lk, then
-//	   probed with the lock bit forced, the locked-mode logical form —
-//	   followed by the block's other words;
-//	3. both lock words again;
-//	4. both version stripes again.
+//	2. per block, the lock word (MetaHi, or Meta) — its lock bit kept, the
+//	   word probed with the lock bit forced, the locked-mode logical form —
+//	   then the block's other words, then the lock word again;
+//	3. both version stripes again.
 //
 // x86-TSO keeps loads in program order and writers' stores in program
 // order (see the write commits below), so plain MOVs are the acquire loads
-// the protocol needs (Go's atomic loads are the same MOVs). The answer stands if no lock bit was set
-// in 2 or 3 and the stripes still sum to ver; stripes only grow, so an
-// unchanged sum means neither moved. Otherwise the kernel stops and returns
-// the key's index for the per-key path to retry.
+// the protocol needs (Go's atomic loads are the same MOVs). The reads stand
+// if no lock bit was set in 2 and the stripes still sum to ver; stripes
+// only grow, so an unchanged sum means neither moved. Otherwise the kernel
+// stops and returns the key's index for the per-key path to retry; out[i]
+// is written for every key before it and for no key after.
+//
+// The 8-bit kernel compares first, as probeBatch8Asm does, in two passes
+// over chunks of BATCH8_KEYS keys. Pass 1 splits each key, validates its
+// loads of both blocks — stripes, lock words, MetaLo and the 48 lanes — and
+// prefetches the blocks of the key 8 ahead through that key's own table
+// entry, clamped to the call's last key. Each block's record carries the
+// words pass 2 needs, {lane mask | bucket<<48 | i<<56, MetaLo, MetaHi with
+// the lock bit forced}, and is kept when the mask is nonzero, as in
+// probeBatch8Asm; the cursor advances only once the key's reads are
+// validated, so a conflicted key leaves no record. Pass 2 selects each
+// record's range from its own copied words and ORs the hit into out[i]: it
+// reads no block, so there is nothing left for it to validate, and every
+// answer rests on loads that pass 1 bracketed by the seqlock checks. On a
+// conflict pass 2 still runs over the chunk's records, which all belong to
+// keys before the conflicted one.
+//
+// The 16-bit kernel probes each key in one pass with the same look-ahead.
 //
 // Memory safety does not depend on the words read: every address comes
 // from the hash, the entry's masks and the table, and metadata feeds only
 // shift counts and bit selects, which cannot fault. A torn or invalid
 // metadata word yields an answer the validation discards, never an
 // out-of-bounds load.
+
+// LOCATE(split, addr, tab, shift): load the key hash at addr and split it
+// by split (SPLIT8 or SPLIT16) through its own table entry: R8 = &tab[s]
+// for s = h>>56>>shift, DI its blocks, AX and R10 the block offsets, BX
+// the bucket, DX the fingerprint. Clobbers R11.
+#define LOCATE(split, addr, tab, shift) \
+	MOVQ    addr, AX; \
+	MOVQ    AX, R8; \
+	SHRQ    $56, R8; \
+	MOVQ    shift, R11; \
+	SHRXQ   R11, R8, R8; \
+	SHLQ    $5, R8; \
+	ADDQ    tab, R8; \
+	MOVQ    0(R8), DI; \
+	split(AX, BX, DX, R10, 8(R8))
+
+// STRIPES(o1, o2, s1, s2): the version stripe addresses of the blocks at
+// byte offsets o1 and o2 of table entry R8. Clobbers R11 and R13.
+#define STRIPES(o1, o2, s1, s2) \
+	MOVQ    16(R8), R11; \
+	MOVQ    o1, R13; \
+	SHRQ    $6, R13; \
+	ANDQ    24(R8), R13; \
+	LEAQ    (R11)(R13*8), s1; \
+	MOVQ    o2, R13; \
+	SHRQ    $6, R13; \
+	ANDQ    24(R8), R13; \
+	LEAQ    (R11)(R13*8), s2
+
+// RECORD8L(off, rec): pass 1 on the locked-mode Block8 at DI+off. Stores
+// its record at rec (lane mask | tag BX, MetaLo, MetaHi with the lock bit
+// forced), ORs its lock word, read before and after the other words, into
+// R13, and leaves off = 1 if the lane mask is nonzero, else 0. Clobbers R8
+// and R11.
+#define RECORD8L(off, rec) \
+	MOVQ    8(DI)(off*1), R8; \
+	ORQ     R8, R13; \
+	BTSQ    $63, R8; \
+	MOVQ    R8, 16(rec); \
+	MOVQ    0(DI)(off*1), R8; \
+	MOVQ    R8, 8(rec); \
+	LANES8(off, R8); \
+	ORQ     8(DI)(off*1), R13; \
+	XORL    off, off; \
+	TESTQ   R8, R8; \
+	SETNE   off; \
+	ORQ     BX, R8; \
+	MOVQ    R8, 0(rec)
+
+// Pass 1 registers: SI the chunk's keys, R9 its out, CX i, R12 the record
+// cursor, DI the key's blocks, AX/R10 its block offsets, then each block's
+// keep flag, BX the record tag, R14/R15 the stripe addresses, DX ver, R13
+// the lock words. Pass 2 as in probeBatch8Asm, with the metadata words
+// read from the record.
 //
-// Registers as in the plain loop, plus R8 the table entry until the probes;
-// the stripe addresses, block offsets, ver and lk live in the frame.
-
-// PROBE8L(off): PROBE8 on a locked-mode Block8: MetaHi first, its raw
-// value ORed into lk, probed with the lock bit forced.
-#define PROBE8L(off) \
-	MOVQ     8(DI)(off*1), R13; \
-	ORQ      R13, lk-48(SP); \
-	BTSQ     $63, R13; \
-	MOVQ     0(DI)(off*1), R12; \
-	MATCH8(off)
-
 // func probeLocked8Asm(tab *LockedArray, shift uint, hs *uint64, out *bool, n int) int
-TEXT ·probeLocked8Asm(SB), NOSPLIT, $48-48
+TEXT ·probeLocked8Asm(SB), 0, $12320-48
 	MOVQ    hs+16(FP), SI
 	MOVQ    out+24(FP), R9
-	MOVQ    n+32(FP), CX
-	TESTQ   CX, CX
+	MOVQ    n+32(FP), AX
+	MOVQ    AX, ret+40(FP)      // every key answered, unless one conflicts
+	MOVQ    AX, left-8(SP)
+	LEAQ    -8(SI)(AX*8), AX
+	MOVQ    AX, last-32(SP)     // &hs[n-1]
+
+lockedChunk8:
+	MOVQ    left-8(SP), DX
+	TESTQ   DX, DX
 	JLE     lockedDone8
-	LEAQ    (SI)(CX*8), SI
-	ADDQ    CX, R9
-	NEGQ    CX
+	MOVQ    $BATCH8_KEYS, AX
+	CMPQ    DX, AX
+	CMOVQLT DX, AX              // keys in this chunk
+	SUBQ    AX, DX
+	MOVQ    DX, left-8(SP)
+	MOVQ    AX, keys-16(SP)
+	XORL    CX, CX
+	LEAQ    recs-12320(SP), R12 // record cursor
 	PCALIGN $64
 
-lockedLoop8:
-	MOVQ    (SI)(CX*8), AX      // h
-	MOVQ    AX, R8
-	SHRQ    $56, R8
-	MOVQ    shift+8(FP), R11
-	SHRXQ   R11, R8, R8         // shard = h>>56>>shift
-	SHLQ    $5, R8
-	ADDQ    tab+0(FP), R8       // R8 = &tab[shard]
-	MOVQ    0(R8), DI           // blocks
-	MOVWQZX AX, BX
-	IMUL3Q  $80, BX, BX
-	SHRQ    $16, BX             // bucket = (h & 0xffff) * 80 >> 16
-	MOVQ    AX, DX
-	SHRQ    $16, DX
-	MOVBQZX DX, DX              // fp = byte(h >> 16)
-	MOVQ    BX, R10
-	SHLQ    $8, R10
-	ORQ     DX, R10             // tag = bucket<<8 | fp
-	IMUL3Q  $0x5bd1e995, R10, R10
-	SHRQ    $24, AX
-	ANDQ    8(R8), AX           // b1
-	XORQ    AX, R10
-	ANDQ    8(R8), R10          // b2 = (b1 ^ tag*Murmur3Mul) & mask
-	MOVQ    16(R8), R11         // seqs
-	MOVQ    24(R8), R12         // seqMask
-	MOVQ    R12, R13
-	ANDQ    AX, R13
-	LEAQ    (R11)(R13*8), R13
-	MOVQ    R13, s1-16(SP)
-	MOVQ    (R13), R14          // 1. version of b1's stripe
-	ANDQ    R10, R12
-	LEAQ    (R11)(R12*8), R12
-	MOVQ    R12, s2-24(SP)
-	ADDQ    (R12), R14          //    plus b2's
-	MOVQ    R14, ver-8(SP)
-	MOVQ    $0, lk-48(SP)
-	SHLQ    $6, AX
-	SHLQ    $6, R10
-	MOVQ    AX, o1-32(SP)
-	MOVQ    R10, o2-40(SP)
-	MOVQ    $0x0101010101010101, R11
-	IMULQ   R11, DX
+lockedCompare8:
+	LEAQ    64(SI)(CX*8), R8
+	CMPQ    R8, last-32(SP)
+	CMOVQHI last-32(SP), R8
+	LOCATE(SPLIT8, (R8), tab+0(FP), shift+8(FP)) // the key 8 ahead, or the call's last
+	PREFETCHT0 (DI)(AX*1)
+	PREFETCHT0 (DI)(R10*1)
+	LOCATE(SPLIT8, (SI)(CX*8), tab+0(FP), shift+8(FP))
 	MOVQ    DX, X0
-	PUNPCKLQDQ X0, X0
-	PROBE8L(AX)                 // 2.
-	PROBE8L(R10)
-	ORQ     R10, AX             // nonzero: found
-	MOVQ    o1-32(SP), R11
-	MOVQ    o2-40(SP), R12
-	MOVQ    8(DI)(R11*1), R13   // 3. lock words again
-	ORQ     8(DI)(R12*1), R13
-	ORQ     lk-48(SP), R13
-	MOVQ    s1-16(SP), R11
-	MOVQ    (R11), R11          // 4. stripes again
-	MOVQ    s2-24(SP), R12
-	ADDQ    (R12), R11
-	SUBQ    ver-8(SP), R11
+	PUNPCKLBW X0, X0
+	PSHUFLW $0, X0, X0
+	PUNPCKLQDQ X0, X0           // fp in every byte
+	STRIPES(AX, R10, R14, R15)
+	MOVQ    (R14), DX           // 1. ver
+	ADDQ    (R15), DX
+	MOVQ    CX, R11
+	SHLQ    $8, R11
+	ORQ     R11, BX
+	SHLQ    $48, BX             // tag = bucket<<48 | i<<56
+	XORL    R13, R13
+	RECORD8L(AX, R12)           // 2.
+	LEAQ    (AX)(AX*2), AX
+	LEAQ    (R12)(AX*8), AX     // block 2's record
+	RECORD8L(R10, AX)
+	LEAQ    (R10)(R10*2), R10
+	LEAQ    (AX)(R10*8), AX     // the cursor past this key's records
+	MOVQ    (R14), R8           // 3. stripes again
+	ADDQ    (R15), R8
+	SUBQ    DX, R8
 	SHRQ    $63, R13
-	ORQ     R11, R13
+	ORQ     R8, R13
 	JNE     lockedConflict8
-	TESTQ   AX, AX
-	SETNE   (R9)(CX*1)
+	MOVQ    AX, R12
+	MOVB    $0, (R9)(CX*1)
 	INCQ    CX
-	JNE     lockedLoop8
+	CMPQ    CX, keys-16(SP)
+	JNE     lockedCompare8
 
-lockedDone8:
-	MOVQ    n+32(FP), AX
-	MOVQ    AX, ret+40(FP)
-	RET
+lockedRanges8:
+	MOVQ    keys-16(SP), AX
+	LEAQ    (SI)(AX*8), AX
+	MOVQ    AX, next-24(SP)     // the next chunk's keys
+	MOVQ    R12, CX             // one past the last record
+	LEAQ    recs-12320(SP), SI
+	CMPQ    SI, CX
+	JEQ     lockedNextChunk8
+	PCALIGN $64
+
+lockedSelect8:
+	MOVQ    0(SI), R14          // match mask | bucket<<48 | i<<56
+	MOVQ    8(SI), R12          // MetaLo
+	MOVQ    16(SI), R13         // MetaHi, lock bit forced
+	MOVQ    R14, BX
+	SHRQ    $48, BX
+	MOVBQZX BX, BX              // bucket
+	HIT8
+	ADDQ    $24, SI
+	CMPQ    SI, CX
+	JNE     lockedSelect8
+
+lockedNextChunk8:
+	MOVQ    next-24(SP), SI
+	ADDQ    keys-16(SP), R9
+	JMP     lockedChunk8
 
 lockedConflict8:
-	MOVQ    n+32(FP), AX
-	ADDQ    CX, AX              // the conflicted key's index
-	MOVQ    AX, ret+40(FP)
+	MOVQ    SI, AX
+	SUBQ    hs+16(FP), AX
+	SHRQ    $3, AX
+	ADDQ    CX, AX
+	MOVQ    AX, ret+40(FP)      // the conflicted key's index
+	MOVQ    $0, left-8(SP)      // no chunk after this one
+	JMP     lockedRanges8
+
+lockedDone8:
 	RET
 
 // PROBE16L(off): PROBE16 on a locked-mode Block16: Meta ORed into lk, then
@@ -677,6 +749,10 @@ lockedConflict8:
 	BTSQ     $63, R12; \
 	MATCH16(off)
 
+// Registers as in probeBatch16Asm, plus R8 the table entry until the
+// probes; the stripe addresses, block offsets, ver and lk live in the
+// frame: the probe already uses every general register.
+//
 // func probeLocked16Asm(tab *LockedArray, shift uint, hs *uint64, out *bool, n int) int
 TEXT ·probeLocked16Asm(SB), NOSPLIT, $48-48
 	MOVQ    hs+16(FP), SI
@@ -690,43 +766,21 @@ TEXT ·probeLocked16Asm(SB), NOSPLIT, $48-48
 	PCALIGN $64
 
 lockedLoop16:
-	MOVQ    (SI)(CX*8), AX      // h
-	MOVQ    AX, R8
-	SHRQ    $56, R8
-	MOVQ    shift+8(FP), R11
-	SHRXQ   R11, R8, R8         // shard = h>>56>>shift
-	SHLQ    $5, R8
-	ADDQ    tab+0(FP), R8       // R8 = &tab[shard]
-	MOVQ    0(R8), DI           // blocks
-	MOVWQZX AX, BX
-	IMUL3Q  $36, BX, BX
-	SHRQ    $16, BX             // bucket = (h & 0xffff) * 36 >> 16
-	MOVQ    AX, DX
-	SHRQ    $16, DX
-	MOVWQZX DX, DX              // fp = uint16(h >> 16)
-	MOVQ    BX, R10
-	SHLQ    $16, R10
-	ORQ     DX, R10             // tag = bucket<<16 | fp
-	IMUL3Q  $0x5bd1e995, R10, R10
-	SHRQ    $32, AX
-	ANDQ    8(R8), AX           // b1
-	XORQ    AX, R10
-	ANDQ    8(R8), R10          // b2 = (b1 ^ tag*Murmur3Mul) & mask
-	MOVQ    16(R8), R11         // seqs
-	MOVQ    24(R8), R12         // seqMask
-	MOVQ    R12, R13
-	ANDQ    AX, R13
-	LEAQ    (R11)(R13*8), R13
-	MOVQ    R13, s1-16(SP)
-	MOVQ    (R13), R14          // 1. version of b1's stripe
-	ANDQ    R10, R12
-	LEAQ    (R11)(R12*8), R12
-	MOVQ    R12, s2-24(SP)
-	ADDQ    (R12), R14          //    plus b2's
-	MOVQ    R14, ver-8(SP)
+	LEAQ    64(SI)(CX*8), R8
+	LEAQ    -8(SI), R12         // &hs[n-1]
+	CMPQ    R8, R12
+	CMOVQHI R12, R8
+	LOCATE(SPLIT16, (R8), tab+0(FP), shift+8(FP)) // the key 8 ahead, or the call's last
+	PREFETCHT0 (DI)(AX*1)
+	PREFETCHT0 (DI)(R10*1)
+	LOCATE(SPLIT16, (SI)(CX*8), tab+0(FP), shift+8(FP))
+	STRIPES(AX, R10, R12, R14)
+	MOVQ    R12, s1-16(SP)
+	MOVQ    R14, s2-24(SP)
+	MOVQ    (R12), R15          // 1. ver
+	ADDQ    (R14), R15
+	MOVQ    R15, ver-8(SP)
 	MOVQ    $0, lk-48(SP)
-	SHLQ    $6, AX
-	SHLQ    $6, R10
 	MOVQ    AX, o1-32(SP)
 	MOVQ    R10, o2-40(SP)
 	MOVQ    $0x0001000100010001, R11
@@ -740,11 +794,11 @@ lockedLoop16:
 	ORQ     R10, AX             // nonzero: found
 	MOVQ    o1-32(SP), R11
 	MOVQ    o2-40(SP), R12
-	MOVQ    0(DI)(R11*1), R13   // 3. lock words again
+	MOVQ    0(DI)(R11*1), R13   //    lock words again
 	ORQ     0(DI)(R12*1), R13
 	ORQ     lk-48(SP), R13
 	MOVQ    s1-16(SP), R11
-	MOVQ    (R11), R11          // 4. stripes again
+	MOVQ    (R11), R11          // 3. stripes again
 	MOVQ    s2-24(SP), R12
 	ADDQ    (R12), R11
 	SUBQ    ver-8(SP), R11
@@ -786,7 +840,7 @@ lockedConflict16:
 // to z: the new fingerprint where K is clear), and elsewhere the shifted
 // lane. Each blend is x ^ ((x ^ y) & mask), three SSE2 ops.
 //
-// Remove. The match runs as in MATCH8/MATCH16 (branch-free range), the
+// Remove. The match runs as in HIT8/MATCH16 (branch-free range), the
 // first match z is freed, and the metadata bit at p = z + bucket is removed:
 //
 //	new = meta&M | (meta>>1)&^M,    M = the bits below p
